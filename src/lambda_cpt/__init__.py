@@ -19,150 +19,22 @@ only inside the dynamical generators.
 
 __version__ = "0.1.0"
 
-from .lambda_system import (
-    BranchingRates,
-    LambdaBasis,
-    LambdaConfig,
-    branching_rates,
-    dark_bright_basis,
-    dark_precession_overlap,
-    polarization_efficiency,
-)
-from .spin_model import (
-    EigenSystem,
-    EsrLine,
-    HyperfineParams,
-    PhysicalConstants,
-    SpinSystemParams,
-    eigensystem,
-    esr_lines,
-    mixing_angles,
-)
-from .rate_model import (
-    PumpStepParams,
-    SimplifiedParams,
-    characteristic_steps,
-    gamma_dp_for_alpha_dp,
-    laser_transient,
-    population_after_n,
-    simplified_from_step,
-    simplified_population,
-    steady_state,
-    step_map,
-)
-from .dynamics import (
-    DEFAULT_READOUT,
-    ReadoutModel,
-    SequenceConfig,
-    StepTrace,
-    apply_laser,
-    apply_wait,
-    dark_population_estimate,
-    evolve_pulse,
-    free_generator,
-    invert_calibration,
-    liouvillian,
-    pure_state,
-    readout_signal,
-    run_cpt_sequence,
-    rwa_generator,
-    thermal_ground_state,
-)
-from .experiments import (
-    CombPrediction,
-    CompositionSweep,
-    PumpTrace,
-    Spectrum,
-    apply_artificial_contrast,
-    comb_predict,
-    composition_sweep,
-    cpt_spectrum,
-    linewidth_limit,
-    multi_resonance_scan,
-    pump_trace,
-    relaxation_rate_limit,
-)
-from .fitting import (
-    DipFit,
-    SaturationFit,
-    fit_contrast_curve,
-    fit_dips,
-    fit_saturation,
-    load_dataset,
-    recover_simplified,
-)
-from .datasets import read_csv, run_manifest, write_csv, write_manifest
-from .config import ConfigError, RunConfig, default_config, load_config, parse_config
+from . import config, datasets, dynamics, experiments, fitting
+from . import lambda_system, rate_model, spin_model
+from .lambda_system import *  # noqa: F403
+from .spin_model import *  # noqa: F403
+from .rate_model import *  # noqa: F403
+from .dynamics import *  # noqa: F403
+from .experiments import *  # noqa: F403
+from .fitting import *  # noqa: F403
+from .datasets import *  # noqa: F403
+from .config import *  # noqa: F403
 
-__all__ = [
-    "__version__",
-    "BranchingRates",
-    "LambdaBasis",
-    "LambdaConfig",
-    "branching_rates",
-    "dark_bright_basis",
-    "dark_precession_overlap",
-    "polarization_efficiency",
-    "EigenSystem",
-    "EsrLine",
-    "HyperfineParams",
-    "PhysicalConstants",
-    "SpinSystemParams",
-    "eigensystem",
-    "esr_lines",
-    "mixing_angles",
-    "PumpStepParams",
-    "SimplifiedParams",
-    "characteristic_steps",
-    "gamma_dp_for_alpha_dp",
-    "laser_transient",
-    "population_after_n",
-    "simplified_from_step",
-    "simplified_population",
-    "steady_state",
-    "step_map",
-    "DEFAULT_READOUT",
-    "ReadoutModel",
-    "SequenceConfig",
-    "StepTrace",
-    "apply_laser",
-    "apply_wait",
-    "dark_population_estimate",
-    "evolve_pulse",
-    "free_generator",
-    "invert_calibration",
-    "liouvillian",
-    "pure_state",
-    "readout_signal",
-    "run_cpt_sequence",
-    "rwa_generator",
-    "thermal_ground_state",
-    "CombPrediction",
-    "CompositionSweep",
-    "PumpTrace",
-    "Spectrum",
-    "apply_artificial_contrast",
-    "comb_predict",
-    "composition_sweep",
-    "cpt_spectrum",
-    "linewidth_limit",
-    "multi_resonance_scan",
-    "pump_trace",
-    "relaxation_rate_limit",
-    "DipFit",
-    "SaturationFit",
-    "fit_contrast_curve",
-    "fit_dips",
-    "fit_saturation",
-    "load_dataset",
-    "recover_simplified",
-    "read_csv",
-    "run_manifest",
-    "write_csv",
-    "write_manifest",
-    "ConfigError",
-    "RunConfig",
-    "default_config",
-    "load_config",
-    "parse_config",
+# The package exports exactly what each layer exports, bottom up.
+__all__ = ["__version__"] + [
+    name
+    for module in (
+        lambda_system, spin_model, rate_model, dynamics, experiments, fitting, datasets, config
+    )
+    for name in module.__all__
 ]

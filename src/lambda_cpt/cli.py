@@ -11,9 +11,9 @@ Subcommands map one-to-one onto the experiment protocols:
     fit              fit a previously written dataset
 
 Every subcommand takes --config (INI path, defaults apply when omitted),
---out (output directory), --seed (noise seed), --workers (process count
-for detuning sweeps). Datasets are CSV with a '#' comment block; each run
-also writes a JSON manifest whose hash is echoed into the CSV header.
+--out (output directory) and --seed (noise seed). Datasets are CSV with a
+'#' comment block; each run also writes a JSON manifest whose hash is
+echoed into the CSV header.
 
 Exit codes: 0 success, 1 engine failure, 2 unreadable CLI/config input,
 3 validation rejection, 4 fit did not converge (report still written),
@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, default_config, load_config
-from .datasets import manifest_hash, run_manifest, write_csv, write_manifest
+from .datasets import manifest_hash, read_csv, run_manifest, write_csv, write_manifest
 from .dynamics import run_cpt_sequence, thermal_ground_state
 from .experiments import (
     apply_artificial_contrast,
@@ -45,33 +45,12 @@ from .experiments import (
     multi_resonance_scan,
     pump_trace,
 )
-from .fitting import (
-    fit_contrast_curve,
-    fit_dips,
-    fit_saturation,
-    load_dataset,
-    recover_simplified,
-)
+from .fitting import fit_contrast_curve, fit_dips, fit_saturation, recover_simplified
 from .spin_model import eigensystem, esr_lines
 
 __all__ = ["main"]
 
 log = logging.getLogger("lambda_cpt.cli")
-
-_COMMANDS = (
-    "esr-lines",
-    "cpt-spectrum",
-    "pump-steps",
-    "composition",
-    "multi-resonance",
-    "comb-predict",
-    "fit",
-)
-
-_USAGE = (
-    "usage: lambda-cpt <command> [--config FILE] [--out DIR] [--seed N] [--workers N]\n"
-    "commands: " + ", ".join(_COMMANDS) + "\n"
-)
 
 
 def _setup_logging() -> None:
@@ -89,14 +68,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"lambda-cpt {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name in _HANDLERS:
         sub = subs.add_parser(name)
         sub.add_argument("--config", default=None, help="INI run file (defaults when omitted)")
         sub.add_argument("--out", default=".", help="output directory (created if needed)")
         sub.add_argument("--seed", type=int, default=None, help="noise seed (default 0)")
-        sub.add_argument(
-            "--workers", type=int, default=None, help="processes for detuning sweeps"
-        )
     return parser
 
 
@@ -106,15 +82,8 @@ def _noise(rng: np.random.Generator | None, std: float, values: np.ndarray) -> n
     return values + rng.normal(0.0, std, size=len(values))
 
 
-def _finish(out: Path, name: str, inputs: dict, started: float) -> None:
-    manifest = run_manifest(inputs, __version__, wall_time_s=time.perf_counter() - started)
-    write_manifest(out / f"{name}.manifest.json", manifest)
-
-
-def _run_esr_lines(cfg: RunConfig, ns, out: Path, rng, inputs: dict) -> int:
-    started = time.perf_counter()
+def _run_esr_lines(cfg: RunConfig, out: Path, rng, digest: str) -> int:
     lines = esr_lines(eigensystem(cfg.spin))
-    digest = manifest_hash(inputs, __version__)
     write_csv(
         out / "esr_lines.csv",
         {
@@ -125,16 +94,13 @@ def _run_esr_lines(cfg: RunConfig, ns, out: Path, rng, inputs: dict) -> int:
         digest,
         "electron resonance lines",
     )
-    _finish(out, "esr_lines", inputs, started)
     return 0
 
 
-def _run_cpt_spectrum(cfg: RunConfig, ns, out: Path, rng, inputs: dict) -> int:
-    started = time.perf_counter()
+def _run_cpt_spectrum(cfg: RunConfig, out: Path, rng, digest: str) -> int:
     start, stop, points = cfg.scan_grid
     grid = np.linspace(start, stop, points)
-    spec = cpt_spectrum(cfg.seq, cfg.scan_delta_1, grid, workers=ns.workers)
-    digest = manifest_hash(inputs, __version__)
+    spec = cpt_spectrum(cfg.seq, cfg.scan_delta_1, grid)
     write_csv(
         out / "spectrum.csv",
         {
@@ -144,15 +110,12 @@ def _run_cpt_spectrum(cfg: RunConfig, ns, out: Path, rng, inputs: dict) -> int:
         digest,
         "steady trapping spectrum",
     )
-    _finish(out, "spectrum", inputs, started)
     return 0
 
 
-def _run_pump_steps(cfg: RunConfig, ns, out: Path, rng, inputs: dict) -> int:
-    started = time.perf_counter()
+def _run_pump_steps(cfg: RunConfig, out: Path, rng, digest: str) -> int:
     result = pump_trace(cfg.seq, readout=cfg.readout)
     trace = result.trace
-    digest = manifest_hash(inputs, __version__)
     write_csv(
         out / "pump_steps.csv",
         {
@@ -176,16 +139,13 @@ def _run_pump_steps(cfg: RunConfig, ns, out: Path, rng, inputs: dict) -> int:
         digest,
         "calibrated dark-population estimate",
     )
-    _finish(out, "pump_steps", inputs, started)
     return 0
 
 
-def _run_composition(cfg: RunConfig, ns, out: Path, rng, inputs: dict) -> int:
-    started = time.perf_counter()
+def _run_composition(cfg: RunConfig, out: Path, rng, digest: str) -> int:
     sweep = composition_sweep(
         cfg.seq, np.asarray(cfg.ratios), n_steps=cfg.composition_steps
     )
-    digest = manifest_hash(inputs, __version__)
     columns = {
         "ratio": sweep.ratios,
         "measured": sweep.measured,
@@ -196,21 +156,25 @@ def _run_composition(cfg: RunConfig, ns, out: Path, rng, inputs: dict) -> int:
             sweep.measured, cfg.contrast_a
         )
     write_csv(out / "composition.csv", columns, digest, "dark-state composition sweep")
-    _finish(out, "composition", inputs, started)
     return 0
 
 
-def _run_multi_resonance(cfg: RunConfig, ns, out: Path, rng, inputs: dict) -> int:
-    started = time.perf_counter()
+def _run_multi_resonance(cfg: RunConfig, out: Path, rng, digest: str) -> int:
+    labels = [format(t_seq, "g") for t_seq in cfg.t_seq_list]
+    shared = sorted({label for label in labels if labels.count(label) > 1})
+    if shared:
+        raise ConfigError(
+            "scan.t_seq_list",
+            f"periods share the output file label T{', T'.join(shared)}; "
+            "periods must differ in their first 6 significant digits",
+        )
     explicit_scan = cfg.explicit.get("scan", {})
     grid = None
     if {"delta_start", "delta_stop", "points"} & set(explicit_scan):
         start, stop, points = cfg.scan_grid
         grid = np.linspace(start, stop, points)
-    spectra = multi_resonance_scan(cfg.seq, list(cfg.t_seq_list), grid=grid, workers=ns.workers)
-    digest = manifest_hash(inputs, __version__)
-    for t_seq, spec in zip(cfg.t_seq_list, spectra):
-        label = format(t_seq, "g")
+    spectra = multi_resonance_scan(cfg.seq, list(cfg.t_seq_list), grid=grid)
+    for label, spec in zip(labels, spectra):
         write_csv(
             out / f"multi_resonance_T{label}.csv",
             {
@@ -220,15 +184,12 @@ def _run_multi_resonance(cfg: RunConfig, ns, out: Path, rng, inputs: dict) -> in
             digest,
             f"trapping spectrum at period {label} us",
         )
-    _finish(out, "multi_resonance", inputs, started)
     return 0
 
 
-def _run_comb_predict(cfg: RunConfig, ns, out: Path, rng, inputs: dict) -> int:
-    started = time.perf_counter()
+def _run_comb_predict(cfg: RunConfig, out: Path, rng, digest: str) -> int:
     seq = cfg.seq
     comb = comb_predict(seq.t_mw, seq.t_seq, cfg.comb_n_s, cfg.comb_n_max)
-    digest = manifest_hash(inputs, __version__)
     n_values = np.arange(-cfg.comb_n_max, cfg.comb_n_max + 1)
     write_csv(
         out / "comb.csv",
@@ -241,7 +202,6 @@ def _run_comb_predict(cfg: RunConfig, ns, out: Path, rng, inputs: dict) -> int:
         digest,
         "pulse-train comb geometry",
     )
-    _finish(out, "comb", inputs, started)
     return 0
 
 
@@ -309,14 +269,13 @@ def _fit_report_contrast(data: dict) -> tuple[dict, bool]:
     return {"kind": "contrast", "converged": True, "a": a, "column": column}, True
 
 
-def _run_fit(cfg: RunConfig, ns, out: Path, rng, inputs: dict) -> int:
-    started = time.perf_counter()
+def _run_fit(cfg: RunConfig, out: Path, rng, digest: str) -> int:
     if not cfg.fit_input:
         raise ConfigError("fit.input", "no dataset path configured")
     path = Path(cfg.fit_input)
     if not path.is_file():
         raise ConfigError("fit.input", f"no such file: {path}")
-    data = load_dataset(path)
+    data = read_csv(path)
     if cfg.fit_kind == "dips":
         report, converged = _fit_report_dips(cfg, data)
     elif cfg.fit_kind == "saturation":
@@ -326,22 +285,28 @@ def _run_fit(cfg: RunConfig, ns, out: Path, rng, inputs: dict) -> int:
     (out / "fit_report.json").write_text(
         json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
-    _finish(out, "fit", inputs, started)
     if not converged:
         log.error("fit did not converge; report written anyway")
         return 4
     return 0
 
 
+# command -> (manifest name, handler). A handler writes its datasets and
+# returns the exit code; main writes <manifest name>.manifest.json after it.
 _HANDLERS = {
-    "esr-lines": _run_esr_lines,
-    "cpt-spectrum": _run_cpt_spectrum,
-    "pump-steps": _run_pump_steps,
-    "composition": _run_composition,
-    "multi-resonance": _run_multi_resonance,
-    "comb-predict": _run_comb_predict,
-    "fit": _run_fit,
+    "esr-lines": ("esr_lines", _run_esr_lines),
+    "cpt-spectrum": ("spectrum", _run_cpt_spectrum),
+    "pump-steps": ("pump_steps", _run_pump_steps),
+    "composition": ("composition", _run_composition),
+    "multi-resonance": ("multi_resonance", _run_multi_resonance),
+    "comb-predict": ("comb", _run_comb_predict),
+    "fit": ("fit", _run_fit),
 }
+
+_USAGE = (
+    "usage: lambda-cpt <command> [--config FILE] [--out DIR] [--seed N]\n"
+    "commands: " + ", ".join(_HANDLERS) + "\n"
+)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -357,7 +322,7 @@ def main(argv: list[str] | None = None) -> int:
                 return int(exc.code or 0)
         sys.stderr.write(_USAGE)
         return 64
-    if first_positional not in _COMMANDS:
+    if first_positional not in _HANDLERS:
         sys.stderr.write(f"unknown command: {first_positional}\n{_USAGE}")
         return 64
 
@@ -380,14 +345,21 @@ def main(argv: list[str] | None = None) -> int:
     inputs["seed"] = ns.seed
     inputs["noise_applied"] = cfg.noise_std > 0
 
+    name, handler = _HANDLERS[ns.command]
+    started = time.perf_counter()
     try:
-        return _HANDLERS[ns.command](cfg, ns, out, rng if cfg.noise_std > 0 else None, inputs)
+        code = handler(
+            cfg, out, rng if cfg.noise_std > 0 else None, manifest_hash(inputs, __version__)
+        )
     except ConfigError as exc:
         log.error("validation rejected: %s", exc)
         return 3
     except ValueError as exc:
         log.error("engine failure: %s", exc)
         return 1
+    manifest = run_manifest(inputs, __version__, wall_time_s=time.perf_counter() - started)
+    write_manifest(out / f"{name}.manifest.json", manifest)
+    return code
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .lambda_system import LambdaConfig, branching_rates
@@ -344,6 +344,16 @@ def parse_config(text: str) -> RunConfig:
     comb_n_s = _float(sc["n_s"], "scan.n_s")
     if comb_n_s <= 0:
         raise ConfigError("scan.n_s", "must be positive")
+    t_seq_list = _float_list(sc["t_seq_list"], "scan.t_seq_list")
+    # Only a list the run file sets: checking the default list would reject
+    # every long sequence, whatever the command. Each entry goes through the
+    # sequence's own period check, so the two rules cannot drift apart.
+    if "t_seq_list" in explicit.get("scan", {}):
+        for t_seq_entry in t_seq_list:
+            try:
+                replace(seq, t_seq=t_seq_entry)
+            except ValueError as exc:
+                raise ConfigError("scan.t_seq_list", str(exc)) from exc
 
     co = merged["composition"]
     ratios = _float_list(co["ratios"], "composition.ratios")
@@ -376,7 +386,7 @@ def parse_config(text: str) -> RunConfig:
         readout=readout,
         scan_grid=(delta_start, delta_stop, points),
         scan_delta_1=_float(sc["delta_1"], "scan.delta_1"),
-        t_seq_list=_float_list(sc["t_seq_list"], "scan.t_seq_list"),
+        t_seq_list=t_seq_list,
         comb_n_s=comb_n_s,
         comb_n_max=comb_n_max,
         ratios=ratios,

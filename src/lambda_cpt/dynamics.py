@@ -16,9 +16,10 @@ of 1/t_seq.
 Dissipation is Lindblad-type: the laser repolarizes |-> into the dark and
 bright states at the branching rates and dephases the ground coherence at
 gamma_dp; waits can carry a slow intrinsic dephasing gamma_2n and an
-electron T1 channel. Each segment's propagator is the exact matrix
-exponential of its 9x9 generator by default, precomputed once per sequence;
-a fixed-step RK4 integrator is available as ``method="rk4"``.
+electron T1 channel. The microwave pulse stays coherent. This rule lives in
+one place, :func:`segment_generators`, which every segment function and the
+pulse train build on. Each segment's propagator is the exact matrix
+exponential of its 9x9 generator, precomputed once per sequence.
 
 Units: MHz and us everywhere at the interface; the 2*pi sits inside the
 generators only.
@@ -51,6 +52,7 @@ __all__ = [
     "rwa_generator",
     "free_generator",
     "liouvillian",
+    "segment_generators",
     "evolve_pulse",
     "apply_laser",
     "apply_wait",
@@ -227,14 +229,28 @@ def _dephasing_jump(rate: float) -> np.ndarray:
     return math.sqrt(rate / 2.0) * np.diag([1.0, -1.0, 0.0]).astype(complex)
 
 
-def _laser_jumps(relax: BranchingRates, basis: LambdaBasis) -> list[np.ndarray]:
+def _laser_jumps(relax: BranchingRates, basis: LambdaBasis, gamma_dp: float) -> list[np.ndarray]:
+    """Laser channels: |D><-| at gamma_d, |B><-| at gamma_b, dephasing at gamma_dp."""
     e3 = np.array([0.0, 0.0, 1.0], dtype=complex)
     dark3 = np.append(basis.dark, 0.0)
     bright3 = np.append(basis.bright, 0.0)
-    return [
+    jumps = [
         math.sqrt(relax.gamma_d) * np.outer(dark3, e3),
         math.sqrt(relax.gamma_b) * np.outer(bright3, e3),
     ]
+    if gamma_dp > 0:
+        jumps.append(_dephasing_jump(gamma_dp))
+    return jumps
+
+
+def _wait_jumps(gamma_2n: float, t1_e: float) -> list[np.ndarray]:
+    """Wait channels: dephasing at gamma_2n, then electron T1 when t1_e is finite."""
+    jumps: list[np.ndarray] = []
+    if gamma_2n > 0:
+        jumps.append(_dephasing_jump(gamma_2n))
+    if math.isfinite(t1_e):
+        jumps.extend(_t1_jumps(t1_e))
+    return jumps
 
 
 def _t1_jumps(t1_e: float) -> list[np.ndarray]:
@@ -256,57 +272,43 @@ def _t1_jumps(t1_e: float) -> list[np.ndarray]:
     ]
 
 
-def _rk4(vec: np.ndarray, gen: np.ndarray, duration: float, dt: float) -> np.ndarray:
-    steps = max(1, math.ceil(duration / dt))
-    h = duration / steps
-    for _ in range(steps):
-        k1 = gen @ vec
-        k2 = gen @ (vec + 0.5 * h * k1)
-        k3 = gen @ (vec + 0.5 * h * k2)
-        k4 = gen @ (vec + h * k3)
-        vec = vec + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return vec
+def _segments(seq: SequenceConfig, basis: LambdaBasis) -> tuple[tuple[np.ndarray, float], ...]:
+    """:func:`segment_generators` for a caller that already holds the drive basis."""
+    h_free = free_generator(seq.lam)
+    wait_jumps = _wait_jumps(seq.gamma_2n, seq.t1_e)
+    return (
+        (liouvillian(rwa_generator(seq.lam), []), seq.t_mw),
+        (liouvillian(h_free, wait_jumps), seq.wait_pre_total),
+        (liouvillian(h_free, _laser_jumps(seq.relax, basis, seq.gamma_dp)), seq.t_laser),
+        (liouvillian(h_free, wait_jumps), seq.t_wait_post),
+    )
 
 
-def _propagate(
-    rho: DensityMatrix, gen: np.ndarray, duration: float, dt: float, method: str
-) -> DensityMatrix:
-    if duration == 0.0:
-        return rho.astype(complex, copy=True)
-    vec = rho.astype(complex).reshape(9)
-    if method == "expm":
-        vec = expm(gen * duration) @ vec
-    elif method == "rk4":
-        vec = _rk4(vec, gen, duration, dt)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return vec.reshape(3, 3)
+def segment_generators(seq: SequenceConfig) -> tuple[tuple[np.ndarray, float], ...]:
+    """The four (9x9 generator, duration) pairs of one sequence period.
 
-
-def evolve_pulse(
-    rho: DensityMatrix,
-    cfg: LambdaConfig,
-    duration: float,
-    dt: float = 1e-3,
-    method: str = "expm",
-) -> DensityMatrix:
-    """Coherent microwave segment: rho -> U rho U' with U = exp(-i H duration).
-
-    Raises ValueError when the requested step size is too coarse for the
-    Hamiltonian scale (dt > 0.01 / max |H| in rad/us); the exact-exponential
-    path enforces the same contract for a predictable interface.
+    In order: coherent microwave pulse, pre-laser wait (stretched to t_seq),
+    laser pulse, post-laser wait. Relaxation acts only in the laser segment
+    and, when gamma_2n or t1_e switch it on, in the waits.
     """
+    return _segments(seq, dark_bright_basis(seq.lam))
+
+
+def _propagate(rho: DensityMatrix, gen: np.ndarray, duration: float) -> DensityMatrix:
     if duration < 0:
         raise ValueError("duration must be nonnegative")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    h = rwa_generator(cfg)
-    hmax = float(np.max(np.abs(h)))
-    if hmax > 0 and dt > 0.01 / hmax:
-        raise ValueError(
-            f"dt = {dt:g} too coarse: must not exceed 0.01/max|H| = {0.01 / hmax:g} us"
-        )
-    return _propagate(rho, liouvillian(h, []), duration, dt, method)
+    if duration == 0.0:
+        return rho.astype(complex, copy=True)
+    return (expm(gen * duration) @ rho.astype(complex).reshape(9)).reshape(3, 3)
+
+
+def _frame(cfg: LambdaConfig | None) -> np.ndarray:
+    return free_generator(cfg) if cfg is not None else np.zeros((3, 3), dtype=complex)
+
+
+def evolve_pulse(rho: DensityMatrix, cfg: LambdaConfig, duration: float) -> DensityMatrix:
+    """Coherent microwave segment: rho -> U rho U' with U = exp(-i H duration)."""
+    return _propagate(rho, liouvillian(rwa_generator(cfg), []), duration)
 
 
 def apply_laser(
@@ -315,9 +317,7 @@ def apply_laser(
     basis: LambdaBasis,
     gamma_dp: float,
     duration: float,
-    dt: float = 1e-3,
     cfg: LambdaConfig | None = None,
-    method: str = "expm",
 ) -> DensityMatrix:
     """Dissipative laser segment: repolarization plus nuclear dephasing.
 
@@ -326,13 +326,8 @@ def apply_laser(
     coherence. When cfg is given, the drive-free frame Hamiltonian keeps
     winding underneath (relevant only off resonance).
     """
-    if duration < 0:
-        raise ValueError("duration must be nonnegative")
-    jumps = _laser_jumps(relax, basis)
-    if gamma_dp > 0:
-        jumps.append(_dephasing_jump(gamma_dp))
-    h = free_generator(cfg) if cfg is not None else np.zeros((3, 3), dtype=complex)
-    return _propagate(rho, liouvillian(h, jumps), duration, dt, method)
+    jumps = _laser_jumps(relax, basis, gamma_dp)
+    return _propagate(rho, liouvillian(_frame(cfg), jumps), duration)
 
 
 def apply_wait(
@@ -341,8 +336,6 @@ def apply_wait(
     gamma_2n: float = 0.0,
     t1_e: float = math.inf,
     cfg: LambdaConfig | None = None,
-    dt: float = 1e-3,
-    method: str = "expm",
 ) -> DensityMatrix:
     """Drive-free segment: frame precession plus optional slow decoherence.
 
@@ -351,15 +344,7 @@ def apply_wait(
     (P_- -> 1/2 with time constant t1_e). Both default to off, making the
     wait a pure frame rotation (the identity at zero detunings).
     """
-    if duration < 0:
-        raise ValueError("duration must be nonnegative")
-    jumps: list[np.ndarray] = []
-    if gamma_2n > 0:
-        jumps.append(_dephasing_jump(gamma_2n))
-    if math.isfinite(t1_e):
-        jumps.extend(_t1_jumps(t1_e))
-    h = free_generator(cfg) if cfg is not None else np.zeros((3, 3), dtype=complex)
-    return _propagate(rho, liouvillian(h, jumps), duration, dt, method)
+    return _propagate(rho, liouvillian(_frame(cfg), _wait_jumps(gamma_2n, t1_e)), duration)
 
 
 def _signal(p_excited: float, model: ReadoutModel) -> float:
@@ -400,14 +385,12 @@ def run_cpt_sequence(
     rho0: DensityMatrix,
     seq: SequenceConfig,
     readout: ReadoutModel | None = None,
-    dt: float = 1e-3,
-    method: str = "expm",
 ) -> tuple[StepTrace, DensityMatrix]:
     """Repeat the pulse-wait-laser-wait period n_reps times.
 
-    Populations are recorded immediately before each laser pulse. With the
-    default exact-exponential method the four segment propagators are built
-    once and each period costs four matrix-vector products.
+    Populations are recorded immediately before each laser pulse. The four
+    segment propagators are built once and each period costs four
+    matrix-vector products.
     """
     model = readout if readout is not None else DEFAULT_READOUT
     n = seq.n_reps
@@ -425,38 +408,10 @@ def run_cpt_sequence(
     if n == 0:
         return trace, rho0.astype(complex, copy=True)
 
-    h_mw = rwa_generator(seq.lam)
-    h_free = free_generator(seq.lam)
-    wait_jumps: list[np.ndarray] = []
-    if seq.gamma_2n > 0:
-        wait_jumps.append(_dephasing_jump(seq.gamma_2n))
-    if math.isfinite(seq.t1_e):
-        wait_jumps.extend(_t1_jumps(seq.t1_e))
-    laser_jumps = _laser_jumps(seq.relax, basis)
-    if seq.gamma_dp > 0:
-        laser_jumps.append(_dephasing_jump(seq.gamma_dp))
+    props = [expm(gen * t) if t > 0 else None for gen, t in _segments(seq, basis)]
 
-    segments = (
-        (liouvillian(h_mw, []), seq.t_mw),
-        (liouvillian(h_free, wait_jumps), seq.wait_pre_total),
-        (liouvillian(h_free, laser_jumps), seq.t_laser),
-        (liouvillian(h_free, wait_jumps), seq.t_wait_post),
-    )
-
-    if method == "expm":
-        props = [expm(gen * t) if t > 0 else None for gen, t in segments]
-
-        def advance(vec: np.ndarray, i: int) -> np.ndarray:
-            return vec if props[i] is None else props[i] @ vec
-
-    elif method == "rk4":
-
-        def advance(vec: np.ndarray, i: int) -> np.ndarray:
-            gen, t = segments[i]
-            return vec if t == 0 else _rk4(vec, gen, t, dt)
-
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    def advance(vec: np.ndarray, i: int) -> np.ndarray:
+        return vec if props[i] is None else props[i] @ vec
 
     vec = rho0.astype(complex).reshape(9)
     for i in range(n):

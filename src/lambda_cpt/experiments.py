@@ -12,13 +12,12 @@ baseline (the mean of the two outermost grid points), which corresponds to
 an unpumped spin flipping on half the pulses and is therefore mapped to
 one-half. Trapping shows up as a dip toward zero, and one minus the dip
 minimum reads off the trapped dark fraction. Grid points are independent
-simulations and can be fanned out to a process pool via ``workers``.
+simulations, run one after another.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -123,17 +122,7 @@ def _steady_excited(seq: SequenceConfig, delta_1: float, delta_2: float) -> floa
     return float(np.mean(trace.p_excited[-window:]))
 
 
-def _spectrum_point(args: tuple[SequenceConfig, float, float]) -> float:
-    seq, delta_1, delta_2 = args
-    return _steady_excited(seq, delta_1, delta_2)
-
-
-def cpt_spectrum(
-    seq: SequenceConfig,
-    delta_1: float,
-    grid: np.ndarray,
-    workers: int | None = None,
-) -> Spectrum:
+def cpt_spectrum(seq: SequenceConfig, delta_1: float, grid: np.ndarray) -> Spectrum:
     """Sweep delta_2 across ``grid`` and record the calibrated steady signal.
 
     Each grid point restarts from the thermal ground state, runs n_reps
@@ -147,12 +136,9 @@ def cpt_spectrum(
         raise ValueError("empty detuning grid")
     if seq.n_reps < 1:
         raise ValueError("n_reps must be at least 1 for a spectrum")
-    args = [(seq, delta_1, d2) for d2 in grid]
-    if workers is not None and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = np.fromiter(pool.map(_spectrum_point, args), dtype=float, count=len(args))
-    else:
-        raw = np.fromiter(map(_spectrum_point, args), dtype=float, count=len(args))
+    raw = np.fromiter(
+        (_steady_excited(seq, delta_1, d2) for d2 in grid), dtype=float, count=len(grid)
+    )
     baseline = 0.5 * (raw[0] + raw[-1])
     signal = raw / (2.0 * baseline) if baseline > 1e-12 else raw
     return Spectrum(detuning_grid=grid, signal=signal, delta_1=delta_1, seq=seq)
@@ -222,7 +208,6 @@ def multi_resonance_scan(
     base: SequenceConfig,
     t_seq_list: list[float],
     grid: np.ndarray | None = None,
-    workers: int | None = None,
 ) -> list[Spectrum]:
     """One spectrum per sequence period; dips appear at delta_r = n/t_seq.
 
@@ -238,7 +223,7 @@ def multi_resonance_scan(
             if grid is not None
             else np.linspace(-1.3 / t_seq, 1.3 / t_seq, 321)
         )
-        spectra.append(cpt_spectrum(seq_t, base.lam.delta_1, g, workers=workers))
+        spectra.append(cpt_spectrum(seq_t, base.lam.delta_1, g))
     return spectra
 
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import leastsq
 
-from .datasets import read_csv
 from .rate_model import SimplifiedParams
 from .experiments import Spectrum
 
@@ -30,7 +29,6 @@ __all__ = [
     "fit_saturation",
     "fit_contrast_curve",
     "recover_simplified",
-    "load_dataset",
 ]
 
 FWHM_PER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
@@ -214,7 +212,10 @@ def fit_saturation(trace) -> SaturationFit:
     def residuals(p: np.ndarray) -> np.ndarray:
         return model(p) - series
 
-    params0 = np.array([series[-1], series[0], max(1.0, len(series) / 5.0)])
+    # Start n_s at the first step within 1/e of the end-to-end change: a
+    # length-based guess can leave LM in the n_s -> 0 valley on short traces.
+    settled = np.abs(series - series[-1]) < abs(series[0] - series[-1]) / math.e
+    params0 = np.array([series[-1], series[0], max(1, int(np.argmax(settled)))])
     popt, cov, info, _, ier = leastsq(
         residuals, params0, ftol=1e-10, maxfev=2000, full_output=True
     )
@@ -267,8 +268,3 @@ def recover_simplified(fit: SaturationFit) -> SimplifiedParams:
         alpha_p_eff = 0.0
     alpha_p_eff = min(max(alpha_p_eff, 0.0), 1.0)
     return SimplifiedParams(alpha_p_eff=alpha_p_eff, alpha_dp=alpha_dp)
-
-
-def load_dataset(path) -> dict[str, np.ndarray | list[str]]:
-    """Read a dataset CSV written by the CLI (comment block plus header row)."""
-    return read_csv(path)

@@ -221,3 +221,27 @@ def test_fit_saturation_report(tmp_path):
     report = json.loads((tmp_path / "fit_report.json").read_text())
     assert report["n_s"] == pytest.approx(1.45, abs=1e-6)
     assert "alpha_p_eff" in report and "alpha_dp" in report
+
+
+def multi_resonance_config(tmp_path, t_seq_list):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[sequence]\nn_reps = 4\n[scan]\npoints = 5\nt_seq_list = {t_seq_list}\n")
+    return cfg
+
+
+def test_period_shorter_than_sequence_exits_three(tmp_path, caplog):
+    cfg = multi_resonance_config(tmp_path, "10, 5")
+    assert run(["multi-resonance", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert "scan.t_seq_list" in caplog.text
+    assert not list(tmp_path.glob("multi_resonance*"))
+
+
+def test_colliding_period_labels_exits_three(tmp_path, monkeypatch, caplog):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("labels must be checked before any simulation")
+
+    monkeypatch.setattr(cli, "multi_resonance_scan", no_simulation)
+    cfg = multi_resonance_config(tmp_path, "10, 10.0000001")
+    assert run(["multi-resonance", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert "scan.t_seq_list" in caplog.text and "T10" in caplog.text
+    assert not list(tmp_path.glob("multi_resonance*"))

@@ -27,6 +27,7 @@ from lambda_cpt.dynamics import (
     readout_signal,
     run_cpt_sequence,
     rwa_generator,
+    segment_generators,
     thermal_ground_state,
 )
 from lambda_cpt.lambda_system import LambdaConfig, branching_rates, dark_bright_basis
@@ -60,6 +61,26 @@ def random_density(rng: np.random.Generator) -> np.ndarray:
     m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     rho = m @ m.conj().T
     return rho / np.trace(rho).real
+
+
+def rk4(rho: np.ndarray, gen: np.ndarray, duration: float, dt: float) -> np.ndarray:
+    """Reference integrator: fixed-step RK4 on d vec(rho)/dt = gen vec(rho)."""
+    vec = rho.astype(complex).reshape(9)
+    steps = max(1, math.ceil(duration / dt))
+    h = duration / steps
+    for _ in range(steps):
+        k1 = gen @ vec
+        k2 = gen @ (vec + 0.5 * h * k1)
+        k3 = gen @ (vec + 0.5 * h * k2)
+        k4 = gen @ (vec + h * k3)
+        vec = vec + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return vec.reshape(3, 3)
+
+
+def laser_generator(gamma_dp: float) -> tuple[np.ndarray, float]:
+    """(generator, duration) of the reference laser segment at gamma_dp."""
+    seq = SequenceConfig.from_drive(REFERENCE_LAM, gamma=20.0, gamma_dp=gamma_dp)
+    return segment_generators(seq)[2]
 
 
 def test_rwa_generator_matrix():
@@ -139,14 +160,15 @@ def test_coherent_evolution_preserves_purity():
     assert purity == pytest.approx(1.0, abs=1e-8)
 
 
-def test_pulse_step_size_contract():
-    strong = LambdaConfig(omega_1=50.0, omega_2=50.0)
+def test_segments_reject_negative_duration():
+    rho = thermal_ground_state()
+    cfg = REFERENCE_LAM
     with pytest.raises(ValueError):
-        evolve_pulse(thermal_ground_state(), strong, duration=0.1, dt=1e-2)
+        evolve_pulse(rho, cfg, duration=-1.0)
     with pytest.raises(ValueError):
-        evolve_pulse(thermal_ground_state(), strong, duration=-1.0)
+        apply_laser(rho, branching_rates(20.0, cfg), dark_bright_basis(cfg), 0.0, -0.1)
     with pytest.raises(ValueError):
-        evolve_pulse(thermal_ground_state(), strong, duration=0.1, method="euler")
+        apply_wait(rho, -0.1)
 
 
 def test_rk4_matches_exact_exponential():
@@ -156,18 +178,18 @@ def test_rk4_matches_exact_exponential():
     rho = thermal_ground_state()
     rho[2, 2] = 0.4
     rho[0, 0] = rho[1, 1] = 0.3
-    a = apply_laser(rho, relax, basis, GAMMA_DP_012, 0.3, method="expm")
-    b = apply_laser(rho, relax, basis, GAMMA_DP_012, 0.3, dt=1e-3, method="rk4")
+    gen, duration = laser_generator(GAMMA_DP_012)
+    assert duration == 0.3
+    a = apply_laser(rho, relax, basis, GAMMA_DP_012, duration)
+    b = rk4(rho, gen, duration, dt=1e-3)
     np.testing.assert_allclose(a, b, rtol=0, atol=1e-8)
 
 
 def test_rk4_step_halving_converges():
-    cfg = REFERENCE_LAM
-    relax = branching_rates(20.0, cfg)
-    basis = dark_bright_basis(cfg)
+    gen, duration = laser_generator(0.9)
     rho = pure_state(np.array([0.0, 0.0, 1.0], dtype=complex))
-    coarse = apply_laser(rho, relax, basis, 0.9, 0.3, dt=5e-4, method="rk4")
-    fine = apply_laser(rho, relax, basis, 0.9, 0.3, dt=2.5e-4, method="rk4")
+    coarse = rk4(rho, gen, duration, dt=5e-4)
+    fine = rk4(rho, gen, duration, dt=2.5e-4)
     assert np.max(np.abs(coarse - fine)) < 1e-7
 
 
@@ -326,9 +348,41 @@ def test_dark_population_estimate():
 
 def test_rk4_sequence_matches_expm_sequence():
     seq = reference_sequence(n_reps=5)
-    t_expm, _ = run_cpt_sequence(thermal_ground_state(), seq, method="expm")
-    t_rk4, _ = run_cpt_sequence(thermal_ground_state(), seq, dt=1e-3, method="rk4")
-    np.testing.assert_allclose(t_rk4.p_dark, t_expm.p_dark, rtol=0, atol=1e-7)
-    np.testing.assert_allclose(t_rk4.p_excited, t_expm.p_excited, rtol=0, atol=1e-7)
-    with pytest.raises(ValueError):
-        run_cpt_sequence(thermal_ground_state(), seq, method="cn")
+    t_expm, _ = run_cpt_sequence(thermal_ground_state(), seq)
+    segments = segment_generators(seq)
+    dark3 = embed(dark_bright_basis(seq.lam).dark)
+    rho = thermal_ground_state()
+    p_dark, p_excited = [], []
+    for _ in range(seq.n_reps):
+        for gen, duration in segments[:2]:
+            rho = rk4(rho, gen, duration, dt=1e-3)
+        p_dark.append(np.real(dark3.conj() @ rho @ dark3))
+        p_excited.append(np.real(rho[2, 2]))
+        for gen, duration in segments[2:]:
+            rho = rk4(rho, gen, duration, dt=1e-3)
+    np.testing.assert_allclose(p_dark, t_expm.p_dark, rtol=0, atol=1e-7)
+    np.testing.assert_allclose(p_excited, t_expm.p_excited, rtol=0, atol=1e-7)
+
+
+def test_segment_functions_compose_to_one_period():
+    # The single-segment API and the pulse train share one segment rule:
+    # chaining the four segment maps reproduces a stretched, detuned,
+    # fully dissipative period of run_cpt_sequence.
+    lam = LambdaConfig(
+        omega_1=OMEGA, omega_2=OMEGA, delta_1=0.02, delta_2=0.01, theta=1.2, phi=PHI_043
+    )
+    seq = SequenceConfig.from_drive(
+        lam, gamma=20.0, gamma_dp=0.3, t_seq=9.0, gamma_2n=0.05, t1_e=30.0, n_reps=1
+    )
+    basis = dark_bright_basis(lam)
+    rho = evolve_pulse(thermal_ground_state(), lam, seq.t_mw)
+    rho = apply_wait(rho, seq.wait_pre_total, seq.gamma_2n, seq.t1_e, cfg=lam)
+    readout = rho
+    rho = apply_laser(rho, seq.relax, basis, seq.gamma_dp, seq.t_laser, cfg=lam)
+    rho = apply_wait(rho, seq.t_wait_post, seq.gamma_2n, seq.t1_e, cfg=lam)
+    trace, final = run_cpt_sequence(thermal_ground_state(), seq)
+    assert trace.p_excited[0] == pytest.approx(np.real(readout[2, 2]), abs=1e-14)
+    np.testing.assert_allclose(final, rho, rtol=0, atol=1e-14)
+    assert [t for _, t in segment_generators(seq)] == [
+        seq.t_mw, seq.wait_pre_total, seq.t_laser, seq.t_wait_post
+    ]

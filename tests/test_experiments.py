@@ -63,14 +63,6 @@ def test_spectrum_flat_with_single_tone():
     assert spec.signal.max() - spec.signal.min() < 1e-9
 
 
-def test_spectrum_worker_pool_matches_serial():
-    grid = np.linspace(-0.04, 0.04, 5)
-    seq = sequence(drive(), n_reps=8)
-    serial = cpt_spectrum(seq, 0.0, grid)
-    pooled = cpt_spectrum(seq, 0.0, grid, workers=2)
-    np.testing.assert_allclose(pooled.signal, serial.signal, rtol=0, atol=1e-12)
-
-
 def test_spectrum_validation():
     seq = sequence(drive())
     with pytest.raises(ValueError):

@@ -5,18 +5,22 @@ import math
 import numpy as np
 import pytest
 
-from lambda_cpt.datasets import write_csv
+from lambda_cpt.datasets import read_csv, write_csv
 from lambda_cpt.dynamics import SequenceConfig
 from lambda_cpt.experiments import pump_trace
 from lambda_cpt.fitting import (
     fit_contrast_curve,
     fit_dips,
     fit_saturation,
-    load_dataset,
     recover_simplified,
 )
 from lambda_cpt.lambda_system import LambdaConfig
-from lambda_cpt.rate_model import SimplifiedParams, characteristic_steps, steady_state
+from lambda_cpt.rate_model import (
+    SimplifiedParams,
+    characteristic_steps,
+    gamma_dp_for_alpha_dp,
+    steady_state,
+)
 
 FWHM_PER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
@@ -135,6 +139,24 @@ def test_saturation_recovery_from_engine():
     assert recovered.alpha_p_eff == pytest.approx(0.43, abs=0.02)
 
 
+def test_saturation_fast_pumping_from_engine():
+    # Strong pumping saturates within about one step. A start guess tied to
+    # the series length (n_s = 8 for 40 points) used to leave LM in the
+    # n_s -> 0 valley, reported converged, with alpha_p_eff clamped to 1.
+    phi, alpha_dp = 1.394, 0.123
+    omega = 1.0 / (12.0 * math.sqrt(2.0))
+    lam = LambdaConfig(omega_1=omega, omega_2=omega, theta=math.pi / 2.0, phi=phi)
+    seq = SequenceConfig.from_drive(
+        lam, gamma=20.0, gamma_dp=gamma_dp_for_alpha_dp(alpha_dp, 0.3), n_reps=40
+    )
+    fit = fit_saturation(pump_trace(seq))
+    assert fit.converged and fit.identifiable
+    assert fit.n_s == pytest.approx(0.978, abs=0.005)
+    recovered = recover_simplified(fit)
+    assert recovered.alpha_p_eff == pytest.approx(0.5 * (1.0 + math.cos(phi)), abs=0.02)
+    assert recovered.alpha_dp == pytest.approx(alpha_dp, abs=0.002)
+
+
 def test_saturation_constant_series_unidentifiable():
     fit = fit_saturation(np.full(12, 0.7))
     assert not fit.identifiable
@@ -169,6 +191,6 @@ def test_dataset_roundtrip_fit(tmp_path):
     y = gaussian_dip(x, 0.01, 0.02, 0.6, 1.0)
     path = tmp_path / "spectrum.csv"
     write_csv(path, {"delta_2_mhz": x, "signal_norm": y}, "cafe01", "test spectrum")
-    data = load_dataset(path)
+    data = read_csv(path)
     fit = fit_dips((data["delta_2_mhz"], data["signal_norm"]), k=1)
     assert fit.centers[0] == pytest.approx(0.01, abs=1e-8)

@@ -1,0 +1,81 @@
+"""Golden regression: every shipped config command against the committed out/.
+
+The commands run in README order from a scratch working directory holding
+a copy of configs/, so each fit step reads the dataset its config names,
+just written. Byte equality is not portable (the last bit of a float can
+differ between machines), so cells are compared with a tolerance: CSV cells
+within 1e-10 absolute, fit_report.json numbers within 1e-8 relative and
+absolute.
+"""
+
+import json
+import math
+import re
+import shutil
+from pathlib import Path
+
+import numpy as np
+
+import lambda_cpt.cli as cli
+from lambda_cpt.datasets import read_csv
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "out"
+CSV_TOL = 1e-10
+REPORT_TOL = 1e-8
+
+
+def shipped_commands() -> list[list[str]]:
+    """argv of every `lambda-cpt` line in configs/*.ini, configs in README order."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    order = re.findall(r"^- `(\w+)\.ini`", readme, flags=re.MULTILINE)
+    shipped = sorted(path.stem for path in (ROOT / "configs").glob("*.ini"))
+    assert sorted(order) == shipped, "README must list every shipped config once"
+    commands = []
+    for name in order:
+        text = (ROOT / "configs" / f"{name}.ini").read_text(encoding="utf-8")
+        commands += [m.split() for m in re.findall(r"^#\s+lambda-cpt\s+(\S.*)$", text, re.M)]
+    return commands
+
+
+def assert_report_close(got, want, where: str) -> None:
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), where
+        for key in want:
+            assert_report_close(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_report_close(g, w, f"{where}[{i}]")
+    elif isinstance(want, (int, float)) and not isinstance(want, bool):
+        assert not isinstance(got, bool), where
+        assert math.isclose(got, want, rel_tol=REPORT_TOL, abs_tol=REPORT_TOL), (where, got, want)
+    else:
+        assert got == want, where
+
+
+def test_shipped_configs_reproduce_golden_outputs(tmp_path, monkeypatch):
+    shutil.copytree(ROOT / "configs", tmp_path / "configs")
+    monkeypatch.chdir(tmp_path)
+    for argv in shipped_commands():
+        assert cli.main(argv) == 0, argv
+
+    out = tmp_path / "out"
+    golden_files = sorted(p.relative_to(GOLDEN) for p in GOLDEN.rglob("*") if p.is_file())
+    assert golden_files
+    assert sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file()) == golden_files
+    for rel in golden_files:
+        if rel.suffix == ".csv":
+            got, want = read_csv(out / rel), read_csv(GOLDEN / rel)
+            assert list(got) == list(want), rel
+            for name, column in want.items():
+                if isinstance(column, list):
+                    assert got[name] == column, (rel, name)
+                else:
+                    np.testing.assert_allclose(
+                        got[name], column, rtol=0, atol=CSV_TOL, err_msg=f"{rel}:{name}"
+                    )
+        elif rel.name == "fit_report.json":
+            got = json.loads((out / rel).read_text(encoding="utf-8"))
+            want = json.loads((GOLDEN / rel).read_text(encoding="utf-8"))
+            assert_report_close(got, want, str(rel))
