@@ -160,11 +160,24 @@ def test_coherent_evolution_preserves_purity():
     assert purity == pytest.approx(1.0, abs=1e-8)
 
 
-def test_segments_reject_negative_duration():
+def test_pulse_step_size_contract():
+    # Segments propagate with exact expm, so there is no step size to choose:
+    # a drive far too strong for a 1e-2 time step is exact in one call (it
+    # composes from ten shorter calls), and step options are refused.
+    strong = LambdaConfig(omega_1=50.0, omega_2=50.0)
     rho = thermal_ground_state()
-    cfg = REFERENCE_LAM
+    whole = evolve_pulse(rho, strong, duration=0.1)
+    split = rho
+    for _ in range(10):
+        split = evolve_pulse(split, strong, duration=0.01)
+    np.testing.assert_allclose(whole, split, rtol=0, atol=1e-12)
+    with pytest.raises(TypeError):
+        evolve_pulse(rho, strong, duration=0.1, dt=1e-2)
+    with pytest.raises(TypeError):
+        evolve_pulse(rho, strong, duration=0.1, method="euler")
     with pytest.raises(ValueError):
-        evolve_pulse(rho, cfg, duration=-1.0)
+        evolve_pulse(rho, strong, duration=-1.0)
+    cfg = REFERENCE_LAM
     with pytest.raises(ValueError):
         apply_laser(rho, branching_rates(20.0, cfg), dark_bright_basis(cfg), 0.0, -0.1)
     with pytest.raises(ValueError):
