@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, default_config, load_config
+from .config import ConfigError, RunConfig, check_periods, default_config, load_config
 from .datasets import manifest_hash, read_csv, run_manifest, write_csv, write_manifest
 from .dynamics import run_cpt_sequence, thermal_ground_state
 from .experiments import (
@@ -168,6 +168,7 @@ def _run_multi_resonance(cfg: RunConfig, out: Path, rng, digest: str) -> int:
             f"periods share the output file label T{', T'.join(shared)}; "
             "periods must differ in their first 6 significant digits",
         )
+    check_periods(cfg.seq, cfg.t_seq_list)
     explicit_scan = cfg.explicit.get("scan", {})
     grid = None
     if {"delta_start", "delta_stop", "points"} & set(explicit_scan):

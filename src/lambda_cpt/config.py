@@ -23,7 +23,14 @@ from .spin_model import HyperfineParams, PhysicalConstants, SpinSystemParams, mi
 from .dynamics import ReadoutModel, SequenceConfig
 from .rate_model import gamma_dp_for_alpha_dp
 
-__all__ = ["ConfigError", "RunConfig", "load_config", "parse_config", "default_config"]
+__all__ = [
+    "ConfigError",
+    "RunConfig",
+    "load_config",
+    "parse_config",
+    "default_config",
+    "check_periods",
+]
 
 
 class ConfigError(ValueError):
@@ -46,6 +53,19 @@ def _int(raw: str, key: str) -> int:
         return int(raw)
     except ValueError:
         raise ConfigError(key, f"expected an integer, got {raw!r}") from None
+
+
+def check_periods(seq: SequenceConfig, t_seq_list) -> None:
+    """Reject a period shorter than seq's packed duration as ``scan.t_seq_list``.
+
+    Each entry goes through the sequence's own period check, so the two
+    rules cannot drift apart.
+    """
+    for t_seq in t_seq_list:
+        try:
+            replace(seq, t_seq=t_seq)
+        except ValueError as exc:
+            raise ConfigError("scan.t_seq_list", str(exc)) from exc
 
 
 def _float_list(raw: str, key: str) -> tuple[float, ...]:
@@ -346,14 +366,10 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("scan.n_s", "must be positive")
     t_seq_list = _float_list(sc["t_seq_list"], "scan.t_seq_list")
     # Only a list the run file sets: checking the default list would reject
-    # every long sequence, whatever the command. Each entry goes through the
-    # sequence's own period check, so the two rules cannot drift apart.
+    # every long sequence, whatever the command. The multi-resonance command
+    # checks the list it runs, default or not.
     if "t_seq_list" in explicit.get("scan", {}):
-        for t_seq_entry in t_seq_list:
-            try:
-                replace(seq, t_seq=t_seq_entry)
-            except ValueError as exc:
-                raise ConfigError("scan.t_seq_list", str(exc)) from exc
+        check_periods(seq, t_seq_list)
 
     co = merged["composition"]
     ratios = _float_list(co["ratios"], "composition.ratios")

@@ -19,7 +19,17 @@ gamma_dp; waits can carry a slow intrinsic dephasing gamma_2n and an
 electron T1 channel. The microwave pulse stays coherent. This rule lives in
 one place, :func:`segment_generators`, which every segment function and the
 pulse train build on. Each segment's propagator is the exact matrix
-exponential of its 9x9 generator, precomputed once per sequence.
+exponential of its 9x9 generator.
+
+Every protocol propagates through one kernel, :func:`propagate_periods`. It
+takes the four segment generators stacked over G independent runs (the grid
+points of a sweep, or G = 1), exponentiates each segment for all G at once,
+folds a period into the map up to the readout and the map after it,
+advances all G states with one batched matrix product per half period, and
+records only the observables a protocol reads out. A
+detuning sweep needs no per-point generator build: the two-photon detuning
+enters only as a diagonal shift of every segment generator
+(:func:`detuned_segments`).
 
 Units: MHz and us everywhere at the interface; the 2*pi sits inside the
 generators only.
@@ -28,7 +38,7 @@ generators only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import expm
@@ -53,6 +63,9 @@ __all__ = [
     "free_generator",
     "liouvillian",
     "segment_generators",
+    "detuned_segments",
+    "period_maps",
+    "propagate_periods",
     "evolve_pulse",
     "apply_laser",
     "apply_wait",
@@ -294,6 +307,81 @@ def segment_generators(seq: SequenceConfig) -> tuple[tuple[np.ndarray, float], .
     return _segments(seq, dark_bright_basis(seq.lam))
 
 
+def detuned_segments(
+    seq: SequenceConfig, delta_1: float, delta_2: np.ndarray
+) -> tuple[tuple[np.ndarray, float], ...]:
+    """:func:`segment_generators` of seq stacked over the detunings delta_2.
+
+    Returns four ((G, 9, 9) generator, duration) pairs, one generator per
+    entry of delta_2, all at one-photon detuning delta_1 (the detunings of
+    seq.lam are ignored). Built in closed form from one zero-detuning build:
+    H(delta) = H(0) + 2 pi diag(d) with d = (0, -delta_r, -delta_1) in every
+    segment, and neither the dissipators nor the dark/bright basis depend on
+    the detunings, so each generator gains -i 2 pi (d_i - d_j) at diagonal
+    index 3i + j of the row-major vectorization.
+    """
+    delta_2 = np.asarray(delta_2, dtype=float)
+    zero = replace(seq, lam=replace(seq.lam, delta_1=0.0, delta_2=0.0))
+    d = np.zeros((len(delta_2), 3))
+    d[:, 1] = -(delta_1 - delta_2)
+    d[:, 2] = -delta_1
+    h_diag = TWO_PI * d
+    shift = -1j * (h_diag[:, :, None] - h_diag[:, None, :]).reshape(-1, 9)
+    diag = np.arange(9)
+    stacked = []
+    for gen, duration in segment_generators(zero):
+        gens = np.repeat(gen[None], len(delta_2), axis=0)
+        gens[:, diag, diag] += shift
+        stacked.append((gens, duration))
+    return tuple(stacked)
+
+
+def period_maps(segments) -> tuple[np.ndarray, np.ndarray]:
+    """Fold four (generator, duration) segments into the two half-period maps.
+
+    Generators may be single 9x9 matrices or stacks of them; each segment is
+    exponentiated with one call for the whole stack, one half period at a
+    time so that at most two propagator stacks are alive. Returns
+    A = P_wait_pre P_mw (start of period to the readout) and
+    B = P_wait_post P_laser (readout to end of period). A duration at or
+    below zero (the slack of a t_seq within rounding of the packed duration)
+    propagates as the identity.
+    """
+
+    def propagator(k: int) -> np.ndarray:
+        gen, duration = segments[k]
+        return expm(gen * max(duration, 0.0))
+
+    return propagator(1) @ propagator(0), propagator(3) @ propagator(2)
+
+
+def propagate_periods(
+    segments, rho0: DensityMatrix, n_reps: int, observables
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run n_reps periods of G stacked sequences from rho0.
+
+    segments are four (generator, duration) pairs as from
+    :func:`segment_generators` (G = 1) or :func:`detuned_segments`; every
+    run starts from the 3x3 state rho0. observables are k Hermitian 3x3
+    operators O, read as Tr(O rho) at each readout instant. Returns those
+    readouts, shape (G, n_reps, k), and the final states, shape (G, 3, 3).
+    Runs are independent rows of every product, so a result does not depend
+    on which other runs share its batch.
+    """
+    a, b = (m.reshape(-1, 9, 9) for m in period_maps(segments))
+    g = len(a)
+    # Tr(O rho) = vec(rho) . conj(vec(O)) for Hermitian O.
+    read = np.asarray(observables, dtype=complex).reshape(-1, 9).conj().T
+    vec = np.broadcast_to(np.asarray(rho0, dtype=complex).reshape(1, 9, 1), (g, 9, 1))
+    readouts = np.empty((g, n_reps, read.shape[1]))
+    for i in range(n_reps):
+        vec = a @ vec
+        readouts[:, i] = np.real(vec[:, :, 0] @ read)
+        vec = b @ vec
+    # At n_reps = 0, vec is still a read-only view of rho0.
+    return readouts, vec.reshape(g, 3, 3).copy()
+
+
 def _propagate(rho: DensityMatrix, gen: np.ndarray, duration: float) -> DensityMatrix:
     if duration < 0:
         raise ValueError("duration must be nonnegative")
@@ -347,7 +435,7 @@ def apply_wait(
     return _propagate(rho, liouvillian(_frame(cfg), _wait_jumps(gamma_2n, t1_e)), duration)
 
 
-def _signal(p_excited: float, model: ReadoutModel) -> float:
+def _signal(p_excited: float | np.ndarray, model: ReadoutModel) -> float | np.ndarray:
     return model.reference_0 * (1.0 - model.contrast * p_excited)
 
 
@@ -388,44 +476,29 @@ def run_cpt_sequence(
 ) -> tuple[StepTrace, DensityMatrix]:
     """Repeat the pulse-wait-laser-wait period n_reps times.
 
-    Populations are recorded immediately before each laser pulse. The four
-    segment propagators are built once and each period costs four
-    matrix-vector products.
+    Populations are recorded immediately before each laser pulse. This is
+    :func:`propagate_periods` at G = 1: each period costs two 9x9
+    matrix-vector products plus the readout of the five populations.
     """
     model = readout if readout is not None else DEFAULT_READOUT
-    n = seq.n_reps
     basis = dark_bright_basis(seq.lam)
-
+    up, down, excited = np.eye(3)
+    observables = [
+        pure_state(np.append(basis.dark, 0.0)),
+        pure_state(np.append(basis.bright, 0.0)),
+        pure_state(excited),
+        pure_state(up),
+        pure_state(down),
+    ]
+    readouts, final = propagate_periods(_segments(seq, basis), rho0, seq.n_reps, observables)
+    p_dark, p_bright, p_excited, p_up, p_down = readouts[0].T
     trace = StepTrace(
-        step=np.arange(1, n + 1),
-        p_dark=np.empty(n),
-        p_bright=np.empty(n),
-        p_excited=np.empty(n),
-        p_up=np.empty(n),
-        p_down=np.empty(n),
-        signal=np.empty(n),
+        step=np.arange(1, seq.n_reps + 1),
+        p_dark=p_dark,
+        p_bright=p_bright,
+        p_excited=p_excited,
+        p_up=p_up,
+        p_down=p_down,
+        signal=_signal(p_excited, model),
     )
-    if n == 0:
-        return trace, rho0.astype(complex, copy=True)
-
-    props = [expm(gen * t) if t > 0 else None for gen, t in _segments(seq, basis)]
-
-    def advance(vec: np.ndarray, i: int) -> np.ndarray:
-        return vec if props[i] is None else props[i] @ vec
-
-    vec = rho0.astype(complex).reshape(9)
-    for i in range(n):
-        vec = advance(vec, 0)
-        vec = advance(vec, 1)
-        rho = vec.reshape(3, 3)
-        ground = rho[:2, :2]
-        trace.p_dark[i] = np.real(basis.dark.conj() @ ground @ basis.dark)
-        trace.p_bright[i] = np.real(basis.bright.conj() @ ground @ basis.bright)
-        trace.p_excited[i] = np.real(rho[2, 2])
-        trace.p_up[i] = np.real(rho[0, 0])
-        trace.p_down[i] = np.real(rho[1, 1])
-        trace.signal[i] = _signal(trace.p_excited[i], model)
-        vec = advance(vec, 2)
-        vec = advance(vec, 3)
-
-    return trace, vec.reshape(3, 3)
+    return trace, final[0]

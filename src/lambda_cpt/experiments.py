@@ -12,7 +12,9 @@ baseline (the mean of the two outermost grid points), which corresponds to
 an unpumped spin flipping on half the pulses and is therefore mapped to
 one-half. Trapping shows up as a dip toward zero, and one minus the dip
 minimum reads off the trapped dark fraction. Grid points are independent
-simulations, run one after another.
+simulations, propagated together: one spectrum (or one composition sweep)
+is one batch through :func:`~lambda_cpt.dynamics.propagate_periods`, and a
+multi-resonance scan runs one such batch per period.
 """
 
 from __future__ import annotations
@@ -27,7 +29,10 @@ from .dynamics import (
     SequenceConfig,
     StepTrace,
     dark_population_estimate,
+    detuned_segments,
+    propagate_periods,
     run_cpt_sequence,
+    segment_generators,
     thermal_ground_state,
 )
 from .lambda_system import branching_rates, dark_bright_basis
@@ -37,6 +42,7 @@ __all__ = [
     "PumpTrace",
     "CompositionSweep",
     "CombPrediction",
+    "steady_readout",
     "cpt_spectrum",
     "pump_trace",
     "composition_sweep",
@@ -113,32 +119,35 @@ class CombPrediction:
     envelope_width: float
 
 
-def _steady_excited(seq: SequenceConfig, delta_1: float, delta_2: float) -> float:
-    lam = replace(seq.lam, delta_1=delta_1, delta_2=delta_2)
-    point_seq = replace(seq, lam=lam)
-    trace, _ = run_cpt_sequence(thermal_ground_state(), point_seq)
-    window = max(5, seq.n_reps // 4)
-    window = min(window, seq.n_reps)
-    return float(np.mean(trace.p_excited[-window:]))
+def steady_readout(seq: SequenceConfig, delta_1: float, grid: np.ndarray) -> np.ndarray:
+    """Uncalibrated steady excited-state readout at each delta_2 of ``grid``.
 
-
-def cpt_spectrum(seq: SequenceConfig, delta_1: float, grid: np.ndarray) -> Spectrum:
-    """Sweep delta_2 across ``grid`` and record the calibrated steady signal.
-
-    Each grid point restarts from the thermal ground state, runs n_reps
-    periods, and averages the excited-state readout over the last
-    max(5, n_reps/4) periods. The series is calibrated so the mean of its
-    two outermost points maps to one-half, the flip probability of an
-    unpumped spin; a vanishing baseline (below 1e-12) is left raw.
+    Every grid point restarts from the thermal ground state, runs n_reps
+    periods, and averages its readouts over the last max(5, n_reps/4)
+    periods. The whole grid is one batch.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("empty detuning grid")
     if seq.n_reps < 1:
         raise ValueError("n_reps must be at least 1 for a spectrum")
-    raw = np.fromiter(
-        (_steady_excited(seq, delta_1, d2) for d2 in grid), dtype=float, count=len(grid)
+    excited = np.diag([0.0, 0.0, 1.0])
+    readouts, _ = propagate_periods(
+        detuned_segments(seq, delta_1, grid), thermal_ground_state(), seq.n_reps, [excited]
     )
+    window = min(max(5, seq.n_reps // 4), seq.n_reps)
+    return np.mean(readouts[:, -window:, 0], axis=1)
+
+
+def cpt_spectrum(seq: SequenceConfig, delta_1: float, grid: np.ndarray) -> Spectrum:
+    """Sweep delta_2 across ``grid`` and record the calibrated steady signal.
+
+    The steady readout of :func:`steady_readout` is calibrated so the mean
+    of its two outermost points maps to one-half, the flip probability of an
+    unpumped spin; a vanishing baseline (below 1e-12) is left raw.
+    """
+    grid = np.asarray(grid, dtype=float)
+    raw = steady_readout(seq, delta_1, grid)
     baseline = 0.5 * (raw[0] + raw[-1])
     signal = raw / (2.0 * baseline) if baseline > 1e-12 else raw
     return Spectrum(detuning_grid=grid, signal=signal, delta_1=delta_1, seq=seq)
@@ -172,18 +181,27 @@ def composition_sweep(
     Raises ValueError when pumping is too shallow to invert (P_D <= 0.5).
     """
     ratios = np.asarray(ratios, dtype=float)
+    if ratios.size == 0:
+        raise ValueError("empty ratio list")
     if np.any(ratios <= 0):
         raise ValueError("ratios must be positive")
     o_eff = seq.lam.omega_eff
-    measured = np.empty(len(ratios))
-    p_dark = np.empty(len(ratios))
-    for i, r in enumerate(ratios):
+    drives, per_ratio = [], []
+    for r in ratios:
         o2 = o_eff / math.sqrt(1.0 + r * r)
         lam_r = replace(seq.lam, omega_1=r * o2, omega_2=o2)
-        seq_r = replace(
-            seq, lam=lam_r, relax=branching_rates(seq.relax.gamma, lam_r), n_reps=n_steps
+        drives.append(lam_r)
+        per_ratio.append(
+            segment_generators(
+                replace(seq, lam=lam_r, relax=branching_rates(seq.relax.gamma, lam_r))
+            )
         )
-        _, rho = run_cpt_sequence(thermal_ground_state(), seq_r)
+    stacks = np.stack([[gen for gen, _ in segs] for segs in per_ratio], axis=1)
+    segments = tuple(zip(stacks, (t for _, t in per_ratio[0])))
+    _, final = propagate_periods(segments, thermal_ground_state(), n_steps, [])
+    measured = np.empty(len(ratios))
+    p_dark = np.empty(len(ratios))
+    for i, (r, lam_r, rho) in enumerate(zip(ratios, drives, final)):
         ground = rho[:2, :2]
         g_tot = float(np.real(np.trace(ground)))
         basis = dark_bright_basis(lam_r)

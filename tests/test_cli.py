@@ -245,3 +245,20 @@ def test_colliding_period_labels_exits_three(tmp_path, monkeypatch, caplog):
     assert run(["multi-resonance", "--config", str(cfg), "--out", str(tmp_path)]) == 3
     assert "scan.t_seq_list" in caplog.text and "T10" in caplog.text
     assert not list(tmp_path.glob("multi_resonance*"))
+
+
+def test_default_period_list_shorter_than_sequence_exits_three(tmp_path, monkeypatch, caplog):
+    # t_mw = 9 packs the sequence to 10.4 us, past the default list's 10 us.
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[sequence]\nt_mw = 9.0\nn_reps = 4\n[scan]\npoints = 5\n")
+    assert run(["cpt-spectrum", "--config", str(cfg), "--out", str(tmp_path / "dip")]) == 0
+    assert (tmp_path / "dip" / "spectrum.csv").is_file()
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("periods must be checked before any simulation")
+
+    monkeypatch.setattr(cli, "multi_resonance_scan", no_simulation)
+    comb = tmp_path / "comb"
+    assert run(["multi-resonance", "--config", str(cfg), "--out", str(comb)]) == 3
+    assert "scan.t_seq_list" in caplog.text and "10.4" in caplog.text
+    assert not list(comb.glob("*.csv"))
