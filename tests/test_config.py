@@ -58,6 +58,9 @@ def test_rejections_name_the_key():
         ("[drive]\nomega_1 = 0.2\n", "drive.omega_1"),
         ("[drive]\nomega_1 = 0.2\nomega_2 = 0.1\npulse_area = 3\n", "drive.pulse_area"),
         ("[drive]\nratio = -2\n", "drive.ratio"),
+        ("[drive]\nomega_1 = 0.2\nomega_2 = 0.1\nratio = abc\n", "drive.ratio"),
+        ("[sequence]\nn_reps = 0\n", "sequence.n_reps"),
+        ("[fit]\nk = 2\ninit_centers = 0.0\n", "fit.init_centers"),
         ("[spin]\nd = not_a_number\n", "spin.d"),
         ("[scan]\npoints = 1\n", "scan.points"),
         ("[scan]\ndelta_start = 0.1\ndelta_stop = 0.0\n", "scan.delta_stop"),

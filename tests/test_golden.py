@@ -1,11 +1,15 @@
-"""Golden regression: every shipped config command against the committed out/.
+"""Golden regression: every shipped config command against tests/golden/.
 
-The commands run in README order from a scratch working directory holding
-a copy of configs/, so each fit step reads the dataset its config names,
-just written. Byte equality is not portable (the last bit of a float can
-differ between machines), so cells are compared with a tolerance: CSV cells
-within 1e-10 absolute, fit_report.json numbers within 1e-8 relative and
-absolute.
+tests/golden/ holds the out/ tree the shipped configs write. The commands
+run in README order from a scratch working directory holding a copy of
+configs/, so each fit step reads the dataset its config names, just
+written. Byte equality is not portable (the last bit of a float can differ
+between machines), so cells are compared with a tolerance: CSV cells within
+1e-10 absolute; fit_report.json numbers and the resolved inputs and version
+of every manifest within 1e-8 relative and absolute, with the same keys. A
+manifest's wall_time_s varies between runs, and its hash is skipped because
+the default drive theta comes from an eigensolver whose last bit is not
+portable either.
 """
 
 import json
@@ -20,7 +24,7 @@ import lambda_cpt.cli as cli
 from lambda_cpt.datasets import read_csv
 
 ROOT = Path(__file__).resolve().parent.parent
-GOLDEN = ROOT / "out"
+GOLDEN = ROOT / "tests" / "golden"
 CSV_TOL = 1e-10
 REPORT_TOL = 1e-8
 
@@ -75,7 +79,9 @@ def test_shipped_configs_reproduce_golden_outputs(tmp_path, monkeypatch):
                     np.testing.assert_allclose(
                         got[name], column, rtol=0, atol=CSV_TOL, err_msg=f"{rel}:{name}"
                     )
-        elif rel.name == "fit_report.json":
+        else:
             got = json.loads((out / rel).read_text(encoding="utf-8"))
             want = json.loads((GOLDEN / rel).read_text(encoding="utf-8"))
+            if rel.name.endswith(".manifest.json"):
+                got, want = ({key: m[key] for key in ("inputs", "version")} for m in (got, want))
             assert_report_close(got, want, str(rel))
