@@ -184,8 +184,8 @@ class RunConfig:
     fit_k: int
     fit_init_centers: tuple[float, ...] | None
     noise_std: float
-    explicit: dict = field(default_factory=dict)
-    inputs: dict = field(default_factory=dict, repr=False)
+    explicit: dict
+    inputs: dict = field(repr=False)
 
     def manifest_inputs(self) -> dict:
         """A fresh copy of ``inputs``, the run values the manifest hash covers."""

@@ -10,6 +10,9 @@ of every manifest within 1e-8 relative and absolute, with the same keys. A
 manifest's wall_time_s varies between runs, and its hash is skipped because
 the default drive theta comes from an eigensolver whose last bit is not
 portable either.
+
+perfbench/golden/ is the benchmark's own copy of the CSVs and fit reports;
+it must stay byte-equal to the files of the same path here.
 """
 
 import json
@@ -85,3 +88,11 @@ def test_shipped_configs_reproduce_golden_outputs(tmp_path, monkeypatch):
             if rel.name.endswith(".manifest.json"):
                 got, want = ({key: m[key] for key in ("inputs", "version")} for m in (got, want))
             assert_report_close(got, want, str(rel))
+
+
+def test_perfbench_golden_is_a_copy():
+    copy = ROOT / "perfbench" / "golden"
+    files = sorted(p.relative_to(copy) for p in copy.rglob("*") if p.is_file())
+    assert files
+    for rel in files:
+        assert (copy / rel).read_bytes() == (GOLDEN / rel).read_bytes(), rel
