@@ -36,7 +36,6 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, RunConfig, check_periods, default_config, load_config
 from .datasets import manifest_hash, read_csv, run_manifest, write_csv, write_manifest
-from .dynamics import run_cpt_sequence, thermal_ground_state
 from .experiments import (
     apply_artificial_contrast,
     comb_predict,

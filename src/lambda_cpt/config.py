@@ -46,11 +46,26 @@ class ConfigError(ValueError):
 _Converter = Callable[[str, str], object]
 
 
-def _float(raw: str, key: str) -> float:
+def _number(raw: str, key: str) -> float:
     try:
         return float(raw)
     except ValueError:
         raise ConfigError(key, f"expected a number, got {raw!r}") from None
+
+
+def _float(raw: str, key: str) -> float:
+    value = _number(raw, key)
+    if not math.isfinite(value):
+        raise ConfigError(key, f"expected a finite number, got {raw!r}")
+    return value
+
+
+def _float_or_inf(raw: str, key: str) -> float:
+    """A finite number, or inf where it switches a relaxation channel off."""
+    value = _number(raw, key)
+    if math.isnan(value) or value == -math.inf:
+        raise ConfigError(key, f"expected a finite number or inf, got {raw!r}")
+    return value
 
 
 def _int(raw: str, key: str) -> int:
@@ -131,7 +146,7 @@ _SCHEMA: dict[str, dict[str, tuple[str, _Converter]]] = {
         "gamma_dp": ("", _optional(_float)),
         "alpha_dp": ("", _optional(_float)),
         "gamma_2n": ("0.0", _float),
-        "t1_e": ("inf", _float),
+        "t1_e": ("inf", _float_or_inf),
     },
     "readout": {"contrast": ("0.3", _float), "reference_0": ("1.0", _float)},
     "scan": {

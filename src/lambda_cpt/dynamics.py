@@ -17,9 +17,9 @@ Dissipation is Lindblad-type: the laser repolarizes |-> into the dark and
 bright states at the branching rates and dephases the ground coherence at
 gamma_dp; waits can carry a slow intrinsic dephasing gamma_2n and an
 electron T1 channel. The microwave pulse stays coherent. This rule lives in
-one place, :func:`segment_generators`, which every segment function and the
-pulse train build on. Each segment's propagator is the exact matrix
-exponential of its 9x9 generator.
+one place, :func:`segment_generators`, as one (9x9 generator, duration) pair
+per segment; each segment's map is the exact matrix exponential of its
+generator, taken in one place too, :func:`period_maps`.
 
 Every protocol propagates through one kernel, :func:`propagate_periods`. It
 takes the four segment generators stacked over G independent runs (the grid
@@ -56,7 +56,6 @@ __all__ = [
     "SequenceConfig",
     "ReadoutModel",
     "StepTrace",
-    "DEFAULT_READOUT",
     "thermal_ground_state",
     "pure_state",
     "rwa_generator",
@@ -66,9 +65,6 @@ __all__ = [
     "detuned_segments",
     "period_maps",
     "propagate_periods",
-    "evolve_pulse",
-    "apply_laser",
-    "apply_wait",
     "run_cpt_sequence",
     "readout_signal",
     "invert_calibration",
@@ -141,8 +137,8 @@ class SequenceConfig:
 class ReadoutModel:
     """Linear map from excited population to photoluminescence level.
 
-    signal = reference_0 * (1 - contrast * P_-); reference_1 is the fully
-    excited level reference_0 * (1 - contrast).
+    :func:`readout_signal` applies it: signal = reference_0 * (1 - contrast *
+    P_-); reference_1 is the fully excited level reference_0 * (1 - contrast).
     """
 
     contrast: float = 0.3
@@ -159,9 +155,6 @@ class ReadoutModel:
             object.__setattr__(self, "reference_1", expected)
         elif abs(self.reference_1 - expected) > 1e-9 * self.reference_0:
             raise ValueError("reference_1 must equal reference_0 * (1 - contrast)")
-
-
-DEFAULT_READOUT = ReadoutModel()
 
 
 @dataclass(frozen=True)
@@ -382,66 +375,9 @@ def propagate_periods(
     return readouts, vec.reshape(g, 3, 3).copy()
 
 
-def _propagate(rho: DensityMatrix, gen: np.ndarray, duration: float) -> DensityMatrix:
-    if duration < 0:
-        raise ValueError("duration must be nonnegative")
-    if duration == 0.0:
-        return rho.astype(complex, copy=True)
-    return (expm(gen * duration) @ rho.astype(complex).reshape(9)).reshape(3, 3)
-
-
-def _frame(cfg: LambdaConfig | None) -> np.ndarray:
-    return free_generator(cfg) if cfg is not None else np.zeros((3, 3), dtype=complex)
-
-
-def evolve_pulse(rho: DensityMatrix, cfg: LambdaConfig, duration: float) -> DensityMatrix:
-    """Coherent microwave segment: rho -> U rho U' with U = exp(-i H duration)."""
-    return _propagate(rho, liouvillian(rwa_generator(cfg), []), duration)
-
-
-def apply_laser(
-    rho: DensityMatrix,
-    relax: BranchingRates,
-    basis: LambdaBasis,
-    gamma_dp: float,
-    duration: float,
-    cfg: LambdaConfig | None = None,
-) -> DensityMatrix:
-    """Dissipative laser segment: repolarization plus nuclear dephasing.
-
-    Jump channels |D><-| at gamma_d and |B><-| at gamma_b empty the excited
-    state into the drive-defined ground basis; gamma_dp dephases the ground
-    coherence. When cfg is given, the drive-free frame Hamiltonian keeps
-    winding underneath (relevant only off resonance).
-    """
-    jumps = _laser_jumps(relax, basis, gamma_dp)
-    return _propagate(rho, liouvillian(_frame(cfg), jumps), duration)
-
-
-def apply_wait(
-    rho: DensityMatrix,
-    duration: float,
-    gamma_2n: float = 0.0,
-    t1_e: float = math.inf,
-    cfg: LambdaConfig | None = None,
-) -> DensityMatrix:
-    """Drive-free segment: frame precession plus optional slow decoherence.
-
-    gamma_2n dephases the ground coherence; a finite t1_e relaxes the
-    excited population bidirectionally toward the uniform electron mixture
-    (P_- -> 1/2 with time constant t1_e). Both default to off, making the
-    wait a pure frame rotation (the identity at zero detunings).
-    """
-    return _propagate(rho, liouvillian(_frame(cfg), _wait_jumps(gamma_2n, t1_e)), duration)
-
-
-def _signal(p_excited: float | np.ndarray, model: ReadoutModel) -> float | np.ndarray:
+def readout_signal(p_excited: float | np.ndarray, model: ReadoutModel) -> float | np.ndarray:
+    """Photoluminescence level for an excited population, scalar or array."""
     return model.reference_0 * (1.0 - model.contrast * p_excited)
-
-
-def readout_signal(rho: DensityMatrix, model: ReadoutModel) -> float:
-    """Photoluminescence level for the excited population of rho."""
-    return _signal(float(np.real(rho[2, 2])), model)
 
 
 def invert_calibration(signals: np.ndarray, model: ReadoutModel) -> np.ndarray:
@@ -472,7 +408,7 @@ def dark_population_estimate(p_minus: np.ndarray) -> np.ndarray:
 def run_cpt_sequence(
     rho0: DensityMatrix,
     seq: SequenceConfig,
-    readout: ReadoutModel | None = None,
+    readout: ReadoutModel = ReadoutModel(),
 ) -> tuple[StepTrace, DensityMatrix]:
     """Repeat the pulse-wait-laser-wait period n_reps times.
 
@@ -480,7 +416,6 @@ def run_cpt_sequence(
     :func:`propagate_periods` at G = 1: each period costs two 9x9
     matrix-vector products plus the readout of the five populations.
     """
-    model = readout if readout is not None else DEFAULT_READOUT
     basis = dark_bright_basis(seq.lam)
     up, down, excited = np.eye(3)
     observables = [
@@ -499,6 +434,6 @@ def run_cpt_sequence(
         p_excited=p_excited,
         p_up=p_up,
         p_down=p_down,
-        signal=_signal(p_excited, model),
+        signal=readout_signal(p_excited, readout),
     )
     return trace, final[0]

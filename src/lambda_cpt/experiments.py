@@ -153,7 +153,7 @@ def cpt_spectrum(seq: SequenceConfig, delta_1: float, grid: np.ndarray) -> Spect
     return Spectrum(detuning_grid=grid, signal=signal, delta_1=delta_1, seq=seq)
 
 
-def pump_trace(seq: SequenceConfig, readout: ReadoutModel | None = None) -> PumpTrace:
+def pump_trace(seq: SequenceConfig, readout: ReadoutModel = ReadoutModel()) -> PumpTrace:
     """Step-by-step pumping from thermal, with calibrated extraction.
 
     Requires two-photon resonance (delta_1 = delta_2): off resonance the

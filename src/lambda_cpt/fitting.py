@@ -189,20 +189,15 @@ def fit_dips(
     )
 
 
-def fit_saturation(trace) -> SaturationFit:
-    """Fit the exponential saturation model to a pumping series.
+def fit_saturation(series: np.ndarray) -> SaturationFit:
+    """Fit the exponential saturation model to a 1-d pumping series.
 
-    Accepts a PumpTrace (fits the calibrated estimate), a StepTrace (fits
-    p_dark), or a plain array indexed by step number from 0.
+    Element n of ``series`` is the population after n steps, such as
+    ``pump_trace(seq).p_dark_est`` or a StepTrace's ``p_dark``.
     """
-    series = trace
-    if hasattr(series, "p_dark_est"):
-        series = series.p_dark_est
-    elif hasattr(series, "p_dark"):
-        series = series.p_dark
     series = np.asarray(series, dtype=float)
-    if len(series) < 5:
-        raise ValueError("need at least 5 points to fit a saturation curve")
+    if series.ndim != 1 or len(series) < 5:
+        raise ValueError("need a 1-d series of at least 5 points to fit a saturation curve")
     n = np.arange(len(series), dtype=float)
 
     def model(p: np.ndarray) -> np.ndarray:

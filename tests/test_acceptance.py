@@ -18,18 +18,24 @@ Regimes used here:
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import record_acceptance_line
+from conftest import propagate, record_acceptance_line
 
 import lambda_cpt.cli as cli
-from lambda_cpt.dynamics import SequenceConfig, run_cpt_sequence, thermal_ground_state
+from lambda_cpt.dynamics import (
+    SequenceConfig,
+    pure_state,
+    run_cpt_sequence,
+    segment_generators,
+    thermal_ground_state,
+)
 from lambda_cpt.experiments import composition_sweep, cpt_spectrum, pump_trace
 from lambda_cpt.fitting import fit_contrast_curve, fit_dips, fit_saturation
 from lambda_cpt.lambda_system import (
     LambdaConfig,
-    branching_rates,
     dark_bright_basis,
     polarization_efficiency,
 )
@@ -42,7 +48,6 @@ from lambda_cpt.rate_model import (
     simplified_population,
     steady_state,
 )
-from lambda_cpt.dynamics import apply_laser, apply_wait, evolve_pulse, pure_state
 
 OMEGA = 1.0 / (12.0 * math.sqrt(2.0))
 GAMMA_DP_012 = 0.42611123836628295
@@ -168,7 +173,7 @@ def width_law_scans():
     pump_seq = SequenceConfig.from_drive(
         WIDTH_LAW_LAM, gamma=20.0, gamma_dp=0.0, t_mw=COMB_T_MW, t_seq=10.0, n_reps=60
     )
-    n_s_fit = fit_saturation(pump_trace(pump_seq))
+    n_s_fit = fit_saturation(pump_trace(pump_seq).p_dark_est)
     return {
         "fits": fits,
         "n_s": n_s_fit.n_s,
@@ -275,11 +280,21 @@ def test_criterion_7_property_suite():
         ode_ok = ode_ok and np.max(np.abs(np.array(got) - sol.y[:, -1])) < 1e-8
 
     # Physicality of the segment maps over ten thousand random segments.
+    # Each dephasing dissipator is linear in its rate, so the laser and wait
+    # generators are built at rate 0 and 1 once and interpolated per draw.
     cfg = LambdaConfig(
         omega_1=0.4, omega_2=0.7, delta_1=0.1, delta_2=-0.05, psi=0.6, theta=1.0
     )
-    relax = branching_rates(15.0, cfg)
-    basis = dark_bright_basis(cfg)
+    seq = SequenceConfig.from_drive(cfg, gamma=15.0)
+
+    def rate_line(k: int, rate: str) -> tuple[np.ndarray, np.ndarray]:
+        """Generator of segment k at rate 0, and its change per unit rate."""
+        at_0, at_1 = (segment_generators(replace(seq, **{rate: r}))[k][0] for r in (0.0, 1.0))
+        return at_0, at_1 - at_0
+
+    pulse = segment_generators(seq)[0][0]
+    laser = rate_line(2, "gamma_dp")
+    wait = rate_line(3, "gamma_2n")
     physical_ok = True
     for _ in range(10_000):
         m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
@@ -287,13 +302,13 @@ def test_criterion_7_property_suite():
         rho /= np.trace(rho).real
         kind = rng.integers(0, 3)
         if kind == 0:
-            after = evolve_pulse(rho, cfg, duration=rng.uniform(0.0, 8.0))
+            after = propagate(rho, pulse, rng.uniform(0.0, 8.0))
         elif kind == 1:
-            after = apply_laser(
-                rho, relax, basis, rng.uniform(0.0, 2.0), rng.uniform(0.0, 0.6)
-            )
+            gamma_dp = rng.uniform(0.0, 2.0)
+            after = propagate(rho, laser[0] + gamma_dp * laser[1], rng.uniform(0.0, 0.6))
         else:
-            after = apply_wait(rho, rng.uniform(0.0, 3.0), gamma_2n=rng.uniform(0.0, 0.1))
+            duration = rng.uniform(0.0, 3.0)
+            after = propagate(rho, wait[0] + rng.uniform(0.0, 0.1) * wait[1], duration)
         physical_ok = (
             physical_ok
             and abs(np.trace(after).real - 1.0) < 1e-9
@@ -303,13 +318,24 @@ def test_criterion_7_property_suite():
         if not physical_ok:
             break
 
+    # The interpolated generators are the engine's own at drawn rates.
+    rebuilt_ok = True
+    for _ in range(5):
+        gamma_dp, gamma_2n = rng.uniform(0.0, 2.0), rng.uniform(0.0, 0.1)
+        segments = segment_generators(replace(seq, gamma_dp=gamma_dp, gamma_2n=gamma_2n))
+        deviation = max(
+            np.max(np.abs(segments[2][0] - (laser[0] + gamma_dp * laser[1]))),
+            np.max(np.abs(segments[3][0] - (wait[0] + gamma_2n * wait[1]))),
+        )
+        rebuilt_ok = rebuilt_ok and deviation < 1e-12
+
     elapsed = time.perf_counter() - started
-    ok = closed_ok and alpha_ok and ode_ok and physical_ok and elapsed < 10.0
+    ok = closed_ok and alpha_ok and ode_ok and physical_ok and rebuilt_ok and elapsed < 10.0
     report(
         7,
         ok,
         f"closed-form {closed_ok}, branching {alpha_ok}, ode {ode_ok}, "
-        f"physicality {physical_ok}, {elapsed:.1f} s",
+        f"physicality {physical_ok}, rebuilt generators {rebuilt_ok}, {elapsed:.1f} s",
     )
     assert ok
 

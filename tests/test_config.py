@@ -67,6 +67,10 @@ def test_rejections_name_the_key():
         ("[composition]\nratios = 1, -2\n", "composition.ratios"),
         ("[fit]\nkind = wavelet\n", "fit.kind"),
         ("[noise]\nstd = -0.1\n", "noise.std"),
+        ("[scan]\ndelta_1 = nan\n", "scan.delta_1"),
+        ("[sequence]\nt1_e = nan\n", "sequence.t1_e"),
+        ("[noise]\nstd = nan\n", "noise.std"),
+        ("[noise]\nstd = inf\n", "noise.std"),
     ]
     for text, expected_key in cases:
         with pytest.raises(ConfigError) as err:

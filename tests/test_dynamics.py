@@ -8,18 +8,17 @@ whose rate-model constants are frozen in test_rate_model.py.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import propagate
 
 from lambda_cpt.dynamics import (
     ReadoutModel,
     SequenceConfig,
     StepTrace,
-    apply_laser,
-    apply_wait,
     dark_population_estimate,
-    evolve_pulse,
     free_generator,
     invert_calibration,
     liouvillian,
@@ -77,10 +76,9 @@ def rk4(rho: np.ndarray, gen: np.ndarray, duration: float, dt: float) -> np.ndar
     return vec.reshape(3, 3)
 
 
-def laser_generator(gamma_dp: float) -> tuple[np.ndarray, float]:
-    """(generator, duration) of the reference laser segment at gamma_dp."""
-    seq = SequenceConfig.from_drive(REFERENCE_LAM, gamma=20.0, gamma_dp=gamma_dp)
-    return segment_generators(seq)[2]
+def segments(lam: LambdaConfig = REFERENCE_LAM, **kwargs) -> tuple[tuple[np.ndarray, float], ...]:
+    """The four (generator, duration) segments of a gamma = 20 sequence on lam."""
+    return segment_generators(SequenceConfig.from_drive(lam, gamma=20.0, **kwargs))
 
 
 def test_rwa_generator_matrix():
@@ -137,7 +135,7 @@ def test_pi_pulse_fully_transfers_bright_state():
     cfg = REFERENCE_LAM
     bright = dark_bright_basis(cfg).bright
     rho = pure_state(embed(bright))
-    after = evolve_pulse(rho, cfg, duration=6.0)
+    after = propagate(rho, *segments(cfg, t_mw=6.0)[0])
     assert np.real(after[2, 2]) == pytest.approx(1.0, abs=1e-6)
 
 
@@ -145,7 +143,7 @@ def test_dark_state_survives_pulse():
     cfg = REFERENCE_LAM
     dark = dark_bright_basis(cfg).dark
     rho = pure_state(embed(dark))
-    after = evolve_pulse(rho, cfg, duration=6.0)
+    after = propagate(rho, *segments(cfg, t_mw=6.0)[0])
     dark3 = embed(dark)
     assert np.real(dark3.conj() @ after @ dark3) == pytest.approx(1.0, abs=1e-10)
 
@@ -155,51 +153,42 @@ def test_coherent_evolution_preserves_purity():
     vec = rng.normal(size=3) + 1j * rng.normal(size=3)
     vec /= np.linalg.norm(vec)
     rho = pure_state(vec)
-    after = evolve_pulse(rho, REFERENCE_LAM, duration=3.7)
+    after = propagate(rho, *segments(t_mw=3.7)[0])
     purity = float(np.real(np.trace(after @ after)))
     assert purity == pytest.approx(1.0, abs=1e-8)
 
 
 def test_pulse_step_size_contract():
     # Segments propagate with exact expm, so there is no step size to choose:
-    # a drive far too strong for a 1e-2 time step is exact in one call (it
-    # composes from ten shorter calls), and step options are refused.
+    # a drive far too strong for a 1e-2 time step is exact in one map (it
+    # composes from ten shorter maps), and a negative segment duration is
+    # refused where the sequence is built.
     strong = LambdaConfig(omega_1=50.0, omega_2=50.0)
+    gen, duration = segments(strong, t_mw=0.1)[0]
     rho = thermal_ground_state()
-    whole = evolve_pulse(rho, strong, duration=0.1)
+    whole = propagate(rho, gen, duration)
     split = rho
     for _ in range(10):
-        split = evolve_pulse(split, strong, duration=0.01)
+        split = propagate(split, gen, 0.01)
     np.testing.assert_allclose(whole, split, rtol=0, atol=1e-12)
-    with pytest.raises(TypeError):
-        evolve_pulse(rho, strong, duration=0.1, dt=1e-2)
-    with pytest.raises(TypeError):
-        evolve_pulse(rho, strong, duration=0.1, method="euler")
-    with pytest.raises(ValueError):
-        evolve_pulse(rho, strong, duration=-1.0)
-    cfg = REFERENCE_LAM
-    with pytest.raises(ValueError):
-        apply_laser(rho, branching_rates(20.0, cfg), dark_bright_basis(cfg), 0.0, -0.1)
-    with pytest.raises(ValueError):
-        apply_wait(rho, -0.1)
+    for name, duration in (("t_mw", -1.0), ("t_laser", -0.1), ("t_wait_post", -0.1)):
+        with pytest.raises(ValueError):
+            reference_sequence(**{name: duration})
 
 
 def test_rk4_matches_exact_exponential():
-    cfg = REFERENCE_LAM
-    relax = branching_rates(20.0, cfg)
-    basis = dark_bright_basis(cfg)
     rho = thermal_ground_state()
     rho[2, 2] = 0.4
     rho[0, 0] = rho[1, 1] = 0.3
-    gen, duration = laser_generator(GAMMA_DP_012)
+    gen, duration = segments(gamma_dp=GAMMA_DP_012)[2]
     assert duration == 0.3
-    a = apply_laser(rho, relax, basis, GAMMA_DP_012, duration)
+    a = propagate(rho, gen, duration)
     b = rk4(rho, gen, duration, dt=1e-3)
     np.testing.assert_allclose(a, b, rtol=0, atol=1e-8)
 
 
 def test_rk4_step_halving_converges():
-    gen, duration = laser_generator(0.9)
+    gen, duration = segments(gamma_dp=0.9)[2]
     rho = pure_state(np.array([0.0, 0.0, 1.0], dtype=complex))
     coarse = rk4(rho, gen, duration, dt=5e-4)
     fine = rk4(rho, gen, duration, dt=2.5e-4)
@@ -213,7 +202,7 @@ def test_laser_branching_limit():
     relax = branching_rates(20.0, cfg)
     basis = dark_bright_basis(cfg)
     rho = pure_state(np.array([0.0, 0.0, 1.0], dtype=complex))
-    after = apply_laser(rho, relax, basis, 0.0, 2.0)
+    after = propagate(rho, *segments(cfg, t_laser=2.0)[2])
     ground = after[:2, :2]
     p_dark = float(np.real(basis.dark.conj() @ ground @ basis.dark))
     p_bright = float(np.real(basis.bright.conj() @ ground @ basis.bright))
@@ -226,7 +215,7 @@ def test_wait_dephasing_halves_coherence():
     rate = 0.8
     rho = pure_state(np.array([1.0, 1.0, 0.0], dtype=complex) / math.sqrt(2.0))
     t_half = math.log(2.0) / rate
-    after = apply_wait(rho, t_half, gamma_2n=rate)
+    after = propagate(rho, *segments(t_wait_post=t_half, gamma_2n=rate)[3])
     assert abs(after[0, 1]) == pytest.approx(0.25, abs=1e-10)
     # Populations untouched by pure dephasing.
     np.testing.assert_allclose(np.diag(after).real, np.diag(rho).real, rtol=0, atol=1e-10)
@@ -234,34 +223,38 @@ def test_wait_dephasing_halves_coherence():
 
 def test_wait_t1_relaxes_excited_population_to_half():
     t1 = 4.0
+    wait = segments(t_wait_post=t1 * math.log(2.0), t1_e=t1)[3]
     rho = pure_state(np.array([0.0, 0.0, 1.0], dtype=complex))
-    after = apply_wait(rho, t1 * math.log(2.0), t1_e=t1)
+    after = propagate(rho, *wait)
     assert np.real(after[2, 2]) == pytest.approx(0.75, abs=1e-9)
     empty = thermal_ground_state()
-    after2 = apply_wait(empty, t1 * math.log(2.0), t1_e=t1)
+    after2 = propagate(empty, *wait)
     assert np.real(after2[2, 2]) == pytest.approx(0.25, abs=1e-9)
 
 
 def test_wait_is_identity_on_resonance():
     rho = pure_state(np.array([0.6, 0.8, 0.0], dtype=complex))
-    after = apply_wait(rho, 5.0, cfg=LambdaConfig(omega_1=1.0, omega_2=1.0))
+    after = propagate(rho, *segments(LambdaConfig(omega_1=1.0, omega_2=1.0), t_wait_post=5.0)[3])
     np.testing.assert_allclose(after, rho, rtol=0, atol=1e-12)
 
 
 def test_segment_maps_keep_density_matrices_physical():
     rng = np.random.default_rng(43)
     cfg = LambdaConfig(omega_1=0.4, omega_2=0.7, delta_1=0.1, delta_2=-0.05, psi=0.6, theta=1.0)
-    relax = branching_rates(15.0, cfg)
-    basis = dark_bright_basis(cfg)
+    seq = SequenceConfig.from_drive(cfg, gamma=15.0)
+    pulse = segment_generators(seq)[0][0]
     for _ in range(300):
         rho = random_density(rng)
         kind = rng.integers(0, 3)
         if kind == 0:
-            after = evolve_pulse(rho, cfg, duration=rng.uniform(0.0, 8.0))
+            after = propagate(rho, pulse, rng.uniform(0.0, 8.0))
         elif kind == 1:
-            after = apply_laser(rho, relax, basis, rng.uniform(0.0, 2.0), rng.uniform(0.0, 0.6))
+            laser = segment_generators(replace(seq, gamma_dp=rng.uniform(0.0, 2.0)))[2][0]
+            after = propagate(rho, laser, rng.uniform(0.0, 0.6))
         else:
-            after = apply_wait(rho, rng.uniform(0.0, 3.0), gamma_2n=rng.uniform(0.0, 0.1))
+            duration = rng.uniform(0.0, 3.0)
+            wait = segment_generators(replace(seq, gamma_2n=rng.uniform(0.0, 0.1)))[3][0]
+            after = propagate(rho, wait, duration)
         assert np.real(np.trace(after)) == pytest.approx(1.0, abs=1e-9)
         np.testing.assert_allclose(after, after.conj().T, rtol=0, atol=1e-9)
         assert np.min(np.linalg.eigvalsh(after)) > -1e-8
@@ -274,6 +267,9 @@ def test_sequence_timing_fields():
     assert seq.wait_pre_total == pytest.approx(0.1)
     stretched = reference_sequence(t_seq=10.0)
     assert stretched.wait_pre_total == pytest.approx(2.7)
+    assert [t for _, t in segment_generators(stretched)] == [
+        stretched.t_mw, stretched.wait_pre_total, stretched.t_laser, stretched.t_wait_post
+    ]
     with pytest.raises(ValueError):
         reference_sequence(t_seq=5.0)
     with pytest.raises(ValueError):
@@ -338,9 +334,11 @@ def test_engine_steady_state_near_frozen_value():
 def test_readout_model_and_inversion():
     model = ReadoutModel(contrast=0.3, reference_0=2.0)
     assert model.reference_1 == pytest.approx(1.4)
-    rho = pure_state(np.array([0.0, 0.0, 1.0], dtype=complex))
-    assert readout_signal(rho, model) == pytest.approx(1.4)
+    assert readout_signal(1.0, model) == pytest.approx(1.4)
     signals = np.array([2.0, 1.7, 1.4])
+    np.testing.assert_allclose(
+        readout_signal(np.array([0.0, 0.5, 1.0]), model), signals, rtol=0, atol=1e-12
+    )
     np.testing.assert_allclose(
         invert_calibration(signals, model), [0.0, 0.5, 1.0], rtol=0, atol=1e-12
     )
@@ -376,26 +374,3 @@ def test_rk4_sequence_matches_expm_sequence():
     np.testing.assert_allclose(p_dark, t_expm.p_dark, rtol=0, atol=1e-7)
     np.testing.assert_allclose(p_excited, t_expm.p_excited, rtol=0, atol=1e-7)
 
-
-def test_segment_functions_compose_to_one_period():
-    # The single-segment API and the pulse train share one segment rule:
-    # chaining the four segment maps reproduces a stretched, detuned,
-    # fully dissipative period of run_cpt_sequence.
-    lam = LambdaConfig(
-        omega_1=OMEGA, omega_2=OMEGA, delta_1=0.02, delta_2=0.01, theta=1.2, phi=PHI_043
-    )
-    seq = SequenceConfig.from_drive(
-        lam, gamma=20.0, gamma_dp=0.3, t_seq=9.0, gamma_2n=0.05, t1_e=30.0, n_reps=1
-    )
-    basis = dark_bright_basis(lam)
-    rho = evolve_pulse(thermal_ground_state(), lam, seq.t_mw)
-    rho = apply_wait(rho, seq.wait_pre_total, seq.gamma_2n, seq.t1_e, cfg=lam)
-    readout = rho
-    rho = apply_laser(rho, seq.relax, basis, seq.gamma_dp, seq.t_laser, cfg=lam)
-    rho = apply_wait(rho, seq.t_wait_post, seq.gamma_2n, seq.t1_e, cfg=lam)
-    trace, final = run_cpt_sequence(thermal_ground_state(), seq)
-    assert trace.p_excited[0] == pytest.approx(np.real(readout[2, 2]), abs=1e-14)
-    np.testing.assert_allclose(final, rho, rtol=0, atol=1e-14)
-    assert [t for _, t in segment_generators(seq)] == [
-        seq.t_mw, seq.wait_pre_total, seq.t_laser, seq.t_wait_post
-    ]

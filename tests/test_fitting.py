@@ -129,7 +129,7 @@ def test_saturation_recovery_from_engine():
     seq = SequenceConfig.from_drive(
         lam, gamma=20.0, gamma_dp=0.42611123836628295, n_reps=25
     )
-    fit = fit_saturation(pump_trace(seq))
+    fit = fit_saturation(pump_trace(seq).p_dark_est)
     assert fit.converged and fit.identifiable
     reference = SimplifiedParams(alpha_p_eff=0.43, alpha_dp=0.12)
     assert fit.n_s == pytest.approx(characteristic_steps(reference), rel=0.05)
@@ -149,7 +149,7 @@ def test_saturation_fast_pumping_from_engine():
     seq = SequenceConfig.from_drive(
         lam, gamma=20.0, gamma_dp=gamma_dp_for_alpha_dp(alpha_dp, 0.3), n_reps=40
     )
-    fit = fit_saturation(pump_trace(seq))
+    fit = fit_saturation(pump_trace(seq).p_dark_est)
     assert fit.converged and fit.identifiable
     assert fit.n_s == pytest.approx(0.978, abs=0.005)
     recovered = recover_simplified(fit)

@@ -1,0 +1,31 @@
+"""Every name a package module imports is used in that module.
+
+No linter runs on this repository, so this keeps the dead imports that a
+deletion leaves behind from piling up. ``__init__.py`` is exempt: its star
+imports re-export the layers.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lambda_cpt"
+
+
+def unused_imports(path: Path) -> list[str]:
+    """``module:line name`` for each imported name the module never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.stem}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    assert [hit for path in modules for hit in unused_imports(path)] == []
