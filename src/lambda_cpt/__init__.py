@@ -18,23 +18,3 @@ only inside the dynamical generators.
 """
 
 __version__ = "0.1.0"
-
-from . import config, datasets, dynamics, experiments, fitting
-from . import lambda_system, rate_model, spin_model
-from .lambda_system import *  # noqa: F403
-from .spin_model import *  # noqa: F403
-from .rate_model import *  # noqa: F403
-from .dynamics import *  # noqa: F403
-from .experiments import *  # noqa: F403
-from .fitting import *  # noqa: F403
-from .datasets import *  # noqa: F403
-from .config import *  # noqa: F403
-
-# The package exports exactly what each layer exports, bottom up.
-__all__ = ["__version__"] + [
-    name
-    for module in (
-        lambda_system, spin_model, rate_model, dynamics, experiments, fitting, datasets, config
-    )
-    for name in module.__all__
-]

@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands map one-to-one onto the experiment protocols:
+Commands map one-to-one onto the experiment protocols:
 
     esr-lines        electron resonance line table for the configured spin
     cpt-spectrum     steady dip spectrum over a two-photon detuning grid
@@ -10,15 +10,15 @@ Subcommands map one-to-one onto the experiment protocols:
     comb-predict     closed-form comb geometry (no simulation)
     fit              fit a previously written dataset
 
-Every subcommand takes --config (INI path, defaults apply when omitted),
---out (output directory) and --seed (noise seed). Datasets are CSV with a
-'#' comment block; each run also writes a JSON manifest whose hash is
-echoed into the CSV header.
+Every command takes --config (INI path, defaults apply when omitted),
+--out (output directory) and --seed (noise seed), before or after the
+command name. Datasets are CSV with a '#' comment block; each run also
+writes a JSON manifest whose hash is echoed into the CSV header.
 
 Exit codes: 0 success, 1 engine failure, 2 unreadable CLI/config input,
 3 validation rejection, 4 fit did not converge (report still written),
-64 unknown subcommand. Set LAMBDA_CPT_LOG=DEBUG (or any level name) for
-diagnostics on stderr.
+64 missing or unknown command. Set LAMBDA_CPT_LOG=DEBUG (or any level
+name) for diagnostics on stderr.
 """
 
 from __future__ import annotations
@@ -66,17 +66,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Pulsed coherent-trapping simulator for a microwave Lambda system",
     )
     parser.add_argument("--version", action="version", version=f"lambda-cpt {__version__}")
-    subs = parser.add_subparsers(dest="command", required=True)
-    for name in _HANDLERS:
-        sub = subs.add_parser(name)
-        sub.add_argument("--config", default=None, help="INI run file (defaults when omitted)")
-        sub.add_argument("--out", default=".", help="output directory (created if needed)")
-        sub.add_argument("--seed", type=int, default=None, help="noise seed (default 0)")
+    parser.add_argument("command", nargs="?", help="one of: " + ", ".join(_HANDLERS))
+    parser.add_argument("--config", metavar="FILE", help="INI run file (defaults when omitted)")
+    parser.add_argument(
+        "--out", metavar="DIR", default=".", help="output directory (created if needed)"
+    )
+    parser.add_argument("--seed", metavar="N", type=int, help="noise seed (default 0)")
     return parser
 
 
-def _noise(rng: np.random.Generator | None, std: float, values: np.ndarray) -> np.ndarray:
-    if rng is None or std <= 0:
+def _noise(rng: np.random.Generator, std: float, values: np.ndarray) -> np.ndarray:
+    if std <= 0:
         return values
     return values + rng.normal(0.0, std, size=len(values))
 
@@ -303,33 +303,19 @@ _HANDLERS = {
     "fit": ("fit", _run_fit),
 }
 
-_USAGE = (
-    "usage: lambda-cpt <command> [--config FILE] [--out DIR] [--seed N]\n"
-    "commands: " + ", ".join(_HANDLERS) + "\n"
-)
-
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
     _setup_logging()
-
-    first_positional = next((token for token in argv if not token.startswith("-")), None)
-    if first_positional is None:
-        if any(token in ("-h", "--help", "--version") for token in argv):
-            try:
-                _build_parser().parse_args(argv)
-            except SystemExit as exc:
-                return int(exc.code or 0)
-        sys.stderr.write(_USAGE)
-        return 64
-    if first_positional not in _HANDLERS:
-        sys.stderr.write(f"unknown command: {first_positional}\n{_USAGE}")
-        return 64
-
+    parser = _build_parser()
     try:
-        ns = _build_parser().parse_args(argv)
+        ns = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if ns.command not in _HANDLERS:
+        parser.print_usage(sys.stderr)
+        problem = f"unknown command: {ns.command}" if ns.command else "missing command"
+        sys.stderr.write(f"lambda-cpt: {problem}; commands: {', '.join(_HANDLERS)}\n")
+        return 64
 
     try:
         cfg = load_config(ns.config) if ns.config else default_config()
@@ -348,9 +334,7 @@ def main(argv: list[str] | None = None) -> int:
     name, handler = _HANDLERS[ns.command]
     started = time.perf_counter()
     try:
-        code = handler(
-            cfg, out, rng if cfg.noise_std > 0 else None, manifest_hash(inputs, __version__)
-        )
+        code = handler(cfg, out, rng, manifest_hash(inputs, __version__))
     except ConfigError as exc:
         log.error("validation rejected: %s", exc)
         return 3

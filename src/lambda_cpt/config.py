@@ -5,7 +5,9 @@ scan, composition, fit, noise); every key has a default, so an empty file
 is a valid configuration. Unknown sections or keys are rejected by name
 rather than ignored, and all validation failures raise ConfigError with a
 ``section.key`` path so a run file can be corrected without reading code.
-Every value is type-checked, whether or not the command uses it.
+Every value is type- and range-checked, whether or not the command uses
+it: each key's own bound sits with its converter in ``_SCHEMA``, and
+parse_config checks only the rules that tie several keys together.
 
 Drive amplitudes can be given directly (omega_1, omega_2 in MHz) or as a
 pulse area in radians plus an amplitude ratio, from which the two tones
@@ -60,14 +62,6 @@ def _float(raw: str, key: str) -> float:
     return value
 
 
-def _float_or_inf(raw: str, key: str) -> float:
-    """A finite number, or inf where it switches a relaxation channel off."""
-    value = _number(raw, key)
-    if math.isnan(value) or value == -math.inf:
-        raise ConfigError(key, f"expected a finite number or inf, got {raw!r}")
-    return value
-
-
 def _int(raw: str, key: str) -> int:
     try:
         return int(raw)
@@ -88,6 +82,30 @@ def _text(raw: str, key: str) -> str:
 
 def _word(raw: str, key: str) -> str:
     return raw.strip().lower()
+
+
+def _bounded(convert: _Converter, ok: Callable[[object], bool], rule: str) -> _Converter:
+    """``convert``, then reject a value for which ``ok`` is false: "must be <rule>"."""
+
+    def parse(raw: str, key: str):
+        value = convert(raw, key)
+        if not ok(value):
+            raise ConfigError(key, f"must be {rule}, got {raw.strip()!r}")
+        return value
+
+    return parse
+
+
+_positive = _bounded(_float, lambda v: v > 0, "positive")
+_nonnegative = _bounded(_float, lambda v: v >= 0, "nonnegative")
+_fraction = _bounded(_float, lambda v: 0 <= v <= 1, "in [0, 1]")
+_fit_kind = _bounded(
+    _word, lambda v: v in ("dips", "saturation", "contrast"), "one of dips, saturation, contrast"
+)
+
+
+def _at_least(n: int) -> _Converter:
+    return _bounded(_int, lambda v: v >= n, f"at least {n}")
 
 
 def _optional(convert: _Converter) -> _Converter:
@@ -114,21 +132,23 @@ def check_periods(seq: SequenceConfig, t_seq_list) -> None:
 
 # section -> key -> (default text, converter); the converter maps the text,
 # default or given, to the typed value or raises ConfigError with the key.
+# Each key's own bound sits in its converter; parse_config checks only the
+# rules that tie several keys together.
 _SCHEMA: dict[str, dict[str, tuple[str, _Converter]]] = {
     "spin": {
-        "d": ("2870.0", _float),
-        "gamma_e": ("2.8", _float),
-        "gamma_n": ("1.07e-3", _float),
-        "a_zz": ("1.0", _float),
-        "a_ani": ("0.3", _float),
-        "phi": ("0.0", _float),
-        "b_field": ("850.0", _float),
+        "d": ("2870.0", _positive),
+        "gamma_e": ("2.8", _positive),
+        "gamma_n": ("1.07e-3", _positive),
+        "a_zz": ("1.0", _positive),
+        "a_ani": ("0.3", _nonnegative),
+        "phi": ("0.0", _bounded(_float, lambda v: 0 <= v < 2.0 * math.pi, "in [0, 2 pi)")),
+        "b_field": ("850.0", _nonnegative),
     },
     "drive": {
-        "omega_1": ("", _optional(_float)),
-        "omega_2": ("", _optional(_float)),
-        "pulse_area": ("", _optional(_float)),
-        "ratio": ("1.0", _float),
+        "omega_1": ("", _optional(_nonnegative)),
+        "omega_2": ("", _optional(_nonnegative)),
+        "pulse_area": ("", _optional(_positive)),
+        "ratio": ("1.0", _positive),
         "delta_1": ("0.0", _float),
         "delta_2": ("0.0", _float),
         "psi": ("0.0", _float),
@@ -136,40 +156,40 @@ _SCHEMA: dict[str, dict[str, tuple[str, _Converter]]] = {
         "phi": ("", _optional(_float)),
     },
     "sequence": {
-        "t_mw": ("6.0", _float),
-        "t_wait_pre": ("0.1", _float),
-        "t_laser": ("0.3", _float),
-        "t_wait_post": ("1.0", _float),
+        "t_mw": ("6.0", _nonnegative),
+        "t_wait_pre": ("0.1", _nonnegative),
+        "t_laser": ("0.3", _nonnegative),
+        "t_wait_post": ("1.0", _nonnegative),
         "t_seq": ("", _optional(_float)),
-        "n_reps": ("40", _int),
-        "gamma": ("20.0", _float),
-        "gamma_dp": ("", _optional(_float)),
-        "alpha_dp": ("", _optional(_float)),
-        "gamma_2n": ("0.0", _float),
-        "t1_e": ("inf", _float_or_inf),
+        "n_reps": ("40", _at_least(1)),
+        "gamma": ("20.0", _positive),
+        "gamma_dp": ("", _optional(_nonnegative)),
+        "alpha_dp": ("", _optional(_bounded(_float, lambda v: 0 <= v < 1, "in [0, 1)"))),
+        "gamma_2n": ("0.0", _nonnegative),
+        "t1_e": ("inf", _bounded(_number, lambda v: v > 0, "positive (inf for none)")),
     },
-    "readout": {"contrast": ("0.3", _float), "reference_0": ("1.0", _float)},
+    "readout": {"contrast": ("0.3", _fraction), "reference_0": ("1.0", _positive)},
     "scan": {
         "delta_start": ("-0.06", _float),
         "delta_stop": ("0.06", _float),
-        "points": ("201", _int),
+        "points": ("201", _at_least(2)),
         "delta_1": ("0.0", _float),
         "t_seq_list": ("10, 15, 25, 50", _float_list),
-        "n_s": ("1.8", _float),
-        "n_max": ("4", _int),
+        "n_s": ("1.8", _positive),
+        "n_max": ("4", _at_least(0)),
     },
     "composition": {
-        "ratios": ("0.25, 0.5, 1, 2, 4", _float_list),
-        "n_steps": ("20", _int),
+        "ratios": ("0.25, 0.5, 1, 2, 4", _bounded(_float_list, lambda v: min(v) > 0, "positive")),
+        "n_steps": ("20", _at_least(1)),
         "contrast_a": ("", _optional(_float)),
     },
     "fit": {
         "input": ("", _text),
-        "kind": ("dips", _word),
-        "k": ("1", _int),
+        "kind": ("dips", _fit_kind),
+        "k": ("1", _at_least(1)),
         "init_centers": ("", _optional(_float_list)),
     },
-    "noise": {"std": ("0.0", _float)},
+    "noise": {"std": ("0.0", _nonnegative)},
 }
 
 
@@ -242,16 +262,11 @@ def parse_config(text: str) -> RunConfig:
     values, explicit = _merge(parser)
 
     sp = values["spin"]
-    if sp["b_field"] < 0:
-        raise ConfigError("spin.b_field", "must be nonnegative (units G)")
-    try:
-        spin = SpinSystemParams(
-            constants=PhysicalConstants(d=sp["d"], gamma_e=sp["gamma_e"], gamma_n=sp["gamma_n"]),
-            hyperfine=HyperfineParams(a_zz=sp["a_zz"], a_ani=sp["a_ani"], phi=sp["phi"]),
-            b_field=sp["b_field"],
-        )
-    except ValueError as exc:
-        raise ConfigError("spin", str(exc)) from exc
+    spin = SpinSystemParams(
+        constants=PhysicalConstants(d=sp["d"], gamma_e=sp["gamma_e"], gamma_n=sp["gamma_n"]),
+        hyperfine=HyperfineParams(a_zz=sp["a_zz"], a_ani=sp["a_ani"], phi=sp["phi"]),
+        b_field=sp["b_field"],
+    )
 
     dr, sq = values["drive"], values["sequence"]
     if dr["theta"] is None:
@@ -267,31 +282,25 @@ def parse_config(text: str) -> RunConfig:
                 "drive.pulse_area", "give either explicit amplitudes or a pulse area, not both"
             )
     else:
-        if ratio <= 0:
-            raise ConfigError("drive.ratio", "must be positive")
         if sq["t_mw"] <= 0:
-            raise ConfigError("sequence.t_mw", "must be positive")
+            raise ConfigError("sequence.t_mw", "must be positive to resolve a pulse area")
         omega_eff = (math.pi if area is None else area) / (2.0 * math.pi * sq["t_mw"])
         dr["omega_2"] = omega_eff / math.sqrt(1.0 + ratio * ratio)
         dr["omega_1"] = ratio * dr["omega_2"]
     try:
         lam = LambdaConfig(**dr)
     except ValueError as exc:
-        raise ConfigError("drive", str(exc)) from exc
+        raise ConfigError("drive.omega_1", str(exc)) from exc
 
     alpha_dp = sq.pop("alpha_dp")
     if alpha_dp is not None:
         if sq["gamma_dp"] is not None:
             raise ConfigError("sequence.alpha_dp", "give either gamma_dp or alpha_dp, not both")
-        if not 0.0 <= alpha_dp < 1.0:
-            raise ConfigError("sequence.alpha_dp", "must lie in [0, 1)")
         if sq["t_laser"] <= 0:
             raise ConfigError("sequence.t_laser", "must be positive to set alpha_dp")
         sq["gamma_dp"] = gamma_dp_for_alpha_dp(alpha_dp, sq["t_laser"])
     elif sq["gamma_dp"] is None:
         sq["gamma_dp"] = 0.0
-    if sq["n_reps"] < 1:
-        raise ConfigError("sequence.n_reps", "need at least 1 period")
     try:
         seq = SequenceConfig(
             lam=lam,
@@ -307,58 +316,31 @@ def parse_config(text: str) -> RunConfig:
             t1_e=sq["t1_e"],
         )
     except ValueError as exc:
-        message = str(exc)
-        key = "sequence.t_seq" if "t_seq" in message else "sequence"
-        raise ConfigError(key, message) from exc
+        raise ConfigError("sequence.t_seq", str(exc)) from exc
     sq["t_seq"] = seq.t_seq
     if not math.isfinite(sq["t1_e"]):
         sq["t1_e"] = "inf"
 
-    try:
-        readout = ReadoutModel(**values["readout"])
-    except ValueError as exc:
-        raise ConfigError("readout", str(exc)) from exc
-
     sc = values["scan"]
-    if sc["points"] < 2:
-        raise ConfigError("scan.points", "need at least 2 points")
     if not sc["delta_stop"] > sc["delta_start"]:
         raise ConfigError("scan.delta_stop", "must exceed delta_start")
-    if sc["n_max"] < 0:
-        raise ConfigError("scan.n_max", "must be nonnegative")
-    if sc["n_s"] <= 0:
-        raise ConfigError("scan.n_s", "must be positive")
     # Only a list the run file sets: checking the default list would reject
     # every long sequence, whatever the command. The multi-resonance command
     # checks the list it runs, default or not.
     if "t_seq_list" in explicit.get("scan", {}):
         check_periods(seq, sc["t_seq_list"])
 
-    co = values["composition"]
-    if any(r <= 0 for r in co["ratios"]):
-        raise ConfigError("composition.ratios", "ratios must be positive")
-    if co["n_steps"] < 1:
-        raise ConfigError("composition.n_steps", "need at least 1 step")
-
-    ft = values["fit"]
-    if ft["kind"] not in ("dips", "saturation", "contrast"):
-        raise ConfigError("fit.kind", "expected dips, saturation, or contrast")
-    if ft["k"] < 1:
-        raise ConfigError("fit.k", "must be at least 1")
+    co, ft = values["composition"], values["fit"]
     init_centers = ft["init_centers"]
     if init_centers is not None and len(init_centers) < ft["k"]:
         raise ConfigError("fit.init_centers", f"need at least fit.k = {ft['k']} values")
     ft["init_centers"] = init_centers or ()
 
-    noise_std = values["noise"]["std"]
-    if noise_std < 0:
-        raise ConfigError("noise.std", "must be nonnegative")
-
     return RunConfig(
         spin=spin,
         lam=lam,
         seq=seq,
-        readout=readout,
+        readout=ReadoutModel(**values["readout"]),
         scan_grid=(sc["delta_start"], sc["delta_stop"], sc["points"]),
         scan_delta_1=sc["delta_1"],
         t_seq_list=sc["t_seq_list"],
@@ -371,7 +353,7 @@ def parse_config(text: str) -> RunConfig:
         fit_kind=ft["kind"],
         fit_k=ft["k"],
         fit_init_centers=init_centers,
-        noise_std=noise_std,
+        noise_std=values["noise"]["std"],
         explicit=explicit,
         inputs=values,
     )

@@ -52,7 +52,6 @@ from .lambda_system import (
 )
 
 __all__ = [
-    "DensityMatrix",
     "SequenceConfig",
     "ReadoutModel",
     "StepTrace",
@@ -72,12 +71,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-
-# A density matrix is a plain 3x3 complex ndarray; Hermitian, unit trace,
-# nonnegative spectrum. Kept as an alias rather than a wrapper class so the
-# hot loop stays allocation-free.
-DensityMatrix = np.ndarray
-
 
 @dataclass(frozen=True)
 class SequenceConfig:
@@ -143,18 +136,17 @@ class ReadoutModel:
 
     contrast: float = 0.3
     reference_0: float = 1.0
-    reference_1: float | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.contrast <= 1.0:
             raise ValueError("contrast must lie in [0, 1]")
         if self.reference_0 <= 0:
             raise ValueError("reference_0 must be positive")
-        expected = self.reference_0 * (1.0 - self.contrast)
-        if self.reference_1 is None:
-            object.__setattr__(self, "reference_1", expected)
-        elif abs(self.reference_1 - expected) > 1e-9 * self.reference_0:
-            raise ValueError("reference_1 must equal reference_0 * (1 - contrast)")
+
+    @property
+    def reference_1(self) -> float:
+        """Signal level of a fully excited spin."""
+        return self.reference_0 * (1.0 - self.contrast)
 
 
 @dataclass(frozen=True)
@@ -177,12 +169,12 @@ class StepTrace:
         return len(self.step)
 
 
-def thermal_ground_state() -> DensityMatrix:
+def thermal_ground_state() -> np.ndarray:
     """Unpolarized nuclear state: equal ground populations, empty excited state."""
     return np.diag([0.5, 0.5, 0.0]).astype(complex)
 
 
-def pure_state(vec: np.ndarray) -> DensityMatrix:
+def pure_state(vec: np.ndarray) -> np.ndarray:
     """Projector |v><v| of a (normalized) 3-component state vector."""
     v = np.asarray(vec, dtype=complex)
     return np.outer(v, v.conj())
@@ -349,7 +341,7 @@ def period_maps(segments) -> tuple[np.ndarray, np.ndarray]:
 
 
 def propagate_periods(
-    segments, rho0: DensityMatrix, n_reps: int, observables
+    segments, rho0: np.ndarray, n_reps: int, observables
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run n_reps periods of G stacked sequences from rho0.
 
@@ -406,10 +398,10 @@ def dark_population_estimate(p_minus: np.ndarray) -> np.ndarray:
 
 
 def run_cpt_sequence(
-    rho0: DensityMatrix,
+    rho0: np.ndarray,
     seq: SequenceConfig,
     readout: ReadoutModel = ReadoutModel(),
-) -> tuple[StepTrace, DensityMatrix]:
+) -> tuple[StepTrace, np.ndarray]:
     """Repeat the pulse-wait-laser-wait period n_reps times.
 
     Populations are recorded immediately before each laser pulse. This is

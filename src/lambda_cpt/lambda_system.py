@@ -57,10 +57,12 @@ class LambdaConfig:
     phi: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.omega_1 < 0 or self.omega_2 < 0:
+        if not (self.omega_1 >= 0 and self.omega_2 >= 0):
             raise ValueError("Rabi frequencies must be nonnegative")
-        if self.omega_1 == 0 and self.omega_2 == 0:
-            raise ValueError("at least one Rabi frequency must be nonzero")
+        # The branching ratio and the dark-state overlap divide by omega_eff^2,
+        # which must neither underflow to 0 nor overflow.
+        if not 1e-150 <= self.omega_eff <= 1e150:
+            raise ValueError("omega_eff = hypot(omega_1, omega_2) must lie in [1e-150, 1e150] MHz")
 
     @property
     def delta_r(self) -> float:

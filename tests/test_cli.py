@@ -62,6 +62,19 @@ def test_esr_lines_schema(tmp_path):
     assert manifest["wall_time_s"] > 0
 
 
+def test_options_before_the_command(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[spin]\nb_field = 500\n")
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert run(["--config", str(cfg), "esr-lines", "--out", str(out_a)]) == 0
+    assert run(["--seed", "3", "esr-lines", "--out", str(out_b)]) == 0
+    manifest_a = json.loads((out_a / "esr_lines.manifest.json").read_text())
+    manifest_b = json.loads((out_b / "esr_lines.manifest.json").read_text())
+    assert manifest_a["inputs"]["spin"]["b_field"] == 500.0
+    assert manifest_b["inputs"]["seed"] == 3
+    assert (out_b / "esr_lines.csv").is_file()
+
+
 def test_comb_schema(tmp_path):
     assert run(["comb-predict", "--out", str(tmp_path)]) == 0
     assert header_line(tmp_path / "comb.csv") == "n,center_mhz,width_mhz,envelope_mhz"

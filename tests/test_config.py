@@ -3,8 +3,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lambda_cpt.config import ConfigError, default_config, load_config, parse_config
+from lambda_cpt.config import _SCHEMA, ConfigError, default_config, load_config, parse_config
 
 THETA_DEFAULT = 1.2778111825976617
 GAMMA_DP_012 = 0.42611123836628295
@@ -71,12 +73,70 @@ def test_rejections_name_the_key():
         ("[sequence]\nt1_e = nan\n", "sequence.t1_e"),
         ("[noise]\nstd = nan\n", "noise.std"),
         ("[noise]\nstd = inf\n", "noise.std"),
+        ("[spin]\nd = -1\n", "spin.d"),
+        ("[spin]\ngamma_e = 0\n", "spin.gamma_e"),
+        ("[spin]\ngamma_n = -1e-3\n", "spin.gamma_n"),
+        ("[spin]\na_zz = 0\n", "spin.a_zz"),
+        ("[spin]\na_ani = -0.1\n", "spin.a_ani"),
+        ("[spin]\nphi = 7\n", "spin.phi"),
+        ("[drive]\nomega_1 = -1\nomega_2 = 0.1\n", "drive.omega_1"),
+        ("[drive]\nomega_1 = 0.1\nomega_2 = -1\n", "drive.omega_2"),
+        ("[drive]\npulse_area = -1\n", "drive.pulse_area"),
+        ("[drive]\nomega_1 = 0.1\nomega_2 = 0.1\n[sequence]\nt_mw = -1\n", "sequence.t_mw"),
+        ("[sequence]\nt_wait_pre = -1\n", "sequence.t_wait_pre"),
+        ("[sequence]\nt_laser = -1\n", "sequence.t_laser"),
+        ("[sequence]\nt_wait_post = -1\n", "sequence.t_wait_post"),
+        ("[sequence]\ngamma = 0\n", "sequence.gamma"),
+        ("[sequence]\ngamma_dp = -1\n", "sequence.gamma_dp"),
+        ("[sequence]\ngamma_2n = -1\n", "sequence.gamma_2n"),
+        ("[sequence]\nt1_e = -1\n", "sequence.t1_e"),
+        ("[readout]\ncontrast = 2\n", "readout.contrast"),
+        ("[readout]\nreference_0 = 0\n", "readout.reference_0"),
     ]
     for text, expected_key in cases:
         with pytest.raises(ConfigError) as err:
             parse_config(text)
         assert err.value.key == expected_key, text
         assert expected_key in str(err.value)
+
+
+# A value that breaks a rule joining two keys is reported at that rule's key:
+# one tone alone, a pulse area that resolves to no usable tones at t_mw, or
+# a scan grid whose ends cross.
+PARTNERS = {
+    "drive.omega_2": "drive.omega_1",
+    "drive.pulse_area": "drive.omega_1",
+    "drive.ratio": "drive.omega_1",
+    "sequence.t_mw": "drive.omega_1",
+    "scan.delta_start": "scan.delta_stop",
+}
+NUMERIC_KEYS = sorted(
+    f"{section}.{key}"
+    for section, keys in _SCHEMA.items()
+    for key in keys
+    if f"{section}.{key}" not in ("fit.input", "fit.kind")
+)
+
+
+# Finite floats of every magnitude, subnormal to the largest, either sign.
+ANY_SCALE = st.builds(
+    lambda mantissa, exponent: mantissa * 2.0**exponent,
+    st.floats(-2.0, 2.0, exclude_max=True),
+    st.integers(-1074, 1023),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.sampled_from(NUMERIC_KEYS),
+    st.one_of(st.integers(-(10**6), 10**6), st.floats(allow_nan=False), ANY_SCALE),
+)
+def test_any_single_value_is_accepted_or_named(path, value):
+    section, key = path.split(".")
+    try:
+        parse_config(f"[{section}]\n{key} = {value!r}\n")
+    except ConfigError as exc:
+        assert exc.key in (path, PARTNERS.get(path)), (value, str(exc))
 
 
 def test_malformed_ini_is_a_parse_error():

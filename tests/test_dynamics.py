@@ -344,7 +344,7 @@ def test_readout_model_and_inversion():
     )
     with pytest.raises(ValueError):
         invert_calibration(signals, ReadoutModel(contrast=0.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         ReadoutModel(contrast=0.3, reference_0=1.0, reference_1=0.9)
 
 

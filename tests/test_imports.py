@@ -1,8 +1,7 @@
 """Every name a package module imports is used in that module.
 
 No linter runs on this repository, so this keeps the dead imports that a
-deletion leaves behind from piling up. ``__init__.py`` is exempt: its star
-imports re-export the layers.
+deletion leaves behind from piling up.
 """
 
 import ast
@@ -26,6 +25,6 @@ def unused_imports(path: Path) -> list[str]:
 
 
 def test_no_unused_imports():
-    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    modules = sorted(PACKAGE.glob("*.py"))
     assert modules
     assert [hit for path in modules for hit in unused_imports(path)] == []

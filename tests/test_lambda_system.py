@@ -144,6 +144,9 @@ def test_config_validation():
         LambdaConfig(omega_1=0.0, omega_2=0.0)
     with pytest.raises(ValueError):
         LambdaConfig(omega_1=-0.1, omega_2=1.0)
+    for omega in (math.nan, math.inf, 1e200, 1e-200):
+        with pytest.raises(ValueError):
+            LambdaConfig(omega_1=omega, omega_2=omega)
     cfg = LambdaConfig(omega_1=3.0, omega_2=4.0, delta_1=0.7, delta_2=0.2)
     assert cfg.delta_r == pytest.approx(0.5)
     assert cfg.omega_eff == pytest.approx(5.0)
