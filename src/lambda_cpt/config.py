@@ -285,7 +285,7 @@ def parse_config(text: str) -> RunConfig:
         if sq["t_mw"] <= 0:
             raise ConfigError("sequence.t_mw", "must be positive to resolve a pulse area")
         omega_eff = (math.pi if area is None else area) / (2.0 * math.pi * sq["t_mw"])
-        dr["omega_2"] = omega_eff / math.sqrt(1.0 + ratio * ratio)
+        dr["omega_2"] = omega_eff / math.hypot(1.0, ratio)
         dr["omega_1"] = ratio * dr["omega_2"]
     try:
         lam = LambdaConfig(**dr)

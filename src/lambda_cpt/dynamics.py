@@ -25,11 +25,10 @@ Every protocol propagates through one kernel, :func:`propagate_periods`. It
 takes the four segment generators stacked over G independent runs (the grid
 points of a sweep, or G = 1), exponentiates each segment for all G at once,
 folds a period into the map up to the readout and the map after it,
-advances all G states with one batched matrix product per half period, and
-records only the observables a protocol reads out. A
-detuning sweep needs no per-point generator build: the two-photon detuning
-enters only as a diagonal shift of every segment generator
-(:func:`detuned_segments`).
+advances all G states a block of periods per batched product, and records
+only the observables a protocol reads out. A detuning sweep needs no
+per-point generator build: the two-photon detuning enters only as a
+diagonal shift of every segment generator (:func:`detuned_segments`).
 
 Units: MHz and us everywhere at the interface; the 2*pi sits inside the
 generators only.
@@ -350,19 +349,36 @@ def propagate_periods(
     run starts from the 3x3 state rho0. observables are k Hermitian 3x3
     operators O, read as Tr(O rho) at each readout instant. Returns those
     readouts, shape (G, n_reps, k), and the final states, shape (G, 3, 3).
-    Runs are independent rows of every product, so a result does not depend
-    on which other runs share its batch.
+
+    Periods advance in blocks of K, the largest power of two with
+    K^2 <= n_reps. With the one-period map M = B A, the readout rows
+    R A M^j for j < K are built by doubling, and each block then emits its
+    K readouts with one batched product and advances the state by M^K; the
+    last, partial block applies the powers M^(2^i) of the set bits of what
+    is left. n periods cost 2 n/K + O(log K) batched products, and
+    sqrt(n)/2 < K <= sqrt(n). K depends on n_reps alone and runs are
+    independent rows of every product, so a result does not depend on which
+    other runs share its batch.
     """
     a, b = (m.reshape(-1, 9, 9) for m in period_maps(segments))
     g = len(a)
-    # Tr(O rho) = vec(rho) . conj(vec(O)) for Hermitian O.
-    read = np.asarray(observables, dtype=complex).reshape(-1, 9).conj().T
+    # Tr(O rho) = conj(vec(O)) . vec(rho) for Hermitian O.
+    read = np.asarray(observables, dtype=complex).reshape(-1, 9).conj()
+    k = len(read)
+    block = 1 << (max(math.isqrt(n_reps), 1).bit_length() - 1)
+    # rows[:, j k + c] = R_c A M^j for j < block; powers[i] = M^(2^i).
+    rows, powers = read @ a, [b @ a]
+    for _ in range(block.bit_length() - 1):
+        rows = np.concatenate([rows, rows @ powers[-1]], axis=1)
+        powers.append(powers[-1] @ powers[-1])
     vec = np.broadcast_to(np.asarray(rho0, dtype=complex).reshape(1, 9, 1), (g, 9, 1))
-    readouts = np.empty((g, n_reps, read.shape[1]))
-    for i in range(n_reps):
-        vec = a @ vec
-        readouts[:, i] = np.real(vec[:, :, 0] @ read)
-        vec = b @ vec
+    readouts = np.empty((g, n_reps, k))
+    for start in range(0, n_reps, block):
+        n = min(block, n_reps - start)
+        readouts[:, start : start + n] = np.real(rows[:, : n * k] @ vec).reshape(g, n, k)
+        for i, power in enumerate(powers):
+            if n >> i & 1:
+                vec = power @ vec
     # At n_reps = 0, vec is still a read-only view of rho0.
     return readouts, vec.reshape(g, 3, 3).copy()
 
@@ -405,8 +421,9 @@ def run_cpt_sequence(
     """Repeat the pulse-wait-laser-wait period n_reps times.
 
     Populations are recorded immediately before each laser pulse. This is
-    :func:`propagate_periods` at G = 1: each period costs two 9x9
-    matrix-vector products plus the readout of the five populations.
+    :func:`propagate_periods` at G = 1: periods advance in blocks of K, the
+    largest power of two with K^2 <= n_reps, so n periods cost 2 n/K +
+    O(log K) products with 9x9 matrices, and sqrt(n)/2 < K <= sqrt(n).
     """
     basis = dark_bright_basis(seq.lam)
     up, down, excited = np.eye(3)

@@ -188,7 +188,7 @@ def composition_sweep(
     o_eff = seq.lam.omega_eff
     drives, per_ratio = [], []
     for r in ratios:
-        o2 = o_eff / math.sqrt(1.0 + r * r)
+        o2 = o_eff / math.hypot(1.0, r)
         lam_r = replace(seq.lam, omega_1=r * o2, omega_2=o2)
         drives.append(lam_r)
         per_ratio.append(

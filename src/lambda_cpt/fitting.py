@@ -4,7 +4,9 @@ All fits use Levenberg-Marquardt (scipy.optimize.leastsq) with numerically
 differenced Jacobians, stopping on a relative cost change below 1e-10.
 Non-convergence is reported through the ``converged`` flag with best-so-far
 parameters, never as an exception. Parameter uncertainties are 1-sigma
-values from the scaled LM covariance.
+values from the scaled LM covariance. scipy.optimize is imported inside
+the two functions that call it, so a command that fits nothing does not
+load it.
 
 Dips are modeled as a baseline, flat or optionally tilted, minus a sum of
 Gaussians, the workflow used for every spectrum here; the underlying
@@ -17,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import leastsq
 
 from .rate_model import SimplifiedParams
 from .experiments import Spectrum
@@ -161,6 +162,8 @@ def fit_dips(
     def residuals(p: np.ndarray) -> np.ndarray:
         return _dip_model(x, p, x_mid, slope) - y
 
+    from scipy.optimize import leastsq
+
     popt, cov, info, _, ier = leastsq(
         residuals, params0, ftol=1e-10, maxfev=500 * (len(params0) + 1), full_output=True
     )
@@ -211,6 +214,9 @@ def fit_saturation(series: np.ndarray) -> SaturationFit:
     # length-based guess can leave LM in the n_s -> 0 valley on short traces.
     settled = np.abs(series - series[-1]) < abs(series[0] - series[-1]) / math.e
     params0 = np.array([series[-1], series[0], max(1, int(np.argmax(settled)))])
+
+    from scipy.optimize import leastsq
+
     popt, cov, info, _, ier = leastsq(
         residuals, params0, ftol=1e-10, maxfev=2000, full_output=True
     )

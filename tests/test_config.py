@@ -30,6 +30,11 @@ def test_drive_from_area_and_ratio():
     cfg = parse_config("[drive]\npulse_area = 3.141592653589793\nratio = 2.0\n")
     assert cfg.lam.omega_eff == pytest.approx(1.0 / 12.0)
     assert cfg.lam.omega_1 / cfg.lam.omega_2 == pytest.approx(2.0)
+    # A ratio whose square overflows still resolves: nearly all of the area
+    # goes to omega_1.
+    cfg = parse_config("[drive]\npulse_area = 3.14\nratio = 1e200\n")
+    assert cfg.lam.omega_1 == pytest.approx(3.14 / (12.0 * math.pi))
+    assert cfg.lam.omega_1 / cfg.lam.omega_2 == pytest.approx(1e200)
 
 
 def test_drive_explicit_amplitudes():
@@ -106,7 +111,6 @@ def test_rejections_name_the_key():
 PARTNERS = {
     "drive.omega_2": "drive.omega_1",
     "drive.pulse_area": "drive.omega_1",
-    "drive.ratio": "drive.omega_1",
     "sequence.t_mw": "drive.omega_1",
     "scan.delta_start": "scan.delta_stop",
 }

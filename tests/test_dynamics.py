@@ -331,6 +331,15 @@ def test_engine_steady_state_near_frozen_value():
     assert simplified.alpha_dp == pytest.approx(0.12, abs=1e-12)
 
 
+def test_long_trace_stays_normalized_and_saturated():
+    # 20000 periods advance in blocks of 128 through products of powers of
+    # the period map; rounding must not leak population or move the plateau.
+    trace, _ = run_cpt_sequence(thermal_ground_state(), reference_sequence(n_reps=20000))
+    total = trace.p_up + trace.p_down + trace.p_excited
+    assert np.max(np.abs(total - 1.0)) < 1e-10
+    assert trace.p_dark[-1] == pytest.approx(0.88, abs=0.01)
+
+
 def test_readout_model_and_inversion():
     model = ReadoutModel(contrast=0.3, reference_0=2.0)
     assert model.reference_1 == pytest.approx(1.4)

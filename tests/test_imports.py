@@ -1,10 +1,14 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and the CLI
+imports no more than its commands need.
 
 No linter runs on this repository, so this keeps the dead imports that a
 deletion leaves behind from piling up.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lambda_cpt"
@@ -28,3 +32,16 @@ def test_no_unused_imports():
     modules = sorted(PACKAGE.glob("*.py"))
     assert modules
     assert [hit for path in modules for hit in unused_imports(path)] == []
+
+
+def test_cli_import_leaves_out_the_fitter():
+    # Only the fit command needs scipy.optimize, about a third of the import time.
+    probe = "import sys, lambda_cpt.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

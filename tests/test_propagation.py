@@ -10,6 +10,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
@@ -117,6 +118,57 @@ def test_kernel_matches_single_point_runs(text, offsets):
         want = np.real(np.einsum("kji,nij->nk", OBSERVABLES, states))
         np.testing.assert_allclose(readouts[i], want, rtol=0, atol=1e-12)
         np.testing.assert_allclose(final[i], want_final, rtol=0, atol=1e-12)
+
+
+# Every dissipative channel on, off two-photon resonance, stretched period.
+LONG_CHAIN = """
+[drive]
+pulse_area = 2.6
+ratio = 1.7
+delta_1 = 0.03
+psi = 0.9
+[sequence]
+t_wait_pre = 0.2
+t_laser = 0.15
+t_wait_post = 0.7
+t_seq = 11.3
+gamma = 12.0
+gamma_dp = 0.3
+gamma_2n = 0.02
+t1_e = 400.0
+"""
+
+
+def period_by_period(segments, rho0, n_reps, observables):
+    """Oracle: one A and one B matrix-vector product per period and run."""
+    a, b = (m.reshape(-1, 9, 9) for m in period_maps(segments))
+    readouts = np.empty((len(a), n_reps, len(observables)))
+    finals = []
+    for g, (a_g, b_g) in enumerate(zip(a, b)):
+        vec = rho0.reshape(9)
+        for i in range(n_reps):
+            vec = a_g @ vec
+            readouts[g, i] = np.real(np.einsum("kji,ij->k", observables, vec.reshape(3, 3)))
+            vec = b_g @ vec
+        finals.append(vec.reshape(3, 3))
+    return readouts, np.array(finals)
+
+
+@pytest.mark.parametrize("n_reps", [0, 1, 3, 4, 15, 16, 17, 63, 64, 65, 4097])
+@pytest.mark.parametrize("g", [1, 3])
+@pytest.mark.parametrize("k", [0, 5])
+def test_blocked_kernel_matches_period_by_period(n_reps, g, k):
+    """Block lengths 1 to 64, full and partial blocks, against the per-period oracle."""
+    seq = parse_config(LONG_CHAIN).seq
+    delta_1 = seq.lam.delta_1
+    segments = detuned_segments(seq, delta_1, delta_1 + np.linspace(-0.02, 0.01, g))
+    rho0 = 0.5 * thermal_ground_state() + 0.5 * pure_state(np.array([1.0, 1j, 1.0]) / math.sqrt(3))
+    observables = OBSERVABLES[:k]
+    readouts, final = propagate_periods(segments, rho0, n_reps, observables)
+    want, want_final = period_by_period(segments, rho0, n_reps, observables)
+    assert readouts.shape == (g, n_reps, k)
+    np.testing.assert_allclose(readouts, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(final, want_final, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=20, deadline=None)
