@@ -18,8 +18,11 @@ bright states at the branching rates and dephases the ground coherence at
 gamma_dp; waits can carry a slow intrinsic dephasing gamma_2n and an
 electron T1 channel. The microwave pulse stays coherent. This rule lives in
 one place, :func:`segment_generators`, as one (9x9 generator, duration) pair
-per segment; each segment's map is the exact matrix exponential of its
-generator, taken in one place too, :func:`period_maps`.
+per segment; each segment's map is the matrix exponential of its generator,
+taken in one place too, :func:`period_maps`, by this module's :func:`expm`. A
+diagonal generator (every wait when t1_e is infinite) takes exp of its
+diagonal; every other one takes a degree-13 Pade scaling and squaring,
+batched over the stack with numpy alone, so the engine never imports scipy.
 
 Every protocol propagates through one kernel, :func:`propagate_periods`. It
 takes the four segment generators stacked over G independent runs (the grid
@@ -40,7 +43,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import expm
 
 from .lambda_system import (
     BranchingRates,
@@ -61,6 +63,7 @@ __all__ = [
     "liouvillian",
     "segment_generators",
     "detuned_segments",
+    "expm",
     "period_maps",
     "propagate_periods",
     "run_cpt_sequence",
@@ -320,12 +323,70 @@ def detuned_segments(
     return tuple(stacked)
 
 
+# Numerator coefficients b_0..b_13 of the degree-13 Pade approximant to exp,
+# and theta_13, the 1-norm up to which that approximant is accurate to double
+# precision without scaling (Higham 2005, Table 2.3).
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential of one square matrix, or of each matrix of a stack.
+
+    A matrix whose off-diagonal entries are all zero (every wait when t1_e is
+    infinite, gamma_2n included) takes exp of its diagonal. Every other
+    matrix takes the scaling and squaring method of Higham 2005, "The
+    scaling and squaring method for the matrix exponential revisited" (the
+    scheme scipy.linalg.expm implements, as refined by Al-Mohy & Higham
+    2009): the degree-13 Pade approximant of A / 2^s, squared s times, with
+    the smallest s >= 0 that brings the 1-norm of A / 2^s to theta_13. All
+    such matrices share one batched solve. The route and s are chosen per
+    matrix and every step acts on each matrix alone, so a result does not
+    depend on which other matrices share the stack.
+    """
+    a = np.asarray(a, dtype=complex)
+    n = a.shape[-1]
+    stack = a.reshape(-1, n, n)
+    diagonal = np.all((stack == 0) | np.eye(n, dtype=bool), axis=(1, 2))
+    dense = np.flatnonzero(~diagonal)
+    norm = np.abs(stack[dense]).sum(axis=1).max(axis=1)
+    s = np.ceil(np.log2(np.maximum(norm, _THETA13) / _THETA13)).astype(int)
+    x = stack[dense] / (2.0 ** s)[:, None, None]
+    b, eye = _PADE13, np.eye(n)
+    x2 = x @ x
+    x4 = x2 @ x2
+    x6 = x4 @ x2
+    u = x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2) + b[7] * x6 + b[5] * x4 + b[3] * x2
+    u = x @ (u + b[1] * eye)
+    v = x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2) + b[6] * x6 + b[4] * x4 + b[2] * x2
+    v += b[0] * eye
+    # Temporaries go before the solve and the output comes after the squaring:
+    # these stacks set the peak memory of a spectrum.
+    del x, x2, x4, x6
+    r = np.linalg.solve(v - u, v + u)
+    del u, v
+    for k in range(s.max(initial=0)):
+        squared = np.flatnonzero(s > k)
+        r[squared] = r[squared] @ r[squared]
+    out = np.zeros_like(stack)
+    out[dense] = r
+    d, i = np.flatnonzero(diagonal)[:, None], np.arange(n)
+    out[d, i, i] = np.exp(stack[d, i, i])
+    return out.reshape(a.shape)
+
+
 def period_maps(segments) -> tuple[np.ndarray, np.ndarray]:
     """Fold four (generator, duration) segments into the two half-period maps.
 
     Generators may be single 9x9 matrices or stacks of them; each segment is
-    exponentiated with one call for the whole stack, one half period at a
-    time so that at most two propagator stacks are alive. Returns
+    exponentiated with one :func:`expm` call for the whole stack (exp of the
+    diagonal for a diagonal generator, Pade-13 scaling and squaring for any
+    other, chosen per matrix), one half period at a time so that at most two
+    propagator stacks are alive. Returns
     A = P_wait_pre P_mw (start of period to the readout) and
     B = P_wait_post P_laser (readout to end of period). A duration at or
     below zero (the slack of a t_seq within rounding of the packed duration)
@@ -368,6 +429,7 @@ def propagate_periods(
     block = 1 << (max(math.isqrt(n_reps), 1).bit_length() - 1)
     # rows[:, j k + c] = R_c A M^j for j < block; powers[i] = M^(2^i).
     rows, powers = read @ a, [b @ a]
+    del a, b
     for _ in range(block.bit_length() - 1):
         rows = np.concatenate([rows, rows @ powers[-1]], axis=1)
         powers.append(powers[-1] @ powers[-1])

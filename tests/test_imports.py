@@ -34,9 +34,8 @@ def test_no_unused_imports():
     assert [hit for path in modules for hit in unused_imports(path)] == []
 
 
-def test_cli_import_leaves_out_the_fitter():
-    # Only the fit command needs scipy.optimize, about a third of the import time.
-    probe = "import sys, lambda_cpt.cli; print('scipy.optimize' in sys.modules)"
+def fresh_interpreter(probe: str) -> str:
+    """What probe prints in a new interpreter that imports lambda_cpt from src/."""
     out = subprocess.run(
         [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
@@ -44,4 +43,19 @@ def test_cli_import_leaves_out_the_fitter():
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_out_the_fitter():
+    # Only the fit command needs scipy.optimize, about a third of the import time.
+    probe = "import sys, lambda_cpt.cli; print('scipy.optimize' in sys.modules)"
+    assert fresh_interpreter(probe) == "False"
+
+
+def test_engine_import_leaves_out_scipy():
+    # The engine takes its matrix exponentials with numpy alone; only fit needs scipy.
+    probe = (
+        "import sys, lambda_cpt.cli, lambda_cpt.experiments; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert fresh_interpreter(probe) == "[]"

@@ -1,4 +1,5 @@
-"""The batched propagation kernel against single-point runs, and its period maps.
+"""The batched propagation kernel against single-point runs, its period maps,
+and the batched matrix exponential they are built from.
 
 Configs are drawn as INI text and resolved by ``parse_config``, so every
 draw is one the run-file schema accepts. The draws switch every dissipative
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from lambda_cpt import dynamics
 from lambda_cpt.config import parse_config
 from lambda_cpt.dynamics import (
     detuned_segments,
@@ -54,13 +56,17 @@ def floats(lo, hi):
 
 
 @st.composite
-def run_files(draw, dissipative=True):
-    """INI text of a drive and sequence; dissipative=False leaves only the laser."""
+def run_files(draw, dissipative=True, stretch=floats(0.0, 12.0), t1_e=floats(5.0, 1000.0)):
+    """INI text of a drive and sequence; dissipative=False leaves only the laser.
+
+    stretch draws the slack t_seq - packed duration in us, and t1_e the wait
+    T1 of a dissipative draw.
+    """
     t_mw = draw(floats(0.3, 8.0))
     t_laser = draw(floats(0.05, 0.6))
     t_wait_pre = draw(floats(0.0, 0.5))
     t_wait_post = draw(floats(0.0, 2.0))
-    stretch = draw(floats(0.0, 12.0))
+    stretch = draw(stretch)
     lines = [
         "[drive]",
         f"pulse_area = {draw(floats(0.5, 2.0 * math.pi))!r}",
@@ -82,7 +88,7 @@ def run_files(draw, dissipative=True):
         lines += [
             f"gamma_dp = {draw(floats(0.01, 2.0))!r}",
             f"gamma_2n = {draw(floats(0.001, 0.2))!r}",
-            f"t1_e = {draw(floats(5.0, 1000.0))!r}",
+            f"t1_e = {draw(t1_e)!r}",
         ]
     return "\n".join(lines) + "\n"
 
@@ -212,3 +218,47 @@ def test_dark_state_is_a_fixed_point_of_both_period_maps(text):
     # delta_2 = delta_1: two-photon resonance at a nonzero one-photon detuning.
     for maps in period_maps(detuned_segments(seq, seq.lam.delta_1, [seq.lam.delta_1])):
         np.testing.assert_allclose(maps[0] @ dark, dark, rtol=0, atol=1e-12)
+
+
+# Waits with finite T1 take the Pade route and waits with t1_e = inf the
+# diagonal one; a zero slack gives a zero generator, and 50 us of slack
+# pushes the wait norms past theta_13, so the squaring runs.
+@settings(max_examples=40, deadline=None)
+@given(
+    text=run_files(
+        stretch=st.one_of(st.just(0.0), floats(0.0, 50.0)),
+        t1_e=st.one_of(st.just(math.inf), floats(5.0, 1000.0)),
+    ),
+    offsets=detunings,
+)
+def test_batched_expm_matches_scipy_per_matrix(text, offsets):
+    seq = parse_config(text).seq
+    grid = seq.lam.delta_1 + np.array(offsets)
+    for gens, duration in detuned_segments(seq, seq.lam.delta_1, grid):
+        stack = gens * max(duration, 0.0)
+        got = dynamics.expm(stack)
+        for a, e in zip(stack, got):
+            scale = max(1.0, np.abs(a).sum(axis=0).max())
+            np.testing.assert_allclose(e, expm(a), rtol=0, atol=1e-13 * scale)
+
+
+def test_batched_expm_of_a_matrix_does_not_depend_on_its_stack():
+    """Every head and tail of a stack exponentiates alone to the same bits.
+
+    The stack, in order of 1-norm, holds zero, diagonal (t1_e = inf) and
+    dense (finite T1) waits, and dense ones that need from 0 to 5 squarings.
+    """
+    seq = parse_config(LONG_CHAIN).seq
+    grid = seq.lam.delta_1 + np.linspace(-0.2, 0.2, 3)
+    dense = detuned_segments(seq, seq.lam.delta_1, grid)[1][0]
+    diagonal = detuned_segments(replace(seq, t1_e=math.inf), seq.lam.delta_1, grid)[1][0]
+    assert not np.any(diagonal[:, ~np.eye(9, dtype=bool)])
+    durations = (0.0, 0.5, 5.0, 20.0, 60.0)
+    stack = np.concatenate([gens * t for t in durations for gens in (diagonal, dense)])
+    norms = np.abs(stack).sum(axis=1).max(axis=1)
+    assert norms.max() > 2**4 * dynamics._THETA13  # some need five squarings
+    stack = stack[np.argsort(norms, kind="stable")]
+    whole = dynamics.expm(stack)
+    for m in range(1, len(stack)):
+        assert np.array_equal(whole[:m], dynamics.expm(stack[:m]))
+        assert np.array_equal(whole[m:], dynamics.expm(stack[m:]))
