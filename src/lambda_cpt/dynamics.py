@@ -17,12 +17,16 @@ Dissipation is Lindblad-type: the laser repolarizes |-> into the dark and
 bright states at the branching rates and dephases the ground coherence at
 gamma_dp; waits can carry a slow intrinsic dephasing gamma_2n and an
 electron T1 channel. The microwave pulse stays coherent. This rule lives in
-one place, :func:`segment_generators`, as one (9x9 generator, duration) pair
-per segment; each segment's map is the matrix exponential of its generator,
-taken in one place too, :func:`period_maps`, by this module's :func:`expm`. A
-diagonal generator (every wait when t1_e is infinite) takes exp of its
-diagonal; every other one takes a degree-13 Pade scaling and squaring,
-batched over the stack with numpy alone, so the engine never imports scipy.
+one place, :func:`segment_generators`, as one (generator, duration) pair per
+segment: the 3x3 -i H of the pulse, and the 9x9 Liouvillian of each other
+segment. Each segment's map is the matrix exponential of its generator,
+taken in one place too, :func:`period_maps`, by this module's :func:`expm`,
+which lifts the pulse's 3x3 U to the 9x9 map U (x) U*. The laser only moves
+rho_ee into the ground block, so its generator has off-diagonal entries in
+one column, and a wait has none when t1_e is infinite: both take a closed
+form. The 3x3 pulse and a wait with finite t1_e take a degree-13 Pade
+scaling and squaring. Both routes run batched over the stack with numpy
+alone, so the engine never imports scipy.
 
 Every protocol propagates through one kernel, :func:`propagate_periods`. It
 takes the four segment generators stacked over G independent runs (the grid
@@ -211,16 +215,25 @@ def free_generator(cfg: LambdaConfig) -> np.ndarray:
     return TWO_PI * np.diag([0.0, -cfg.delta_r, -cfg.delta_1]).astype(complex)
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product a (x) b of two 3x3 matrices, or of each pair of two stacks.
+
+    Entry [3i + j, 3k + l] is a[i, k] b[j, l], one product per entry as in
+    np.kron, so the bits are the same.
+    """
+    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(*a.shape[:-2], 9, 9)
+
+
 def liouvillian(h: np.ndarray, jumps: list[np.ndarray]) -> np.ndarray:
     """9x9 generator of d vec(rho)/dt for row-major vectorization.
 
     L = -i (H (x) I - I (x) H^T) + sum_J [J (x) J* - (J'J (x) I + I (x) (J'J)^T)/2]
     """
     eye = np.eye(3, dtype=complex)
-    gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    gen = -1j * (_kron(h, eye) - _kron(eye, h.T))
     for j in jumps:
         jdj = j.conj().T @ j
-        gen += np.kron(j, j.conj()) - 0.5 * (np.kron(jdj, eye) + np.kron(eye, jdj.T))
+        gen += _kron(j, j.conj()) - 0.5 * (_kron(jdj, eye) + _kron(eye, jdj.T))
     return gen
 
 
@@ -277,7 +290,7 @@ def _segments(seq: SequenceConfig, basis: LambdaBasis) -> tuple[tuple[np.ndarray
     h_free = free_generator(seq.lam)
     wait_jumps = _wait_jumps(seq.gamma_2n, seq.t1_e)
     return (
-        (liouvillian(rwa_generator(seq.lam), []), seq.t_mw),
+        (-1j * rwa_generator(seq.lam), seq.t_mw),
         (liouvillian(h_free, wait_jumps), seq.wait_pre_total),
         (liouvillian(h_free, _laser_jumps(seq.relax, basis, seq.gamma_dp)), seq.t_laser),
         (liouvillian(h_free, wait_jumps), seq.t_wait_post),
@@ -285,11 +298,14 @@ def _segments(seq: SequenceConfig, basis: LambdaBasis) -> tuple[tuple[np.ndarray
 
 
 def segment_generators(seq: SequenceConfig) -> tuple[tuple[np.ndarray, float], ...]:
-    """The four (9x9 generator, duration) pairs of one sequence period.
+    """The four (generator, duration) pairs of one sequence period.
 
     In order: coherent microwave pulse, pre-laser wait (stretched to t_seq),
     laser pulse, post-laser wait. Relaxation acts only in the laser segment
-    and, when gamma_2n or t1_e switch it on, in the waits.
+    and, when gamma_2n or t1_e switch it on, in the waits. The pulse stays
+    coherent, so its generator is the 3x3 -i H of d psi/dt, with H from
+    :func:`rwa_generator`; the other three are 9x9 Liouvillians of
+    d vec(rho)/dt.
     """
     return _segments(seq, dark_bright_basis(seq.lam))
 
@@ -299,13 +315,15 @@ def detuned_segments(
 ) -> tuple[tuple[np.ndarray, float], ...]:
     """:func:`segment_generators` of seq stacked over the detunings delta_2.
 
-    Returns four ((G, 9, 9) generator, duration) pairs, one generator per
+    Returns four ((G, n, n) generator, duration) pairs, one generator per
     entry of delta_2, all at one-photon detuning delta_1 (the detunings of
-    seq.lam are ignored). Built in closed form from one zero-detuning build:
-    H(delta) = H(0) + 2 pi diag(d) with d = (0, -delta_r, -delta_1) in every
-    segment, and neither the dissipators nor the dark/bright basis depend on
-    the detunings, so each generator gains -i 2 pi (d_i - d_j) at diagonal
-    index 3i + j of the row-major vectorization.
+    seq.lam are ignored); n is 3 for the pulse and 9 for the rest. Built in
+    closed form from one zero-detuning build: H(delta) = H(0) + 2 pi diag(d)
+    with d = (0, -delta_r, -delta_1) in every segment, and neither the
+    dissipators nor the dark/bright basis depend on the detunings, so the
+    3x3 pulse generator gains -i 2 pi d_i at diagonal index i, and each 9x9
+    one -i 2 pi (d_i - d_j) at diagonal index 3i + j of the row-major
+    vectorization.
     """
     delta_2 = np.asarray(delta_2, dtype=float)
     zero = replace(seq, lam=replace(seq.lam, delta_1=0.0, delta_2=0.0))
@@ -313,12 +331,12 @@ def detuned_segments(
     d[:, 1] = -(delta_1 - delta_2)
     d[:, 2] = -delta_1
     h_diag = TWO_PI * d
-    shift = -1j * (h_diag[:, :, None] - h_diag[:, None, :]).reshape(-1, 9)
-    diag = np.arange(9)
+    shifts = {3: -1j * h_diag, 9: -1j * (h_diag[:, :, None] - h_diag[:, None, :]).reshape(-1, 9)}
     stacked = []
     for gen, duration in segment_generators(zero):
+        n = len(gen)
         gens = np.repeat(gen[None], len(delta_2), axis=0)
-        gens[:, diag, diag] += shift
+        gens[:, np.arange(n), np.arange(n)] += shifts[n]
         stacked.append((gens, duration))
     return tuple(stacked)
 
@@ -337,25 +355,63 @@ _THETA13 = 5.371920351148152
 def expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential of one square matrix, or of each matrix of a stack.
 
-    A matrix whose off-diagonal entries are all zero (every wait when t1_e is
-    infinite, gamma_2n included) takes exp of its diagonal. Every other
-    matrix takes the scaling and squaring method of Higham 2005, "The
-    scaling and squaring method for the matrix exponential revisited" (the
-    scheme scipy.linalg.expm implements, as refined by Al-Mohy & Higham
-    2009): the degree-13 Pade approximant of A / 2^s, squared s times, with
-    the smallest s >= 0 that brings the 1-norm of A / 2^s to theta_13. All
-    such matrices share one batched solve. The route and s are chosen per
-    matrix and every step acts on each matrix alone, so a result does not
-    depend on which other matrices share the stack.
+    A matrix whose off-diagonal entries all sit in at most one column k
+    (every laser, and every wait when t1_e is infinite, gamma_2n included)
+    takes the closed form of A = D + c e_k^T with c_k = 0: the diagonal of
+    exp(A) is exp(d), and entry i of column k is
+    c_i (e^{d_i} - e^{d_k}) / (d_i - d_k), evaluated as c_i e^h phi1(z) with
+    h the one of d_i, d_k of larger real part, z the other minus h, and
+    phi1(z) = (e^z - 1) / z, so that nothing overflows or divides by zero.
+    A diagonal matrix is the case without a column. Every other matrix
+    (a 3x3 pulse, a wait with finite t1_e) takes the scaling and squaring
+    method of Higham 2005, "The scaling and squaring method for the matrix
+    exponential revisited": the degree-13 Pade approximant of A / 2^s,
+    squared s times, with the smallest s >= 0 that brings the 1-norm of
+    A / 2^s to theta_13. s comes from the 1-norm alone, without the
+    refinement from norms of powers of A (Al-Mohy & Higham 2009) that
+    scipy.linalg.expm adds, so it can square more often than scipy does.
+    All such matrices share one batched solve. The route and s are chosen
+    per matrix and every step acts on each matrix alone, so a result does
+    not depend on which other matrices share the stack.
     """
     a = np.asarray(a, dtype=complex)
     n = a.shape[-1]
     stack = a.reshape(-1, n, n)
-    diagonal = np.all((stack == 0) | np.eye(n, dtype=bool), axis=(1, 2))
-    dense = np.flatnonzero(~diagonal)
-    norm = np.abs(stack[dense]).sum(axis=1).max(axis=1)
+    i = np.arange(n)
+    off_diagonal = stack != 0
+    off_diagonal[:, i, i] = False
+    columns = off_diagonal.any(axis=1)
+    pade = columns.sum(axis=1) > 1
+    out = np.zeros_like(stack)
+    dense = np.flatnonzero(pade)
+    if len(dense):
+        out[dense] = _pade13(stack[dense])
+    closed = np.flatnonzero(~pade)
+    out[closed[:, None], i, i] = np.exp(stack[closed[:, None], i, i])
+    column = columns[closed].argmax(axis=1)
+    p, row = np.nonzero(off_diagonal[closed, :, column])
+    m, k = closed[p], column[p]
+    d_i, d_k = stack[m, row, row], stack[m, k, k]
+    i_leads = d_i.real >= d_k.real
+    h = np.where(i_leads, d_i, d_k)
+    out[m, row, k] = stack[m, row, k] * np.exp(h) * _phi1(np.where(i_leads, d_k, d_i) - h)
+    return out.reshape(a.shape)
+
+
+def _phi1(z: np.ndarray) -> np.ndarray:
+    """(e^z - 1) / z elementwise, by its Taylor series where |z| < 1e-4 (z = 0 included)."""
+    small = np.abs(z) < 1e-4
+    z_safe = np.where(small, 1.0, z)
+    series = 1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0))
+    return np.where(small, series, np.expm1(z_safe) / z_safe)
+
+
+def _pade13(stack: np.ndarray) -> np.ndarray:
+    """Pade-13 scaling and squaring (see :func:`expm`) of each matrix of an (N, n, n) stack."""
+    n = stack.shape[-1]
+    norm = np.abs(stack).sum(axis=1).max(axis=1)
     s = np.ceil(np.log2(np.maximum(norm, _THETA13) / _THETA13)).astype(int)
-    x = stack[dense] / (2.0 ** s)[:, None, None]
+    x = stack / (2.0 ** s)[:, None, None]
     b, eye = _PADE13, np.eye(n)
     x2 = x @ x
     x4 = x2 @ x2
@@ -364,29 +420,25 @@ def expm(a: np.ndarray) -> np.ndarray:
     u = x @ (u + b[1] * eye)
     v = x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2) + b[6] * x6 + b[4] * x4 + b[2] * x2
     v += b[0] * eye
-    # Temporaries go before the solve and the output comes after the squaring:
-    # these stacks set the peak memory of a spectrum.
+    # Temporaries go before the solve: with finite t1_e, these stacks set the
+    # peak memory of a spectrum.
     del x, x2, x4, x6
     r = np.linalg.solve(v - u, v + u)
     del u, v
     for k in range(s.max(initial=0)):
         squared = np.flatnonzero(s > k)
         r[squared] = r[squared] @ r[squared]
-    out = np.zeros_like(stack)
-    out[dense] = r
-    d, i = np.flatnonzero(diagonal)[:, None], np.arange(n)
-    out[d, i, i] = np.exp(stack[d, i, i])
-    return out.reshape(a.shape)
+    return r
 
 
 def period_maps(segments) -> tuple[np.ndarray, np.ndarray]:
     """Fold four (generator, duration) segments into the two half-period maps.
 
-    Generators may be single 9x9 matrices or stacks of them; each segment is
-    exponentiated with one :func:`expm` call for the whole stack (exp of the
-    diagonal for a diagonal generator, Pade-13 scaling and squaring for any
-    other, chosen per matrix), one half period at a time so that at most two
-    propagator stacks are alive. Returns
+    Generators may be single matrices or stacks of them; each segment is
+    exponentiated with one :func:`expm` call for the whole stack, one half
+    period at a time so that at most two propagator stacks are alive. A 3x3
+    generator (the coherent pulse) gives the 3x3 propagator U, lifted to the
+    9x9 map vec(rho) -> vec(U rho U^dagger), that is U (x) U*. Returns
     A = P_wait_pre P_mw (start of period to the readout) and
     B = P_wait_post P_laser (readout to end of period). A duration at or
     below zero (the slack of a t_seq within rounding of the packed duration)
@@ -395,7 +447,8 @@ def period_maps(segments) -> tuple[np.ndarray, np.ndarray]:
 
     def propagator(k: int) -> np.ndarray:
         gen, duration = segments[k]
-        return expm(gen * max(duration, 0.0))
+        p = expm(gen * max(duration, 0.0))
+        return _kron(p, p.conj()) if p.shape[-1] == 3 else p
 
     return propagator(1) @ propagator(0), propagator(3) @ propagator(2)
 

@@ -196,8 +196,10 @@ def composition_sweep(
                 replace(seq, lam=lam_r, relax=branching_rates(seq.relax.gamma, lam_r))
             )
         )
-    stacks = np.stack([[gen for gen, _ in segs] for segs in per_ratio], axis=1)
-    segments = tuple(zip(stacks, (t for _, t in per_ratio[0])))
+    segments = tuple(
+        (np.stack([segs[k][0] for segs in per_ratio]), duration)
+        for k, (_, duration) in enumerate(per_ratio[0])
+    )
     _, final = propagate_periods(segments, thermal_ground_state(), n_steps, [])
     measured = np.empty(len(ratios))
     p_dark = np.empty(len(ratios))

@@ -63,17 +63,24 @@ def random_density(rng: np.random.Generator) -> np.ndarray:
 
 
 def rk4(rho: np.ndarray, gen: np.ndarray, duration: float, dt: float) -> np.ndarray:
-    """Reference integrator: fixed-step RK4 on d vec(rho)/dt = gen vec(rho)."""
-    vec = rho.astype(complex).reshape(9)
+    """Reference integrator: fixed-step RK4 on d vec(rho)/dt = gen vec(rho) for
+    a 9x9 generator, and on d rho/dt = G rho + rho G^dagger for a 3x3 G = -i H."""
+    if len(gen) == 3:
+        def rate(r):
+            return gen @ r + r @ gen.conj().T
+    else:
+        def rate(r):
+            return (gen @ r.reshape(9)).reshape(3, 3)
+    rho = rho.astype(complex)
     steps = max(1, math.ceil(duration / dt))
     h = duration / steps
     for _ in range(steps):
-        k1 = gen @ vec
-        k2 = gen @ (vec + 0.5 * h * k1)
-        k3 = gen @ (vec + 0.5 * h * k2)
-        k4 = gen @ (vec + h * k3)
-        vec = vec + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return vec.reshape(3, 3)
+        k1 = rate(rho)
+        k2 = rate(rho + 0.5 * h * k1)
+        k3 = rate(rho + 0.5 * h * k2)
+        k4 = rate(rho + h * k3)
+        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return rho
 
 
 def segments(lam: LambdaConfig = REFERENCE_LAM, **kwargs) -> tuple[tuple[np.ndarray, float], ...]:
@@ -129,6 +136,20 @@ def test_liouvillian_preserves_trace():
     # Trace preservation means vec(I) is a left null vector of the generator.
     left = np.eye(3, dtype=complex).reshape(9) @ gen
     assert np.linalg.norm(left) < 1e-12
+
+
+def test_liouvillian_is_its_kron_form_bit_for_bit():
+    rng = np.random.default_rng(38)
+    eye = np.eye(3, dtype=complex)
+    for n_jumps in range(4):
+        h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        h = h + h.conj().T
+        jumps = [rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(n_jumps)]
+        want = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+        for j in jumps:
+            jdj = j.conj().T @ j
+            want += np.kron(j, j.conj()) - 0.5 * (np.kron(jdj, eye) + np.kron(eye, jdj.T))
+        assert np.array_equal(liouvillian(h, jumps), want)
 
 
 def test_pi_pulse_fully_transfers_bright_state():

@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 import lambda_cpt.cli as cli
+from lambda_cpt import dynamics
 from lambda_cpt.datasets import read_csv
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -88,6 +89,27 @@ def test_shipped_configs_reproduce_golden_outputs(tmp_path, monkeypatch):
             if rel.name.endswith(".manifest.json"):
                 got, want = ({key: m[key] for key in ("inputs", "version")} for m in (got, want))
             assert_report_close(got, want, str(rel))
+
+
+def test_shipped_configs_take_pade_only_for_the_pulse(tmp_path, monkeypatch):
+    """Every laser and wait of a shipped command takes expm's closed form.
+
+    Their lasers have off-diagonal entries in one column and their waits
+    none, since no shipped config sets a finite t1_e; only the 3x3 pulse
+    takes the Pade step.
+    """
+    shutil.copytree(ROOT / "configs", tmp_path / "configs")
+    monkeypatch.chdir(tmp_path)
+    pade, sizes = dynamics._pade13, set()
+
+    def spy(stack):
+        sizes.add(stack.shape[-1])
+        return pade(stack)
+
+    monkeypatch.setattr(dynamics, "_pade13", spy)
+    for argv in shipped_commands():
+        assert cli.main(argv) == 0, argv
+    assert sizes == {3}
 
 
 def test_perfbench_golden_is_a_copy():

@@ -12,14 +12,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import scipy_expm
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
 
 from lambda_cpt import dynamics
 from lambda_cpt.config import parse_config
 from lambda_cpt.dynamics import (
     detuned_segments,
+    liouvillian,
     period_maps,
     propagate_periods,
     pure_state,
@@ -56,14 +57,22 @@ def floats(lo, hi):
 
 
 @st.composite
-def run_files(draw, dissipative=True, stretch=floats(0.0, 12.0), t1_e=floats(5.0, 1000.0)):
+def run_files(
+    draw,
+    dissipative=True,
+    stretch=floats(0.0, 12.0),
+    t1_e=floats(5.0, 1000.0),
+    t_laser=floats(0.05, 0.6),
+    gamma_dp=floats(0.01, 2.0),
+):
     """INI text of a drive and sequence; dissipative=False leaves only the laser.
 
-    stretch draws the slack t_seq - packed duration in us, and t1_e the wait
-    T1 of a dissipative draw.
+    stretch draws the slack t_seq - packed duration in us, t_laser the laser
+    duration, and t1_e and gamma_dp the wait T1 and laser dephasing of a
+    dissipative draw.
     """
     t_mw = draw(floats(0.3, 8.0))
-    t_laser = draw(floats(0.05, 0.6))
+    t_laser = draw(t_laser)
     t_wait_pre = draw(floats(0.0, 0.5))
     t_wait_post = draw(floats(0.0, 2.0))
     stretch = draw(stretch)
@@ -86,7 +95,7 @@ def run_files(draw, dissipative=True, stretch=floats(0.0, 12.0), t1_e=floats(5.0
     ]
     if dissipative:
         lines += [
-            f"gamma_dp = {draw(floats(0.01, 2.0))!r}",
+            f"gamma_dp = {draw(gamma_dp)!r}",
             f"gamma_2n = {draw(floats(0.001, 0.2))!r}",
             f"t1_e = {draw(t1_e)!r}",
         ]
@@ -96,10 +105,16 @@ def run_files(draw, dissipative=True, stretch=floats(0.0, 12.0), t1_e=floats(5.0
 detunings = st.lists(floats(-0.2, 0.2), min_size=1, max_size=6)
 
 
+def segment_map(gen, duration):
+    """9x9 map of one segment by scipy: expm(gen t), a 3x3 U lifted to U (x) U*."""
+    p = scipy_expm(gen * duration)
+    return np.kron(p, p.conj()) if len(p) == 3 else p
+
+
 def single_point(seq, delta_1, delta_2):
     """Readout and final states of one point, four expm-ed segments per period."""
     point = replace(seq, lam=replace(seq.lam, delta_1=delta_1, delta_2=delta_2))
-    props = [expm(gen * t) for gen, t in segment_generators(point)]
+    props = [segment_map(gen, t) for gen, t in segment_generators(point)]
     vec = thermal_ground_state().reshape(9)
     readout = []
     for _ in range(seq.n_reps):
@@ -220,45 +235,78 @@ def test_dark_state_is_a_fixed_point_of_both_period_maps(text):
         np.testing.assert_allclose(maps[0] @ dark, dark, rtol=0, atol=1e-12)
 
 
-# Waits with finite T1 take the Pade route and waits with t1_e = inf the
-# diagonal one; a zero slack gives a zero generator, and 50 us of slack
-# pushes the wait norms past theta_13, so the squaring runs.
+# Waits with finite T1 and the 3x3 pulse take the Pade route, the laser
+# (with or without dephasing) and waits with t1_e = inf the closed form; a
+# zero slack or laser gives a zero generator, a subnormal laser one whose
+# phi1 argument is subnormal or zero, and a laser past 710/gamma one where
+# e^{d_i - d_k} overflows; 50 us of slack pushes the wait norms past
+# theta_13, so the squaring runs.
 @settings(max_examples=40, deadline=None)
 @given(
     text=run_files(
         stretch=st.one_of(st.just(0.0), floats(0.0, 50.0)),
         t1_e=st.one_of(st.just(math.inf), floats(5.0, 1000.0)),
+        t_laser=st.one_of(st.sampled_from([0.0, 5e-324]), floats(0.0, 0.6), floats(0.0, 150.0)),
+        gamma_dp=st.one_of(st.just(0.0), floats(0.01, 2.0)),
     ),
     offsets=detunings,
 )
 def test_batched_expm_matches_scipy_per_matrix(text, offsets):
     seq = parse_config(text).seq
     grid = seq.lam.delta_1 + np.array(offsets)
-    for gens, duration in detuned_segments(seq, seq.lam.delta_1, grid):
-        stack = gens * max(duration, 0.0)
+    segments = detuned_segments(seq, seq.lam.delta_1, grid)
+    laser = segments[2][0] * seq.t_laser
+    # Every diagonal entry set to that of rho_ee: d_i = d_k in every row.
+    tied = laser.copy()
+    tied[:, np.arange(8), np.arange(8)] = laser[:, 8:9, 8]
+    stacks = [gens * max(duration, 0.0) for gens, duration in segments] + [tied]
+    for stack in stacks:
         got = dynamics.expm(stack)
         for a, e in zip(stack, got):
             scale = max(1.0, np.abs(a).sum(axis=0).max())
-            np.testing.assert_allclose(e, expm(a), rtol=0, atol=1e-13 * scale)
+            np.testing.assert_allclose(e, scipy_expm(a), rtol=0, atol=1e-13 * scale)
+    # The pulse lifted to a 9x9 map, against the exponential of its Liouvillian.
+    zero = np.zeros((len(grid), 9, 9))
+    lifted, _ = period_maps([segments[0]] + [(zero, 0.0)] * 3)
+    for gen, p in zip(segments[0][0], lifted):
+        a = liouvillian(1j * gen, []) * seq.t_mw
+        scale = max(1.0, np.abs(a).sum(axis=0).max())
+        np.testing.assert_allclose(p, scipy_expm(a), rtol=0, atol=1e-13 * scale)
+
+
+def assert_heads_and_tails_match(stack):
+    whole = dynamics.expm(stack)
+    for m in range(1, len(stack)):
+        assert np.array_equal(whole[:m], dynamics.expm(stack[:m]))
+        assert np.array_equal(whole[m:], dynamics.expm(stack[m:]))
 
 
 def test_batched_expm_of_a_matrix_does_not_depend_on_its_stack():
     """Every head and tail of a stack exponentiates alone to the same bits.
 
-    The stack, in order of 1-norm, holds zero, diagonal (t1_e = inf) and
-    dense (finite T1) waits, and dense ones that need from 0 to 5 squarings.
+    The 9x9 stack, in order of 1-norm, holds zero, diagonal (t1_e = inf) and
+    dense (finite T1) waits, dense ones that need from 0 to 5 squarings,
+    and one-column lasers with and without dephasing. The 3x3 stack holds
+    pulses that need from 0 to 5 squarings.
     """
     seq = parse_config(LONG_CHAIN).seq
     grid = seq.lam.delta_1 + np.linspace(-0.2, 0.2, 3)
-    dense = detuned_segments(seq, seq.lam.delta_1, grid)[1][0]
+    segments = detuned_segments(seq, seq.lam.delta_1, grid)
+    dense = segments[1][0]
     diagonal = detuned_segments(replace(seq, t1_e=math.inf), seq.lam.delta_1, grid)[1][0]
     assert not np.any(diagonal[:, ~np.eye(9, dtype=bool)])
+    laser = segments[2][0]
+    undephased = detuned_segments(replace(seq, gamma_dp=0.0), seq.lam.delta_1, grid)[2][0]
+    off_diagonal = (laser != 0) & ~np.eye(9, dtype=bool)
+    assert np.array_equal(np.flatnonzero(off_diagonal.any(axis=(0, 1))), [8])
     durations = (0.0, 0.5, 5.0, 20.0, 60.0)
-    stack = np.concatenate([gens * t for t in durations for gens in (diagonal, dense)])
+    stack = np.concatenate(
+        [gens * t for t in durations for gens in (diagonal, dense, laser, undephased)]
+    )
     norms = np.abs(stack).sum(axis=1).max(axis=1)
     assert norms.max() > 2**4 * dynamics._THETA13  # some need five squarings
-    stack = stack[np.argsort(norms, kind="stable")]
-    whole = dynamics.expm(stack)
-    for m in range(1, len(stack)):
-        assert np.array_equal(whole[:m], dynamics.expm(stack[:m]))
-        assert np.array_equal(whole[m:], dynamics.expm(stack[m:]))
+    assert_heads_and_tails_match(stack[np.argsort(norms, kind="stable")])
+    pulses = np.concatenate([segments[0][0] * t for t in (0.0, 1.0, 60.0, 300.0, 1000.0)])
+    norms = np.abs(pulses).sum(axis=1).max(axis=1)
+    assert norms.max() > 2**4 * dynamics._THETA13
+    assert_heads_and_tails_match(pulses[np.argsort(norms, kind="stable")])
