@@ -36,6 +36,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, RunConfig, check_periods, default_config, load_config
 from .datasets import manifest_hash, read_csv, run_manifest, write_csv, write_manifest
+from .dynamics import readout_signal
 from .experiments import (
     apply_artificial_contrast,
     comb_predict,
@@ -99,7 +100,7 @@ def _run_esr_lines(cfg: RunConfig, out: Path, rng, digest: str) -> int:
 def _run_cpt_spectrum(cfg: RunConfig, out: Path, rng, digest: str) -> int:
     start, stop, points = cfg.scan_grid
     grid = np.linspace(start, stop, points)
-    spec = cpt_spectrum(cfg.seq, cfg.scan_delta_1, grid)
+    spec = cpt_spectrum(cfg.seq, cfg.seq.lam.delta_1, grid)
     write_csv(
         out / "spectrum.csv",
         {
@@ -113,8 +114,9 @@ def _run_cpt_spectrum(cfg: RunConfig, out: Path, rng, digest: str) -> int:
 
 
 def _run_pump_steps(cfg: RunConfig, out: Path, rng, digest: str) -> int:
-    result = pump_trace(cfg.seq, readout=cfg.readout)
+    result = pump_trace(cfg.seq)
     trace = result.trace
+    signal = readout_signal(trace.p_excited, cfg.readout)
     write_csv(
         out / "pump_steps.csv",
         {
@@ -124,7 +126,7 @@ def _run_pump_steps(cfg: RunConfig, out: Path, rng, digest: str) -> int:
             "p_excited": trace.p_excited,
             "p_up": trace.p_up,
             "p_down": trace.p_down,
-            "signal": _noise(rng, cfg.noise_std, trace.signal),
+            "signal": _noise(rng, cfg.noise_std, signal),
         },
         digest,
         "step-resolved pumping trace",

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable
 
-from .lambda_system import LambdaConfig, branching_rates
+from .lambda_system import LambdaConfig, split_rabi
 from .spin_model import HyperfineParams, PhysicalConstants, SpinSystemParams, mixing_angles
 from .dynamics import ReadoutModel, SequenceConfig
 from .rate_model import gamma_dp_for_alpha_dp
@@ -173,7 +173,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, _Converter]]] = {
         "delta_start": ("-0.06", _float),
         "delta_stop": ("0.06", _float),
         "points": ("201", _at_least(2)),
-        "delta_1": ("0.0", _float),
         "t_seq_list": ("10, 15, 25, 50", _float_list),
         "n_s": ("1.8", _positive),
         "n_max": ("4", _at_least(0)),
@@ -203,11 +202,9 @@ class RunConfig:
     """
 
     spin: SpinSystemParams
-    lam: LambdaConfig
     seq: SequenceConfig
     readout: ReadoutModel
     scan_grid: tuple[float, float, int]
-    scan_delta_1: float
     t_seq_list: tuple[float, ...]
     comb_n_s: float
     comb_n_max: int
@@ -285,8 +282,7 @@ def parse_config(text: str) -> RunConfig:
         if sq["t_mw"] <= 0:
             raise ConfigError("sequence.t_mw", "must be positive to resolve a pulse area")
         omega_eff = (math.pi if area is None else area) / (2.0 * math.pi * sq["t_mw"])
-        dr["omega_2"] = omega_eff / math.hypot(1.0, ratio)
-        dr["omega_1"] = ratio * dr["omega_2"]
+        dr["omega_1"], dr["omega_2"] = split_rabi(omega_eff, ratio)
     try:
         lam = LambdaConfig(**dr)
     except ValueError as exc:
@@ -304,7 +300,7 @@ def parse_config(text: str) -> RunConfig:
     try:
         seq = SequenceConfig(
             lam=lam,
-            relax=branching_rates(sq["gamma"], lam),
+            gamma=sq["gamma"],
             gamma_dp=sq["gamma_dp"],
             t_mw=sq["t_mw"],
             t_wait_pre=sq["t_wait_pre"],
@@ -338,11 +334,9 @@ def parse_config(text: str) -> RunConfig:
 
     return RunConfig(
         spin=spin,
-        lam=lam,
         seq=seq,
         readout=ReadoutModel(**values["readout"]),
         scan_grid=(sc["delta_start"], sc["delta_stop"], sc["points"]),
-        scan_delta_1=sc["delta_1"],
         t_seq_list=sc["t_seq_list"],
         comb_n_s=sc["n_s"],
         comb_n_max=sc["n_max"],

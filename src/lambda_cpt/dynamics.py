@@ -13,15 +13,17 @@ segments the frame Hamiltonian diag(0, -delta_r, -delta_1) keeps winding,
 which is what pins the dark resonances of a long scan to integer multiples
 of 1/t_seq.
 
-Dissipation is Lindblad-type: the laser repolarizes |-> into the dark and
-bright states at the branching rates and dephases the ground coherence at
-gamma_dp; waits can carry a slow intrinsic dephasing gamma_2n and an
-electron T1 channel. The microwave pulse stays coherent. This rule lives in
-one place, :func:`segment_generators`, as one (generator, duration) pair per
-segment: the 3x3 -i H of the pulse, and the 9x9 Liouvillian of each other
-segment. Each segment's map is the matrix exponential of its generator,
-taken in one place too, :func:`period_maps`, by this module's :func:`expm`,
-which lifts the pulse's 3x3 U to the 9x9 map U (x) U*. The laser only moves
+Dissipation is Lindblad-type: the laser repolarizes |-> at the optical rate
+gamma into the dark and bright states of the drive, split by the drive's
+pumping efficiency (a sequence stores gamma alone; the branching follows
+from its drive), and dephases the ground coherence at gamma_dp; waits can
+carry a slow intrinsic dephasing gamma_2n and an electron T1 channel. The
+microwave pulse stays coherent. This rule lives in one place,
+:func:`segment_generators`, as one (generator, duration) pair per segment:
+the 3x3 -i H of the pulse, and the 9x9 Liouvillian of each other segment.
+Each segment's map is the matrix exponential of its generator, taken in
+one place too, :func:`period_maps`, by this module's :func:`expm`, which
+lifts the pulse's 3x3 U to the 9x9 map U (x) U*. The laser only moves
 rho_ee into the ground block, so its generator has off-diagonal entries in
 one column, and a wait has none when t1_e is infinite: both take a closed
 form. The 3x3 pulse and a wait with finite t1_e take a degree-13 Pade
@@ -48,13 +50,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lambda_system import (
-    BranchingRates,
-    LambdaBasis,
-    LambdaConfig,
-    branching_rates,
-    dark_bright_basis,
-)
+from .lambda_system import LambdaConfig, branching_rates, dark_bright_basis
 
 __all__ = [
     "SequenceConfig",
@@ -84,11 +80,13 @@ class SequenceConfig:
 
     t_seq defaults to the packed duration t_mw + t_wait_pre + t_laser +
     t_wait_post; any surplus stretches the pre-laser dark wait. gamma_2n and
-    t1_e are optional decoherence channels acting during the waits.
+    t1_e are optional decoherence channels acting during the waits. gamma is
+    the optical repolarization rate of the laser (1/us); its dark/bright
+    branching follows from lam, so replacing the drive replaces it too.
     """
 
     lam: LambdaConfig
-    relax: BranchingRates
+    gamma: float = 20.0
     gamma_dp: float = 0.0
     t_mw: float = 6.0
     t_wait_pre: float = 0.1
@@ -100,6 +98,8 @@ class SequenceConfig:
     t1_e: float = math.inf
 
     def __post_init__(self) -> None:
+        if not self.gamma > 0:
+            raise ValueError("gamma must be positive")
         for name in ("t_mw", "t_wait_pre", "t_laser", "t_wait_post"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
@@ -125,11 +125,6 @@ class SequenceConfig:
     def wait_pre_total(self) -> float:
         """Pre-laser wait including the slack that stretches t_seq."""
         return self.t_wait_pre + (self.t_seq - self.packed_duration)
-
-    @classmethod
-    def from_drive(cls, lam: LambdaConfig, gamma: float = 20.0, **kwargs) -> "SequenceConfig":
-        """Convenience constructor deriving the branching rates from the drive."""
-        return cls(lam=lam, relax=branching_rates(gamma, lam), **kwargs)
 
 
 @dataclass(frozen=True)
@@ -159,8 +154,8 @@ class ReadoutModel:
 class StepTrace:
     """Per-period populations at the readout instant (just before the laser).
 
-    All arrays have length n_reps; ``step`` counts from 1. ``signal`` is the
-    readout model applied to p_excited.
+    All arrays have length n_reps; ``step`` counts from 1. The readout
+    signal is :func:`readout_signal` of p_excited.
     """
 
     step: np.ndarray
@@ -169,7 +164,6 @@ class StepTrace:
     p_excited: np.ndarray
     p_up: np.ndarray
     p_down: np.ndarray
-    signal: np.ndarray
 
     def __len__(self) -> int:
         return len(self.step)
@@ -242,17 +236,23 @@ def _dephasing_jump(rate: float) -> np.ndarray:
     return math.sqrt(rate / 2.0) * np.diag([1.0, -1.0, 0.0]).astype(complex)
 
 
-def _laser_jumps(relax: BranchingRates, basis: LambdaBasis, gamma_dp: float) -> list[np.ndarray]:
-    """Laser channels: |D><-| at gamma_d, |B><-| at gamma_b, dephasing at gamma_dp."""
+def _laser_jumps(seq: SequenceConfig) -> list[np.ndarray]:
+    """Laser channels: |D><-| at gamma_d, |B><-| at gamma_b, dephasing at gamma_dp.
+
+    D and B are the dark and bright states of seq.lam, and gamma_d, gamma_b
+    split seq.gamma by that drive's pumping efficiency.
+    """
+    rates = branching_rates(seq.gamma, seq.lam)
+    basis = dark_bright_basis(seq.lam)
     e3 = np.array([0.0, 0.0, 1.0], dtype=complex)
     dark3 = np.append(basis.dark, 0.0)
     bright3 = np.append(basis.bright, 0.0)
     jumps = [
-        math.sqrt(relax.gamma_d) * np.outer(dark3, e3),
-        math.sqrt(relax.gamma_b) * np.outer(bright3, e3),
+        math.sqrt(rates.gamma_d) * np.outer(dark3, e3),
+        math.sqrt(rates.gamma_b) * np.outer(bright3, e3),
     ]
-    if gamma_dp > 0:
-        jumps.append(_dephasing_jump(gamma_dp))
+    if seq.gamma_dp > 0:
+        jumps.append(_dephasing_jump(seq.gamma_dp))
     return jumps
 
 
@@ -285,18 +285,6 @@ def _t1_jumps(t1_e: float) -> list[np.ndarray]:
     ]
 
 
-def _segments(seq: SequenceConfig, basis: LambdaBasis) -> tuple[tuple[np.ndarray, float], ...]:
-    """:func:`segment_generators` for a caller that already holds the drive basis."""
-    h_free = free_generator(seq.lam)
-    wait_jumps = _wait_jumps(seq.gamma_2n, seq.t1_e)
-    return (
-        (-1j * rwa_generator(seq.lam), seq.t_mw),
-        (liouvillian(h_free, wait_jumps), seq.wait_pre_total),
-        (liouvillian(h_free, _laser_jumps(seq.relax, basis, seq.gamma_dp)), seq.t_laser),
-        (liouvillian(h_free, wait_jumps), seq.t_wait_post),
-    )
-
-
 def segment_generators(seq: SequenceConfig) -> tuple[tuple[np.ndarray, float], ...]:
     """The four (generator, duration) pairs of one sequence period.
 
@@ -305,9 +293,17 @@ def segment_generators(seq: SequenceConfig) -> tuple[tuple[np.ndarray, float], .
     and, when gamma_2n or t1_e switch it on, in the waits. The pulse stays
     coherent, so its generator is the 3x3 -i H of d psi/dt, with H from
     :func:`rwa_generator`; the other three are 9x9 Liouvillians of
-    d vec(rho)/dt.
+    d vec(rho)/dt. The two waits share one generator array, so a caller
+    must not modify a generator in place.
     """
-    return _segments(seq, dark_bright_basis(seq.lam))
+    h_free = free_generator(seq.lam)
+    wait = liouvillian(h_free, _wait_jumps(seq.gamma_2n, seq.t1_e))
+    return (
+        (-1j * rwa_generator(seq.lam), seq.t_mw),
+        (wait, seq.wait_pre_total),
+        (liouvillian(h_free, _laser_jumps(seq)), seq.t_laser),
+        (wait, seq.t_wait_post),
+    )
 
 
 def detuned_segments(
@@ -528,11 +524,7 @@ def dark_population_estimate(p_minus: np.ndarray) -> np.ndarray:
     return 1.0 - p / (2.0 * p[0])
 
 
-def run_cpt_sequence(
-    rho0: np.ndarray,
-    seq: SequenceConfig,
-    readout: ReadoutModel = ReadoutModel(),
-) -> tuple[StepTrace, np.ndarray]:
+def run_cpt_sequence(rho0: np.ndarray, seq: SequenceConfig) -> tuple[StepTrace, np.ndarray]:
     """Repeat the pulse-wait-laser-wait period n_reps times.
 
     Populations are recorded immediately before each laser pulse. This is
@@ -549,7 +541,7 @@ def run_cpt_sequence(
         pure_state(up),
         pure_state(down),
     ]
-    readouts, final = propagate_periods(_segments(seq, basis), rho0, seq.n_reps, observables)
+    readouts, final = propagate_periods(segment_generators(seq), rho0, seq.n_reps, observables)
     p_dark, p_bright, p_excited, p_up, p_down = readouts[0].T
     trace = StepTrace(
         step=np.arange(1, seq.n_reps + 1),
@@ -558,6 +550,5 @@ def run_cpt_sequence(
         p_excited=p_excited,
         p_up=p_up,
         p_down=p_down,
-        signal=readout_signal(p_excited, readout),
     )
     return trace, final[0]

@@ -4,7 +4,11 @@ Each function reproduces one measurement protocol: detuning-swept trapping
 spectra, step-by-step pumping traces with calibrated extraction, dark-state
 composition sweeps, multi-resonance scans over the sequence period, the
 frequency-comb prediction, and the linewidth limit. Outputs are small
-dataclasses ready for the fitting module and the CLI writers.
+dataclasses ready for the fitting module and the CLI writers; they hold
+data only, not the sequence or readout model that made them (a trace's
+readout signal is :func:`~lambda_cpt.dynamics.readout_signal` of its
+p_excited). A spectrum sweeps delta_2 at one delta_1; the multi-resonance
+scan takes it from its drive, as the CLI does for every command.
 
 Spectra follow the flip-probability convention: the emitted signal is the
 steady-state excited-state readout calibrated against the far-detuned
@@ -19,13 +23,11 @@ multi-resonance scan runs one such batch per period.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dynamics import (
-    ReadoutModel,
     SequenceConfig,
     StepTrace,
     dark_population_estimate,
@@ -35,7 +37,7 @@ from .dynamics import (
     segment_generators,
     thermal_ground_state,
 )
-from .lambda_system import branching_rates, dark_bright_basis
+from .lambda_system import dark_bright_basis, split_rabi
 
 __all__ = [
     "Spectrum",
@@ -56,7 +58,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Sampled (detuning, signal) series with its protocol snapshot.
+    """Sampled (detuning, signal) series.
 
     detuning_grid holds the swept delta_2 values (MHz), strictly increasing;
     signal is the steady readout calibrated so the far-detuned level sits
@@ -65,8 +67,6 @@ class Spectrum:
 
     detuning_grid: np.ndarray
     signal: np.ndarray
-    delta_1: float = 0.0
-    seq: SequenceConfig | None = None
 
     def __post_init__(self) -> None:
         grid = np.asarray(self.detuning_grid, dtype=float)
@@ -150,10 +150,10 @@ def cpt_spectrum(seq: SequenceConfig, delta_1: float, grid: np.ndarray) -> Spect
     raw = steady_readout(seq, delta_1, grid)
     baseline = 0.5 * (raw[0] + raw[-1])
     signal = raw / (2.0 * baseline) if baseline > 1e-12 else raw
-    return Spectrum(detuning_grid=grid, signal=signal, delta_1=delta_1, seq=seq)
+    return Spectrum(detuning_grid=grid, signal=signal)
 
 
-def pump_trace(seq: SequenceConfig, readout: ReadoutModel = ReadoutModel()) -> PumpTrace:
+def pump_trace(seq: SequenceConfig) -> PumpTrace:
     """Step-by-step pumping from thermal, with calibrated extraction.
 
     Requires two-photon resonance (delta_1 = delta_2): off resonance the
@@ -161,7 +161,7 @@ def pump_trace(seq: SequenceConfig, readout: ReadoutModel = ReadoutModel()) -> P
     """
     if seq.lam.delta_r != 0.0:
         raise ValueError("pump_trace requires delta_1 = delta_2")
-    trace, _ = run_cpt_sequence(thermal_ground_state(), seq, readout=readout)
+    trace, _ = run_cpt_sequence(thermal_ground_state(), seq)
     return PumpTrace(trace=trace, p_dark_est=dark_population_estimate(trace.p_excited))
 
 
@@ -188,14 +188,10 @@ def composition_sweep(
     o_eff = seq.lam.omega_eff
     drives, per_ratio = [], []
     for r in ratios:
-        o2 = o_eff / math.hypot(1.0, r)
-        lam_r = replace(seq.lam, omega_1=r * o2, omega_2=o2)
+        omega_1, omega_2 = split_rabi(o_eff, r)
+        lam_r = replace(seq.lam, omega_1=omega_1, omega_2=omega_2)
         drives.append(lam_r)
-        per_ratio.append(
-            segment_generators(
-                replace(seq, lam=lam_r, relax=branching_rates(seq.relax.gamma, lam_r))
-            )
-        )
+        per_ratio.append(segment_generators(replace(seq, lam=lam_r)))
     segments = tuple(
         (np.stack([segs[k][0] for segs in per_ratio]), duration)
         for k, (_, duration) in enumerate(per_ratio[0])

@@ -22,6 +22,7 @@ __all__ = [
     "LambdaConfig",
     "LambdaBasis",
     "BranchingRates",
+    "split_rabi",
     "dark_bright_basis",
     "polarization_efficiency",
     "branching_rates",
@@ -109,6 +110,16 @@ class BranchingRates:
             raise ValueError("gamma_d + gamma_b must equal gamma")
         if not -1e-12 <= self.alpha_p <= 1 + 1e-12:
             raise ValueError("alpha_p must lie in [0, 1]")
+
+
+def split_rabi(omega_eff: float, ratio: float) -> tuple[float, float]:
+    """The Rabi pair (omega_1, omega_2) with hypot omega_eff and omega_1/omega_2 = ratio.
+
+    omega_2 = omega_eff / hypot(1, ratio), so a ratio whose square overflows
+    still resolves (nearly all of omega_eff goes to omega_1).
+    """
+    omega_2 = omega_eff / math.hypot(1.0, ratio)
+    return ratio * omega_2, omega_2
 
 
 def dark_bright_basis(cfg: LambdaConfig) -> LambdaBasis:

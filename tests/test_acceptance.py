@@ -71,7 +71,7 @@ def report(n: int, ok: bool, detail: str) -> None:
 
 def canonical_sequence(**kwargs) -> SequenceConfig:
     kwargs.setdefault("gamma_dp", GAMMA_DP_012)
-    return SequenceConfig.from_drive(CANONICAL_LAM, gamma=20.0, **kwargs)
+    return SequenceConfig(CANONICAL_LAM, gamma=20.0, **kwargs)
 
 
 def test_criterion_1_rate_model_constants():
@@ -143,7 +143,7 @@ def test_criterion_3_dip_tracks_one_photon_detuning():
             phi=math.acos(-0.14),
             delta_1=delta_1,
         )
-        seq = SequenceConfig.from_drive(
+        seq = SequenceConfig(
             lam, gamma=20.0, gamma_dp=GAMMA_DP_012, t_mw=COMB_T_MW, t_seq=7.4, n_reps=40
         )
         fit = fit_dips(
@@ -162,7 +162,7 @@ def width_law_scans():
     started = time.perf_counter()
     fits = {}
     for t_seq in WIDTH_LAW_PERIODS:
-        seq = SequenceConfig.from_drive(
+        seq = SequenceConfig(
             WIDTH_LAW_LAM, gamma=20.0, gamma_dp=0.0, t_mw=COMB_T_MW, t_seq=t_seq, n_reps=80
         )
         grid = np.linspace(-1.3 / t_seq, 1.3 / t_seq, 321)
@@ -170,7 +170,7 @@ def width_law_scans():
         fits[t_seq] = fit_dips(
             spec, k=3, init_centers=np.array([-1.0 / t_seq, 0.0, 1.0 / t_seq])
         )
-    pump_seq = SequenceConfig.from_drive(
+    pump_seq = SequenceConfig(
         WIDTH_LAW_LAM, gamma=20.0, gamma_dp=0.0, t_mw=COMB_T_MW, t_seq=10.0, n_reps=60
     )
     n_s_fit = fit_saturation(pump_trace(pump_seq).p_dark_est)
@@ -210,7 +210,7 @@ def test_criterion_5_width_law(width_law_scans):
 
 def test_criterion_6_composition_readout():
     lam = LambdaConfig(omega_1=OMEGA, omega_2=OMEGA, theta=math.pi / 2.0, phi=0.0)
-    seq = SequenceConfig.from_drive(lam, gamma=20.0, gamma_dp=0.0)
+    seq = SequenceConfig(lam, gamma=20.0, gamma_dp=0.0)
     ratios = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
     sweep = composition_sweep(seq, ratios, n_steps=20)
     max_dev = float(np.max(np.abs(sweep.measured - sweep.ideal)))
@@ -285,7 +285,7 @@ def test_criterion_7_property_suite():
     cfg = LambdaConfig(
         omega_1=0.4, omega_2=0.7, delta_1=0.1, delta_2=-0.05, psi=0.6, theta=1.0
     )
-    seq = SequenceConfig.from_drive(cfg, gamma=15.0)
+    seq = SequenceConfig(cfg, gamma=15.0)
 
     def rate_line(k: int, rate: str) -> tuple[np.ndarray, np.ndarray]:
         """Generator of segment k at rate 0, and its change per unit rate."""
@@ -350,7 +350,7 @@ def test_criterion_8_dark_state_is_stationary():
         delta_2=0.02,
         psi=0.3,
     )
-    seq = SequenceConfig.from_drive(lam, gamma=20.0, gamma_dp=0.0, n_reps=50)
+    seq = SequenceConfig(lam, gamma=20.0, gamma_dp=0.0, n_reps=50)
     dark = dark_bright_basis(lam).dark
     rho0 = pure_state(np.append(dark, 0.0))
     trace, _ = run_cpt_sequence(rho0, seq)

@@ -1,13 +1,18 @@
 """Command-line behavior: exit codes, dataset schemas, determinism."""
 
 import json
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import lambda_cpt.cli as cli
-from lambda_cpt.datasets import write_csv
-from lambda_cpt.fitting import DipFit
+from lambda_cpt import __version__
+from lambda_cpt.datasets import read_csv, write_csv
+from lambda_cpt.fitting import DipFit, fit_dips
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(args):
@@ -31,6 +36,17 @@ def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     assert run(["--version"]) == 0
     capsys.readouterr()
+
+
+def test_package_version_is_read_from_the_module():
+    from setuptools.config.pyprojecttoml import read_configuration
+
+    with warnings.catch_warnings():
+        # setuptools flags its [tool.setuptools] support as beta.
+        warnings.simplefilter("ignore")
+        project = read_configuration(ROOT / "pyproject.toml")["project"]
+    assert project["dynamic"] == ["version"]
+    assert project["version"] == __version__
 
 
 def test_bad_flag_exits_two(capsys):
@@ -123,6 +139,48 @@ def test_pump_steps_schema(tmp_path, small_run):
         == "step,p_dark,p_bright,p_excited,p_up,p_down,signal"
     )
     assert header_line(tmp_path / "pump_estimate.csv") == "step,p_dark_est"
+
+
+def test_pump_steps_signal_uses_the_readout_section(tmp_path, small_run):
+    cfg = tmp_path / "readout.ini"
+    cfg.write_text(small_run.read_text() + "\n[readout]\ncontrast = 0.2\nreference_0 = 2.5\n")
+    assert run(["pump-steps", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    data = read_csv(tmp_path / "pump_steps.csv")
+    np.testing.assert_allclose(
+        data["signal"], 2.5 * (1.0 - 0.2 * data["p_excited"]), rtol=1e-15, atol=0
+    )
+
+
+def test_spectrum_sweeps_delta_2_at_the_drive_delta_1(tmp_path, caplog):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(
+        "\n".join(
+            [
+                "[drive]",
+                "delta_1 = 0.05",
+                "delta_2 = 0.05",
+                "theta = 1.5707963267948966",
+                "phi = 1.7112577415047525",
+                "[sequence]",
+                "t_mw = 0.3",
+                "t_seq = 7.4",
+                "alpha_dp = 0.12",
+                "[scan]",
+                "delta_start = 0.02",
+                "delta_stop = 0.08",
+                "points = 61",
+            ]
+        )
+    )
+    assert run(["cpt-spectrum", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    data = read_csv(tmp_path / "spectrum.csv")
+    fit = fit_dips((data["delta_2_mhz"], data["signal_norm"]), 1, init_centers=np.array([0.05]))
+    assert fit.converged and not fit.no_dip
+    assert abs(fit.centers[0] - 0.05) < 0.05 * fit.fwhms[0]
+    # The one-photon detuning has one key, in [drive].
+    cfg.write_text("[scan]\ndelta_1 = 0.05\n")
+    assert run(["cpt-spectrum", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 3
+    assert "scan.delta_1" in caplog.text
 
 
 def test_composition_schema(tmp_path, small_run):

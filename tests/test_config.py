@@ -16,38 +16,38 @@ def test_empty_document_gives_defaults():
     cfg = parse_config("")
     assert cfg.spin.b_field == 850.0
     assert cfg.seq.t_mw == 6.0
-    assert cfg.seq.relax.gamma == 20.0
+    assert cfg.seq.gamma == 20.0
     assert cfg.seq.gamma_dp == 0.0
-    assert cfg.lam.theta == pytest.approx(THETA_DEFAULT)
+    assert cfg.seq.lam.theta == pytest.approx(THETA_DEFAULT)
     # Default drive: area pi at 6 us, balanced tones.
-    assert cfg.lam.omega_eff == pytest.approx(1.0 / 12.0)
-    assert cfg.lam.omega_1 == pytest.approx(cfg.lam.omega_2)
+    assert cfg.seq.lam.omega_eff == pytest.approx(1.0 / 12.0)
+    assert cfg.seq.lam.omega_1 == pytest.approx(cfg.seq.lam.omega_2)
     assert cfg.noise_std == 0.0
     assert default_config().scan_grid == (-0.06, 0.06, 201)
 
 
 def test_drive_from_area_and_ratio():
     cfg = parse_config("[drive]\npulse_area = 3.141592653589793\nratio = 2.0\n")
-    assert cfg.lam.omega_eff == pytest.approx(1.0 / 12.0)
-    assert cfg.lam.omega_1 / cfg.lam.omega_2 == pytest.approx(2.0)
+    assert cfg.seq.lam.omega_eff == pytest.approx(1.0 / 12.0)
+    assert cfg.seq.lam.omega_1 / cfg.seq.lam.omega_2 == pytest.approx(2.0)
     # A ratio whose square overflows still resolves: nearly all of the area
     # goes to omega_1.
     cfg = parse_config("[drive]\npulse_area = 3.14\nratio = 1e200\n")
-    assert cfg.lam.omega_1 == pytest.approx(3.14 / (12.0 * math.pi))
-    assert cfg.lam.omega_1 / cfg.lam.omega_2 == pytest.approx(1e200)
+    assert cfg.seq.lam.omega_1 == pytest.approx(3.14 / (12.0 * math.pi))
+    assert cfg.seq.lam.omega_1 / cfg.seq.lam.omega_2 == pytest.approx(1e200)
 
 
 def test_drive_explicit_amplitudes():
     cfg = parse_config("[drive]\nomega_1 = 0.2\nomega_2 = 0.1\npsi = 0.4\n")
-    assert cfg.lam.omega_1 == 0.2
-    assert cfg.lam.omega_2 == 0.1
-    assert cfg.lam.psi == 0.4
+    assert cfg.seq.lam.omega_1 == 0.2
+    assert cfg.seq.lam.omega_2 == 0.1
+    assert cfg.seq.lam.psi == 0.4
 
 
 def test_drive_angle_overrides():
     cfg = parse_config("[drive]\ntheta = 1.5707963267948966\nphi = 0.25\n")
-    assert cfg.lam.theta == pytest.approx(math.pi / 2.0)
-    assert cfg.lam.phi == 0.25
+    assert cfg.seq.lam.theta == pytest.approx(math.pi / 2.0)
+    assert cfg.seq.lam.phi == 0.25
 
 
 def test_alpha_dp_bridge():
@@ -74,7 +74,7 @@ def test_rejections_name_the_key():
         ("[composition]\nratios = 1, -2\n", "composition.ratios"),
         ("[fit]\nkind = wavelet\n", "fit.kind"),
         ("[noise]\nstd = -0.1\n", "noise.std"),
-        ("[scan]\ndelta_1 = nan\n", "scan.delta_1"),
+        ("[drive]\ndelta_1 = nan\n", "drive.delta_1"),
         ("[sequence]\nt1_e = nan\n", "sequence.t1_e"),
         ("[noise]\nstd = nan\n", "noise.std"),
         ("[noise]\nstd = inf\n", "noise.std"),

@@ -38,7 +38,7 @@ def drive(delta_1=0.0, delta_2=0.0, phi=PHI_043, omega_2=OMEGA) -> LambdaConfig:
 def sequence(lam: LambdaConfig, **kwargs) -> SequenceConfig:
     kwargs.setdefault("gamma_dp", GAMMA_DP_012)
     kwargs.setdefault("n_reps", 12)
-    return SequenceConfig.from_drive(lam, gamma=20.0, **kwargs)
+    return SequenceConfig(lam, gamma=20.0, **kwargs)
 
 
 def test_spectrum_dip_sits_at_two_photon_resonance():

@@ -126,7 +126,7 @@ def test_saturation_recovery_from_engine():
     lam = LambdaConfig(
         omega_1=omega, omega_2=omega, theta=math.pi / 2.0, phi=math.acos(-0.14)
     )
-    seq = SequenceConfig.from_drive(
+    seq = SequenceConfig(
         lam, gamma=20.0, gamma_dp=0.42611123836628295, n_reps=25
     )
     fit = fit_saturation(pump_trace(seq).p_dark_est)
@@ -146,7 +146,7 @@ def test_saturation_fast_pumping_from_engine():
     phi, alpha_dp = 1.394, 0.123
     omega = 1.0 / (12.0 * math.sqrt(2.0))
     lam = LambdaConfig(omega_1=omega, omega_2=omega, theta=math.pi / 2.0, phi=phi)
-    seq = SequenceConfig.from_drive(
+    seq = SequenceConfig(
         lam, gamma=20.0, gamma_dp=gamma_dp_for_alpha_dp(alpha_dp, 0.3), n_reps=40
     )
     fit = fit_saturation(pump_trace(seq).p_dark_est)

@@ -6,9 +6,11 @@ configs/, so each fit step reads the dataset its config names, just
 written. Byte equality is not portable (the last bit of a float can differ
 between machines), so cells are compared with a tolerance: CSV cells within
 1e-10 absolute; fit_report.json numbers and the resolved inputs and version
-of every manifest within 1e-8 relative and absolute, with the same keys. A
-manifest's wall_time_s varies between runs, and its hash is skipped because
-the default drive theta comes from an eigensolver whose last bit is not
+of every manifest, with the same keys, within 1e-8 relative or 1e-8
+absolute, whichever is looser (math.isclose with both bounds), so a number
+below 1 in size can pass on the absolute bound alone. A manifest's
+wall_time_s varies between runs, and its hash is skipped because the
+default drive theta comes from an eigensolver whose last bit is not
 portable either.
 
 perfbench/golden/ is the benchmark's own copy of the CSVs and fit reports;
