@@ -72,8 +72,19 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--out", metavar="DIR", default=".", help="output directory (created if needed)"
     )
-    parser.add_argument("--seed", metavar="N", type=int, help="noise seed (default 0)")
+    parser.add_argument("--seed", metavar="N", type=_seed, help="noise seed (default 0)")
     return parser
+
+
+def _seed(text: str) -> int:
+    """A --seed value: np.random.default_rng takes nonnegative integers only."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return seed
 
 
 def _noise(rng: np.random.Generator, std: float, values: np.ndarray) -> np.ndarray:

@@ -6,8 +6,11 @@ is a valid configuration. Unknown sections or keys are rejected by name
 rather than ignored, and all validation failures raise ConfigError with a
 ``section.key`` path so a run file can be corrected without reading code.
 Every value is type- and range-checked, whether or not the command uses
-it: each key's own bound sits with its converter in ``_SCHEMA``, and
-parse_config checks only the rules that tie several keys together.
+it. A ``_SCHEMA`` converter checks type and finiteness. A key whose value
+lives in a parameter dataclass has its range rule there, stated once for
+the INI path and the Python API alike; parse_config reports the dataclass's
+FieldError at that key. Only keys with no dataclass home keep a bound in
+their converter, and parse_config checks the rules that tie keys together.
 
 Drive amplitudes can be given directly (omega_1, omega_2 in MHz) or as a
 pulse area in radians plus an amplitude ratio, from which the two tones
@@ -20,10 +23,16 @@ import configparser
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, TypeVar
 
 from .lambda_system import LambdaConfig, split_rabi
-from .spin_model import HyperfineParams, PhysicalConstants, SpinSystemParams, mixing_angles
+from .spin_model import (
+    FieldError,
+    HyperfineParams,
+    PhysicalConstants,
+    SpinSystemParams,
+    mixing_angles,
+)
 from .dynamics import ReadoutModel, SequenceConfig
 from .rate_model import gamma_dp_for_alpha_dp
 
@@ -98,7 +107,6 @@ def _bounded(convert: _Converter, ok: Callable[[object], bool], rule: str) -> _C
 
 _positive = _bounded(_float, lambda v: v > 0, "positive")
 _nonnegative = _bounded(_float, lambda v: v >= 0, "nonnegative")
-_fraction = _bounded(_float, lambda v: 0 <= v <= 1, "in [0, 1]")
 _fit_kind = _bounded(
     _word, lambda v: v in ("dips", "saturation", "contrast"), "one of dips, saturation, contrast"
 )
@@ -126,27 +134,28 @@ def check_periods(seq: SequenceConfig, t_seq_list) -> None:
     for t_seq in t_seq_list:
         try:
             replace(seq, t_seq=t_seq)
-        except ValueError as exc:
+        except FieldError as exc:
             raise ConfigError("scan.t_seq_list", str(exc)) from exc
 
 
 # section -> key -> (default text, converter); the converter maps the text,
 # default or given, to the typed value or raises ConfigError with the key.
-# Each key's own bound sits in its converter; parse_config checks only the
-# rules that tie several keys together.
+# A converter checks type and finiteness. The range rule of a key that a
+# parameter dataclass holds lives in that dataclass (see _build); only keys
+# with no dataclass home carry their bound here.
 _SCHEMA: dict[str, dict[str, tuple[str, _Converter]]] = {
     "spin": {
-        "d": ("2870.0", _positive),
-        "gamma_e": ("2.8", _positive),
-        "gamma_n": ("1.07e-3", _positive),
-        "a_zz": ("1.0", _positive),
-        "a_ani": ("0.3", _nonnegative),
-        "phi": ("0.0", _bounded(_float, lambda v: 0 <= v < 2.0 * math.pi, "in [0, 2 pi)")),
-        "b_field": ("850.0", _nonnegative),
+        "d": ("2870.0", _float),
+        "gamma_e": ("2.8", _float),
+        "gamma_n": ("1.07e-3", _float),
+        "a_zz": ("1.0", _float),
+        "a_ani": ("0.3", _float),
+        "phi": ("0.0", _float),
+        "b_field": ("850.0", _float),
     },
     "drive": {
-        "omega_1": ("", _optional(_nonnegative)),
-        "omega_2": ("", _optional(_nonnegative)),
+        "omega_1": ("", _optional(_float)),
+        "omega_2": ("", _optional(_float)),
         "pulse_area": ("", _optional(_positive)),
         "ratio": ("1.0", _positive),
         "delta_1": ("0.0", _float),
@@ -156,19 +165,20 @@ _SCHEMA: dict[str, dict[str, tuple[str, _Converter]]] = {
         "phi": ("", _optional(_float)),
     },
     "sequence": {
-        "t_mw": ("6.0", _nonnegative),
-        "t_wait_pre": ("0.1", _nonnegative),
-        "t_laser": ("0.3", _nonnegative),
-        "t_wait_post": ("1.0", _nonnegative),
+        "t_mw": ("6.0", _float),
+        "t_wait_pre": ("0.1", _float),
+        "t_laser": ("0.3", _float),
+        "t_wait_post": ("1.0", _float),
         "t_seq": ("", _optional(_float)),
+        # The library allows n_reps = 0; every command needs a period to read out.
         "n_reps": ("40", _at_least(1)),
-        "gamma": ("20.0", _positive),
-        "gamma_dp": ("", _optional(_nonnegative)),
-        "alpha_dp": ("", _optional(_bounded(_float, lambda v: 0 <= v < 1, "in [0, 1)"))),
-        "gamma_2n": ("0.0", _nonnegative),
-        "t1_e": ("inf", _bounded(_number, lambda v: v > 0, "positive (inf for none)")),
+        "gamma": ("20.0", _float),
+        "gamma_dp": ("", _optional(_float)),
+        "alpha_dp": ("", _optional(_float)),
+        "gamma_2n": ("0.0", _float),
+        "t1_e": ("inf", _number),
     },
-    "readout": {"contrast": ("0.3", _fraction), "reference_0": ("1.0", _positive)},
+    "readout": {"contrast": ("0.3", _float), "reference_0": ("1.0", _float)},
     "scan": {
         "delta_start": ("-0.06", _float),
         "delta_stop": ("0.06", _float),
@@ -224,6 +234,22 @@ class RunConfig:
         return {section: dict(keys) for section, keys in self.inputs.items()}
 
 
+_T = TypeVar("_T")
+
+# A dataclass field reported at another key of its section: the resolved
+# amplitude hypot(omega_1, omega_2) is reported at omega_1.
+_FIELD_KEYS = {"omega_eff": "omega_1"}
+
+
+def _build(section: str, make: Callable[[], _T]) -> _T:
+    """``make()``, with the FieldError it raises reported at ``section.<field>``."""
+    try:
+        return make()
+    except FieldError as exc:
+        key = _FIELD_KEYS.get(exc.field, exc.field)
+        raise ConfigError(f"{section}.{key}", str(exc)) from exc
+
+
 def _merge(parser: configparser.ConfigParser) -> tuple[dict[str, dict], dict]:
     """Typed value of every schema key, and the raw text the file sets."""
     explicit: dict[str, dict[str, str]] = {}
@@ -259,10 +285,13 @@ def parse_config(text: str) -> RunConfig:
     values, explicit = _merge(parser)
 
     sp = values["spin"]
-    spin = SpinSystemParams(
-        constants=PhysicalConstants(d=sp["d"], gamma_e=sp["gamma_e"], gamma_n=sp["gamma_n"]),
-        hyperfine=HyperfineParams(a_zz=sp["a_zz"], a_ani=sp["a_ani"], phi=sp["phi"]),
-        b_field=sp["b_field"],
+    spin = _build(
+        "spin",
+        lambda: SpinSystemParams(
+            constants=PhysicalConstants(d=sp["d"], gamma_e=sp["gamma_e"], gamma_n=sp["gamma_n"]),
+            hyperfine=HyperfineParams(a_zz=sp["a_zz"], a_ani=sp["a_ani"], phi=sp["phi"]),
+            b_field=sp["b_field"],
+        ),
     )
 
     dr, sq = values["drive"], values["sequence"]
@@ -273,46 +302,32 @@ def parse_config(text: str) -> RunConfig:
     area, ratio = dr.pop("pulse_area"), dr.pop("ratio")
     if dr["omega_1"] is not None or dr["omega_2"] is not None:
         if dr["omega_1"] is None or dr["omega_2"] is None:
+            # A tone given alone answers to its own bound before the pairing
+            # rule; 1 MHz stands in for the missing one.
+            alone = {key: dr[key] or 1.0 for key in ("omega_1", "omega_2")}
+            _build("drive", lambda: LambdaConfig(**{**dr, **alone}))
             raise ConfigError("drive.omega_1", "give both omega_1 and omega_2 or neither")
         if area is not None:
             raise ConfigError(
                 "drive.pulse_area", "give either explicit amplitudes or a pulse area, not both"
             )
     else:
-        if sq["t_mw"] <= 0:
+        if not sq["t_mw"] > 0:
             raise ConfigError("sequence.t_mw", "must be positive to resolve a pulse area")
         omega_eff = (math.pi if area is None else area) / (2.0 * math.pi * sq["t_mw"])
         dr["omega_1"], dr["omega_2"] = split_rabi(omega_eff, ratio)
-    try:
-        lam = LambdaConfig(**dr)
-    except ValueError as exc:
-        raise ConfigError("drive.omega_1", str(exc)) from exc
+    lam = _build("drive", lambda: LambdaConfig(**dr))
 
     alpha_dp = sq.pop("alpha_dp")
     if alpha_dp is not None:
         if sq["gamma_dp"] is not None:
             raise ConfigError("sequence.alpha_dp", "give either gamma_dp or alpha_dp, not both")
-        if sq["t_laser"] <= 0:
+        if not sq["t_laser"] > 0:
             raise ConfigError("sequence.t_laser", "must be positive to set alpha_dp")
-        sq["gamma_dp"] = gamma_dp_for_alpha_dp(alpha_dp, sq["t_laser"])
+        sq["gamma_dp"] = _build("sequence", lambda: gamma_dp_for_alpha_dp(alpha_dp, sq["t_laser"]))
     elif sq["gamma_dp"] is None:
         sq["gamma_dp"] = 0.0
-    try:
-        seq = SequenceConfig(
-            lam=lam,
-            gamma=sq["gamma"],
-            gamma_dp=sq["gamma_dp"],
-            t_mw=sq["t_mw"],
-            t_wait_pre=sq["t_wait_pre"],
-            t_laser=sq["t_laser"],
-            t_wait_post=sq["t_wait_post"],
-            t_seq=sq["t_seq"],
-            n_reps=sq["n_reps"],
-            gamma_2n=sq["gamma_2n"],
-            t1_e=sq["t1_e"],
-        )
-    except ValueError as exc:
-        raise ConfigError("sequence.t_seq", str(exc)) from exc
+    seq = _build("sequence", lambda: SequenceConfig(lam=lam, **sq))
     sq["t_seq"] = seq.t_seq
     if not math.isfinite(sq["t1_e"]):
         sq["t1_e"] = "inf"
@@ -335,7 +350,7 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(
         spin=spin,
         seq=seq,
-        readout=ReadoutModel(**values["readout"]),
+        readout=_build("readout", lambda: ReadoutModel(**values["readout"])),
         scan_grid=(sc["delta_start"], sc["delta_stop"], sc["points"]),
         t_seq_list=sc["t_seq_list"],
         comb_n_s=sc["n_s"],

@@ -46,11 +46,13 @@ generators only.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .lambda_system import LambdaConfig, branching_rates, dark_bright_basis
+from .spin_model import require
 
 __all__ = [
     "SequenceConfig",
@@ -98,24 +100,22 @@ class SequenceConfig:
     t1_e: float = math.inf
 
     def __post_init__(self) -> None:
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
-        for name in ("t_mw", "t_wait_pre", "t_laser", "t_wait_post"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if self.gamma_dp < 0 or self.gamma_2n < 0:
-            raise ValueError("dephasing rates must be nonnegative")
-        if self.t1_e <= 0:
-            raise ValueError("t1_e must be positive (use math.inf to disable)")
-        if self.n_reps < 0:
-            raise ValueError("n_reps must be nonnegative")
+        require(0 < self.gamma < math.inf, "gamma", "finite and positive")
+        for name in ("t_mw", "t_wait_pre", "t_laser", "t_wait_post", "gamma_dp", "gamma_2n"):
+            require(0 <= getattr(self, name) < math.inf, name, "finite and nonnegative")
+        require(self.t1_e > 0, "t1_e", "positive (inf for none)")
+        require(
+            isinstance(self.n_reps, numbers.Integral) and self.n_reps >= 0,
+            "n_reps",
+            "an integer >= 0",
+        )
         if self.t_seq is None:
             object.__setattr__(self, "t_seq", self.packed_duration)
-        elif self.t_seq < self.packed_duration - 1e-9:
-            raise ValueError(
-                "t_seq must not be shorter than the packed duration "
-                f"{self.packed_duration:g} us"
-            )
+        require(
+            self.packed_duration - 1e-9 <= self.t_seq < math.inf,
+            "t_seq",
+            f"finite and no shorter than the packed duration {self.packed_duration:g} us",
+        )
 
     @property
     def packed_duration(self) -> float:
@@ -139,10 +139,8 @@ class ReadoutModel:
     reference_0: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.contrast <= 1.0:
-            raise ValueError("contrast must lie in [0, 1]")
-        if self.reference_0 <= 0:
-            raise ValueError("reference_0 must be positive")
+        require(0 <= self.contrast <= 1, "contrast", "in [0, 1]")
+        require(0 < self.reference_0 < math.inf, "reference_0", "finite and positive")
 
     @property
     def reference_1(self) -> float:

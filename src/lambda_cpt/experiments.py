@@ -23,6 +23,8 @@ multi-resonance scan runs one such batch per period.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,6 +40,7 @@ from .dynamics import (
     thermal_ground_state,
 )
 from .lambda_system import dark_bright_basis, split_rabi
+from .spin_model import require
 
 __all__ = [
     "Spectrum",
@@ -183,8 +186,7 @@ def composition_sweep(
     ratios = np.asarray(ratios, dtype=float)
     if ratios.size == 0:
         raise ValueError("empty ratio list")
-    if np.any(ratios <= 0):
-        raise ValueError("ratios must be positive")
+    require(np.all((ratios > 0) & (ratios < np.inf)), "ratios", "finite and positive")
     o_eff = seq.lam.omega_eff
     drives, per_ratio = [], []
     for r in ratios:
@@ -245,12 +247,10 @@ def multi_resonance_scan(
 
 def comb_predict(t_mw: float, t_seq: float, n_s: float, n_max: int) -> CombPrediction:
     """Closed-form comb geometry: centers n/t_seq, width 1/(n_s t_seq)."""
-    if t_seq < t_mw:
-        raise ValueError("t_seq must be at least t_mw")
-    if n_s <= 0:
-        raise ValueError("n_s must be positive")
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    require(0 < t_mw < math.inf, "t_mw", "finite and positive")
+    require(t_mw <= t_seq < math.inf, "t_seq", "finite and at least t_mw")
+    require(0 < n_s < math.inf, "n_s", "finite and positive")
+    require(isinstance(n_max, numbers.Integral) and n_max >= 0, "n_max", "an integer >= 0")
     centers = np.arange(-n_max, n_max + 1, dtype=float) / t_seq
     return CombPrediction(
         dip_centers=centers, dip_width=1.0 / (n_s * t_seq), envelope_width=1.0 / t_mw
@@ -259,13 +259,13 @@ def comb_predict(t_mw: float, t_seq: float, n_s: float, n_max: int) -> CombPredi
 
 def linewidth_limit(gamma_1: float, gamma_2n_star: float) -> float:
     """Floor of the trapping linewidth: the larger of the two residual rates."""
-    if gamma_1 < 0 or gamma_2n_star < 0:
-        raise ValueError("rates must be nonnegative")
+    require(0 <= gamma_1 < math.inf, "gamma_1", "finite and nonnegative")
+    require(0 <= gamma_2n_star < math.inf, "gamma_2n_star", "finite and nonnegative")
     return max(gamma_1, gamma_2n_star)
 
 
 def relaxation_rate_limit(n_s: float, t1_e: float) -> float:
     """Effective linewidth contribution 1/(n_s t1_e) of electron relaxation."""
-    if n_s <= 0 or t1_e <= 0:
-        raise ValueError("n_s and t1_e must be positive")
+    require(0 < n_s < math.inf, "n_s", "finite and positive")
+    require(t1_e > 0, "t1_e", "positive (inf for none)")
     return 1.0 / (n_s * t1_e)

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .spin_model import require
+
 __all__ = [
     "LambdaConfig",
     "LambdaBasis",
@@ -58,12 +60,17 @@ class LambdaConfig:
     phi: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.omega_1 >= 0 and self.omega_2 >= 0):
-            raise ValueError("Rabi frequencies must be nonnegative")
+        for name in ("omega_1", "omega_2"):
+            require(0 <= getattr(self, name) < math.inf, name, "finite and nonnegative")
+        for name in ("delta_1", "delta_2", "psi", "theta", "phi"):
+            require(math.isfinite(getattr(self, name)), name, "finite")
         # The branching ratio and the dark-state overlap divide by omega_eff^2,
         # which must neither underflow to 0 nor overflow.
-        if not 1e-150 <= self.omega_eff <= 1e150:
-            raise ValueError("omega_eff = hypot(omega_1, omega_2) must lie in [1e-150, 1e150] MHz")
+        require(
+            1e-150 <= self.omega_eff <= 1e150,
+            "omega_eff",
+            "in [1e-150, 1e150] MHz (omega_eff = hypot(omega_1, omega_2))",
+        )
 
     @property
     def delta_r(self) -> float:
@@ -104,8 +111,6 @@ class BranchingRates:
     alpha_p: float
 
     def __post_init__(self) -> None:
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
         if abs(self.gamma_d + self.gamma_b - self.gamma) > 1e-12 * self.gamma:
             raise ValueError("gamma_d + gamma_b must equal gamma")
         if not -1e-12 <= self.alpha_p <= 1 + 1e-12:
@@ -173,8 +178,7 @@ def polarization_efficiency(cfg: LambdaConfig) -> float:
 
 def branching_rates(gamma: float, cfg: LambdaConfig) -> BranchingRates:
     """Split an optical polarization rate into dark/bright decay channels."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    require(0 < gamma < math.inf, "gamma", "finite and positive")
     ap = polarization_efficiency(cfg)
     return BranchingRates(gamma=gamma, gamma_d=gamma * ap, gamma_b=gamma * (1.0 - ap), alpha_p=ap)
 

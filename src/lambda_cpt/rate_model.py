@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .spin_model import require
+
 __all__ = [
     "PumpStepParams",
     "SimplifiedParams",
@@ -50,14 +52,11 @@ class PumpStepParams:
     delta_t: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.alpha_p <= 1.0:
-            raise ValueError("alpha_p must lie in [0, 1]")
-        if self.gamma_dp < 0:
-            raise ValueError("gamma_dp must be nonnegative")
-        if self.gamma <= self.gamma_dp:
-            raise ValueError("gamma must exceed gamma_dp")
-        if self.delta_t < 0:
-            raise ValueError("delta_t must be nonnegative")
+        require(0 <= self.alpha_p <= 1, "alpha_p", "in [0, 1]")
+        require(math.isfinite(self.pulse_area), "pulse_area", "finite")
+        require(0 <= self.gamma_dp < math.inf, "gamma_dp", "finite and nonnegative")
+        require(self.gamma_dp < self.gamma < math.inf, "gamma", "finite and above gamma_dp")
+        require(0 <= self.delta_t < math.inf, "delta_t", "finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -72,10 +71,8 @@ class SimplifiedParams:
     alpha_dp: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.alpha_p_eff <= 1.0:
-            raise ValueError("alpha_p_eff must lie in [0, 1]")
-        if not 0.0 <= self.alpha_dp <= 1.0:
-            raise ValueError("alpha_dp must lie in [0, 1]")
+        require(0 <= self.alpha_p_eff <= 1, "alpha_p_eff", "in [0, 1]")
+        require(0 <= self.alpha_dp <= 1, "alpha_dp", "in [0, 1]")
 
 
 def step_map(p: PumpStepParams) -> tuple[float, float]:
@@ -170,10 +167,8 @@ def simplified_from_step(p: PumpStepParams) -> SimplifiedParams:
 
 def gamma_dp_for_alpha_dp(alpha_dp: float, delta_t: float) -> float:
     """Dephasing rate that realizes a given per-step depolarization probability."""
-    if not 0.0 <= alpha_dp < 1.0:
-        raise ValueError("alpha_dp must lie in [0, 1)")
-    if delta_t <= 0:
-        raise ValueError("delta_t must be positive")
+    require(0 <= alpha_dp < 1, "alpha_dp", "in [0, 1)")
+    require(0 < delta_t < math.inf, "delta_t", "finite and positive")
     return -math.log(1.0 - alpha_dp) / delta_t
 
 

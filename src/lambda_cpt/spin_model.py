@@ -10,6 +10,10 @@ strongly, so the whole module reduces to closed-form 2x2 algebra.
 Conventions: frequencies in MHz, field in G, angles in rad. The nuclear
 Zeeman term enters with the sign that puts |up> at +gamma_n B / 2 in the
 m_s = 0 manifold.
+
+As the bottom layer, this module also holds the one parameter error of the
+package: every parameter dataclass checks its own fields with
+:func:`require`, which raises :class:`FieldError` naming the field.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "FieldError",
+    "require",
     "PhysicalConstants",
     "HyperfineParams",
     "SpinSystemParams",
@@ -29,6 +35,24 @@ __all__ = [
     "eigensystem",
     "esr_lines",
 ]
+
+
+class FieldError(ValueError):
+    """A parameter value outside its rule; ``field`` names the parameter."""
+
+    def __init__(self, name: str, rule: str):
+        super().__init__(f"{name} must be {rule}")
+        self.field = name
+
+
+def require(ok: bool, name: str, rule: str) -> None:
+    """Raise FieldError(name, rule) unless ``ok``.
+
+    Write ``ok`` as the condition a valid value meets (``0 < x < math.inf``,
+    not ``x <= 0``), so that NaN, which fails every comparison, fails it.
+    """
+    if not ok:
+        raise FieldError(name, rule)
 
 
 @dataclass(frozen=True)
@@ -45,8 +69,7 @@ class PhysicalConstants:
 
     def __post_init__(self) -> None:
         for name in ("d", "gamma_e", "gamma_n"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+            require(0 < getattr(self, name) < math.inf, name, "finite and positive")
 
 
 @dataclass(frozen=True)
@@ -58,12 +81,9 @@ class HyperfineParams:
     phi: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.a_zz <= 0:
-            raise ValueError("a_zz must be positive")
-        if self.a_ani < 0:
-            raise ValueError("a_ani must be nonnegative")
-        if not 0.0 <= self.phi < 2.0 * math.pi:
-            raise ValueError("phi must lie in [0, 2*pi)")
+        require(0 < self.a_zz < math.inf, "a_zz", "finite and positive")
+        require(0 <= self.a_ani < math.inf, "a_ani", "finite and nonnegative")
+        require(0 <= self.phi < 2.0 * math.pi, "phi", "in [0, 2 pi)")
 
 
 @dataclass(frozen=True)
@@ -75,8 +95,7 @@ class SpinSystemParams:
     b_field: float = 850.0
 
     def __post_init__(self) -> None:
-        if self.b_field < 0:
-            raise ValueError("b_field must be nonnegative")
+        require(0 <= self.b_field < math.inf, "b_field", "finite and nonnegative")
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,16 @@ def test_bad_flag_exits_two(capsys):
     capsys.readouterr()
 
 
+def test_negative_seed_exits_two_before_writing(tmp_path, capsys):
+    # The noise generator takes nonnegative seeds only; argparse rejects the
+    # rest before the output directory is made.
+    out = tmp_path / "out"
+    assert run(["comb-predict", "--seed", "-3", "--out", str(out)]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(["comb-predict", "--seed", "+3", "--out", str(out)]) == 0
+
+
 def test_unreadable_config_exits_two(tmp_path, capsys):
     assert run(["esr-lines", "--config", str(tmp_path / "nope.ini")]) == 2
     bad = tmp_path / "bad.ini"

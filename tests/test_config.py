@@ -1,5 +1,6 @@
 """Run-file parsing: defaults, derivations, and named rejections."""
 
+import dataclasses
 import math
 
 import pytest
@@ -7,9 +8,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lambda_cpt.config import _SCHEMA, ConfigError, default_config, load_config, parse_config
+from lambda_cpt.dynamics import ReadoutModel, SequenceConfig
+from lambda_cpt.experiments import (
+    comb_predict,
+    composition_sweep,
+    linewidth_limit,
+    relaxation_rate_limit,
+)
+from lambda_cpt.lambda_system import LambdaConfig, branching_rates
+from lambda_cpt.rate_model import PumpStepParams, SimplifiedParams, gamma_dp_for_alpha_dp
+from lambda_cpt.spin_model import FieldError, HyperfineParams, PhysicalConstants, SpinSystemParams
 
 THETA_DEFAULT = 1.2778111825976617
 GAMMA_DP_012 = 0.42611123836628295
+
+# Keys whose value a library dataclass (or, for alpha_dp, gamma_dp_for_alpha_dp)
+# holds; the range rule of each lives there, not in its schema converter.
+DATACLASS_KEYS = [
+    *(f"spin.{key}" for key in _SCHEMA["spin"]),
+    *(f"drive.{key}" for key in _SCHEMA["drive"] if key not in ("pulse_area", "ratio")),
+    *(f"sequence.{key}" for key in _SCHEMA["sequence"] if key != "n_reps"),
+    *(f"readout.{key}" for key in _SCHEMA["readout"]),
+]
 
 
 def test_empty_document_gives_defaults():
@@ -86,6 +106,7 @@ def test_rejections_name_the_key():
         ("[spin]\nphi = 7\n", "spin.phi"),
         ("[drive]\nomega_1 = -1\nomega_2 = 0.1\n", "drive.omega_1"),
         ("[drive]\nomega_1 = 0.1\nomega_2 = -1\n", "drive.omega_2"),
+        ("[drive]\nomega_2 = -1\n", "drive.omega_2"),
         ("[drive]\npulse_area = -1\n", "drive.pulse_area"),
         ("[drive]\nomega_1 = 0.1\nomega_2 = 0.1\n[sequence]\nt_mw = -1\n", "sequence.t_mw"),
         ("[sequence]\nt_wait_pre = -1\n", "sequence.t_wait_pre"),
@@ -97,6 +118,14 @@ def test_rejections_name_the_key():
         ("[sequence]\nt1_e = -1\n", "sequence.t1_e"),
         ("[readout]\ncontrast = 2\n", "readout.contrast"),
         ("[readout]\nreference_0 = 0\n", "readout.reference_0"),
+    ]
+    # Non-finite values fail in the converter, before a rule that joins keys
+    # can claim them: [drive] omega_2 = nan alone is omega_2's, not omega_1's.
+    cases += [
+        ("[{}]\n{} = {}\n".format(*path.split("."), raw), path)
+        for path in DATACLASS_KEYS
+        for raw in ("nan", "inf", "-inf")
+        if (path, raw) != ("sequence.t1_e", "inf")
     ]
     for text, expected_key in cases:
         with pytest.raises(ConfigError) as err:
@@ -141,6 +170,175 @@ def test_any_single_value_is_accepted_or_named(path, value):
         parse_config(f"[{section}]\n{key} = {value!r}\n")
     except ConfigError as exc:
         assert exc.key in (path, PARTNERS.get(path)), (value, str(exc))
+
+
+def test_schema_leaves_dataclass_bounds_to_the_dataclass():
+    # A range rule in one of these converters would be a second copy of the
+    # dataclass's own.
+    for path in DATACLASS_KEYS:
+        section, key = path.split(".")
+        convert = _SCHEMA[section][key][1]
+        for raw in ("-1e300", "0", "1e300"):
+            convert(raw, path)
+
+
+def _floats(**bounds):
+    return st.floats(allow_nan=False, allow_infinity=False, **bounds)
+
+
+# (just-outside values, strategy of finite values outside) for each kind of bound.
+TINY = 5e-324
+ABOVE_ONE = math.nextafter(1.0, 2.0)
+POSITIVE = ((0.0,), _floats(max_value=0.0))
+NONNEGATIVE = ((-TINY,), _floats(max_value=-TINY))
+FRACTION = ((-TINY, ABOVE_ONE), _floats(max_value=-TINY) | _floats(min_value=ABOVE_ONE))
+FINITE = ((), st.just(math.nan))  # no finite value lies outside
+INTEGER = ((-1, 2.5), st.integers(max_value=-1) | _floats())
+
+LAM = LambdaConfig(omega_1=0.05, omega_2=0.05)
+T_SEQ_TOO_SHORT = math.nextafter(SequenceConfig(LAM).packed_duration - 1e-9, 0.0)
+
+
+def _fields(make, rules, **base):
+    """One (label, call, edges, outside) case per field: make(**base) with it set."""
+    return [
+        (f"{make.__name__}.{name}", lambda v, name=name: make(**{**base, name: v}), *rule)
+        for name, rule in rules.items()
+    ]
+
+
+FIELD_CASES = [
+    *_fields(PhysicalConstants, dict.fromkeys(("d", "gamma_e", "gamma_n"), POSITIVE)),
+    *_fields(
+        HyperfineParams,
+        {
+            "a_zz": POSITIVE,
+            "a_ani": NONNEGATIVE,
+            "phi": (
+                (-TINY, 2 * math.pi),
+                _floats(max_value=-TINY) | _floats(min_value=2 * math.pi),
+            ),
+        },
+    ),
+    *_fields(SpinSystemParams, {"b_field": NONNEGATIVE}),
+    *_fields(
+        LambdaConfig,
+        {
+            "omega_1": NONNEGATIVE,
+            "omega_2": NONNEGATIVE,
+            **dict.fromkeys(("delta_1", "delta_2", "psi", "theta", "phi"), FINITE),
+        },
+        omega_1=0.05,
+        omega_2=0.05,
+    ),
+    *_fields(
+        SequenceConfig,
+        {
+            "gamma": POSITIVE,
+            **dict.fromkeys(
+                ("gamma_dp", "t_mw", "t_wait_pre", "t_laser", "t_wait_post", "gamma_2n"),
+                NONNEGATIVE,
+            ),
+            "t_seq": ((T_SEQ_TOO_SHORT,), _floats(max_value=T_SEQ_TOO_SHORT)),
+            "n_reps": INTEGER,
+            "t1_e": POSITIVE,
+        },
+        lam=LAM,
+    ),
+    *_fields(ReadoutModel, {"contrast": FRACTION, "reference_0": POSITIVE}),
+    *_fields(
+        PumpStepParams,
+        {
+            "alpha_p": FRACTION,
+            "pulse_area": FINITE,
+            "gamma": ((0.5,), _floats(max_value=0.5)),  # must exceed gamma_dp
+            "gamma_dp": NONNEGATIVE,
+            "delta_t": NONNEGATIVE,
+        },
+        alpha_p=0.5,
+        pulse_area=math.pi,
+        gamma=20.0,
+        gamma_dp=0.5,
+        delta_t=0.3,
+    ),
+    *_fields(
+        SimplifiedParams,
+        dict.fromkeys(("alpha_p_eff", "alpha_dp"), FRACTION),
+        alpha_p_eff=0.4,
+        alpha_dp=0.1,
+    ),
+    *_fields(branching_rates, {"gamma": POSITIVE}, cfg=LAM),
+    *_fields(
+        gamma_dp_for_alpha_dp,
+        {
+            "alpha_dp": ((-TINY, 1.0), _floats(max_value=-TINY) | _floats(min_value=1.0)),
+            "delta_t": POSITIVE,
+        },
+        alpha_dp=0.1,
+        delta_t=0.3,
+    ),
+    *_fields(
+        comb_predict,
+        {
+            "t_mw": POSITIVE,
+            "t_seq": ((math.nextafter(6.0, 0.0),), _floats(max_value=math.nextafter(6.0, 0.0))),
+            "n_s": POSITIVE,
+            "n_max": INTEGER,
+        },
+        t_mw=6.0,
+        t_seq=10.0,
+        n_s=1.8,
+        n_max=4,
+    ),
+    *_fields(
+        linewidth_limit,
+        dict.fromkeys(("gamma_1", "gamma_2n_star"), NONNEGATIVE),
+        gamma_1=0.02,
+        gamma_2n_star=0.005,
+    ),
+    *_fields(
+        relaxation_rate_limit, dict.fromkeys(("n_s", "t1_e"), POSITIVE), n_s=1.8, t1_e=5000.0
+    ),
+    (
+        "composition_sweep.ratios",
+        lambda v: composition_sweep(SequenceConfig(LAM, n_reps=2), [1.0, v]),
+        *POSITIVE,
+    ),
+]
+
+
+def test_field_cases_cover_every_numeric_dataclass_field():
+    labels = {case[0] for case in FIELD_CASES}
+    for cls in (
+        PhysicalConstants,
+        HyperfineParams,
+        SpinSystemParams,
+        LambdaConfig,
+        SequenceConfig,
+        ReadoutModel,
+        PumpStepParams,
+        SimplifiedParams,
+    ):
+        for f in dataclasses.fields(cls):
+            if f.name not in ("constants", "hyperfine", "lam"):
+                assert f"{cls.__name__}.{f.name}" in labels
+
+
+@pytest.mark.parametrize(
+    "label, call, edges, outside", FIELD_CASES, ids=[case[0] for case in FIELD_CASES]
+)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_each_field_rejects_values_outside_its_bound(label, call, edges, outside, data):
+    field = label.split(".")[1]
+    nonfinite = (math.nan, math.inf, -math.inf)
+    if field == "t1_e":
+        call(math.inf)  # inf switches electron relaxation off
+        nonfinite = (math.nan, -math.inf)
+    for value in (*nonfinite, *edges, data.draw(outside)):
+        with pytest.raises(FieldError) as err:
+            call(value)
+        assert err.value.field == field, value
 
 
 def test_malformed_ini_is_a_parse_error():
