@@ -15,10 +15,15 @@ Every command takes --config (INI path, defaults apply when omitted),
 command name. Datasets are CSV with a '#' comment block; each run also
 writes a JSON manifest whose hash is echoed into the CSV header.
 
+A handler takes the run config and main's seeded noise function and
+returns {file name: product}: (title, columns) for a CSV, a report dict for
+fit_report.json. main alone writes files: every product, then the manifest.
+
 Exit codes: 0 success, 1 engine failure, 2 unreadable CLI/config input,
-3 validation rejection, 4 fit did not converge (report still written),
-64 missing or unknown command. Set LAMBDA_CPT_LOG=DEBUG (or any level
-name) for diagnostics on stderr.
+3 validation rejection, 4 a written report has converged false (the fit
+did not converge), 64 missing or unknown command. LAMBDA_CPT_LOG=DEBUG (or
+any level name) logs to stderr, at DEBUG each file written with its size
+and the handler's wall time.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import logging
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +52,7 @@ from .experiments import (
     pump_trace,
 )
 from .fitting import fit_contrast_curve, fit_dips, fit_saturation, recover_simplified
-from .spin_model import eigensystem, esr_lines
+from .spin_model import FieldError, eigensystem, esr_lines
 
 __all__ = ["main"]
 
@@ -54,8 +60,7 @@ log = logging.getLogger("lambda_cpt.cli")
 
 
 def _setup_logging() -> None:
-    level_name = os.environ.get("LAMBDA_CPT_LOG", "WARNING").upper()
-    level = getattr(logging, level_name, None)
+    level = getattr(logging, os.environ.get("LAMBDA_CPT_LOG", "WARNING").upper(), None)
     if not isinstance(level, int):
         level = logging.WARNING
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
@@ -87,148 +92,84 @@ def _seed(text: str) -> int:
     return seed
 
 
-def _noise(rng: np.random.Generator, std: float, values: np.ndarray) -> np.ndarray:
-    if std <= 0:
-        return values
-    return values + rng.normal(0.0, std, size=len(values))
+def _spectrum_columns(spec, noise) -> dict:
+    return {"delta_2_mhz": spec.detuning_grid, "signal_norm": noise(spec.signal)}
 
 
-def _run_esr_lines(cfg: RunConfig, out: Path, rng, digest: str) -> int:
+def _run_esr_lines(cfg: RunConfig, noise) -> dict:
     lines = esr_lines(eigensystem(cfg.spin))
-    write_csv(
-        out / "esr_lines.csv",
-        {
-            "frequency_mhz": [line.frequency for line in lines],
-            "weight": [line.weight for line in lines],
-            "label": [line.label for line in lines],
-        },
-        digest,
-        "electron resonance lines",
-    )
-    return 0
+    columns = {
+        "frequency_mhz": [line.frequency for line in lines],
+        "weight": [line.weight for line in lines],
+        "label": [line.label for line in lines],
+    }
+    return {"esr_lines.csv": ("electron resonance lines", columns)}
 
 
-def _run_cpt_spectrum(cfg: RunConfig, out: Path, rng, digest: str) -> int:
-    start, stop, points = cfg.scan_grid
-    grid = np.linspace(start, stop, points)
-    spec = cpt_spectrum(cfg.seq, cfg.seq.lam.delta_1, grid)
-    write_csv(
-        out / "spectrum.csv",
-        {
-            "delta_2_mhz": spec.detuning_grid,
-            "signal_norm": _noise(rng, cfg.noise_std, spec.signal),
-        },
-        digest,
-        "steady trapping spectrum",
-    )
-    return 0
+def _run_cpt_spectrum(cfg: RunConfig, noise) -> dict:
+    spec = cpt_spectrum(cfg.seq, cfg.seq.lam.delta_1, np.linspace(*cfg.scan_grid))
+    return {"spectrum.csv": ("steady trapping spectrum", _spectrum_columns(spec, noise))}
 
 
-def _run_pump_steps(cfg: RunConfig, out: Path, rng, digest: str) -> int:
+def _run_pump_steps(cfg: RunConfig, noise) -> dict:
     result = pump_trace(cfg.seq)
     trace = result.trace
-    signal = readout_signal(trace.p_excited, cfg.readout)
-    write_csv(
-        out / "pump_steps.csv",
-        {
-            "step": trace.step,
-            "p_dark": trace.p_dark,
-            "p_bright": trace.p_bright,
-            "p_excited": trace.p_excited,
-            "p_up": trace.p_up,
-            "p_down": trace.p_down,
-            "signal": _noise(rng, cfg.noise_std, signal),
-        },
-        digest,
-        "step-resolved pumping trace",
-    )
-    write_csv(
-        out / "pump_estimate.csv",
-        {
-            "step": np.arange(len(result.p_dark_est)),
-            "p_dark_est": result.p_dark_est,
-        },
-        digest,
-        "calibrated dark-population estimate",
-    )
-    return 0
-
-
-def _run_composition(cfg: RunConfig, out: Path, rng, digest: str) -> int:
-    sweep = composition_sweep(
-        cfg.seq, np.asarray(cfg.ratios), n_steps=cfg.composition_steps
-    )
-    columns = {
-        "ratio": sweep.ratios,
-        "measured": sweep.measured,
-        "ideal": sweep.ideal,
+    steps = {**asdict(trace), "signal": noise(readout_signal(trace.p_excited, cfg.readout))}
+    estimate = {"step": np.arange(len(result.p_dark_est)), "p_dark_est": result.p_dark_est}
+    return {
+        "pump_steps.csv": ("step-resolved pumping trace", steps),
+        "pump_estimate.csv": ("calibrated dark-population estimate", estimate),
     }
+
+
+def _run_composition(cfg: RunConfig, noise) -> dict:
+    sweep = composition_sweep(cfg.seq, np.asarray(cfg.ratios), n_steps=cfg.composition_steps)
+    columns = {"ratio": sweep.ratios, "measured": sweep.measured, "ideal": sweep.ideal}
     if cfg.contrast_a is not None:
-        columns["measured_contrast"] = apply_artificial_contrast(
-            sweep.measured, cfg.contrast_a
-        )
-    write_csv(out / "composition.csv", columns, digest, "dark-state composition sweep")
-    return 0
+        columns["measured_contrast"] = apply_artificial_contrast(sweep.measured, cfg.contrast_a)
+    return {"composition.csv": ("dark-state composition sweep", columns)}
 
 
-def _run_multi_resonance(cfg: RunConfig, out: Path, rng, digest: str) -> int:
-    labels = [format(t_seq, "g") for t_seq in cfg.t_seq_list]
-    shared = sorted({label for label in labels if labels.count(label) > 1})
-    if shared:
-        raise ConfigError(
-            "scan.t_seq_list",
-            f"periods share the output file label T{', T'.join(shared)}; "
-            "periods must differ in their first 6 significant digits",
-        )
-    check_periods(cfg.seq, cfg.t_seq_list)
-    explicit_scan = cfg.explicit.get("scan", {})
-    grid = None
-    if {"delta_start", "delta_stop", "points"} & set(explicit_scan):
-        start, stop, points = cfg.scan_grid
-        grid = np.linspace(start, stop, points)
+def _run_multi_resonance(cfg: RunConfig, noise) -> dict:
+    labels = check_periods(cfg.seq, cfg.t_seq_list)
+    explicit_grid = {"delta_start", "delta_stop", "points"} & set(cfg.explicit.get("scan", {}))
+    grid = np.linspace(*cfg.scan_grid) if explicit_grid else None
     spectra = multi_resonance_scan(cfg.seq, list(cfg.t_seq_list), grid=grid)
-    for label, spec in zip(labels, spectra):
-        write_csv(
-            out / f"multi_resonance_T{label}.csv",
-            {
-                "delta_2_mhz": spec.detuning_grid,
-                "signal_norm": _noise(rng, cfg.noise_std, spec.signal),
-            },
-            digest,
+    return {
+        f"multi_resonance_T{label}.csv": (
             f"trapping spectrum at period {label} us",
+            _spectrum_columns(spec, noise),
         )
-    return 0
+        for label, spec in zip(labels, spectra)
+    }
 
 
-def _run_comb_predict(cfg: RunConfig, out: Path, rng, digest: str) -> int:
-    seq = cfg.seq
-    comb = comb_predict(seq.t_mw, seq.t_seq, cfg.comb_n_s, cfg.comb_n_max)
+def _run_comb_predict(cfg: RunConfig, noise) -> dict:
+    comb = comb_predict(cfg.seq.t_mw, cfg.seq.t_seq, cfg.comb_n_s, cfg.comb_n_max)
     n_values = np.arange(-cfg.comb_n_max, cfg.comb_n_max + 1)
-    write_csv(
-        out / "comb.csv",
-        {
-            "n": n_values,
-            "center_mhz": comb.dip_centers,
-            "width_mhz": np.full(len(n_values), comb.dip_width),
-            "envelope_mhz": np.full(len(n_values), comb.envelope_width),
-        },
-        digest,
-        "pulse-train comb geometry",
-    )
-    return 0
+    columns = {
+        "n": n_values,
+        "center_mhz": comb.dip_centers,
+        "width_mhz": np.full(len(n_values), comb.dip_width),
+        "envelope_mhz": np.full(len(n_values), comb.envelope_width),
+    }
+    return {"comb.csv": ("pulse-train comb geometry", columns)}
 
 
-def _fit_report_dips(cfg: RunConfig, data: dict) -> tuple[dict, bool]:
-    for column in ("delta_2_mhz", "signal_norm"):
+def _require_columns(data: dict, *names: str) -> None:
+    for column in names:
         if column not in data:
             raise ConfigError("fit.input", f"dataset lacks the {column} column")
+
+
+def _dips_report(cfg: RunConfig, data: dict) -> dict:
+    _require_columns(data, "delta_2_mhz", "signal_norm")
     fit = fit_dips(
         (data["delta_2_mhz"], data["signal_norm"]),
         cfg.fit_k,
         init_centers=np.asarray(cfg.fit_init_centers) if cfg.fit_init_centers else None,
     )
-    report = {
-        "kind": "dips",
+    return {
         "converged": fit.converged,
         "no_dip": fit.no_dip,
         "baseline": fit.baseline,
@@ -244,68 +185,41 @@ def _fit_report_dips(cfg: RunConfig, data: dict) -> tuple[dict, bool]:
             for i in range(len(fit.centers))
         ],
     }
-    return report, fit.converged
 
 
-def _fit_report_saturation(data: dict) -> tuple[dict, bool]:
-    if "p_dark_est" in data:
-        series = data["p_dark_est"]
-    elif "p_dark" in data:
-        series = data["p_dark"]
-    else:
+def _saturation_report(cfg: RunConfig, data: dict) -> dict:
+    series = data.get("p_dark_est", data.get("p_dark"))
+    if series is None:
         raise ConfigError("fit.input", "dataset lacks a p_dark_est or p_dark column")
     fit = fit_saturation(np.asarray(series))
-    report = {
-        "kind": "saturation",
-        "converged": fit.converged,
-        "identifiable": fit.identifiable,
-        "n_s": fit.n_s,
-        "p_inf": fit.p_inf,
-        "p0": fit.p0,
-        "n_s_sigma": fit.n_s_sigma,
-        "p_inf_sigma": fit.p_inf_sigma,
-        "residual_norm": fit.residual_norm,
-    }
+    report = asdict(fit)
     if fit.identifiable and fit.n_s > 0:
-        simplified = recover_simplified(fit)
-        report["alpha_p_eff"] = simplified.alpha_p_eff
-        report["alpha_dp"] = simplified.alpha_dp
-    return report, fit.converged
+        report.update(asdict(recover_simplified(fit)))
+    return report
 
 
-def _fit_report_contrast(data: dict) -> tuple[dict, bool]:
-    for column in ("ratio", "measured"):
-        if column not in data:
-            raise ConfigError("fit.input", f"dataset lacks the {column} column")
+def _contrast_report(cfg: RunConfig, data: dict) -> dict:
+    _require_columns(data, "ratio", "measured")
     column = "measured_contrast" if "measured_contrast" in data else "measured"
     a = fit_contrast_curve(np.column_stack([data["ratio"], data[column]]))
-    return {"kind": "contrast", "converged": True, "a": a, "column": column}, True
+    return {"converged": True, "a": a, "column": column}
 
 
-def _run_fit(cfg: RunConfig, out: Path, rng, digest: str) -> int:
+# fit.kind -> builder of the fit_report.json body (all but its "kind").
+_FIT_REPORTS = dict(dips=_dips_report, saturation=_saturation_report, contrast=_contrast_report)
+
+
+def _run_fit(cfg: RunConfig, noise) -> dict:
     if not cfg.fit_input:
         raise ConfigError("fit.input", "no dataset path configured")
     path = Path(cfg.fit_input)
     if not path.is_file():
         raise ConfigError("fit.input", f"no such file: {path}")
-    data = read_csv(path)
-    if cfg.fit_kind == "dips":
-        report, converged = _fit_report_dips(cfg, data)
-    elif cfg.fit_kind == "saturation":
-        report, converged = _fit_report_saturation(data)
-    else:
-        report, converged = _fit_report_contrast(data)
-    (out / "fit_report.json").write_text(
-        json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-    if not converged:
-        log.error("fit did not converge; report written anyway")
-        return 4
-    return 0
+    report = _FIT_REPORTS[cfg.fit_kind](cfg, read_csv(path))
+    return {"fit_report.json": {"kind": cfg.fit_kind, **report}}
 
 
-# command -> (manifest name, handler). A handler writes its datasets and
-# returns the exit code; main writes <manifest name>.manifest.json after it.
+# command -> (manifest name, handler); main writes <manifest name>.manifest.json last.
 _HANDLERS = {
     "esr-lines": ("esr_lines", _run_esr_lines),
     "cpt-spectrum": ("spectrum", _run_cpt_spectrum),
@@ -339,23 +253,45 @@ def main(argv: list[str] | None = None) -> int:
     out = Path(ns.out)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(ns.seed if ns.seed is not None else 0)
-    inputs = dict(cfg.manifest_inputs())
-    inputs["command"] = ns.command
-    inputs["seed"] = ns.seed
-    inputs["noise_applied"] = cfg.noise_std > 0
+
+    def noise(values: np.ndarray) -> np.ndarray:
+        if cfg.noise_std <= 0:
+            return values
+        return values + rng.normal(0.0, cfg.noise_std, size=len(values))
+
+    inputs = cfg.manifest_inputs()
+    inputs.update(command=ns.command, seed=ns.seed, noise_applied=cfg.noise_std > 0)
 
     name, handler = _HANDLERS[ns.command]
     started = time.perf_counter()
     try:
-        code = handler(cfg, out, rng, manifest_hash(inputs, __version__))
-    except ConfigError as exc:
+        products = handler(cfg, noise)
+    except (ConfigError, FieldError) as exc:
+        # A FieldError's message starts with the field it rejects.
         log.error("validation rejected: %s", exc)
         return 3
     except ValueError as exc:
         log.error("engine failure: %s", exc)
         return 1
-    manifest = run_manifest(inputs, __version__, wall_time_s=time.perf_counter() - started)
-    write_manifest(out / f"{name}.manifest.json", manifest)
+    log.debug("%s computed in %.3f s", ns.command, time.perf_counter() - started)
+
+    digest = manifest_hash(inputs, __version__)
+    code = 0
+    for filename, product in products.items():
+        path = out / filename
+        if filename.endswith(".csv"):
+            title, columns = product
+            write_csv(path, columns, digest, title)
+        else:
+            path.write_text(json.dumps(product, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+            if not product["converged"]:
+                log.error("%s: fit did not converge; report written anyway", path)
+                code = 4
+    manifest = f"{name}.manifest.json"
+    wall_time_s = time.perf_counter() - started
+    write_manifest(out / manifest, run_manifest(inputs, __version__, wall_time_s=wall_time_s))
+    for filename in [*products, manifest]:
+        log.debug("wrote %s (%d bytes)", out / filename, (out / filename).stat().st_size)
     return code
 
 

@@ -125,17 +125,26 @@ def _optional(convert: _Converter) -> _Converter:
     return parse
 
 
-def check_periods(seq: SequenceConfig, t_seq_list) -> None:
-    """Reject a period shorter than seq's packed duration as ``scan.t_seq_list``.
+def check_periods(seq: SequenceConfig, t_seq_list) -> list[str]:
+    """Each period's output file label (its "g" format), checked as ``scan.t_seq_list``.
 
-    Each entry goes through the sequence's own period check, so the two
-    rules cannot drift apart.
+    Two periods may not share a label, and each period goes through the
+    sequence's own period check, so the two rules cannot drift apart.
     """
+    labels = [format(t_seq, "g") for t_seq in t_seq_list]
+    shared = sorted({label for label in labels if labels.count(label) > 1})
+    if shared:
+        raise ConfigError(
+            "scan.t_seq_list",
+            f"periods share the output file label T{', T'.join(shared)}; "
+            "periods must differ in their first 6 significant digits",
+        )
     for t_seq in t_seq_list:
         try:
             replace(seq, t_seq=t_seq)
         except FieldError as exc:
             raise ConfigError("scan.t_seq_list", str(exc)) from exc
+    return labels
 
 
 # section -> key -> (default text, converter); the converter maps the text,
@@ -325,6 +334,8 @@ def parse_config(text: str) -> RunConfig:
         if not sq["t_laser"] > 0:
             raise ConfigError("sequence.t_laser", "must be positive to set alpha_dp")
         sq["gamma_dp"] = _build("sequence", lambda: gamma_dp_for_alpha_dp(alpha_dp, sq["t_laser"]))
+        if not math.isfinite(sq["gamma_dp"]):
+            raise ConfigError("sequence.t_laser", "too short to set alpha_dp: gamma_dp overflows")
     elif sq["gamma_dp"] is None:
         sq["gamma_dp"] = 0.0
     seq = _build("sequence", lambda: SequenceConfig(lam=lam, **sq))

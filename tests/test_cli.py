@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, dataset schemas, determinism."""
 
 import json
+import logging
 import warnings
 from pathlib import Path
 
@@ -101,6 +102,16 @@ def test_options_before_the_command(tmp_path):
     assert (out_b / "esr_lines.csv").is_file()
 
 
+def test_engine_field_error_exits_three(tmp_path, caplog):
+    # Explicit tones leave t_mw = 0 valid in the run file; the comb geometry
+    # needs a pulse, and rejects it by its field name.
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[drive]\nomega_1 = 0.1\nomega_2 = 0.1\n[sequence]\nt_mw = 0\n")
+    assert run(["comb-predict", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert "validation rejected: t_mw" in caplog.text
+    assert not list(tmp_path.glob("comb*"))
+
+
 def test_comb_schema(tmp_path):
     assert run(["comb-predict", "--out", str(tmp_path)]) == 0
     assert header_line(tmp_path / "comb.csv") == "n,center_mhz,width_mhz,envelope_mhz"
@@ -149,6 +160,17 @@ def test_pump_steps_schema(tmp_path, small_run):
         == "step,p_dark,p_bright,p_excited,p_up,p_down,signal"
     )
     assert header_line(tmp_path / "pump_estimate.csv") == "step,p_dark_est"
+
+
+def test_debug_log_names_each_file_written(tmp_path, small_run, caplog):
+    caplog.set_level(logging.DEBUG, logger="lambda_cpt.cli")
+    assert run(["pump-steps", "--config", str(small_run), "--out", str(tmp_path)]) == 0
+    messages = [record.getMessage() for record in caplog.records]
+    written = [tmp_path / name for name in ("pump_steps.csv", "pump_estimate.csv")]
+    written.append(tmp_path / "pump_steps.manifest.json")
+    expected = [f"wrote {path} ({path.stat().st_size} bytes)" for path in written]
+    assert [m for m in messages if m.startswith("wrote ")] == expected
+    assert any(m.startswith("pump-steps computed in ") for m in messages)
 
 
 def test_pump_steps_signal_uses_the_readout_section(tmp_path, small_run):

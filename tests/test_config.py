@@ -82,6 +82,8 @@ def test_rejections_name_the_key():
         ("[conspiracy]\nx = 1\n", "conspiracy"),
         ("[sequence]\nt_seq = 3\n", "sequence.t_seq"),
         ("[sequence]\ngamma_dp = 0.1\nalpha_dp = 0.1\n", "sequence.alpha_dp"),
+        # -ln(1 - alpha_dp) / t_laser overflows: the key to change is t_laser.
+        ("[sequence]\nt_laser = 1e-320\nalpha_dp = 0.5\n", "sequence.t_laser"),
         ("[drive]\nomega_1 = 0.2\n", "drive.omega_1"),
         ("[drive]\nomega_1 = 0.2\nomega_2 = 0.1\npulse_area = 3\n", "drive.pulse_area"),
         ("[drive]\nratio = -2\n", "drive.ratio"),
@@ -91,6 +93,8 @@ def test_rejections_name_the_key():
         ("[spin]\nd = not_a_number\n", "spin.d"),
         ("[scan]\npoints = 1\n", "scan.points"),
         ("[scan]\ndelta_start = 0.1\ndelta_stop = 0.0\n", "scan.delta_stop"),
+        # Both periods would write multi_resonance_T10.csv, whatever the command.
+        ("[scan]\nt_seq_list = 10, 10.0000001\n", "scan.t_seq_list"),
         ("[composition]\nratios = 1, -2\n", "composition.ratios"),
         ("[fit]\nkind = wavelet\n", "fit.kind"),
         ("[noise]\nstd = -0.1\n", "noise.std"),

@@ -9,9 +9,10 @@ between machines), so cells are compared with a tolerance: CSV cells within
 of every manifest, with the same keys, within 1e-8 relative or 1e-8
 absolute, whichever is looser (math.isclose with both bounds), so a number
 below 1 in size can pass on the absolute bound alone. A manifest's
-wall_time_s varies between runs, and its hash is skipped because the
-default drive theta comes from an eigensolver whose last bit is not
-portable either.
+wall_time_s varies between runs, and a run's hash is not compared because
+the default drive theta comes from an eigensolver whose last bit is not
+portable either. Each golden manifest's stored hash must instead be the
+hash of its own stored inputs and version.
 
 perfbench/golden/ is the benchmark's own copy of the CSVs and fit reports;
 it must stay byte-equal to the files of the same path here.
@@ -27,7 +28,7 @@ import numpy as np
 
 import lambda_cpt.cli as cli
 from lambda_cpt import dynamics
-from lambda_cpt.datasets import read_csv
+from lambda_cpt.datasets import manifest_hash, read_csv
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -91,6 +92,15 @@ def test_shipped_configs_reproduce_golden_outputs(tmp_path, monkeypatch):
             if rel.name.endswith(".manifest.json"):
                 got, want = ({key: m[key] for key in ("inputs", "version")} for m in (got, want))
             assert_report_close(got, want, str(rel))
+
+
+def test_golden_manifests_hash_their_own_fields():
+    manifests = sorted(GOLDEN.rglob("*.manifest.json"))
+    assert len(manifests) == len(shipped_commands())
+    for path in manifests:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        expected = manifest_hash(manifest["inputs"], manifest["version"])
+        assert manifest["hash"] == expected, path.relative_to(GOLDEN)
 
 
 def test_shipped_configs_take_pade_only_for_the_pulse(tmp_path, monkeypatch):
