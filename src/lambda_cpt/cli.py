@@ -44,6 +44,7 @@ from .config import ConfigError, RunConfig, check_periods, default_config, load_
 from .datasets import manifest_hash, read_csv, run_manifest, write_csv, write_manifest
 from .dynamics import readout_signal
 from .experiments import (
+    Spectrum,
     apply_artificial_contrast,
     comb_predict,
     composition_sweep,
@@ -165,7 +166,7 @@ def _require_columns(data: dict, *names: str) -> None:
 def _dips_report(cfg: RunConfig, data: dict) -> dict:
     _require_columns(data, "delta_2_mhz", "signal_norm")
     fit = fit_dips(
-        (data["delta_2_mhz"], data["signal_norm"]),
+        Spectrum(data["delta_2_mhz"], data["signal_norm"]),
         cfg.fit_k,
         init_centers=np.asarray(cfg.fit_init_centers) if cfg.fit_init_centers else None,
     )
@@ -201,7 +202,7 @@ def _saturation_report(cfg: RunConfig, data: dict) -> dict:
 def _contrast_report(cfg: RunConfig, data: dict) -> dict:
     _require_columns(data, "ratio", "measured")
     column = "measured_contrast" if "measured_contrast" in data else "measured"
-    a = fit_contrast_curve(np.column_stack([data["ratio"], data[column]]))
+    a = fit_contrast_curve(data["ratio"], data[column])
     return {"converged": True, "a": a, "column": column}
 
 
@@ -215,7 +216,14 @@ def _run_fit(cfg: RunConfig, noise) -> dict:
     path = Path(cfg.fit_input)
     if not path.is_file():
         raise ConfigError("fit.input", f"no such file: {path}")
-    report = _FIT_REPORTS[cfg.fit_kind](cfg, read_csv(path))
+    try:
+        report = _FIT_REPORTS[cfg.fit_kind](cfg, read_csv(path))
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        # A dataset the fit rejects (too short, non-finite, non-numeric) is
+        # a rejected fit.input, not an engine failure.
+        raise ConfigError("fit.input", str(exc)) from exc
     return {"fit_report.json": {"kind": cfg.fit_kind, **report}}
 
 

@@ -162,8 +162,7 @@ def pump_trace(seq: SequenceConfig) -> PumpTrace:
     Requires two-photon resonance (delta_1 = delta_2): off resonance the
     calibration against the first readout loses its meaning.
     """
-    if seq.lam.delta_r != 0.0:
-        raise ValueError("pump_trace requires delta_1 = delta_2")
+    require(seq.lam.delta_r == 0.0, "delta_1", "equal to delta_2 for a pumping trace")
     trace, _ = run_cpt_sequence(thermal_ground_state(), seq)
     return PumpTrace(trace=trace, p_dark_est=dark_population_estimate(trace.p_excited))
 

@@ -1,16 +1,17 @@
 """Least-squares extraction of dip, saturation, and composition parameters.
 
-All fits use Levenberg-Marquardt (scipy.optimize.leastsq) with numerically
-differenced Jacobians, stopping on a relative cost change below 1e-10.
+The contrast fit is linear in its one parameter and solved in closed form.
+The dip and saturation fits are nonlinear and share one driver,
+Levenberg-Marquardt (scipy.optimize.leastsq) with numerically differenced
+Jacobians, stopping on a relative cost change below 1e-10.
 Non-convergence is reported through the ``converged`` flag with best-so-far
 parameters, never as an exception. Parameter uncertainties are 1-sigma
 values from the scaled LM covariance. scipy.optimize is imported inside
-the two functions that call it, so a command that fits nothing does not
-load it.
+the driver, so a command that fits nothing does not load it.
 
-Dips are modeled as a baseline, flat or optionally tilted, minus a sum of
-Gaussians, the workflow used for every spectrum here; the underlying
-lineshape question is open.
+Dips are fitted to a :class:`~lambda_cpt.experiments.Spectrum` and modeled
+as a flat baseline minus a sum of Gaussians, the workflow used for every
+spectrum here; the underlying lineshape question is open.
 """
 
 from __future__ import annotations
@@ -44,8 +45,7 @@ class DipFit:
 
     no_dip flags fits whose largest amplitude is indistinguishable from the
     noise floor; converged is False when the optimizer hit its evaluation
-    budget instead of the cost tolerance. baseline_slope is zero unless the
-    fit was run with ``slope=True``.
+    budget instead of the cost tolerance.
     """
 
     centers: np.ndarray
@@ -57,7 +57,6 @@ class DipFit:
     no_dip: bool
     center_sigmas: np.ndarray
     fwhm_sigmas: np.ndarray
-    baseline_slope: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -78,15 +77,9 @@ class SaturationFit:
     p_inf_sigma: float
 
 
-def _dip_model(x: np.ndarray, params: np.ndarray, x_mid: float, with_slope: bool) -> np.ndarray:
-    if with_slope:
-        y = params[0] + params[1] * (x - x_mid)
-        first = 2
-    else:
-        y = np.full_like(x, params[0])
-        first = 1
-    for i in range(first, len(params), 3):
-        amp, center, sigma = params[i : i + 3]
+def _dip_model(x: np.ndarray, params: np.ndarray) -> np.ndarray:
+    y = np.full_like(x, params[0])
+    for amp, center, sigma in params[1:].reshape(-1, 3):
         y = y - amp * np.exp(-((x - center) ** 2) / (2.0 * sigma * sigma))
     return y
 
@@ -100,35 +93,41 @@ def _noise_scale(y: np.ndarray, baseline: float) -> float:
     return 1.4826 * float(np.median(np.abs(y - baseline)))
 
 
-def _covariance_sigmas(cov: np.ndarray | None, residuals: np.ndarray, n_params: int) -> np.ndarray:
-    if cov is None or len(residuals) <= n_params:
-        return np.full(n_params, np.inf)
-    s_sq = float(residuals @ residuals) / (len(residuals) - n_params)
-    return np.sqrt(np.abs(np.diag(cov)) * s_sq)
+def _leastsq(
+    residuals, params0: np.ndarray, maxfev: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """Minimize |residuals(p)|^2 from params0 by Levenberg-Marquardt.
+
+    Returns the parameters, the residuals there, the 1-sigma values and
+    whether the cost tolerance (rather than the ``maxfev`` evaluation
+    budget) stopped the search. The sigmas are inf when the covariance is
+    singular or the fit has no degrees of freedom.
+    """
+    from scipy.optimize import leastsq
+
+    popt, cov, info, _, ier = leastsq(
+        residuals, params0, ftol=1e-10, maxfev=maxfev, full_output=True
+    )
+    res = info["fvec"]
+    dof = len(res) - len(popt)
+    if cov is None or dof <= 0:
+        sigmas = np.full(len(popt), np.inf)
+    else:
+        sigmas = np.sqrt(np.abs(np.diag(cov)) * (float(res @ res) / dof))
+    return popt, res, sigmas, ier in (1, 2, 3, 4)
 
 
-def fit_dips(
-    spec: Spectrum | tuple[np.ndarray, np.ndarray],
-    k: int,
-    init_centers: np.ndarray | None = None,
-    slope: bool = False,
-) -> DipFit:
-    """Fit a baseline minus k Gaussians to a spectrum.
+def fit_dips(spec: Spectrum, k: int, init_centers: np.ndarray | None = None) -> DipFit:
+    """Fit a flat baseline minus k Gaussians to a spectrum.
 
     Initial dip centers come from ``init_centers`` when given, otherwise
     from the local minima lying below baseline - 3 * (robust noise scale),
     falling back to the k deepest local minima when the noiseless spectrum
-    leaves the robust scale at zero. With ``slope=True`` the baseline gains
-    a linear term about the grid midpoint, which keeps narrow dips anchored
-    when they ride on a tilted background.
+    leaves the robust scale at zero.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    if isinstance(spec, Spectrum):
-        x, y = spec.detuning_grid, spec.signal
-    else:
-        x = np.asarray(spec[0], dtype=float)
-        y = np.asarray(spec[1], dtype=float)
+    x, y = spec.detuning_grid, spec.signal
     if len(x) < 3 * k + 1:
         raise ValueError("grid too short for the requested dip count")
 
@@ -149,30 +148,21 @@ def fit_dips(
             picked = np.append(picked, int(np.argmin(y)))
         centers0 = np.sort(x[picked])
 
-    span = float(x[-1] - x[0])
-    x_mid = 0.5 * float(x[0] + x[-1])
-    sigma0 = span / (10.0 * k)
-    params0 = [baseline0, 0.0] if slope else [baseline0]
-    first = len(params0)
+    sigma0 = float(x[-1] - x[0]) / (10.0 * k)
+    params0 = [baseline0]
     for c in centers0:
         depth = baseline0 - float(np.interp(c, x, y))
         params0.extend([max(depth, 1e-6), c, sigma0])
-    params0 = np.asarray(params0)
 
     def residuals(p: np.ndarray) -> np.ndarray:
-        return _dip_model(x, p, x_mid, slope) - y
+        return _dip_model(x, p) - y
 
-    from scipy.optimize import leastsq
-
-    popt, cov, info, _, ier = leastsq(
-        residuals, params0, ftol=1e-10, maxfev=500 * (len(params0) + 1), full_output=True
+    popt, res, sigmas, converged = _leastsq(
+        residuals, np.asarray(params0), maxfev=500 * (len(params0) + 1)
     )
-    res = info["fvec"]
-    sigmas = _covariance_sigmas(cov, res, len(popt))
-
-    amps = popt[first::3]
-    centers = popt[first + 1 :: 3]
-    widths = np.abs(popt[first + 2 :: 3]) * FWHM_PER_SIGMA
+    amps = popt[1::3]
+    centers = popt[2::3]
+    widths = np.abs(popt[3::3]) * FWHM_PER_SIGMA
     order = np.argsort(centers)
     # Judged against the post-fit residual scatter, not the pre-fit spread:
     # a genuine dip inflates the raw spread with structure, not noise.
@@ -184,11 +174,10 @@ def fit_dips(
         amplitudes=amps[order],
         baseline=float(popt[0]),
         residual_norm=float(np.sqrt(res @ res)),
-        converged=ier in (1, 2, 3, 4),
+        converged=converged,
         no_dip=bool(np.max(np.abs(amps)) < floor),
-        center_sigmas=sigmas[first + 1 :: 3][order],
-        fwhm_sigmas=sigmas[first + 2 :: 3][order] * FWHM_PER_SIGMA,
-        baseline_slope=float(popt[1]) if slope else 0.0,
+        center_sigmas=sigmas[2::3][order],
+        fwhm_sigmas=sigmas[3::3][order] * FWHM_PER_SIGMA,
     )
 
 
@@ -199,53 +188,47 @@ def fit_saturation(series: np.ndarray) -> SaturationFit:
     ``pump_trace(seq).p_dark_est`` or a StepTrace's ``p_dark``.
     """
     series = np.asarray(series, dtype=float)
-    if series.ndim != 1 or len(series) < 5:
-        raise ValueError("need a 1-d series of at least 5 points to fit a saturation curve")
+    if series.ndim != 1 or len(series) < 5 or not np.all(np.isfinite(series)):
+        raise ValueError(
+            "need a finite 1-d series of at least 5 points to fit a saturation curve"
+        )
     n = np.arange(len(series), dtype=float)
 
-    def model(p: np.ndarray) -> np.ndarray:
-        p_inf, p0, n_s = p
-        return p_inf - (p_inf - p0) * np.exp(-n / abs(n_s))
-
     def residuals(p: np.ndarray) -> np.ndarray:
-        return model(p) - series
+        p_inf, p0, n_s = p
+        return p_inf - (p_inf - p0) * np.exp(-n / abs(n_s)) - series
 
     # Start n_s at the first step within 1/e of the end-to-end change: a
     # length-based guess can leave LM in the n_s -> 0 valley on short traces.
     settled = np.abs(series - series[-1]) < abs(series[0] - series[-1]) / math.e
     params0 = np.array([series[-1], series[0], max(1, int(np.argmax(settled)))])
 
-    from scipy.optimize import leastsq
-
-    popt, cov, info, _, ier = leastsq(
-        residuals, params0, ftol=1e-10, maxfev=2000, full_output=True
-    )
-    res = info["fvec"]
-    sigmas = _covariance_sigmas(cov, res, 3)
+    popt, res, sigmas, converged = _leastsq(residuals, params0, maxfev=2000)
     p_inf, p0, n_s = float(popt[0]), float(popt[1]), float(abs(popt[2]))
     return SaturationFit(
         n_s=n_s,
         p_inf=p_inf,
         p0=p0,
         residual_norm=float(np.sqrt(res @ res)),
-        converged=ier in (1, 2, 3, 4),
+        converged=converged,
         identifiable=bool(abs(p_inf - p0) > 1e-8),
         n_s_sigma=float(sigmas[2]),
         p_inf_sigma=float(sigmas[0]),
     )
 
 
-def fit_contrast_curve(points) -> float:
+def fit_contrast_curve(ratios: np.ndarray, values: np.ndarray) -> float:
     """Closed-form contrast a of f(r) = 1/2 + a (r^2/(1+r^2) - 1/2).
 
-    ``points`` is a sequence of (ratio, probability) pairs. The model is
-    linear in a, so the least-squares solution is a single quotient.
-    Raises ValueError when every abscissa sits at the degenerate 1/2.
+    ``values[i]`` is the probability measured at Rabi ratio ``ratios[i]``.
+    The model is linear in a, so the least-squares solution is a single
+    quotient. Raises ValueError when every abscissa sits at the degenerate
+    1/2.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3:
-        raise ValueError("need at least 3 (ratio, probability) pairs")
-    r, f = pts[:, 0], pts[:, 1]
+    r = np.asarray(ratios, dtype=float)
+    f = np.asarray(values, dtype=float)
+    if r.ndim != 1 or r.shape != f.shape or len(r) < 3 or not np.isfinite([r, f]).all():
+        raise ValueError("need at least 3 finite (ratio, probability) pairs")
     x = r * r / (1.0 + r * r) - 0.5
     denom = float(x @ x)
     if denom < 1e-15:

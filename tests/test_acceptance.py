@@ -146,9 +146,7 @@ def test_criterion_3_dip_tracks_one_photon_detuning():
         seq = SequenceConfig(
             lam, gamma=20.0, gamma_dp=GAMMA_DP_012, t_mw=COMB_T_MW, t_seq=7.4, n_reps=40
         )
-        fit = fit_dips(
-            cpt_spectrum(seq, delta_1, grid), k=1, init_centers=np.array([delta_1]), slope=True
-        )
+        fit = fit_dips(cpt_spectrum(seq, delta_1, grid), k=1, init_centers=np.array([delta_1]))
         deviation = abs(fit.centers[0] - delta_1)
         ok = ok and fit.converged and not fit.no_dip and deviation < 0.05 * fit.fwhms[0]
         details.append(f"{delta_1:+.2f}->{fit.centers[0]:+.4f} ({deviation / fit.fwhms[0]:.3f} fwhm)")
@@ -216,7 +214,7 @@ def test_criterion_6_composition_readout():
     max_dev = float(np.max(np.abs(sweep.measured - sweep.ideal)))
 
     scaled = 0.5 + 0.78 * (sweep.measured - 0.5)
-    a = fit_contrast_curve(np.column_stack([ratios, scaled]))
+    a = fit_contrast_curve(ratios, scaled)
 
     ok = max_dev < 0.02 and abs(a - 0.78) < 0.01
     report(6, ok, f"max composition dev {max_dev:.2e}, a {a:.4f}")

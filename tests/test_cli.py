@@ -11,6 +11,7 @@ import pytest
 import lambda_cpt.cli as cli
 from lambda_cpt import __version__
 from lambda_cpt.datasets import read_csv, write_csv
+from lambda_cpt.experiments import Spectrum
 from lambda_cpt.fitting import DipFit, fit_dips
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -112,6 +113,15 @@ def test_engine_field_error_exits_three(tmp_path, caplog):
     assert not list(tmp_path.glob("comb*"))
 
 
+def test_pump_steps_off_two_photon_resonance_exits_three(tmp_path, caplog):
+    # The run file allows delta_1 != delta_2; only the pumping trace needs them equal.
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[drive]\ndelta_1 = 0.05\n")
+    assert run(["pump-steps", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert "validation rejected: delta_1" in caplog.text
+    assert not list(tmp_path.glob("pump*"))
+
+
 def test_comb_schema(tmp_path):
     assert run(["comb-predict", "--out", str(tmp_path)]) == 0
     assert header_line(tmp_path / "comb.csv") == "n,center_mhz,width_mhz,envelope_mhz"
@@ -206,7 +216,8 @@ def test_spectrum_sweeps_delta_2_at_the_drive_delta_1(tmp_path, caplog):
     )
     assert run(["cpt-spectrum", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     data = read_csv(tmp_path / "spectrum.csv")
-    fit = fit_dips((data["delta_2_mhz"], data["signal_norm"]), 1, init_centers=np.array([0.05]))
+    spec = Spectrum(data["delta_2_mhz"], data["signal_norm"])
+    fit = fit_dips(spec, 1, init_centers=np.array([0.05]))
     assert fit.converged and not fit.no_dip
     assert abs(fit.centers[0] - 0.05) < 0.05 * fit.fwhms[0]
     # The one-photon detuning has one key, in [drive].
@@ -280,12 +291,12 @@ def test_fit_contrast_from_dataset(tmp_path):
     assert report["a"] == pytest.approx(0.78, abs=1e-12)
 
 
-def test_fit_missing_column_exits_three(tmp_path, capsys):
+def test_fit_missing_column_exits_three(tmp_path, caplog):
     write_csv(tmp_path / "odd.csv", {"x": [1.0, 2.0]}, "ef", "t")
     cfg = tmp_path / "fit.ini"
     cfg.write_text(f"[fit]\ninput = {tmp_path / 'odd.csv'}\nkind = dips\n")
     assert run(["fit", "--config", str(cfg), "--out", str(tmp_path)]) == 3
-    capsys.readouterr()
+    assert "validation rejected: fit.input: dataset lacks the delta_2_mhz column" in caplog.text
 
 
 def test_fit_nonconvergence_exits_four(tmp_path, monkeypatch, capsys):
@@ -324,6 +335,35 @@ def test_fit_saturation_report(tmp_path):
     report = json.loads((tmp_path / "fit_report.json").read_text())
     assert report["n_s"] == pytest.approx(1.45, abs=1e-6)
     assert "alpha_p_eff" in report and "alpha_dp" in report
+
+
+def test_fit_on_too_short_a_trace_exits_three(tmp_path, caplog):
+    # n_reps = 3 writes a 4-row estimate; the saturation fit needs 5 points.
+    cfg = tmp_path / "run.ini"
+    estimate = tmp_path / "pump_estimate.csv"
+    cfg.write_text(f"[sequence]\nn_reps = 3\n[fit]\ninput = {estimate}\nkind = saturation\n")
+    assert run(["pump-steps", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert run(["fit", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert "validation rejected: fit.input: need a finite 1-d series" in caplog.text
+    assert not (tmp_path / "fit_report.json").exists()
+
+
+NAN = float("nan")
+NAN_DATASETS = {
+    "dips": {"delta_2_mhz": [-0.02, -0.01, 0.0, 0.01, 0.02], "signal_norm": [1, 0.9, NAN, 0.9, 1]},
+    "saturation": {"step": [0, 1, 2, 3, 4, 5], "p_dark_est": [0.5, 0.7, NAN, 0.8, 0.8, 0.8]},
+    "contrast": {"ratio": [0.25, 0.5, 1.0, 2.0, 4.0], "measured": [0.1, 0.2, NAN, 0.8, 0.9]},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NAN_DATASETS))
+def test_fit_on_a_nan_cell_exits_three(tmp_path, caplog, kind):
+    write_csv(tmp_path / "data.csv", NAN_DATASETS[kind], "ab", "t")
+    cfg = tmp_path / "fit.ini"
+    cfg.write_text(f"[fit]\ninput = {tmp_path / 'data.csv'}\nkind = {kind}\n")
+    assert run(["fit", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert "validation rejected: fit.input: " in caplog.text
+    assert not (tmp_path / "fit_report.json").exists()
 
 
 def multi_resonance_config(tmp_path, t_seq_list):

@@ -7,7 +7,7 @@ import pytest
 
 from lambda_cpt.datasets import read_csv, write_csv
 from lambda_cpt.dynamics import SequenceConfig
-from lambda_cpt.experiments import pump_trace
+from lambda_cpt.experiments import Spectrum, pump_trace
 from lambda_cpt.fitting import (
     fit_contrast_curve,
     fit_dips,
@@ -33,19 +33,23 @@ def gaussian_dip(x, center, fwhm, amplitude, baseline):
 def test_single_dip_self_fit():
     x = np.linspace(-0.06, 0.06, 201)
     y = gaussian_dip(x, 0.004, 0.02, 0.9, 1.0)
-    fit = fit_dips((x, y), k=1)
+    fit = fit_dips(Spectrum(x, y), k=1)
     assert fit.converged and not fit.no_dip
     assert fit.centers[0] == pytest.approx(0.004, abs=1e-6)
     assert fit.fwhms[0] == pytest.approx(0.02, abs=1e-6)
     assert fit.amplitudes[0] == pytest.approx(0.9, abs=1e-6)
     assert fit.baseline == pytest.approx(1.0, abs=1e-6)
     assert fit.residual_norm < 1e-6
+    # On 3k + 1 points the fit has no degrees of freedom, hence no sigmas.
+    exact = fit_dips(Spectrum(x[::66], y[::66]), k=1)
+    assert len(exact.centers) == 1
+    assert np.isinf(exact.center_sigmas).all() and np.isinf(exact.fwhm_sigmas).all()
 
 
 def test_fit_invariant_under_baseline_shift():
     x = np.linspace(-1.0, 1.0, 301)
-    low = fit_dips((x, gaussian_dip(x, -0.2, 0.3, 0.5, 1.0)), k=1)
-    high = fit_dips((x, gaussian_dip(x, -0.2, 0.3, 0.5, 7.0)), k=1)
+    low = fit_dips(Spectrum(x, gaussian_dip(x, -0.2, 0.3, 0.5, 1.0)), k=1)
+    high = fit_dips(Spectrum(x, gaussian_dip(x, -0.2, 0.3, 0.5, 7.0)), k=1)
     assert low.centers[0] == pytest.approx(high.centers[0], abs=1e-8)
     assert low.fwhms[0] == pytest.approx(high.fwhms[0], abs=1e-8)
     assert high.baseline - low.baseline == pytest.approx(6.0, abs=1e-6)
@@ -55,7 +59,7 @@ def test_fit_with_noise_recovers_center():
     rng = np.random.default_rng(101)
     x = np.linspace(-0.06, 0.06, 201)
     y = gaussian_dip(x, -0.01, 0.015, 0.8, 1.0) + rng.normal(0.0, 0.01, len(x))
-    fit = fit_dips((x, y), k=1)
+    fit = fit_dips(Spectrum(x, y), k=1)
     assert fit.converged and not fit.no_dip
     assert abs(fit.centers[0] + 0.01) < 3.0 * max(fit.center_sigmas[0], 1e-4)
     assert fit.fwhms[0] == pytest.approx(0.015, rel=0.15)
@@ -69,7 +73,7 @@ def test_three_dips_with_explicit_seeds():
         + gaussian_dip(x, 0.1, 0.02, 0.4, 1.0)
         - 2.0
     )
-    fit = fit_dips((x, y), k=3, init_centers=np.array([-0.1, 0.0, 0.1]))
+    fit = fit_dips(Spectrum(x, y), k=3, init_centers=np.array([-0.1, 0.0, 0.1]))
     assert fit.converged
     np.testing.assert_allclose(fit.centers, [-0.1, 0.0, 0.1], rtol=0, atol=1e-6)
     np.testing.assert_allclose(fit.amplitudes, [0.4, 0.7, 0.4], rtol=0, atol=1e-6)
@@ -83,24 +87,24 @@ def test_three_dips_found_without_seeds():
         + gaussian_dip(x, 0.1, 0.02, 0.4, 1.0)
         - 2.0
     )
-    fit = fit_dips((x, y), k=3)
+    fit = fit_dips(Spectrum(x, y), k=3)
     np.testing.assert_allclose(fit.centers, [-0.1, 0.0, 0.1], rtol=0, atol=1e-5)
 
 
 def test_flat_series_flags_no_dip():
     x = np.linspace(-0.06, 0.06, 101)
-    fit = fit_dips((x, np.ones_like(x)), k=1)
+    fit = fit_dips(Spectrum(x, np.ones_like(x)), k=1)
     assert fit.no_dip
 
 
 def test_fit_dips_validation():
     x = np.linspace(0.0, 1.0, 50)
     with pytest.raises(ValueError):
-        fit_dips((x, np.ones_like(x)), k=0)
+        fit_dips(Spectrum(x, np.ones_like(x)), k=0)
     with pytest.raises(ValueError):
-        fit_dips((x[:3], np.ones(3)), k=1)
+        fit_dips(Spectrum(x[:3], np.ones(3)), k=1)
     with pytest.raises(ValueError):
-        fit_dips((x, np.ones_like(x)), k=2, init_centers=np.array([0.5]))
+        fit_dips(Spectrum(x, np.ones_like(x)), k=2, init_centers=np.array([0.5]))
 
 
 def test_saturation_self_fit():
@@ -177,13 +181,13 @@ def test_saturation_validation():
 def test_contrast_curve():
     r = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
     ideal = r * r / (1.0 + r * r)
-    assert fit_contrast_curve(np.column_stack([r, ideal])) == pytest.approx(1.0, abs=1e-12)
+    assert fit_contrast_curve(r, ideal) == pytest.approx(1.0, abs=1e-12)
     scaled = 0.5 + 0.78 * (ideal - 0.5)
-    assert fit_contrast_curve(np.column_stack([r, scaled])) == pytest.approx(0.78, abs=1e-12)
+    assert fit_contrast_curve(r, scaled) == pytest.approx(0.78, abs=1e-12)
     with pytest.raises(ValueError):
-        fit_contrast_curve(np.column_stack([np.ones(4), np.full(4, 0.5)]))
+        fit_contrast_curve(np.ones(4), np.full(4, 0.5))
     with pytest.raises(ValueError):
-        fit_contrast_curve(np.array([[1.0, 0.5]]))
+        fit_contrast_curve(np.array([1.0]), np.array([0.5]))
 
 
 def test_dataset_roundtrip_fit(tmp_path):
@@ -192,5 +196,5 @@ def test_dataset_roundtrip_fit(tmp_path):
     path = tmp_path / "spectrum.csv"
     write_csv(path, {"delta_2_mhz": x, "signal_norm": y}, "cafe01", "test spectrum")
     data = read_csv(path)
-    fit = fit_dips((data["delta_2_mhz"], data["signal_norm"]), k=1)
+    fit = fit_dips(Spectrum(data["delta_2_mhz"], data["signal_norm"]), k=1)
     assert fit.centers[0] == pytest.approx(0.01, abs=1e-8)

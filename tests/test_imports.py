@@ -1,5 +1,5 @@
-"""Every name a package module imports is used in that module, and the CLI
-imports no more than its commands need.
+"""Every name a package module imports is used in that module, the CLI
+imports no more than its commands need, and one function imports scipy.
 
 No linter runs on this repository, so this keeps the dead imports that a
 deletion leaves behind from piling up.
@@ -59,3 +59,30 @@ def test_engine_import_leaves_out_scipy():
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     assert fresh_interpreter(probe) == "[]"
+
+
+
+def imports_scipy(node: ast.AST) -> bool:
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Import):
+            names = [alias.name for alias in sub.names]
+        elif isinstance(sub, ast.ImportFrom):
+            names = [sub.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            return True
+    return False
+
+
+def test_one_function_imports_scipy():
+    # The least-squares driver is the package's one use of scipy, and the one
+    # function an in-package fitter would replace. A module-level scipy import
+    # fails test_engine_import_leaves_out_scipy instead.
+    importers = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and imports_scipy(node)
+    ]
+    assert importers == ["fitting._leastsq"]
