@@ -4,7 +4,7 @@ of a single nuclear spin addressed through a microwave Lambda system.
 Layers, bottom up:
 
     spin_model      coupled electron-nuclear level structure and ESR lines
-    lambda_system   two-tone drive geometry: dark/bright basis, branching
+    lambda_system   two-tone drive geometry: dark/bright basis, pumping efficiency
     rate_model      per-step pumping recursion and its closed forms
     dynamics        three-level density-matrix engine for pulse sequences
     experiments     measurement protocols built on the engine

@@ -29,19 +29,19 @@ and the handler's wall time.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
+import math
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, check_periods, default_config, load_config
-from .datasets import manifest_hash, read_csv, run_manifest, write_csv, write_manifest
+from .datasets import read_csv, run_manifest, write_csv, write_manifest
 from .dynamics import readout_signal
 from .experiments import (
     Spectrum,
@@ -124,7 +124,8 @@ def _run_pump_steps(cfg: RunConfig, noise) -> dict:
 
 
 def _run_composition(cfg: RunConfig, noise) -> dict:
-    sweep = composition_sweep(cfg.seq, np.asarray(cfg.ratios), n_steps=cfg.composition_steps)
+    seq = replace(cfg.seq, n_reps=cfg.composition_steps)
+    sweep = composition_sweep(seq, np.asarray(cfg.ratios))
     columns = {"ratio": sweep.ratios, "measured": sweep.measured, "ideal": sweep.ideal}
     if cfg.contrast_a is not None:
         columns["measured_contrast"] = apply_artificial_contrast(sweep.measured, cfg.contrast_a)
@@ -163,6 +164,11 @@ def _require_columns(data: dict, *names: str) -> None:
             raise ConfigError("fit.input", f"dataset lacks the {column} column")
 
 
+def _sigma(value) -> float | None:
+    """A report's 1-sigma value: None (JSON null) when the fit left it undetermined."""
+    return float(value) if math.isfinite(value) else None
+
+
 def _dips_report(cfg: RunConfig, data: dict) -> dict:
     _require_columns(data, "delta_2_mhz", "signal_norm")
     fit = fit_dips(
@@ -180,8 +186,8 @@ def _dips_report(cfg: RunConfig, data: dict) -> dict:
                 "center_mhz": float(fit.centers[i]),
                 "fwhm_mhz": float(fit.fwhms[i]),
                 "amplitude": float(fit.amplitudes[i]),
-                "center_sigma": float(fit.center_sigmas[i]),
-                "fwhm_sigma": float(fit.fwhm_sigmas[i]),
+                "center_sigma": _sigma(fit.center_sigmas[i]),
+                "fwhm_sigma": _sigma(fit.fwhm_sigmas[i]),
             }
             for i in range(len(fit.centers))
         ],
@@ -194,6 +200,7 @@ def _saturation_report(cfg: RunConfig, data: dict) -> dict:
         raise ConfigError("fit.input", "dataset lacks a p_dark_est or p_dark column")
     fit = fit_saturation(np.asarray(series))
     report = asdict(fit)
+    report.update(n_s_sigma=_sigma(fit.n_s_sigma), p_inf_sigma=_sigma(fit.p_inf_sigma))
     if fit.identifiable and fit.n_s > 0:
         report.update(asdict(recover_simplified(fit)))
     return report
@@ -283,22 +290,22 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     log.debug("%s computed in %.3f s", ns.command, time.perf_counter() - started)
 
-    digest = manifest_hash(inputs, __version__)
+    manifest = run_manifest(inputs, __version__)
     code = 0
     for filename, product in products.items():
         path = out / filename
         if filename.endswith(".csv"):
             title, columns = product
-            write_csv(path, columns, digest, title)
+            write_csv(path, columns, manifest["hash"], title)
         else:
-            path.write_text(json.dumps(product, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+            write_manifest(path, product)
             if not product["converged"]:
                 log.error("%s: fit did not converge; report written anyway", path)
                 code = 4
-    manifest = f"{name}.manifest.json"
-    wall_time_s = time.perf_counter() - started
-    write_manifest(out / manifest, run_manifest(inputs, __version__, wall_time_s=wall_time_s))
-    for filename in [*products, manifest]:
+    manifest_name = f"{name}.manifest.json"
+    manifest["wall_time_s"] = time.perf_counter() - started
+    write_manifest(out / manifest_name, manifest)
+    for filename in [*products, manifest_name]:
         log.debug("wrote %s (%d bytes)", out / filename, (out / filename).stat().st_size)
     return code
 

@@ -331,11 +331,7 @@ def parse_config(text: str) -> RunConfig:
     if alpha_dp is not None:
         if sq["gamma_dp"] is not None:
             raise ConfigError("sequence.alpha_dp", "give either gamma_dp or alpha_dp, not both")
-        if not sq["t_laser"] > 0:
-            raise ConfigError("sequence.t_laser", "must be positive to set alpha_dp")
         sq["gamma_dp"] = _build("sequence", lambda: gamma_dp_for_alpha_dp(alpha_dp, sq["t_laser"]))
-        if not math.isfinite(sq["gamma_dp"]):
-            raise ConfigError("sequence.t_laser", "too short to set alpha_dp: gamma_dp overflows")
     elif sq["gamma_dp"] is None:
         sq["gamma_dp"] = 0.0
     seq = _build("sequence", lambda: SequenceConfig(lam=lam, **sq))

@@ -74,8 +74,14 @@ def write_csv(path, columns: dict, digest: str, title: str) -> None:
 
 
 def write_manifest(path, manifest: dict) -> None:
+    """Write a manifest, or any report dict, to ``path`` as strict JSON.
+
+    Keys are sorted so equal inputs give byte-identical files. A non-finite
+    float raises ValueError instead of becoming a bare NaN or Infinity token,
+    which JSON does not allow; the caller writes such a value as text or null.
+    """
     Path(path).write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        json.dumps(manifest, sort_keys=True, indent=2, allow_nan=False) + "\n", encoding="utf-8"
     )
 
 

@@ -51,7 +51,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lambda_system import LambdaConfig, branching_rates, dark_bright_basis
+from .lambda_system import LambdaConfig, dark_bright_basis, polarization_efficiency
 from .spin_model import require
 
 __all__ = [
@@ -132,7 +132,7 @@ class ReadoutModel:
     """Linear map from excited population to photoluminescence level.
 
     :func:`readout_signal` applies it: signal = reference_0 * (1 - contrast *
-    P_-); reference_1 is the fully excited level reference_0 * (1 - contrast).
+    P_-).
     """
 
     contrast: float = 0.3
@@ -141,11 +141,6 @@ class ReadoutModel:
     def __post_init__(self) -> None:
         require(0 <= self.contrast <= 1, "contrast", "in [0, 1]")
         require(0 < self.reference_0 < math.inf, "reference_0", "finite and positive")
-
-    @property
-    def reference_1(self) -> float:
-        """Signal level of a fully excited spin."""
-        return self.reference_0 * (1.0 - self.contrast)
 
 
 @dataclass(frozen=True)
@@ -235,19 +230,20 @@ def _dephasing_jump(rate: float) -> np.ndarray:
 
 
 def _laser_jumps(seq: SequenceConfig) -> list[np.ndarray]:
-    """Laser channels: |D><-| at gamma_d, |B><-| at gamma_b, dephasing at gamma_dp.
+    """Laser channels: |D><-| and |B><-|, then dephasing at gamma_dp.
 
-    D and B are the dark and bright states of seq.lam, and gamma_d, gamma_b
-    split seq.gamma by that drive's pumping efficiency.
+    D and B are the dark and bright states of seq.lam. The decay rate
+    seq.gamma splits into gamma alpha_p toward D and gamma (1 - alpha_p)
+    toward B, with alpha_p that drive's :func:`polarization_efficiency`.
     """
-    rates = branching_rates(seq.gamma, seq.lam)
+    alpha_p = polarization_efficiency(seq.lam)
     basis = dark_bright_basis(seq.lam)
     e3 = np.array([0.0, 0.0, 1.0], dtype=complex)
     dark3 = np.append(basis.dark, 0.0)
     bright3 = np.append(basis.bright, 0.0)
     jumps = [
-        math.sqrt(rates.gamma_d) * np.outer(dark3, e3),
-        math.sqrt(rates.gamma_b) * np.outer(bright3, e3),
+        math.sqrt(seq.gamma * alpha_p) * np.outer(dark3, e3),
+        math.sqrt(seq.gamma * (1.0 - alpha_p)) * np.outer(bright3, e3),
     ]
     if seq.gamma_dp > 0:
         jumps.append(_dephasing_jump(seq.gamma_dp))

@@ -147,13 +147,15 @@ def cpt_spectrum(seq: SequenceConfig, delta_1: float, grid: np.ndarray) -> Spect
 
     The steady readout of :func:`steady_readout` is calibrated so the mean
     of its two outermost points maps to one-half, the flip probability of an
-    unpumped spin; a vanishing baseline (below 1e-12) is left raw.
+    unpumped spin. Raises ValueError when that baseline is not above 1e-12,
+    since such a spectrum cannot be calibrated.
     """
     grid = np.asarray(grid, dtype=float)
     raw = steady_readout(seq, delta_1, grid)
     baseline = 0.5 * (raw[0] + raw[-1])
-    signal = raw / (2.0 * baseline) if baseline > 1e-12 else raw
-    return Spectrum(detuning_grid=grid, signal=signal)
+    if not baseline > 1e-12:
+        raise ValueError(f"baseline readout {baseline:.3g} too small to calibrate the spectrum")
+    return Spectrum(detuning_grid=grid, signal=raw / (2.0 * baseline))
 
 
 def pump_trace(seq: SequenceConfig) -> PumpTrace:
@@ -167,15 +169,13 @@ def pump_trace(seq: SequenceConfig) -> PumpTrace:
     return PumpTrace(trace=trace, p_dark_est=dark_population_estimate(trace.p_excited))
 
 
-def composition_sweep(
-    seq: SequenceConfig, ratios: np.ndarray, n_steps: int = 20
-) -> CompositionSweep:
+def composition_sweep(seq: SequenceConfig, ratios: np.ndarray) -> CompositionSweep:
     """Measure |<down|D>|^2 as a function of the Rabi ratio r = omega_1/omega_2.
 
     For each ratio the Rabi pair is rescaled at fixed effective Rabi
-    frequency (so the pulse area is unchanged), the sequence is run n_steps
-    periods, and the |down> population of the final ground manifold is
-    inverted through the pumped dark fraction:
+    frequency (so the pulse area is unchanged), the sequence is run
+    seq.n_reps periods, and the |down> population of the final ground
+    manifold is inverted through the pumped dark fraction:
 
         |<down|D>|^2 = (P_down - (1 - P_D)) / (2 P_D - 1)
 
@@ -197,7 +197,7 @@ def composition_sweep(
         (np.stack([segs[k][0] for segs in per_ratio]), duration)
         for k, (_, duration) in enumerate(per_ratio[0])
     )
-    _, final = propagate_periods(segments, thermal_ground_state(), n_steps, [])
+    _, final = propagate_periods(segments, thermal_ground_state(), seq.n_reps, [])
     measured = np.empty(len(ratios))
     p_dark = np.empty(len(ratios))
     for i, (r, lam_r, rho) in enumerate(zip(ratios, drives, final)):

@@ -23,11 +23,9 @@ from .spin_model import require
 __all__ = [
     "LambdaConfig",
     "LambdaBasis",
-    "BranchingRates",
     "split_rabi",
     "dark_bright_basis",
     "polarization_efficiency",
-    "branching_rates",
     "dark_precession_overlap",
 ]
 
@@ -97,26 +95,6 @@ class LambdaBasis:
     excited: np.ndarray
 
 
-@dataclass(frozen=True)
-class BranchingRates:
-    """Optical repolarization rate and its dark/bright branching.
-
-    gamma_d + gamma_b = gamma, alpha_p = gamma_d / gamma.
-    Rates are in 1/us.
-    """
-
-    gamma: float
-    gamma_d: float
-    gamma_b: float
-    alpha_p: float
-
-    def __post_init__(self) -> None:
-        if abs(self.gamma_d + self.gamma_b - self.gamma) > 1e-12 * self.gamma:
-            raise ValueError("gamma_d + gamma_b must equal gamma")
-        if not -1e-12 <= self.alpha_p <= 1 + 1e-12:
-            raise ValueError("alpha_p must lie in [0, 1]")
-
-
 def split_rabi(omega_eff: float, ratio: float) -> tuple[float, float]:
     """The Rabi pair (omega_1, omega_2) with hypot omega_eff and omega_1/omega_2 = ratio.
 
@@ -168,19 +146,15 @@ def polarization_efficiency(cfg: LambdaConfig) -> float:
                    + o1 o2 sin(theta) cos(phi - psi)] / (o1^2 + o2^2)
 
     which equals |<-|D>|^2 for the spinors of :func:`dark_bright_basis`.
+    The value is clamped to [0, 1]: at an all-bright or all-dark drive,
+    rounding leaves the closed form about 1e-16 outside that range.
     """
     o1, o2 = cfg.omega_1, cfg.omega_2
     half = cfg.theta / 2.0
     s2, c2 = math.sin(half) ** 2, math.cos(half) ** 2
     cross = o1 * o2 * math.sin(cfg.theta) * math.cos(cfg.phi - cfg.psi)
-    return (o2 * o2 * s2 + o1 * o1 * c2 + cross) / (o1 * o1 + o2 * o2)
-
-
-def branching_rates(gamma: float, cfg: LambdaConfig) -> BranchingRates:
-    """Split an optical polarization rate into dark/bright decay channels."""
-    require(0 < gamma < math.inf, "gamma", "finite and positive")
-    ap = polarization_efficiency(cfg)
-    return BranchingRates(gamma=gamma, gamma_d=gamma * ap, gamma_b=gamma * (1.0 - ap), alpha_p=ap)
+    alpha_p = (o2 * o2 * s2 + o1 * o1 * c2 + cross) / (o1 * o1 + o2 * o2)
+    return min(max(alpha_p, 0.0), 1.0)
 
 
 def dark_precession_overlap(t: float, cfg: LambdaConfig) -> float:

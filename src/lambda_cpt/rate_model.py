@@ -165,11 +165,17 @@ def simplified_from_step(p: PumpStepParams) -> SimplifiedParams:
     return SimplifiedParams(alpha_p_eff=1.0 - a / decay, alpha_dp=1.0 - decay)
 
 
-def gamma_dp_for_alpha_dp(alpha_dp: float, delta_t: float) -> float:
-    """Dephasing rate that realizes a given per-step depolarization probability."""
+def gamma_dp_for_alpha_dp(alpha_dp: float, t_laser: float) -> float:
+    """Dephasing rate that realizes a per-step depolarization probability.
+
+    alpha_dp = 1 - e^{-gamma_dp t_laser}, so gamma_dp = -ln(1 - alpha_dp) /
+    t_laser; a laser pulse so short that this overflows is rejected.
+    """
+    require(0 < t_laser < math.inf, "t_laser", "finite and positive")
     require(0 <= alpha_dp < 1, "alpha_dp", "in [0, 1)")
-    require(0 < delta_t < math.inf, "delta_t", "finite and positive")
-    return -math.log(1.0 - alpha_dp) / delta_t
+    gamma_dp = -math.log(1.0 - alpha_dp) / t_laser
+    require(math.isfinite(gamma_dp), "t_laser", "long enough that gamma_dp is finite")
+    return gamma_dp
 
 
 def laser_transient(

@@ -208,9 +208,9 @@ def test_criterion_5_width_law(width_law_scans):
 
 def test_criterion_6_composition_readout():
     lam = LambdaConfig(omega_1=OMEGA, omega_2=OMEGA, theta=math.pi / 2.0, phi=0.0)
-    seq = SequenceConfig(lam, gamma=20.0, gamma_dp=0.0)
+    seq = SequenceConfig(lam, gamma=20.0, gamma_dp=0.0, n_reps=20)
     ratios = np.array([0.25, 0.5, 1.0, 2.0, 4.0])
-    sweep = composition_sweep(seq, ratios, n_steps=20)
+    sweep = composition_sweep(seq, ratios)
     max_dev = float(np.max(np.abs(sweep.measured - sweep.ideal)))
 
     scaled = 0.5 + 0.78 * (sweep.measured - 0.5)

@@ -122,6 +122,28 @@ def test_pump_steps_off_two_photon_resonance_exits_three(tmp_path, caplog):
     assert not list(tmp_path.glob("pump*"))
 
 
+def test_uncalibratable_spectrum_exits_one(tmp_path, caplog):
+    # Tones this weak leave the baseline readout near 3e-14: no calibration.
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[drive]\nomega_1 = 1e-8\nomega_2 = 1e-8\n[scan]\npoints = 5\n")
+    assert run(["cpt-spectrum", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert "engine failure: baseline readout" in caplog.text
+    assert not list(tmp_path.glob("spectrum*"))
+
+
+def test_drive_that_decays_all_bright_runs(tmp_path):
+    # ratio = tan(theta/2) at psi = phi + pi gives alpha_p = 0 exactly; its
+    # closed form rounds to about -6e-17 here, which the laser must not see.
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(
+        "[drive]\npulse_area = 3.141592653589793\nratio = 2.7479371891634994\n"
+        "theta = 2.4435685025779113\nphi = 0\npsi = 3.141592653589793\n"
+        "[sequence]\nn_reps = 5\n"
+    )
+    for command in ("pump-steps", "cpt-spectrum"):
+        assert run([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0, command
+
+
 def test_comb_schema(tmp_path):
     assert run(["comb-predict", "--out", str(tmp_path)]) == 0
     assert header_line(tmp_path / "comb.csv") == "n,center_mhz,width_mhz,envelope_mhz"
@@ -335,6 +357,24 @@ def test_fit_saturation_report(tmp_path):
     report = json.loads((tmp_path / "fit_report.json").read_text())
     assert report["n_s"] == pytest.approx(1.45, abs=1e-6)
     assert "alpha_p_eff" in report and "alpha_dp" in report
+
+
+def reject_constant(token):
+    raise AssertionError(f"{token} is not JSON")
+
+
+def test_fit_report_is_strict_json(tmp_path):
+    # A constant series pins no time scale: the fit converges at its start
+    # guess, and its sigmas are undetermined, written as null.
+    n = np.arange(10)
+    write_csv(tmp_path / "flat.csv", {"step": n, "p_dark_est": np.full(10, 0.5)}, "ab", "t")
+    cfg = tmp_path / "fit.ini"
+    cfg.write_text(f"[fit]\ninput = {tmp_path / 'flat.csv'}\nkind = saturation\n")
+    assert run(["fit", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    text = (tmp_path / "fit_report.json").read_text()
+    report = json.loads(text, parse_constant=reject_constant)
+    assert report["identifiable"] is False
+    assert report["n_s_sigma"] is None and report["p_inf_sigma"] is None
 
 
 def test_fit_on_too_short_a_trace_exits_three(tmp_path, caplog):

@@ -15,7 +15,7 @@ from lambda_cpt.experiments import (
     linewidth_limit,
     relaxation_rate_limit,
 )
-from lambda_cpt.lambda_system import LambdaConfig, branching_rates
+from lambda_cpt.lambda_system import LambdaConfig
 from lambda_cpt.rate_model import PumpStepParams, SimplifiedParams, gamma_dp_for_alpha_dp
 from lambda_cpt.spin_model import FieldError, HyperfineParams, PhysicalConstants, SpinSystemParams
 
@@ -44,6 +44,23 @@ def test_empty_document_gives_defaults():
     assert cfg.seq.lam.omega_1 == pytest.approx(cfg.seq.lam.omega_2)
     assert cfg.noise_std == 0.0
     assert default_config().scan_grid == (-0.06, 0.06, 201)
+    # A default written both in the schema and in the dataclass field that
+    # holds the key is the same value in both places.
+    homes = {
+        "spin": (cfg.spin.constants, cfg.spin.hyperfine, cfg.spin),
+        "drive": (cfg.seq.lam,),
+        "sequence": (cfg.seq,),
+        "readout": (cfg.readout,),
+    }
+    checked = []
+    for section, objects in homes.items():
+        for obj in objects:
+            for f in dataclasses.fields(obj):
+                text = _SCHEMA[section].get(f.name, ("",))[0]
+                if text and f.default is not dataclasses.MISSING:
+                    assert getattr(obj, f.name) == f.default, f"{section}.{f.name}"
+                    checked.append(f"{section}.{f.name}")
+    assert len(checked) == 20, checked
 
 
 def test_drive_from_area_and_ratio():
@@ -271,15 +288,14 @@ FIELD_CASES = [
         alpha_p_eff=0.4,
         alpha_dp=0.1,
     ),
-    *_fields(branching_rates, {"gamma": POSITIVE}, cfg=LAM),
     *_fields(
         gamma_dp_for_alpha_dp,
         {
             "alpha_dp": ((-TINY, 1.0), _floats(max_value=-TINY) | _floats(min_value=1.0)),
-            "delta_t": POSITIVE,
+            "t_laser": POSITIVE,
         },
         alpha_dp=0.1,
-        delta_t=0.3,
+        t_laser=0.3,
     ),
     *_fields(
         comb_predict,

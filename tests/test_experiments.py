@@ -97,7 +97,7 @@ def test_pump_trace_rejects_two_photon_detuning():
 
 def test_composition_sweep_recovers_ideal_fractions():
     sweep = composition_sweep(
-        sequence(drive(phi=0.0), gamma_dp=0.0), np.array([0.25, 0.5, 1.0, 2.0, 4.0]), n_steps=20
+        sequence(drive(phi=0.0), gamma_dp=0.0, n_reps=20), np.array([0.25, 0.5, 1.0, 2.0, 4.0])
     )
     np.testing.assert_allclose(sweep.ideal, sweep.ratios**2 / (1.0 + sweep.ratios**2))
     np.testing.assert_allclose(sweep.measured, sweep.ideal, rtol=0, atol=1e-9)
@@ -109,7 +109,7 @@ def test_composition_sweep_rejects_unpumped_regime():
     # never rises above one half and the extraction is undefined.
     lam = LambdaConfig(omega_1=OMEGA, omega_2=OMEGA, theta=math.pi / 2.0, phi=0.0, psi=math.pi)
     with pytest.raises(ValueError):
-        composition_sweep(sequence(lam, gamma_dp=0.0), np.array([1.0]), n_steps=5)
+        composition_sweep(sequence(lam, gamma_dp=0.0, n_reps=5), np.array([1.0]))
 
 
 def test_artificial_contrast():

@@ -1,11 +1,13 @@
-"""Every name a package module imports is used in that module, the CLI
-imports no more than its commands need, and one function imports scipy.
+"""Every name a package module imports is used in that module, every name
+its ``__all__`` lists exists, the CLI imports no more than its commands
+need, and one function imports scipy.
 
-No linter runs on this repository, so this keeps the dead imports that a
-deletion leaves behind from piling up.
+No linter runs on this repository, so this keeps the dead imports and stale
+``__all__`` entries that a deletion leaves behind from piling up.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -32,6 +34,17 @@ def test_no_unused_imports():
     modules = sorted(PACKAGE.glob("*.py"))
     assert modules
     assert [hit for path in modules for hit in unused_imports(path)] == []
+
+
+def test_every_exported_name_exists():
+    stale = [
+        f"{path.stem}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for module in [importlib.import_module(f"lambda_cpt.{path.stem}")]
+        for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    ]
+    assert stale == []
 
 
 def fresh_interpreter(probe: str) -> str:

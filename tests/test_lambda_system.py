@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lambda_cpt.lambda_system import (
     LambdaConfig,
-    branching_rates,
     dark_bright_basis,
     dark_precession_overlap,
     polarization_efficiency,
@@ -115,13 +116,22 @@ def test_efficiency_extremes():
     assert polarization_efficiency(worst) == pytest.approx(0.0, abs=1e-15)
 
 
-def test_branching_rates_consistency():
-    cfg = LambdaConfig(omega_1=0.4, omega_2=0.9, theta=1.0, phi=0.3, psi=0.2)
-    rates = branching_rates(20.0, cfg)
-    assert rates.gamma_d + rates.gamma_b == pytest.approx(20.0, abs=1e-12)
-    assert rates.alpha_p == pytest.approx(polarization_efficiency(cfg), abs=1e-15)
-    with pytest.raises(ValueError):
-        branching_rates(0.0, cfg)
+@given(
+    theta=st.floats(0.01, math.pi - 0.01),
+    phi=st.floats(0.0, 2.0 * math.pi),
+    omega_2=st.floats(0.01, 2.0),
+    dark=st.booleans(),
+)
+def test_efficiency_stays_a_probability_at_its_limits(theta, phi, omega_2, dark):
+    # ratio = tan(theta/2) at psi = phi + pi decays all-bright, ratio =
+    # cot(theta/2) at psi = phi all-dark. Rounding must not carry the closed
+    # form outside [0, 1], where the laser's sqrt(gamma alpha_p) fails.
+    half = theta / 2.0
+    ratio, psi = (1.0 / math.tan(half), phi) if dark else (math.tan(half), phi + math.pi)
+    cfg = LambdaConfig(omega_1=ratio * omega_2, omega_2=omega_2, theta=theta, phi=phi, psi=psi)
+    alpha_p = polarization_efficiency(cfg)
+    assert 0.0 <= alpha_p <= 1.0
+    assert alpha_p == pytest.approx(1.0 if dark else 0.0, abs=1e-12)
 
 
 def test_precession_overlap():

@@ -18,6 +18,7 @@ from lambda_cpt.rate_model import (
     steady_state,
     step_map,
 )
+from lambda_cpt.spin_model import FieldError
 
 # Canonical pumping regime: effective pumping probability 0.43 per step,
 # depolarization probability 0.12 per step.
@@ -142,6 +143,10 @@ def test_gamma_dp_bridge():
         gamma_dp_for_alpha_dp(1.0, 0.3)
     with pytest.raises(ValueError):
         gamma_dp_for_alpha_dp(0.1, 0.0)
+    # A subnormal pulse length would give gamma_dp = inf; the length is at fault.
+    with pytest.raises(FieldError) as err:
+        gamma_dp_for_alpha_dp(0.5, 1e-320)
+    assert err.value.field == "t_laser"
 
 
 def test_laser_transient_against_ode_oracle():
