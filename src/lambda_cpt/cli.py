@@ -22,8 +22,9 @@ fit_report.json. main alone writes files: every product, then the manifest.
 Exit codes: 0 success, 1 engine failure, 2 unreadable CLI/config input,
 3 validation rejection, 4 a written report has converged false (the fit
 did not converge), 64 missing or unknown command. LAMBDA_CPT_LOG=DEBUG (or
-any level name) logs to stderr, at DEBUG each file written with its size
-and the handler's wall time.
+any level name) logs to stderr, at DEBUG each file written with its size,
+the handler's wall time and, from lambda_cpt.fitting, how each nonlinear
+fit ended.
 """
 
 from __future__ import annotations
@@ -200,7 +201,13 @@ def _saturation_report(cfg: RunConfig, data: dict) -> dict:
         raise ConfigError("fit.input", "dataset lacks a p_dark_est or p_dark column")
     fit = fit_saturation(np.asarray(series))
     report = asdict(fit)
-    report.update(n_s_sigma=_sigma(fit.n_s_sigma), p_inf_sigma=_sigma(fit.p_inf_sigma))
+    # status and nfev stay out of the report, whose keys are fixed.
+    del report["status"], report["nfev"]
+    report.update(
+        converged=fit.converged,
+        n_s_sigma=_sigma(fit.n_s_sigma),
+        p_inf_sigma=_sigma(fit.p_inf_sigma),
+    )
     if fit.identifiable and fit.n_s > 0:
         report.update(asdict(recover_simplified(fit)))
     return report

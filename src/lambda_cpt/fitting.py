@@ -2,12 +2,18 @@
 
 The contrast fit is linear in its one parameter and solved in closed form.
 The dip and saturation fits are nonlinear and share one driver,
-Levenberg-Marquardt (scipy.optimize.leastsq) with numerically differenced
-Jacobians, stopping on a relative cost change below 1e-10.
-Non-convergence is reported through the ``converged`` flag with best-so-far
-parameters, never as an exception. Parameter uncertainties are 1-sigma
-values from the scaled LM covariance. scipy.optimize is imported inside
-the driver, so a command that fits nothing does not load it.
+:func:`_leastsq`: a numpy Levenberg-Marquardt with MINPACK's column scaling
+and the gain-ratio damping update of Madsen, Nielsen & Tingleff, "Methods
+for non-linear least squares problems" (2004), on analytic Jacobians. It
+stops with status "ftol" on MINPACK's rule (the actual and the predicted
+relative cost reduction both at most FTOL = 1e-10) or with "budget" when
+its evaluation budget runs out. Non-convergence is reported through the
+status and the ``converged`` flag with best-so-far parameters, never as an
+exception. Parameter uncertainties are 1-sigma values from the scaled LM
+covariance. The package runs on numpy alone; the tests check the driver
+against scipy.optimize.leastsq as an oracle. At DEBUG, the
+``lambda_cpt.fitting`` logger prints one line per nonlinear fit: the model,
+the status, the evaluations and whether a covariance was found.
 
 Dips are fitted to a :class:`~lambda_cpt.experiments.Spectrum` and modeled
 as a flat baseline minus a sum of Gaussians, the workflow used for every
@@ -16,6 +22,7 @@ spectrum here; the underlying lineshape question is open.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -34,6 +41,9 @@ __all__ = [
 ]
 
 FWHM_PER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
+FTOL = 1e-10  # relative cost reduction at which _leastsq stops
+
+log = logging.getLogger("lambda_cpt.fitting")
 
 # TODO: optional Lorentzian lineshape once the pulsed-trapping lineshape
 # question is settled; Gaussian matches the current analysis workflow.
@@ -44,8 +54,9 @@ class DipFit:
     """Result of a k-Gaussian dip fit, sorted by center.
 
     no_dip flags fits whose largest amplitude is indistinguishable from the
-    noise floor; converged is False when the optimizer hit its evaluation
-    budget instead of the cost tolerance.
+    noise floor. status is how the Levenberg-Marquardt driver ended: "ftol"
+    when the relative cost reduction fell below FTOL, "budget" when it spent
+    its nfev model evaluations first; converged is status == "ftol".
     """
 
     centers: np.ndarray
@@ -53,10 +64,15 @@ class DipFit:
     amplitudes: np.ndarray
     baseline: float
     residual_norm: float
-    converged: bool
+    status: str
+    nfev: int
     no_dip: bool
     center_sigmas: np.ndarray
     fwhm_sigmas: np.ndarray
+
+    @property
+    def converged(self) -> bool:
+        return self.status == "ftol"
 
 
 @dataclass(frozen=True)
@@ -64,24 +80,23 @@ class SaturationFit:
     """Exponential saturation fit p_inf - (p_inf - p0) e^{-n/n_s}.
 
     identifiable is False when the fitted asymptote and start coincide
-    (a constant series pins no time scale).
+    (a constant series pins no time scale). status, nfev and converged read
+    as in :class:`DipFit`.
     """
 
     n_s: float
     p_inf: float
     p0: float
     residual_norm: float
-    converged: bool
+    status: str
+    nfev: int
     identifiable: bool
     n_s_sigma: float
     p_inf_sigma: float
 
-
-def _dip_model(x: np.ndarray, params: np.ndarray) -> np.ndarray:
-    y = np.full_like(x, params[0])
-    for amp, center, sigma in params[1:].reshape(-1, 3):
-        y = y - amp * np.exp(-((x - center) ** 2) / (2.0 * sigma * sigma))
-    return y
+    @property
+    def converged(self) -> bool:
+        return self.status == "ftol"
 
 
 def _local_minima(y: np.ndarray) -> np.ndarray:
@@ -94,27 +109,75 @@ def _noise_scale(y: np.ndarray, baseline: float) -> float:
 
 
 def _leastsq(
-    residuals, params0: np.ndarray, maxfev: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """Minimize |residuals(p)|^2 from params0 by Levenberg-Marquardt.
+    model, params0: np.ndarray, maxfev: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, str, int]:
+    """Minimize |r(p)|^2 from params0 by Levenberg-Marquardt.
 
-    Returns the parameters, the residuals there, the 1-sigma values and
-    whether the cost tolerance (rather than the ``maxfev`` evaluation
-    budget) stopped the search. The sigmas are inf when the covariance is
-    singular or the fit has no degrees of freedom.
+    ``model(p)`` returns the residuals r and their Jacobian J at p. Each
+    step solves (J^T J + mu diag(d^2)) delta = -J^T r, where d is the running
+    maximum of each Jacobian column norm (MINPACK's scaling, a zero column
+    scaled by 1), and mu starts at 1e-3 and follows the gain ratio rho
+    (Madsen, Nielsen & Tingleff 2004). A trial point whose cost is not finite is a rejected
+    step. The search ends with status "ftol" when the actual and the
+    predicted relative reduction of the cost are both at most FTOL and
+    rho <= 2 (MINPACK's ftol rule; a zero residual has converged), or with
+    "budget" once ``maxfev`` evaluations of the model are spent.
+
+    Returns the parameters, the residuals there, the 1-sigma values, the
+    status and the evaluation count. The sigmas are inf when J^T J is
+    singular at the solution or the fit has no degrees of freedom.
     """
-    from scipy.optimize import leastsq
-
-    popt, cov, info, _, ier = leastsq(
-        residuals, params0, ftol=1e-10, maxfev=maxfev, full_output=True
+    p = np.array(params0, dtype=float)
+    eye = np.eye(len(p))
+    with np.errstate(all="ignore"):
+        r, jac = model(p)
+        cost = float(r.dot(r))
+        nfev, status = 1, "budget"
+        mu, nu, d2 = 1e-3, 2.0, None
+        while cost > 0.0 and status == "budget" and nfev < maxfev:
+            # .dot rather than @: less call overhead on these small arrays.
+            jtj, grad = jac.T.dot(jac), r.dot(jac)
+            norms2 = jtj.diagonal()
+            d2 = norms2 + (norms2 == 0.0) if d2 is None else np.maximum(d2, norms2)
+            while nfev < maxfev:
+                damping = mu * d2
+                try:
+                    neg_step = np.linalg.solve(jtj + eye * damping, grad)
+                except np.linalg.LinAlgError:
+                    mu, nu = mu * nu, 2.0 * nu
+                    continue
+                trial = p - neg_step
+                r_new, jac_new = model(trial)
+                nfev += 1
+                cost_new = float(r_new.dot(r_new))
+                predicted = float(neg_step.dot(damping * neg_step + grad))
+                rho = (cost - cost_new) / predicted if predicted > 0.0 else 0.0
+                actual = 1.0 - cost_new / cost if cost_new < 100.0 * cost else -1.0
+                if abs(actual) <= FTOL and predicted <= FTOL * cost and rho <= 2.0:
+                    status = "ftol"
+                if rho > 0.0:
+                    p, r, jac, cost = trial, r_new, jac_new, cost_new
+                    mu, nu = mu * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 2.0
+                    break
+                mu, nu = mu * nu, 2.0 * nu
+                if status == "ftol":
+                    break
+    if cost == 0.0:
+        status = "ftol"
+    dof = len(r) - len(p)
+    try:
+        cov = np.linalg.inv(jac.T.dot(jac)) if dof > 0 else None
+    except np.linalg.LinAlgError:
+        cov = None
+    log.debug(
+        "%s fit: %s after %d evaluations, covariance %s",
+        model.__name__, status, nfev, "none" if cov is None else "found",
     )
-    res = info["fvec"]
-    dof = len(res) - len(popt)
-    if cov is None or dof <= 0:
-        sigmas = np.full(len(popt), np.inf)
+    if cov is None:
+        sigmas = np.full(len(p), np.inf)
     else:
-        sigmas = np.sqrt(np.abs(np.diag(cov)) * (float(res @ res) / dof))
-    return popt, res, sigmas, ier in (1, 2, 3, 4)
+        sigmas = np.sqrt(np.abs(cov.diagonal()) * (cost / dof))
+    return p, r, sigmas, status, nfev
 
 
 def fit_dips(spec: Spectrum, k: int, init_centers: np.ndarray | None = None) -> DipFit:
@@ -154,11 +217,21 @@ def fit_dips(spec: Spectrum, k: int, init_centers: np.ndarray | None = None) -> 
         depth = baseline0 - float(np.interp(c, x, y))
         params0.extend([max(depth, 1e-6), c, sigma0])
 
-    def residuals(p: np.ndarray) -> np.ndarray:
-        return _dip_model(x, p) - y
+    def gaussian_dips(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        amp, center, sigma = p[1:].reshape(-1, 3).T[:, :, None]
+        dx = x - center
+        e = np.exp(-dx * dx / (2.0 * sigma * sigma))
+        dip = amp * e
+        # Row i of jt is column i of J: contiguous to fill, and J is jt.T.
+        jt = np.empty((len(p), len(x)))
+        jt[0] = 1.0
+        jt[1::3] = -e
+        jt[2::3] = -dip * dx / (sigma * sigma)
+        jt[3::3] = -dip * dx * dx / (sigma * sigma * sigma)
+        return p[0] - dip.sum(axis=0) - y, jt.T
 
-    popt, res, sigmas, converged = _leastsq(
-        residuals, np.asarray(params0), maxfev=500 * (len(params0) + 1)
+    popt, res, sigmas, status, nfev = _leastsq(
+        gaussian_dips, np.asarray(params0), maxfev=500 * (len(params0) + 1)
     )
     amps = popt[1::3]
     centers = popt[2::3]
@@ -174,7 +247,8 @@ def fit_dips(spec: Spectrum, k: int, init_centers: np.ndarray | None = None) -> 
         amplitudes=amps[order],
         baseline=float(popt[0]),
         residual_norm=float(np.sqrt(res @ res)),
-        converged=converged,
+        status=status,
+        nfev=nfev,
         no_dip=bool(np.max(np.abs(amps)) < floor),
         center_sigmas=sigmas[2::3][order],
         fwhm_sigmas=sigmas[3::3][order] * FWHM_PER_SIGMA,
@@ -194,23 +268,29 @@ def fit_saturation(series: np.ndarray) -> SaturationFit:
         )
     n = np.arange(len(series), dtype=float)
 
-    def residuals(p: np.ndarray) -> np.ndarray:
-        p_inf, p0, n_s = p
-        return p_inf - (p_inf - p0) * np.exp(-n / abs(n_s)) - series
+    def saturation(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        p_inf, p0, n_s = p  # numpy scalars: n_s = 0 divides to inf, not an exception
+        e = np.exp(n * (-1.0 / abs(n_s)))
+        jt = np.empty((3, len(n)))
+        np.subtract(1.0, e, out=jt[0])
+        jt[1] = e
+        np.multiply(e, n * ((p0 - p_inf) * np.sign(n_s) / (n_s * n_s)), out=jt[2])
+        return p_inf + (p0 - p_inf) * e - series, jt.T
 
     # Start n_s at the first step within 1/e of the end-to-end change: a
     # length-based guess can leave LM in the n_s -> 0 valley on short traces.
     settled = np.abs(series - series[-1]) < abs(series[0] - series[-1]) / math.e
     params0 = np.array([series[-1], series[0], max(1, int(np.argmax(settled)))])
 
-    popt, res, sigmas, converged = _leastsq(residuals, params0, maxfev=2000)
+    popt, res, sigmas, status, nfev = _leastsq(saturation, params0, maxfev=2000)
     p_inf, p0, n_s = float(popt[0]), float(popt[1]), float(abs(popt[2]))
     return SaturationFit(
         n_s=n_s,
         p_inf=p_inf,
         p0=p0,
         residual_norm=float(np.sqrt(res @ res)),
-        converged=converged,
+        status=status,
+        nfev=nfev,
         identifiable=bool(abs(p_inf - p0) > 1e-8),
         n_s_sigma=float(sigmas[2]),
         p_inf_sigma=float(sigmas[0]),

@@ -332,7 +332,8 @@ def test_fit_nonconvergence_exits_four(tmp_path, monkeypatch, capsys):
         amplitudes=np.array([0.1]),
         baseline=1.0,
         residual_norm=1.0,
-        converged=False,
+        status="budget",
+        nfev=16,
         no_dip=False,
         center_sigmas=np.array([np.inf]),
         fwhm_sigmas=np.array([np.inf]),

@@ -1,10 +1,18 @@
-"""Fitting-layer tests: synthetic self-fits, engine recovery, degenerate inputs."""
+"""Fitting-layer tests: synthetic self-fits, engine recovery, degenerate inputs,
+and the in-package Levenberg-Marquardt driver against scipy.optimize.leastsq,
+kept here as the oracle."""
 
+import logging
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import leastsq
 
+from lambda_cpt import fitting
 from lambda_cpt.datasets import read_csv, write_csv
 from lambda_cpt.dynamics import SequenceConfig
 from lambda_cpt.experiments import Spectrum, pump_trace
@@ -35,6 +43,7 @@ def test_single_dip_self_fit():
     y = gaussian_dip(x, 0.004, 0.02, 0.9, 1.0)
     fit = fit_dips(Spectrum(x, y), k=1)
     assert fit.converged and not fit.no_dip
+    assert fit.status == "ftol" and fit.nfev > 1
     assert fit.centers[0] == pytest.approx(0.004, abs=1e-6)
     assert fit.fwhms[0] == pytest.approx(0.02, abs=1e-6)
     assert fit.amplitudes[0] == pytest.approx(0.9, abs=1e-6)
@@ -198,3 +207,152 @@ def test_dataset_roundtrip_fit(tmp_path):
     data = read_csv(path)
     fit = fit_dips(Spectrum(data["delta_2_mhz"], data["signal_norm"]), k=1)
     assert fit.centers[0] == pytest.approx(0.01, abs=1e-8)
+
+
+def driver_inputs(fit, *args, **kwargs):
+    """The (model, params0, maxfev) that fit(*args, **kwargs) hands the driver."""
+    runs = []
+    driver = fitting._leastsq
+
+    def spy(model, params0, maxfev):
+        runs.append((model, np.asarray(params0, dtype=float), maxfev))
+        return driver(model, params0, maxfev)
+
+    with mock.patch.object(fitting, "_leastsq", spy):
+        fit(*args, **kwargs)
+    [inputs] = runs
+    return inputs
+
+
+def fit_with_oracle(fit, *args, **kwargs):
+    """The driver and scipy.optimize.leastsq on fit's model, start and budget.
+
+    scipy gets the analytic Jacobian too: its forward differences step by
+    1.5e-8 |p|, which freezes a parameter that starts at a tiny nonzero
+    value (a dip center at 3e-290 stays there). The Jacobians themselves are
+    checked against central differences below.
+
+    Returns the driver's (params, residuals, sigmas, status, nfev) and
+    scipy's parameters and ier.
+    """
+    model, params0, maxfev = driver_inputs(fit, *args, **kwargs)
+    popt, _, _, _, ier = leastsq(
+        lambda p: model(p)[0],
+        params0,
+        Dfun=lambda p: model(p)[1],
+        ftol=1e-10,
+        maxfev=maxfev,
+        full_output=True,
+    )
+    return fitting._leastsq(model, params0, maxfev), popt, ier
+
+
+# Both fitters stop once the relative cost reduction falls to 1e-10, which
+# leaves each about sqrt(dof * 1e-10) <= 2e-4 of a 1-sigma error from the
+# minimum on these grids (dof <= 400). Agreement is required within 1e-3 of
+# the 1-sigma error of each parameter.
+ORACLE_TOL_SIGMAS = 1e-3
+
+
+def assert_agrees_with_oracle(ours, popt, ier, signless) -> None:
+    """signless indexes the widths and time constants: the models read them
+    through their square or absolute value, so either sign is the same fit."""
+    params, _, sigmas, status, _ = ours
+    if status == "ftol" and ier in (1, 2, 3, 4):
+        assert np.isfinite(sigmas).all()
+        params, popt = params.copy(), popt.copy()
+        params[signless], popt[signless] = np.abs(params[signless]), np.abs(popt[signless])
+        np.testing.assert_array_less(np.abs(params - popt), ORACLE_TOL_SIGMAS * sigmas)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(1, 3),
+    jitter=st.lists(st.floats(-0.01, 0.01), min_size=3, max_size=3),
+    fwhm=st.floats(0.01, 0.03),
+    amplitudes=st.lists(st.floats(0.2, 0.9), min_size=3, max_size=3),
+    baseline=st.floats(0.5, 1.5),
+    noise=st.floats(1e-3, 2e-2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dip_fit_agrees_with_scipy(k, jitter, fwhm, amplitudes, baseline, noise, seed):
+    # Centers at least 0.08 MHz apart, over 2.6 FWHM.
+    centers = (np.linspace(-0.1, 0.1, k) if k > 1 else np.zeros(1)) + jitter[:k]
+    x = np.linspace(-0.15, 0.15, 301)
+    y = sum(gaussian_dip(x, c, fwhm, a, 0.0) for c, a in zip(centers, amplitudes)) + baseline
+    y = y + np.random.default_rng(seed).normal(0.0, noise, len(x))
+    oracle = fit_with_oracle(fit_dips, Spectrum(x, y), k, init_centers=centers)
+    assert_agrees_with_oracle(*oracle, signless=slice(3, None, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_s=st.floats(0.8, 6.0),
+    p0=st.floats(0.3, 0.6),
+    p_inf=st.floats(0.7, 0.95),
+    length=st.integers(12, 60),
+    noise=st.floats(1e-4, 1e-2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_saturation_fit_agrees_with_scipy(n_s, p0, p_inf, length, noise, seed):
+    n = np.arange(length)
+    series = p_inf - (p_inf - p0) * np.exp(-n / n_s)
+    series = series + np.random.default_rng(seed).normal(0.0, noise, length)
+    assert_agrees_with_oracle(*fit_with_oracle(fit_saturation, series), signless=[2])
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_jacobians_match_central_differences(sign):
+    # sign flips sigma and n_s, which enter the models through their square
+    # and absolute value: the derivative must carry the sign.
+    x = np.linspace(-0.15, 0.15, 121)
+    y = gaussian_dip(x, -0.05, 0.02, 0.5, 1.0) + gaussian_dip(x, 0.06, 0.03, 0.3, 0.0)
+    dips, dips_p, _ = driver_inputs(fit_dips, Spectrum(x, y), 2)
+    dips_p[3::3] *= sign
+    saturation, _, _ = driver_inputs(fit_saturation, 0.9 - 0.4 * np.exp(-np.arange(30) / 2.5))
+    sat_p = np.array([0.85, 0.45, sign * 1.7])
+    for model, p in ((dips, dips_p), (saturation, sat_p)):
+        _, jac = model(p)
+        for j in range(len(p)):
+            h = 1e-6 * max(1.0, abs(p[j]))
+            up, down = p.copy(), p.copy()
+            up[j] += h
+            down[j] -= h
+            numeric = (model(up)[0] - model(down)[0]) / (2.0 * h)
+            np.testing.assert_allclose(jac[:, j], numeric, rtol=1e-5, atol=1e-7)
+
+
+def test_budget_ends_the_search(monkeypatch):
+    driver = fitting._leastsq
+    monkeypatch.setattr(fitting, "_leastsq", lambda model, p0, maxfev: driver(model, p0, 2))
+    x = np.linspace(-0.06, 0.06, 201)
+    dips = fit_dips(Spectrum(x, gaussian_dip(x, 0.004, 0.02, 0.9, 1.0)), k=1)
+    saturation = fit_saturation(0.88 - 0.38 * np.exp(-np.arange(40) / 1.45))
+    for fit in (dips, saturation):
+        assert fit.status == "budget" and fit.nfev == 2 and not fit.converged
+
+
+def test_identical_seeds_end_without_linalg_error():
+    # Two equal centers give two equal Jacobian column triples: J^T J is
+    # singular, the damped system is not.
+    x = np.linspace(-0.06, 0.06, 201)
+    y = gaussian_dip(x, 0.0, 0.02, 0.6, 1.0)
+    y = y + np.random.default_rng(5).normal(0.0, 0.01, len(x))
+    fit = fit_dips(Spectrum(x, y), k=2, init_centers=np.array([0.0, 0.0]))
+    assert fit.status in ("ftol", "budget")
+    assert np.isfinite(fit.centers).all() and np.isfinite(fit.amplitudes).all()
+
+
+def test_each_nonlinear_fit_logs_one_debug_line(caplog):
+    caplog.set_level(logging.DEBUG, logger="lambda_cpt.fitting")
+    x = np.linspace(-0.06, 0.06, 201)
+    dips = fit_dips(Spectrum(x, gaussian_dip(x, 0.004, 0.02, 0.9, 1.0)), k=1)
+    saturation = fit_saturation(0.88 - 0.38 * np.exp(-np.arange(40) / 1.45))
+    flat = fit_saturation(np.full(12, 0.7))
+    fit_contrast_curve(np.array([0.25, 0.5, 1.0, 2.0]), np.array([0.1, 0.2, 0.5, 0.8]))
+    assert [r.getMessage() for r in caplog.records if r.name == "lambda_cpt.fitting"] == [
+        f"gaussian_dips fit: ftol after {dips.nfev} evaluations, covariance found",
+        f"saturation fit: ftol after {saturation.nfev} evaluations, covariance found",
+        "saturation fit: ftol after 1 evaluations, covariance none",
+    ]
+    assert flat.nfev == 1 and flat.converged

@@ -1,6 +1,6 @@
 """Every name a package module imports is used in that module, every name
 its ``__all__`` lists exists, the CLI imports no more than its commands
-need, and one function imports scipy.
+need, and the package never imports scipy (the tests keep it as an oracle).
 
 No linter runs on this repository, so this keeps the dead imports and stale
 ``__all__`` entries that a deletion leaves behind from piling up.
@@ -8,10 +8,16 @@ No linter runs on this repository, so this keeps the dead imports and stale
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from lambda_cpt.datasets import write_csv
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lambda_cpt"
 
@@ -60,19 +66,18 @@ def fresh_interpreter(probe: str) -> str:
 
 
 def test_cli_import_leaves_out_the_fitter():
-    # Only the fit command needs scipy.optimize, about a third of the import time.
+    # scipy.optimize alone would cost about twice the CLI's own import time.
     probe = "import sys, lambda_cpt.cli; print('scipy.optimize' in sys.modules)"
     assert fresh_interpreter(probe) == "False"
 
 
 def test_engine_import_leaves_out_scipy():
-    # The engine takes its matrix exponentials with numpy alone; only fit needs scipy.
+    # The engine takes its matrix exponentials with numpy alone.
     probe = (
         "import sys, lambda_cpt.cli, lambda_cpt.experiments; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     assert fresh_interpreter(probe) == "[]"
-
 
 
 def imports_scipy(node: ast.AST) -> bool:
@@ -88,14 +93,37 @@ def imports_scipy(node: ast.AST) -> bool:
     return False
 
 
-def test_one_function_imports_scipy():
-    # The least-squares driver is the package's one use of scipy, and the one
-    # function an in-package fitter would replace. A module-level scipy import
-    # fails test_engine_import_leaves_out_scipy instead.
+def test_package_never_imports_scipy():
+    # Function-level imports included: the fits run on numpy alone.
     importers = [
-        f"{path.stem}.{node.name}"
+        path.stem
         for path in sorted(PACKAGE.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.FunctionDef) and imports_scipy(node)
+        if imports_scipy(ast.parse(path.read_text(encoding="utf-8")))
     ]
-    assert importers == ["fitting._leastsq"]
+    assert importers == []
+
+
+# fit.kind -> a small dataset it fits.
+STEPS = np.arange(20.0)
+FIT_DATASETS = {
+    "dips": {
+        "delta_2_mhz": np.linspace(-0.06, 0.06, 41),
+        "signal_norm": 1.0 - 0.8 * np.exp(-np.linspace(-3.0, 3.0, 41) ** 2),
+    },
+    "saturation": {"step": STEPS, "p_dark_est": 0.88 - 0.38 * np.exp(-STEPS / 2.0)},
+    "contrast": {"ratio": [0.25, 0.5, 1.0, 2.0, 4.0], "measured": [0.1, 0.2, 0.5, 0.8, 0.9]},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FIT_DATASETS))
+def test_fit_command_runs_without_scipy(tmp_path, kind):
+    write_csv(tmp_path / "data.csv", FIT_DATASETS[kind], "ab", "t")
+    cfg = tmp_path / "fit.ini"
+    cfg.write_text(f"[fit]\ninput = {tmp_path / 'data.csv'}\nkind = {kind}\n")
+    probe = (
+        "import sys; from lambda_cpt.cli import main; "
+        f"code = main(['fit', '--config', {str(cfg)!r}, '--out', {str(tmp_path)!r}]); "
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert fresh_interpreter(probe) == "0 []"
+    assert json.loads((tmp_path / "fit_report.json").read_text())["kind"] == kind
