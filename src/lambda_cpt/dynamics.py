@@ -19,25 +19,32 @@ pumping efficiency (a sequence stores gamma alone; the branching follows
 from its drive), and dephases the ground coherence at gamma_dp; waits can
 carry a slow intrinsic dephasing gamma_2n and an electron T1 channel. The
 microwave pulse stays coherent. This rule lives in one place,
-:func:`segment_generators`, as one (generator, duration) pair per segment:
-the 3x3 -i H of the pulse, and the 9x9 Liouvillian of each other segment.
-Each segment's map is the matrix exponential of its generator, taken in
-one place too, :func:`period_maps`, by this module's :func:`expm`, which
-lifts the pulse's 3x3 U to the 9x9 map U (x) U*. The laser only moves
-rho_ee into the ground block, so its generator has off-diagonal entries in
-one column, and a wait has none when t1_e is infinite: both take a closed
-form. The 3x3 pulse and a wait with finite t1_e take a degree-13 Pade
-scaling and squaring. Both routes run batched over the stack with numpy
-alone, so the engine never imports scipy.
+:func:`segment_generators`, which also states the form each segment's
+generator takes, so that its exact map follows from where its entries sit
+and nothing is scanned for:
+
+- a pulse (:class:`Pulse`) is a Hermitian 3x3 H, whose U = exp(-i H t)
+  comes from a batched eigh and acts as U (x) U* on vec(rho);
+- a wait (:class:`Wait`) decays each of the six coherences by one exact
+  exponential, and mixes the three populations by the T1 rate block,
+  written through expm1 so that the trace is kept by construction (t1_e =
+  inf makes it the identity on the same path);
+- a laser (:class:`Laser`) is a diagonal plus the rho_ee column, which
+  feeds the ground block; its map is closed form.
+
+All three run batched over a stack with numpy alone, so the engine never
+imports scipy.
 
 Every protocol propagates through one kernel, :func:`propagate_periods`. It
-takes the four segment generators stacked over G independent runs (the grid
-points of a sweep, or G = 1), exponentiates each segment for all G at once,
-folds a period into the map up to the readout and the map after it,
-advances all G states a block of periods per batched product, and records
-only the observables a protocol reads out. A detuning sweep needs no
-per-point generator build: the two-photon detuning enters only as a
-diagonal shift of every segment generator (:func:`detuned_segments`).
+takes the four segments stacked over G independent runs (the grid points
+of a sweep, or G = 1), folds a period into the map up to the readout and
+the map after it (:func:`period_maps`, by row operations, with no dense
+9x9 product), forms the one-period map M = B A (the one dense 9x9
+product before the block loop), advances all G states a block of periods
+per batched product, and records only the observables a protocol reads
+out. A detuning sweep needs
+no per-point generator build: the two-photon detuning enters only as a
+diagonal shift of every segment (:func:`detuned_segments`).
 
 Units: MHz and us everywhere at the interface; the 2*pi sits inside the
 generators only.
@@ -47,7 +54,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -63,9 +70,12 @@ __all__ = [
     "rwa_generator",
     "free_generator",
     "liouvillian",
+    "Pulse",
+    "Wait",
+    "Laser",
     "segment_generators",
+    "stack_segments",
     "detuned_segments",
-    "expm",
     "period_maps",
     "propagate_periods",
     "run_cpt_sequence",
@@ -250,142 +260,194 @@ def _laser_jumps(seq: SequenceConfig) -> list[np.ndarray]:
     return jumps
 
 
-def _wait_jumps(gamma_2n: float, t1_e: float) -> list[np.ndarray]:
-    """Wait channels: dephasing at gamma_2n, then electron T1 when t1_e is finite."""
-    jumps: list[np.ndarray] = []
-    if gamma_2n > 0:
-        jumps.append(_dephasing_jump(gamma_2n))
-    if math.isfinite(t1_e):
-        jumps.extend(_t1_jumps(t1_e))
-    return jumps
+def _wait_jumps(gamma_2n: float) -> list[np.ndarray]:
+    """Wait channels besides electron T1: dephasing at gamma_2n, when it is on."""
+    return [_dephasing_jump(gamma_2n)] if gamma_2n > 0 else []
 
 
-def _t1_jumps(t1_e: float) -> list[np.ndarray]:
-    """Bidirectional electron flips relaxing P_- toward 1/2 at rate 1/t1_e.
+# Row-major vec slots 3i + j: the populations (i = j) in the order |up>,
+# |down>, |->, the six coherences (i != j), and rho_ee, the one column a
+# laser generator has off its diagonal.
+_POPULATIONS = (0, 4, 8)
+_COHERENCES = np.array([1, 2, 3, 5, 6, 7])
+_EXCITED = 8
 
-    The nuclear state is scrambled by the flip (rates are split evenly over
-    |up> and |down>), which is the nuclear-averaged version of a T1 process.
+
+@dataclass(frozen=True)
+class Pulse:
+    """Coherent segment: rho -> U rho U^dagger with U = exp(-i h duration).
+
+    h is the Hermitian rotating-frame Hamiltonian of :func:`rwa_generator`
+    in rad/us, one 3x3 matrix or a (G, 3, 3) stack.
     """
-    up = np.array([1.0, 0.0, 0.0], dtype=complex)
-    down = np.array([0.0, 1.0, 0.0], dtype=complex)
-    e3 = np.array([0.0, 0.0, 1.0], dtype=complex)
-    rate_up = 1.0 / (2.0 * t1_e)
-    rate_down = 1.0 / (4.0 * t1_e)
-    return [
-        math.sqrt(rate_up) * np.outer(e3, up),
-        math.sqrt(rate_up) * np.outer(e3, down),
-        math.sqrt(rate_down) * np.outer(up, e3),
-        math.sqrt(rate_down) * np.outer(down, e3),
-    ]
+
+    h: np.ndarray
+    duration: float
 
 
-def segment_generators(seq: SequenceConfig) -> tuple[tuple[np.ndarray, float], ...]:
-    """The four (generator, duration) pairs of one sequence period.
+@dataclass(frozen=True)
+class Wait:
+    """Drive-free segment: every coherence decays alone, populations relax by T1.
+
+    coherences holds the Liouvillian's entries at the six coherence slots
+    (frame rotation and dephasing), shape (6,) or (G, 6); without T1 the
+    generator has no other nonzero entry. Electron T1 flips |up> and |down>
+    to |-> at 1/(2 t1_e) each and |-> back to each at 1/(4 t1_e): on the
+    populations a rate block with eigenvalues 0, -1/t1_e (P_- relaxes to
+    half the trace) and -1/(2 t1_e) (the ground imbalance decays), and on
+    every coherence a further decay at 1/(2 t1_e). t1_e = inf switches it
+    off.
+    """
+
+    coherences: np.ndarray
+    t1_e: float
+    duration: float
+
+
+@dataclass(frozen=True)
+class Laser:
+    """Optical repolarization: the generator diag(diagonal) + column e_8^T.
+
+    rho_ee (vec slot 8) feeds the ground block and nothing else mixes, so
+    the only off-diagonal entries are rows 0-7 of column 8, held in column.
+    diagonal has shape (9,) or (G, 9); column is (8,), shared by a stack,
+    or (G, 8) beside a stacked diagonal.
+    """
+
+    diagonal: np.ndarray
+    column: np.ndarray
+    duration: float
+
+
+def segment_generators(seq: SequenceConfig) -> tuple[Pulse, Wait, Laser, Wait]:
+    """The four segments of one sequence period, each in the form its map takes.
 
     In order: coherent microwave pulse, pre-laser wait (stretched to t_seq),
     laser pulse, post-laser wait. Relaxation acts only in the laser segment
-    and, when gamma_2n or t1_e switch it on, in the waits. The pulse stays
-    coherent, so its generator is the 3x3 -i H of d psi/dt, with H from
-    :func:`rwa_generator`; the other three are 9x9 Liouvillians of
-    d vec(rho)/dt. The two waits share one generator array, so a caller
-    must not modify a generator in place.
+    and, when gamma_2n or t1_e switch it on, in the waits; the pulse stays
+    coherent. The wait and laser entries are read at their known slots of
+    the 9x9 Liouvillians of :func:`liouvillian`, built from the jumps
+    chosen here. The two waits share one coherence array, so a caller must
+    not modify a segment's arrays in place.
     """
     h_free = free_generator(seq.lam)
-    wait = liouvillian(h_free, _wait_jumps(seq.gamma_2n, seq.t1_e))
+    coherences = liouvillian(h_free, _wait_jumps(seq.gamma_2n)).diagonal()[_COHERENCES]
+    laser = liouvillian(h_free, _laser_jumps(seq))
     return (
-        (-1j * rwa_generator(seq.lam), seq.t_mw),
-        (wait, seq.wait_pre_total),
-        (liouvillian(h_free, _laser_jumps(seq)), seq.t_laser),
-        (wait, seq.t_wait_post),
+        Pulse(rwa_generator(seq.lam), seq.t_mw),
+        Wait(coherences, seq.t1_e, seq.wait_pre_total),
+        Laser(laser.diagonal().copy(), laser[:_EXCITED, _EXCITED].copy(), seq.t_laser),
+        Wait(coherences, seq.t1_e, seq.t_wait_post),
     )
+
+
+def stack_segments(runs) -> tuple[Pulse, Wait, Laser, Wait]:
+    """One batch from the segments of several runs, as from :func:`segment_generators`.
+
+    Each array of a segment gains a leading axis over the runs; durations
+    and t1_e are taken from the first run, so the runs must share them.
+    """
+    batch = []
+    for same in zip(*runs):
+        first = same[0]
+        arrays = {
+            f.name: np.stack([getattr(s, f.name) for s in same])
+            for f in fields(first)
+            if isinstance(getattr(first, f.name), np.ndarray)
+        }
+        batch.append(replace(first, **arrays))
+    return tuple(batch)
 
 
 def detuned_segments(
     seq: SequenceConfig, delta_1: float, delta_2: np.ndarray
-) -> tuple[tuple[np.ndarray, float], ...]:
+) -> tuple[Pulse, Wait, Laser, Wait]:
     """:func:`segment_generators` of seq stacked over the detunings delta_2.
 
-    Returns four ((G, n, n) generator, duration) pairs, one generator per
-    entry of delta_2, all at one-photon detuning delta_1 (the detunings of
-    seq.lam are ignored); n is 3 for the pulse and 9 for the rest. Built in
-    closed form from one zero-detuning build: H(delta) = H(0) + 2 pi diag(d)
-    with d = (0, -delta_r, -delta_1) in every segment, and neither the
-    dissipators nor the dark/bright basis depend on the detunings, so the
-    3x3 pulse generator gains -i 2 pi d_i at diagonal index i, and each 9x9
-    one -i 2 pi (d_i - d_j) at diagonal index 3i + j of the row-major
-    vectorization.
+    Every segment holds one entry per element of delta_2 (G of them), all
+    at one-photon detuning delta_1 (the detunings of seq.lam are ignored).
+    Built in closed form from one zero-detuning build: H(delta) = H(0) +
+    2 pi diag(d) with d = (0, -delta_r, -delta_1) in every segment, and
+    neither the dissipators nor the dark/bright basis depend on the
+    detunings, so the pulse's h gains 2 pi d_i at diagonal index i, and a
+    wait or laser generator gains -i 2 pi (d_i - d_j) at vec slot 3i + j:
+    only diagonals move, and the laser column is shared by the whole stack.
     """
     delta_2 = np.asarray(delta_2, dtype=float)
     zero = replace(seq, lam=replace(seq.lam, delta_1=0.0, delta_2=0.0))
+    pulse, pre, laser, post = segment_generators(zero)
     d = np.zeros((len(delta_2), 3))
     d[:, 1] = -(delta_1 - delta_2)
     d[:, 2] = -delta_1
     h_diag = TWO_PI * d
-    shifts = {3: -1j * h_diag, 9: -1j * (h_diag[:, :, None] - h_diag[:, None, :]).reshape(-1, 9)}
-    stacked = []
-    for gen, duration in segment_generators(zero):
-        n = len(gen)
-        gens = np.repeat(gen[None], len(delta_2), axis=0)
-        gens[:, np.arange(n), np.arange(n)] += shifts[n]
-        stacked.append((gens, duration))
-    return tuple(stacked)
+    shift = -1j * (h_diag[:, :, None] - h_diag[:, None, :]).reshape(-1, 9)
+    h = np.repeat(pulse.h[None], len(delta_2), axis=0)
+    h[:, np.arange(3), np.arange(3)] += h_diag
+    coherences = pre.coherences + shift[:, _COHERENCES]
+    return (
+        replace(pulse, h=h),
+        replace(pre, coherences=coherences),
+        replace(laser, diagonal=laser.diagonal + shift),
+        replace(post, coherences=coherences),
+    )
 
 
-# Numerator coefficients b_0..b_13 of the degree-13 Pade approximant to exp,
-# and theta_13, the 1-norm up to which that approximant is accurate to double
-# precision without scaling (Higham 2005, Table 2.3).
-_PADE13 = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-)
-_THETA13 = 5.371920351148152
+def _pulse_unitary(pulse: Pulse) -> np.ndarray:
+    """U = exp(-i h t) of each pulse, as 1 + V (e^{-i w t} - 1) V^dagger.
 
-
-def expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential of one square matrix, or of each matrix of a stack.
-
-    A matrix whose off-diagonal entries all sit in at most one column k
-    (every laser, and every wait when t1_e is infinite, gamma_2n included)
-    takes the closed form of A = D + c e_k^T with c_k = 0: the diagonal of
-    exp(A) is exp(d), and entry i of column k is
-    c_i (e^{d_i} - e^{d_k}) / (d_i - d_k), evaluated as c_i e^h phi1(z) with
-    h the one of d_i, d_k of larger real part, z the other minus h, and
-    phi1(z) = (e^z - 1) / z, so that nothing overflows or divides by zero.
-    A diagonal matrix is the case without a column. Every other matrix
-    (a 3x3 pulse, a wait with finite t1_e) takes the scaling and squaring
-    method of Higham 2005, "The scaling and squaring method for the matrix
-    exponential revisited": the degree-13 Pade approximant of A / 2^s,
-    squared s times, with the smallest s >= 0 that brings the 1-norm of
-    A / 2^s to theta_13. s comes from the 1-norm alone, without the
-    refinement from norms of powers of A (Al-Mohy & Higham 2009) that
-    scipy.linalg.expm adds, so it can square more often than scipy does.
-    All such matrices share one batched solve. The route and s are chosen
-    per matrix and every step acts on each matrix alone, so a result does
-    not depend on which other matrices share the stack.
+    h = V diag(w) V^dagger comes from a batched eigh, the exact route for a
+    normal matrix (Moler & Van Loan 2003, section 6): U is unitary to
+    rounding at every norm, and t = 0 gives the identity exactly.
     """
-    a = np.asarray(a, dtype=complex)
-    n = a.shape[-1]
-    stack = a.reshape(-1, n, n)
-    i = np.arange(n)
-    off_diagonal = stack != 0
-    off_diagonal[:, i, i] = False
-    columns = off_diagonal.any(axis=1)
-    pade = columns.sum(axis=1) > 1
-    out = np.zeros_like(stack)
-    dense = np.flatnonzero(pade)
-    if len(dense):
-        out[dense] = _pade13(stack[dense])
-    closed = np.flatnonzero(~pade)
-    out[closed[:, None], i, i] = np.exp(stack[closed[:, None], i, i])
-    column = columns[closed].argmax(axis=1)
-    p, row = np.nonzero(off_diagonal[closed, :, column])
-    m, k = closed[p], column[p]
-    d_i, d_k = stack[m, row, row], stack[m, k, k]
+    w, v = np.linalg.eigh(pulse.h)
+    phase = np.expm1(-1j * (w * max(pulse.duration, 0.0)))
+    return np.eye(3) + (v * phase[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def _wait_rows(wait: Wait, m: np.ndarray) -> np.ndarray:
+    """W m for the map W of a wait and a (..., 9, 9) stack m, in place.
+
+    W scales each coherence row by one exact exponential and mixes the three
+    population rows by the T1 block, written through two expm1 modes: the
+    step r moves P_- toward half the trace, and the step s shrinks the
+    ground imbalance; P_up and P_down give back r/2 each, so the trace is
+    kept by construction. t1_e = inf makes r and s zero: the same path is
+    the identity on the populations.
+    """
+    t = max(wait.duration, 0.0)
+    relax = -t / wait.t1_e
+    # A decay exponent past the float range is an exact decay to zero.
+    with np.errstate(over="ignore"):
+        m[..., _COHERENCES, :] *= np.exp(wait.coherences * t + 0.5 * relax)[..., None]
+    up, down, excited = (m[..., k, :] for k in _POPULATIONS)
+    r = 0.5 * np.expm1(relax) * (excited - up - down)
+    s = 0.5 * np.expm1(0.5 * relax) * (up - down)
+    excited += r
+    up += s - 0.5 * r
+    down -= s + 0.5 * r
+    return m
+
+
+def _laser_map(laser: Laser) -> np.ndarray:
+    """Map exp(A t) of each laser, for A = D + c e_8^T with c_8 = 0.
+
+    The diagonal is e^{d t}, and entry i of column 8 is
+    c_i t (e^{d_i t} - e^{d_8 t}) / (d_i t - d_8 t), evaluated as
+    c_i t e^h phi1(z) with h the one of d_i t, d_8 t of larger real part,
+    z the other minus h, and phi1(z) = (e^z - 1) / z, so that nothing
+    overflows or divides by zero.
+    """
+    t = max(laser.duration, 0.0)
+    d = laser.diagonal * t
+    c = laser.column * t
+    d_i, d_k = d[..., :_EXCITED], d[..., _EXCITED:]
     i_leads = d_i.real >= d_k.real
     h = np.where(i_leads, d_i, d_k)
-    out[m, row, k] = stack[m, row, k] * np.exp(h) * _phi1(np.where(i_leads, d_k, d_i) - h)
-    return out.reshape(a.shape)
+    column = c * np.exp(h) * _phi1(np.where(i_leads, d_k, d_i) - h)
+    out = np.zeros_like(d, shape=d.shape + (9,))
+    out[..., np.arange(9), np.arange(9)] = np.exp(d)
+    out[..., :_EXCITED, _EXCITED] = column
+    return out
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -396,51 +458,25 @@ def _phi1(z: np.ndarray) -> np.ndarray:
     return np.where(small, series, np.expm1(z_safe) / z_safe)
 
 
-def _pade13(stack: np.ndarray) -> np.ndarray:
-    """Pade-13 scaling and squaring (see :func:`expm`) of each matrix of an (N, n, n) stack."""
-    n = stack.shape[-1]
-    norm = np.abs(stack).sum(axis=1).max(axis=1)
-    s = np.ceil(np.log2(np.maximum(norm, _THETA13) / _THETA13)).astype(int)
-    x = stack / (2.0 ** s)[:, None, None]
-    b, eye = _PADE13, np.eye(n)
-    x2 = x @ x
-    x4 = x2 @ x2
-    x6 = x4 @ x2
-    u = x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2) + b[7] * x6 + b[5] * x4 + b[3] * x2
-    u = x @ (u + b[1] * eye)
-    v = x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2) + b[6] * x6 + b[4] * x4 + b[2] * x2
-    v += b[0] * eye
-    # Temporaries go before the solve: with finite t1_e, these stacks set the
-    # peak memory of a spectrum.
-    del x, x2, x4, x6
-    r = np.linalg.solve(v - u, v + u)
-    del u, v
-    for k in range(s.max(initial=0)):
-        squared = np.flatnonzero(s > k)
-        r[squared] = r[squared] @ r[squared]
-    return r
-
-
 def period_maps(segments) -> tuple[np.ndarray, np.ndarray]:
-    """Fold four (generator, duration) segments into the two half-period maps.
+    """Fold the four segments of a period into its two half-period maps.
 
-    Generators may be single matrices or stacks of them; each segment is
-    exponentiated with one :func:`expm` call for the whole stack, one half
-    period at a time so that at most two propagator stacks are alive. A 3x3
-    generator (the coherent pulse) gives the 3x3 propagator U, lifted to the
-    9x9 map vec(rho) -> vec(U rho U^dagger), that is U (x) U*. Returns
-    A = P_wait_pre P_mw (start of period to the readout) and
-    B = P_wait_post P_laser (readout to end of period). A duration at or
-    below zero (the slack of a t_seq within rounding of the packed duration)
-    propagates as the identity.
+    segments are (pulse, wait, laser, wait), as from
+    :func:`segment_generators` (single maps) or :func:`detuned_segments`
+    (stacks). Returns A = W_pre lift(U), from the start of a period to the
+    readout, and B = W_post P_laser, from the readout to the end, each 9x9
+    or (G, 9, 9). Each map is built by its form, with no dense 9x9 product
+    and no dense exponential: the pulse's U (:func:`_pulse_unitary`) is
+    lifted to vec(rho) -> vec(U rho U^dagger), that is U (x) U*; the laser
+    map is a diagonal plus column 8 (:func:`_laser_map`); and each wait
+    acts on the rows of the map before it (:func:`_wait_rows`). A duration
+    at or below zero (the slack of a t_seq within rounding of the packed
+    duration) propagates as the identity, and each map depends on its own
+    stack entry alone.
     """
-
-    def propagator(k: int) -> np.ndarray:
-        gen, duration = segments[k]
-        p = expm(gen * max(duration, 0.0))
-        return _kron(p, p.conj()) if p.shape[-1] == 3 else p
-
-    return propagator(1) @ propagator(0), propagator(3) @ propagator(2)
+    pulse, pre, laser, post = segments
+    u = _pulse_unitary(pulse)
+    return _wait_rows(pre, _kron(u, u.conj())), _wait_rows(post, _laser_map(laser))
 
 
 def propagate_periods(
@@ -448,14 +484,17 @@ def propagate_periods(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run n_reps periods of G stacked sequences from rho0.
 
-    segments are four (generator, duration) pairs as from
-    :func:`segment_generators` (G = 1) or :func:`detuned_segments`; every
-    run starts from the 3x3 state rho0. observables are k Hermitian 3x3
-    operators O, read as Tr(O rho) at each readout instant. Returns those
+    segments are the four segment forms of a period, as from
+    :func:`segment_generators` (G = 1), :func:`detuned_segments` or
+    :func:`stack_segments`; every run starts from the 3x3 state rho0.
+    observables are k Hermitian 3x3 operators O, read as Tr(O rho) at each
+    readout instant. Returns those
     readouts, shape (G, n_reps, k), and the final states, shape (G, 3, 3).
 
-    Periods advance in blocks of K, the largest power of two with
-    K^2 <= n_reps. With the one-period map M = B A, the readout rows
+    The half-period maps A and B come from :func:`period_maps`, which takes
+    no dense product; the one-period map M = B A is the one dense 9x9
+    product per run before the block loop. Periods advance in blocks of K,
+    the largest power of two with K^2 <= n_reps. The readout rows
     R A M^j for j < K are built by doubling, and each block then emits its
     K readouts with one batched product and advances the state by M^K; the
     last, partial block applies the powers M^(2^i) of the set bits of what

@@ -37,6 +37,7 @@ from .dynamics import (
     propagate_periods,
     run_cpt_sequence,
     segment_generators,
+    stack_segments,
     thermal_ground_state,
 )
 from .lambda_system import dark_bright_basis, split_rabi
@@ -193,11 +194,9 @@ def composition_sweep(seq: SequenceConfig, ratios: np.ndarray) -> CompositionSwe
         lam_r = replace(seq.lam, omega_1=omega_1, omega_2=omega_2)
         drives.append(lam_r)
         per_ratio.append(segment_generators(replace(seq, lam=lam_r)))
-    segments = tuple(
-        (np.stack([segs[k][0] for segs in per_ratio]), duration)
-        for k, (_, duration) in enumerate(per_ratio[0])
+    _, final = propagate_periods(
+        stack_segments(per_ratio), thermal_ground_state(), seq.n_reps, []
     )
-    _, final = propagate_periods(segments, thermal_ground_state(), seq.n_reps, [])
     measured = np.empty(len(ratios))
     p_dark = np.empty(len(ratios))
     for i, (r, lam_r, rho) in enumerate(zip(ratios, drives, final)):

@@ -1,12 +1,17 @@
 """Shared pytest plumbing.
 
 Collects acceptance lines for the end-of-run summary, holds the scipy
-matrix exponential the engine is checked against, and applies one exact
-segment map for the tests that check a segment on its own.
+matrix exponential the engine is checked against, builds the dense
+generator of a segment form, and applies one exact segment map for the
+tests that check a segment on its own.
 """
+
+import math
 
 import numpy as np
 from scipy.linalg import expm
+
+from lambda_cpt.dynamics import Laser, Pulse, liouvillian
 
 _ACCEPTANCE_LINES: list[str] = []
 
@@ -29,6 +34,40 @@ def scipy_expm(a: np.ndarray) -> np.ndarray:
     block[:n, :n] = a
     block[n:, n:] = a.T
     return expm(block)[:n, :n]
+
+
+def t1_jumps(t1_e: float) -> list[np.ndarray]:
+    """Electron T1 as Lindblad jumps: |up> and |down> flip to |-> at
+    1/(2 t1_e) each, and |-> back to each of them at 1/(4 t1_e)."""
+    up, down, excited = np.eye(3, dtype=complex)
+    rate_up, rate_down = 1.0 / (2.0 * t1_e), 1.0 / (4.0 * t1_e)
+    return [
+        math.sqrt(rate_up) * np.outer(excited, up),
+        math.sqrt(rate_up) * np.outer(excited, down),
+        math.sqrt(rate_down) * np.outer(up, excited),
+        math.sqrt(rate_down) * np.outer(down, excited),
+    ]
+
+
+def dense(segment) -> tuple[np.ndarray, float]:
+    """(generator, duration) of a segment form, single or stacked.
+
+    The generator is the 3x3 -i H of a pulse, and the 9x9 Liouvillian of a
+    laser (diagonal plus rows 0-7 of column 8) or of a wait (coherence
+    slots, plus the Liouvillian of :func:`t1_jumps` when t1_e is finite).
+    """
+    if isinstance(segment, Pulse):
+        return -1j * segment.h, segment.duration
+    if isinstance(segment, Laser):
+        gen = segment.diagonal[..., :, None] * np.eye(9)
+        gen[..., :8, 8] = segment.column
+        return gen, segment.duration
+    diagonal = np.zeros(segment.coherences.shape[:-1] + (9,), dtype=complex)
+    diagonal[..., [1, 2, 3, 5, 6, 7]] = segment.coherences
+    gen = diagonal[..., :, None] * np.eye(9)
+    if math.isfinite(segment.t1_e):
+        gen = gen + liouvillian(np.zeros((3, 3)), t1_jumps(segment.t1_e))
+    return gen, segment.duration
 
 
 def propagate(rho: np.ndarray, gen: np.ndarray, duration: float) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import propagate, record_acceptance_line
+from conftest import dense, propagate, record_acceptance_line
 
 import lambda_cpt.cli as cli
 from lambda_cpt.dynamics import (
@@ -287,10 +287,12 @@ def test_criterion_7_property_suite():
 
     def rate_line(k: int, rate: str) -> tuple[np.ndarray, np.ndarray]:
         """Generator of segment k at rate 0, and its change per unit rate."""
-        at_0, at_1 = (segment_generators(replace(seq, **{rate: r}))[k][0] for r in (0.0, 1.0))
+        at_0, at_1 = (
+            dense(segment_generators(replace(seq, **{rate: r}))[k])[0] for r in (0.0, 1.0)
+        )
         return at_0, at_1 - at_0
 
-    pulse = segment_generators(seq)[0][0]
+    pulse = dense(segment_generators(seq)[0])[0]
     laser = rate_line(2, "gamma_dp")
     wait = rate_line(3, "gamma_2n")
     physical_ok = True
@@ -322,8 +324,8 @@ def test_criterion_7_property_suite():
         gamma_dp, gamma_2n = rng.uniform(0.0, 2.0), rng.uniform(0.0, 0.1)
         segments = segment_generators(replace(seq, gamma_dp=gamma_dp, gamma_2n=gamma_2n))
         deviation = max(
-            np.max(np.abs(segments[2][0] - (laser[0] + gamma_dp * laser[1]))),
-            np.max(np.abs(segments[3][0] - (wait[0] + gamma_2n * wait[1]))),
+            np.max(np.abs(dense(segments[2])[0] - (laser[0] + gamma_dp * laser[1]))),
+            np.max(np.abs(dense(segments[3])[0] - (wait[0] + gamma_2n * wait[1]))),
         )
         rebuilt_ok = rebuilt_ok and deviation < 1e-12
 

@@ -131,6 +131,39 @@ def test_uncalibratable_spectrum_exits_one(tmp_path, caplog):
     assert not list(tmp_path.glob("spectrum*"))
 
 
+# Wait channels at the ends of what the schema accepts: dephasing at 1e300
+# /us, and an electron T1 of 1e-300 us, which scrambles every wait. Each run
+# ends with every written cell finite, or with exit 1 naming the rule that
+# stops it; the T1 waits leave P_- at one half, so the spectrum is flat.
+@pytest.mark.parametrize(
+    "command, sequence, rule",
+    [
+        ("composition", "gamma_2n = 1e300\nt1_e = 5", "too shallow to invert"),
+        ("composition", "t1_e = 1e-300", "too shallow to invert"),
+        ("cpt-spectrum", "t1_e = 1e-300", None),
+    ],
+    ids=["composition-dephasing", "composition-t1", "spectrum-t1"],
+)
+def test_extreme_wait_channels_end_cleanly(tmp_path, caplog, command, sequence, rule):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[sequence]\n{sequence}\n")
+    out = tmp_path / "out"
+    code = run([command, "--config", str(cfg), "--out", str(out)])
+    if rule is not None:
+        assert code == 1
+        assert "engine failure: " in caplog.text and rule in caplog.text
+        assert not list(out.glob("*.csv"))
+        return
+    assert code == 0
+    written = list(out.glob("*.csv"))
+    assert written
+    for path in written:
+        for column in read_csv(path).values():
+            assert np.all(np.isfinite(column)), path.name
+    signal = read_csv(out / "spectrum.csv")["signal_norm"]
+    np.testing.assert_allclose(signal, 0.5, rtol=0, atol=1e-12)
+
+
 def test_drive_that_decays_all_bright_runs(tmp_path):
     # ratio = tan(theta/2) at psi = phi + pi gives alpha_p = 0 exactly; its
     # closed form rounds to about -6e-17 here, which the laser must not see.

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import propagate
+from conftest import dense, propagate
 
 from lambda_cpt.dynamics import (
     ReadoutModel,
@@ -22,6 +22,7 @@ from lambda_cpt.dynamics import (
     free_generator,
     invert_calibration,
     liouvillian,
+    period_maps,
     pure_state,
     readout_signal,
     run_cpt_sequence,
@@ -85,9 +86,9 @@ def rk4(rho: np.ndarray, gen: np.ndarray, duration: float, dt: float) -> np.ndar
     return rho
 
 
-def segments(lam: LambdaConfig = REFERENCE_LAM, **kwargs) -> tuple[tuple[np.ndarray, float], ...]:
-    """The four (generator, duration) segments of a gamma = 20 sequence on lam."""
-    return segment_generators(SequenceConfig(lam, gamma=20.0, **kwargs))
+def segments(lam: LambdaConfig = REFERENCE_LAM, **kwargs) -> list[tuple[np.ndarray, float]]:
+    """The four dense (generator, duration) segments of a gamma = 20 sequence on lam."""
+    return [dense(s) for s in segment_generators(SequenceConfig(lam, gamma=20.0, **kwargs))]
 
 
 def test_rwa_generator_matrix():
@@ -242,7 +243,7 @@ def test_laser_branching_follows_a_replaced_drive():
     assert abs(polarization_efficiency(second) - polarization_efficiency(first)) > 0.1
     seq = replace(SequenceConfig(first, gamma=20.0, t_laser=2.0), lam=second)
     rho = pure_state(np.array([0.0, 0.0, 1.0], dtype=complex))
-    after = propagate(rho, *segment_generators(seq)[2])
+    after = propagate(rho, *dense(segment_generators(seq)[2]))
     dark = dark_bright_basis(second).dark
     p_dark = float(np.real(dark.conj() @ after[:2, :2] @ dark))
     assert p_dark == pytest.approx(polarization_efficiency(second), abs=1e-9)
@@ -262,14 +263,21 @@ def test_wait_dephasing_halves_coherence():
 
 
 def test_wait_t1_relaxes_excited_population_to_half():
+    # After t1_e ln 2, P_- has come half way to one half of the trace and
+    # the ground imbalance has shrunk by 1/sqrt(2): checked on the engine's
+    # wait map (A of a period without pulse) and on the T1 jump oracle.
     t1 = 4.0
-    wait = segments(t_wait_post=t1 * math.log(2.0), t1_e=t1)[3]
-    rho = pure_state(np.array([0.0, 0.0, 1.0], dtype=complex))
-    after = propagate(rho, *wait)
-    assert np.real(after[2, 2]) == pytest.approx(0.75, abs=1e-9)
-    empty = thermal_ground_state()
-    after2 = propagate(empty, *wait)
-    assert np.real(after2[2, 2]) == pytest.approx(0.25, abs=1e-9)
+    duration = t1 * math.log(2.0)
+    seq = SequenceConfig(REFERENCE_LAM, gamma=20.0, t_mw=0.0, t_wait_pre=duration, t1_e=t1)
+    engine, _ = period_maps(segment_generators(seq))
+    oracle = segments(t_wait_post=duration, t1_e=t1)[3]
+    up = pure_state(np.array([1.0, 0.0, 0.0], dtype=complex))
+    excited = pure_state(np.array([0.0, 0.0, 1.0], dtype=complex))
+    cases = ((excited, [0.125, 0.125, 0.75]), (thermal_ground_state(), [0.375, 0.375, 0.25]))
+    cases += ((up, [(0.75 + math.sqrt(0.5)) / 2, (0.75 - math.sqrt(0.5)) / 2, 0.25]),)
+    for rho, want in cases:
+        for after in ((engine @ rho.reshape(9)).reshape(3, 3), propagate(rho, *oracle)):
+            np.testing.assert_allclose(np.diag(after).real, want, rtol=0, atol=1e-9)
 
 
 def test_wait_is_identity_on_resonance():
@@ -282,18 +290,18 @@ def test_segment_maps_keep_density_matrices_physical():
     rng = np.random.default_rng(43)
     cfg = LambdaConfig(omega_1=0.4, omega_2=0.7, delta_1=0.1, delta_2=-0.05, psi=0.6, theta=1.0)
     seq = SequenceConfig(cfg, gamma=15.0)
-    pulse = segment_generators(seq)[0][0]
+    pulse = dense(segment_generators(seq)[0])[0]
     for _ in range(300):
         rho = random_density(rng)
         kind = rng.integers(0, 3)
         if kind == 0:
             after = propagate(rho, pulse, rng.uniform(0.0, 8.0))
         elif kind == 1:
-            laser = segment_generators(replace(seq, gamma_dp=rng.uniform(0.0, 2.0)))[2][0]
+            laser, _ = dense(segment_generators(replace(seq, gamma_dp=rng.uniform(0.0, 2.0)))[2])
             after = propagate(rho, laser, rng.uniform(0.0, 0.6))
         else:
             duration = rng.uniform(0.0, 3.0)
-            wait = segment_generators(replace(seq, gamma_2n=rng.uniform(0.0, 0.1)))[3][0]
+            wait, _ = dense(segment_generators(replace(seq, gamma_2n=rng.uniform(0.0, 0.1)))[3])
             after = propagate(rho, wait, duration)
         assert np.real(np.trace(after)) == pytest.approx(1.0, abs=1e-9)
         np.testing.assert_allclose(after, after.conj().T, rtol=0, atol=1e-9)
@@ -307,7 +315,7 @@ def test_sequence_timing_fields():
     assert seq.wait_pre_total == pytest.approx(0.1)
     stretched = reference_sequence(t_seq=10.0)
     assert stretched.wait_pre_total == pytest.approx(2.7)
-    assert [t for _, t in segment_generators(stretched)] == [
+    assert [s.duration for s in segment_generators(stretched)] == [
         stretched.t_mw, stretched.wait_pre_total, stretched.t_laser, stretched.t_wait_post
     ]
     with pytest.raises(ValueError):
@@ -405,7 +413,7 @@ def test_dark_population_estimate():
 def test_rk4_sequence_matches_expm_sequence():
     seq = reference_sequence(n_reps=5)
     t_expm, _ = run_cpt_sequence(thermal_ground_state(), seq)
-    segments = segment_generators(seq)
+    segments = [dense(s) for s in segment_generators(seq)]
     dark3 = embed(dark_bright_basis(seq.lam).dark)
     rho = thermal_ground_state()
     p_dark, p_excited = [], []

@@ -22,6 +22,7 @@ import json
 import math
 import re
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -103,25 +104,63 @@ def test_golden_manifests_hash_their_own_fields():
         assert manifest["hash"] == expected, path.relative_to(GOLDEN)
 
 
-def test_shipped_configs_take_pade_only_for_the_pulse(tmp_path, monkeypatch):
-    """Every laser and wait of a shipped command takes expm's closed form.
+class Recorded(np.ndarray):
+    """An array that logs every numpy call made on it, or on an array made from it.
 
-    Their lasers have off-diagonal entries in one column and their waits
-    none, since no shipped config sets a finite t1_e; only the 3x3 pulse
-    takes the Pade step.
+    Each entry of ``log`` is (name, operand shapes); results come back as
+    Recorded arrays, so a whole computation that starts from Recorded
+    inputs is logged.
+    """
+
+    log: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        Recorded.log.append((ufunc.__name__, [getattr(x, "shape", ()) for x in inputs]))
+        plain = [x.view(np.ndarray) if isinstance(x, Recorded) else x for x in inputs]
+        if out is not None:
+            kwargs["out"] = tuple(x.view(np.ndarray) if isinstance(x, Recorded) else x for x in out)
+        result = getattr(ufunc, method)(*plain, **kwargs)
+        if out is not None:
+            return out[0] if len(out) == 1 else out
+        return result.view(Recorded) if isinstance(result, np.ndarray) else result
+
+    def __array_function__(self, func, types, args, kwargs):
+        Recorded.log.append((func.__name__, [x.shape for x in args if isinstance(x, np.ndarray)]))
+        return super().__array_function__(func, types, args, kwargs)
+
+
+def test_shipped_period_maps_take_eigh_only_for_the_pulse_and_no_dense_product(
+    tmp_path, monkeypatch
+):
+    """Every shipped command builds A and B by form, without a dense 9x9 product.
+
+    Each segment array reaching :func:`dynamics.period_maps` is Recorded, so
+    every numpy call that builds A and B is logged: eigh sees only 3x3
+    stacks (the pulses), the one matrix product is the pulse's 3x3 V e V^H,
+    and no other product, solve or exponential of a matrix runs.
     """
     shutil.copytree(ROOT / "configs", tmp_path / "configs")
     monkeypatch.chdir(tmp_path)
-    pade, sizes = dynamics._pade13, set()
+    monkeypatch.setattr(Recorded, "log", [])
+    period_maps = dynamics.period_maps
 
-    def spy(stack):
-        sizes.add(stack.shape[-1])
-        return pade(stack)
+    def record(segment):
+        arrays = {k: v for k, v in vars(segment).items() if isinstance(v, np.ndarray)}
+        return replace(segment, **{k: v.view(Recorded) for k, v in arrays.items()})
 
-    monkeypatch.setattr(dynamics, "_pade13", spy)
+    def spy(segments):
+        return tuple(m.view(np.ndarray) for m in period_maps([record(s) for s in segments]))
+
+    monkeypatch.setattr(dynamics, "period_maps", spy)
     for argv in shipped_commands():
         assert cli.main(argv) == 0, argv
-    assert sizes == {3}
+    names = {name for name, _ in Recorded.log}
+    assert "eigh" in names and "matmul" in names
+    for name, shapes in Recorded.log:
+        if name in ("eigh", "matmul"):
+            assert all(shape[-2:] == (3, 3) for shape in shapes), (name, shapes)
+    products = {"dot", "vdot", "inner", "einsum", "tensordot", "kron", "solve", "inv", "eig"}
+    assert not names & products
 
 
 def test_perfbench_golden_is_a_copy():

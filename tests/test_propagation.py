@@ -1,5 +1,5 @@
 """The batched propagation kernel against single-point runs, its period maps,
-and the batched matrix exponential they are built from.
+and the exact map of each segment form they are built from.
 
 Configs are drawn as INI text and resolved by ``parse_config``, so every
 draw is one the run-file schema accepts. The draws switch every dissipative
@@ -12,13 +12,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import scipy_expm
-from hypothesis import given, settings
+from conftest import dense, scipy_expm
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lambda_cpt import dynamics
 from lambda_cpt.config import parse_config
 from lambda_cpt.dynamics import (
+    Laser,
+    Pulse,
+    Wait,
     detuned_segments,
     liouvillian,
     period_maps,
@@ -114,7 +117,7 @@ def segment_map(gen, duration):
 def single_point(seq, delta_1, delta_2):
     """Readout and final states of one point, four expm-ed segments per period."""
     point = replace(seq, lam=replace(seq.lam, delta_1=delta_1, delta_2=delta_2))
-    props = [segment_map(gen, t) for gen, t in segment_generators(point)]
+    props = [segment_map(*dense(s)) for s in segment_generators(point)]
     vec = thermal_ground_state().reshape(9)
     readout = []
     for _ in range(seq.n_reps):
@@ -235,12 +238,27 @@ def test_dark_state_is_a_fixed_point_of_both_period_maps(text):
         np.testing.assert_allclose(maps[0] @ dark, dark, rtol=0, atol=1e-12)
 
 
-# Waits with finite T1 and the 3x3 pulse take the Pade route, the laser
-# (with or without dephasing) and waits with t1_e = inf the closed form; a
+def form_map(segment):
+    """The engine's map of each entry of a segment stack: U for a pulse, else 9x9."""
+    if isinstance(segment, Pulse):
+        return dynamics._pulse_unitary(segment)
+    if isinstance(segment, Laser):
+        return dynamics._laser_map(segment)
+    eye = np.broadcast_to(np.eye(9, dtype=complex), segment.coherences.shape[:-1] + (9, 9))
+    return dynamics._wait_rows(segment, eye.copy())
+
+
+def assert_matches_scipy(segment):
+    gens, duration = dense(segment)
+    for a, e in zip(gens * max(duration, 0.0), form_map(segment)):
+        scale = max(1.0, np.abs(a).sum(axis=0).max())
+        np.testing.assert_allclose(e, scipy_expm(a), rtol=0, atol=1e-13 * scale)
+
+
+# Waits with finite and infinite T1, lasers with and without dephasing; a
 # zero slack or laser gives a zero generator, a subnormal laser one whose
 # phi1 argument is subnormal or zero, and a laser past 710/gamma one where
-# e^{d_i - d_k} overflows; 50 us of slack pushes the wait norms past
-# theta_13, so the squaring runs.
+# e^{d_i - d_k} overflows; 50 us of slack gives waits of large norm.
 @settings(max_examples=40, deadline=None)
 @given(
     text=run_files(
@@ -252,61 +270,119 @@ def test_dark_state_is_a_fixed_point_of_both_period_maps(text):
     offsets=detunings,
 )
 def test_batched_expm_matches_scipy_per_matrix(text, offsets):
+    """Each form's map, per stack entry, against scipy's expm of its dense generator."""
     seq = parse_config(text).seq
     grid = seq.lam.delta_1 + np.array(offsets)
     segments = detuned_segments(seq, seq.lam.delta_1, grid)
-    laser = segments[2][0] * seq.t_laser
+    laser = segments[2]
     # Every diagonal entry set to that of rho_ee: d_i = d_k in every row.
-    tied = laser.copy()
-    tied[:, np.arange(8), np.arange(8)] = laser[:, 8:9, 8]
-    stacks = [gens * max(duration, 0.0) for gens, duration in segments] + [tied]
-    for stack in stacks:
-        got = dynamics.expm(stack)
-        for a, e in zip(stack, got):
-            scale = max(1.0, np.abs(a).sum(axis=0).max())
-            np.testing.assert_allclose(e, scipy_expm(a), rtol=0, atol=1e-13 * scale)
+    tied = replace(laser, diagonal=np.repeat(laser.diagonal[:, 8:], 9, axis=1))
+    for segment in (*segments, tied):
+        assert_matches_scipy(segment)
     # The pulse lifted to a 9x9 map, against the exponential of its Liouvillian.
-    zero = np.zeros((len(grid), 9, 9))
-    lifted, _ = period_maps([segments[0]] + [(zero, 0.0)] * 3)
-    for gen, p in zip(segments[0][0], lifted):
-        a = liouvillian(1j * gen, []) * seq.t_mw
+    zero = Wait(np.zeros(6), seq.t1_e, 0.0)
+    lifted, _ = period_maps((segments[0], zero, replace(laser, duration=0.0), zero))
+    for h, p in zip(segments[0].h, lifted):
+        a = liouvillian(h, []) * seq.t_mw
         scale = max(1.0, np.abs(a).sum(axis=0).max())
         np.testing.assert_allclose(p, scipy_expm(a), rtol=0, atol=1e-13 * scale)
 
 
+def take(segment, rows):
+    """The entries ``rows`` of a segment stack whose arrays are all stacked."""
+    arrays = {k: v[rows] for k, v in vars(segment).items() if isinstance(v, np.ndarray)}
+    return replace(segment, **arrays)
+
+
 def assert_heads_and_tails_match(stack):
-    whole = dynamics.expm(stack)
-    for m in range(1, len(stack)):
-        assert np.array_equal(whole[:m], dynamics.expm(stack[:m]))
-        assert np.array_equal(whole[m:], dynamics.expm(stack[m:]))
+    whole = form_map(stack)
+    for m in range(1, len(whole)):
+        assert np.array_equal(whole[:m], form_map(take(stack, slice(None, m))))
+        assert np.array_equal(whole[m:], form_map(take(stack, slice(m, None))))
 
 
 def test_batched_expm_of_a_matrix_does_not_depend_on_its_stack():
-    """Every head and tail of a stack exponentiates alone to the same bits.
+    """Every head and tail of a stack maps alone to the same bits, for every form.
 
-    The 9x9 stack, in order of 1-norm, holds zero, diagonal (t1_e = inf) and
-    dense (finite T1) waits, dense ones that need from 0 to 5 squarings,
-    and one-column lasers with and without dephasing. The 3x3 stack holds
-    pulses that need from 0 to 5 squarings.
+    Each stack, in order of norm, holds entries from zero up to waits of 60
+    us, lasers with and without dephasing, and pulses of up to 1000 times
+    the pulse duration; the waits go through the T1 block with t1_e finite
+    and infinite.
     """
     seq = parse_config(LONG_CHAIN).seq
     grid = seq.lam.delta_1 + np.linspace(-0.2, 0.2, 3)
-    segments = detuned_segments(seq, seq.lam.delta_1, grid)
-    dense = segments[1][0]
-    diagonal = detuned_segments(replace(seq, t1_e=math.inf), seq.lam.delta_1, grid)[1][0]
-    assert not np.any(diagonal[:, ~np.eye(9, dtype=bool)])
-    laser = segments[2][0]
-    undephased = detuned_segments(replace(seq, gamma_dp=0.0), seq.lam.delta_1, grid)[2][0]
-    off_diagonal = (laser != 0) & ~np.eye(9, dtype=bool)
-    assert np.array_equal(np.flatnonzero(off_diagonal.any(axis=(0, 1))), [8])
-    durations = (0.0, 0.5, 5.0, 20.0, 60.0)
-    stack = np.concatenate(
-        [gens * t for t in durations for gens in (diagonal, dense, laser, undephased)]
-    )
-    norms = np.abs(stack).sum(axis=1).max(axis=1)
-    assert norms.max() > 2**4 * dynamics._THETA13  # some need five squarings
-    assert_heads_and_tails_match(stack[np.argsort(norms, kind="stable")])
-    pulses = np.concatenate([segments[0][0] * t for t in (0.0, 1.0, 60.0, 300.0, 1000.0)])
-    norms = np.abs(pulses).sum(axis=1).max(axis=1)
-    assert norms.max() > 2**4 * dynamics._THETA13
-    assert_heads_and_tails_match(pulses[np.argsort(norms, kind="stable")])
+    pulse, wait, laser, _ = detuned_segments(seq, seq.lam.delta_1, grid)
+    undephased = detuned_segments(replace(seq, gamma_dp=0.0), seq.lam.delta_1, grid)[2]
+    durations = np.array([0.0, 0.5, 5.0, 20.0, 60.0])
+    scaled = np.repeat(durations, len(grid))
+    coherences = np.concatenate([wait.coherences * t for t in durations])
+    for t1_e in (math.inf, seq.t1_e, 0.1):
+        assert_heads_and_tails_match(Wait(coherences, t1_e, 1.0))
+    for gens in (laser, undephased):
+        lasers = Laser(
+            np.concatenate([gens.diagonal * t for t in durations]),
+            np.outer(scaled, gens.column),
+            1.0,
+        )
+        assert_heads_and_tails_match(lasers)
+    pulses = Pulse(np.concatenate([pulse.h * t for t in (0.0, 1.0, 60.0, 300.0, 1000.0)]), 1.0)
+    assert_heads_and_tails_match(pulses)
+
+
+def test_durations_at_or_below_zero_give_the_identity():
+    """A zero or slightly negative duration maps as the identity, bit for bit."""
+    seq = parse_config(LONG_CHAIN).seq
+    segments = detuned_segments(seq, seq.lam.delta_1, seq.lam.delta_1 + np.linspace(-0.2, 0.2, 3))
+    for duration in (0.0, -1e-12):
+        maps = period_maps([replace(s, duration=duration) for s in segments])
+        for m in maps:
+            assert np.array_equal(m, np.broadcast_to(np.eye(9), m.shape))
+
+
+def exponent(lo, hi):
+    """10**x for x drawn from [lo, hi]."""
+    return floats(lo, hi).map(lambda x: 10.0**x)
+
+
+# The norms the schema accepts: tones up to 1e6 MHz and pulses up to 1e4 us,
+# wait dephasing up to 1e300 /us and electron T1 down to 1e-300 us.
+@settings(max_examples=60, deadline=None, derandomize=True)
+@example(
+    omega=(1e6, 1e6), t_mw=1e4, gamma_2n=1e300, t1_e=1e-300, slack=1e4, offsets=[0.0, 0.1]
+)
+@example(omega=(1e6, 1e-2), t_mw=1e4, gamma_2n=1e12, t1_e=5.0, slack=0.0, offsets=[0.0])
+@given(
+    omega=st.tuples(exponent(-2, 6), exponent(-2, 6)),
+    t_mw=exponent(-1, 4),
+    gamma_2n=st.one_of(st.just(0.0), exponent(-3, 300)),
+    t1_e=st.one_of(st.just(math.inf), exponent(-300, 3)),
+    slack=st.one_of(st.just(0.0), exponent(-3, 4)),
+    offsets=detunings,
+)
+def test_segment_maps_stay_exact_at_extreme_norms(omega, t_mw, gamma_2n, t1_e, slack, offsets):
+    lines = [
+        "[drive]",
+        f"omega_1 = {omega[0]!r}",
+        f"omega_2 = {omega[1]!r}",
+        "delta_1 = 0.02",
+        "psi = 0.7",
+        "[sequence]",
+        f"t_mw = {t_mw!r}",
+        f"t_seq = {t_mw + 1.4 + slack!r}",
+        "gamma_dp = 0.3",
+        f"gamma_2n = {gamma_2n!r}",
+        f"t1_e = {t1_e!r}",
+    ]
+    seq = parse_config("\n".join(lines) + "\n").seq
+    segments = detuned_segments(seq, seq.lam.delta_1, seq.lam.delta_1 + np.array(offsets))
+    u = dynamics._pulse_unitary(segments[0])
+    unitarity = u @ u.conj().swapaxes(1, 2) - np.eye(3)
+    assert np.abs(unitarity).max() <= 1e-14
+    a, b = period_maps(segments)
+    wait = form_map(segments[1])
+    for m in (wait, a, b, b @ a):
+        assert np.all(np.isfinite(m))
+        assert np.abs(TRACE @ m - TRACE).max() <= 1e-12
+    for m in (wait, a, b):
+        for one in m:
+            assert np.min(np.linalg.eigvalsh(choi(one))) >= -1e-12
