@@ -41,10 +41,11 @@ of a sweep, or G = 1), folds a period into the map up to the readout and
 the map after it (:func:`period_maps`, by row operations, with no dense
 9x9 product), forms the one-period map M = B A (the one dense 9x9
 product before the block loop), advances all G states a block of periods
-per batched product, and records only the observables a protocol reads
-out. A detuning sweep needs
-no per-point generator build: the two-photon detuning enters only as a
-diagonal shift of every segment (:func:`detuned_segments`).
+per batched product while keeping each block's start state, and then
+reads out every period of every run, only the observables a protocol
+asks for, with one batched product. A detuning sweep needs no per-point
+generator build: the two-photon detuning enters only as a diagonal shift
+of every segment (:func:`detuned_segments`).
 
 Units: MHz and us everywhere at the interface; the 2*pi sits inside the
 generators only.
@@ -52,6 +53,7 @@ generators only.
 
 from __future__ import annotations
 
+import logging
 import math
 import numbers
 from dataclasses import dataclass, fields, replace
@@ -85,6 +87,9 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+
+log = logging.getLogger("lambda_cpt.dynamics")
+
 
 @dataclass(frozen=True)
 class SequenceConfig:
@@ -479,6 +484,11 @@ def period_maps(segments) -> tuple[np.ndarray, np.ndarray]:
     return _wait_rows(pre, _kron(u, u.conj())), _wait_rows(post, _laser_map(laser))
 
 
+# Largest drift of tr rho from tr rho0 a run may end with, relative to
+# max(1, |tr rho0|).
+_TRACE_DRIFT = 1e-10
+
+
 def propagate_periods(
     segments, rho0: np.ndarray, n_reps: int, observables
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -488,20 +498,27 @@ def propagate_periods(
     :func:`segment_generators` (G = 1), :func:`detuned_segments` or
     :func:`stack_segments`; every run starts from the 3x3 state rho0.
     observables are k Hermitian 3x3 operators O, read as Tr(O rho) at each
-    readout instant. Returns those
-    readouts, shape (G, n_reps, k), and the final states, shape (G, 3, 3).
+    readout instant. Returns those readouts, float, shape (G, n_reps, k),
+    and the final states, shape (G, 3, 3).
 
     The half-period maps A and B come from :func:`period_maps`, which takes
     no dense product; the one-period map M = B A is the one dense 9x9
     product per run before the block loop. Periods advance in blocks of K,
-    the largest power of two with K^2 <= n_reps. The readout rows
-    R A M^j for j < K are built by doubling, and each block then emits its
-    K readouts with one batched product and advances the state by M^K; the
-    last, partial block applies the powers M^(2^i) of the set bits of what
-    is left. n periods cost 2 n/K + O(log K) batched products, and
-    sqrt(n)/2 < K <= sqrt(n). K depends on n_reps alone and runs are
-    independent rows of every product, so a result does not depend on which
-    other runs share its batch.
+    the largest power of two with K^2 <= n_reps, so sqrt(n)/2 < K <=
+    sqrt(n). The readout rows R A M^j for j < K and the powers M^(2^i) up
+    to M^K are built by doubling. The block loop only advances the state by
+    M^K and keeps the state at the start of each block; one batched product
+    of the rows with those states then gives every readout, in real
+    arithmetic, and the powers of the set bits of the last block's length
+    carry the state to the end. n periods cost n/K advances plus one
+    readout product, after O(log K) products that build the rows and
+    powers. K depends on n_reps alone and runs are independent rows of
+    every product, so a result does not depend on which other runs share
+    its batch.
+
+    Raises ValueError when a final state is not finite or its trace drifts
+    from tr rho0 by more than 1e-10 max(1, |tr rho0|): the segments did not
+    describe a physical run.
     """
     a, b = (m.reshape(-1, 9, 9) for m in period_maps(segments))
     g = len(a)
@@ -515,16 +532,48 @@ def propagate_periods(
     for _ in range(block.bit_length() - 1):
         rows = np.concatenate([rows, rows @ powers[-1]], axis=1)
         powers.append(powers[-1] @ powers[-1])
-    vec = np.broadcast_to(np.asarray(rho0, dtype=complex).reshape(1, 9, 1), (g, 9, 1))
-    readouts = np.empty((g, n_reps, k))
-    for start in range(0, n_reps, block):
-        n = min(block, n_reps - start)
-        readouts[:, start : start + n] = np.real(rows[:, : n * k] @ vec).reshape(g, n, k)
-        for i, power in enumerate(powers):
-            if n >> i & 1:
-                vec = power @ vec
-    # At n_reps = 0, vec is still a read-only view of rho0.
-    return readouts, vec.reshape(g, 3, 3).copy()
+    blocks = max(-(-n_reps // block), 1)
+    last = n_reps - (blocks - 1) * block  # periods in the last block, 0 at n_reps = 0
+    # Only M^K and the powers the last block needs stay alive through the loop.
+    step, tail = powers[-1], [p for i, p in enumerate(powers) if last >> i & 1]
+    del powers
+    # The state is a row vector, x^T <- x^T (M^K)^T, so that the block starts
+    # stack into (G, blocks, 9). np.concatenate lays its result out like its
+    # inputs, so the first start is a C-contiguous copy, not a broadcast view.
+    vec = np.repeat(np.asarray(rho0, dtype=complex).reshape(1, 1, 9), g, axis=0)
+    step = step.swapaxes(1, 2)
+    starts = [vec]
+    for _ in range(blocks - 1):
+        vec = vec @ step
+        starts.append(vec)
+    del step
+    # Re(r . x) = sum_s Re(conj r_s) Re x_s + Im(conj r_s) Im x_s: one real
+    # product of the float views (Re and Im interleaved) of the block starts
+    # and of conj(rows), laid out by (block, period in block, observable).
+    states = np.concatenate(starts, axis=1)
+    readouts = states.view(np.float64) @ rows.conj().view(np.float64).swapaxes(1, 2)
+    for power in tail:
+        vec = vec @ power.swapaxes(1, 2)
+    final = vec.reshape(g, 3, 3)
+    _check_final_states(final, rho0)
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug(
+            "propagate_periods: G=%d n_reps=%d K=%d blocks=%d products=%d",
+            g, n_reps, block, blocks, 2 * block.bit_length() + blocks + len(tail),
+        )
+    return readouts.reshape(g, blocks * block, k)[:, :n_reps], final
+
+
+def _check_final_states(final: np.ndarray, rho0: np.ndarray) -> None:
+    """Raise ValueError unless every final state is finite and keeps the trace of rho0."""
+    trace0 = np.trace(rho0)
+    drift = np.abs(np.trace(final, axis1=1, axis2=2) - trace0).max(initial=0.0)
+    if not (np.isfinite(final).all() and drift <= _TRACE_DRIFT * max(1.0, abs(trace0))):
+        raise ValueError(
+            "propagation left the physical states: every final state must be finite, "
+            f"with trace within {_TRACE_DRIFT:g} max(1, |tr rho0|) of tr rho0 = "
+            f"{trace0.real:g} (largest drift {drift:.3g})"
+        )
 
 
 def readout_signal(p_excited: float | np.ndarray, model: ReadoutModel) -> float | np.ndarray:
@@ -562,8 +611,9 @@ def run_cpt_sequence(rho0: np.ndarray, seq: SequenceConfig) -> tuple[StepTrace, 
 
     Populations are recorded immediately before each laser pulse. This is
     :func:`propagate_periods` at G = 1: periods advance in blocks of K, the
-    largest power of two with K^2 <= n_reps, so n periods cost 2 n/K +
-    O(log K) products with 9x9 matrices, and sqrt(n)/2 < K <= sqrt(n).
+    largest power of two with K^2 <= n_reps, so n periods cost n/K
+    advances plus one readout product, after O(log K) products with 9x9
+    matrices, and sqrt(n)/2 < K <= sqrt(n).
     """
     basis = dark_bright_basis(seq.lam)
     up, down, excited = np.eye(3)

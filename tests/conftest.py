@@ -2,11 +2,13 @@
 
 Collects acceptance lines for the end-of-run summary, holds the scipy
 matrix exponential the engine is checked against, builds the dense
-generator of a segment form, and applies one exact segment map for the
-tests that check a segment on its own.
+generator of a segment form, applies one exact segment map for the
+tests that check a segment on its own, and logs the numpy calls made on a
+segment's arrays.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.linalg import expm
@@ -85,3 +87,35 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in _ACCEPTANCE_LINES:
             terminalreporter.line(line)
+
+
+class Recorded(np.ndarray):
+    """An array that logs every numpy call made on it, or on an array made from it.
+
+    Each entry of ``log`` is (name, operand shapes); results come back as
+    Recorded arrays, so a whole computation that starts from Recorded
+    inputs is logged.
+    """
+
+    log: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        Recorded.log.append((ufunc.__name__, [getattr(x, "shape", ()) for x in inputs]))
+        plain = [x.view(np.ndarray) if isinstance(x, Recorded) else x for x in inputs]
+        if out is not None:
+            kwargs["out"] = tuple(x.view(np.ndarray) if isinstance(x, Recorded) else x for x in out)
+        result = getattr(ufunc, method)(*plain, **kwargs)
+        if out is not None:
+            return out[0] if len(out) == 1 else out
+        return result.view(Recorded) if isinstance(result, np.ndarray) else result
+
+    def __array_function__(self, func, types, args, kwargs):
+        Recorded.log.append((func.__name__, [x.shape for x in args if isinstance(x, np.ndarray)]))
+        result = super().__array_function__(func, types, args, kwargs)
+        return result.view(Recorded) if isinstance(result, np.ndarray) else result
+
+
+def recorded(segment):
+    """The segment with each of its arrays viewed as :class:`Recorded`."""
+    arrays = {k: v for k, v in vars(segment).items() if isinstance(v, np.ndarray)}
+    return replace(segment, **{k: v.view(Recorded) for k, v in arrays.items()})

@@ -3,13 +3,14 @@
 import json
 import logging
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import lambda_cpt.cli as cli
-from lambda_cpt import __version__
+from lambda_cpt import __version__, dynamics
 from lambda_cpt.datasets import read_csv, write_csv
 from lambda_cpt.experiments import Spectrum
 from lambda_cpt.fitting import DipFit, fit_dips
@@ -162,6 +163,21 @@ def test_extreme_wait_channels_end_cleanly(tmp_path, caplog, command, sequence, 
             assert np.all(np.isfinite(column)), path.name
     signal = read_csv(out / "spectrum.csv")["signal_norm"]
     np.testing.assert_allclose(signal, 0.5, rtol=0, atol=1e-12)
+
+
+def test_kernel_invariant_failure_exits_one(tmp_path, monkeypatch, caplog):
+    # A laser column 1% too strong adds trace every period; the kernel names
+    # the rule it breaks and nothing is written.
+    segment_generators = dynamics.segment_generators
+
+    def leaky(seq):
+        pulse, pre, laser, post = segment_generators(seq)
+        return pulse, pre, replace(laser, column=1.01 * laser.column), post
+
+    monkeypatch.setattr(dynamics, "segment_generators", leaky)
+    assert run(["pump-steps", "--out", str(tmp_path)]) == 1
+    assert "engine failure: propagation left the physical states" in caplog.text
+    assert not list(tmp_path.glob("pump*"))
 
 
 def test_drive_that_decays_all_bright_runs(tmp_path):

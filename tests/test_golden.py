@@ -22,10 +22,10 @@ import json
 import math
 import re
 import shutil
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+from conftest import Recorded, recorded
 
 import lambda_cpt.cli as cli
 from lambda_cpt import dynamics
@@ -104,31 +104,6 @@ def test_golden_manifests_hash_their_own_fields():
         assert manifest["hash"] == expected, path.relative_to(GOLDEN)
 
 
-class Recorded(np.ndarray):
-    """An array that logs every numpy call made on it, or on an array made from it.
-
-    Each entry of ``log`` is (name, operand shapes); results come back as
-    Recorded arrays, so a whole computation that starts from Recorded
-    inputs is logged.
-    """
-
-    log: list = []
-
-    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
-        Recorded.log.append((ufunc.__name__, [getattr(x, "shape", ()) for x in inputs]))
-        plain = [x.view(np.ndarray) if isinstance(x, Recorded) else x for x in inputs]
-        if out is not None:
-            kwargs["out"] = tuple(x.view(np.ndarray) if isinstance(x, Recorded) else x for x in out)
-        result = getattr(ufunc, method)(*plain, **kwargs)
-        if out is not None:
-            return out[0] if len(out) == 1 else out
-        return result.view(Recorded) if isinstance(result, np.ndarray) else result
-
-    def __array_function__(self, func, types, args, kwargs):
-        Recorded.log.append((func.__name__, [x.shape for x in args if isinstance(x, np.ndarray)]))
-        return super().__array_function__(func, types, args, kwargs)
-
-
 def test_shipped_period_maps_take_eigh_only_for_the_pulse_and_no_dense_product(
     tmp_path, monkeypatch
 ):
@@ -144,12 +119,8 @@ def test_shipped_period_maps_take_eigh_only_for_the_pulse_and_no_dense_product(
     monkeypatch.setattr(Recorded, "log", [])
     period_maps = dynamics.period_maps
 
-    def record(segment):
-        arrays = {k: v for k, v in vars(segment).items() if isinstance(v, np.ndarray)}
-        return replace(segment, **{k: v.view(Recorded) for k, v in arrays.items()})
-
     def spy(segments):
-        return tuple(m.view(np.ndarray) for m in period_maps([record(s) for s in segments]))
+        return tuple(m.view(np.ndarray) for m in period_maps([recorded(s) for s in segments]))
 
     monkeypatch.setattr(dynamics, "period_maps", spy)
     for argv in shipped_commands():

@@ -7,12 +7,13 @@ channel on (laser dephasing, wait dephasing, finite electron T1) and stretch
 the period, which is where a closed-form detuning shift could go wrong.
 """
 
+import logging
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import dense, scipy_expm
+from conftest import Recorded, dense, recorded, scipy_expm
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -163,13 +164,25 @@ t1_e = 400.0
 """
 
 
+def long_chain(g):
+    """LONG_CHAIN stacked over g two-photon detunings."""
+    seq = parse_config(LONG_CHAIN).seq
+    delta_1 = seq.lam.delta_1
+    return detuned_segments(seq, delta_1, delta_1 + np.linspace(-0.02, 0.01, g))
+
+
 def period_by_period(segments, rho0, n_reps, observables):
-    """Oracle: one A and one B matrix-vector product per period and run."""
-    a, b = (m.reshape(-1, 9, 9) for m in period_maps(segments))
+    """Oracle: one A and one B matrix-vector product per period and run.
+
+    It runs in extended precision (np.clongdouble): in float64 its own
+    rounding grows with the period count, to 2e-12 over 20000 periods of
+    LONG_CHAIN, while the blocked kernel stays within 1e-14 of it.
+    """
+    a, b = (m.reshape(-1, 9, 9).astype(np.clongdouble) for m in period_maps(segments))
     readouts = np.empty((len(a), n_reps, len(observables)))
     finals = []
     for g, (a_g, b_g) in enumerate(zip(a, b)):
-        vec = rho0.reshape(9)
+        vec = rho0.reshape(9).astype(np.clongdouble)
         for i in range(n_reps):
             vec = a_g @ vec
             readouts[g, i] = np.real(np.einsum("kji,ij->k", observables, vec.reshape(3, 3)))
@@ -178,14 +191,30 @@ def period_by_period(segments, rho0, n_reps, observables):
     return readouts, np.array(finals)
 
 
-@pytest.mark.parametrize("n_reps", [0, 1, 3, 4, 15, 16, 17, 63, 64, 65, 4097])
-@pytest.mark.parametrize("g", [1, 3])
-@pytest.mark.parametrize("k", [0, 5])
+# Block lengths 1 to 64, full and partial blocks, at k = 1 (a spectrum's
+# one observable) and more; one long chain, 157 blocks of 128.
+BLOCK_CASES = [
+    pytest.param(n_reps, g, k, id=f"{k}-{g}-{n_reps}")
+    for k in (0, 1, 5)
+    for g in (1, 3)
+    for n_reps in (0, 1, 3, 4, 15, 16, 17, 63, 64, 65, 4097)
+] + [
+    pytest.param(
+        20000,
+        1,
+        5,
+        id="5-1-20000",
+        marks=pytest.mark.skipif(
+            np.finfo(np.longdouble).eps > 1e-18, reason="the oracle needs an extended long double"
+        ),
+    )
+]
+
+
+@pytest.mark.parametrize("n_reps, g, k", BLOCK_CASES)
 def test_blocked_kernel_matches_period_by_period(n_reps, g, k):
-    """Block lengths 1 to 64, full and partial blocks, against the per-period oracle."""
-    seq = parse_config(LONG_CHAIN).seq
-    delta_1 = seq.lam.delta_1
-    segments = detuned_segments(seq, delta_1, delta_1 + np.linspace(-0.02, 0.01, g))
+    """The blocked kernel against the per-period oracle."""
+    segments = long_chain(g)
     rho0 = 0.5 * thermal_ground_state() + 0.5 * pure_state(np.array([1.0, 1j, 1.0]) / math.sqrt(3))
     observables = OBSERVABLES[:k]
     readouts, final = propagate_periods(segments, rho0, n_reps, observables)
@@ -193,6 +222,79 @@ def test_blocked_kernel_matches_period_by_period(n_reps, g, k):
     assert readouts.shape == (g, n_reps, k)
     np.testing.assert_allclose(readouts, want, rtol=0, atol=1e-12)
     np.testing.assert_allclose(final, want_final, rtol=0, atol=1e-12)
+
+
+def kernel_products():
+    """The last two dimensions of each logged matmul's operands, skipping the pulse's 3x3."""
+    return [
+        [s[-2:] for s in shapes]
+        for name, shapes in Recorded.log
+        if name == "matmul" and shapes[0][-2:] != (3, 3)
+    ]
+
+
+def test_blocked_kernel_reads_every_period_out_with_one_product(monkeypatch):
+    """20000 periods at G = 1: the block loop only advances the state.
+
+    Every matrix product on the segments' arrays is logged; the kernel's are
+    those on 9-slot operands (the pulse's 3x3 U is built before). K = 128,
+    so there are 157 blocks: 156 advances by M^K before one product of the
+    readout rows with the block-start states (neither operand a 9x9 map),
+    then the power of the one set bit of the last block's 32 periods.
+    """
+    n_reps, k, block = 20000, 5, 128
+    blocks = -(-n_reps // block)
+    last = n_reps - (blocks - 1) * block
+    monkeypatch.setattr(Recorded, "log", [])
+    segments = [recorded(s) for s in long_chain(1)]
+    readouts, _ = propagate_periods(segments, thermal_ground_state(), n_reps, OBSERVABLES[:k])
+    products = kernel_products()
+    reads = [i for i, shapes in enumerate(products) if (9, 9) not in shapes]
+    assert len(reads) == 1
+    matvec = [(1, 9), (9, 9)]
+    assert products[: reads[0]].count(matvec) == blocks - 1
+    assert products[reads[0] :].count(matvec) == bin(last).count("1")
+    assert len(products) <= blocks + 2 * (block.bit_length() - 1) + 3
+    assert np.isrealobj(readouts) and readouts.dtype == np.float64
+    assert readouts.shape == (1, n_reps, k) and readouts[0].flags.c_contiguous
+    buffer = readouts
+    while isinstance(buffer.base, np.ndarray):
+        buffer = buffer.base
+    assert buffer.dtype == np.float64 and buffer.size <= blocks * block * k
+
+
+def column_gains_trace(segments):
+    pulse, pre, laser, post = segments
+    return pulse, pre, replace(laser, column=1.01 * laser.column), post
+
+
+def one_wait_not_finite(segments):
+    pulse, pre, laser, post = segments
+    coherences = pre.coherences.copy()
+    coherences[-1, 0] = np.nan
+    return pulse, replace(pre, coherences=coherences), laser, post
+
+
+@pytest.mark.parametrize("corrupt", [column_gains_trace, one_wait_not_finite])
+@pytest.mark.parametrize("n_reps", [1, 40])
+def test_kernel_rejects_a_run_that_is_not_physical(corrupt, n_reps):
+    segments = corrupt(long_chain(3))
+    with pytest.raises(ValueError, match=r"must be finite, with trace within 1e-10 max"):
+        propagate_periods(segments, thermal_ground_state(), n_reps, OBSERVABLES[:1])
+
+
+def test_kernel_logs_one_debug_line_per_call(monkeypatch, caplog):
+    monkeypatch.setattr(Recorded, "log", [])
+    segments = [recorded(s) for s in long_chain(3)]
+    with caplog.at_level(logging.DEBUG, logger="lambda_cpt.dynamics"):
+        propagate_periods(segments, thermal_ground_state(), 65, OBSERVABLES[:5])
+    products = len(kernel_products())
+    lines = [r.getMessage() for r in caplog.records if r.name == "lambda_cpt.dynamics"]
+    assert lines == [f"propagate_periods: G=3 n_reps=65 K=8 blocks=9 products={products}"]
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="lambda_cpt.dynamics"):
+        propagate_periods(segments, thermal_ground_state(), 65, OBSERVABLES[:5])
+    assert not caplog.records
 
 
 @settings(max_examples=20, deadline=None)
