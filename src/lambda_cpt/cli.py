@@ -281,8 +281,7 @@ def main(argv: list[str] | None = None) -> int:
             return values
         return values + rng.normal(0.0, cfg.noise_std, size=len(values))
 
-    inputs = cfg.manifest_inputs()
-    inputs.update(command=ns.command, seed=ns.seed, noise_applied=cfg.noise_std > 0)
+    inputs = dict(cfg.inputs, command=ns.command, seed=ns.seed, noise_applied=cfg.noise_std > 0)
 
     name, handler = _HANDLERS[ns.command]
     started = time.perf_counter()

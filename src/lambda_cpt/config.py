@@ -217,7 +217,8 @@ class RunConfig:
 
     ``inputs`` holds every schema value after resolution (section -> key ->
     value), with the keys that only feed resolution (pulse_area, ratio,
-    alpha_dp) dropped; parse_config derives it.
+    alpha_dp) dropped; parse_config derives it. A run's manifest records
+    it, and the manifest hash covers it.
     """
 
     spin: SpinSystemParams
@@ -237,10 +238,6 @@ class RunConfig:
     noise_std: float
     explicit: dict
     inputs: dict = field(repr=False)
-
-    def manifest_inputs(self) -> dict:
-        """A fresh copy of ``inputs``, the run values the manifest hash covers."""
-        return {section: dict(keys) for section, keys in self.inputs.items()}
 
 
 _T = TypeVar("_T")

@@ -89,13 +89,20 @@ def read_csv(path) -> dict[str, np.ndarray | list[str]]:
     """Read a CSV written by write_csv back into named columns.
 
     Comment lines are skipped; columns that parse as floats come back as
-    float arrays, anything else as a list of strings.
+    float arrays, anything else as a list of strings. Raises ValueError for
+    a file with no rows, or with a data row whose length is not the
+    header's.
     """
     with Path(path).open("r", encoding="utf-8", newline="") as handle:
         rows = [row for row in csv.reader(handle) if row and not row[0].startswith("#")]
     if not rows:
         raise ValueError(f"{path} holds no data rows")
     header, body = rows[0], rows[1:]
+    for number, row in enumerate(body, start=1):
+        if len(row) != len(header):
+            raise ValueError(
+                f"{path}: data row {number} has {len(row)} cells, the header {len(header)}"
+            )
     out: dict[str, np.ndarray | list[str]] = {}
     for idx, name in enumerate(header):
         cells = [row[idx] for row in body]

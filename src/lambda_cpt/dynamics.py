@@ -15,22 +15,28 @@ of 1/t_seq.
 
 Dissipation is Lindblad-type: the laser repolarizes |-> at the optical rate
 gamma into the dark and bright states of the drive, split by the drive's
-pumping efficiency (a sequence stores gamma alone; the branching follows
-from its drive), and dephases the ground coherence at gamma_dp; waits can
-carry a slow intrinsic dephasing gamma_2n and an electron T1 channel. The
-microwave pulse stays coherent. This rule lives in one place,
-:func:`segment_generators`, which also states the form each segment's
-generator takes, so that its exact map follows from where its entries sit
-and nothing is scanned for:
+pumping efficiency alpha_p (a sequence stores gamma alone; the branching
+follows from its drive), and dephases the ground coherence at gamma_dp;
+waits can carry a slow intrinsic dephasing gamma_2n and an electron T1
+channel. The microwave pulse stays coherent. This rule lives in one place,
+:func:`segment_generators`, which writes each segment's generator straight
+from its rates, in the form its exact map takes. With the frame
+frequencies f = 2 pi (0, -delta_r, -delta_1), the dephasing signs s = (1,
+-1, 0) and the excited indicator e = (0, 0, 1), the entry at row-major vec
+slot 3i + j is
 
-- a pulse (:class:`Pulse`) is a Hermitian 3x3 H, whose U = exp(-i H t)
-  comes from a batched eigh and acts as U (x) U* on vec(rho);
-- a wait (:class:`Wait`) decays each of the six coherences by one exact
-  exponential, and mixes the three populations by the T1 rate block,
+- for a wait (:class:`Wait`): -i (f_i - f_j) - gamma_2n (s_i - s_j)^2 / 4,
+  nonzero only on the six coherences, each of which decays alone by one
+  exact exponential; the T1 rate block mixes the three populations,
   written through expm1 so that the trace is kept by construction (t1_e =
   inf makes it the identity on the same path);
-- a laser (:class:`Laser`) is a diagonal plus the rho_ee column, which
-  feeds the ground block; its map is closed form.
+- for a laser (:class:`Laser`): that frame term - gamma_dp (s_i - s_j)^2 /
+  4 - (gamma / 2) (e_i + e_j) on the diagonal, plus the rho_ee column
+  gamma [alpha_p D D^+ + (1 - alpha_p) B B^+] on the ground block (D, B
+  the dark and bright states); its map is closed form;
+- for a pulse (:class:`Pulse`): the Hermitian 3x3 H of
+  :func:`rwa_generator`, f on its diagonal, whose U = exp(-i H t) comes
+  from a batched eigh and acts as U (x) U* on vec(rho).
 
 All three run batched over a stack with numpy alone, so the engine never
 imports scipy.
@@ -43,9 +49,9 @@ the map after it (:func:`period_maps`, by row operations, with no dense
 product before the block loop), advances all G states a block of periods
 per batched product while keeping each block's start state, and then
 reads out every period of every run, only the observables a protocol
-asks for, with one batched product. A detuning sweep needs no per-point
-generator build: the two-photon detuning enters only as a diagonal shift
-of every segment (:func:`detuned_segments`).
+asks for, with one batched product. A detuning sweep is the same build
+with an array of two-photon detunings: f gains a leading axis, and
+nothing else depends on the detunings.
 
 Units: MHz and us everywhere at the interface; the 2*pi sits inside the
 generators only.
@@ -56,7 +62,7 @@ from __future__ import annotations
 import logging
 import math
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,14 +76,10 @@ __all__ = [
     "thermal_ground_state",
     "pure_state",
     "rwa_generator",
-    "free_generator",
-    "liouvillian",
     "Pulse",
     "Wait",
     "Laser",
     "segment_generators",
-    "stack_segments",
-    "detuned_segments",
     "period_maps",
     "propagate_periods",
     "run_cpt_sequence",
@@ -212,11 +214,6 @@ def rwa_generator(cfg: LambdaConfig) -> np.ndarray:
     )
 
 
-def free_generator(cfg: LambdaConfig) -> np.ndarray:
-    """Drive-free rotating-frame Hamiltonian diag(0, -delta_r, -delta_1) (rad/us)."""
-    return TWO_PI * np.diag([0.0, -cfg.delta_r, -cfg.delta_1]).astype(complex)
-
-
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product a (x) b of two 3x3 matrices, or of each pair of two stacks.
 
@@ -226,56 +223,19 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(*a.shape[:-2], 9, 9)
 
 
-def liouvillian(h: np.ndarray, jumps: list[np.ndarray]) -> np.ndarray:
-    """9x9 generator of d vec(rho)/dt for row-major vectorization.
-
-    L = -i (H (x) I - I (x) H^T) + sum_J [J (x) J* - (J'J (x) I + I (x) (J'J)^T)/2]
-    """
-    eye = np.eye(3, dtype=complex)
-    gen = -1j * (_kron(h, eye) - _kron(eye, h.T))
-    for j in jumps:
-        jdj = j.conj().T @ j
-        gen += _kron(j, j.conj()) - 0.5 * (_kron(jdj, eye) + _kron(eye, jdj.T))
-    return gen
-
-
-def _dephasing_jump(rate: float) -> np.ndarray:
-    """Pure ground-coherence dephasing: rho_updown decays as e^{-rate*t}."""
-    return math.sqrt(rate / 2.0) * np.diag([1.0, -1.0, 0.0]).astype(complex)
-
-
-def _laser_jumps(seq: SequenceConfig) -> list[np.ndarray]:
-    """Laser channels: |D><-| and |B><-|, then dephasing at gamma_dp.
-
-    D and B are the dark and bright states of seq.lam. The decay rate
-    seq.gamma splits into gamma alpha_p toward D and gamma (1 - alpha_p)
-    toward B, with alpha_p that drive's :func:`polarization_efficiency`.
-    """
-    alpha_p = polarization_efficiency(seq.lam)
-    basis = dark_bright_basis(seq.lam)
-    e3 = np.array([0.0, 0.0, 1.0], dtype=complex)
-    dark3 = np.append(basis.dark, 0.0)
-    bright3 = np.append(basis.bright, 0.0)
-    jumps = [
-        math.sqrt(seq.gamma * alpha_p) * np.outer(dark3, e3),
-        math.sqrt(seq.gamma * (1.0 - alpha_p)) * np.outer(bright3, e3),
-    ]
-    if seq.gamma_dp > 0:
-        jumps.append(_dephasing_jump(seq.gamma_dp))
-    return jumps
-
-
-def _wait_jumps(gamma_2n: float) -> list[np.ndarray]:
-    """Wait channels besides electron T1: dephasing at gamma_2n, when it is on."""
-    return [_dephasing_jump(gamma_2n)] if gamma_2n > 0 else []
-
-
 # Row-major vec slots 3i + j: the populations (i = j) in the order |up>,
 # |down>, |->, the six coherences (i != j), and rho_ee, the one column a
 # laser generator has off its diagonal.
 _POPULATIONS = (0, 4, 8)
 _COHERENCES = np.array([1, 2, 3, 5, 6, 7])
 _EXCITED = 8
+# Entry at vec slot 3i + j per unit rate: -(s_i - s_j)^2 / 4 for a dephasing
+# jump sqrt(rate / 2) diag(s), and -(e_i + e_j) / 2 for the laser's decay out
+# of |->, which leaves every state at the rate of its excited indices.
+_S = np.array([1.0, -1.0, 0.0])
+_E = np.array([0.0, 0.0, 1.0])
+_DEPHASING = -(((_S[:, None] - _S) ** 2) / 4.0).reshape(9)
+_DECAY = -((_E[:, None] + _E) / 2.0).reshape(9)
 
 
 @dataclass(frozen=True)
@@ -294,7 +254,7 @@ class Pulse:
 class Wait:
     """Drive-free segment: every coherence decays alone, populations relax by T1.
 
-    coherences holds the Liouvillian's entries at the six coherence slots
+    coherences holds the generator's entries at the six coherence slots
     (frame rotation and dephasing), shape (6,) or (G, 6); without T1 the
     generator has no other nonzero entry. Electron T1 flips |up> and |down>
     to |-> at 1/(2 t1_e) each and |-> back to each at 1/(4 t1_e): on the
@@ -324,76 +284,42 @@ class Laser:
     duration: float
 
 
-def segment_generators(seq: SequenceConfig) -> tuple[Pulse, Wait, Laser, Wait]:
+def segment_generators(
+    seq: SequenceConfig, delta_2: np.ndarray | None = None
+) -> tuple[Pulse, Wait, Laser, Wait]:
     """The four segments of one sequence period, each in the form its map takes.
 
     In order: coherent microwave pulse, pre-laser wait (stretched to t_seq),
-    laser pulse, post-laser wait. Relaxation acts only in the laser segment
-    and, when gamma_2n or t1_e switch it on, in the waits; the pulse stays
-    coherent. The wait and laser entries are read at their known slots of
-    the 9x9 Liouvillians of :func:`liouvillian`, built from the jumps
-    chosen here. The two waits share one coherence array, so a caller must
-    not modify a segment's arrays in place.
+    laser pulse, post-laser wait. Each form is written from the frame
+    frequencies f = 2 pi (0, -delta_r, -delta_1) and the rate of each
+    channel, by the rule of the module docstring. With delta_2 = None this
+    is the one run of seq.lam; an array of G two-photon detunings gives f a
+    leading axis, and so a stack of G runs at one-photon detuning
+    seq.lam.delta_1 (the delta_2 of seq.lam is not used). The laser column
+    depends on no detuning and is shared by a stack. The two waits share
+    one coherence array, so a caller must not modify a segment's arrays in
+    place.
     """
-    h_free = free_generator(seq.lam)
-    coherences = liouvillian(h_free, _wait_jumps(seq.gamma_2n)).diagonal()[_COHERENCES]
-    laser = liouvillian(h_free, _laser_jumps(seq))
-    return (
-        Pulse(rwa_generator(seq.lam), seq.t_mw),
-        Wait(coherences, seq.t1_e, seq.wait_pre_total),
-        Laser(laser.diagonal().copy(), laser[:_EXCITED, _EXCITED].copy(), seq.t_laser),
-        Wait(coherences, seq.t1_e, seq.t_wait_post),
+    lam = seq.lam
+    delta_r = lam.delta_r if delta_2 is None else lam.delta_1 - np.asarray(delta_2, dtype=float)
+    f = TWO_PI * np.stack(np.broadcast_arrays(0.0, -delta_r, -lam.delta_1), axis=-1)
+    h = np.broadcast_to(rwa_generator(lam), f.shape[:-1] + (3, 3)).copy()
+    h[..., np.arange(3), np.arange(3)] = f
+    frame = -1j * (f[..., :, None] - f[..., None, :]).reshape(f.shape[:-1] + (9,))
+    coherences = (frame + seq.gamma_2n * _DEPHASING)[..., _COHERENCES]
+    diagonal = frame + seq.gamma_dp * _DEPHASING + seq.gamma * _DECAY
+    alpha_p = polarization_efficiency(lam)
+    basis = dark_bright_basis(lam)
+    column = np.zeros((3, 3), dtype=complex)
+    column[:2, :2] = seq.gamma * (
+        alpha_p * np.outer(basis.dark, basis.dark.conj())
+        + (1.0 - alpha_p) * np.outer(basis.bright, basis.bright.conj())
     )
-
-
-def stack_segments(runs) -> tuple[Pulse, Wait, Laser, Wait]:
-    """One batch from the segments of several runs, as from :func:`segment_generators`.
-
-    Each array of a segment gains a leading axis over the runs; durations
-    and t1_e are taken from the first run, so the runs must share them.
-    """
-    batch = []
-    for same in zip(*runs):
-        first = same[0]
-        arrays = {
-            f.name: np.stack([getattr(s, f.name) for s in same])
-            for f in fields(first)
-            if isinstance(getattr(first, f.name), np.ndarray)
-        }
-        batch.append(replace(first, **arrays))
-    return tuple(batch)
-
-
-def detuned_segments(
-    seq: SequenceConfig, delta_1: float, delta_2: np.ndarray
-) -> tuple[Pulse, Wait, Laser, Wait]:
-    """:func:`segment_generators` of seq stacked over the detunings delta_2.
-
-    Every segment holds one entry per element of delta_2 (G of them), all
-    at one-photon detuning delta_1 (the detunings of seq.lam are ignored).
-    Built in closed form from one zero-detuning build: H(delta) = H(0) +
-    2 pi diag(d) with d = (0, -delta_r, -delta_1) in every segment, and
-    neither the dissipators nor the dark/bright basis depend on the
-    detunings, so the pulse's h gains 2 pi d_i at diagonal index i, and a
-    wait or laser generator gains -i 2 pi (d_i - d_j) at vec slot 3i + j:
-    only diagonals move, and the laser column is shared by the whole stack.
-    """
-    delta_2 = np.asarray(delta_2, dtype=float)
-    zero = replace(seq, lam=replace(seq.lam, delta_1=0.0, delta_2=0.0))
-    pulse, pre, laser, post = segment_generators(zero)
-    d = np.zeros((len(delta_2), 3))
-    d[:, 1] = -(delta_1 - delta_2)
-    d[:, 2] = -delta_1
-    h_diag = TWO_PI * d
-    shift = -1j * (h_diag[:, :, None] - h_diag[:, None, :]).reshape(-1, 9)
-    h = np.repeat(pulse.h[None], len(delta_2), axis=0)
-    h[:, np.arange(3), np.arange(3)] += h_diag
-    coherences = pre.coherences + shift[:, _COHERENCES]
     return (
-        replace(pulse, h=h),
-        replace(pre, coherences=coherences),
-        replace(laser, diagonal=laser.diagonal + shift),
-        replace(post, coherences=coherences),
+        Pulse(h, seq.t_mw),
+        Wait(coherences, seq.t1_e, seq.wait_pre_total),
+        Laser(diagonal, column.reshape(9)[:_EXCITED], seq.t_laser),
+        Wait(coherences, seq.t1_e, seq.t_wait_post),
     )
 
 
@@ -467,8 +393,8 @@ def period_maps(segments) -> tuple[np.ndarray, np.ndarray]:
     """Fold the four segments of a period into its two half-period maps.
 
     segments are (pulse, wait, laser, wait), as from
-    :func:`segment_generators` (single maps) or :func:`detuned_segments`
-    (stacks). Returns A = W_pre lift(U), from the start of a period to the
+    :func:`segment_generators`, single maps or stacks of G runs.
+    Returns A = W_pre lift(U), from the start of a period to the
     readout, and B = W_post P_laser, from the readout to the end, each 9x9
     or (G, 9, 9). Each map is built by its form, with no dense 9x9 product
     and no dense exponential: the pulse's U (:func:`_pulse_unitary`) is
@@ -495,8 +421,8 @@ def propagate_periods(
     """Run n_reps periods of G stacked sequences from rho0.
 
     segments are the four segment forms of a period, as from
-    :func:`segment_generators` (G = 1), :func:`detuned_segments` or
-    :func:`stack_segments`; every run starts from the 3x3 state rho0.
+    :func:`segment_generators` (G = 1, or a stack over G detunings); every
+    run starts from the 3x3 state rho0.
     observables are k Hermitian 3x3 operators O, read as Tr(O rho) at each
     readout instant. Returns those readouts, float, shape (G, n_reps, k),
     and the final states, shape (G, 3, 3).

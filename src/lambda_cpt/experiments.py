@@ -16,9 +16,10 @@ baseline (the mean of the two outermost grid points), which corresponds to
 an unpumped spin flipping on half the pulses and is therefore mapped to
 one-half. Trapping shows up as a dip toward zero, and one minus the dip
 minimum reads off the trapped dark fraction. Grid points are independent
-simulations, propagated together: one spectrum (or one composition sweep)
-is one batch through :func:`~lambda_cpt.dynamics.propagate_periods`, and a
-multi-resonance scan runs one such batch per period.
+simulations, propagated together: one spectrum is one batch through
+:func:`~lambda_cpt.dynamics.propagate_periods`, and a multi-resonance scan
+runs one such batch per period. A composition sweep runs each ratio as its
+own run; the kernel gives the same bits either way.
 """
 
 from __future__ import annotations
@@ -33,11 +34,9 @@ from .dynamics import (
     SequenceConfig,
     StepTrace,
     dark_population_estimate,
-    detuned_segments,
     propagate_periods,
     run_cpt_sequence,
     segment_generators,
-    stack_segments,
     thermal_ground_state,
 )
 from .lambda_system import dark_bright_basis, split_rabi
@@ -136,8 +135,9 @@ def steady_readout(seq: SequenceConfig, delta_1: float, grid: np.ndarray) -> np.
     if seq.n_reps < 1:
         raise ValueError("n_reps must be at least 1 for a spectrum")
     excited = np.diag([0.0, 0.0, 1.0])
+    at_delta_1 = replace(seq, lam=replace(seq.lam, delta_1=delta_1))
     readouts, _ = propagate_periods(
-        detuned_segments(seq, delta_1, grid), thermal_ground_state(), seq.n_reps, [excited]
+        segment_generators(at_delta_1, grid), thermal_ground_state(), seq.n_reps, [excited]
     )
     window = min(max(5, seq.n_reps // 4), seq.n_reps)
     return np.mean(readouts[:, -window:, 0], axis=1)
@@ -188,18 +188,14 @@ def composition_sweep(seq: SequenceConfig, ratios: np.ndarray) -> CompositionSwe
         raise ValueError("empty ratio list")
     require(np.all((ratios > 0) & (ratios < np.inf)), "ratios", "finite and positive")
     o_eff = seq.lam.omega_eff
-    drives, per_ratio = [], []
-    for r in ratios:
-        omega_1, omega_2 = split_rabi(o_eff, r)
-        lam_r = replace(seq.lam, omega_1=omega_1, omega_2=omega_2)
-        drives.append(lam_r)
-        per_ratio.append(segment_generators(replace(seq, lam=lam_r)))
-    _, final = propagate_periods(
-        stack_segments(per_ratio), thermal_ground_state(), seq.n_reps, []
-    )
     measured = np.empty(len(ratios))
     p_dark = np.empty(len(ratios))
-    for i, (r, lam_r, rho) in enumerate(zip(ratios, drives, final)):
+    for i, r in enumerate(ratios):
+        omega_1, omega_2 = split_rabi(o_eff, r)
+        lam_r = replace(seq.lam, omega_1=omega_1, omega_2=omega_2)
+        _, (rho,) = propagate_periods(
+            segment_generators(replace(seq, lam=lam_r)), thermal_ground_state(), seq.n_reps, []
+        )
         ground = rho[:2, :2]
         g_tot = float(np.real(np.trace(ground)))
         basis = dark_bright_basis(lam_r)

@@ -1,10 +1,10 @@
 """Shared pytest plumbing.
 
 Collects acceptance lines for the end-of-run summary, holds the scipy
-matrix exponential the engine is checked against, builds the dense
-generator of a segment form, applies one exact segment map for the
-tests that check a segment on its own, and logs the numpy calls made on a
-segment's arrays.
+matrix exponential and the Lindblad generator the engine is checked
+against, builds the dense generator of a segment form, applies one exact
+segment map for the tests that check a segment on its own, and logs the
+numpy calls made on a segment's arrays.
 """
 
 import math
@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 from scipy.linalg import expm
 
-from lambda_cpt.dynamics import Laser, Pulse, liouvillian
+from lambda_cpt.dynamics import Laser, Pulse
 
 _ACCEPTANCE_LINES: list[str] = []
 
@@ -36,6 +36,19 @@ def scipy_expm(a: np.ndarray) -> np.ndarray:
     block[:n, :n] = a
     block[n:, n:] = a.T
     return expm(block)[:n, :n]
+
+
+def lindblad(h: np.ndarray, jumps: list[np.ndarray]) -> np.ndarray:
+    """9x9 generator of d vec(rho)/dt for row-major vectorization.
+
+    L = -i (H (x) I - I (x) H^T) + sum_J [J (x) J* - (J'J (x) I + I (x) (J'J)^T)/2]
+    """
+    eye = np.eye(3, dtype=complex)
+    gen = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for j in jumps:
+        jdj = j.conj().T @ j
+        gen += np.kron(j, j.conj()) - 0.5 * (np.kron(jdj, eye) + np.kron(eye, jdj.T))
+    return gen
 
 
 def t1_jumps(t1_e: float) -> list[np.ndarray]:
@@ -68,7 +81,7 @@ def dense(segment) -> tuple[np.ndarray, float]:
     diagonal[..., [1, 2, 3, 5, 6, 7]] = segment.coherences
     gen = diagonal[..., :, None] * np.eye(9)
     if math.isfinite(segment.t1_e):
-        gen = gen + liouvillian(np.zeros((3, 3)), t1_jumps(segment.t1_e))
+        gen = gen + lindblad(np.zeros((3, 3)), t1_jumps(segment.t1_e))
     return gen, segment.duration
 
 

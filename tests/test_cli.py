@@ -170,8 +170,8 @@ def test_kernel_invariant_failure_exits_one(tmp_path, monkeypatch, caplog):
     # the rule it breaks and nothing is written.
     segment_generators = dynamics.segment_generators
 
-    def leaky(seq):
-        pulse, pre, laser, post = segment_generators(seq)
+    def leaky(seq, delta_2=None):
+        pulse, pre, laser, post = segment_generators(seq, delta_2)
         return pulse, pre, replace(laser, column=1.01 * laser.column), post
 
     monkeypatch.setattr(dynamics, "segment_generators", leaky)
@@ -453,6 +453,24 @@ def test_fit_on_a_nan_cell_exits_three(tmp_path, caplog, kind):
     cfg.write_text(f"[fit]\ninput = {tmp_path / 'data.csv'}\nkind = {kind}\n")
     assert run(["fit", "--config", str(cfg), "--out", str(tmp_path)]) == 3
     assert "validation rejected: fit.input: " in caplog.text
+    assert not (tmp_path / "fit_report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "body, row, cells", [("0", 1, 1), ("0,0.5\n1,0.7,0.9", 2, 3)], ids=["short", "long"]
+)
+def test_fit_on_a_ragged_row_exits_three(tmp_path, caplog, body, row, cells):
+    # A row shorter than the header used to raise IndexError; a longer one
+    # was cut to the header's length.
+    data = tmp_path / "data.csv"
+    data.write_text(f"# t\nstep,p_dark_est\n{body}\n")
+    cfg = tmp_path / "fit.ini"
+    cfg.write_text(f"[fit]\ninput = {data}\nkind = saturation\n")
+    assert run(["fit", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert (
+        f"validation rejected: fit.input: {data}: data row {row} has {cells} cells, the header 2"
+        in caplog.text
+    )
     assert not (tmp_path / "fit_report.json").exists()
 
 

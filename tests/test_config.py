@@ -388,7 +388,7 @@ def test_load_config_reads_file(tmp_path):
 
 
 def test_manifest_inputs_structure():
-    inputs = default_config().manifest_inputs()
+    inputs = default_config().inputs
     assert set(inputs) == {
         "spin",
         "drive",

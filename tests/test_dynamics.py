@@ -19,9 +19,7 @@ from lambda_cpt.dynamics import (
     SequenceConfig,
     StepTrace,
     dark_population_estimate,
-    free_generator,
     invert_calibration,
-    liouvillian,
     period_maps,
     pure_state,
     readout_signal,
@@ -120,39 +118,6 @@ def test_dark_state_is_annihilated_for_any_phase():
         h = rwa_generator(cfg)
         dark3 = embed(dark_bright_basis(cfg).dark)
         assert np.linalg.norm(h @ dark3) < 1e-12
-
-
-def test_free_generator_diagonal():
-    cfg = LambdaConfig(omega_1=1.0, omega_2=1.0, delta_1=0.3, delta_2=0.1)
-    h = free_generator(cfg)
-    np.testing.assert_allclose(
-        np.diag(h), 2.0 * math.pi * np.array([0.0, -0.2, -0.3]), rtol=0, atol=1e-15
-    )
-
-
-def test_liouvillian_preserves_trace():
-    rng = np.random.default_rng(37)
-    h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    h = h + h.conj().T
-    jump = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    gen = liouvillian(h, [jump])
-    # Trace preservation means vec(I) is a left null vector of the generator.
-    left = np.eye(3, dtype=complex).reshape(9) @ gen
-    assert np.linalg.norm(left) < 1e-12
-
-
-def test_liouvillian_is_its_kron_form_bit_for_bit():
-    rng = np.random.default_rng(38)
-    eye = np.eye(3, dtype=complex)
-    for n_jumps in range(4):
-        h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        h = h + h.conj().T
-        jumps = [rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(n_jumps)]
-        want = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-        for j in jumps:
-            jdj = j.conj().T @ j
-            want += np.kron(j, j.conj()) - 0.5 * (np.kron(jdj, eye) + np.kron(eye, jdj.T))
-        assert np.array_equal(liouvillian(h, jumps), want)
 
 
 def test_pi_pulse_fully_transfers_bright_state():

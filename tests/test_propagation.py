@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import Recorded, dense, recorded, scipy_expm
+from conftest import Recorded, dense, lindblad, recorded, scipy_expm
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -23,16 +23,15 @@ from lambda_cpt.dynamics import (
     Laser,
     Pulse,
     Wait,
-    detuned_segments,
-    liouvillian,
     period_maps,
     propagate_periods,
     pure_state,
+    rwa_generator,
     segment_generators,
     thermal_ground_state,
 )
 from lambda_cpt.experiments import steady_readout
-from lambda_cpt.lambda_system import dark_bright_basis
+from lambda_cpt.lambda_system import dark_bright_basis, polarization_efficiency
 
 TRACE = np.eye(3).reshape(9)
 
@@ -135,7 +134,7 @@ def test_kernel_matches_single_point_runs(text, offsets):
     delta_1 = seq.lam.delta_1
     delta_2 = delta_1 + np.array(offsets)
     readouts, final = propagate_periods(
-        detuned_segments(seq, delta_1, delta_2), thermal_ground_state(), seq.n_reps, OBSERVABLES
+        segment_generators(seq, delta_2), thermal_ground_state(), seq.n_reps, OBSERVABLES
     )
     assert readouts.shape == (len(delta_2), seq.n_reps, 9)
     for i, d2 in enumerate(delta_2):
@@ -143,6 +142,69 @@ def test_kernel_matches_single_point_runs(text, offsets):
         want = np.real(np.einsum("kji,nij->nk", OBSERVABLES, states))
         np.testing.assert_allclose(readouts[i], want, rtol=0, atol=1e-12)
         np.testing.assert_allclose(final[i], want_final, rtol=0, atol=1e-12)
+
+
+def jump_generators(seq):
+    """Lindblad generators of the wait and the laser of seq, from their jumps.
+
+    The frame is H = 2 pi diag(0, -(delta_1 - delta_2), -delta_1). The laser
+    decays |-> into D at gamma alpha_p and into B at gamma (1 - alpha_p) and
+    dephases the ground coherence at gamma_dp; the wait dephases it at
+    gamma_2n. Electron T1 is left out: a wait's map applies it, its form
+    does not hold it.
+    """
+    lam = seq.lam
+    frame = 2.0 * math.pi * np.diag([0.0, -(lam.delta_1 - lam.delta_2), -lam.delta_1])
+    basis = dark_bright_basis(lam)
+    alpha_p = polarization_efficiency(lam)
+    excited = np.eye(3)[2]
+
+    def dephasing(rate):
+        return math.sqrt(rate / 2.0) * np.diag([1.0, -1.0, 0.0])
+
+    laser = [
+        math.sqrt(seq.gamma * alpha_p) * np.outer(np.append(basis.dark, 0.0), excited),
+        math.sqrt(seq.gamma * (1.0 - alpha_p)) * np.outer(np.append(basis.bright, 0.0), excited),
+        dephasing(seq.gamma_dp),
+    ]
+    return lindblad(frame, [dephasing(seq.gamma_2n)]), lindblad(frame, laser)
+
+
+# The generator entries each form holds: a wait its six coherences, a laser
+# its diagonal and rows 0-7 of column 8.
+COHERENCES = [1, 2, 3, 5, 6, 7]
+WAIT_HELD = np.zeros((9, 9), dtype=bool)
+WAIT_HELD[COHERENCES, COHERENCES] = True
+LASER_HELD = np.eye(9, dtype=bool)
+LASER_HELD[:8, 8] = True
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=run_files(), offsets=detunings)
+def test_segment_forms_are_the_lindblad_generators_of_their_jumps(text, offsets):
+    """Every form, single and stacked, slot by slot against its jumps' generator.
+
+    Each entry a form holds matches to 1e-14 relative; the laser column,
+    where the dark and bright terms cancel off the diagonal, to 1e-14 gamma.
+    Every entry a form does not hold is zero in that generator.
+    """
+    seq = parse_config(text).seq
+    grid = seq.lam.delta_1 + np.array(offsets)
+    stack = segment_generators(seq, grid)
+    runs = [(seq, segment_generators(seq), slice(None))] + [
+        (replace(seq, lam=replace(seq.lam, delta_2=d2)), stack, i) for i, d2 in enumerate(grid)
+    ]
+    for point, (pulse, pre, laser, post), i in runs:
+        wait, optical = jump_generators(point)
+        np.testing.assert_allclose(pulse.h[i], rwa_generator(point.lam), rtol=1e-14, atol=0)
+        for form in (pre, post):
+            np.testing.assert_allclose(form.coherences[i], wait[WAIT_HELD], rtol=1e-14, atol=0)
+        assert not wait[~WAIT_HELD].any()
+        np.testing.assert_allclose(laser.diagonal[i], optical.diagonal(), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(
+            laser.column, optical[:8, 8], rtol=1e-14, atol=1e-14 * point.gamma
+        )
+        assert not optical[~LASER_HELD].any()
 
 
 # Every dissipative channel on, off two-photon resonance, stretched period.
@@ -167,8 +229,7 @@ t1_e = 400.0
 def long_chain(g):
     """LONG_CHAIN stacked over g two-photon detunings."""
     seq = parse_config(LONG_CHAIN).seq
-    delta_1 = seq.lam.delta_1
-    return detuned_segments(seq, delta_1, delta_1 + np.linspace(-0.02, 0.01, g))
+    return segment_generators(seq, seq.lam.delta_1 + np.linspace(-0.02, 0.01, g))
 
 
 def period_by_period(segments, rho0, n_reps, observables):
@@ -320,7 +381,7 @@ def choi(m):
 def test_period_maps_are_physical(text, offsets):
     seq = parse_config(text).seq
     grid = seq.lam.delta_1 + np.array(offsets)
-    for maps in period_maps(detuned_segments(seq, seq.lam.delta_1, grid)):
+    for maps in period_maps(segment_generators(seq, grid)):
         # Hermiticity preservation: M(rho)^dagger = M(rho^dagger).
         np.testing.assert_allclose(maps[:, SWAP][:, :, SWAP].conj(), maps, rtol=0, atol=1e-12)
         for m in maps:
@@ -336,7 +397,7 @@ def test_dark_state_is_a_fixed_point_of_both_period_maps(text):
     seq = parse_config(text).seq
     dark = pure_state(np.append(dark_bright_basis(seq.lam).dark, 0.0)).reshape(9)
     # delta_2 = delta_1: two-photon resonance at a nonzero one-photon detuning.
-    for maps in period_maps(detuned_segments(seq, seq.lam.delta_1, [seq.lam.delta_1])):
+    for maps in period_maps(segment_generators(seq, [seq.lam.delta_1])):
         np.testing.assert_allclose(maps[0] @ dark, dark, rtol=0, atol=1e-12)
 
 
@@ -375,7 +436,7 @@ def test_batched_expm_matches_scipy_per_matrix(text, offsets):
     """Each form's map, per stack entry, against scipy's expm of its dense generator."""
     seq = parse_config(text).seq
     grid = seq.lam.delta_1 + np.array(offsets)
-    segments = detuned_segments(seq, seq.lam.delta_1, grid)
+    segments = segment_generators(seq, grid)
     laser = segments[2]
     # Every diagonal entry set to that of rho_ee: d_i = d_k in every row.
     tied = replace(laser, diagonal=np.repeat(laser.diagonal[:, 8:], 9, axis=1))
@@ -385,7 +446,7 @@ def test_batched_expm_matches_scipy_per_matrix(text, offsets):
     zero = Wait(np.zeros(6), seq.t1_e, 0.0)
     lifted, _ = period_maps((segments[0], zero, replace(laser, duration=0.0), zero))
     for h, p in zip(segments[0].h, lifted):
-        a = liouvillian(h, []) * seq.t_mw
+        a = lindblad(h, []) * seq.t_mw
         scale = max(1.0, np.abs(a).sum(axis=0).max())
         np.testing.assert_allclose(p, scipy_expm(a), rtol=0, atol=1e-13 * scale)
 
@@ -413,8 +474,8 @@ def test_batched_expm_of_a_matrix_does_not_depend_on_its_stack():
     """
     seq = parse_config(LONG_CHAIN).seq
     grid = seq.lam.delta_1 + np.linspace(-0.2, 0.2, 3)
-    pulse, wait, laser, _ = detuned_segments(seq, seq.lam.delta_1, grid)
-    undephased = detuned_segments(replace(seq, gamma_dp=0.0), seq.lam.delta_1, grid)[2]
+    pulse, wait, laser, _ = segment_generators(seq, grid)
+    undephased = segment_generators(replace(seq, gamma_dp=0.0), grid)[2]
     durations = np.array([0.0, 0.5, 5.0, 20.0, 60.0])
     scaled = np.repeat(durations, len(grid))
     coherences = np.concatenate([wait.coherences * t for t in durations])
@@ -434,7 +495,7 @@ def test_batched_expm_of_a_matrix_does_not_depend_on_its_stack():
 def test_durations_at_or_below_zero_give_the_identity():
     """A zero or slightly negative duration maps as the identity, bit for bit."""
     seq = parse_config(LONG_CHAIN).seq
-    segments = detuned_segments(seq, seq.lam.delta_1, seq.lam.delta_1 + np.linspace(-0.2, 0.2, 3))
+    segments = segment_generators(seq, seq.lam.delta_1 + np.linspace(-0.2, 0.2, 3))
     for duration in (0.0, -1e-12):
         maps = period_maps([replace(s, duration=duration) for s in segments])
         for m in maps:
@@ -476,7 +537,7 @@ def test_segment_maps_stay_exact_at_extreme_norms(omega, t_mw, gamma_2n, t1_e, s
         f"t1_e = {t1_e!r}",
     ]
     seq = parse_config("\n".join(lines) + "\n").seq
-    segments = detuned_segments(seq, seq.lam.delta_1, seq.lam.delta_1 + np.array(offsets))
+    segments = segment_generators(seq, seq.lam.delta_1 + np.array(offsets))
     u = dynamics._pulse_unitary(segments[0])
     unitarity = u @ u.conj().swapaxes(1, 2) - np.eye(3)
     assert np.abs(unitarity).max() <= 1e-14
