@@ -273,7 +273,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.key in ("ini", "config") else 3
 
     out = Path(ns.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        log.error("--out %s is not a usable directory: %s", out, exc)
+        return 2
     rng = np.random.default_rng(ns.seed if ns.seed is not None else 0)
 
     def noise(values: np.ndarray) -> np.ndarray:

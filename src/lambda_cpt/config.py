@@ -373,11 +373,19 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    """Parse the INI file at ``path``; missing files raise ConfigError."""
+    """Parse the INI file at ``path``.
+
+    A missing file, or one that cannot be read as UTF-8 text, raises
+    ConfigError.
+    """
     p = Path(path)
     if not p.is_file():
         raise ConfigError("config", f"no such file: {p}")
-    return parse_config(p.read_text(encoding="utf-8"))
+    try:
+        text = p.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError("config", f"cannot read {p} as UTF-8 text: {exc}") from None
+    return parse_config(text)
 
 
 def default_config() -> RunConfig:

@@ -41,15 +41,19 @@ slot 3i + j is
 All three run batched over a stack with numpy alone, so the engine never
 imports scipy.
 
-Every protocol propagates through one kernel, :func:`propagate_periods`. It
-takes the four segments stacked over G independent runs (the grid points
-of a sweep, or G = 1), folds a period into the map up to the readout and
-the map after it (:func:`period_maps`, by row operations, with no dense
-9x9 product), forms the one-period map M = B A (the one dense 9x9
-product before the block loop), advances all G states a block of periods
-per batched product while keeping each block's start state, and then
+The maps act on real coordinates, x = (rho_00, rho_11, rho_22, Re rho_01,
+Re rho_02, Re rho_12, Im rho_01, Im rho_02, Im rho_12), in which every
+Hermiticity-preserving map is a float64 9x9 (Havel, J. Math. Phys. 44, 534
+(2003)). Every protocol propagates through one kernel,
+:func:`propagate_periods`. It takes the four segments stacked over G
+independent runs (the grid points of a sweep, or G = 1), folds a period
+into the map up to the readout, A, and the map of the whole period, M
+(:func:`period_maps`: the lifted pulse, then row operations on a copy of
+A, with no dense 9x9 product), builds the powers of M, the readout rows
+and the state at the start of every block of periods by doubling, and
 reads out every period of every run, only the observables a protocol
-asks for, with one batched product. A detuning sweep is the same build
+asks for, with one batched product: O(log n_reps) batched real products
+and no loop over periods or blocks. A detuning sweep is the same build
 with an array of two-photon detunings: f gains a leading axis, and
 nothing else depends on the detunings.
 
@@ -214,21 +218,25 @@ def rwa_generator(cfg: LambdaConfig) -> np.ndarray:
     )
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product a (x) b of two 3x3 matrices, or of each pair of two stacks.
-
-    Entry [3i + j, 3k + l] is a[i, k] b[j, l], one product per entry as in
-    np.kron, so the bits are the same.
-    """
-    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(*a.shape[:-2], 9, 9)
-
-
-# Row-major vec slots 3i + j: the populations (i = j) in the order |up>,
-# |down>, |->, the six coherences (i != j), and rho_ee, the one column a
-# laser generator has off its diagonal.
-_POPULATIONS = (0, 4, 8)
+# Real coordinates x of a Hermitian 3x3 rho: the populations rho_00, rho_11,
+# rho_22, then Re and Im of the upper coherences rho_01, rho_02, rho_12. Every
+# Hermiticity-preserving map of rho is a real 9x9 in them.
+_RE, _IM = slice(3, 6), slice(6, 9)
+# Row-major vec slots 3i + j: of rho's six upper entries (i, j), i <= j, in
+# the order of x; of the lower coherences in the same order; and of all six
+# coherences, among which a wait's upper three sit at _WAIT_UPPER.
+_ROWS = np.array([0, 1, 2, 0, 0, 1])
+_COLS = np.array([0, 1, 2, 1, 2, 2])
+_UPPER = 3 * _ROWS + _COLS
+_LOWER = 3 * _COLS[3:] + _ROWS[3:]
 _COHERENCES = np.array([1, 2, 3, 5, 6, 7])
+_WAIT_UPPER = np.searchsorted(_COHERENCES, _UPPER[3:])
+# rho_ee (slot 8) is the one column a laser generator has off its diagonal.
+# It feeds the other five upper entries; _LASER lists their slots, then its own.
 _EXCITED = 8
+_LASER = np.array([0, 4, 1, 2, 5, _EXCITED])
+# Tr(O rho) = x . (weights * coordinates(O)) for Hermitian O.
+_READ_WEIGHTS = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0])
 # Entry at vec slot 3i + j per unit rate: -(s_i - s_j)^2 / 4 for a dephasing
 # jump sqrt(rate / 2) diag(s), and -(e_i + e_j) / 2 for the laser's decay out
 # of |->, which leaves every state at the rate of its excited indices.
@@ -236,6 +244,21 @@ _S = np.array([1.0, -1.0, 0.0])
 _E = np.array([0.0, 0.0, 1.0])
 _DEPHASING = -(((_S[:, None] - _S) ** 2) / 4.0).reshape(9)
 _DECAY = -((_E[:, None] + _E) / 2.0).reshape(9)
+
+
+def _coordinates(m: np.ndarray) -> np.ndarray:
+    """Real coordinates of each Hermitian 3x3 matrix of a stack."""
+    upper = m.reshape(m.shape[:-2] + (9,))[..., _UPPER]
+    return np.concatenate([upper.real, upper[..., 3:].imag], axis=-1)
+
+
+def _matrices(x: np.ndarray) -> np.ndarray:
+    """The Hermitian 3x3 matrix of each real coordinate vector of a stack."""
+    flat = np.zeros(x.shape[:-1] + (9,), dtype=complex)
+    flat.real[..., _UPPER] = x[..., :6]
+    flat.imag[..., _UPPER[3:]] = x[..., 6:]
+    flat[..., _LOWER] = flat[..., _UPPER[3:]].conj()
+    return flat.reshape(x.shape[:-1] + (3, 3))
 
 
 @dataclass(frozen=True)
@@ -256,7 +279,9 @@ class Wait:
 
     coherences holds the generator's entries at the six coherence slots
     (frame rotation and dephasing), shape (6,) or (G, 6); without T1 the
-    generator has no other nonzero entry. Electron T1 flips |up> and |down>
+    generator has no other nonzero entry. The map reads the upper three
+    (rho_01, rho_02, rho_12); the lower three are their conjugates, so a
+    real-coordinate map has no use for them. Electron T1 flips |up> and |down>
     to |-> at 1/(2 t1_e) each and |-> back to each at 1/(4 t1_e): on the
     populations a rate block with eigenvalues 0, -1/t1_e (P_- relaxes to
     half the trace) and -1/(2 t1_e) (the ground imbalance decays), and on
@@ -335,10 +360,37 @@ def _pulse_unitary(pulse: Pulse) -> np.ndarray:
     return np.eye(3) + (v * phase[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def _wait_rows(wait: Wait, m: np.ndarray) -> np.ndarray:
-    """W m for the map W of a wait and a (..., 9, 9) stack m, in place.
+def _lift(u: np.ndarray) -> np.ndarray:
+    """The map rho -> U rho U^dagger of each U of a stack, in real coordinates.
 
-    W scales each coherence row by one exact exponential and mixes the three
+    Row (i, j) of U (x) U* holds U_ik conj(U_jl) at column (k, l); the six
+    upper rows give every output coordinate, and their columns fold into
+    the real basis, rho_kl = x_kl + i y_kl and rho_lk = x_kl - i y_kl.
+    """
+    rows = (u[..., _ROWS, :, None] * u.conj()[..., _COLS, None, :]).reshape(u.shape[:-2] + (6, 9))
+    upper, lower = rows[..., _UPPER[3:]], rows[..., _LOWER]
+    folded = np.concatenate([rows[..., _UPPER[:3]], upper + lower, 1j * (upper - lower)], axis=-1)
+    return np.concatenate([folded.real, folded[..., 3:, :].imag], axis=-2)
+
+
+def _turn(m: np.ndarray, z: np.ndarray) -> None:
+    """Multiply each upper coherence by z, in place on the rows of a real map stack m.
+
+    z holds one complex factor per coherence, shape (3,) or (G, 3); each
+    (Re, Im) row pair turns and shrinks by it.
+    """
+    re, im = m[..., _RE, :], m[..., _IM, :]
+    z_re, z_im = z.real[..., None], z.imag[..., None]
+    turned = z_re * re - z_im * im
+    im *= z_re
+    im += z_im * re
+    re[...] = turned
+
+
+def _wait_rows(wait: Wait, m: np.ndarray) -> np.ndarray:
+    """W m for the map W of a wait and a (..., 9, 9) real map stack m, in place.
+
+    W turns each coherence pair by one exact exponential and mixes the three
     population rows by the T1 block, written through two expm1 modes: the
     step r moves P_- toward half the trace, and the step s shrinks the
     ground imbalance; P_up and P_down give back r/2 each, so the trace is
@@ -349,8 +401,8 @@ def _wait_rows(wait: Wait, m: np.ndarray) -> np.ndarray:
     relax = -t / wait.t1_e
     # A decay exponent past the float range is an exact decay to zero.
     with np.errstate(over="ignore"):
-        m[..., _COHERENCES, :] *= np.exp(wait.coherences * t + 0.5 * relax)[..., None]
-    up, down, excited = (m[..., k, :] for k in _POPULATIONS)
+        _turn(m, np.exp(wait.coherences[..., _WAIT_UPPER] * t + 0.5 * relax))
+    up, down, excited = m[..., 0, :], m[..., 1, :], m[..., 2, :]
     r = 0.5 * np.expm1(relax) * (excited - up - down)
     s = 0.5 * np.expm1(0.5 * relax) * (up - down)
     excited += r
@@ -359,26 +411,32 @@ def _wait_rows(wait: Wait, m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _laser_map(laser: Laser) -> np.ndarray:
-    """Map exp(A t) of each laser, for A = D + c e_8^T with c_8 = 0.
+def _laser_rows(laser: Laser, m: np.ndarray) -> np.ndarray:
+    """L m for the map L = exp(A t) of a laser and a real map stack m, in place.
 
-    The diagonal is e^{d t}, and entry i of column 8 is
+    For A = D + c e_8^T with c_8 = 0, L scales each upper entry by e^{d t}
+    and adds the rho_ee row times entry i of its column,
     c_i t (e^{d_i t} - e^{d_8 t}) / (d_i t - d_8 t), evaluated as
     c_i t e^h phi1(z) with h the one of d_i t, d_8 t of larger real part,
     z the other minus h, and phi1(z) = (e^z - 1) / z, so that nothing
     overflows or divides by zero.
     """
     t = max(laser.duration, 0.0)
-    d = laser.diagonal * t
-    c = laser.column * t
-    d_i, d_k = d[..., :_EXCITED], d[..., _EXCITED:]
+    d = laser.diagonal[..., _LASER] * t
+    c = laser.column[..., _LASER[:5]] * t
+    d_i, d_k = d[..., :5], d[..., 5:]
     i_leads = d_i.real >= d_k.real
     h = np.where(i_leads, d_i, d_k)
-    column = c * np.exp(h) * _phi1(np.where(i_leads, d_k, d_i) - h)
-    out = np.zeros_like(d, shape=d.shape + (9,))
-    out[..., np.arange(9), np.arange(9)] = np.exp(d)
-    out[..., :_EXCITED, _EXCITED] = column
-    return out
+    column = (c * np.exp(h) * _phi1(np.where(i_leads, d_k, d_i) - h))[..., None]
+    scale = np.exp(d)[..., None]
+    excited = m[..., 2:3, :].copy()
+    m[..., :2, :] *= scale[..., :2, :].real
+    m[..., :2, :] += column[..., :2, :].real * excited
+    m[..., 2:3, :] *= scale[..., 5:, :].real
+    _turn(m, scale[..., 2:5, 0])
+    m[..., _RE, :] += column[..., 2:, :].real * excited
+    m[..., _IM, :] += column[..., 2:, :].imag * excited
+    return m
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -390,24 +448,27 @@ def _phi1(z: np.ndarray) -> np.ndarray:
 
 
 def period_maps(segments) -> tuple[np.ndarray, np.ndarray]:
-    """Fold the four segments of a period into its two half-period maps.
+    """The map of a period up to its readout, and the map of the whole period.
 
     segments are (pulse, wait, laser, wait), as from
     :func:`segment_generators`, single maps or stacks of G runs.
-    Returns A = W_pre lift(U), from the start of a period to the
-    readout, and B = W_post P_laser, from the readout to the end, each 9x9
-    or (G, 9, 9). Each map is built by its form, with no dense 9x9 product
-    and no dense exponential: the pulse's U (:func:`_pulse_unitary`) is
-    lifted to vec(rho) -> vec(U rho U^dagger), that is U (x) U*; the laser
-    map is a diagonal plus column 8 (:func:`_laser_map`); and each wait
-    acts on the rows of the map before it (:func:`_wait_rows`). A duration
-    at or below zero (the slack of a t_seq within rounding of the packed
-    duration) propagates as the identity, and each map depends on its own
-    stack entry alone.
+    Returns A = W_pre lift(U), from the start of a period to the readout,
+    and M = W_post L_laser A, from the start of a period to the next, each
+    a float64 9x9 or (G, 9, 9) in the real coordinates (rho_00, rho_11,
+    rho_22, Re rho_01, Re rho_02, Re rho_12, Im rho_01, Im rho_02, Im
+    rho_12). Each map is built by its form, with no dense 9x9 product and
+    no dense exponential: the pulse's U (:func:`_pulse_unitary`) is lifted
+    to rho -> U rho U^dagger (:func:`_lift`), and M comes from a copy of A
+    by row operations: the laser scales the rows and adds its rho_ee row
+    (:func:`_laser_rows`), and each wait turns the coherence pairs and
+    mixes the populations (:func:`_wait_rows`). A duration at or below zero
+    (the slack of a t_seq within rounding of the packed duration)
+    propagates as the identity, and each map depends on its own stack entry
+    alone.
     """
     pulse, pre, laser, post = segments
-    u = _pulse_unitary(pulse)
-    return _wait_rows(pre, _kron(u, u.conj())), _wait_rows(post, _laser_map(laser))
+    a = _wait_rows(pre, _lift(_pulse_unitary(pulse)))
+    return a, _wait_rows(post, _laser_rows(laser, a.copy()))
 
 
 # Largest drift of tr rho from tr rho0 a run may end with, relative to
@@ -427,65 +488,61 @@ def propagate_periods(
     readout instant. Returns those readouts, float, shape (G, n_reps, k),
     and the final states, shape (G, 3, 3).
 
-    The half-period maps A and B come from :func:`period_maps`, which takes
-    no dense product; the one-period map M = B A is the one dense 9x9
-    product per run before the block loop. Periods advance in blocks of K,
-    the largest power of two with K^2 <= n_reps, so sqrt(n)/2 < K <=
-    sqrt(n). The readout rows R A M^j for j < K and the powers M^(2^i) up
-    to M^K are built by doubling. The block loop only advances the state by
-    M^K and keeps the state at the start of each block; one batched product
-    of the rows with those states then gives every readout, in real
-    arithmetic, and the powers of the set bits of the last block's length
-    carry the state to the end. n periods cost n/K advances plus one
-    readout product, after O(log K) products that build the rows and
-    powers. K depends on n_reps alone and runs are independent rows of
-    every product, so a result does not depend on which other runs share
-    its batch.
+    Everything runs in real coordinates: the maps A (to the readout) and M
+    (one period) come from :func:`period_maps` as float64 9x9s, built by
+    row operations with no dense product, and the state is a real
+    9-vector. Periods fall into blocks of K, the largest power of two with
+    K^2 <= n_reps, so sqrt(n)/2 < K <= sqrt(n). The readout rows R A M^j
+    for j < K and the powers M^(2^i) are built by doubling, and so are the
+    block starts: S <- [S, S (M^K)^m] takes m starts to 2m. One batched
+    product of the rows with the starts then gives every readout, and the
+    powers of the set bits of the last block's length carry the last start
+    to the end. A run so takes O(log n) batched products of 9x9 real
+    matrices and no loop over its periods or blocks. K depends on n_reps
+    alone and runs are independent rows of every product, so a result does
+    not depend on which other runs share its batch.
 
     Raises ValueError when a final state is not finite or its trace drifts
     from tr rho0 by more than 1e-10 max(1, |tr rho0|): the segments did not
     describe a physical run.
     """
-    a, b = (m.reshape(-1, 9, 9) for m in period_maps(segments))
+    a, m = (x.reshape(-1, 9, 9) for x in period_maps(segments))
     g = len(a)
-    # Tr(O rho) = conj(vec(O)) . vec(rho) for Hermitian O.
-    read = np.asarray(observables, dtype=complex).reshape(-1, 9).conj()
+    read = _READ_WEIGHTS * _coordinates(np.asarray(observables, dtype=complex).reshape(-1, 3, 3))
     k = len(read)
     block = 1 << (max(math.isqrt(n_reps), 1).bit_length() - 1)
+    blocks = max(-(-n_reps // block), 1)
+    last = n_reps - (blocks - 1) * block  # periods in the last block, 0 at n_reps = 0
     # rows[:, j k + c] = R_c A M^j for j < block; powers[i] = M^(2^i).
-    rows, powers = read @ a, [b @ a]
-    del a, b
+    rows, powers = read @ a, [m]
+    del a, m
     for _ in range(block.bit_length() - 1):
         rows = np.concatenate([rows, rows @ powers[-1]], axis=1)
         powers.append(powers[-1] @ powers[-1])
-    blocks = max(-(-n_reps // block), 1)
-    last = n_reps - (blocks - 1) * block  # periods in the last block, 0 at n_reps = 0
-    # Only M^K and the powers the last block needs stay alive through the loop.
     step, tail = powers[-1], [p for i, p in enumerate(powers) if last >> i & 1]
     del powers
-    # The state is a row vector, x^T <- x^T (M^K)^T, so that the block starts
-    # stack into (G, blocks, 9). np.concatenate lays its result out like its
-    # inputs, so the first start is a C-contiguous copy, not a broadcast view.
-    vec = np.repeat(np.asarray(rho0, dtype=complex).reshape(1, 1, 9), g, axis=0)
-    step = step.swapaxes(1, 2)
-    starts = [vec]
-    for _ in range(blocks - 1):
-        vec = vec @ step
-        starts.append(vec)
+    # The states are row vectors, x^T <- x^T (M^K)^T, so that the block starts
+    # stack into (G, blocks, 9); step is M^(K m) while m starts double.
+    starts = np.repeat(_coordinates(np.asarray(rho0, dtype=complex))[None, None], g, axis=0)
+    doublings = (blocks - 1).bit_length()
+    for i in range(doublings):
+        if i:
+            step = step @ step
+        more = starts[:, : blocks - starts.shape[1]] @ step.swapaxes(1, 2)
+        starts = np.concatenate([starts, more], axis=1)
     del step
-    # Re(r . x) = sum_s Re(conj r_s) Re x_s + Im(conj r_s) Im x_s: one real
-    # product of the float views (Re and Im interleaved) of the block starts
-    # and of conj(rows), laid out by (block, period in block, observable).
-    states = np.concatenate(starts, axis=1)
-    readouts = states.view(np.float64) @ rows.conj().view(np.float64).swapaxes(1, 2)
+    # Laid out by (block, period in block, observable).
+    readouts = starts @ rows.swapaxes(1, 2)
+    vec = starts[:, -1:]
     for power in tail:
         vec = vec @ power.swapaxes(1, 2)
-    final = vec.reshape(g, 3, 3)
+    final = _matrices(vec[:, 0])
     _check_final_states(final, rho0)
     if log.isEnabledFor(logging.DEBUG):
         log.debug(
             "propagate_periods: G=%d n_reps=%d K=%d blocks=%d products=%d",
-            g, n_reps, block, blocks, 2 * block.bit_length() + blocks + len(tail),
+            g, n_reps, block, blocks,
+            2 * block.bit_length() + max(2 * doublings - 1, 0) + len(tail),
         )
     return readouts.reshape(g, blocks * block, k)[:, :n_reps], final
 
@@ -536,10 +593,11 @@ def run_cpt_sequence(rho0: np.ndarray, seq: SequenceConfig) -> tuple[StepTrace, 
     """Repeat the pulse-wait-laser-wait period n_reps times.
 
     Populations are recorded immediately before each laser pulse. This is
-    :func:`propagate_periods` at G = 1: periods advance in blocks of K, the
-    largest power of two with K^2 <= n_reps, so n periods cost n/K
-    advances plus one readout product, after O(log K) products with 9x9
-    matrices, and sqrt(n)/2 < K <= sqrt(n).
+    :func:`propagate_periods` at G = 1, in real coordinates: the readout
+    rows, the powers of the period map M and the starts of the blocks of K
+    periods (K the largest power of two with K^2 <= n_reps) all come by
+    doubling, so n periods cost O(log n) products with real 9x9 matrices
+    plus one readout product, with no loop over the periods or blocks.
     """
     basis = dark_bright_basis(seq.lam)
     up, down, excited = np.eye(3)

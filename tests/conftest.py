@@ -3,8 +3,9 @@
 Collects acceptance lines for the end-of-run summary, holds the scipy
 matrix exponential and the Lindblad generator the engine is checked
 against, builds the dense generator of a segment form, applies one exact
-segment map for the tests that check a segment on its own, and logs the
-numpy calls made on a segment's arrays.
+segment map for the tests that check a segment on its own, converts maps
+between the row-major vec(rho) and the engine's real coordinates, and logs
+the numpy calls made on a segment's arrays.
 """
 
 import math
@@ -20,6 +21,39 @@ _ACCEPTANCE_LINES: list[str] = []
 
 def record_acceptance_line(line: str) -> None:
     _ACCEPTANCE_LINES.append(line)
+
+
+def _real_basis() -> np.ndarray:
+    """VEC, whose column a is vec(E_a) for the Hermitian basis E_a of the real coordinates.
+
+    The coordinates are (rho_00, rho_11, rho_22, Re rho_01, Re rho_02,
+    Re rho_12, Im rho_01, Im rho_02, Im rho_12): rho = sum_a x_a E_a.
+    """
+    vec = np.zeros((3, 3, 9), dtype=complex)
+    for i in range(3):
+        vec[i, i, i] = 1.0
+    for a, (i, j) in enumerate([(0, 1), (0, 2), (1, 2)]):
+        vec[i, j, 3 + a], vec[j, i, 3 + a] = 1.0, 1.0
+        vec[i, j, 6 + a], vec[j, i, 6 + a] = 1j, -1j
+    return vec.reshape(9, 9)
+
+
+# vec(rho) = VEC x, and x = REAL vec(rho) for Hermitian rho.
+VEC = _real_basis()
+REAL = np.linalg.inv(VEC)
+
+
+def to_real(m: np.ndarray) -> np.ndarray:
+    """A row-major vec(rho) superoperator (or stack) in real coordinates, complex dtype.
+
+    Its imaginary part vanishes exactly when the map preserves Hermiticity.
+    """
+    return REAL @ m @ VEC
+
+
+def from_real(m: np.ndarray) -> np.ndarray:
+    """A real-coordinate map (or stack) as a row-major vec(rho) superoperator."""
+    return VEC @ m @ REAL
 
 
 def scipy_expm(a: np.ndarray) -> np.ndarray:

@@ -72,7 +72,21 @@ def test_unreadable_config_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("definitely not ini {{{\n")
     assert run(["esr-lines", "--config", str(bad)]) == 2
+    # A UTF-16 byte-order mark: the file cannot be decoded as UTF-8.
+    bad.write_bytes(b"\xff\xfe[sequence]\nn_reps = 5\n")
+    assert run(["esr-lines", "--config", str(bad), "--out", str(tmp_path)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("under", ["", "sub"])
+def test_out_that_is_not_a_directory_exits_two(tmp_path, caplog, under):
+    taken = tmp_path / "taken"
+    taken.write_text("keep me\n")
+    out = taken / under if under else taken
+    config = str(ROOT / "configs" / "cpt_dip.ini")
+    assert run(["cpt-spectrum", "--config", config, "--out", str(out)]) == 2
+    assert "--out" in caplog.text
+    assert taken.read_text() == "keep me\n"
 
 
 def test_invalid_value_exits_three(tmp_path, capsys):

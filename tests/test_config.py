@@ -381,6 +381,14 @@ def test_load_config_missing_file(tmp_path):
     assert err.value.key == "config"
 
 
+def test_load_config_rejects_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_bytes(b"\xff\xfe[sequence]\nn_reps = 7\n")
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert err.value.key == "config"
+
+
 def test_load_config_reads_file(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text("[sequence]\nn_reps = 7\n")

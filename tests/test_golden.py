@@ -107,12 +107,12 @@ def test_golden_manifests_hash_their_own_fields():
 def test_shipped_period_maps_take_eigh_only_for_the_pulse_and_no_dense_product(
     tmp_path, monkeypatch
 ):
-    """Every shipped command builds A and B by form, without a dense 9x9 product.
+    """Every shipped command builds A and M by form, without a dense 9x9 product.
 
     Each segment array reaching :func:`dynamics.period_maps` is Recorded, so
-    every numpy call that builds A and B is logged: eigh sees only 3x3
-    stacks (the pulses), the one matrix product is the pulse's 3x3 V e V^H,
-    and no other product, solve or exponential of a matrix runs.
+    every numpy call that builds the real maps A and M is logged: eigh sees
+    only 3x3 stacks (the pulses), the one matrix product is the pulse's 3x3
+    V e V^H, and no other product, solve or exponential of a matrix runs.
     """
     shutil.copytree(ROOT / "configs", tmp_path / "configs")
     monkeypatch.chdir(tmp_path)

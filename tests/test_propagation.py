@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import Recorded, dense, lindblad, recorded, scipy_expm
+from conftest import REAL, VEC, Recorded, dense, from_real, lindblad, recorded, scipy_expm, to_real
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -33,7 +33,8 @@ from lambda_cpt.dynamics import (
 from lambda_cpt.experiments import steady_readout
 from lambda_cpt.lambda_system import dark_bright_basis, polarization_efficiency
 
-TRACE = np.eye(3).reshape(9)
+# Tr rho = x . TRACE in the engine's real coordinates.
+TRACE = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 
 
 def hermitian_basis() -> np.ndarray:
@@ -51,8 +52,6 @@ def hermitian_basis() -> np.ndarray:
 
 
 OBSERVABLES = hermitian_basis()
-# vec(X^T) = vec(X)[SWAP] in the row-major vectorization.
-SWAP = np.arange(9).reshape(3, 3).T.reshape(9)
 
 
 def floats(lo, hi):
@@ -233,49 +232,66 @@ def long_chain(g):
 
 
 def period_by_period(segments, rho0, n_reps, observables):
-    """Oracle: one A and one B matrix-vector product per period and run.
+    """Oracle: the kernel's own A and M, two matrix-vector products per period and run.
 
-    It runs in extended precision (np.clongdouble): in float64 its own
-    rounding grows with the period count, to 2e-12 over 20000 periods of
-    LONG_CHAIN, while the blocked kernel stays within 1e-14 of it.
+    It runs in extended precision (np.longdouble) on the real coordinates x
+    of the state, and reads Tr(O rho) off rho = vec^-1(VEC x): in float64
+    its own rounding would grow with the period count, to 1.8e-12 over
+    20000 periods of PUMP.
     """
-    a, b = (m.reshape(-1, 9, 9).astype(np.clongdouble) for m in period_maps(segments))
+    a, m = (x.reshape(-1, 9, 9).astype(np.longdouble) for x in period_maps(segments))
+    basis = VEC.astype(np.clongdouble)
     readouts = np.empty((len(a), n_reps, len(observables)))
     finals = []
-    for g, (a_g, b_g) in enumerate(zip(a, b)):
-        vec = rho0.reshape(9).astype(np.clongdouble)
+    for g, (a_g, m_g) in enumerate(zip(a, m)):
+        x = (REAL @ rho0.reshape(9)).real.astype(np.longdouble)
         for i in range(n_reps):
-            vec = a_g @ vec
-            readouts[g, i] = np.real(np.einsum("kji,ij->k", observables, vec.reshape(3, 3)))
-            vec = b_g @ vec
-        finals.append(vec.reshape(3, 3))
+            rho = (basis @ (a_g @ x)).reshape(3, 3)
+            readouts[g, i] = np.real(np.einsum("kji,ij->k", observables, rho))
+            x = m_g @ x
+        finals.append((basis @ x).reshape(3, 3))
     return readouts, np.array(finals)
 
 
+# The benchmark's pump draw: a pi pulse on a theta = pi/2 drive at phi = 1.9.
+PUMP = """
+[drive]
+pulse_area = 3.141592653589793
+ratio = 1.0
+theta = 1.5707963267948966
+phi = 1.9
+[sequence]
+t_mw = 6.0
+alpha_dp = 0.1
+"""
+
+
+def pump(g):
+    """PUMP, g copies of its one run on two-photon resonance."""
+    seq = parse_config(PUMP).seq
+    return segment_generators(seq, np.full(g, seq.lam.delta_2))
+
+
+EXTENDED = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps > 1e-18, reason="the oracle needs an extended long double"
+)
 # Block lengths 1 to 64, full and partial blocks, at k = 1 (a spectrum's
-# one observable) and more; one long chain, 157 blocks of 128.
+# one observable) and more; two long chains, 157 blocks of 128.
 BLOCK_CASES = [
-    pytest.param(n_reps, g, k, id=f"{k}-{g}-{n_reps}")
+    pytest.param(long_chain, n_reps, g, k, id=f"{k}-{g}-{n_reps}")
     for k in (0, 1, 5)
     for g in (1, 3)
     for n_reps in (0, 1, 3, 4, 15, 16, 17, 63, 64, 65, 4097)
 ] + [
-    pytest.param(
-        20000,
-        1,
-        5,
-        id="5-1-20000",
-        marks=pytest.mark.skipif(
-            np.finfo(np.longdouble).eps > 1e-18, reason="the oracle needs an extended long double"
-        ),
-    )
+    pytest.param(long_chain, 20000, 1, 5, id="5-1-20000", marks=EXTENDED),
+    pytest.param(pump, 20000, 1, 5, id="pump-5-1-20000", marks=EXTENDED),
 ]
 
 
-@pytest.mark.parametrize("n_reps, g, k", BLOCK_CASES)
-def test_blocked_kernel_matches_period_by_period(n_reps, g, k):
+@pytest.mark.parametrize("chain, n_reps, g, k", BLOCK_CASES)
+def test_blocked_kernel_matches_period_by_period(chain, n_reps, g, k):
     """The blocked kernel against the per-period oracle."""
-    segments = long_chain(g)
+    segments = chain(g)
     rho0 = 0.5 * thermal_ground_state() + 0.5 * pure_state(np.array([1.0, 1j, 1.0]) / math.sqrt(3))
     observables = OBSERVABLES[:k]
     readouts, final = propagate_periods(segments, rho0, n_reps, observables)
@@ -294,14 +310,16 @@ def kernel_products():
     ]
 
 
-def test_blocked_kernel_reads_every_period_out_with_one_product(monkeypatch):
-    """20000 periods at G = 1: the block loop only advances the state.
+def test_kernel_has_no_loop_over_blocks(monkeypatch):
+    """20000 periods at G = 1: O(log n) products, one of them the readout.
 
     Every matrix product on the segments' arrays is logged; the kernel's are
     those on 9-slot operands (the pulse's 3x3 U is built before). K = 128,
-    so there are 157 blocks: 156 advances by M^K before one product of the
-    readout rows with the block-start states (neither operand a 9x9 map),
-    then the power of the one set bit of the last block's 32 periods.
+    so there are 157 blocks; their starts come by doubling, so no product
+    advances one block's state to the next. The one vector product besides
+    the first doubling carries the last start over the one set bit of the
+    last block's 32 periods. One product of the readout rows with the block
+    starts (neither operand a 9x9 map) gives every readout.
     """
     n_reps, k, block = 20000, 5, 128
     blocks = -(-n_reps // block)
@@ -310,13 +328,11 @@ def test_blocked_kernel_reads_every_period_out_with_one_product(monkeypatch):
     segments = [recorded(s) for s in long_chain(1)]
     readouts, _ = propagate_periods(segments, thermal_ground_state(), n_reps, OBSERVABLES[:k])
     products = kernel_products()
-    reads = [i for i, shapes in enumerate(products) if (9, 9) not in shapes]
-    assert len(reads) == 1
-    matvec = [(1, 9), (9, 9)]
-    assert products[: reads[0]].count(matvec) == blocks - 1
-    assert products[reads[0] :].count(matvec) == bin(last).count("1")
-    assert len(products) <= blocks + 2 * (block.bit_length() - 1) + 3
-    assert np.isrealobj(readouts) and readouts.dtype == np.float64
+    reads = [shapes for shapes in products if (9, 9) not in shapes]
+    assert reads == [[(blocks, 9), (9, block * k)]]
+    assert products.count([(1, 9), (9, 9)]) == 1 + bin(last).count("1")
+    assert len(products) <= 2 * math.ceil(math.log2(n_reps)) + 4
+    assert readouts.dtype == np.float64
     assert readouts.shape == (1, n_reps, k) and readouts[0].flags.c_contiguous
     buffer = readouts
     while isinstance(buffer.base, np.ndarray):
@@ -349,9 +365,11 @@ def test_kernel_logs_one_debug_line_per_call(monkeypatch, caplog):
     segments = [recorded(s) for s in long_chain(3)]
     with caplog.at_level(logging.DEBUG, logger="lambda_cpt.dynamics"):
         propagate_periods(segments, thermal_ground_state(), 65, OBSERVABLES[:5])
-    products = len(kernel_products())
+    # R A and the readout, 3 rows and 3 squarings up to M^8, 4 doublings of
+    # the starts with 3 squarings between them, and M^1 for the last period.
+    assert len(kernel_products()) == 16
     lines = [r.getMessage() for r in caplog.records if r.name == "lambda_cpt.dynamics"]
-    assert lines == [f"propagate_periods: G=3 n_reps=65 K=8 blocks=9 products={products}"]
+    assert lines == ["propagate_periods: G=3 n_reps=65 K=8 blocks=9 products=16"]
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="lambda_cpt.dynamics"):
         propagate_periods(segments, thermal_ground_state(), 65, OBSERVABLES[:5])
@@ -382,13 +400,13 @@ def test_period_maps_are_physical(text, offsets):
     seq = parse_config(text).seq
     grid = seq.lam.delta_1 + np.array(offsets)
     for maps in period_maps(segment_generators(seq, grid)):
-        # Hermiticity preservation: M(rho)^dagger = M(rho^dagger).
-        np.testing.assert_allclose(maps[:, SWAP][:, :, SWAP].conj(), maps, rtol=0, atol=1e-12)
+        # Hermiticity preservation: the map is real in real coordinates.
+        assert maps.dtype == np.float64
         for m in maps:
             # Trace preservation: Tr M(rho) = Tr rho for every rho.
             np.testing.assert_allclose(TRACE @ m, TRACE, rtol=0, atol=1e-12)
             # Complete positivity: the Choi matrix has no negative eigenvalue.
-            assert np.min(np.linalg.eigvalsh(choi(m))) > -1e-10
+            assert np.min(np.linalg.eigvalsh(choi(from_real(m)))) > -1e-10
 
 
 @settings(max_examples=30, deadline=None)
@@ -396,26 +414,33 @@ def test_period_maps_are_physical(text, offsets):
 def test_dark_state_is_a_fixed_point_of_both_period_maps(text):
     seq = parse_config(text).seq
     dark = pure_state(np.append(dark_bright_basis(seq.lam).dark, 0.0)).reshape(9)
+    dark = (REAL @ dark).real
     # delta_2 = delta_1: two-photon resonance at a nonzero one-photon detuning.
     for maps in period_maps(segment_generators(seq, [seq.lam.delta_1])):
         np.testing.assert_allclose(maps[0] @ dark, dark, rtol=0, atol=1e-12)
 
 
 def form_map(segment):
-    """The engine's map of each entry of a segment stack: U for a pulse, else 9x9."""
+    """The engine's map of each entry of a segment stack: U for a pulse, else
+    the real 9x9 its row operations make of the identity."""
     if isinstance(segment, Pulse):
         return dynamics._pulse_unitary(segment)
     if isinstance(segment, Laser):
-        return dynamics._laser_map(segment)
-    eye = np.broadcast_to(np.eye(9, dtype=complex), segment.coherences.shape[:-1] + (9, 9))
-    return dynamics._wait_rows(segment, eye.copy())
+        return dynamics._laser_rows(segment, identities(segment.diagonal))
+    return dynamics._wait_rows(segment, identities(segment.coherences))
+
+
+def identities(stack):
+    """One writable 9x9 identity per entry of a segment's (..., slots) array."""
+    return np.broadcast_to(np.eye(9), stack.shape[:-1] + (9, 9)).copy()
 
 
 def assert_matches_scipy(segment):
     gens, duration = dense(segment)
     for a, e in zip(gens * max(duration, 0.0), form_map(segment)):
         scale = max(1.0, np.abs(a).sum(axis=0).max())
-        np.testing.assert_allclose(e, scipy_expm(a), rtol=0, atol=1e-13 * scale)
+        want = scipy_expm(a) if len(a) == 3 else to_real(scipy_expm(a))
+        np.testing.assert_allclose(e, want, rtol=0, atol=1e-13 * scale)
 
 
 # Waits with finite and infinite T1, lasers with and without dephasing; a
@@ -448,7 +473,7 @@ def test_batched_expm_matches_scipy_per_matrix(text, offsets):
     for h, p in zip(segments[0].h, lifted):
         a = lindblad(h, []) * seq.t_mw
         scale = max(1.0, np.abs(a).sum(axis=0).max())
-        np.testing.assert_allclose(p, scipy_expm(a), rtol=0, atol=1e-13 * scale)
+        np.testing.assert_allclose(p, to_real(scipy_expm(a)), rtol=0, atol=1e-13 * scale)
 
 
 def take(segment, rows):
@@ -541,11 +566,10 @@ def test_segment_maps_stay_exact_at_extreme_norms(omega, t_mw, gamma_2n, t1_e, s
     u = dynamics._pulse_unitary(segments[0])
     unitarity = u @ u.conj().swapaxes(1, 2) - np.eye(3)
     assert np.abs(unitarity).max() <= 1e-14
-    a, b = period_maps(segments)
+    a, m = period_maps(segments)
     wait = form_map(segments[1])
-    for m in (wait, a, b, b @ a):
-        assert np.all(np.isfinite(m))
-        assert np.abs(TRACE @ m - TRACE).max() <= 1e-12
-    for m in (wait, a, b):
-        for one in m:
-            assert np.min(np.linalg.eigvalsh(choi(one))) >= -1e-12
+    for maps in (wait, a, m):
+        assert np.all(np.isfinite(maps))
+        assert np.abs(TRACE @ maps - TRACE).max() <= 1e-12
+        for one in maps:
+            assert np.min(np.linalg.eigvalsh(choi(from_real(one)))) >= -1e-12
