@@ -26,10 +26,13 @@ frequencies f = 2 pi (0, -delta_r, -delta_1), the dephasing signs s = (1,
 slot 3i + j is
 
 - for a wait (:class:`Wait`): -i (f_i - f_j) - gamma_2n (s_i - s_j)^2 / 4,
-  nonzero only on the six coherences, each of which decays alone by one
-  exact exponential; the T1 rate block mixes the three populations,
-  written through expm1 so that the trace is kept by construction (t1_e =
-  inf makes it the identity on the same path);
+  nonzero only on the six coherences; the form holds f and the dephasing,
+  and its map turns coherence (i, j) by p_i conj(p_j) with per-level
+  phases p = e^{-i f t}, which keeps the three phases consistent at any
+  wait length, and shrinks it by one real exponential; the T1 rate block
+  mixes the three populations, written through expm1 so that the trace is
+  kept by construction (t1_e = inf makes it the identity on the same
+  path);
 - for a laser (:class:`Laser`): that frame term - gamma_dp (s_i - s_j)^2 /
   4 - (gamma / 2) (e_i + e_j) on the diagonal, plus the rho_ee column
   gamma [alpha_p D D^+ + (1 - alpha_p) B B^+] on the ground block (D, B
@@ -48,14 +51,17 @@ Hermiticity-preserving map is a float64 9x9 (Havel, J. Math. Phys. 44, 534
 :func:`propagate_periods`. It takes the four segments stacked over G
 independent runs (the grid points of a sweep, or G = 1), folds a period
 into the map up to the readout, A, and the map of the whole period, M
-(:func:`period_maps`: the lifted pulse, then row operations on a copy of
-A, with no dense 9x9 product), builds the powers of M, the readout rows
-and the state at the start of every block of periods by doubling, and
-reads out every period of every run, only the observables a protocol
-asks for, with one batched product: O(log n_reps) batched real products
-and no loop over periods or blocks. A detuning sweep is the same build
-with an array of two-photon detunings: f gains a leading axis, and
-nothing else depends on the detunings.
+(:func:`period_maps`: the lifted pulse, then row operations, with no
+dense 9x9 product, on maps stored point-last as (9, 9, G), so that every
+row operation runs over G contiguous points), builds the powers of M,
+the readout rows and the state at the start of every block of periods by
+doubling, and reads out every period of every run, only the observables
+a protocol asks for, with one batched product: O(log n_reps) batched
+real products and no loop over periods or blocks. The doublings write
+into buffers made once per call, so the kernel's working set does not
+grow with n_reps. A detuning sweep is the same build with an array of
+two-photon detunings: f gains a leading axis, and nothing else depends
+on the detunings.
 
 Units: MHz and us everywhere at the interface; the 2*pi sits inside the
 generators only.
@@ -223,14 +229,11 @@ def rwa_generator(cfg: LambdaConfig) -> np.ndarray:
 # Hermiticity-preserving map of rho is a real 9x9 in them.
 _RE, _IM = slice(3, 6), slice(6, 9)
 # Row-major vec slots 3i + j: of rho's six upper entries (i, j), i <= j, in
-# the order of x; of the lower coherences in the same order; and of all six
-# coherences, among which a wait's upper three sit at _WAIT_UPPER.
+# the order of x, and of the lower coherences in the same order.
 _ROWS = np.array([0, 1, 2, 0, 0, 1])
 _COLS = np.array([0, 1, 2, 1, 2, 2])
 _UPPER = 3 * _ROWS + _COLS
 _LOWER = 3 * _COLS[3:] + _ROWS[3:]
-_COHERENCES = np.array([1, 2, 3, 5, 6, 7])
-_WAIT_UPPER = np.searchsorted(_COHERENCES, _UPPER[3:])
 # rho_ee (slot 8) is the one column a laser generator has off its diagonal.
 # It feeds the other five upper entries; _LASER lists their slots, then its own.
 _EXCITED = 8
@@ -275,21 +278,23 @@ class Pulse:
 
 @dataclass(frozen=True)
 class Wait:
-    """Drive-free segment: every coherence decays alone, populations relax by T1.
+    """Drive-free segment: the frame turns and dephases every coherence, T1 relaxes.
 
-    coherences holds the generator's entries at the six coherence slots
-    (frame rotation and dephasing), shape (6,) or (G, 6); without T1 the
-    generator has no other nonzero entry. The map reads the upper three
-    (rho_01, rho_02, rho_12); the lower three are their conjugates, so a
-    real-coordinate map has no use for them. Electron T1 flips |up> and |down>
-    to |-> at 1/(2 t1_e) each and |-> back to each at 1/(4 t1_e): on the
-    populations a rate block with eigenvalues 0, -1/t1_e (P_- relaxes to
-    half the trace) and -1/(2 t1_e) (the ground imbalance decays), and on
-    every coherence a further decay at 1/(2 t1_e). t1_e = inf switches it
-    off.
+    frequencies holds the frame frequencies f of the three levels (rad/us),
+    shape (3,) or (G, 3); dephasing holds the real generator entries of the
+    upper coherences rho_01, rho_02, rho_12, -gamma_2n (s_i - s_j)^2 / 4,
+    shape (3,) (shared by a stack) or (G, 3). Without T1 the generator is
+    diagonal: -i (f_i - f_j) plus that dephasing at each coherence slot
+    3i + j, the lower three the conjugates of the upper. Electron T1 flips
+    |up> and |down> to |-> at 1/(2 t1_e) each and |-> back to each at
+    1/(4 t1_e): on the populations a rate block with eigenvalues 0,
+    -1/t1_e (P_- relaxes to half the trace) and -1/(2 t1_e) (the ground
+    imbalance decays), and on every coherence a further decay at
+    1/(2 t1_e). t1_e = inf switches it off.
     """
 
-    coherences: np.ndarray
+    frequencies: np.ndarray
+    dephasing: np.ndarray
     t1_e: float
     duration: float
 
@@ -321,9 +326,9 @@ def segment_generators(
     is the one run of seq.lam; an array of G two-photon detunings gives f a
     leading axis, and so a stack of G runs at one-photon detuning
     seq.lam.delta_1 (the delta_2 of seq.lam is not used). The laser column
-    depends on no detuning and is shared by a stack. The two waits share
-    one coherence array, so a caller must not modify a segment's arrays in
-    place.
+    and the wait dephasing depend on no detuning and are shared by a stack.
+    The two waits share one frequency array, so a caller must not modify a
+    segment's arrays in place.
     """
     lam = seq.lam
     delta_r = lam.delta_r if delta_2 is None else lam.delta_1 - np.asarray(delta_2, dtype=float)
@@ -331,7 +336,7 @@ def segment_generators(
     h = np.broadcast_to(rwa_generator(lam), f.shape[:-1] + (3, 3)).copy()
     h[..., np.arange(3), np.arange(3)] = f
     frame = -1j * (f[..., :, None] - f[..., None, :]).reshape(f.shape[:-1] + (9,))
-    coherences = (frame + seq.gamma_2n * _DEPHASING)[..., _COHERENCES]
+    dephasing = seq.gamma_2n * _DEPHASING[_UPPER[3:]]
     diagonal = frame + seq.gamma_dp * _DEPHASING + seq.gamma * _DECAY
     alpha_p = polarization_efficiency(lam)
     basis = dark_bright_basis(lam)
@@ -342,9 +347,9 @@ def segment_generators(
     )
     return (
         Pulse(h, seq.t_mw),
-        Wait(coherences, seq.t1_e, seq.wait_pre_total),
+        Wait(f, dephasing, seq.t1_e, seq.wait_pre_total),
         Laser(diagonal, column.reshape(9)[:_EXCITED], seq.t_laser),
-        Wait(coherences, seq.t1_e, seq.t_wait_post),
+        Wait(f, dephasing, seq.t1_e, seq.t_wait_post),
     )
 
 
@@ -360,49 +365,93 @@ def _pulse_unitary(pulse: Pulse) -> np.ndarray:
     return np.eye(3) + (v * phase[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
-def _lift(u: np.ndarray) -> np.ndarray:
-    """The map rho -> U rho U^dagger of each U of a stack, in real coordinates.
+def _point_last(x: np.ndarray) -> np.ndarray:
+    """A (..., slots) coefficient array as (slots, G), G the size of its leading axes.
 
-    Row (i, j) of U (x) U* holds U_ik conj(U_jl) at column (k, l); the six
-    upper rows give every output coordinate, and their columns fold into
+    Each slot is then one row that broadcasts along the rows of a
+    point-last map.
+    """
+    return x.reshape(-1, x.shape[-1]).T
+
+
+def _lift(u: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Write the map rho -> U rho U^dagger of each U of a stack into the point-last m.
+
+    m is (9, 9, G), entry [r, c, g] of the real map of U_g. Row (i, j) of
+    U (x) U* holds U_ik conj(U_jl) at column (k, l). For the six upper
+    rows, three complex products give the populations (k = l), the upper
+    (k < l) and the lower (k > l) coherence columns, and these fold into
     the real basis, rho_kl = x_kl + i y_kl and rho_lk = x_kl - i y_kl.
     """
-    rows = (u[..., _ROWS, :, None] * u.conj()[..., _COLS, None, :]).reshape(u.shape[:-2] + (6, 9))
-    upper, lower = rows[..., _UPPER[3:]], rows[..., _LOWER]
-    folded = np.concatenate([rows[..., _UPPER[:3]], upper + lower, 1j * (upper - lower)], axis=-1)
-    return np.concatenate([folded.real, folded[..., 3:, :].imag], axis=-2)
+    u = u.reshape(-1, 3, 3).transpose(1, 2, 0)
+    left, right = u[_ROWS], u[_COLS]
+    np.conjugate(right, out=right)
+    product = np.multiply(left, right)
+    m[:6, :3] = product.real
+    m[6:, :3] = product[3:].imag
+    # U_ik conj(U_jl) for the upper pairs (k, l) = (0, 1), (0, 2), (1, 2).
+    np.multiply(left[:, :1], right[:, 1:], out=product[:, :2])
+    np.multiply(left[:, 1], right[:, 2], out=product[:, 2])
+    m[:6, 3:6] = product.real
+    m[6:, 3:6] = product[3:].imag
+    m[:6, 6:] = product.imag
+    m[6:, 6:] = product[3:].real
+    # U_il conj(U_jk), for the lower pairs.
+    np.multiply(left[:, 1:], right[:, :1], out=product[:, :2])
+    np.multiply(left[:, 2], right[:, 1], out=product[:, 2])
+    m[:6, 3:6] += product.real
+    m[6:, 3:6] += product[3:].imag
+    np.subtract(product.imag, m[:6, 6:], out=m[:6, 6:])
+    m[6:, 6:] -= product[3:].real
+    return m
 
 
 def _turn(m: np.ndarray, z: np.ndarray) -> None:
-    """Multiply each upper coherence by z, in place on the rows of a real map stack m.
+    """Multiply each upper coherence by z, in place on the rows of a point-last map m.
 
-    z holds one complex factor per coherence, shape (3,) or (G, 3); each
-    (Re, Im) row pair turns and shrinks by it.
+    z holds one complex factor per coherence and point, shape (3, G) or
+    (3, 1); each (Re, Im) row pair turns and shrinks by it.
     """
-    re, im = m[..., _RE, :], m[..., _IM, :]
-    z_re, z_im = z.real[..., None], z.imag[..., None]
+    re, im = m[_RE], m[_IM]
+    z_re, z_im = z.real[:, None], z.imag[:, None]
     turned = z_re * re - z_im * im
     im *= z_re
     im += z_im * re
     re[...] = turned
 
 
-def _wait_rows(wait: Wait, m: np.ndarray) -> np.ndarray:
-    """W m for the map W of a wait and a (..., 9, 9) real map stack m, in place.
+def _wait_phases(wait: Wait) -> np.ndarray:
+    """p = e^{-i f t} of each level, shape (..., 3): the wait's frame turn is diag(p)."""
+    return np.exp(-1j * (wait.frequencies * max(wait.duration, 0.0)))
 
-    W turns each coherence pair by one exact exponential and mixes the three
-    population rows by the T1 block, written through two expm1 modes: the
-    step r moves P_- toward half the trace, and the step s shrinks the
-    ground imbalance; P_up and P_down give back r/2 each, so the trace is
-    kept by construction. t1_e = inf makes r and s zero: the same path is
-    the identity on the populations.
+
+def _wait_rows(wait: Wait, m: np.ndarray, turn: bool = True) -> np.ndarray:
+    """W m for the map W of a wait and a point-last (9, 9, G) map m, in place.
+
+    W turns each coherence (i, j) by p_i conj(p_j), with the phases p of
+    :func:`_wait_phases`, and shrinks it by its exact decay; turn=False
+    leaves the frame turn out, for a caller that applies diag(p) itself.
+    Taking the phases per level keeps those of the three coherences
+    consistent to rounding, so W stays completely positive at any wait
+    length. The T1 block mixes the three population rows, written through
+    two expm1 modes: the step r moves P_- toward half the trace, and the
+    step s shrinks the ground imbalance; P_up and P_down give back r/2
+    each, so the trace is kept by construction. t1_e = inf makes r and s
+    zero: the same path is the identity on the populations.
     """
     t = max(wait.duration, 0.0)
     relax = -t / wait.t1_e
     # A decay exponent past the float range is an exact decay to zero.
     with np.errstate(over="ignore"):
-        _turn(m, np.exp(wait.coherences[..., _WAIT_UPPER] * t + 0.5 * relax))
-    up, down, excited = m[..., 0, :], m[..., 1, :], m[..., 2, :]
+        decay = np.exp(wait.dephasing * t + 0.5 * relax)
+    if turn:
+        p = _wait_phases(wait)
+        _turn(m, _point_last(p[..., _ROWS[3:]] * p[..., _COLS[3:]].conj() * decay))
+    else:
+        decay = _point_last(decay)[:, None]
+        m[_RE] *= decay
+        m[_IM] *= decay
+    up, down, excited = m[0], m[1], m[2]
     r = 0.5 * np.expm1(relax) * (excited - up - down)
     s = 0.5 * np.expm1(0.5 * relax) * (up - down)
     excited += r
@@ -412,7 +461,7 @@ def _wait_rows(wait: Wait, m: np.ndarray) -> np.ndarray:
 
 
 def _laser_rows(laser: Laser, m: np.ndarray) -> np.ndarray:
-    """L m for the map L = exp(A t) of a laser and a real map stack m, in place.
+    """L m for the map L = exp(A t) of a laser and a point-last (9, 9, G) map m, in place.
 
     For A = D + c e_8^T with c_8 = 0, L scales each upper entry by e^{d t}
     and adds the rho_ee row times entry i of its column,
@@ -427,15 +476,17 @@ def _laser_rows(laser: Laser, m: np.ndarray) -> np.ndarray:
     d_i, d_k = d[..., :5], d[..., 5:]
     i_leads = d_i.real >= d_k.real
     h = np.where(i_leads, d_i, d_k)
-    column = (c * np.exp(h) * _phi1(np.where(i_leads, d_k, d_i) - h))[..., None]
-    scale = np.exp(d)[..., None]
-    excited = m[..., 2:3, :].copy()
-    m[..., :2, :] *= scale[..., :2, :].real
-    m[..., :2, :] += column[..., :2, :].real * excited
-    m[..., 2:3, :] *= scale[..., 5:, :].real
-    _turn(m, scale[..., 2:5, 0])
-    m[..., _RE, :] += column[..., 2:, :].real * excited
-    m[..., _IM, :] += column[..., 2:, :].imag * excited
+    exp_d = np.exp(d)
+    exp_h = np.where(i_leads, exp_d[..., :5], exp_d[..., 5:])
+    column = _point_last(c * exp_h * _phi1(np.where(i_leads, d_k, d_i) - h))[:, None]
+    scale = _point_last(exp_d)
+    excited = m[2]
+    m[:2] *= scale[:2, None].real
+    m[:2] += column[:2].real * excited
+    _turn(m, scale[2:5])
+    m[_RE] += column[2:].real * excited
+    m[_IM] += column[2:].imag * excited
+    excited *= scale[5].real
     return m
 
 
@@ -454,21 +505,29 @@ def period_maps(segments) -> tuple[np.ndarray, np.ndarray]:
     :func:`segment_generators`, single maps or stacks of G runs.
     Returns A = W_pre lift(U), from the start of a period to the readout,
     and M = W_post L_laser A, from the start of a period to the next, each
-    a float64 9x9 or (G, 9, 9) in the real coordinates (rho_00, rho_11,
-    rho_22, Re rho_01, Re rho_02, Re rho_12, Im rho_01, Im rho_02, Im
-    rho_12). Each map is built by its form, with no dense 9x9 product and
-    no dense exponential: the pulse's U (:func:`_pulse_unitary`) is lifted
-    to rho -> U rho U^dagger (:func:`_lift`), and M comes from a copy of A
-    by row operations: the laser scales the rows and adds its rho_ee row
-    (:func:`_laser_rows`), and each wait turns the coherence pairs and
-    mixes the populations (:func:`_wait_rows`). A duration at or below zero
-    (the slack of a t_seq within rounding of the packed duration)
-    propagates as the identity, and each map depends on its own stack entry
-    alone.
+    a C-contiguous float64 9x9 or (G, 9, 9) in the real coordinates
+    (rho_00, rho_11, rho_22, Re rho_01, Re rho_02, Re rho_12, Im rho_01, Im
+    rho_02, Im rho_12). Each map is built by its form, with no dense 9x9
+    product and no dense exponential, point-last in one (9, 9, G) array:
+    the pre-laser wait's frame turn diag(p) multiplies the pulse's U
+    (:func:`_pulse_unitary`), which is lifted to rho -> U rho U^dagger
+    (:func:`_lift`); the wait's decay and T1 block follow by row
+    operations (:func:`_wait_rows`), and A is copied out. The same array
+    then becomes M: the laser scales the rows and adds its rho_ee row
+    (:func:`_laser_rows`), and the post-laser wait turns the coherence
+    pairs and mixes the populations. A duration at or below zero (the slack
+    of a t_seq within rounding of the packed duration) propagates as the
+    identity, and each map depends on its own stack entry alone.
     """
     pulse, pre, laser, post = segments
-    a = _wait_rows(pre, _lift(_pulse_unitary(pulse)))
-    return a, _wait_rows(post, _laser_rows(laser, a.copy()))
+    # The pre-laser wait's frame turn diag(p) acts on U before the lift.
+    u = _wait_phases(pre)[..., :, None] * _pulse_unitary(pulse)
+    stack = u.shape[:-2]
+    m = _lift(u, np.empty_like(u, dtype=float, shape=(9, 9, math.prod(stack))))
+    _wait_rows(pre, m, turn=False)
+    a = m.transpose(2, 0, 1).copy().reshape(stack + (9, 9))
+    _wait_rows(post, _laser_rows(laser, m))
+    return a, m.transpose(2, 0, 1).copy().reshape(stack + (9, 9))
 
 
 # Largest drift of tr rho from tr rho0 a run may end with, relative to
@@ -498,9 +557,13 @@ def propagate_periods(
     product of the rows with the starts then gives every readout, and the
     powers of the set bits of the last block's length carry the last start
     to the end. A run so takes O(log n) batched products of 9x9 real
-    matrices and no loop over its periods or blocks. K depends on n_reps
-    alone and runs are independent rows of every product, so a result does
-    not depend on which other runs share its batch.
+    matrices and no loop over its periods or blocks. The rows and starts
+    fill slices of two buffers made before their doublings, and each power
+    squares into the buffer of the one before last (A's, once the rows
+    hold R A), so only the readouts and a copy of each power the last
+    block takes are new arrays. K depends on n_reps alone and runs are
+    independent rows of every product, so a result does not depend on
+    which other runs share its batch.
 
     Raises ValueError when a final state is not finite or its trace drifts
     from tr rho0 by more than 1e-10 max(1, |tr rho0|): the segments did not
@@ -513,24 +576,34 @@ def propagate_periods(
     block = 1 << (max(math.isqrt(n_reps), 1).bit_length() - 1)
     blocks = max(-(-n_reps // block), 1)
     last = n_reps - (blocks - 1) * block  # periods in the last block, 0 at n_reps = 0
-    # rows[:, j k + c] = R_c A M^j for j < block; powers[i] = M^(2^i).
-    rows, powers = read @ a, [m]
+    # rows[:, j k + c] = R_c A M^j for j < block, each doubling filling the
+    # next slice; power runs through M^(2^i), squared between two buffers,
+    # and tail keeps a copy of each power the last block's length takes.
+    rows = np.empty_like(a, shape=(g, block * k, 9))
+    np.matmul(read, a, out=rows[:, :k])
+    power, spare, tail = m, a, []
     del a, m
-    for _ in range(block.bit_length() - 1):
-        rows = np.concatenate([rows, rows @ powers[-1]], axis=1)
-        powers.append(powers[-1] @ powers[-1])
-    step, tail = powers[-1], [p for i, p in enumerate(powers) if last >> i & 1]
-    del powers
+    levels = block.bit_length()  # M^(2^i) for i < levels, the last one M^K
+    for i in range(levels):
+        if last >> i & 1:
+            tail.append(power.copy())
+        if i < levels - 1:
+            n = k << i
+            np.matmul(rows[:, :n], power, out=rows[:, n : 2 * n])
+            power, spare = np.matmul(power, power, out=spare), power
     # The states are row vectors, x^T <- x^T (M^K)^T, so that the block starts
-    # stack into (G, blocks, 9); step is M^(K m) while m starts double.
-    starts = np.repeat(_coordinates(np.asarray(rho0, dtype=complex))[None, None], g, axis=0)
+    # stack into (G, blocks, 9); power is M^(K n) while the first n starts
+    # give the next n.
+    starts = np.empty_like(rows, shape=(g, blocks, 9))
+    starts[:, 0] = _coordinates(np.asarray(rho0, dtype=complex))
     doublings = (blocks - 1).bit_length()
     for i in range(doublings):
         if i:
-            step = step @ step
-        more = starts[:, : blocks - starts.shape[1]] @ step.swapaxes(1, 2)
-        starts = np.concatenate([starts, more], axis=1)
-    del step
+            power, spare = np.matmul(power, power, out=spare), power
+        n = 1 << i
+        more = min(n, blocks - n)
+        np.matmul(starts[:, :more], power.swapaxes(1, 2), out=starts[:, n : n + more])
+    del power, spare
     # Laid out by (block, period in block, observable).
     readouts = starts @ rows.swapaxes(1, 2)
     vec = starts[:, -1:]

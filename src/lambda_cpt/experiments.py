@@ -207,7 +207,8 @@ def composition_sweep(seq: SequenceConfig, ratios: np.ndarray) -> CompositionSwe
         p_down = float(np.real(rho[1, 1])) / g_tot
         measured[i] = (p_down - (1.0 - pd)) / (2.0 * pd - 1.0)
         p_dark[i] = pd
-    ideal = ratios**2 / (1.0 + ratios**2)
+    # r^2 / (1 + r^2), written so that r^2 never overflows.
+    ideal = (ratios / np.hypot(1.0, ratios)) ** 2
     return CompositionSweep(ratios=ratios, measured=measured, ideal=ideal, p_dark=p_dark)
 
 

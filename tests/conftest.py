@@ -102,8 +102,9 @@ def dense(segment) -> tuple[np.ndarray, float]:
     """(generator, duration) of a segment form, single or stacked.
 
     The generator is the 3x3 -i H of a pulse, and the 9x9 Liouvillian of a
-    laser (diagonal plus rows 0-7 of column 8) or of a wait (coherence
-    slots, plus the Liouvillian of :func:`t1_jumps` when t1_e is finite).
+    laser (diagonal plus rows 0-7 of column 8) or of a wait (frame rotation
+    and dephasing on the coherence slots, plus the Liouvillian of
+    :func:`t1_jumps` when t1_e is finite).
     """
     if isinstance(segment, Pulse):
         return -1j * segment.h, segment.duration
@@ -111,9 +112,12 @@ def dense(segment) -> tuple[np.ndarray, float]:
         gen = segment.diagonal[..., :, None] * np.eye(9)
         gen[..., :8, 8] = segment.column
         return gen, segment.duration
-    diagonal = np.zeros(segment.coherences.shape[:-1] + (9,), dtype=complex)
-    diagonal[..., [1, 2, 3, 5, 6, 7]] = segment.coherences
-    gen = diagonal[..., :, None] * np.eye(9)
+    f = segment.frequencies
+    dephasing = np.zeros(np.broadcast_shapes(f.shape, segment.dephasing.shape)[:-1] + (3, 3))
+    upper, lower = ([0, 0, 1], [1, 2, 2]), ([1, 2, 2], [0, 0, 1])
+    dephasing[(..., *upper)] = dephasing[(..., *lower)] = segment.dephasing
+    diagonal = -1j * (f[..., :, None] - f[..., None, :]) + dephasing
+    gen = diagonal.reshape(diagonal.shape[:-2] + (9,))[..., :, None] * np.eye(9)
     if math.isfinite(segment.t1_e):
         gen = gen + lindblad(np.zeros((3, 3)), t1_jumps(segment.t1_e))
     return gen, segment.duration
@@ -136,18 +140,30 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.line(line)
 
 
+class Call(tuple):
+    """One logged numpy call, (name, operand shapes).
+
+    ``into`` is True for a ufunc that wrote its result into ``out=``
+    rather than into a fresh array.
+    """
+
+    into = False
+
+
 class Recorded(np.ndarray):
     """An array that logs every numpy call made on it, or on an array made from it.
 
-    Each entry of ``log`` is (name, operand shapes); results come back as
-    Recorded arrays, so a whole computation that starts from Recorded
-    inputs is logged.
+    Each entry of ``log`` is a :class:`Call`, (name, operand shapes);
+    results come back as Recorded arrays, so a whole computation that
+    starts from Recorded inputs is logged.
     """
 
     log: list = []
 
     def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
-        Recorded.log.append((ufunc.__name__, [getattr(x, "shape", ()) for x in inputs]))
+        call = Call((ufunc.__name__, [getattr(x, "shape", ()) for x in inputs]))
+        call.into = out is not None
+        Recorded.log.append(call)
         plain = [x.view(np.ndarray) if isinstance(x, Recorded) else x for x in inputs]
         if out is not None:
             kwargs["out"] = tuple(x.view(np.ndarray) if isinstance(x, Recorded) else x for x in out)
@@ -157,7 +173,8 @@ class Recorded(np.ndarray):
         return result.view(Recorded) if isinstance(result, np.ndarray) else result
 
     def __array_function__(self, func, types, args, kwargs):
-        Recorded.log.append((func.__name__, [x.shape for x in args if isinstance(x, np.ndarray)]))
+        shapes = [x.shape for x in args if isinstance(x, np.ndarray)]
+        Recorded.log.append(Call((func.__name__, shapes)))
         result = super().__array_function__(func, types, args, kwargs)
         return result.view(Recorded) if isinstance(result, np.ndarray) else result
 

@@ -1,6 +1,7 @@
 """Protocol-level tests on small grids (the acceptance suite runs the big ones)."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +103,16 @@ def test_composition_sweep_recovers_ideal_fractions():
     np.testing.assert_allclose(sweep.ideal, sweep.ratios**2 / (1.0 + sweep.ratios**2))
     np.testing.assert_allclose(sweep.measured, sweep.ideal, rtol=0, atol=1e-9)
     assert np.all(sweep.p_dark > 0.99)
+
+
+def test_composition_ideal_holds_at_extreme_ratios():
+    """r^2 / (1 + r^2) is 1 at r = 1e160 and 0 at r = 1e-200, with no overflow warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sweep = composition_sweep(
+            sequence(drive(phi=0.0), gamma_dp=0.0, n_reps=20), np.array([1e160, 1e-200])
+        )
+    assert sweep.ideal.tolist() == [1.0, 0.0]
 
 
 def test_composition_sweep_rejects_unpumped_regime():

@@ -169,8 +169,8 @@ def jump_generators(seq):
     return lindblad(frame, [dephasing(seq.gamma_2n)]), lindblad(frame, laser)
 
 
-# The generator entries each form holds: a wait its six coherences, a laser
-# its diagonal and rows 0-7 of column 8.
+# The generator entries each form holds: a wait its six coherences (frame
+# rotation and dephasing), a laser its diagonal and rows 0-7 of column 8.
 COHERENCES = [1, 2, 3, 5, 6, 7]
 WAIT_HELD = np.zeros((9, 9), dtype=bool)
 WAIT_HELD[COHERENCES, COHERENCES] = True
@@ -197,7 +197,8 @@ def test_segment_forms_are_the_lindblad_generators_of_their_jumps(text, offsets)
         wait, optical = jump_generators(point)
         np.testing.assert_allclose(pulse.h[i], rwa_generator(point.lam), rtol=1e-14, atol=0)
         for form in (pre, post):
-            np.testing.assert_allclose(form.coherences[i], wait[WAIT_HELD], rtol=1e-14, atol=0)
+            held, _ = dense(replace(form, t1_e=math.inf))
+            np.testing.assert_allclose(held[i][WAIT_HELD], wait[WAIT_HELD], rtol=1e-14, atol=0)
         assert not wait[~WAIT_HELD].any()
         np.testing.assert_allclose(laser.diagonal[i], optical.diagonal(), rtol=1e-14, atol=0)
         np.testing.assert_allclose(
@@ -347,9 +348,9 @@ def column_gains_trace(segments):
 
 def one_wait_not_finite(segments):
     pulse, pre, laser, post = segments
-    coherences = pre.coherences.copy()
-    coherences[-1, 0] = np.nan
-    return pulse, replace(pre, coherences=coherences), laser, post
+    frequencies = pre.frequencies.copy()
+    frequencies[-1, 1] = np.nan
+    return pulse, replace(pre, frequencies=frequencies), laser, post
 
 
 @pytest.mark.parametrize("corrupt", [column_gains_trace, one_wait_not_finite])
@@ -374,6 +375,43 @@ def test_kernel_logs_one_debug_line_per_call(monkeypatch, caplog):
     with caplog.at_level(logging.WARNING, logger="lambda_cpt.dynamics"):
         propagate_periods(segments, thermal_ground_state(), 65, OBSERVABLES[:5])
     assert not caplog.records
+
+
+def map_products():
+    """Each logged matmul whose result is a (..., 9, 9) map stack."""
+    return [
+        call
+        for call in Recorded.log
+        if call[0] == "matmul" and (call[1][0][-2], call[1][1][-1]) == (9, 9)
+    ]
+
+
+def test_kernel_working_set_does_not_grow_with_the_period_count(monkeypatch):
+    """65 and 20000 periods at G = 3 make the same number of fresh 9x9 products.
+
+    The powers of M square between two buffers, so of the 3 + 3 squarings
+    at 65 periods (K = 8, 9 blocks) and the 7 + 7 at 20000 (K = 128, 157
+    blocks), none makes a new map stack.
+    """
+    squarings, fresh = [], []
+    for n_reps in (65, 20000):
+        monkeypatch.setattr(Recorded, "log", [])
+        segments = [recorded(s) for s in long_chain(3)]
+        propagate_periods(segments, thermal_ground_state(), n_reps, OBSERVABLES[:5])
+        products = map_products()
+        squarings.append(len(products))
+        fresh.append(sum(not call.into for call in products))
+    assert squarings == [6, 14]
+    assert fresh[0] == fresh[1]
+
+
+def test_period_maps_hand_off_c_contiguous_float64_maps():
+    """A single run gives two 9x9 maps, a stack of G two (G, 9, 9) stacks, all C-contiguous."""
+    seq = parse_config(LONG_CHAIN).seq
+    for segments, shape in ((segment_generators(seq), (9, 9)), (long_chain(3), (3, 9, 9))):
+        for maps in period_maps(segments):
+            assert maps.dtype == np.float64 and maps.shape == shape
+            assert maps.flags.c_contiguous
 
 
 @settings(max_examples=20, deadline=None)
@@ -425,14 +463,19 @@ def form_map(segment):
     the real 9x9 its row operations make of the identity."""
     if isinstance(segment, Pulse):
         return dynamics._pulse_unitary(segment)
-    if isinstance(segment, Laser):
-        return dynamics._laser_rows(segment, identities(segment.diagonal))
-    return dynamics._wait_rows(segment, identities(segment.coherences))
+    rows, slots = (
+        (dynamics._laser_rows, segment.diagonal)
+        if isinstance(segment, Laser)
+        else (dynamics._wait_rows, segment.frequencies)
+    )
+    stack = slots.shape[:-1]
+    point_last = rows(segment, identities(math.prod(stack)))
+    return np.moveaxis(point_last, -1, 0).reshape(stack + (9, 9))
 
 
-def identities(stack):
-    """One writable 9x9 identity per entry of a segment's (..., slots) array."""
-    return np.broadcast_to(np.eye(9), stack.shape[:-1] + (9, 9)).copy()
+def identities(g):
+    """g writable 9x9 identities, stacked point-last as (9, 9, g), as the row helpers take them."""
+    return np.repeat(np.eye(9)[..., None], g, axis=-1)
 
 
 def assert_matches_scipy(segment):
@@ -468,7 +511,7 @@ def test_batched_expm_matches_scipy_per_matrix(text, offsets):
     for segment in (*segments, tied):
         assert_matches_scipy(segment)
     # The pulse lifted to a 9x9 map, against the exponential of its Liouvillian.
-    zero = Wait(np.zeros(6), seq.t1_e, 0.0)
+    zero = Wait(np.zeros(3), np.zeros(3), seq.t1_e, 0.0)
     lifted, _ = period_maps((segments[0], zero, replace(laser, duration=0.0), zero))
     for h, p in zip(segments[0].h, lifted):
         a = lindblad(h, []) * seq.t_mw
@@ -503,9 +546,10 @@ def test_batched_expm_of_a_matrix_does_not_depend_on_its_stack():
     undephased = segment_generators(replace(seq, gamma_dp=0.0), grid)[2]
     durations = np.array([0.0, 0.5, 5.0, 20.0, 60.0])
     scaled = np.repeat(durations, len(grid))
-    coherences = np.concatenate([wait.coherences * t for t in durations])
+    frequencies = np.concatenate([wait.frequencies * t for t in durations])
+    dephasing = np.outer(scaled, wait.dephasing)
     for t1_e in (math.inf, seq.t1_e, 0.1):
-        assert_heads_and_tails_match(Wait(coherences, t1_e, 1.0))
+        assert_heads_and_tails_match(Wait(frequencies, dephasing, t1_e, 1.0))
     for gens in (laser, undephased):
         lasers = Laser(
             np.concatenate([gens.diagonal * t for t in durations]),
@@ -539,6 +583,10 @@ def exponent(lo, hi):
     omega=(1e6, 1e6), t_mw=1e4, gamma_2n=1e300, t1_e=1e-300, slack=1e4, offsets=[0.0, 0.1]
 )
 @example(omega=(1e6, 1e-2), t_mw=1e4, gamma_2n=1e12, t1_e=5.0, slack=0.0, offsets=[0.0])
+# A 10 ms wait: phases rounded one coherence at a time miss each other by
+# 1.8e-12 rad there, which puts the wait and A 1.2e-12 outside the
+# completely positive maps.
+@example(omega=(1.0, 1.0), t_mw=1.0, gamma_2n=0.0, t1_e=math.inf, slack=1e4, offsets=[0.15])
 @given(
     omega=st.tuples(exponent(-2, 6), exponent(-2, 6)),
     t_mw=exponent(-1, 4),
