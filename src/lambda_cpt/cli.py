@@ -19,12 +19,12 @@ A handler takes the run config and main's seeded noise function and
 returns {file name: product}: (title, columns) for a CSV, a report dict for
 fit_report.json. main alone writes files: every product, then the manifest.
 
-Exit codes: 0 success, 1 engine failure, 2 unreadable CLI/config input,
-3 validation rejection, 4 a written report has converged false (the fit
-did not converge), 64 missing or unknown command. LAMBDA_CPT_LOG=DEBUG (or
-any level name) logs to stderr, at DEBUG each file written with its size,
-the handler's wall time and, from lambda_cpt.fitting, how each nonlinear
-fit ended.
+Exit codes: 0 success, 1 engine failure, 2 unreadable CLI/config input
+or an output that cannot be written, 3 validation rejection, 4 a written
+report has converged false (the fit did not converge), 64 missing or
+unknown command. LAMBDA_CPT_LOG=DEBUG (or any level name) logs to stderr,
+at DEBUG each file written with its size, the handler's wall time and,
+from lambda_cpt.fitting, how each nonlinear fit ended.
 """
 
 from __future__ import annotations
@@ -301,20 +301,26 @@ def main(argv: list[str] | None = None) -> int:
     log.debug("%s computed in %.3f s", ns.command, time.perf_counter() - started)
 
     manifest = run_manifest(inputs, __version__)
-    code = 0
-    for filename, product in products.items():
-        path = out / filename
-        if filename.endswith(".csv"):
-            title, columns = product
-            write_csv(path, columns, manifest["hash"], title)
-        else:
-            write_manifest(path, product)
-            if not product["converged"]:
-                log.error("%s: fit did not converge; report written anyway", path)
-                code = 4
     manifest_name = f"{name}.manifest.json"
-    manifest["wall_time_s"] = time.perf_counter() - started
-    write_manifest(out / manifest_name, manifest)
+    code = 0
+    try:
+        for filename, product in products.items():
+            path = out / filename
+            if filename.endswith(".csv"):
+                title, columns = product
+                write_csv(path, columns, manifest["hash"], title)
+            else:
+                write_manifest(path, product)
+                if not product["converged"]:
+                    log.error("%s: fit did not converge; report written anyway", path)
+                    code = 4
+        path = out / manifest_name
+        manifest["wall_time_s"] = time.perf_counter() - started
+        write_manifest(path, manifest)
+    except OSError as exc:
+        # An output name held by a directory, or a file that cannot be opened.
+        log.error("cannot write %s: %s", path, exc)
+        return 2
     for filename in [*products, manifest_name]:
         log.debug("wrote %s (%d bytes)", out / filename, (out / filename).stat().st_size)
     return code

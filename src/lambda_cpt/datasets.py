@@ -27,17 +27,9 @@ def manifest_hash(inputs: dict, version: str) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-def run_manifest(inputs: dict, version: str, wall_time_s: float | None = None) -> dict:
-    """Manifest for one CLI run: resolved inputs, version, hash, wall time.
-
-    The hash excludes wall_time_s so repeated runs agree on it.
-    """
-    return {
-        "inputs": inputs,
-        "version": version,
-        "hash": manifest_hash(inputs, version),
-        "wall_time_s": wall_time_s,
-    }
+def run_manifest(inputs: dict, version: str) -> dict:
+    """Manifest for one CLI run: resolved inputs, version, and their hash."""
+    return {"inputs": inputs, "version": version, "hash": manifest_hash(inputs, version)}
 
 
 def _format_cell(value) -> str:

@@ -57,7 +57,8 @@ row operation runs over G contiguous points), builds the powers of M,
 the readout rows and the state at the start of every block of periods by
 doubling, and reads out every period of every run, only the observables
 a protocol asks for, with one batched product: O(log n_reps) batched
-real products and no loop over periods or blocks. The doublings write
+real products and no loop over periods or blocks. The same observables
+are read off each run's state after its last period. The doublings write
 into buffers made once per call, so the kernel's working set does not
 grow with n_reps. A detuning sweep is the same build with an array of
 two-photon detunings: f gains a leading axis, and nothing else depends
@@ -94,7 +95,6 @@ __all__ = [
     "propagate_periods",
     "run_cpt_sequence",
     "readout_signal",
-    "invert_calibration",
     "dark_population_estimate",
 ]
 
@@ -228,12 +228,11 @@ def rwa_generator(cfg: LambdaConfig) -> np.ndarray:
 # rho_22, then Re and Im of the upper coherences rho_01, rho_02, rho_12. Every
 # Hermiticity-preserving map of rho is a real 9x9 in them.
 _RE, _IM = slice(3, 6), slice(6, 9)
-# Row-major vec slots 3i + j: of rho's six upper entries (i, j), i <= j, in
-# the order of x, and of the lower coherences in the same order.
+# Row-major vec slots 3i + j of rho's six upper entries (i, j), i <= j, in
+# the order of x.
 _ROWS = np.array([0, 1, 2, 0, 0, 1])
 _COLS = np.array([0, 1, 2, 1, 2, 2])
 _UPPER = 3 * _ROWS + _COLS
-_LOWER = 3 * _COLS[3:] + _ROWS[3:]
 # rho_ee (slot 8) is the one column a laser generator has off its diagonal.
 # It feeds the other five upper entries; _LASER lists their slots, then its own.
 _EXCITED = 8
@@ -253,15 +252,6 @@ def _coordinates(m: np.ndarray) -> np.ndarray:
     """Real coordinates of each Hermitian 3x3 matrix of a stack."""
     upper = m.reshape(m.shape[:-2] + (9,))[..., _UPPER]
     return np.concatenate([upper.real, upper[..., 3:].imag], axis=-1)
-
-
-def _matrices(x: np.ndarray) -> np.ndarray:
-    """The Hermitian 3x3 matrix of each real coordinate vector of a stack."""
-    flat = np.zeros(x.shape[:-1] + (9,), dtype=complex)
-    flat.real[..., _UPPER] = x[..., :6]
-    flat.imag[..., _UPPER[3:]] = x[..., 6:]
-    flat[..., _LOWER] = flat[..., _UPPER[3:]].conj()
-    return flat.reshape(x.shape[:-1] + (3, 3))
 
 
 @dataclass(frozen=True)
@@ -543,9 +533,9 @@ def propagate_periods(
     segments are the four segment forms of a period, as from
     :func:`segment_generators` (G = 1, or a stack over G detunings); every
     run starts from the 3x3 state rho0.
-    observables are k Hermitian 3x3 operators O, read as Tr(O rho) at each
-    readout instant. Returns those readouts, float, shape (G, n_reps, k),
-    and the final states, shape (G, 3, 3).
+    observables are k Hermitian 3x3 operators O, read as Tr(O rho). Returns
+    their values at each readout instant, shape (G, n_reps, k), and at the
+    end of the last period, shape (G, k), both float.
 
     Everything runs in real coordinates: the maps A (to the readout) and M
     (one period) come from :func:`period_maps` as float64 9x9s, built by
@@ -561,13 +551,15 @@ def propagate_periods(
     fill slices of two buffers made before their doublings, and each power
     squares into the buffer of the one before last (A's, once the rows
     hold R A), so only the readouts and a copy of each power the last
-    block takes are new arrays. K depends on n_reps alone and runs are
-    independent rows of every product, so a result does not depend on
-    which other runs share its batch.
+    block takes are new arrays. The final values are one more product, of
+    each run's final state with the same observable rows. K depends on
+    n_reps alone and runs are independent rows of every product, so a
+    result does not depend on which other runs share its batch.
 
     Raises ValueError when a final state is not finite or its trace drifts
     from tr rho0 by more than 1e-10 max(1, |tr rho0|): the segments did not
-    describe a physical run.
+    describe a physical run. Both are read in real coordinates, where the
+    trace is the sum of the three populations.
     """
     a, m = (x.reshape(-1, 9, 9) for x in period_maps(segments))
     g = len(a)
@@ -595,7 +587,7 @@ def propagate_periods(
     # stack into (G, blocks, 9); power is M^(K n) while the first n starts
     # give the next n.
     starts = np.empty_like(rows, shape=(g, blocks, 9))
-    starts[:, 0] = _coordinates(np.asarray(rho0, dtype=complex))
+    starts[:, 0] = x0 = _coordinates(np.asarray(rho0, dtype=complex))
     doublings = (blocks - 1).bit_length()
     for i in range(doublings):
         if i:
@@ -609,40 +601,31 @@ def propagate_periods(
     vec = starts[:, -1:]
     for power in tail:
         vec = vec @ power.swapaxes(1, 2)
-    final = _matrices(vec[:, 0])
-    _check_final_states(final, rho0)
+    _check_final_states(vec[:, 0], x0)
     if log.isEnabledFor(logging.DEBUG):
         log.debug(
             "propagate_periods: G=%d n_reps=%d K=%d blocks=%d products=%d",
             g, n_reps, block, blocks,
-            2 * block.bit_length() + max(2 * doublings - 1, 0) + len(tail),
+            2 * block.bit_length() + max(2 * doublings - 1, 0) + len(tail) + 1,
         )
-    return readouts.reshape(g, blocks * block, k)[:, :n_reps], final
+    return readouts.reshape(g, blocks * block, k)[:, :n_reps], (vec @ read.T)[:, 0]
 
 
-def _check_final_states(final: np.ndarray, rho0: np.ndarray) -> None:
-    """Raise ValueError unless every final state is finite and keeps the trace of rho0."""
-    trace0 = np.trace(rho0)
-    drift = np.abs(np.trace(final, axis1=1, axis2=2) - trace0).max(initial=0.0)
-    if not (np.isfinite(final).all() and drift <= _TRACE_DRIFT * max(1.0, abs(trace0))):
+def _check_final_states(x: np.ndarray, x0: np.ndarray) -> None:
+    """Raise ValueError unless every final state x is finite and keeps the trace of x0."""
+    trace0 = x0[:3].sum()
+    drift = np.abs(x[:, :3].sum(-1) - trace0).max(initial=0.0)
+    if not (np.isfinite(x).all() and drift <= _TRACE_DRIFT * max(1.0, abs(trace0))):
         raise ValueError(
             "propagation left the physical states: every final state must be finite, "
             f"with trace within {_TRACE_DRIFT:g} max(1, |tr rho0|) of tr rho0 = "
-            f"{trace0.real:g} (largest drift {drift:.3g})"
+            f"{trace0:g} (largest drift {drift:.3g})"
         )
 
 
 def readout_signal(p_excited: float | np.ndarray, model: ReadoutModel) -> float | np.ndarray:
     """Photoluminescence level for an excited population, scalar or array."""
     return model.reference_0 * (1.0 - model.contrast * p_excited)
-
-
-def invert_calibration(signals: np.ndarray, model: ReadoutModel) -> np.ndarray:
-    """Recover the excited-population series from readout signals."""
-    if model.contrast == 0:
-        raise ValueError("contrast = 0: readout carries no population information")
-    s = np.asarray(signals, dtype=float)
-    return (1.0 - s / model.reference_0) / model.contrast
 
 
 def dark_population_estimate(p_minus: np.ndarray) -> np.ndarray:
@@ -662,8 +645,8 @@ def dark_population_estimate(p_minus: np.ndarray) -> np.ndarray:
     return 1.0 - p / (2.0 * p[0])
 
 
-def run_cpt_sequence(rho0: np.ndarray, seq: SequenceConfig) -> tuple[StepTrace, np.ndarray]:
-    """Repeat the pulse-wait-laser-wait period n_reps times.
+def run_cpt_sequence(rho0: np.ndarray, seq: SequenceConfig) -> StepTrace:
+    """The populations at each readout of n_reps pulse-wait-laser-wait periods.
 
     Populations are recorded immediately before each laser pulse. This is
     :func:`propagate_periods` at G = 1, in real coordinates: the readout
@@ -681,9 +664,9 @@ def run_cpt_sequence(rho0: np.ndarray, seq: SequenceConfig) -> tuple[StepTrace, 
         pure_state(up),
         pure_state(down),
     ]
-    readouts, final = propagate_periods(segment_generators(seq), rho0, seq.n_reps, observables)
+    readouts, _ = propagate_periods(segment_generators(seq), rho0, seq.n_reps, observables)
     p_dark, p_bright, p_excited, p_up, p_down = readouts[0].T
-    trace = StepTrace(
+    return StepTrace(
         step=np.arange(1, seq.n_reps + 1),
         p_dark=p_dark,
         p_bright=p_bright,
@@ -691,4 +674,3 @@ def run_cpt_sequence(rho0: np.ndarray, seq: SequenceConfig) -> tuple[StepTrace, 
         p_up=p_up,
         p_down=p_down,
     )
-    return trace, final[0]

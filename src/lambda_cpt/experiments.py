@@ -2,13 +2,13 @@
 
 Each function reproduces one measurement protocol: detuning-swept trapping
 spectra, step-by-step pumping traces with calibrated extraction, dark-state
-composition sweeps, multi-resonance scans over the sequence period, the
-frequency-comb prediction, and the linewidth limit. Outputs are small
-dataclasses ready for the fitting module and the CLI writers; they hold
-data only, not the sequence or readout model that made them (a trace's
-readout signal is :func:`~lambda_cpt.dynamics.readout_signal` of its
-p_excited). A spectrum sweeps delta_2 at one delta_1; the multi-resonance
-scan takes it from its drive, as the CLI does for every command.
+composition sweeps, multi-resonance scans over the sequence period, and the
+frequency-comb prediction. Outputs are small dataclasses ready for the
+fitting module and the CLI writers; they hold data only, not the sequence
+or readout model that made them (a trace's readout signal is
+:func:`~lambda_cpt.dynamics.readout_signal` of its p_excited). A spectrum
+sweeps delta_2 at one delta_1; the multi-resonance scan takes it from its
+drive, as the CLI does for every command.
 
 Spectra follow the flip-probability convention: the emitted signal is the
 steady-state excited-state readout calibrated against the far-detuned
@@ -35,6 +35,7 @@ from .dynamics import (
     StepTrace,
     dark_population_estimate,
     propagate_periods,
+    pure_state,
     run_cpt_sequence,
     segment_generators,
     thermal_ground_state,
@@ -54,8 +55,6 @@ __all__ = [
     "apply_artificial_contrast",
     "multi_resonance_scan",
     "comb_predict",
-    "linewidth_limit",
-    "relaxation_rate_limit",
 ]
 
 
@@ -166,7 +165,7 @@ def pump_trace(seq: SequenceConfig) -> PumpTrace:
     calibration against the first readout loses its meaning.
     """
     require(seq.lam.delta_r == 0.0, "delta_1", "equal to delta_2 for a pumping trace")
-    trace, _ = run_cpt_sequence(thermal_ground_state(), seq)
+    trace = run_cpt_sequence(thermal_ground_state(), seq)
     return PumpTrace(trace=trace, p_dark_est=dark_population_estimate(trace.p_excited))
 
 
@@ -180,7 +179,8 @@ def composition_sweep(seq: SequenceConfig, ratios: np.ndarray) -> CompositionSwe
 
         |<down|D>|^2 = (P_down - (1 - P_D)) / (2 P_D - 1)
 
-    using the dark population P_D projected from the same final state.
+    using the dark population P_D of the same final state. Both are read
+    off the final state as observables, each a ratio to the ground trace.
     Raises ValueError when pumping is too shallow to invert (P_D <= 0.5).
     """
     ratios = np.asarray(ratios, dtype=float)
@@ -193,18 +193,19 @@ def composition_sweep(seq: SequenceConfig, ratios: np.ndarray) -> CompositionSwe
     for i, r in enumerate(ratios):
         omega_1, omega_2 = split_rabi(o_eff, r)
         lam_r = replace(seq.lam, omega_1=omega_1, omega_2=omega_2)
-        _, (rho,) = propagate_periods(
-            segment_generators(replace(seq, lam=lam_r)), thermal_ground_state(), seq.n_reps, []
+        dark = pure_state(np.append(dark_bright_basis(lam_r).dark, 0.0))
+        _, ((dark_weight, down, ground),) = propagate_periods(
+            segment_generators(replace(seq, lam=lam_r)),
+            thermal_ground_state(),
+            seq.n_reps,
+            [dark, np.diag([0.0, 1.0, 0.0]), np.diag([1.0, 1.0, 0.0])],
         )
-        ground = rho[:2, :2]
-        g_tot = float(np.real(np.trace(ground)))
-        basis = dark_bright_basis(lam_r)
-        pd = float(np.real(basis.dark.conj() @ ground @ basis.dark)) / g_tot
+        pd = dark_weight / ground
         if pd <= 0.5 + 1e-3:
             raise ValueError(
                 f"dark population {pd:.3f} at r = {r:g} too shallow to invert"
             )
-        p_down = float(np.real(rho[1, 1])) / g_tot
+        p_down = down / ground
         measured[i] = (p_down - (1.0 - pd)) / (2.0 * pd - 1.0)
         p_dark[i] = pd
     # r^2 / (1 + r^2), written so that r^2 never overflows.
@@ -250,17 +251,3 @@ def comb_predict(t_mw: float, t_seq: float, n_s: float, n_max: int) -> CombPredi
     return CombPrediction(
         dip_centers=centers, dip_width=1.0 / (n_s * t_seq), envelope_width=1.0 / t_mw
     )
-
-
-def linewidth_limit(gamma_1: float, gamma_2n_star: float) -> float:
-    """Floor of the trapping linewidth: the larger of the two residual rates."""
-    require(0 <= gamma_1 < math.inf, "gamma_1", "finite and nonnegative")
-    require(0 <= gamma_2n_star < math.inf, "gamma_2n_star", "finite and nonnegative")
-    return max(gamma_1, gamma_2n_star)
-
-
-def relaxation_rate_limit(n_s: float, t1_e: float) -> float:
-    """Effective linewidth contribution 1/(n_s t1_e) of electron relaxation."""
-    require(0 < n_s < math.inf, "n_s", "finite and positive")
-    require(t1_e > 0, "t1_e", "positive (inf for none)")
-    return 1.0 / (n_s * t1_e)

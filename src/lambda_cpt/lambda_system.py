@@ -26,7 +26,6 @@ __all__ = [
     "split_rabi",
     "dark_bright_basis",
     "polarization_efficiency",
-    "dark_precession_overlap",
 ]
 
 
@@ -155,20 +154,3 @@ def polarization_efficiency(cfg: LambdaConfig) -> float:
     cross = o1 * o2 * math.sin(cfg.theta) * math.cos(cfg.phi - cfg.psi)
     alpha_p = (o2 * o2 * s2 + o1 * o1 * c2 + cross) / (o1 * o1 + o2 * o2)
     return min(max(alpha_p, 0.0), 1.0)
-
-
-def dark_precession_overlap(t: float, cfg: LambdaConfig) -> float:
-    """Survival probability |<D(0)|D(t)>|^2 of a freely precessing dark state.
-
-    Off two-photon resonance the dark state rotates into the bright state at
-    the two-photon detuning:
-
-        |<D(0)|D(t)>|^2 = 1 - sin^2(2 beta) sin^2(pi delta_r t)
-
-    with tan(beta) = omega_1/omega_2. The overlap returns to one whenever
-    delta_r * t is an integer, which is the phase-locking condition behind
-    the equally spaced dark resonances of a pulsed sequence.
-    """
-    o1, o2 = cfg.omega_1, cfg.omega_2
-    sin_2beta = 2.0 * o1 * o2 / (o1 * o1 + o2 * o2)
-    return 1.0 - sin_2beta**2 * math.sin(math.pi * cfg.delta_r * t) ** 2

@@ -4,8 +4,9 @@ Collects acceptance lines for the end-of-run summary, holds the scipy
 matrix exponential and the Lindblad generator the engine is checked
 against, builds the dense generator of a segment form, applies one exact
 segment map for the tests that check a segment on its own, converts maps
-between the row-major vec(rho) and the engine's real coordinates, and logs
-the numpy calls made on a segment's arrays.
+between the row-major vec(rho) and the engine's real coordinates, holds
+nine observables that fix a 3x3 state, and logs the numpy calls made on a
+segment's arrays.
 """
 
 import math
@@ -41,6 +42,32 @@ def _real_basis() -> np.ndarray:
 # vec(rho) = VEC x, and x = REAL vec(rho) for Hermitian rho.
 VEC = _real_basis()
 REAL = np.linalg.inv(VEC)
+
+
+def _hermitian_basis() -> np.ndarray:
+    """Nine Hermitian operators whose expectations fix a 3x3 density matrix.
+
+    The projectors |i><i| on the diagonal, |i><j| + |j><i| above it and
+    i (|i><j| - |j><i|) below it, in row-major order.
+    """
+    ops = np.zeros((3, 3, 3, 3), dtype=complex)
+    for i in range(3):
+        for j in range(3):
+            if i == j:
+                ops[i, j, i, i] = 1.0
+            elif i < j:
+                ops[i, j, i, j] = ops[i, j, j, i] = 1.0
+            else:
+                ops[i, j, i, j], ops[i, j, j, i] = 1j, -1j
+    return ops.reshape(9, 3, 3)
+
+
+OBSERVABLES = _hermitian_basis()
+
+
+def expectations(observables: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Tr(O rho) of each observable O, shape (..., k), for a (..., 3, 3) stack of states."""
+    return np.real(np.einsum("kji,...ij->...k", observables, states))
 
 
 def to_real(m: np.ndarray) -> np.ndarray:

@@ -80,7 +80,7 @@ def test_criterion_1_rate_model_constants():
     p_inf = steady_state(model)
     n_s = characteristic_steps(model)
 
-    trace, _ = run_cpt_sequence(thermal_ground_state(), canonical_sequence(n_reps=40))
+    trace = run_cpt_sequence(thermal_ground_state(), canonical_sequence(n_reps=40))
     engine_fit = fit_saturation(trace.p_dark)
     elapsed = time.perf_counter() - started
 
@@ -353,7 +353,7 @@ def test_criterion_8_dark_state_is_stationary():
     seq = SequenceConfig(lam, gamma=20.0, gamma_dp=0.0, n_reps=50)
     dark = dark_bright_basis(lam).dark
     rho0 = pure_state(np.append(dark, 0.0))
-    trace, _ = run_cpt_sequence(rho0, seq)
+    trace = run_cpt_sequence(rho0, seq)
     drift = float(np.max(np.abs(trace.p_dark - 1.0)))
     ok = drift < 1e-6
     report(8, ok, f"max dark-population drift {drift:.2e} over 50 periods")

@@ -89,6 +89,13 @@ def test_out_that_is_not_a_directory_exits_two(tmp_path, caplog, under):
     assert taken.read_text() == "keep me\n"
 
 
+@pytest.mark.parametrize("taken", ["comb.csv", "comb.manifest.json"])
+def test_output_name_held_by_a_directory_exits_two(tmp_path, caplog, taken):
+    (tmp_path / taken).mkdir()
+    assert run(["comb-predict", "--out", str(tmp_path)]) == 2
+    assert f"cannot write {tmp_path / taken}" in caplog.text
+
+
 def test_invalid_value_exits_three(tmp_path, capsys):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[spin]\nb_field = -1\n")

@@ -9,12 +9,7 @@ from hypothesis import strategies as st
 
 from lambda_cpt.config import _SCHEMA, ConfigError, default_config, load_config, parse_config
 from lambda_cpt.dynamics import ReadoutModel, SequenceConfig
-from lambda_cpt.experiments import (
-    comb_predict,
-    composition_sweep,
-    linewidth_limit,
-    relaxation_rate_limit,
-)
+from lambda_cpt.experiments import comb_predict, composition_sweep
 from lambda_cpt.lambda_system import LambdaConfig
 from lambda_cpt.rate_model import PumpStepParams, SimplifiedParams, gamma_dp_for_alpha_dp
 from lambda_cpt.spin_model import FieldError, HyperfineParams, PhysicalConstants, SpinSystemParams
@@ -309,15 +304,6 @@ FIELD_CASES = [
         t_seq=10.0,
         n_s=1.8,
         n_max=4,
-    ),
-    *_fields(
-        linewidth_limit,
-        dict.fromkeys(("gamma_1", "gamma_2n_star"), NONNEGATIVE),
-        gamma_1=0.02,
-        gamma_2n_star=0.005,
-    ),
-    *_fields(
-        relaxation_rate_limit, dict.fromkeys(("n_s", "t1_e"), POSITIVE), n_s=1.8, t1_e=5000.0
     ),
     (
         "composition_sweep.ratios",

@@ -38,14 +38,6 @@ def test_write_csv_validation(tmp_path):
         read_csv(tmp_path / "empty.csv")
 
 
-def test_manifest_hash_ignores_wall_time():
-    inputs = {"b": 2, "a": [1, 2]}
-    fast = run_manifest(inputs, "0.1.0", wall_time_s=0.01)
-    slow = run_manifest(inputs, "0.1.0", wall_time_s=99.0)
-    assert fast["hash"] == slow["hash"]
-    assert fast["wall_time_s"] != slow["wall_time_s"]
-
-
 def test_manifest_hash_depends_on_inputs_and_version():
     assert manifest_hash({"a": 1}, "0.1.0") != manifest_hash({"a": 2}, "0.1.0")
     assert manifest_hash({"a": 1}, "0.1.0") != manifest_hash({"a": 1}, "0.2.0")
@@ -55,7 +47,7 @@ def test_manifest_hash_depends_on_inputs_and_version():
 
 def test_write_manifest(tmp_path):
     path = tmp_path / "run.manifest.json"
-    write_manifest(path, run_manifest({"n": 3}, "0.1.0", wall_time_s=1.5))
+    write_manifest(path, run_manifest({"n": 3}, "0.1.0"))
     loaded = json.loads(path.read_text())
     assert loaded["inputs"] == {"n": 3}
     assert loaded["version"] == "0.1.0"

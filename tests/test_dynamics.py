@@ -12,15 +12,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import dense, from_real, propagate
+from conftest import OBSERVABLES, dense, expectations, from_real, propagate
 
 from lambda_cpt.dynamics import (
     ReadoutModel,
     SequenceConfig,
     StepTrace,
     dark_population_estimate,
-    invert_calibration,
     period_maps,
+    propagate_periods,
     pure_state,
     readout_signal,
     run_cpt_sequence,
@@ -291,21 +291,24 @@ def test_sequence_timing_fields():
 
 
 def test_sequence_zero_reps():
-    trace, rho = run_cpt_sequence(thermal_ground_state(), reference_sequence(n_reps=0))
-    assert len(trace) == 0
-    np.testing.assert_allclose(rho, thermal_ground_state(), rtol=0, atol=1e-15)
+    seq = reference_sequence(n_reps=0)
+    assert len(run_cpt_sequence(thermal_ground_state(), seq)) == 0
+    # The nine observables fix the whole final state.
+    _, final = propagate_periods(segment_generators(seq), thermal_ground_state(), 0, OBSERVABLES)
+    want = expectations(OBSERVABLES, thermal_ground_state())
+    np.testing.assert_allclose(final[0], want, rtol=0, atol=1e-15)
 
 
 def test_first_readout_transfers_half():
     # From the thermal state a pi pulse moves exactly the bright half of the
     # population into the excited state.
-    trace, _ = run_cpt_sequence(thermal_ground_state(), reference_sequence(n_reps=1))
+    trace = run_cpt_sequence(thermal_ground_state(), reference_sequence(n_reps=1))
     assert trace.p_excited[0] == pytest.approx(0.5, abs=1e-9)
     assert trace.p_dark[0] == pytest.approx(0.5, abs=1e-9)
 
 
 def test_trace_population_bookkeeping():
-    trace, _ = run_cpt_sequence(thermal_ground_state(), reference_sequence(n_reps=15))
+    trace = run_cpt_sequence(thermal_ground_state(), reference_sequence(n_reps=15))
     total = trace.p_up + trace.p_down + trace.p_excited
     np.testing.assert_allclose(total, np.ones(15), rtol=0, atol=1e-9)
     ground = trace.p_dark + trace.p_bright
@@ -317,7 +320,7 @@ def test_trace_population_bookkeeping():
 def test_engine_matches_rate_model():
     """Step-resolved dark population against the affine recursion."""
     seq = reference_sequence(n_reps=30)
-    trace, _ = run_cpt_sequence(thermal_ground_state(), seq)
+    trace = run_cpt_sequence(thermal_ground_state(), seq)
     params = PumpStepParams(
         alpha_p=0.43,
         pulse_area=math.pi,
@@ -332,7 +335,7 @@ def test_engine_matches_rate_model():
 
 def test_engine_steady_state_near_frozen_value():
     seq = reference_sequence(n_reps=20)
-    trace, _ = run_cpt_sequence(thermal_ground_state(), seq)
+    trace = run_cpt_sequence(thermal_ground_state(), seq)
     assert trace.p_dark[-1] == pytest.approx(0.88, abs=0.01)
     simplified = simplified_from_step(
         PumpStepParams(
@@ -345,7 +348,7 @@ def test_engine_steady_state_near_frozen_value():
 def test_long_trace_stays_normalized_and_saturated():
     # 20000 periods advance in blocks of 128 through products of powers of
     # the period map; rounding must not leak population or move the plateau.
-    trace, _ = run_cpt_sequence(thermal_ground_state(), reference_sequence(n_reps=20000))
+    trace = run_cpt_sequence(thermal_ground_state(), reference_sequence(n_reps=20000))
     total = trace.p_up + trace.p_down + trace.p_excited
     assert np.max(np.abs(total - 1.0)) < 1e-10
     assert trace.p_dark[-1] == pytest.approx(0.88, abs=0.01)
@@ -358,11 +361,6 @@ def test_readout_model_and_inversion():
     np.testing.assert_allclose(
         readout_signal(np.array([0.0, 0.5, 1.0]), model), signals, rtol=0, atol=1e-12
     )
-    np.testing.assert_allclose(
-        invert_calibration(signals, model), [0.0, 0.5, 1.0], rtol=0, atol=1e-12
-    )
-    with pytest.raises(ValueError):
-        invert_calibration(signals, ReadoutModel(contrast=0.0))
     with pytest.raises(TypeError):
         ReadoutModel(contrast=0.3, reference_0=1.0, reference_1=0.9)
 
@@ -378,7 +376,7 @@ def test_dark_population_estimate():
 
 def test_rk4_sequence_matches_expm_sequence():
     seq = reference_sequence(n_reps=5)
-    t_expm, _ = run_cpt_sequence(thermal_ground_state(), seq)
+    t_expm = run_cpt_sequence(thermal_ground_state(), seq)
     segments = [dense(s) for s in segment_generators(seq)]
     dark3 = embed(dark_bright_basis(seq.lam).dark)
     rho = thermal_ground_state()

@@ -13,10 +13,8 @@ from lambda_cpt.experiments import (
     comb_predict,
     composition_sweep,
     cpt_spectrum,
-    linewidth_limit,
     multi_resonance_scan,
     pump_trace,
-    relaxation_rate_limit,
 )
 from lambda_cpt.lambda_system import LambdaConfig
 
@@ -167,10 +165,3 @@ def test_comb_prediction_geometry():
         comb_predict(t_mw=6.0, t_seq=3.0, n_s=1.8, n_max=2)
     with pytest.raises(ValueError):
         comb_predict(t_mw=6.0, t_seq=25.0, n_s=0.0, n_max=2)
-
-
-def test_linewidth_and_relaxation_limits():
-    assert linewidth_limit(0.02, 0.005) == pytest.approx(0.02)
-    assert linewidth_limit(0.001, 0.004) == pytest.approx(0.004)
-    assert relaxation_rate_limit(1.8, 5000.0) == pytest.approx(1.0 / 9000.0)
-    assert relaxation_rate_limit(1.8, math.inf) == 0.0

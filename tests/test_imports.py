@@ -1,9 +1,11 @@
 """Every name a package module imports is used in that module, every name
-its ``__all__`` lists exists, the CLI imports no more than its commands
-need, and the package never imports scipy (the tests keep it as an oracle).
+its ``__all__`` lists exists and is used by the package itself, the CLI
+imports no more than its commands need, and the package never imports scipy
+(the tests keep it as an oracle).
 
-No linter runs on this repository, so this keeps the dead imports and stale
-``__all__`` entries that a deletion leaves behind from piling up.
+No linter runs on this repository, so this keeps the dead imports, stale
+``__all__`` entries and test-only functions that a deletion leaves behind
+from piling up.
 """
 
 import ast
@@ -51,6 +53,43 @@ def test_every_exported_name_exists():
         if not hasattr(module, name)
     ]
     assert stale == []
+
+
+def reads(node: ast.AST, skip: str | None = None) -> set[str]:
+    """Every name node reads as an ast.Name or an ast.Attribute, outside the
+    top-level def or class statement that defines ``skip``."""
+    found = set()
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)) and child.name == skip:
+            continue
+        if isinstance(child, ast.Name):
+            found.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            found.add(child.attr)
+        found |= reads(child)
+    return found
+
+
+# rate_model is the paper's closed-form model, which the acceptance criteria
+# check the engine against; no command runs it.
+EXEMPT = {"rate_model"}
+
+
+def test_every_exported_name_is_used_by_the_package():
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")
+    }
+    unused = [
+        f"{home}.{name}"
+        for home in sorted(trees)
+        if home not in EXEMPT
+        for name in getattr(importlib.import_module(f"lambda_cpt.{home}"), "__all__", ())
+        if not any(
+            name in reads(other, skip=name if stem == home else None)
+            for stem, other in trees.items()
+        )
+    ]
+    assert unused == []
 
 
 def fresh_interpreter(probe: str) -> str:

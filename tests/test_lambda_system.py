@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from lambda_cpt.lambda_system import (
     LambdaConfig,
     dark_bright_basis,
-    dark_precession_overlap,
     polarization_efficiency,
 )
 
@@ -132,21 +131,6 @@ def test_efficiency_stays_a_probability_at_its_limits(theta, phi, omega_2, dark)
     alpha_p = polarization_efficiency(cfg)
     assert 0.0 <= alpha_p <= 1.0
     assert alpha_p == pytest.approx(1.0 if dark else 0.0, abs=1e-12)
-
-
-def test_precession_overlap():
-    cfg = LambdaConfig(omega_1=1.0, omega_2=1.0, delta_1=0.0, delta_2=-0.2)
-    # delta_r = 0.2; integer windings return to unity.
-    assert dark_precession_overlap(5.0, cfg) == pytest.approx(1.0, abs=1e-12)
-    assert dark_precession_overlap(10.0, cfg) == pytest.approx(1.0, abs=1e-12)
-    # Balanced drive fully depletes at the half-integer point.
-    assert dark_precession_overlap(2.5, cfg) == pytest.approx(0.0, abs=1e-12)
-    # Unbalanced drive caps the depletion at sin^2(2 beta).
-    lop = LambdaConfig(omega_1=1.0, omega_2=0.5, delta_1=0.0, delta_2=-0.2)
-    sin_2beta = 2.0 * 1.0 * 0.5 / (1.0 + 0.25)
-    assert dark_precession_overlap(2.5, lop) == pytest.approx(
-        1.0 - sin_2beta**2, abs=1e-12
-    )
 
 
 def test_config_validation():

@@ -13,7 +13,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import REAL, VEC, Recorded, dense, from_real, lindblad, recorded, scipy_expm, to_real
+from conftest import (
+    OBSERVABLES,
+    REAL,
+    VEC,
+    Recorded,
+    dense,
+    expectations,
+    from_real,
+    lindblad,
+    recorded,
+    scipy_expm,
+    to_real,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -35,23 +47,6 @@ from lambda_cpt.lambda_system import dark_bright_basis, polarization_efficiency
 
 # Tr rho = x . TRACE in the engine's real coordinates.
 TRACE = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-
-
-def hermitian_basis() -> np.ndarray:
-    """Nine Hermitian operators whose expectations fix a 3x3 density matrix."""
-    ops = np.zeros((3, 3, 3, 3), dtype=complex)
-    for i in range(3):
-        for j in range(3):
-            if i == j:
-                ops[i, j, i, i] = 1.0
-            elif i < j:
-                ops[i, j, i, j] = ops[i, j, j, i] = 1.0
-            else:
-                ops[i, j, i, j], ops[i, j, j, i] = 1j, -1j
-    return ops.reshape(9, 3, 3)
-
-
-OBSERVABLES = hermitian_basis()
 
 
 def floats(lo, hi):
@@ -136,11 +131,13 @@ def test_kernel_matches_single_point_runs(text, offsets):
         segment_generators(seq, delta_2), thermal_ground_state(), seq.n_reps, OBSERVABLES
     )
     assert readouts.shape == (len(delta_2), seq.n_reps, 9)
+    assert final.shape == (len(delta_2), 9)
     for i, d2 in enumerate(delta_2):
-        states, want_final = single_point(seq, delta_1, d2)
-        want = np.real(np.einsum("kji,nij->nk", OBSERVABLES, states))
+        states, last = single_point(seq, delta_1, d2)
+        want = expectations(OBSERVABLES, states)
         np.testing.assert_allclose(readouts[i], want, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(final[i], want_final, rtol=0, atol=1e-12)
+        # The nine observables fix the whole final state.
+        np.testing.assert_allclose(final[i], expectations(OBSERVABLES, last), rtol=0, atol=1e-12)
 
 
 def jump_generators(seq):
@@ -238,7 +235,8 @@ def period_by_period(segments, rho0, n_reps, observables):
     It runs in extended precision (np.longdouble) on the real coordinates x
     of the state, and reads Tr(O rho) off rho = vec^-1(VEC x): in float64
     its own rounding would grow with the period count, to 1.8e-12 over
-    20000 periods of PUMP.
+    20000 periods of PUMP. Returns those readouts and each run's final
+    state, (G, 3, 3).
     """
     a, m = (x.reshape(-1, 9, 9).astype(np.longdouble) for x in period_maps(segments))
     basis = VEC.astype(np.clongdouble)
@@ -248,7 +246,7 @@ def period_by_period(segments, rho0, n_reps, observables):
         x = (REAL @ rho0.reshape(9)).real.astype(np.longdouble)
         for i in range(n_reps):
             rho = (basis @ (a_g @ x)).reshape(3, 3)
-            readouts[g, i] = np.real(np.einsum("kji,ij->k", observables, rho))
+            readouts[g, i] = expectations(observables, rho)
             x = m_g @ x
         finals.append((basis @ x).reshape(3, 3))
     return readouts, np.array(finals)
@@ -297,9 +295,12 @@ def test_blocked_kernel_matches_period_by_period(chain, n_reps, g, k):
     observables = OBSERVABLES[:k]
     readouts, final = propagate_periods(segments, rho0, n_reps, observables)
     want, want_final = period_by_period(segments, rho0, n_reps, observables)
-    assert readouts.shape == (g, n_reps, k)
+    assert readouts.shape == (g, n_reps, k) and final.shape == (g, k)
     np.testing.assert_allclose(readouts, want, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(final, want_final, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(final, expectations(observables, want_final), rtol=0, atol=1e-12)
+    # The nine observables fix the whole final state.
+    _, whole = propagate_periods(segments, rho0, n_reps, OBSERVABLES)
+    np.testing.assert_allclose(whole, expectations(OBSERVABLES, want_final), rtol=0, atol=1e-12)
 
 
 def kernel_products():
@@ -320,21 +321,23 @@ def test_kernel_has_no_loop_over_blocks(monkeypatch):
     advances one block's state to the next. The one vector product besides
     the first doubling carries the last start over the one set bit of the
     last block's 32 periods. One product of the readout rows with the block
-    starts (neither operand a 9x9 map) gives every readout.
+    starts (neither operand a 9x9 map) gives every readout, and one of the
+    final state with the observable rows gives the final values.
     """
     n_reps, k, block = 20000, 5, 128
     blocks = -(-n_reps // block)
     last = n_reps - (blocks - 1) * block
     monkeypatch.setattr(Recorded, "log", [])
     segments = [recorded(s) for s in long_chain(1)]
-    readouts, _ = propagate_periods(segments, thermal_ground_state(), n_reps, OBSERVABLES[:k])
+    readouts, final = propagate_periods(segments, thermal_ground_state(), n_reps, OBSERVABLES[:k])
     products = kernel_products()
     reads = [shapes for shapes in products if (9, 9) not in shapes]
-    assert reads == [[(blocks, 9), (9, block * k)]]
+    assert reads == [[(blocks, 9), (9, block * k)], [(1, 9), (9, k)]]
     assert products.count([(1, 9), (9, 9)]) == 1 + bin(last).count("1")
     assert len(products) <= 2 * math.ceil(math.log2(n_reps)) + 4
     assert readouts.dtype == np.float64
     assert readouts.shape == (1, n_reps, k) and readouts[0].flags.c_contiguous
+    assert final.dtype == np.float64 and final.shape == (1, k)
     buffer = readouts
     while isinstance(buffer.base, np.ndarray):
         buffer = buffer.base
@@ -367,10 +370,11 @@ def test_kernel_logs_one_debug_line_per_call(monkeypatch, caplog):
     with caplog.at_level(logging.DEBUG, logger="lambda_cpt.dynamics"):
         propagate_periods(segments, thermal_ground_state(), 65, OBSERVABLES[:5])
     # R A and the readout, 3 rows and 3 squarings up to M^8, 4 doublings of
-    # the starts with 3 squarings between them, and M^1 for the last period.
-    assert len(kernel_products()) == 16
+    # the starts with 3 squarings between them, M^1 for the last period, and
+    # the final values.
+    assert len(kernel_products()) == 17
     lines = [r.getMessage() for r in caplog.records if r.name == "lambda_cpt.dynamics"]
-    assert lines == ["propagate_periods: G=3 n_reps=65 K=8 blocks=9 products=16"]
+    assert lines == ["propagate_periods: G=3 n_reps=65 K=8 blocks=9 products=17"]
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="lambda_cpt.dynamics"):
         propagate_periods(segments, thermal_ground_state(), 65, OBSERVABLES[:5])
@@ -417,14 +421,20 @@ def test_period_maps_hand_off_c_contiguous_float64_maps():
 @settings(max_examples=20, deadline=None)
 @given(text=run_files(), offsets=st.lists(floats(-0.2, 0.2), min_size=2, max_size=9))
 def test_steady_readout_does_not_depend_on_batching(text, offsets):
+    """The steady readout and the final values of a sweep, whole and split in two."""
     seq = parse_config(text).seq
     grid = seq.lam.delta_1 + np.array(offsets)
     half = len(grid) // 2
+    parts = (grid[:half], grid[half:])
     whole = steady_readout(seq, seq.lam.delta_1, grid)
-    split = np.concatenate(
-        [steady_readout(seq, seq.lam.delta_1, part) for part in (grid[:half], grid[half:])]
-    )
+    split = np.concatenate([steady_readout(seq, seq.lam.delta_1, part) for part in parts])
     assert np.array_equal(whole, split)
+
+    def final(part):
+        segments = segment_generators(seq, part)
+        return propagate_periods(segments, thermal_ground_state(), seq.n_reps, OBSERVABLES)[1]
+
+    assert np.array_equal(final(grid), np.concatenate([final(part) for part in parts]))
 
 
 def choi(m):
