@@ -17,7 +17,7 @@ writes a JSON manifest whose hash is echoed into the CSV header.
 
 A handler takes the run config and main's seeded noise function and
 returns {file name: product}: (title, columns) for a CSV, a report dict for
-fit_report.json. main alone writes files: every product, then the manifest.
+fit_report.json. main alone writes files, all or none: products, then manifest.
 
 Exit codes: 0 success, 1 engine failure, 2 unreadable CLI/config input
 or an output that cannot be written, 3 validation rejection, 4 a written
@@ -302,26 +302,36 @@ def main(argv: list[str] | None = None) -> int:
 
     manifest = run_manifest(inputs, __version__)
     manifest_name = f"{name}.manifest.json"
+    names = [*products, manifest_name]
+    held = [out / filename for filename in names if (out / filename).is_dir()]
+    if held:
+        log.error("cannot write %s: the name is held by a directory", held[0])
+        return 2
+    # Files are written under temporary names and renamed into place after
+    # the last write, so a failed write leaves no part of the run behind.
+    parts = {filename: out / f".{filename}.part" for filename in names}
     code = 0
     try:
         for filename, product in products.items():
-            path = out / filename
             if filename.endswith(".csv"):
                 title, columns = product
-                write_csv(path, columns, manifest["hash"], title)
+                write_csv(parts[filename], columns, manifest["hash"], title)
             else:
-                write_manifest(path, product)
+                write_manifest(parts[filename], product)
                 if not product["converged"]:
-                    log.error("%s: fit did not converge; report written anyway", path)
+                    log.error("%s: fit did not converge; report written anyway", out / filename)
                     code = 4
-        path = out / manifest_name
+        filename = manifest_name
         manifest["wall_time_s"] = time.perf_counter() - started
-        write_manifest(path, manifest)
+        write_manifest(parts[filename], manifest)
+        for filename, part in parts.items():
+            os.replace(part, out / filename)
     except OSError as exc:
-        # An output name held by a directory, or a file that cannot be opened.
-        log.error("cannot write %s: %s", path, exc)
+        for part in parts.values():
+            part.unlink(missing_ok=True)
+        log.error("cannot write %s: %s", out / filename, exc)
         return 2
-    for filename in [*products, manifest_name]:
+    for filename in names:
         log.debug("wrote %s (%d bytes)", out / filename, (out / filename).stat().st_size)
     return code
 

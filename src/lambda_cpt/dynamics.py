@@ -64,6 +64,9 @@ grow with n_reps. A detuning sweep is the same build with an array of
 two-photon detunings: f gains a leading axis, and nothing else depends
 on the detunings.
 
+This module is the engine alone: protocols, their observables and their
+calibrations live in :mod:`lambda_cpt.experiments`.
+
 Units: MHz and us everywhere at the interface; the 2*pi sits inside the
 generators only.
 """
@@ -83,7 +86,6 @@ from .spin_model import require
 __all__ = [
     "SequenceConfig",
     "ReadoutModel",
-    "StepTrace",
     "thermal_ground_state",
     "pure_state",
     "rwa_generator",
@@ -93,9 +95,7 @@ __all__ = [
     "segment_generators",
     "period_maps",
     "propagate_periods",
-    "run_cpt_sequence",
     "readout_signal",
-    "dark_population_estimate",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -168,25 +168,6 @@ class ReadoutModel:
     def __post_init__(self) -> None:
         require(0 <= self.contrast <= 1, "contrast", "in [0, 1]")
         require(0 < self.reference_0 < math.inf, "reference_0", "finite and positive")
-
-
-@dataclass(frozen=True)
-class StepTrace:
-    """Per-period populations at the readout instant (just before the laser).
-
-    All arrays have length n_reps; ``step`` counts from 1. The readout
-    signal is :func:`readout_signal` of p_excited.
-    """
-
-    step: np.ndarray
-    p_dark: np.ndarray
-    p_bright: np.ndarray
-    p_excited: np.ndarray
-    p_up: np.ndarray
-    p_down: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.step)
 
 
 def thermal_ground_state() -> np.ndarray:
@@ -626,51 +607,3 @@ def _check_final_states(x: np.ndarray, x0: np.ndarray) -> None:
 def readout_signal(p_excited: float | np.ndarray, model: ReadoutModel) -> float | np.ndarray:
     """Photoluminescence level for an excited population, scalar or array."""
     return model.reference_0 * (1.0 - model.contrast * p_excited)
-
-
-def dark_population_estimate(p_minus: np.ndarray) -> np.ndarray:
-    """Calibrated dark-population estimate from an excited-population series.
-
-    The first readout of a thermally initialized sequence measures half the
-    per-pulse transfer probability, so it doubles as the calibration point:
-    the estimate after n full periods is 1 - P_-(n+1) / (2 P_-(1)). Element
-    i of the result is the estimated dark population after i periods
-    (element 0 is the thermal 0.5 by construction).
-    """
-    p = np.asarray(p_minus, dtype=float)
-    if len(p) == 0:
-        raise ValueError("empty readout series")
-    if p[0] < 1e-6:
-        raise ValueError("first readout too small to calibrate against")
-    return 1.0 - p / (2.0 * p[0])
-
-
-def run_cpt_sequence(rho0: np.ndarray, seq: SequenceConfig) -> StepTrace:
-    """The populations at each readout of n_reps pulse-wait-laser-wait periods.
-
-    Populations are recorded immediately before each laser pulse. This is
-    :func:`propagate_periods` at G = 1, in real coordinates: the readout
-    rows, the powers of the period map M and the starts of the blocks of K
-    periods (K the largest power of two with K^2 <= n_reps) all come by
-    doubling, so n periods cost O(log n) products with real 9x9 matrices
-    plus one readout product, with no loop over the periods or blocks.
-    """
-    basis = dark_bright_basis(seq.lam)
-    up, down, excited = np.eye(3)
-    observables = [
-        pure_state(np.append(basis.dark, 0.0)),
-        pure_state(np.append(basis.bright, 0.0)),
-        pure_state(excited),
-        pure_state(up),
-        pure_state(down),
-    ]
-    readouts, _ = propagate_periods(segment_generators(seq), rho0, seq.n_reps, observables)
-    p_dark, p_bright, p_excited, p_up, p_down = readouts[0].T
-    return StepTrace(
-        step=np.arange(1, seq.n_reps + 1),
-        p_dark=p_dark,
-        p_bright=p_bright,
-        p_excited=p_excited,
-        p_up=p_up,
-        p_down=p_down,
-    )

@@ -10,16 +10,16 @@ or readout model that made them (a trace's readout signal is
 sweeps delta_2 at one delta_1; the multi-resonance scan takes it from its
 drive, as the CLI does for every command.
 
-Spectra follow the flip-probability convention: the emitted signal is the
-steady-state excited-state readout calibrated against the far-detuned
-baseline (the mean of the two outermost grid points), which corresponds to
-an unpumped spin flipping on half the pulses and is therefore mapped to
-one-half. Trapping shows up as a dip toward zero, and one minus the dip
-minimum reads off the trapped dark fraction. Grid points are independent
-simulations, propagated together: one spectrum is one batch through
-:func:`~lambda_cpt.dynamics.propagate_periods`, and a multi-resonance scan
-runs one such batch per period. A composition sweep runs each ratio as its
-own run; the kernel gives the same bits either way.
+Every protocol calls :func:`~lambda_cpt.dynamics.propagate_periods` itself,
+with the observables it reads, and calibrates here. Spectra follow the
+flip-probability convention: the steady excited-state readout is scaled so
+that the far-detuned baseline (the mean of the two outermost grid points),
+an unpumped spin flipping on half the pulses, maps to one-half; one minus
+the dip minimum is then the trapped dark fraction. A pump trace calibrates
+against its first readout (:func:`dark_population_estimate`). Grid points
+are independent runs: a spectrum is one batch, a multi-resonance scan one
+batch per period, a composition sweep one run per ratio; the kernel gives
+the same bits either way.
 """
 
 from __future__ import annotations
@@ -32,11 +32,8 @@ import numpy as np
 
 from .dynamics import (
     SequenceConfig,
-    StepTrace,
-    dark_population_estimate,
     propagate_periods,
     pure_state,
-    run_cpt_sequence,
     segment_generators,
     thermal_ground_state,
 )
@@ -45,11 +42,13 @@ from .spin_model import require
 
 __all__ = [
     "Spectrum",
+    "StepTrace",
     "PumpTrace",
     "CompositionSweep",
     "CombPrediction",
     "steady_readout",
     "cpt_spectrum",
+    "dark_population_estimate",
     "pump_trace",
     "composition_sweep",
     "apply_artificial_contrast",
@@ -86,8 +85,27 @@ class Spectrum:
 
 
 @dataclass(frozen=True)
+class StepTrace:
+    """Per-period populations at the readout instant (just before the laser).
+
+    All arrays have length n_reps; ``step`` counts from 1. The readout
+    signal is :func:`~lambda_cpt.dynamics.readout_signal` of p_excited.
+    """
+
+    step: np.ndarray
+    p_dark: np.ndarray
+    p_bright: np.ndarray
+    p_excited: np.ndarray
+    p_up: np.ndarray
+    p_down: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.step)
+
+
+@dataclass(frozen=True)
 class PumpTrace:
-    """Engine step trace plus the calibrated dark-population estimate.
+    """Step trace plus the calibrated dark-population estimate.
 
     p_dark_est[i] estimates the dark population after i full periods from
     the excited-population readouts alone (element 0 is the thermal 0.5).
@@ -104,7 +122,6 @@ class CompositionSweep:
     ratios: np.ndarray
     measured: np.ndarray
     ideal: np.ndarray
-    p_dark: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -158,15 +175,53 @@ def cpt_spectrum(seq: SequenceConfig, delta_1: float, grid: np.ndarray) -> Spect
     return Spectrum(detuning_grid=grid, signal=raw / (2.0 * baseline))
 
 
+def dark_population_estimate(p_minus: np.ndarray) -> np.ndarray:
+    """Calibrated dark-population estimate from an excited-population series.
+
+    The first readout of a thermally initialized sequence measures half the
+    per-pulse transfer probability, so it doubles as the calibration point:
+    the estimate after n full periods is 1 - P_-(n+1) / (2 P_-(1)). Element
+    i of the result is the estimated dark population after i periods
+    (element 0 is the thermal 0.5 by construction).
+    """
+    p = np.asarray(p_minus, dtype=float)
+    if len(p) == 0:
+        raise ValueError("empty readout series")
+    if p[0] < 1e-6:
+        raise ValueError("first readout too small to calibrate against")
+    return 1.0 - p / (2.0 * p[0])
+
+
 def pump_trace(seq: SequenceConfig) -> PumpTrace:
     """Step-by-step pumping from thermal, with calibrated extraction.
 
+    Reads five populations just before each of seq.n_reps laser pulses.
     Requires two-photon resonance (delta_1 = delta_2): off resonance the
     calibration against the first readout loses its meaning.
     """
     require(seq.lam.delta_r == 0.0, "delta_1", "equal to delta_2 for a pumping trace")
-    trace = run_cpt_sequence(thermal_ground_state(), seq)
-    return PumpTrace(trace=trace, p_dark_est=dark_population_estimate(trace.p_excited))
+    basis = dark_bright_basis(seq.lam)
+    up, down, excited = np.eye(3)
+    observables = [
+        pure_state(np.append(basis.dark, 0.0)),
+        pure_state(np.append(basis.bright, 0.0)),
+        pure_state(excited),
+        pure_state(up),
+        pure_state(down),
+    ]
+    readouts, _ = propagate_periods(
+        segment_generators(seq), thermal_ground_state(), seq.n_reps, observables
+    )
+    p_dark, p_bright, p_excited, p_up, p_down = readouts[0].T
+    trace = StepTrace(
+        step=np.arange(1, seq.n_reps + 1),
+        p_dark=p_dark,
+        p_bright=p_bright,
+        p_excited=p_excited,
+        p_up=p_up,
+        p_down=p_down,
+    )
+    return PumpTrace(trace=trace, p_dark_est=dark_population_estimate(p_excited))
 
 
 def composition_sweep(seq: SequenceConfig, ratios: np.ndarray) -> CompositionSweep:
@@ -189,7 +244,6 @@ def composition_sweep(seq: SequenceConfig, ratios: np.ndarray) -> CompositionSwe
     require(np.all((ratios > 0) & (ratios < np.inf)), "ratios", "finite and positive")
     o_eff = seq.lam.omega_eff
     measured = np.empty(len(ratios))
-    p_dark = np.empty(len(ratios))
     for i, r in enumerate(ratios):
         omega_1, omega_2 = split_rabi(o_eff, r)
         lam_r = replace(seq.lam, omega_1=omega_1, omega_2=omega_2)
@@ -207,10 +261,9 @@ def composition_sweep(seq: SequenceConfig, ratios: np.ndarray) -> CompositionSwe
             )
         p_down = down / ground
         measured[i] = (p_down - (1.0 - pd)) / (2.0 * pd - 1.0)
-        p_dark[i] = pd
     # r^2 / (1 + r^2), written so that r^2 never overflows.
     ideal = (ratios / np.hypot(1.0, ratios)) ** 2
-    return CompositionSweep(ratios=ratios, measured=measured, ideal=ideal, p_dark=p_dark)
+    return CompositionSweep(ratios=ratios, measured=measured, ideal=ideal)
 
 
 def apply_artificial_contrast(values: np.ndarray, a: float) -> np.ndarray:

@@ -82,16 +82,10 @@ class LambdaConfig:
 
 @dataclass(frozen=True)
 class LambdaBasis:
-    """Dark/bright ground spinors plus the excited state's nuclear spinor.
-
-    All three are 2-component complex vectors over (|up>, |down>). ``dark``
-    and ``bright`` are orthonormal; ``excited`` is the nuclear character of
-    |-> and is generally not orthogonal to either.
-    """
+    """Dark/bright ground spinors: orthonormal 2-component complex vectors over (|up>, |down>)."""
 
     dark: np.ndarray
     bright: np.ndarray
-    excited: np.ndarray
 
 
 def split_rabi(omega_eff: float, ratio: float) -> tuple[float, float]:
@@ -116,8 +110,6 @@ def dark_bright_basis(cfg: LambdaConfig) -> LambdaBasis:
     pair orthonormal for every psi and the bright-branch coupling to |->
     real.
 
-    The excited spinor is -sin(theta/2) e^{-i phi} |up> + cos(theta/2) |down>.
-
     Raises
     ------
     ValueError
@@ -128,11 +120,7 @@ def dark_bright_basis(cfg: LambdaConfig) -> LambdaBasis:
     phase = np.exp(-1j * cfg.psi)
     dark = np.array([o2 * phase, -o1], dtype=complex) / norm
     bright = np.array([o1, o2 * np.conj(phase)], dtype=complex) / norm
-    half = cfg.theta / 2.0
-    excited = np.array(
-        [-math.sin(half) * np.exp(-1j * cfg.phi), math.cos(half)], dtype=complex
-    )
-    return LambdaBasis(dark=dark, bright=bright, excited=excited)
+    return LambdaBasis(dark=dark, bright=bright)
 
 
 def polarization_efficiency(cfg: LambdaConfig) -> float:
@@ -144,7 +132,8 @@ def polarization_efficiency(cfg: LambdaConfig) -> float:
         alpha_p = [o2^2 sin^2(theta/2) + o1^2 cos^2(theta/2)
                    + o1 o2 sin(theta) cos(phi - psi)] / (o1^2 + o2^2)
 
-    which equals |<-|D>|^2 for the spinors of :func:`dark_bright_basis`.
+    which equals |<e|D>|^2 for D of :func:`dark_bright_basis` and the
+    spinor of |->, e = -sin(theta/2) e^{-i phi} |up> + cos(theta/2) |down>.
     The value is clamped to [0, 1]: at an all-bright or all-dark drive,
     rounding leaves the closed form about 1e-16 outside that range.
     """

@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 __all__ = [
     "FieldError",
     "require",
@@ -105,9 +103,6 @@ class EigenSystem:
     energies
         (nu_1 ... nu_6) in MHz: the m_s = 0 pair, the m_s = -1 pair, and the
         m_s = +1 pair, in that order.
-    states
-        Six (manifold, spinor) pairs matching the energies; each spinor is a
-        unit-norm 2-vector over (|up>, |down>). manifold is 0, -1 or +1.
     theta, theta_prime
         Nuclear mixing angles of the m_s = -1 and m_s = +1 manifolds (rad).
     """
@@ -115,7 +110,6 @@ class EigenSystem:
     theta: float
     theta_prime: float
     energies: tuple[float, float, float, float, float, float]
-    states: tuple[tuple[int, np.ndarray], ...]
 
 
 @dataclass(frozen=True)
@@ -143,11 +137,11 @@ def mixing_angles(params: SpinSystemParams) -> tuple[float, float]:
 
 
 def eigensystem(params: SpinSystemParams) -> EigenSystem:
-    """Closed-form eigenenergies and nuclear spinors of all three manifolds.
+    """Closed-form eigenenergies and nuclear mixing angles of all three manifolds.
 
     m_s = 0: pure |up>/|down> split by the nuclear Zeeman term.
     m_s = -1: states mixed by theta, split by sqrt(a_ani^2 + (a_zz - gamma_n B)^2).
-    m_s = +1: spinors mixed by the exact theta'; the energy splitting uses the
+    m_s = +1: states mixed by the exact theta'; the energy splitting uses the
     linearized form (a_zz + gamma_n B), which is the convention the transition
     frequencies below are quoted in. The exact splitting differs from it by
     a_ani^2/(2(a_zz + gamma_n B)) at most, about 0.02 MHz for typical inputs.
@@ -165,20 +159,8 @@ def eigensystem(params: SpinSystemParams) -> EigenSystem:
     nu5 = c.d + ez - (hf.a_zz + nz) / 2.0
     nu6 = c.d + ez + (hf.a_zz + nz) / 2.0
 
-    up = np.array([1.0, 0.0], dtype=complex)
-    down = np.array([0.0, 1.0], dtype=complex)
-    ph = np.exp(1j * hf.phi)
-    h, hp = theta / 2.0, theta_prime / 2.0
-    psi3 = np.array([math.cos(h), math.sin(h) * ph], dtype=complex)
-    psi4 = np.array([-math.sin(h) * np.conj(ph), math.cos(h)], dtype=complex)
-    psi5 = np.array([-math.sin(hp) * np.conj(ph), math.cos(hp)], dtype=complex)
-    psi6 = np.array([math.cos(hp), math.sin(hp) * ph], dtype=complex)
-
     return EigenSystem(
-        theta=theta,
-        theta_prime=theta_prime,
-        energies=(nu1, nu2, nu3, nu4, nu5, nu6),
-        states=((0, up), (0, down), (-1, psi3), (-1, psi4), (+1, psi5), (+1, psi6)),
+        theta=theta, theta_prime=theta_prime, energies=(nu1, nu2, nu3, nu4, nu5, nu6)
     )
 
 

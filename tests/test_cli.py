@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import lambda_cpt.cli as cli
-from lambda_cpt import __version__, dynamics
+from lambda_cpt import __version__, experiments
 from lambda_cpt.datasets import read_csv, write_csv
 from lambda_cpt.experiments import Spectrum
 from lambda_cpt.fitting import DipFit, fit_dips
@@ -94,6 +94,19 @@ def test_output_name_held_by_a_directory_exits_two(tmp_path, caplog, taken):
     (tmp_path / taken).mkdir()
     assert run(["comb-predict", "--out", str(tmp_path)]) == 2
     assert f"cannot write {tmp_path / taken}" in caplog.text
+    # No part of the run is left behind.
+    assert not (tmp_path / "comb.csv").is_file()
+    assert [path.name for path in tmp_path.iterdir()] == [taken]
+
+
+def test_output_name_held_by_a_dangling_link_is_replaced(tmp_path):
+    # Each file is renamed into place, which replaces the link; opening the
+    # name for writing would follow it and fail after comb.csv was written.
+    (tmp_path / "comb.manifest.json").symlink_to(tmp_path / "missing" / "m.json")
+    assert run(["comb-predict", "--out", str(tmp_path)]) == 0
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["comb.csv", "comb.manifest.json"]
+    assert not (tmp_path / "comb.manifest.json").is_symlink()
+    assert json.loads((tmp_path / "comb.manifest.json").read_text())["hash"]
 
 
 def test_invalid_value_exits_three(tmp_path, capsys):
@@ -189,13 +202,13 @@ def test_extreme_wait_channels_end_cleanly(tmp_path, caplog, command, sequence, 
 def test_kernel_invariant_failure_exits_one(tmp_path, monkeypatch, caplog):
     # A laser column 1% too strong adds trace every period; the kernel names
     # the rule it breaks and nothing is written.
-    segment_generators = dynamics.segment_generators
+    segment_generators = experiments.segment_generators
 
     def leaky(seq, delta_2=None):
         pulse, pre, laser, post = segment_generators(seq, delta_2)
         return pulse, pre, replace(laser, column=1.01 * laser.column), post
 
-    monkeypatch.setattr(dynamics, "segment_generators", leaky)
+    monkeypatch.setattr(experiments, "segment_generators", leaky)
     assert run(["pump-steps", "--out", str(tmp_path)]) == 1
     assert "engine failure: propagation left the physical states" in caplog.text
     assert not list(tmp_path.glob("pump*"))

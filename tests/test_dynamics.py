@@ -17,17 +17,15 @@ from conftest import OBSERVABLES, dense, expectations, from_real, propagate
 from lambda_cpt.dynamics import (
     ReadoutModel,
     SequenceConfig,
-    StepTrace,
-    dark_population_estimate,
     period_maps,
     propagate_periods,
     pure_state,
     readout_signal,
-    run_cpt_sequence,
     rwa_generator,
     segment_generators,
     thermal_ground_state,
 )
+from lambda_cpt.experiments import StepTrace, pump_trace
 from lambda_cpt.lambda_system import (
     LambdaConfig,
     dark_bright_basis,
@@ -292,9 +290,11 @@ def test_sequence_timing_fields():
 
 def test_sequence_zero_reps():
     seq = reference_sequence(n_reps=0)
-    assert len(run_cpt_sequence(thermal_ground_state(), seq)) == 0
     # The nine observables fix the whole final state.
-    _, final = propagate_periods(segment_generators(seq), thermal_ground_state(), 0, OBSERVABLES)
+    readouts, final = propagate_periods(
+        segment_generators(seq), thermal_ground_state(), seq.n_reps, OBSERVABLES
+    )
+    assert readouts.shape == (1, 0, len(OBSERVABLES))
     want = expectations(OBSERVABLES, thermal_ground_state())
     np.testing.assert_allclose(final[0], want, rtol=0, atol=1e-15)
 
@@ -302,13 +302,13 @@ def test_sequence_zero_reps():
 def test_first_readout_transfers_half():
     # From the thermal state a pi pulse moves exactly the bright half of the
     # population into the excited state.
-    trace = run_cpt_sequence(thermal_ground_state(), reference_sequence(n_reps=1))
+    trace = pump_trace(reference_sequence(n_reps=1)).trace
     assert trace.p_excited[0] == pytest.approx(0.5, abs=1e-9)
     assert trace.p_dark[0] == pytest.approx(0.5, abs=1e-9)
 
 
 def test_trace_population_bookkeeping():
-    trace = run_cpt_sequence(thermal_ground_state(), reference_sequence(n_reps=15))
+    trace = pump_trace(reference_sequence(n_reps=15)).trace
     total = trace.p_up + trace.p_down + trace.p_excited
     np.testing.assert_allclose(total, np.ones(15), rtol=0, atol=1e-9)
     ground = trace.p_dark + trace.p_bright
@@ -320,7 +320,7 @@ def test_trace_population_bookkeeping():
 def test_engine_matches_rate_model():
     """Step-resolved dark population against the affine recursion."""
     seq = reference_sequence(n_reps=30)
-    trace = run_cpt_sequence(thermal_ground_state(), seq)
+    trace = pump_trace(seq).trace
     params = PumpStepParams(
         alpha_p=0.43,
         pulse_area=math.pi,
@@ -335,7 +335,7 @@ def test_engine_matches_rate_model():
 
 def test_engine_steady_state_near_frozen_value():
     seq = reference_sequence(n_reps=20)
-    trace = run_cpt_sequence(thermal_ground_state(), seq)
+    trace = pump_trace(seq).trace
     assert trace.p_dark[-1] == pytest.approx(0.88, abs=0.01)
     simplified = simplified_from_step(
         PumpStepParams(
@@ -348,7 +348,7 @@ def test_engine_steady_state_near_frozen_value():
 def test_long_trace_stays_normalized_and_saturated():
     # 20000 periods advance in blocks of 128 through products of powers of
     # the period map; rounding must not leak population or move the plateau.
-    trace = run_cpt_sequence(thermal_ground_state(), reference_sequence(n_reps=20000))
+    trace = pump_trace(reference_sequence(n_reps=20000)).trace
     total = trace.p_up + trace.p_down + trace.p_excited
     assert np.max(np.abs(total - 1.0)) < 1e-10
     assert trace.p_dark[-1] == pytest.approx(0.88, abs=0.01)
@@ -365,18 +365,9 @@ def test_readout_model_and_inversion():
         ReadoutModel(contrast=0.3, reference_0=1.0, reference_1=0.9)
 
 
-def test_dark_population_estimate():
-    estimates = dark_population_estimate(np.array([0.5, 0.12, 0.06]))
-    np.testing.assert_allclose(estimates, [0.5, 0.88, 0.94], rtol=0, atol=1e-12)
-    with pytest.raises(ValueError):
-        dark_population_estimate(np.array([1e-9, 0.5]))
-    with pytest.raises(ValueError):
-        dark_population_estimate(np.array([]))
-
-
 def test_rk4_sequence_matches_expm_sequence():
     seq = reference_sequence(n_reps=5)
-    t_expm = run_cpt_sequence(thermal_ground_state(), seq)
+    t_expm = pump_trace(seq).trace
     segments = [dense(s) for s in segment_generators(seq)]
     dark3 = embed(dark_bright_basis(seq.lam).dark)
     rho = thermal_ground_state()

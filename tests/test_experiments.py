@@ -2,21 +2,29 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from lambda_cpt.dynamics import SequenceConfig
+from lambda_cpt.dynamics import (
+    SequenceConfig,
+    propagate_periods,
+    pure_state,
+    segment_generators,
+    thermal_ground_state,
+)
 from lambda_cpt.experiments import (
     Spectrum,
     apply_artificial_contrast,
     comb_predict,
     composition_sweep,
     cpt_spectrum,
+    dark_population_estimate,
     multi_resonance_scan,
     pump_trace,
 )
-from lambda_cpt.lambda_system import LambdaConfig
+from lambda_cpt.lambda_system import LambdaConfig, dark_bright_basis, split_rabi
 
 OMEGA = 1.0 / (12.0 * math.sqrt(2.0))
 PHI_043 = math.acos(-0.14)
@@ -89,18 +97,37 @@ def test_pump_trace_perfect_step():
     assert result.trace.p_excited[1] < 1e-3
 
 
+def test_dark_population_estimate():
+    estimates = dark_population_estimate(np.array([0.5, 0.12, 0.06]))
+    np.testing.assert_allclose(estimates, [0.5, 0.88, 0.94], rtol=0, atol=1e-12)
+    with pytest.raises(ValueError):
+        dark_population_estimate(np.array([1e-9, 0.5]))
+    with pytest.raises(ValueError):
+        dark_population_estimate(np.array([]))
+
+
 def test_pump_trace_rejects_two_photon_detuning():
     with pytest.raises(ValueError):
         pump_trace(sequence(drive(delta_2=0.01)))
 
 
 def test_composition_sweep_recovers_ideal_fractions():
-    sweep = composition_sweep(
-        sequence(drive(phi=0.0), gamma_dp=0.0, n_reps=20), np.array([0.25, 0.5, 1.0, 2.0, 4.0])
-    )
+    seq = sequence(drive(phi=0.0), gamma_dp=0.0, n_reps=20)
+    sweep = composition_sweep(seq, np.array([0.25, 0.5, 1.0, 2.0, 4.0]))
     np.testing.assert_allclose(sweep.ideal, sweep.ratios**2 / (1.0 + sweep.ratios**2))
     np.testing.assert_allclose(sweep.measured, sweep.ideal, rtol=0, atol=1e-9)
-    assert np.all(sweep.p_dark > 0.99)
+    # The dark fraction of each final ground manifold, which the sweep inverts by.
+    for r in sweep.ratios:
+        omega_1, omega_2 = split_rabi(seq.lam.omega_eff, r)
+        lam = replace(seq.lam, omega_1=omega_1, omega_2=omega_2)
+        dark = pure_state(np.append(dark_bright_basis(lam).dark, 0.0))
+        _, ((p_dark, ground),) = propagate_periods(
+            segment_generators(replace(seq, lam=lam)),
+            thermal_ground_state(),
+            seq.n_reps,
+            [dark, np.diag([1.0, 1.0, 0.0])],
+        )
+        assert p_dark / ground > 0.99, r
 
 
 def test_composition_ideal_holds_at_extreme_ratios():

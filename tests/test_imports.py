@@ -1,7 +1,7 @@
 """Every name a package module imports is used in that module, every name
-its ``__all__`` lists exists and is used by the package itself, the CLI
-imports no more than its commands need, and the package never imports scipy
-(the tests keep it as an oracle).
+its ``__all__`` lists exists and is used by the package itself, and the
+package never imports scipy, not even through the CLI (the tests keep it as
+an oracle).
 
 No linter runs on this repository, so this keeps the dead imports, stale
 ``__all__`` entries and test-only functions that a deletion leaves behind
@@ -102,12 +102,6 @@ def fresh_interpreter(probe: str) -> str:
         check=True,
     )
     return out.stdout.strip()
-
-
-def test_cli_import_leaves_out_the_fitter():
-    # scipy.optimize alone would cost about twice the CLI's own import time.
-    probe = "import sys, lambda_cpt.cli; print('scipy.optimize' in sys.modules)"
-    assert fresh_interpreter(probe) == "False"
 
 
 def test_engine_import_leaves_out_scipy():

@@ -58,12 +58,14 @@ def test_basis_invariant_under_amplitude_scaling():
 
 def test_efficiency_equals_dark_excited_overlap():
     # The closed form must agree with |<-|D>|^2 computed from the spinors,
-    # which is the defining property.
+    # which is the defining property; |-> has the nuclear spinor
+    # -sin(theta/2) e^{-i phi} |up> + cos(theta/2) |down>.
     rng = np.random.default_rng(17)
     for _ in range(1000):
         cfg = random_config(rng)
-        basis = dark_bright_basis(cfg)
-        overlap = abs(np.vdot(basis.excited, basis.dark)) ** 2
+        half = cfg.theta / 2.0
+        excited = np.array([-math.sin(half) * np.exp(-1j * cfg.phi), math.cos(half)])
+        overlap = abs(np.vdot(excited, dark_bright_basis(cfg).dark)) ** 2
         assert polarization_efficiency(cfg) == pytest.approx(overlap, abs=1e-12)
 
 

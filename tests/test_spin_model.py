@@ -65,9 +65,19 @@ def block_hamiltonian(params: SpinSystemParams, ms: int) -> np.ndarray:
     )
 
 
-def spinor_overlap(a: np.ndarray, b: np.ndarray) -> float:
-    """|<a|b>|, insensitive to global phases."""
-    return abs(np.vdot(a, b))
+# Per line of esr_lines: the upper manifold m_s, the nuclear state it starts
+# from (0 for |up> at nu1, 1 for |down> at nu2), and the eigenvector of the
+# upper block it reaches, counted from the lower energy.
+LINE_STATES = ((-1, 0, 0), (-1, 1, 0), (-1, 0, 1), (-1, 1, 1), (+1, 1, 0), (+1, 0, 1))
+OFF_DEFAULT = SpinSystemParams(
+    hyperfine=HyperfineParams(a_zz=0.7, a_ani=0.45, phi=1.3), b_field=620.0
+)
+
+
+def oracle_weights(params: SpinSystemParams) -> np.ndarray:
+    """Each line's squared overlap of the numeric upper eigenvector with its start."""
+    vecs = {ms: np.linalg.eigh(block_hamiltonian(params, ms))[1] for ms in (-1, +1)}
+    return np.array([abs(vecs[ms][start, k]) ** 2 for ms, start, k in LINE_STATES])
 
 
 def test_mixing_angles_frozen():
@@ -100,14 +110,11 @@ def test_ms0_and_msm1_match_exact_diagonalization():
 
 
 def test_msm1_spinors_match_exact_eigenvectors():
-    params = SpinSystemParams(
-        hyperfine=HyperfineParams(a_zz=0.7, a_ani=0.45, phi=1.3), b_field=620.0
-    )
-    eig = eigensystem(params)
-    ev, vec = np.linalg.eigh(block_hamiltonian(params, -1))
+    eig = eigensystem(OFF_DEFAULT)
+    ev = np.linalg.eigvalsh(block_hamiltonian(OFF_DEFAULT, -1))
     np.testing.assert_allclose(eig.energies[2:4], ev, rtol=0, atol=1e-9)
-    assert spinor_overlap(eig.states[2][1], vec[:, 0]) == pytest.approx(1.0, abs=1e-10)
-    assert spinor_overlap(eig.states[3][1], vec[:, 1]) == pytest.approx(1.0, abs=1e-10)
+    weights = [line.weight for line in esr_lines(eig)]
+    np.testing.assert_allclose(weights[:4], oracle_weights(OFF_DEFAULT)[:4], rtol=0, atol=1e-10)
 
 
 def test_msp1_linearized_energies_near_exact():
@@ -117,9 +124,10 @@ def test_msp1_linearized_energies_near_exact():
     # The documented linearization error for these couplings is 0.0117 MHz.
     assert abs(eig.energies[4] - ev[0]) < 0.02
     assert abs(eig.energies[5] - ev[1]) < 0.02
-    vecs = np.linalg.eigh(block_hamiltonian(params, +1))[1]
-    assert spinor_overlap(eig.states[4][1], vecs[:, 0]) == pytest.approx(1.0, abs=1e-10)
-    assert spinor_overlap(eig.states[5][1], vecs[:, 1]) == pytest.approx(1.0, abs=1e-10)
+    # The mixing angle theta' is exact, so the weights are.
+    for weighed in (params, OFF_DEFAULT):
+        weights = [line.weight for line in esr_lines(eigensystem(weighed))]
+        np.testing.assert_allclose(weights[4:], oracle_weights(weighed)[4:], rtol=0, atol=1e-10)
 
 
 def test_splitting_is_hypotenuse():
