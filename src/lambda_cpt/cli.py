@@ -220,6 +220,18 @@ def _contrast_report(cfg: RunConfig, data: dict) -> dict:
     return {"converged": True, "a": a, "column": column}
 
 
+def _require_finite(report: dict) -> None:
+    """Raise ValueError at the first report number that is not finite.
+
+    Undetermined sigmas are None already; any other number that overflowed
+    could not be written as strict JSON.
+    """
+    dips = [item for dip in report.get("dips", ()) for item in dip.items()]
+    for key, value in [*report.items(), *dips]:
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"the fit gives {key} = {value}, which no report can hold")
+
+
 # fit.kind -> builder of the fit_report.json body (all but its "kind").
 _FIT_REPORTS = dict(dips=_dips_report, saturation=_saturation_report, contrast=_contrast_report)
 
@@ -232,11 +244,13 @@ def _run_fit(cfg: RunConfig, noise) -> dict:
         raise ConfigError("fit.input", f"no such file: {path}")
     try:
         report = _FIT_REPORTS[cfg.fit_kind](cfg, read_csv(path))
+        _require_finite(report)
     except ConfigError:
         raise
     except ValueError as exc:
-        # A dataset the fit rejects (too short, non-finite, non-numeric) is
-        # a rejected fit.input, not an engine failure.
+        # A dataset the fit rejects (too short, non-finite, non-numeric, or
+        # so large that the report overflows) is a rejected fit.input, not
+        # an engine failure.
         raise ConfigError("fit.input", str(exc)) from exc
     return {"fit_report.json": {"kind": cfg.fit_kind, **report}}
 

@@ -9,8 +9,9 @@ Every value is type- and range-checked, whether or not the command uses
 it. A ``_SCHEMA`` converter checks type and finiteness. A key whose value
 lives in a parameter dataclass has its range rule there, stated once for
 the INI path and the Python API alike; parse_config reports the dataclass's
-FieldError at that key. Only keys with no dataclass home keep a bound in
-their converter, and parse_config checks the rules that tie keys together.
+FieldError at that key (SequenceConfig holds n_reps >= 1 and durations
+>= 0, say). Only keys with no dataclass home keep a bound in their
+converter, and parse_config checks the rules that tie keys together.
 
 Drive amplitudes can be given directly (omega_1, omega_2 in MHz) or as a
 pulse area in radians plus an amplitude ratio, from which the two tones
@@ -179,8 +180,7 @@ _SCHEMA: dict[str, dict[str, tuple[str, _Converter]]] = {
         "t_laser": ("0.3", _float),
         "t_wait_post": ("1.0", _float),
         "t_seq": ("", _optional(_float)),
-        # The library allows n_reps = 0; every command needs a period to read out.
-        "n_reps": ("40", _at_least(1)),
+        "n_reps": ("40", _int),
         "gamma": ("20.0", _float),
         "gamma_dp": ("", _optional(_float)),
         "alpha_dp": ("", _optional(_float)),

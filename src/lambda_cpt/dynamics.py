@@ -37,9 +37,9 @@ slot 3i + j is
   4 - (gamma / 2) (e_i + e_j) on the diagonal, plus the rho_ee column
   gamma [alpha_p D D^+ + (1 - alpha_p) B B^+] on the ground block (D, B
   the dark and bright states); its map is closed form;
-- for a pulse (:class:`Pulse`): the Hermitian 3x3 H of
-  :func:`rwa_generator`, f on its diagonal, whose U = exp(-i H t) comes
-  from a batched eigh and acts as U (x) U* on vec(rho).
+- for a pulse (:class:`Pulse`): the Hermitian 3x3 H of the two tones, f
+  on its diagonal and the tones off it, whose U = exp(-i H t) comes from
+  a batched eigh and acts as U (x) U* on vec(rho).
 
 All three run batched over a stack with numpy alone, so the engine never
 imports scipy.
@@ -88,7 +88,6 @@ __all__ = [
     "ReadoutModel",
     "thermal_ground_state",
     "pure_state",
-    "rwa_generator",
     "Pulse",
     "Wait",
     "Laser",
@@ -112,6 +111,8 @@ class SequenceConfig:
     t1_e are optional decoherence channels acting during the waits. gamma is
     the optical repolarization rate of the laser (1/us); its dark/bright
     branching follows from lam, so replacing the drive replaces it too.
+    n_reps >= 1 and durations >= 0 are rules of this class alone: t_seq may
+    fall 1e-9 us short of the packed duration, and wait_pre_total is then 0.
     """
 
     lam: LambdaConfig
@@ -132,9 +133,9 @@ class SequenceConfig:
             require(0 <= getattr(self, name) < math.inf, name, "finite and nonnegative")
         require(self.t1_e > 0, "t1_e", "positive (inf for none)")
         require(
-            isinstance(self.n_reps, numbers.Integral) and self.n_reps >= 0,
+            isinstance(self.n_reps, numbers.Integral) and self.n_reps >= 1,
             "n_reps",
-            "an integer >= 0",
+            "an integer >= 1",
         )
         if self.t_seq is None:
             object.__setattr__(self, "t_seq", self.packed_duration)
@@ -150,8 +151,9 @@ class SequenceConfig:
 
     @property
     def wait_pre_total(self) -> float:
-        """Pre-laser wait including the slack that stretches t_seq."""
-        return self.t_wait_pre + (self.t_seq - self.packed_duration)
+        """Pre-laser wait including the slack that stretches t_seq, never negative."""
+        slack = self.t_seq - self.packed_duration
+        return max(self.t_wait_pre + slack, 0.0)
 
 
 @dataclass(frozen=True)
@@ -179,30 +181,6 @@ def pure_state(vec: np.ndarray) -> np.ndarray:
     """Projector |v><v| of a (normalized) 3-component state vector."""
     v = np.asarray(vec, dtype=complex)
     return np.outer(v, v.conj())
-
-
-def rwa_generator(cfg: LambdaConfig) -> np.ndarray:
-    """Rotating-frame Hamiltonian of the driven Lambda scheme (rad/us).
-
-    In the (|up>, |down>, |->) basis:
-
-        H = 2 pi [[0,        0,                  omega_1/2        ],
-                  [0,        -delta_r,           (omega_2/2) e^{+i psi}],
-                  [omega_1/2, (omega_2/2) e^{-i psi}, -delta_1    ]]
-
-    The psi placement is fixed by requiring <D|H|-> = 0 at delta_r = 0 for
-    every psi, with the dark state of :func:`dark_bright_basis`.
-    """
-    o1 = cfg.omega_1 / 2.0
-    o2 = cfg.omega_2 / 2.0 * np.exp(1j * cfg.psi)
-    return TWO_PI * np.array(
-        [
-            [0.0, 0.0, o1],
-            [0.0, -cfg.delta_r, o2],
-            [o1, np.conj(o2), -cfg.delta_1],
-        ],
-        dtype=complex,
-    )
 
 
 # Real coordinates x of a Hermitian 3x3 rho: the populations rho_00, rho_11,
@@ -239,8 +217,14 @@ def _coordinates(m: np.ndarray) -> np.ndarray:
 class Pulse:
     """Coherent segment: rho -> U rho U^dagger with U = exp(-i h duration).
 
-    h is the Hermitian rotating-frame Hamiltonian of :func:`rwa_generator`
-    in rad/us, one 3x3 matrix or a (G, 3, 3) stack.
+    h is the rotating-frame Hamiltonian of the two tones in rad/us, one 3x3
+    matrix or a (G, 3, 3) stack; in the (|up>, |down>, |->) basis
+
+        h = 2 pi [[0,         0,                      omega_1/2             ],
+                  [0,         -delta_r,               (omega_2/2) e^{+i psi}],
+                  [omega_1/2, (omega_2/2) e^{-i psi}, -delta_1              ]].
+
+    psi sits so that <D|h|-> = 0 at delta_r = 0 for any psi, D the dark state.
     """
 
     h: np.ndarray
@@ -304,8 +288,11 @@ def segment_generators(
     lam = seq.lam
     delta_r = lam.delta_r if delta_2 is None else lam.delta_1 - np.asarray(delta_2, dtype=float)
     f = TWO_PI * np.stack(np.broadcast_arrays(0.0, -delta_r, -lam.delta_1), axis=-1)
-    h = np.broadcast_to(rwa_generator(lam), f.shape[:-1] + (3, 3)).copy()
+    h = np.zeros(f.shape[:-1] + (3, 3), dtype=complex)
     h[..., np.arange(3), np.arange(3)] = f
+    h[..., 0, 2] = h[..., 2, 0] = TWO_PI * (lam.omega_1 / 2.0)
+    h[..., 1, 2] = TWO_PI * (lam.omega_2 / 2.0 * np.exp(1j * lam.psi))
+    h[..., 2, 1] = h[..., 1, 2].conj()
     frame = -1j * (f[..., :, None] - f[..., None, :]).reshape(f.shape[:-1] + (9,))
     dephasing = seq.gamma_2n * _DEPHASING[_UPPER[3:]]
     diagonal = frame + seq.gamma_dp * _DEPHASING + seq.gamma * _DECAY
@@ -332,7 +319,7 @@ def _pulse_unitary(pulse: Pulse) -> np.ndarray:
     rounding at every norm, and t = 0 gives the identity exactly.
     """
     w, v = np.linalg.eigh(pulse.h)
-    phase = np.expm1(-1j * (w * max(pulse.duration, 0.0)))
+    phase = np.expm1(-1j * (w * pulse.duration))
     return np.eye(3) + (v * phase[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
@@ -393,7 +380,7 @@ def _turn(m: np.ndarray, z: np.ndarray) -> None:
 
 def _wait_phases(wait: Wait) -> np.ndarray:
     """p = e^{-i f t} of each level, shape (..., 3): the wait's frame turn is diag(p)."""
-    return np.exp(-1j * (wait.frequencies * max(wait.duration, 0.0)))
+    return np.exp(-1j * (wait.frequencies * wait.duration))
 
 
 def _wait_rows(wait: Wait, m: np.ndarray, turn: bool = True) -> np.ndarray:
@@ -410,11 +397,10 @@ def _wait_rows(wait: Wait, m: np.ndarray, turn: bool = True) -> np.ndarray:
     each, so the trace is kept by construction. t1_e = inf makes r and s
     zero: the same path is the identity on the populations.
     """
-    t = max(wait.duration, 0.0)
-    relax = -t / wait.t1_e
+    relax = -wait.duration / wait.t1_e
     # A decay exponent past the float range is an exact decay to zero.
     with np.errstate(over="ignore"):
-        decay = np.exp(wait.dephasing * t + 0.5 * relax)
+        decay = np.exp(wait.dephasing * wait.duration + 0.5 * relax)
     if turn:
         p = _wait_phases(wait)
         _turn(m, _point_last(p[..., _ROWS[3:]] * p[..., _COLS[3:]].conj() * decay))
@@ -441,9 +427,8 @@ def _laser_rows(laser: Laser, m: np.ndarray) -> np.ndarray:
     z the other minus h, and phi1(z) = (e^z - 1) / z, so that nothing
     overflows or divides by zero.
     """
-    t = max(laser.duration, 0.0)
-    d = laser.diagonal[..., _LASER] * t
-    c = laser.column[..., _LASER[:5]] * t
+    d = laser.diagonal[..., _LASER] * laser.duration
+    c = laser.column[..., _LASER[:5]] * laser.duration
     d_i, d_k = d[..., :5], d[..., 5:]
     i_leads = d_i.real >= d_k.real
     h = np.where(i_leads, d_i, d_k)
@@ -486,9 +471,8 @@ def period_maps(segments) -> tuple[np.ndarray, np.ndarray]:
     operations (:func:`_wait_rows`), and A is copied out. The same array
     then becomes M: the laser scales the rows and adds its rho_ee row
     (:func:`_laser_rows`), and the post-laser wait turns the coherence
-    pairs and mixes the populations. A duration at or below zero (the slack
-    of a t_seq within rounding of the packed duration) propagates as the
-    identity, and each map depends on its own stack entry alone.
+    pairs and mixes the populations. Each map depends on its own stack
+    entry alone.
     """
     pulse, pre, laser, post = segments
     # The pre-laser wait's frame turn diag(p) acts on U before the lift.
@@ -509,7 +493,7 @@ _TRACE_DRIFT = 1e-10
 def propagate_periods(
     segments, rho0: np.ndarray, n_reps: int, observables
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run n_reps periods of G stacked sequences from rho0.
+    """Run n_reps >= 1 periods of G stacked sequences from rho0.
 
     segments are the four segment forms of a period, as from
     :func:`segment_generators` (G = 1, or a stack over G detunings); every
@@ -546,9 +530,9 @@ def propagate_periods(
     g = len(a)
     read = _READ_WEIGHTS * _coordinates(np.asarray(observables, dtype=complex).reshape(-1, 3, 3))
     k = len(read)
-    block = 1 << (max(math.isqrt(n_reps), 1).bit_length() - 1)
-    blocks = max(-(-n_reps // block), 1)
-    last = n_reps - (blocks - 1) * block  # periods in the last block, 0 at n_reps = 0
+    block = 1 << (math.isqrt(n_reps).bit_length() - 1)
+    blocks = -(-n_reps // block)
+    last = n_reps - (blocks - 1) * block  # periods in the last block
     # rows[:, j k + c] = R_c A M^j for j < block, each doubling filling the
     # next slice; power runs through M^(2^i), squared between two buffers,
     # and tail keeps a copy of each power the last block's length takes.

@@ -148,8 +148,6 @@ def steady_readout(seq: SequenceConfig, delta_1: float, grid: np.ndarray) -> np.
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("empty detuning grid")
-    if seq.n_reps < 1:
-        raise ValueError("n_reps must be at least 1 for a spectrum")
     excited = np.diag([0.0, 0.0, 1.0])
     at_delta_1 = replace(seq, lam=replace(seq.lam, delta_1=delta_1))
     readouts, _ = propagate_periods(
@@ -165,13 +163,21 @@ def cpt_spectrum(seq: SequenceConfig, delta_1: float, grid: np.ndarray) -> Spect
     The steady readout of :func:`steady_readout` is calibrated so the mean
     of its two outermost points maps to one-half, the flip probability of an
     unpumped spin. Raises ValueError when that baseline is not above 1e-12,
-    since such a spectrum cannot be calibrated.
+    or is below half the median readout of the grid: then the edges sit in
+    dips (say, a grid spanning exactly +-1/t_seq of a comb), not on the
+    far-detuned level, and the spectrum cannot be calibrated against them.
     """
     grid = np.asarray(grid, dtype=float)
     raw = steady_readout(seq, delta_1, grid)
     baseline = 0.5 * (raw[0] + raw[-1])
-    if not baseline > 1e-12:
-        raise ValueError(f"baseline readout {baseline:.3g} too small to calibrate the spectrum")
+    # By sorting: np.median would import numpy.ma, 2 MB more per command.
+    ordered = np.sort(raw)
+    median = 0.5 * float(ordered[(len(raw) - 1) // 2] + ordered[len(raw) // 2])
+    if not (baseline > 1e-12 and baseline >= 0.5 * median):
+        raise ValueError(
+            f"baseline readout {baseline:.3g} too small to calibrate the spectrum: the edge "
+            f"readouts must average above 1e-12 and at least half the median {median:.3g}"
+        )
     return Spectrum(detuning_grid=grid, signal=raw / (2.0 * baseline))
 
 
@@ -295,10 +301,22 @@ def multi_resonance_scan(
 
 
 def comb_predict(t_mw: float, t_seq: float, n_s: float, n_max: int) -> CombPrediction:
-    """Closed-form comb geometry: centers n/t_seq, width 1/(n_s t_seq)."""
-    require(0 < t_mw < math.inf, "t_mw", "finite and positive")
+    """Closed-form comb geometry: centers n/t_seq, width 1/(n_s t_seq).
+
+    Raises FieldError naming t_mw or n_s when the envelope width 1/t_mw or
+    the dip width 1/(n_s t_seq) is not finite.
+    """
+    require(
+        0 < t_mw < math.inf and 1.0 / t_mw < math.inf,
+        "t_mw",
+        "finite and positive, with 1/t_mw finite",
+    )
     require(t_mw <= t_seq < math.inf, "t_seq", "finite and at least t_mw")
-    require(0 < n_s < math.inf, "n_s", "finite and positive")
+    require(
+        0 < n_s < math.inf and 0 < n_s * t_seq and 1.0 / (n_s * t_seq) < math.inf,
+        "n_s",
+        "finite and positive, with 1/(n_s t_seq) finite",
+    )
     require(isinstance(n_max, numbers.Integral) and n_max >= 0, "n_max", "an integer >= 0")
     centers = np.arange(-n_max, n_max + 1, dtype=float) / t_seq
     return CombPrediction(

@@ -148,6 +148,23 @@ def test_engine_field_error_exits_three(tmp_path, caplog):
     assert not list(tmp_path.glob("comb*"))
 
 
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ("[scan]\nn_s = 1e-320\n", "n_s"),
+        ("[drive]\nomega_1 = 1\nomega_2 = 1\n[sequence]\nt_mw = 1e-320\n", "t_mw"),
+    ],
+    ids=["n_s", "t_mw"],
+)
+def test_comb_width_that_overflows_exits_three(tmp_path, caplog, text, field):
+    # 1/(n_s t_seq) or 1/t_mw overflows: the comb used to write inf cells.
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    assert run(["comb-predict", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert f"validation rejected: {field} must be" in caplog.text
+    assert not list(tmp_path.glob("comb*"))
+
+
 def test_pump_steps_off_two_photon_resonance_exits_three(tmp_path, caplog):
     # The run file allows delta_1 != delta_2; only the pumping trace needs them equal.
     cfg = tmp_path / "run.ini"
@@ -487,6 +504,36 @@ def test_fit_on_a_nan_cell_exits_three(tmp_path, caplog, kind):
     cfg.write_text(f"[fit]\ninput = {tmp_path / 'data.csv'}\nkind = {kind}\n")
     assert run(["fit", "--config", str(cfg), "--out", str(tmp_path)]) == 3
     assert "validation rejected: fit.input: " in caplog.text
+    assert not (tmp_path / "fit_report.json").exists()
+
+
+# Datasets whose fits give a report number that overflows to inf: a dip
+# spectrum and a saturation series scaled to 1e200, whose residual norms
+# overflow, and a composition whose contrast quotient does.
+DETUNINGS = np.linspace(-0.2, 0.2, 41)
+STEPS = np.arange(30)
+OVERFLOW_DATASETS = {
+    "dips": {
+        "delta_2_mhz": DETUNINGS,
+        "signal_norm": 1e200 * (0.5 - 0.3 * np.exp(-0.5 * (DETUNINGS / 0.03) ** 2)),
+    },
+    "saturation": {"step": STEPS, "p_dark_est": 1e200 * (0.9 - 0.4 * np.exp(-STEPS / 3.0))},
+    "contrast": {
+        "ratio": [0.25, 0.5, 1.0, 2.0, 4.0],
+        "measured": [-1e308, -1e308, 1e308, 1e308, 1e308],
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(OVERFLOW_DATASETS))
+def test_fit_whose_report_overflows_exits_three(tmp_path, caplog, kind):
+    # The report could not be written as strict JSON: the run used to end
+    # in a traceback.
+    write_csv(tmp_path / "data.csv", OVERFLOW_DATASETS[kind], "ab", "t")
+    cfg = tmp_path / "fit.ini"
+    cfg.write_text(f"[fit]\ninput = {tmp_path / 'data.csv'}\nkind = {kind}\n")
+    assert run(["fit", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert "validation rejected: fit.input: the fit gives" in caplog.text
     assert not (tmp_path / "fit_report.json").exists()
 
 

@@ -22,7 +22,7 @@ GAMMA_DP_012 = 0.42611123836628295
 DATACLASS_KEYS = [
     *(f"spin.{key}" for key in _SCHEMA["spin"]),
     *(f"drive.{key}" for key in _SCHEMA["drive"] if key not in ("pulse_area", "ratio")),
-    *(f"sequence.{key}" for key in _SCHEMA["sequence"] if key != "n_reps"),
+    *(f"sequence.{key}" for key in _SCHEMA["sequence"]),
     *(f"readout.{key}" for key in _SCHEMA["readout"]),
 ]
 
@@ -194,7 +194,8 @@ def test_schema_leaves_dataclass_bounds_to_the_dataclass():
     for path in DATACLASS_KEYS:
         section, key = path.split(".")
         convert = _SCHEMA[section][key][1]
-        for raw in ("-1e300", "0", "1e300"):
+        texts = ("-1", "0") if path == "sequence.n_reps" else ("-1e300", "0", "1e300")
+        for raw in texts:
             convert(raw, path)
 
 
@@ -256,7 +257,7 @@ FIELD_CASES = [
                 NONNEGATIVE,
             ),
             "t_seq": ((T_SEQ_TOO_SHORT,), _floats(max_value=T_SEQ_TOO_SHORT)),
-            "n_reps": INTEGER,
+            "n_reps": ((0, *INTEGER[0]), INTEGER[1]),
             "t1_e": POSITIVE,
         },
         lam=LAM,

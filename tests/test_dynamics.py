@@ -12,16 +12,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import OBSERVABLES, dense, expectations, from_real, propagate
+from conftest import dense, from_real, propagate
 
 from lambda_cpt.dynamics import (
     ReadoutModel,
     SequenceConfig,
     period_maps,
-    propagate_periods,
     pure_state,
     readout_signal,
-    rwa_generator,
     segment_generators,
     thermal_ground_state,
 )
@@ -37,6 +35,7 @@ from lambda_cpt.rate_model import (
     simplified_from_step,
     step_map,
 )
+from lambda_cpt.spin_model import FieldError
 
 OMEGA = 1.0 / (12.0 * math.sqrt(2.0))
 PHI_043 = math.acos(-0.14)
@@ -87,9 +86,14 @@ def segments(lam: LambdaConfig = REFERENCE_LAM, **kwargs) -> list[tuple[np.ndarr
     return [dense(s) for s in segment_generators(SequenceConfig(lam, gamma=20.0, **kwargs))]
 
 
-def test_rwa_generator_matrix():
+def pulse_hamiltonian(cfg: LambdaConfig) -> np.ndarray:
+    """The H the engine runs for a pulse of drive cfg."""
+    return segment_generators(SequenceConfig(cfg))[0].h
+
+
+def test_rwa_hamiltonian_matrix():
     cfg = LambdaConfig(omega_1=0.4, omega_2=0.6, delta_1=0.2, delta_2=0.05, psi=0.9)
-    h = rwa_generator(cfg)
+    h = pulse_hamiltonian(cfg)
     two_pi = 2.0 * math.pi
     assert h[0, 2] == pytest.approx(two_pi * 0.2, abs=1e-15)
     assert h[1, 2] == pytest.approx(two_pi * 0.3 * np.exp(1j * 0.9), abs=1e-15)
@@ -100,7 +104,7 @@ def test_rwa_generator_matrix():
 
 def test_rwa_eigenvalues_on_resonance():
     cfg = LambdaConfig(omega_1=0.3, omega_2=0.4, psi=1.3)
-    ev = np.linalg.eigvalsh(rwa_generator(cfg))
+    ev = np.linalg.eigvalsh(pulse_hamiltonian(cfg))
     expected = 2.0 * math.pi * np.array([-0.25, 0.0, 0.25])
     np.testing.assert_allclose(ev, expected, rtol=0, atol=1e-12)
 
@@ -113,7 +117,7 @@ def test_dark_state_is_annihilated_for_any_phase():
             omega_2=rng.uniform(0.05, 1.0),
             psi=rng.uniform(0.0, 2.0 * math.pi),
         )
-        h = rwa_generator(cfg)
+        h = pulse_hamiltonian(cfg)
         dark3 = embed(dark_bright_basis(cfg).dark)
         assert np.linalg.norm(h @ dark3) < 1e-12
 
@@ -289,14 +293,10 @@ def test_sequence_timing_fields():
 
 
 def test_sequence_zero_reps():
-    seq = reference_sequence(n_reps=0)
-    # The nine observables fix the whole final state.
-    readouts, final = propagate_periods(
-        segment_generators(seq), thermal_ground_state(), seq.n_reps, OBSERVABLES
-    )
-    assert readouts.shape == (1, 0, len(OBSERVABLES))
-    want = expectations(OBSERVABLES, thermal_ground_state())
-    np.testing.assert_allclose(final[0], want, rtol=0, atol=1e-15)
+    # Every run reads out at least one period: the sequence itself says so.
+    with pytest.raises(FieldError, match="n_reps") as caught:
+        SequenceConfig(REFERENCE_LAM, n_reps=0)
+    assert caught.value.field == "n_reps"
 
 
 def test_first_readout_transfers_half():

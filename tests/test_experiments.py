@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from lambda_cpt.config import parse_config
 from lambda_cpt.dynamics import (
     SequenceConfig,
     propagate_periods,
@@ -68,6 +69,19 @@ def test_spectrum_flat_with_single_tone():
     grid = np.linspace(-0.05, 0.05, 7)
     spec = cpt_spectrum(sequence(drive(omega_2=0.0, phi=0.0)), 0.0, grid)
     assert spec.signal.max() - spec.signal.min() < 1e-9
+
+
+def test_spectrum_whose_edges_sit_in_dips_is_not_calibrated():
+    # The multi_resonance.ini drive at t_seq = 10 on a grid of exactly
+    # +-1/t_seq: both edges sit on the first comb teeth, where the raw
+    # readout is 0.0017 against a grid median of 0.63, and calibrating
+    # against them used to give a peak signal of 225.
+    seq = parse_config(
+        "[drive]\npulse_area = 3.141592653589793\ntheta = 1.5707963267948966\n"
+        "phi = 2.0943951023931953\n[sequence]\nt_mw = 0.3\nn_reps = 80\nt_seq = 10\n"
+    ).seq
+    with pytest.raises(ValueError, match="^baseline readout .* half the median"):
+        cpt_spectrum(seq, 0.0, np.linspace(-0.1, 0.1, 201))
 
 
 def test_spectrum_validation():
