@@ -20,49 +20,50 @@ follows from its drive), and dephases the ground coherence at gamma_dp;
 waits can carry a slow intrinsic dephasing gamma_2n and an electron T1
 channel. The microwave pulse stays coherent. This rule lives in one place,
 :func:`segment_generators`, which writes each segment's generator straight
-from its rates, in the form its exact map takes. With the frame
-frequencies f = 2 pi (0, -delta_r, -delta_1), the dephasing signs s = (1,
--1, 0) and the excited indicator e = (0, 0, 1), the entry at row-major vec
-slot 3i + j is
-
-- for a wait (:class:`Wait`): -i (f_i - f_j) - gamma_2n (s_i - s_j)^2 / 4,
-  nonzero only on the six coherences; the form holds f and the dephasing,
-  and its map turns coherence (i, j) by p_i conj(p_j) with per-level
-  phases p = e^{-i f t}, which keeps the three phases consistent at any
-  wait length, and shrinks it by one real exponential; the T1 rate block
-  mixes the three populations, written through expm1 so that the trace is
-  kept by construction (t1_e = inf makes it the identity on the same
-  path);
-- for a laser (:class:`Laser`): that frame term - gamma_dp (s_i - s_j)^2 /
-  4 - (gamma / 2) (e_i + e_j) on the diagonal, plus the rho_ee column
-  gamma [alpha_p D D^+ + (1 - alpha_p) B B^+] on the ground block (D, B
-  the dark and bright states); its map is closed form;
-- for a pulse (:class:`Pulse`): the Hermitian 3x3 H of the two tones, f
-  on its diagonal and the tones off it, whose U = exp(-i H t) comes from
-  a batched eigh and acts as U (x) U* on vec(rho).
-
-All three run batched over a stack with numpy alone, so the engine never
-imports scipy.
+from its rates, in the form its exact map takes.
 
 The maps act on real coordinates, x = (rho_00, rho_11, rho_22, Re rho_01,
 Re rho_02, Re rho_12, Im rho_01, Im rho_02, Im rho_12), in which every
 Hermiticity-preserving map is a float64 9x9 (Havel, J. Math. Phys. 44, 534
-(2003)). Every protocol propagates through one kernel,
-:func:`propagate_periods`. It takes the four segments stacked over G
-independent runs (the grid points of a sweep, or G = 1), folds a period
-into the map up to the readout, A, and the map of the whole period, M
-(:func:`period_maps`: the lifted pulse, then row operations, with no
-dense 9x9 product, on maps stored point-last as (9, 9, G), so that every
-row operation runs over G contiguous points), builds the powers of M,
-the readout rows and the state at the start of every block of periods by
-doubling, and reads out every period of every run, only the observables
-a protocol asks for, with one batched product: O(log n_reps) batched
-real products and no loop over periods or blocks. The same observables
-are read off each run's state after its last period. The doublings write
-into buffers made once per call, so the kernel's working set does not
-grow with n_reps. A detuning sweep is the same build with an array of
-two-photon detunings: f gains a leading axis, and nothing else depends
-on the detunings.
+(2003)). The generator entries a form holds are indexed by rho's upper
+entries (i, j), i <= j, in the order of x; the entry of a lower (j, i) is
+the conjugate of that of (i, j). With the frame frequencies f = 2 pi (0,
+-delta_r, -delta_1), the dephasing signs s = (1, -1, 0) and the excited
+indicator e = (0, 0, 1), the generator at (i, j) is
+
+- for a wait (:class:`Wait`): -i (f_i - f_j) - gamma_2n (s_i - s_j)^2 / 4,
+  nonzero only on the three coherences; the form holds f and the
+  dephasing, and its map turns coherence (i, j) by p_i conj(p_j) with
+  per-level phases p = e^{-i f t}, which keeps the three phases consistent
+  at any wait length, and shrinks it by one real exponential; the T1 rate
+  block mixes the three populations, written through expm1 so that the
+  trace is kept by construction (t1_e = inf makes it the identity on the
+  same path);
+- for a laser (:class:`Laser`): one decay per entry, that frame term -
+  gamma_dp (s_i - s_j)^2 / 4 - (gamma / 2) (e_i + e_j), plus the feed of
+  rho_ee into rho_00, rho_11 and rho_01 from the ground block gamma
+  [alpha_p D D^+ + (1 - alpha_p) B B^+] (D, B the dark and bright states);
+  its map is closed form;
+- for a pulse (:class:`Pulse`): the Hermitian 3x3 H of the two tones, f
+  on its diagonal and the tones off it, whose U = exp(-i H t) comes from
+  a batched eigh and acts as rho -> U rho U^dagger.
+
+Every form is a stack over G independent runs (the grid points of a
+sweep, or G = 1), and all three run batched with numpy alone, so the
+engine never imports scipy. Every protocol propagates through one kernel,
+:func:`propagate_periods`. It folds a period into the map up to the
+readout, A, and the map of the whole period, M (:func:`period_maps`: the
+lifted pulse, then row operations, with no dense 9x9 product, on maps
+stored point-last as (9, 9, G), so that every row operation runs over G
+contiguous points), builds the powers of M, the readout rows and the
+state at the start of every block of periods by doubling, and reads out
+every period of every run, only the observables a protocol asks for, with
+one batched product: O(log n_reps) batched real products and no loop over
+periods or blocks. The same observables are read off each run's state
+after its last period. The doublings write into buffers made once per
+call, so the kernel's working set does not grow with n_reps. A detuning
+sweep is the same build with G two-photon detunings: nothing but f
+depends on them.
 
 This module is the engine alone: protocols, their observables and their
 calibrations live in :mod:`lambda_cpt.experiments`.
@@ -187,29 +188,25 @@ def pure_state(vec: np.ndarray) -> np.ndarray:
 # rho_22, then Re and Im of the upper coherences rho_01, rho_02, rho_12. Every
 # Hermiticity-preserving map of rho is a real 9x9 in them.
 _RE, _IM = slice(3, 6), slice(6, 9)
-# Row-major vec slots 3i + j of rho's six upper entries (i, j), i <= j, in
-# the order of x.
+# rho's six upper entries (i, j), i <= j, in the order of x.
 _ROWS = np.array([0, 1, 2, 0, 0, 1])
 _COLS = np.array([0, 1, 2, 1, 2, 2])
-_UPPER = 3 * _ROWS + _COLS
-# rho_ee (slot 8) is the one column a laser generator has off its diagonal.
-# It feeds the other five upper entries; _LASER lists their slots, then its own.
-_EXCITED = 8
-_LASER = np.array([0, 4, 1, 2, 5, _EXCITED])
+# The entries rho_ee feeds under the laser: rho_00, rho_11 and rho_01.
+_FED = np.array([0, 1, 3])
 # Tr(O rho) = x . (weights * coordinates(O)) for Hermitian O.
 _READ_WEIGHTS = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0])
-# Entry at vec slot 3i + j per unit rate: -(s_i - s_j)^2 / 4 for a dephasing
+# Generator entry at (i, j) per unit rate: -(s_i - s_j)^2 / 4 for a dephasing
 # jump sqrt(rate / 2) diag(s), and -(e_i + e_j) / 2 for the laser's decay out
 # of |->, which leaves every state at the rate of its excited indices.
 _S = np.array([1.0, -1.0, 0.0])
 _E = np.array([0.0, 0.0, 1.0])
-_DEPHASING = -(((_S[:, None] - _S) ** 2) / 4.0).reshape(9)
-_DECAY = -((_E[:, None] + _E) / 2.0).reshape(9)
+_DEPHASING = -((_S[_ROWS] - _S[_COLS]) ** 2) / 4.0
+_DECAY = -(_E[_ROWS] + _E[_COLS]) / 2.0
 
 
 def _coordinates(m: np.ndarray) -> np.ndarray:
     """Real coordinates of each Hermitian 3x3 matrix of a stack."""
-    upper = m.reshape(m.shape[:-2] + (9,))[..., _UPPER]
+    upper = m[..., _ROWS, _COLS]
     return np.concatenate([upper.real, upper[..., 3:].imag], axis=-1)
 
 
@@ -217,8 +214,8 @@ def _coordinates(m: np.ndarray) -> np.ndarray:
 class Pulse:
     """Coherent segment: rho -> U rho U^dagger with U = exp(-i h duration).
 
-    h is the rotating-frame Hamiltonian of the two tones in rad/us, one 3x3
-    matrix or a (G, 3, 3) stack; in the (|up>, |down>, |->) basis
+    h is the (G, 3, 3) stack of rotating-frame Hamiltonians of the two tones
+    in rad/us; in the (|up>, |down>, |->) basis
 
         h = 2 pi [[0,         0,                      omega_1/2             ],
                   [0,         -delta_r,               (omega_2/2) e^{+i psi}],
@@ -236,12 +233,11 @@ class Wait:
     """Drive-free segment: the frame turns and dephases every coherence, T1 relaxes.
 
     frequencies holds the frame frequencies f of the three levels (rad/us),
-    shape (3,) or (G, 3); dephasing holds the real generator entries of the
-    upper coherences rho_01, rho_02, rho_12, -gamma_2n (s_i - s_j)^2 / 4,
-    shape (3,) (shared by a stack) or (G, 3). Without T1 the generator is
-    diagonal: -i (f_i - f_j) plus that dephasing at each coherence slot
-    3i + j, the lower three the conjugates of the upper. Electron T1 flips
-    |up> and |down> to |-> at 1/(2 t1_e) each and |-> back to each at
+    shape (G, 3); dephasing holds the real generator entries of the upper
+    coherences rho_01, rho_02, rho_12, -gamma_2n (s_i - s_j)^2 / 4, shape
+    (3,), shared by the stack. Without T1 the generator is diagonal: -i
+    (f_i - f_j) plus that dephasing at each coherence (i, j). Electron T1
+    flips |up> and |down> to |-> at 1/(2 t1_e) each and |-> back to each at
     1/(4 t1_e): on the populations a rate block with eigenvalues 0,
     -1/t1_e (P_- relaxes to half the trace) and -1/(2 t1_e) (the ground
     imbalance decays), and on every coherence a further decay at
@@ -256,12 +252,12 @@ class Wait:
 
 @dataclass(frozen=True)
 class Laser:
-    """Optical repolarization: the generator diag(diagonal) + column e_8^T.
+    """Optical repolarization: one decay per entry, and the rho_ee feed.
 
-    rho_ee (vec slot 8) feeds the ground block and nothing else mixes, so
-    the only off-diagonal entries are rows 0-7 of column 8, held in column.
-    diagonal has shape (9,) or (G, 9); column is (8,), shared by a stack,
-    or (G, 8) beside a stacked diagonal.
+    diagonal, shape (G, 6), holds the generator entry of each upper entry
+    of rho, rho_00, rho_11, rho_22, rho_01, rho_02, rho_12. column, shape
+    (3,) and shared by the stack, holds the rate at which rho_ee feeds
+    rho_00, rho_11 and rho_01; nothing else mixes.
     """
 
     diagonal: np.ndarray
@@ -277,36 +273,34 @@ def segment_generators(
     In order: coherent microwave pulse, pre-laser wait (stretched to t_seq),
     laser pulse, post-laser wait. Each form is written from the frame
     frequencies f = 2 pi (0, -delta_r, -delta_1) and the rate of each
-    channel, by the rule of the module docstring. With delta_2 = None this
-    is the one run of seq.lam; an array of G two-photon detunings gives f a
-    leading axis, and so a stack of G runs at one-photon detuning
-    seq.lam.delta_1 (the delta_2 of seq.lam is not used). The laser column
-    and the wait dephasing depend on no detuning and are shared by a stack.
-    The two waits share one frequency array, so a caller must not modify a
-    segment's arrays in place.
+    channel, by the rule of the module docstring. The forms are a stack of
+    G runs at one-photon detuning seq.lam.delta_1, one per two-photon
+    detuning of the 1-D array delta_2; delta_2 = None is the G = 1 stack at
+    seq.lam.delta_2. The laser column and the wait dephasing depend on no
+    detuning and are shared by the stack. The two waits share one frequency
+    array, so a caller must not modify a segment's arrays in place.
     """
     lam = seq.lam
-    delta_r = lam.delta_r if delta_2 is None else lam.delta_1 - np.asarray(delta_2, dtype=float)
-    f = TWO_PI * np.stack(np.broadcast_arrays(0.0, -delta_r, -lam.delta_1), axis=-1)
+    delta_2 = np.asarray([lam.delta_2] if delta_2 is None else delta_2, dtype=float)
+    f = TWO_PI * np.stack(np.broadcast_arrays(0.0, -(lam.delta_1 - delta_2), -lam.delta_1), -1)
     h = np.zeros(f.shape[:-1] + (3, 3), dtype=complex)
-    h[..., np.arange(3), np.arange(3)] = f
-    h[..., 0, 2] = h[..., 2, 0] = TWO_PI * (lam.omega_1 / 2.0)
-    h[..., 1, 2] = TWO_PI * (lam.omega_2 / 2.0 * np.exp(1j * lam.psi))
-    h[..., 2, 1] = h[..., 1, 2].conj()
-    frame = -1j * (f[..., :, None] - f[..., None, :]).reshape(f.shape[:-1] + (9,))
-    dephasing = seq.gamma_2n * _DEPHASING[_UPPER[3:]]
+    h[:, np.arange(3), np.arange(3)] = f
+    h[:, 0, 2] = h[:, 2, 0] = TWO_PI * (lam.omega_1 / 2.0)
+    h[:, 1, 2] = TWO_PI * (lam.omega_2 / 2.0 * np.exp(1j * lam.psi))
+    h[:, 2, 1] = h[:, 1, 2].conj()
+    frame = -1j * (f[..., _ROWS] - f[..., _COLS])
+    dephasing = seq.gamma_2n * _DEPHASING[3:]
     diagonal = frame + seq.gamma_dp * _DEPHASING + seq.gamma * _DECAY
     alpha_p = polarization_efficiency(lam)
     basis = dark_bright_basis(lam)
-    column = np.zeros((3, 3), dtype=complex)
-    column[:2, :2] = seq.gamma * (
+    ground = seq.gamma * (
         alpha_p * np.outer(basis.dark, basis.dark.conj())
         + (1.0 - alpha_p) * np.outer(basis.bright, basis.bright.conj())
     )
     return (
         Pulse(h, seq.t_mw),
         Wait(f, dephasing, seq.t1_e, seq.wait_pre_total),
-        Laser(diagonal, column.reshape(9)[:_EXCITED], seq.t_laser),
+        Laser(diagonal, ground[_ROWS[_FED], _COLS[_FED]], seq.t_laser),
         Wait(f, dephasing, seq.t1_e, seq.t_wait_post),
     )
 
@@ -324,7 +318,7 @@ def _pulse_unitary(pulse: Pulse) -> np.ndarray:
 
 
 def _point_last(x: np.ndarray) -> np.ndarray:
-    """A (..., slots) coefficient array as (slots, G), G the size of its leading axes.
+    """A (G, slots) coefficient array as (slots, G), and a shared (slots,) one as (slots, 1).
 
     Each slot is then one row that broadcasts along the rows of a
     point-last map.
@@ -341,7 +335,7 @@ def _lift(u: np.ndarray, m: np.ndarray) -> np.ndarray:
     (k < l) and the lower (k > l) coherence columns, and these fold into
     the real basis, rho_kl = x_kl + i y_kl and rho_lk = x_kl - i y_kl.
     """
-    u = u.reshape(-1, 3, 3).transpose(1, 2, 0)
+    u = u.transpose(1, 2, 0)
     left, right = u[_ROWS], u[_COLS]
     np.conjugate(right, out=right)
     product = np.multiply(left, right)
@@ -379,7 +373,7 @@ def _turn(m: np.ndarray, z: np.ndarray) -> None:
 
 
 def _wait_phases(wait: Wait) -> np.ndarray:
-    """p = e^{-i f t} of each level, shape (..., 3): the wait's frame turn is diag(p)."""
+    """p = e^{-i f t} of each level, shape (G, 3): the wait's frame turn is diag(p)."""
     return np.exp(-1j * (wait.frequencies * wait.duration))
 
 
@@ -403,7 +397,7 @@ def _wait_rows(wait: Wait, m: np.ndarray, turn: bool = True) -> np.ndarray:
         decay = np.exp(wait.dephasing * wait.duration + 0.5 * relax)
     if turn:
         p = _wait_phases(wait)
-        _turn(m, _point_last(p[..., _ROWS[3:]] * p[..., _COLS[3:]].conj() * decay))
+        _turn(m, _point_last(p[:, _ROWS[3:]] * p[:, _COLS[3:]].conj() * decay))
     else:
         decay = _point_last(decay)[:, None]
         m[_RE] *= decay
@@ -420,29 +414,30 @@ def _wait_rows(wait: Wait, m: np.ndarray, turn: bool = True) -> np.ndarray:
 def _laser_rows(laser: Laser, m: np.ndarray) -> np.ndarray:
     """L m for the map L = exp(A t) of a laser and a point-last (9, 9, G) map m, in place.
 
-    For A = D + c e_8^T with c_8 = 0, L scales each upper entry by e^{d t}
-    and adds the rho_ee row times entry i of its column,
-    c_i t (e^{d_i t} - e^{d_8 t}) / (d_i t - d_8 t), evaluated as
-    c_i t e^h phi1(z) with h the one of d_i t, d_8 t of larger real part,
-    z the other minus h, and phi1(z) = (e^z - 1) / z, so that nothing
-    overflows or divides by zero.
+    A scales each upper entry i of rho by its diagonal entry d_i and adds
+    rho_ee times c_i to the fed entries rho_00, rho_11 and rho_01. So L
+    scales entry i by e^{d_i t} and adds to each fed entry the rho_ee row
+    times c_i t (e^{d_i t} - e^{d_e t}) / (d_i t - d_e t), d_e the entry of
+    rho_ee, evaluated as c_i t e^h phi1(z) with h the one of d_i t, d_e t
+    of larger real part, z the other minus h, and phi1(z) = (e^z - 1) / z,
+    so that nothing overflows or divides by zero.
     """
-    d = laser.diagonal[..., _LASER] * laser.duration
-    c = laser.column[..., _LASER[:5]] * laser.duration
-    d_i, d_k = d[..., :5], d[..., 5:]
-    i_leads = d_i.real >= d_k.real
-    h = np.where(i_leads, d_i, d_k)
+    d = laser.diagonal * laser.duration
+    d_i, d_e = d[:, _FED], d[:, 2:3]
+    i_leads = d_i.real >= d_e.real
+    h = np.where(i_leads, d_i, d_e)
     exp_d = np.exp(d)
-    exp_h = np.where(i_leads, exp_d[..., :5], exp_d[..., 5:])
-    column = _point_last(c * exp_h * _phi1(np.where(i_leads, d_k, d_i) - h))[:, None]
+    exp_h = np.where(i_leads, exp_d[:, _FED], exp_d[:, 2:3])
+    z = np.where(i_leads, d_e, d_i) - h
+    fed = _point_last(laser.column * laser.duration * exp_h * _phi1(z))
     scale = _point_last(exp_d)
     excited = m[2]
     m[:2] *= scale[:2, None].real
-    m[:2] += column[:2].real * excited
-    _turn(m, scale[2:5])
-    m[_RE] += column[2:].real * excited
-    m[_IM] += column[2:].imag * excited
-    excited *= scale[5].real
+    m[:2] += fed[:2, None].real * excited
+    _turn(m, scale[3:])
+    m[3] += fed[2].real * excited
+    m[6] += fed[2].imag * excited
+    excited *= scale[2].real
     return m
 
 
@@ -458,16 +453,14 @@ def period_maps(segments) -> tuple[np.ndarray, np.ndarray]:
     """The map of a period up to its readout, and the map of the whole period.
 
     segments are (pulse, wait, laser, wait), as from
-    :func:`segment_generators`, single maps or stacks of G runs.
-    Returns A = W_pre lift(U), from the start of a period to the readout,
-    and M = W_post L_laser A, from the start of a period to the next, each
-    a C-contiguous float64 9x9 or (G, 9, 9) in the real coordinates
-    (rho_00, rho_11, rho_22, Re rho_01, Re rho_02, Re rho_12, Im rho_01, Im
-    rho_02, Im rho_12). Each map is built by its form, with no dense 9x9
-    product and no dense exponential, point-last in one (9, 9, G) array:
-    the pre-laser wait's frame turn diag(p) multiplies the pulse's U
-    (:func:`_pulse_unitary`), which is lifted to rho -> U rho U^dagger
-    (:func:`_lift`); the wait's decay and T1 block follow by row
+    :func:`segment_generators`, stacks of G runs. Returns A = W_pre
+    lift(U), from the start of a period to the readout, and M = W_post
+    L_laser A, from the start of a period to the next, each a C-contiguous
+    float64 (G, 9, 9) in the real coordinates x. Each map is built by its
+    form, with no dense 9x9 product and no dense exponential, point-last in
+    one (9, 9, G) array: the pre-laser wait's frame turn diag(p) multiplies
+    the pulse's U (:func:`_pulse_unitary`), which is lifted to rho -> U rho
+    U^dagger (:func:`_lift`); the wait's decay and T1 block follow by row
     operations (:func:`_wait_rows`), and A is copied out. The same array
     then becomes M: the laser scales the rows and adds its rho_ee row
     (:func:`_laser_rows`), and the post-laser wait turns the coherence
@@ -476,13 +469,12 @@ def period_maps(segments) -> tuple[np.ndarray, np.ndarray]:
     """
     pulse, pre, laser, post = segments
     # The pre-laser wait's frame turn diag(p) acts on U before the lift.
-    u = _wait_phases(pre)[..., :, None] * _pulse_unitary(pulse)
-    stack = u.shape[:-2]
-    m = _lift(u, np.empty_like(u, dtype=float, shape=(9, 9, math.prod(stack))))
+    u = _wait_phases(pre)[:, :, None] * _pulse_unitary(pulse)
+    m = _lift(u, np.empty_like(u, dtype=float, shape=(9, 9, len(u))))
     _wait_rows(pre, m, turn=False)
-    a = m.transpose(2, 0, 1).copy().reshape(stack + (9, 9))
+    a = m.transpose(2, 0, 1).copy()
     _wait_rows(post, _laser_rows(laser, m))
-    return a, m.transpose(2, 0, 1).copy().reshape(stack + (9, 9))
+    return a, m.transpose(2, 0, 1).copy()
 
 
 # Largest drift of tr rho from tr rho0 a run may end with, relative to
@@ -526,7 +518,7 @@ def propagate_periods(
     describe a physical run. Both are read in real coordinates, where the
     trace is the sum of the three populations.
     """
-    a, m = (x.reshape(-1, 9, 9) for x in period_maps(segments))
+    a, m = period_maps(segments)
     g = len(a)
     read = _READ_WEIGHTS * _coordinates(np.asarray(observables, dtype=complex).reshape(-1, 3, 3))
     k = len(read)

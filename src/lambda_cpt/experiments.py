@@ -157,6 +157,12 @@ def steady_readout(seq: SequenceConfig, delta_1: float, grid: np.ndarray) -> np.
     return np.mean(readouts[:, -window:, 0], axis=1)
 
 
+def _median(values: np.ndarray) -> float:
+    """The median of a 1-d array, by sorting: np.median would import numpy.ma, 2 MB more."""
+    ordered = np.sort(values)
+    return float(np.mean(ordered[(len(ordered) - 1) // 2 : len(ordered) // 2 + 1]))
+
+
 def cpt_spectrum(seq: SequenceConfig, delta_1: float, grid: np.ndarray) -> Spectrum:
     """Sweep delta_2 across ``grid`` and record the calibrated steady signal.
 
@@ -170,9 +176,7 @@ def cpt_spectrum(seq: SequenceConfig, delta_1: float, grid: np.ndarray) -> Spect
     grid = np.asarray(grid, dtype=float)
     raw = steady_readout(seq, delta_1, grid)
     baseline = 0.5 * (raw[0] + raw[-1])
-    # By sorting: np.median would import numpy.ma, 2 MB more per command.
-    ordered = np.sort(raw)
-    median = 0.5 * float(ordered[(len(raw) - 1) // 2] + ordered[len(raw) // 2])
+    median = _median(raw)
     if not (baseline > 1e-12 and baseline >= 0.5 * median):
         raise ValueError(
             f"baseline readout {baseline:.3g} too small to calibrate the spectrum: the edge "

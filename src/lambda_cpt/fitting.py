@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rate_model import SimplifiedParams
-from .experiments import Spectrum
+from .experiments import Spectrum, _median
 
 __all__ = [
     "DipFit",
@@ -44,10 +44,6 @@ FWHM_PER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 FTOL = 1e-10  # relative cost reduction at which _leastsq stops
 
 log = logging.getLogger("lambda_cpt.fitting")
-
-# TODO: optional Lorentzian lineshape once the pulsed-trapping lineshape
-# question is settled; Gaussian matches the current analysis workflow.
-
 
 @dataclass(frozen=True)
 class DipFit:
@@ -105,12 +101,12 @@ def _local_minima(y: np.ndarray) -> np.ndarray:
 
 
 def _noise_scale(y: np.ndarray, baseline: float) -> float:
-    return 1.4826 * float(np.median(np.abs(y - baseline)))
+    return 1.4826 * _median(np.abs(y - baseline))
 
 
 def _leastsq(
     model, params0: np.ndarray, maxfev: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, str, int]:
+) -> tuple[np.ndarray, float, np.ndarray, str, int]:
     """Minimize |r(p)|^2 from params0 by Levenberg-Marquardt.
 
     ``model(p)`` returns the residuals r and their Jacobian J at p. Each
@@ -123,9 +119,10 @@ def _leastsq(
     rho <= 2 (MINPACK's ftol rule; a zero residual has converged), or with
     "budget" once ``maxfev`` evaluations of the model are spent.
 
-    Returns the parameters, the residuals there, the 1-sigma values, the
+    Returns the parameters, the cost |r|^2 there, the 1-sigma values, the
     status and the evaluation count. The sigmas are inf when J^T J is
-    singular at the solution or the fit has no degrees of freedom.
+    singular at the solution or the fit has no degrees of freedom. Nothing
+    here warns on overflow: a cost or sigma past the float range is inf.
     """
     p = np.array(params0, dtype=float)
     eye = np.eye(len(p))
@@ -162,22 +159,22 @@ def _leastsq(
                 mu, nu = mu * nu, 2.0 * nu
                 if status == "ftol":
                     break
-    if cost == 0.0:
-        status = "ftol"
-    dof = len(r) - len(p)
-    try:
-        cov = np.linalg.inv(jac.T.dot(jac)) if dof > 0 else None
-    except np.linalg.LinAlgError:
-        cov = None
+        if cost == 0.0:
+            status = "ftol"
+        dof = len(r) - len(p)
+        try:
+            cov = np.linalg.inv(jac.T.dot(jac)) if dof > 0 else None
+        except np.linalg.LinAlgError:
+            cov = None
+        if cov is None:
+            sigmas = np.full(len(p), np.inf)
+        else:
+            sigmas = np.sqrt(np.abs(cov.diagonal()) * (cost / dof))
     log.debug(
         "%s fit: %s after %d evaluations, covariance %s",
         model.__name__, status, nfev, "none" if cov is None else "found",
     )
-    if cov is None:
-        sigmas = np.full(len(p), np.inf)
-    else:
-        sigmas = np.sqrt(np.abs(cov.diagonal()) * (cost / dof))
-    return p, r, sigmas, status, nfev
+    return p, cost, sigmas, status, nfev
 
 
 def fit_dips(spec: Spectrum, k: int, init_centers: np.ndarray | None = None) -> DipFit:
@@ -194,7 +191,7 @@ def fit_dips(spec: Spectrum, k: int, init_centers: np.ndarray | None = None) -> 
     if len(x) < 3 * k + 1:
         raise ValueError("grid too short for the requested dip count")
 
-    baseline0 = float(np.median(y))
+    baseline0 = _median(y)
     noise = _noise_scale(y, baseline0)
     if init_centers is not None:
         centers0 = np.sort(np.asarray(init_centers, dtype=float))[:k]
@@ -230,7 +227,7 @@ def fit_dips(spec: Spectrum, k: int, init_centers: np.ndarray | None = None) -> 
         jt[3::3] = -dip * dx * dx / (sigma * sigma * sigma)
         return p[0] - dip.sum(axis=0) - y, jt.T
 
-    popt, res, sigmas, status, nfev = _leastsq(
+    popt, cost, sigmas, status, nfev = _leastsq(
         gaussian_dips, np.asarray(params0), maxfev=500 * (len(params0) + 1)
     )
     amps = popt[1::3]
@@ -239,14 +236,14 @@ def fit_dips(spec: Spectrum, k: int, init_centers: np.ndarray | None = None) -> 
     order = np.argsort(centers)
     # Judged against the post-fit residual scatter, not the pre-fit spread:
     # a genuine dip inflates the raw spread with structure, not noise.
-    rms = float(np.sqrt(res @ res / max(1, len(res) - len(popt))))
+    rms = math.sqrt(cost / max(1, len(x) - len(popt)))
     floor = max(5.0 * rms, 1e-8 * max(1.0, abs(popt[0])))
     return DipFit(
         centers=centers[order],
         fwhms=widths[order],
         amplitudes=amps[order],
         baseline=float(popt[0]),
-        residual_norm=float(np.sqrt(res @ res)),
+        residual_norm=math.sqrt(cost),
         status=status,
         nfev=nfev,
         no_dip=bool(np.max(np.abs(amps)) < floor),
@@ -282,13 +279,13 @@ def fit_saturation(series: np.ndarray) -> SaturationFit:
     settled = np.abs(series - series[-1]) < abs(series[0] - series[-1]) / math.e
     params0 = np.array([series[-1], series[0], max(1, int(np.argmax(settled)))])
 
-    popt, res, sigmas, status, nfev = _leastsq(saturation, params0, maxfev=2000)
+    popt, cost, sigmas, status, nfev = _leastsq(saturation, params0, maxfev=2000)
     p_inf, p0, n_s = float(popt[0]), float(popt[1]), float(abs(popt[2]))
     return SaturationFit(
         n_s=n_s,
         p_inf=p_inf,
         p0=p0,
-        residual_norm=float(np.sqrt(res @ res)),
+        residual_norm=math.sqrt(cost),
         status=status,
         nfev=nfev,
         identifiable=bool(abs(p_inf - p0) > 1e-8),

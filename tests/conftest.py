@@ -126,25 +126,32 @@ def t1_jumps(t1_e: float) -> list[np.ndarray]:
 
 
 def dense(segment) -> tuple[np.ndarray, float]:
-    """(generator, duration) of a segment form, single or stacked.
+    """(generator stack, duration) of a segment form, one generator per run.
 
     The generator is the 3x3 -i H of a pulse, and the 9x9 Liouvillian of a
-    laser (diagonal plus rows 0-7 of column 8) or of a wait (frame rotation
-    and dephasing on the coherence slots, plus the Liouvillian of
-    :func:`t1_jumps` when t1_e is finite).
+    laser (one decay per entry, plus the rho_ee feed into rho_00, rho_11
+    and rho_01) or of a wait (frame rotation and dephasing on the
+    coherence slots, plus the Liouvillian of :func:`t1_jumps` when t1_e is
+    finite), at row-major vec slot 3i + j for entry (i, j).
     """
     if isinstance(segment, Pulse):
         return -1j * segment.h, segment.duration
     if isinstance(segment, Laser):
-        gen = segment.diagonal[..., :, None] * np.eye(9)
-        gen[..., :8, 8] = segment.column
+        gen = np.zeros(segment.diagonal.shape[:-1] + (9, 9), dtype=complex)
+        # The slots of (0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2), then
+        # of the lower coherences, the conjugates of the upper.
+        upper, lower = [0, 4, 8, 1, 2, 5], [3, 6, 7]
+        gen[:, upper, upper] = segment.diagonal
+        gen[:, lower, lower] = segment.diagonal[:, 3:].conj()
+        gen[:, [0, 4, 1], 8] = segment.column
+        gen[:, 3, 8] = segment.column[2].conj()
         return gen, segment.duration
     f = segment.frequencies
-    dephasing = np.zeros(np.broadcast_shapes(f.shape, segment.dephasing.shape)[:-1] + (3, 3))
+    dephasing = np.zeros(f.shape[:-1] + (3, 3))
     upper, lower = ([0, 0, 1], [1, 2, 2]), ([1, 2, 2], [0, 0, 1])
     dephasing[(..., *upper)] = dephasing[(..., *lower)] = segment.dephasing
     diagonal = -1j * (f[..., :, None] - f[..., None, :]) + dephasing
-    gen = diagonal.reshape(diagonal.shape[:-2] + (9,))[..., :, None] * np.eye(9)
+    gen = diagonal.reshape(-1, 9)[:, :, None] * np.eye(9)
     if math.isfinite(segment.t1_e):
         gen = gen + lindblad(np.zeros((3, 3)), t1_jumps(segment.t1_e))
     return gen, segment.duration

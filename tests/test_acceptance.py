@@ -287,11 +287,11 @@ def test_criterion_7_property_suite():
     def rate_line(k: int, rate: str) -> tuple[np.ndarray, np.ndarray]:
         """Generator of segment k at rate 0, and its change per unit rate."""
         at_0, at_1 = (
-            dense(segment_generators(replace(seq, **{rate: r}))[k])[0] for r in (0.0, 1.0)
+            dense(segment_generators(replace(seq, **{rate: r}))[k])[0][0] for r in (0.0, 1.0)
         )
         return at_0, at_1 - at_0
 
-    pulse = dense(segment_generators(seq)[0])[0]
+    pulse = dense(segment_generators(seq)[0])[0][0]
     laser = rate_line(2, "gamma_dp")
     wait = rate_line(3, "gamma_2n")
     physical_ok = True

@@ -81,14 +81,20 @@ def rk4(rho: np.ndarray, gen: np.ndarray, duration: float, dt: float) -> np.ndar
     return rho
 
 
+def dense_run(segment) -> tuple[np.ndarray, float]:
+    """(generator, duration) of the one run of a G = 1 segment form."""
+    gen, duration = dense(segment)
+    return gen[0], duration
+
+
 def segments(lam: LambdaConfig = REFERENCE_LAM, **kwargs) -> list[tuple[np.ndarray, float]]:
     """The four dense (generator, duration) segments of a gamma = 20 sequence on lam."""
-    return [dense(s) for s in segment_generators(SequenceConfig(lam, gamma=20.0, **kwargs))]
+    return [dense_run(s) for s in segment_generators(SequenceConfig(lam, gamma=20.0, **kwargs))]
 
 
 def pulse_hamiltonian(cfg: LambdaConfig) -> np.ndarray:
     """The H the engine runs for a pulse of drive cfg."""
-    return segment_generators(SequenceConfig(cfg))[0].h
+    return segment_generators(SequenceConfig(cfg))[0].h[0]
 
 
 def test_rwa_hamiltonian_matrix():
@@ -210,7 +216,7 @@ def test_laser_branching_follows_a_replaced_drive():
     assert abs(polarization_efficiency(second) - polarization_efficiency(first)) > 0.1
     seq = replace(SequenceConfig(first, gamma=20.0, t_laser=2.0), lam=second)
     rho = pure_state(np.array([0.0, 0.0, 1.0], dtype=complex))
-    after = propagate(rho, *dense(segment_generators(seq)[2]))
+    after = propagate(rho, *dense_run(segment_generators(seq)[2]))
     dark = dark_bright_basis(second).dark
     p_dark = float(np.real(dark.conj() @ after[:2, :2] @ dark))
     assert p_dark == pytest.approx(polarization_efficiency(second), abs=1e-9)
@@ -236,7 +242,7 @@ def test_wait_t1_relaxes_excited_population_to_half():
     t1 = 4.0
     duration = t1 * math.log(2.0)
     seq = SequenceConfig(REFERENCE_LAM, gamma=20.0, t_mw=0.0, t_wait_pre=duration, t1_e=t1)
-    engine, _ = period_maps(segment_generators(seq))
+    (engine,), _ = period_maps(segment_generators(seq))
     oracle = segments(t_wait_post=duration, t1_e=t1)[3]
     up = pure_state(np.array([1.0, 0.0, 0.0], dtype=complex))
     excited = pure_state(np.array([0.0, 0.0, 1.0], dtype=complex))
@@ -258,18 +264,22 @@ def test_segment_maps_keep_density_matrices_physical():
     rng = np.random.default_rng(43)
     cfg = LambdaConfig(omega_1=0.4, omega_2=0.7, delta_1=0.1, delta_2=-0.05, psi=0.6, theta=1.0)
     seq = SequenceConfig(cfg, gamma=15.0)
-    pulse = dense(segment_generators(seq)[0])[0]
+    pulse = dense_run(segment_generators(seq)[0])[0]
     for _ in range(300):
         rho = random_density(rng)
         kind = rng.integers(0, 3)
         if kind == 0:
             after = propagate(rho, pulse, rng.uniform(0.0, 8.0))
         elif kind == 1:
-            laser, _ = dense(segment_generators(replace(seq, gamma_dp=rng.uniform(0.0, 2.0)))[2])
+            laser, _ = dense_run(
+                segment_generators(replace(seq, gamma_dp=rng.uniform(0.0, 2.0)))[2]
+            )
             after = propagate(rho, laser, rng.uniform(0.0, 0.6))
         else:
             duration = rng.uniform(0.0, 3.0)
-            wait, _ = dense(segment_generators(replace(seq, gamma_2n=rng.uniform(0.0, 0.1)))[3])
+            wait, _ = dense_run(
+                segment_generators(replace(seq, gamma_2n=rng.uniform(0.0, 0.1)))[3]
+            )
             after = propagate(rho, wait, duration)
         assert np.real(np.trace(after)) == pytest.approx(1.0, abs=1e-9)
         np.testing.assert_allclose(after, after.conj().T, rtol=0, atol=1e-9)
@@ -368,7 +378,7 @@ def test_readout_model_and_inversion():
 def test_rk4_sequence_matches_expm_sequence():
     seq = reference_sequence(n_reps=5)
     t_expm = pump_trace(seq).trace
-    segments = [dense(s) for s in segment_generators(seq)]
+    segments = [dense_run(s) for s in segment_generators(seq)]
     dark3 = embed(dark_bright_basis(seq.lam).dark)
     rho = thermal_ground_state()
     p_dark, p_excited = [], []

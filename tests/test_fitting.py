@@ -232,7 +232,7 @@ def fit_with_oracle(fit, *args, **kwargs):
     value (a dip center at 3e-290 stays there). The Jacobians themselves are
     checked against central differences below.
 
-    Returns the driver's (params, residuals, sigmas, status, nfev) and
+    Returns the driver's (params, cost, sigmas, status, nfev) and
     scipy's parameters and ier.
     """
     model, params0, maxfev = driver_inputs(fit, *args, **kwargs)

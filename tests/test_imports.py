@@ -156,7 +156,8 @@ def test_fit_command_runs_without_scipy(tmp_path, kind):
     probe = (
         "import sys; from lambda_cpt.cli import main; "
         f"code = main(['fit', '--config', {str(cfg)!r}, '--out', {str(tmp_path)!r}]); "
-        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+        "'numpy.ma' in sys.modules)"
     )
-    assert fresh_interpreter(probe) == "0 []"
+    assert fresh_interpreter(probe) == "0 [] False"
     assert json.loads((tmp_path / "fit_report.json").read_text())["kind"] == kind

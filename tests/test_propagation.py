@@ -9,7 +9,7 @@ the period, which is where a closed-form detuning shift could go wrong.
 
 import logging
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -110,7 +110,7 @@ def segment_map(gen, duration):
 def single_point(seq, delta_1, delta_2):
     """Readout and final states of one point, four expm-ed segments per period."""
     point = replace(seq, lam=replace(seq.lam, delta_1=delta_1, delta_2=delta_2))
-    props = [segment_map(*dense(s)) for s in segment_generators(point)]
+    props = [segment_map(gen[0], t) for gen, t in map(dense, segment_generators(point))]
     vec = thermal_ground_state().reshape(9)
     readout = []
     for _ in range(seq.n_reps):
@@ -171,19 +171,21 @@ def jump_generators(seq):
     return pulse, lindblad(frame, [dephasing(seq.gamma_2n)]), lindblad(frame, laser)
 
 
-# The generator entries each form holds: a wait its six coherences (frame
-# rotation and dephasing), a laser its diagonal and rows 0-7 of column 8.
+# The generator entries each form holds, at row-major vec slot 3i + j: a wait
+# its six coherences (frame rotation and dephasing), a laser its diagonal and
+# the feed of rho_ee (column 8) into rho_00, rho_11, rho_01 and rho_10.
 COHERENCES = [1, 2, 3, 5, 6, 7]
 WAIT_HELD = np.zeros((9, 9), dtype=bool)
 WAIT_HELD[COHERENCES, COHERENCES] = True
+FED = [0, 4, 1, 3]
 LASER_HELD = np.eye(9, dtype=bool)
-LASER_HELD[:8, 8] = True
+LASER_HELD[FED, 8] = True
 
 
 @settings(max_examples=40, deadline=None)
 @given(text=run_files(), offsets=detunings)
 def test_segment_forms_are_the_lindblad_generators_of_their_jumps(text, offsets):
-    """Every form, single and stacked, slot by slot against its jumps' generator.
+    """Every form, at seq's own detuning and stacked, slot by slot against its jumps' generator.
 
     Each entry a form holds matches to 1e-14 relative; the laser column,
     where the dark and bright terms cancel off the diagonal, to 1e-14 gamma.
@@ -192,7 +194,7 @@ def test_segment_forms_are_the_lindblad_generators_of_their_jumps(text, offsets)
     seq = parse_config(text).seq
     grid = seq.lam.delta_1 + np.array(offsets)
     stack = segment_generators(seq, grid)
-    runs = [(seq, segment_generators(seq), slice(None))] + [
+    runs = [(seq, segment_generators(seq), 0)] + [
         (replace(seq, lam=replace(seq.lam, delta_2=d2)), stack, i) for i, d2 in enumerate(grid)
     ]
     for point, (pulse, pre, laser, post), i in runs:
@@ -202,9 +204,10 @@ def test_segment_forms_are_the_lindblad_generators_of_their_jumps(text, offsets)
             held, _ = dense(replace(form, t1_e=math.inf))
             np.testing.assert_allclose(held[i][WAIT_HELD], wait[WAIT_HELD], rtol=1e-14, atol=0)
         assert not wait[~WAIT_HELD].any()
-        np.testing.assert_allclose(laser.diagonal[i], optical.diagonal(), rtol=1e-14, atol=0)
+        held, _ = dense(laser)
+        np.testing.assert_allclose(held[i].diagonal(), optical.diagonal(), rtol=1e-14, atol=0)
         np.testing.assert_allclose(
-            laser.column, optical[:8, 8], rtol=1e-14, atol=1e-14 * point.gamma
+            held[i][FED, 8], optical[FED, 8], rtol=1e-14, atol=1e-14 * point.gamma
         )
         assert not optical[~LASER_HELD].any()
 
@@ -234,6 +237,26 @@ def long_chain(g):
     return segment_generators(seq, seq.lam.delta_1 + np.linspace(-0.02, 0.01, g))
 
 
+@pytest.mark.parametrize(
+    "delta_1, delta_2", [(0.0, 0.0), (0.0, 0.02), (0.03, 0.0), (0.03, 0.03), (-0.05, 0.01)]
+)
+def test_default_forms_are_the_stack_at_the_sequence_detuning(delta_1, delta_2):
+    """segment_generators(seq) is the G = 1 stack at seq.lam.delta_2, bit for bit.
+
+    Every field is compared by shape, dtype and bytes, so that a zero of the
+    other sign shows, as array_equal would not.
+    """
+    seq = parse_config(LONG_CHAIN).seq
+    seq = replace(seq, lam=replace(seq.lam, delta_1=delta_1, delta_2=delta_2))
+    for default, stacked in zip(segment_generators(seq), segment_generators(seq, [delta_2])):
+        for field in fields(default):
+            got, want = getattr(default, field.name), getattr(stacked, field.name)
+            if isinstance(want, np.ndarray):
+                assert (got.shape, got.dtype) == (want.shape, want.dtype), field.name
+                got, want = got.tobytes(), want.tobytes()
+            assert got == want, field.name
+
+
 def period_by_period(segments, rho0, n_reps, observables):
     """Oracle: the kernel's own A and M, two matrix-vector products per period and run.
 
@@ -243,7 +266,7 @@ def period_by_period(segments, rho0, n_reps, observables):
     20000 periods of PUMP. Returns those readouts and each run's final
     state, (G, 3, 3).
     """
-    a, m = (x.reshape(-1, 9, 9).astype(np.longdouble) for x in period_maps(segments))
+    a, m = (x.astype(np.longdouble) for x in period_maps(segments))
     basis = VEC.astype(np.clongdouble)
     readouts = np.empty((len(a), n_reps, len(observables)))
     finals = []
@@ -415,9 +438,9 @@ def test_kernel_working_set_does_not_grow_with_the_period_count(monkeypatch):
 
 
 def test_period_maps_hand_off_c_contiguous_float64_maps():
-    """A single run gives two 9x9 maps, a stack of G two (G, 9, 9) stacks, all C-contiguous."""
+    """A stack of G runs gives two (G, 9, 9) stacks, G = 1 included, both C-contiguous."""
     seq = parse_config(LONG_CHAIN).seq
-    for segments, shape in ((segment_generators(seq), (9, 9)), (long_chain(3), (3, 9, 9))):
+    for segments, shape in ((segment_generators(seq), (1, 9, 9)), (long_chain(3), (3, 9, 9))):
         for maps in period_maps(segments):
             assert maps.dtype == np.float64 and maps.shape == shape
             assert maps.flags.c_contiguous
@@ -483,9 +506,7 @@ def form_map(segment):
         if isinstance(segment, Laser)
         else (dynamics._wait_rows, segment.frequencies)
     )
-    stack = slots.shape[:-1]
-    point_last = rows(segment, identities(math.prod(stack)))
-    return np.moveaxis(point_last, -1, 0).reshape(stack + (9, 9))
+    return np.moveaxis(rows(segment, identities(len(slots))), -1, 0)
 
 
 def identities(g):
@@ -521,12 +542,12 @@ def test_batched_expm_matches_scipy_per_matrix(text, offsets):
     grid = seq.lam.delta_1 + np.array(offsets)
     segments = segment_generators(seq, grid)
     laser = segments[2]
-    # Every diagonal entry set to that of rho_ee: d_i = d_k in every row.
-    tied = replace(laser, diagonal=np.repeat(laser.diagonal[:, 8:], 9, axis=1))
+    # Every diagonal entry set to that of rho_ee: d_i = d_e in every row.
+    tied = replace(laser, diagonal=np.repeat(laser.diagonal[:, 2:3], 6, axis=1))
     for segment in (*segments, tied):
         assert_matches_scipy(segment)
     # The pulse lifted to a 9x9 map, against the exponential of its Liouvillian.
-    zero = Wait(np.zeros(3), np.zeros(3), seq.t1_e, 0.0)
+    zero = Wait(np.zeros((len(grid), 3)), np.zeros(3), seq.t1_e, 0.0)
     lifted, _ = period_maps((segments[0], zero, replace(laser, duration=0.0), zero))
     for h, p in zip(segments[0].h, lifted):
         a = lindblad(h, []) * seq.t_mw
