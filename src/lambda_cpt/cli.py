@@ -18,6 +18,9 @@ writes a JSON manifest whose hash is echoed into the CSV header.
 A handler takes the run config and main's seeded noise function and
 returns {file name: product}: (title, columns) for a CSV, a report dict for
 fit_report.json. main alone writes files, all or none: products, then manifest.
+A handler imports the layers it runs itself, so that a command loads only
+those: esr-lines runs on the schema and the spin model, and starts without
+numpy; no simulation loads the fitting module.
 
 Exit codes: 0 success, 1 engine failure, 2 unreadable CLI/config input
 or an output that cannot be written, 3 validation rejection, 4 a written
@@ -38,22 +41,9 @@ import time
 from dataclasses import asdict, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .config import ConfigError, RunConfig, check_periods, default_config, load_config
 from .datasets import read_csv, run_manifest, write_csv, write_manifest
-from .dynamics import readout_signal
-from .experiments import (
-    Spectrum,
-    apply_artificial_contrast,
-    comb_predict,
-    composition_sweep,
-    cpt_spectrum,
-    multi_resonance_scan,
-    pump_trace,
-)
-from .fitting import fit_contrast_curve, fit_dips, fit_saturation, recover_simplified
 from .spin_model import FieldError, eigensystem, esr_lines
 
 __all__ = ["main"]
@@ -109,15 +99,22 @@ def _run_esr_lines(cfg: RunConfig, noise) -> dict:
 
 
 def _run_cpt_spectrum(cfg: RunConfig, noise) -> dict:
+    import numpy as np
+
+    from .experiments import cpt_spectrum
+
     spec = cpt_spectrum(cfg.seq, cfg.seq.lam.delta_1, np.linspace(*cfg.scan_grid))
     return {"spectrum.csv": ("steady trapping spectrum", _spectrum_columns(spec, noise))}
 
 
 def _run_pump_steps(cfg: RunConfig, noise) -> dict:
+    from .dynamics import readout_signal
+    from .experiments import pump_trace
+
     result = pump_trace(cfg.seq)
     trace = result.trace
     steps = {**asdict(trace), "signal": noise(readout_signal(trace.p_excited, cfg.readout))}
-    estimate = {"step": np.arange(len(result.p_dark_est)), "p_dark_est": result.p_dark_est}
+    estimate = {"step": range(len(result.p_dark_est)), "p_dark_est": result.p_dark_est}
     return {
         "pump_steps.csv": ("step-resolved pumping trace", steps),
         "pump_estimate.csv": ("calibrated dark-population estimate", estimate),
@@ -125,8 +122,10 @@ def _run_pump_steps(cfg: RunConfig, noise) -> dict:
 
 
 def _run_composition(cfg: RunConfig, noise) -> dict:
+    from .experiments import apply_artificial_contrast, composition_sweep
+
     seq = replace(cfg.seq, n_reps=cfg.composition_steps)
-    sweep = composition_sweep(seq, np.asarray(cfg.ratios))
+    sweep = composition_sweep(seq, cfg.ratios)
     columns = {"ratio": sweep.ratios, "measured": sweep.measured, "ideal": sweep.ideal}
     if cfg.contrast_a is not None:
         columns["measured_contrast"] = apply_artificial_contrast(sweep.measured, cfg.contrast_a)
@@ -134,6 +133,10 @@ def _run_composition(cfg: RunConfig, noise) -> dict:
 
 
 def _run_multi_resonance(cfg: RunConfig, noise) -> dict:
+    import numpy as np
+
+    from .experiments import multi_resonance_scan
+
     labels = check_periods(cfg.seq, cfg.t_seq_list)
     explicit_grid = {"delta_start", "delta_stop", "points"} & set(cfg.explicit.get("scan", {}))
     grid = np.linspace(*cfg.scan_grid) if explicit_grid else None
@@ -148,13 +151,15 @@ def _run_multi_resonance(cfg: RunConfig, noise) -> dict:
 
 
 def _run_comb_predict(cfg: RunConfig, noise) -> dict:
+    from .experiments import comb_predict
+
     comb = comb_predict(cfg.seq.t_mw, cfg.seq.t_seq, cfg.comb_n_s, cfg.comb_n_max)
-    n_values = np.arange(-cfg.comb_n_max, cfg.comb_n_max + 1)
+    n_values = range(-cfg.comb_n_max, cfg.comb_n_max + 1)
     columns = {
         "n": n_values,
         "center_mhz": comb.dip_centers,
-        "width_mhz": np.full(len(n_values), comb.dip_width),
-        "envelope_mhz": np.full(len(n_values), comb.envelope_width),
+        "width_mhz": [comb.dip_width] * len(n_values),
+        "envelope_mhz": [comb.envelope_width] * len(n_values),
     }
     return {"comb.csv": ("pulse-train comb geometry", columns)}
 
@@ -171,11 +176,14 @@ def _sigma(value) -> float | None:
 
 
 def _dips_report(cfg: RunConfig, data: dict) -> dict:
+    from .experiments import Spectrum
+    from .fitting import fit_dips
+
     _require_columns(data, "delta_2_mhz", "signal_norm")
     fit = fit_dips(
         Spectrum(data["delta_2_mhz"], data["signal_norm"]),
         cfg.fit_k,
-        init_centers=np.asarray(cfg.fit_init_centers) if cfg.fit_init_centers else None,
+        init_centers=cfg.fit_init_centers,
     )
     return {
         "converged": fit.converged,
@@ -196,10 +204,12 @@ def _dips_report(cfg: RunConfig, data: dict) -> dict:
 
 
 def _saturation_report(cfg: RunConfig, data: dict) -> dict:
+    from .fitting import fit_saturation, recover_simplified
+
     series = data.get("p_dark_est", data.get("p_dark"))
     if series is None:
         raise ConfigError("fit.input", "dataset lacks a p_dark_est or p_dark column")
-    fit = fit_saturation(np.asarray(series))
+    fit = fit_saturation(series)
     report = asdict(fit)
     # status and nfev stay out of the report, whose keys are fixed.
     del report["status"], report["nfev"]
@@ -214,6 +224,8 @@ def _saturation_report(cfg: RunConfig, data: dict) -> dict:
 
 
 def _contrast_report(cfg: RunConfig, data: dict) -> dict:
+    from .fitting import fit_contrast_curve
+
     _require_columns(data, "ratio", "measured")
     column = "measured_contrast" if "measured_contrast" in data else "measured"
     a = fit_contrast_curve(data["ratio"], data[column])
@@ -292,11 +304,17 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         log.error("--out %s is not a usable directory: %s", out, exc)
         return 2
-    rng = np.random.default_rng(ns.seed if ns.seed is not None else 0)
+    rng = None
 
-    def noise(values: np.ndarray) -> np.ndarray:
+    def noise(values):
+        """values plus N(0, noise.std) draws, from one stream seeded at the first call."""
+        nonlocal rng
         if cfg.noise_std <= 0:
             return values
+        if rng is None:
+            import numpy as np
+
+            rng = np.random.default_rng(ns.seed if ns.seed is not None else 0)
         return values + rng.normal(0.0, cfg.noise_std, size=len(values))
 
     inputs = dict(cfg.inputs, command=ns.command, seed=ns.seed, noise_applied=cfg.noise_std > 0)

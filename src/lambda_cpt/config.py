@@ -16,6 +16,11 @@ converter, and parse_config checks the rules that tie keys together.
 Drive amplitudes can be given directly (omega_1, omega_2 in MHz) or as a
 pulse area in radians plus an amplitude ratio, from which the two tones
 are resolved at the configured microwave duration.
+
+The schema imports no numpy: its dataclasses come from
+:mod:`lambda_cpt.lambda_system` and :mod:`lambda_cpt.spin_model`, and the
+one conversion it borrows from :mod:`lambda_cpt.rate_model`, all of which
+run on ``math`` alone.
 """
 
 from __future__ import annotations
@@ -26,7 +31,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, TypeVar
 
-from .lambda_system import LambdaConfig, split_rabi
+from .lambda_system import LambdaConfig, ReadoutModel, SequenceConfig, split_rabi
+from .rate_model import gamma_dp_for_alpha_dp
 from .spin_model import (
     FieldError,
     HyperfineParams,
@@ -34,8 +40,6 @@ from .spin_model import (
     SpinSystemParams,
     mixing_angles,
 )
-from .dynamics import ReadoutModel, SequenceConfig
-from .rate_model import gamma_dp_for_alpha_dp
 
 __all__ = [
     "ConfigError",

@@ -4,7 +4,9 @@ Every CSV starts with a short '#' comment block naming the product and the
 manifest hash, then a header row, then data rows. Floats are printed with
 17 significant digits so equal inputs give byte-identical files; the
 manifest hash covers resolved inputs and package version only, never wall
-time, for the same reason.
+time, for the same reason. Writing needs no numpy, so a command that
+computes with ``math`` alone starts without it; only read_csv, which builds
+arrays, imports it.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ import csv
 import hashlib
 import json
 from pathlib import Path
-
-import numpy as np
 
 __all__ = ["run_manifest", "manifest_hash", "write_csv", "write_manifest", "read_csv"]
 
@@ -33,12 +33,15 @@ def run_manifest(inputs: dict, version: str) -> dict:
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
+    if hasattr(value, "item"):
+        # A numpy scalar prints as its Python counterpart, which item() returns.
+        value = value.item()
+    if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return format(value, ".17g")
     return str(value)
 
 
@@ -77,7 +80,7 @@ def write_manifest(path, manifest: dict) -> None:
     )
 
 
-def read_csv(path) -> dict[str, np.ndarray | list[str]]:
+def read_csv(path) -> dict:
     """Read a CSV written by write_csv back into named columns.
 
     Comment lines are skipped; columns that parse as floats come back as
@@ -95,7 +98,9 @@ def read_csv(path) -> dict[str, np.ndarray | list[str]]:
             raise ValueError(
                 f"{path}: data row {number} has {len(row)} cells, the header {len(header)}"
             )
-    out: dict[str, np.ndarray | list[str]] = {}
+    import numpy as np
+
+    out = {}
     for idx, name in enumerate(header):
         cells = [row[idx] for row in body]
         try:

@@ -66,7 +66,11 @@ sweep is the same build with G two-photon detunings: nothing but f
 depends on them.
 
 This module is the engine alone: protocols, their observables and their
-calibrations live in :mod:`lambda_cpt.experiments`.
+calibrations live in :mod:`lambda_cpt.experiments`. The parameters it reads
+(:class:`~lambda_cpt.lambda_system.SequenceConfig` and its drive, and
+:class:`~lambda_cpt.lambda_system.ReadoutModel`) live in
+:mod:`lambda_cpt.lambda_system`, which imports no numpy; the drive's
+dark/bright spinors (:func:`dark_bright_basis`) are built here.
 
 Units: MHz and us everywhere at the interface; the 2*pi sits inside the
 generators only.
@@ -76,17 +80,15 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .lambda_system import LambdaConfig, dark_bright_basis, polarization_efficiency
-from .spin_model import require
+from .lambda_system import LambdaConfig, ReadoutModel, SequenceConfig, polarization_efficiency
 
 __all__ = [
-    "SequenceConfig",
-    "ReadoutModel",
+    "LambdaBasis",
+    "dark_bright_basis",
     "thermal_ground_state",
     "pure_state",
     "Pulse",
@@ -104,73 +106,31 @@ log = logging.getLogger("lambda_cpt.dynamics")
 
 
 @dataclass(frozen=True)
-class SequenceConfig:
-    """Timing, drive, and dissipation of the repeated trapping sequence.
+class LambdaBasis:
+    """Dark/bright ground spinors: orthonormal 2-component complex vectors over (|up>, |down>)."""
 
-    t_seq defaults to the packed duration t_mw + t_wait_pre + t_laser +
-    t_wait_post; any surplus stretches the pre-laser dark wait. gamma_2n and
-    t1_e are optional decoherence channels acting during the waits. gamma is
-    the optical repolarization rate of the laser (1/us); its dark/bright
-    branching follows from lam, so replacing the drive replaces it too.
-    n_reps >= 1 and durations >= 0 are rules of this class alone: t_seq may
-    fall 1e-9 us short of the packed duration, and wait_pre_total is then 0.
+    dark: np.ndarray
+    bright: np.ndarray
+
+
+def dark_bright_basis(cfg: LambdaConfig) -> LambdaBasis:
+    """Build the dark/bright decomposition for a drive configuration.
+
+    dark   = (omega_2 e^{-i psi} |up> - omega_1 |down>) / N
+    bright = (omega_1 |up> + omega_2 e^{+i psi} |down>) / N
+
+    with N = sqrt(omega_1^2 + omega_2^2). The |down> coefficient of the dark
+    state is pinned real and negative, which fixes the global phases. The
+    bright phase is the conjugate of the dark one; that is what makes the
+    pair orthonormal for every psi and the bright-branch coupling to |->
+    real.
     """
-
-    lam: LambdaConfig
-    gamma: float = 20.0
-    gamma_dp: float = 0.0
-    t_mw: float = 6.0
-    t_wait_pre: float = 0.1
-    t_laser: float = 0.3
-    t_wait_post: float = 1.0
-    t_seq: float | None = None
-    n_reps: int = 40
-    gamma_2n: float = 0.0
-    t1_e: float = math.inf
-
-    def __post_init__(self) -> None:
-        require(0 < self.gamma < math.inf, "gamma", "finite and positive")
-        for name in ("t_mw", "t_wait_pre", "t_laser", "t_wait_post", "gamma_dp", "gamma_2n"):
-            require(0 <= getattr(self, name) < math.inf, name, "finite and nonnegative")
-        require(self.t1_e > 0, "t1_e", "positive (inf for none)")
-        require(
-            isinstance(self.n_reps, numbers.Integral) and self.n_reps >= 1,
-            "n_reps",
-            "an integer >= 1",
-        )
-        if self.t_seq is None:
-            object.__setattr__(self, "t_seq", self.packed_duration)
-        require(
-            self.packed_duration - 1e-9 <= self.t_seq < math.inf,
-            "t_seq",
-            f"finite and no shorter than the packed duration {self.packed_duration:g} us",
-        )
-
-    @property
-    def packed_duration(self) -> float:
-        return self.t_mw + self.t_wait_pre + self.t_laser + self.t_wait_post
-
-    @property
-    def wait_pre_total(self) -> float:
-        """Pre-laser wait including the slack that stretches t_seq, never negative."""
-        slack = self.t_seq - self.packed_duration
-        return max(self.t_wait_pre + slack, 0.0)
-
-
-@dataclass(frozen=True)
-class ReadoutModel:
-    """Linear map from excited population to photoluminescence level.
-
-    :func:`readout_signal` applies it: signal = reference_0 * (1 - contrast *
-    P_-).
-    """
-
-    contrast: float = 0.3
-    reference_0: float = 1.0
-
-    def __post_init__(self) -> None:
-        require(0 <= self.contrast <= 1, "contrast", "in [0, 1]")
-        require(0 < self.reference_0 < math.inf, "reference_0", "finite and positive")
+    o1, o2 = cfg.omega_1, cfg.omega_2
+    norm = math.hypot(o1, o2)
+    phase = np.exp(-1j * cfg.psi)
+    dark = np.array([o2 * phase, -o1], dtype=complex) / norm
+    bright = np.array([o1, o2 * np.conj(phase)], dtype=complex) / norm
+    return LambdaBasis(dark=dark, bright=bright)
 
 
 def thermal_ground_state() -> np.ndarray:
@@ -235,7 +195,8 @@ class Wait:
     frequencies holds the frame frequencies f of the three levels (rad/us),
     shape (G, 3); dephasing holds the real generator entries of the upper
     coherences rho_01, rho_02, rho_12, -gamma_2n (s_i - s_j)^2 / 4, shape
-    (3,), shared by the stack. Without T1 the generator is diagonal: -i
+    (3,) when shared by the stack, as :func:`segment_generators` writes it,
+    or (G, 3) with one row per run. Without T1 the generator is diagonal: -i
     (f_i - f_j) plus that dephasing at each coherence (i, j). Electron T1
     flips |up> and |down> to |-> at 1/(2 t1_e) each and |-> back to each at
     1/(4 t1_e): on the populations a rate block with eigenvalues 0,
@@ -255,9 +216,10 @@ class Laser:
     """Optical repolarization: one decay per entry, and the rho_ee feed.
 
     diagonal, shape (G, 6), holds the generator entry of each upper entry
-    of rho, rho_00, rho_11, rho_22, rho_01, rho_02, rho_12. column, shape
-    (3,) and shared by the stack, holds the rate at which rho_ee feeds
-    rho_00, rho_11 and rho_01; nothing else mixes.
+    of rho, rho_00, rho_11, rho_22, rho_01, rho_02, rho_12. column holds
+    the rate at which rho_ee feeds rho_00, rho_11 and rho_01, shape (3,)
+    when shared by the stack, as :func:`segment_generators` writes it, or
+    (G, 3) with one row per run; nothing else mixes.
     """
 
     diagonal: np.ndarray
@@ -442,10 +404,15 @@ def _laser_rows(laser: Laser, m: np.ndarray) -> np.ndarray:
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
-    """(e^z - 1) / z elementwise, by its Taylor series where |z| < 1e-4 (z = 0 included)."""
+    """(e^z - 1) / z elementwise, by its Taylor series where |z| < 1e-4 (z = 0 included).
+
+    Each branch sees only the z it keeps, with 0 or 1 elsewhere, so neither
+    overflows on the z the other one takes.
+    """
     small = np.abs(z) < 1e-4
+    z_small = np.where(small, z, 0.0)
     z_safe = np.where(small, 1.0, z)
-    series = 1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0))
+    series = 1.0 + z_small * (0.5 + z_small * (1.0 / 6.0 + z_small / 24.0))
     return np.where(small, series, np.expm1(z_safe) / z_safe)
 
 

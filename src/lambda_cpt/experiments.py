@@ -31,13 +31,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import (
-    SequenceConfig,
+    dark_bright_basis,
     propagate_periods,
     pure_state,
     segment_generators,
     thermal_ground_state,
 )
-from .lambda_system import dark_bright_basis, split_rabi
+from .lambda_system import SequenceConfig, split_rabi
 from .spin_model import require
 
 __all__ = [

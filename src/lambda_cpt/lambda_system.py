@@ -1,30 +1,33 @@
-"""Algebra of the isolated microwave Lambda scheme.
+"""Parameters of the microwave Lambda scheme and its pulsed sequence.
 
 Two nuclear-spin ground states |up>, |down> are each driven to one shared
 excited state |-> by a microwave tone. The drive pair defines an orthonormal
 dark/bright decomposition of the ground manifold: the dark state carries no
 coupling to |-> at two-photon resonance, the bright state carries all of it.
-Everything in this module is closed-form spinor algebra; no time evolution
-happens here (see :mod:`lambda_cpt.dynamics` for that).
+This module holds the parameter dataclasses of a run (the drive, the
+repeated sequence, the readout), each with its range rules, and the
+closed-form scalar algebra of the drive: the Rabi split and the pumping
+efficiency. It runs on ``math`` alone, so that the run schema
+(:mod:`lambda_cpt.config`) imports no numpy; the dark/bright spinors and
+all time evolution live in :mod:`lambda_cpt.dynamics`.
 
-Units: Rabi frequencies and detunings are linear frequencies in MHz, angles
-in rad. Factors of 2*pi appear only in the dynamics engine.
+Units: Rabi frequencies and detunings are linear frequencies in MHz, times
+in us, angles in rad. Factors of 2*pi appear only in the dynamics engine.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-
-import numpy as np
 
 from .spin_model import require
 
 __all__ = [
     "LambdaConfig",
-    "LambdaBasis",
+    "SequenceConfig",
+    "ReadoutModel",
     "split_rabi",
-    "dark_bright_basis",
     "polarization_efficiency",
 ]
 
@@ -81,11 +84,73 @@ class LambdaConfig:
 
 
 @dataclass(frozen=True)
-class LambdaBasis:
-    """Dark/bright ground spinors: orthonormal 2-component complex vectors over (|up>, |down>)."""
+class SequenceConfig:
+    """Timing, drive, and dissipation of the repeated trapping sequence.
 
-    dark: np.ndarray
-    bright: np.ndarray
+    t_seq defaults to the packed duration t_mw + t_wait_pre + t_laser +
+    t_wait_post; any surplus stretches the pre-laser dark wait. gamma_2n and
+    t1_e are optional decoherence channels acting during the waits. gamma is
+    the optical repolarization rate of the laser (1/us); its dark/bright
+    branching follows from lam, so replacing the drive replaces it too.
+    n_reps >= 1 and durations >= 0 are rules of this class alone: t_seq may
+    fall 1e-9 us short of the packed duration, and wait_pre_total is then 0.
+    """
+
+    lam: LambdaConfig
+    gamma: float = 20.0
+    gamma_dp: float = 0.0
+    t_mw: float = 6.0
+    t_wait_pre: float = 0.1
+    t_laser: float = 0.3
+    t_wait_post: float = 1.0
+    t_seq: float | None = None
+    n_reps: int = 40
+    gamma_2n: float = 0.0
+    t1_e: float = math.inf
+
+    def __post_init__(self) -> None:
+        require(0 < self.gamma < math.inf, "gamma", "finite and positive")
+        for name in ("t_mw", "t_wait_pre", "t_laser", "t_wait_post", "gamma_dp", "gamma_2n"):
+            require(0 <= getattr(self, name) < math.inf, name, "finite and nonnegative")
+        require(self.t1_e > 0, "t1_e", "positive (inf for none)")
+        require(
+            isinstance(self.n_reps, numbers.Integral) and self.n_reps >= 1,
+            "n_reps",
+            "an integer >= 1",
+        )
+        if self.t_seq is None:
+            object.__setattr__(self, "t_seq", self.packed_duration)
+        require(
+            self.packed_duration - 1e-9 <= self.t_seq < math.inf,
+            "t_seq",
+            f"finite and no shorter than the packed duration {self.packed_duration:g} us",
+        )
+
+    @property
+    def packed_duration(self) -> float:
+        return self.t_mw + self.t_wait_pre + self.t_laser + self.t_wait_post
+
+    @property
+    def wait_pre_total(self) -> float:
+        """Pre-laser wait including the slack that stretches t_seq, never negative."""
+        slack = self.t_seq - self.packed_duration
+        return max(self.t_wait_pre + slack, 0.0)
+
+
+@dataclass(frozen=True)
+class ReadoutModel:
+    """Linear map from excited population to photoluminescence level.
+
+    :func:`~lambda_cpt.dynamics.readout_signal` applies it: signal =
+    reference_0 * (1 - contrast * P_-).
+    """
+
+    contrast: float = 0.3
+    reference_0: float = 1.0
+
+    def __post_init__(self) -> None:
+        require(0 <= self.contrast <= 1, "contrast", "in [0, 1]")
+        require(0 < self.reference_0 < math.inf, "reference_0", "finite and positive")
 
 
 def split_rabi(omega_eff: float, ratio: float) -> tuple[float, float]:
@@ -98,31 +163,6 @@ def split_rabi(omega_eff: float, ratio: float) -> tuple[float, float]:
     return ratio * omega_2, omega_2
 
 
-def dark_bright_basis(cfg: LambdaConfig) -> LambdaBasis:
-    """Build the dark/bright decomposition for a drive configuration.
-
-    dark   = (omega_2 e^{-i psi} |up> - omega_1 |down>) / N
-    bright = (omega_1 |up> + omega_2 e^{+i psi} |down>) / N
-
-    with N = sqrt(omega_1^2 + omega_2^2). The |down> coefficient of the dark
-    state is pinned real and negative, which fixes the global phases. The
-    bright phase is the conjugate of the dark one; that is what makes the
-    pair orthonormal for every psi and the bright-branch coupling to |->
-    real.
-
-    Raises
-    ------
-    ValueError
-        If both Rabi frequencies vanish (already rejected by LambdaConfig).
-    """
-    o1, o2 = cfg.omega_1, cfg.omega_2
-    norm = math.hypot(o1, o2)
-    phase = np.exp(-1j * cfg.psi)
-    dark = np.array([o2 * phase, -o1], dtype=complex) / norm
-    bright = np.array([o1, o2 * np.conj(phase)], dtype=complex) / norm
-    return LambdaBasis(dark=dark, bright=bright)
-
-
 def polarization_efficiency(cfg: LambdaConfig) -> float:
     """Probability alpha_p that a decay from |-> lands in the dark state.
 
@@ -132,8 +172,9 @@ def polarization_efficiency(cfg: LambdaConfig) -> float:
         alpha_p = [o2^2 sin^2(theta/2) + o1^2 cos^2(theta/2)
                    + o1 o2 sin(theta) cos(phi - psi)] / (o1^2 + o2^2)
 
-    which equals |<e|D>|^2 for D of :func:`dark_bright_basis` and the
-    spinor of |->, e = -sin(theta/2) e^{-i phi} |up> + cos(theta/2) |down>.
+    which equals |<e|D>|^2 for D of
+    :func:`~lambda_cpt.dynamics.dark_bright_basis` and the spinor of |->,
+    e = -sin(theta/2) e^{-i phi} |up> + cos(theta/2) |down>.
     The value is clamped to [0, 1]: at an all-bright or all-dark drive,
     rounding leaves the closed form about 1e-16 outside that range.
     """

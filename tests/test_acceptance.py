@@ -26,7 +26,7 @@ from conftest import dense, propagate, record_acceptance_line
 
 import lambda_cpt.cli as cli
 from lambda_cpt.dynamics import (
-    SequenceConfig,
+    dark_bright_basis,
     propagate_periods,
     pure_state,
     segment_generators,
@@ -35,7 +35,7 @@ from lambda_cpt.experiments import composition_sweep, cpt_spectrum, pump_trace
 from lambda_cpt.fitting import fit_contrast_curve, fit_dips, fit_saturation
 from lambda_cpt.lambda_system import (
     LambdaConfig,
-    dark_bright_basis,
+    SequenceConfig,
     polarization_efficiency,
 )
 from lambda_cpt.rate_model import (

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import lambda_cpt.cli as cli
-from lambda_cpt import __version__, experiments
+from lambda_cpt import __version__, experiments, fitting
 from lambda_cpt.datasets import read_csv, write_csv
 from lambda_cpt.experiments import Spectrum
 from lambda_cpt.fitting import DipFit, fit_dips
@@ -216,6 +216,40 @@ def test_extreme_wait_channels_end_cleanly(tmp_path, caplog, command, sequence, 
     np.testing.assert_allclose(signal, 0.5, rtol=0, atol=1e-12)
 
 
+# Laser rates at 1e300 /us, the top of what the schema accepts, on a
+# 5-point grid over 4 periods: the written signals, as they were when the
+# laser's feed still printed overflow warnings on its way to them.
+EXTREME_LASER_SIGNALS = {
+    "gamma": [
+        0.50000000000000022,
+        0.36668202702265063,
+        0.10826338356795309,
+        0.36668202702265085,
+        0.49999999999999983,
+    ],
+    "gamma_dp": [
+        0.50000000000000022,
+        0.55761865270054445,
+        0.57645436128152661,
+        0.55761865270054489,
+        0.49999999999999983,
+    ],
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("key", sorted(EXTREME_LASER_SIGNALS))
+def test_extreme_laser_rates_end_without_warnings(tmp_path, key):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[sequence]\n{key} = 1e300\nn_reps = 4\n[scan]\npoints = 5\n")
+    assert run(["cpt-spectrum", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    data = read_csv(tmp_path / "spectrum.csv")
+    assert np.array_equal(data["delta_2_mhz"], np.linspace(-0.06, 0.06, 5))
+    np.testing.assert_allclose(
+        data["signal_norm"], EXTREME_LASER_SIGNALS[key], rtol=0, atol=1e-12
+    )
+
+
 def test_kernel_invariant_failure_exits_one(tmp_path, monkeypatch, caplog):
     # A laser column 1% too strong adds trace every period; the kernel names
     # the rule it breaks and nothing is written.
@@ -389,6 +423,23 @@ def test_noise_is_seeded(tmp_path, small_run):
     assert bytes_[0] != bytes_[2]
 
 
+def test_noise_is_one_stream_across_the_files_of_a_run(tmp_path):
+    # Each period's spectrum takes the next draws of one generator seeded
+    # once, in the order the run file lists the periods.
+    cfg = multi_resonance_config(tmp_path, "15, 10")
+    noisy = tmp_path / "noisy.ini"
+    noisy.write_text(cfg.read_text() + "\n[noise]\nstd = 0.01\n")
+    assert run(["multi-resonance", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+    args = ["multi-resonance", "--config", str(noisy), "--out", str(tmp_path / "b")]
+    assert run([*args, "--seed", "11"]) == 0
+    names = ["multi_resonance_T15.csv", "multi_resonance_T10.csv"]
+    clean = [read_csv(tmp_path / "a" / name)["signal_norm"] for name in names]
+    draws = np.random.default_rng(11).normal(0.0, 0.01, size=sum(map(len, clean)))
+    expected = np.concatenate(clean) + draws
+    written = np.concatenate([read_csv(tmp_path / "b" / name)["signal_norm"] for name in names])
+    assert np.array_equal(written, expected)
+
+
 def test_fit_dips_from_dataset(tmp_path):
     x = np.linspace(-0.06, 0.06, 101)
     y = 1.0 - 0.8 * np.exp(-(x**2) / (2.0 * 0.01**2))
@@ -438,7 +489,7 @@ def test_fit_nonconvergence_exits_four(tmp_path, monkeypatch, capsys):
         center_sigmas=np.array([np.inf]),
         fwhm_sigmas=np.array([np.inf]),
     )
-    monkeypatch.setattr(cli, "fit_dips", lambda *a, **k: stuck)
+    monkeypatch.setattr(fitting, "fit_dips", lambda *a, **k: stuck)
     cfg = tmp_path / "fit.ini"
     cfg.write_text(f"[fit]\ninput = {tmp_path / 'spectrum.csv'}\nkind = dips\n")
     assert run(["fit", "--config", str(cfg), "--out", str(tmp_path)]) == 4
@@ -573,7 +624,7 @@ def test_colliding_period_labels_exits_three(tmp_path, monkeypatch, caplog):
     def no_simulation(*args, **kwargs):
         raise AssertionError("labels must be checked before any simulation")
 
-    monkeypatch.setattr(cli, "multi_resonance_scan", no_simulation)
+    monkeypatch.setattr(experiments, "multi_resonance_scan", no_simulation)
     cfg = multi_resonance_config(tmp_path, "10, 10.0000001")
     assert run(["multi-resonance", "--config", str(cfg), "--out", str(tmp_path)]) == 3
     assert "scan.t_seq_list" in caplog.text and "T10" in caplog.text
@@ -590,7 +641,7 @@ def test_default_period_list_shorter_than_sequence_exits_three(tmp_path, monkeyp
     def no_simulation(*args, **kwargs):
         raise AssertionError("periods must be checked before any simulation")
 
-    monkeypatch.setattr(cli, "multi_resonance_scan", no_simulation)
+    monkeypatch.setattr(experiments, "multi_resonance_scan", no_simulation)
     comb = tmp_path / "comb"
     assert run(["multi-resonance", "--config", str(cfg), "--out", str(comb)]) == 3
     assert "scan.t_seq_list" in caplog.text and "10.4" in caplog.text

@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lambda_cpt.config import _SCHEMA, ConfigError, default_config, load_config, parse_config
-from lambda_cpt.dynamics import ReadoutModel, SequenceConfig
 from lambda_cpt.experiments import comb_predict, composition_sweep
-from lambda_cpt.lambda_system import LambdaConfig
+from lambda_cpt.lambda_system import LambdaConfig, ReadoutModel, SequenceConfig
 from lambda_cpt.rate_model import PumpStepParams, SimplifiedParams, gamma_dp_for_alpha_dp
 from lambda_cpt.spin_model import FieldError, HyperfineParams, PhysicalConstants, SpinSystemParams
 

@@ -28,6 +28,32 @@ def test_comment_block_and_header(tmp_path):
     assert data["label"] == ["x y"]
 
 
+def test_numpy_cells_print_as_their_python_counterparts(tmp_path):
+    # Rows as lists mix the types cell by cell; a numpy column iterates as
+    # numpy scalars too.
+    cells = [
+        (np.bool_(True), True),
+        (np.bool_(False), False),
+        (np.int64(-7), -7),
+        (np.int64(2**62), 2**62),
+        (np.float64(1.0 / 3.0), 1.0 / 3.0),
+        (np.float64(-0.0), -0.0),
+        (np.float64(1e-300), 1e-300),
+        (np.float64(2.0), 2.0),
+    ]
+    numpy_path, python_path = tmp_path / "numpy.csv", tmp_path / "python.csv"
+    write_csv(numpy_path, {"cell": [np_cell for np_cell, _ in cells]}, "00", "t")
+    write_csv(python_path, {"cell": [py_cell for _, py_cell in cells]}, "00", "t")
+    assert numpy_path.read_bytes() == python_path.read_bytes()
+    assert python_path.read_text().splitlines()[3:] == [
+        "1", "0", "-7", str(2**62), "0.33333333333333331", "-0", "1e-300", "2"
+    ]
+    floats = np.array([0.1, 2.0])
+    write_csv(numpy_path, {"x": floats, "n": np.arange(2), "b": np.array([True, False])}, "0", "t")
+    write_csv(python_path, {"x": [0.1, 2.0], "n": [0, 1], "b": [True, False]}, "0", "t")
+    assert numpy_path.read_bytes() == python_path.read_bytes()
+
+
 def test_write_csv_validation(tmp_path):
     with pytest.raises(ValueError):
         write_csv(tmp_path / "x.csv", {}, "00", "empty")

@@ -15,8 +15,7 @@ import pytest
 from conftest import dense, from_real, propagate
 
 from lambda_cpt.dynamics import (
-    ReadoutModel,
-    SequenceConfig,
+    dark_bright_basis,
     period_maps,
     pure_state,
     readout_signal,
@@ -26,7 +25,8 @@ from lambda_cpt.dynamics import (
 from lambda_cpt.experiments import StepTrace, pump_trace
 from lambda_cpt.lambda_system import (
     LambdaConfig,
-    dark_bright_basis,
+    ReadoutModel,
+    SequenceConfig,
     polarization_efficiency,
 )
 from lambda_cpt.rate_model import (

@@ -9,7 +9,7 @@ import pytest
 
 from lambda_cpt.config import parse_config
 from lambda_cpt.dynamics import (
-    SequenceConfig,
+    dark_bright_basis,
     propagate_periods,
     pure_state,
     segment_generators,
@@ -25,7 +25,7 @@ from lambda_cpt.experiments import (
     multi_resonance_scan,
     pump_trace,
 )
-from lambda_cpt.lambda_system import LambdaConfig, dark_bright_basis, split_rabi
+from lambda_cpt.lambda_system import LambdaConfig, SequenceConfig, split_rabi
 
 OMEGA = 1.0 / (12.0 * math.sqrt(2.0))
 PHI_043 = math.acos(-0.14)

@@ -14,7 +14,6 @@ from scipy.optimize import leastsq
 
 from lambda_cpt import fitting
 from lambda_cpt.datasets import read_csv, write_csv
-from lambda_cpt.dynamics import SequenceConfig
 from lambda_cpt.experiments import Spectrum, pump_trace
 from lambda_cpt.fitting import (
     fit_contrast_curve,
@@ -22,7 +21,7 @@ from lambda_cpt.fitting import (
     fit_saturation,
     recover_simplified,
 )
-from lambda_cpt.lambda_system import LambdaConfig
+from lambda_cpt.lambda_system import LambdaConfig, SequenceConfig
 from lambda_cpt.rate_model import (
     SimplifiedParams,
     characteristic_steps,

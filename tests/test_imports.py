@@ -1,7 +1,9 @@
 """Every name a package module imports is used in that module, every name
 its ``__all__`` lists exists and is used by the package itself, and the
 package never imports scipy, not even through the CLI (the tests keep it as
-an oracle).
+an oracle). Each command loads only the layers it runs: the run schema and
+the CSV writer load no numpy, esr-lines runs without it, and no simulation
+loads the fitting module.
 
 No linter runs on this repository, so this keeps the dead imports, stale
 ``__all__`` entries and test-only functions that a deletion leaves behind
@@ -111,6 +113,33 @@ def test_engine_import_leaves_out_scipy():
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     assert fresh_interpreter(probe) == "[]"
+
+
+def test_schema_and_writer_import_leaves_out_numpy():
+    probe = "import sys, lambda_cpt.config, lambda_cpt.datasets; print('numpy' in sys.modules)"
+    assert fresh_interpreter(probe) == "False"
+
+
+def run_in_fresh_interpreter(argv: list[str], module: str) -> str:
+    """Exit code of main(argv), and whether module is loaded after it."""
+    return fresh_interpreter(
+        "import sys; from lambda_cpt.cli import main; "
+        f"code = main({argv!r}); print(code, {module!r} in sys.modules)"
+    )
+
+
+def test_esr_lines_runs_without_numpy(tmp_path):
+    argv = ["esr-lines", "--out", str(tmp_path)]
+    assert run_in_fresh_interpreter(argv, "numpy") == "0 False"
+    assert (tmp_path / "esr_lines.csv").is_file()
+
+
+def test_spectrum_leaves_out_the_fitting_module(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[sequence]\nn_reps = 4\n[scan]\npoints = 5\n")
+    argv = ["cpt-spectrum", "--config", str(cfg), "--out", str(tmp_path)]
+    assert run_in_fresh_interpreter(argv, "lambda_cpt.fitting") == "0 False"
+    assert (tmp_path / "spectrum.csv").is_file()
 
 
 def imports_scipy(node: ast.AST) -> bool:

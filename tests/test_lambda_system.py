@@ -7,11 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lambda_cpt.lambda_system import (
-    LambdaConfig,
-    dark_bright_basis,
-    polarization_efficiency,
-)
+from lambda_cpt.dynamics import dark_bright_basis
+from lambda_cpt.lambda_system import LambdaConfig, polarization_efficiency
 
 ALPHA_P_THETA_114 = 0.9543167480579415
 

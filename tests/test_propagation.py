@@ -35,6 +35,7 @@ from lambda_cpt.dynamics import (
     Laser,
     Pulse,
     Wait,
+    dark_bright_basis,
     period_maps,
     propagate_periods,
     pure_state,
@@ -42,7 +43,7 @@ from lambda_cpt.dynamics import (
     thermal_ground_state,
 )
 from lambda_cpt.experiments import steady_readout
-from lambda_cpt.lambda_system import dark_bright_basis, polarization_efficiency
+from lambda_cpt.lambda_system import polarization_efficiency
 
 # Tr rho = x . TRACE in the engine's real coordinates.
 TRACE = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
