@@ -37,16 +37,24 @@ indicator e = (0, 0, 1), the generator at (i, j) is
   per-level phases p = e^{-i f t}, which keeps the three phases consistent
   at any wait length, and shrinks it by one real exponential; the T1 rate
   block mixes the three populations, written through expm1 so that the
-  trace is kept by construction (t1_e = inf makes it the identity on the
-  same path);
+  trace is kept by construction, and a wait with t1_e = inf skips it;
 - for a laser (:class:`Laser`): one decay per entry, that frame term -
   gamma_dp (s_i - s_j)^2 / 4 - (gamma / 2) (e_i + e_j), plus the feed of
   rho_ee into rho_00, rho_11 and rho_01 from the ground block gamma
   [alpha_p D D^+ + (1 - alpha_p) B B^+] (D, B the dark and bright states);
   its map is closed form;
 - for a pulse (:class:`Pulse`): the Hermitian 3x3 H of the two tones, f
-  on its diagonal and the tones off it, whose U = exp(-i H t) comes from
-  a batched eigh and acts as rho -> U rho U^dagger.
+  on its diagonal and the tones off it, an arrowhead, since the two ground
+  states never couple; U = exp(-i H t) acts as rho -> U rho U^dagger and
+  comes in closed form, entry by entry over the stack, with no LAPACK call
+  (:func:`_pulse_unitary`): the phases of the tones make H real (the
+  setting of Stor, Slapnicar & Barlow, Linear Algebra Appl. 464 (2015)),
+  the drive's dark and bright states make it tridiagonal with the dark
+  state coupled to the bright one alone, by a term that vanishes exactly at
+  omega_1 = 0, omega_2 = 0 and delta_r = 0, and one eigenpair from the
+  trigonometric root and the best cross product of Kopp (Int. J. Mod.
+  Phys. C 19, 523 (2008)) plus one Jacobi rotation on its complement give
+  an orthogonal eigenbasis.
 
 Every form is a stack over G independent runs (the grid points of a
 sweep, or G = 1), and all three run batched with numpy alone, so the
@@ -153,6 +161,7 @@ _ROWS = np.array([0, 1, 2, 0, 0, 1])
 _COLS = np.array([0, 1, 2, 1, 2, 2])
 # The entries rho_ee feeds under the laser: rho_00, rho_11 and rho_01.
 _FED = np.array([0, 1, 3])
+_FED_ROWS, _FED_COLS = _ROWS[_FED], _COLS[_FED]
 # Tr(O rho) = x . (weights * coordinates(O)) for Hermitian O.
 _READ_WEIGHTS = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0])
 # Generator entry at (i, j) per unit rate: -(s_i - s_j)^2 / 4 for a dephasing
@@ -174,17 +183,28 @@ def _coordinates(m: np.ndarray) -> np.ndarray:
 class Pulse:
     """Coherent segment: rho -> U rho U^dagger with U = exp(-i h duration).
 
-    h is the (G, 3, 3) stack of rotating-frame Hamiltonians of the two tones
-    in rad/us; in the (|up>, |down>, |->) basis
+    h is the rotating-frame Hamiltonian of the two tones in rad/us, in the
+    (|up>, |down>, |->) basis
 
-        h = 2 pi [[0,         0,                      omega_1/2             ],
-                  [0,         -delta_r,               (omega_2/2) e^{+i psi}],
-                  [omega_1/2, (omega_2/2) e^{-i psi}, -delta_1              ]].
+        h = [[f_0,      0,        c_0],
+             [0,        f_1,      c_1],
+             [c_0^*,    c_1^*,    f_2]],
 
-    psi sits so that <D|h|-> = 0 at delta_r = 0 for any psi, D the dark state.
+    an arrowhead: the two ground states never couple. The form holds what
+    its map reads: frequencies, the frame frequencies f = 2 pi (0, -delta_r,
+    -delta_1) of each run, shape (G, 3), the array the waits hold; and
+    couplings, the tones c = 2 pi (omega_1 / 2, (omega_2 / 2) e^{i psi}),
+    shape (2,) when shared by the stack, as :func:`segment_generators`
+    writes it, or (G, 2) with one row per run. psi sits so that <D|h|-> = 0
+    at delta_r = 0 for any psi, D the dark state. The map takes U in closed
+    form from this arrowhead (:func:`_pulse_unitary`: real by the tones'
+    phases, after Stor, Slapnicar & Barlow, Linear Algebra Appl. 464 (2015);
+    one eigenpair by Kopp's root and cross product, Int. J. Mod. Phys. C 19,
+    523 (2008); the rest by one Jacobi rotation).
     """
 
-    h: np.ndarray
+    frequencies: np.ndarray
+    couplings: np.ndarray
     duration: float
 
 
@@ -202,7 +222,8 @@ class Wait:
     1/(4 t1_e): on the populations a rate block with eigenvalues 0,
     -1/t1_e (P_- relaxes to half the trace) and -1/(2 t1_e) (the ground
     imbalance decays), and on every coherence a further decay at
-    1/(2 t1_e). t1_e = inf switches it off.
+    1/(2 t1_e). t1_e = inf switches it off: the map then leaves the
+    populations as they are, and skips the block.
     """
 
     frequencies: np.ndarray
@@ -238,45 +259,153 @@ def segment_generators(
     channel, by the rule of the module docstring. The forms are a stack of
     G runs at one-photon detuning seq.lam.delta_1, one per two-photon
     detuning of the 1-D array delta_2; delta_2 = None is the G = 1 stack at
-    seq.lam.delta_2. The laser column and the wait dephasing depend on no
-    detuning and are shared by the stack. The two waits share one frequency
-    array, so a caller must not modify a segment's arrays in place.
+    seq.lam.delta_2. The pulse couplings, the laser column and the wait
+    dephasing depend on no detuning and are shared by the stack. The pulse
+    and the two waits share one frequency array, so a caller must not
+    modify a segment's arrays in place.
     """
     lam = seq.lam
     delta_2 = np.asarray([lam.delta_2] if delta_2 is None else delta_2, dtype=float)
-    f = TWO_PI * np.stack(np.broadcast_arrays(0.0, -(lam.delta_1 - delta_2), -lam.delta_1), -1)
-    h = np.zeros(f.shape[:-1] + (3, 3), dtype=complex)
-    h[:, np.arange(3), np.arange(3)] = f
-    h[:, 0, 2] = h[:, 2, 0] = TWO_PI * (lam.omega_1 / 2.0)
-    h[:, 1, 2] = TWO_PI * (lam.omega_2 / 2.0 * np.exp(1j * lam.psi))
-    h[:, 2, 1] = h[:, 1, 2].conj()
+    f = np.empty((len(delta_2), 3))
+    f[:, 0] = 0.0
+    f[:, 1] = -(lam.delta_1 - delta_2)
+    f[:, 2] = -lam.delta_1
+    f *= TWO_PI
+    couplings = TWO_PI * np.array([lam.omega_1 / 2.0, lam.omega_2 / 2.0 * np.exp(1j * lam.psi)])
     frame = -1j * (f[..., _ROWS] - f[..., _COLS])
     dephasing = seq.gamma_2n * _DEPHASING[3:]
     diagonal = frame + seq.gamma_dp * _DEPHASING + seq.gamma * _DECAY
     alpha_p = polarization_efficiency(lam)
     basis = dark_bright_basis(lam)
-    ground = seq.gamma * (
-        alpha_p * np.outer(basis.dark, basis.dark.conj())
-        + (1.0 - alpha_p) * np.outer(basis.bright, basis.bright.conj())
+    # The entries of the ground block gamma [alpha_p D D^+ + (1 - alpha_p)
+    # B B^+] that rho_ee feeds.
+    dark, bright = basis.dark, basis.bright
+    column = seq.gamma * (
+        alpha_p * (dark[_FED_ROWS] * dark[_FED_COLS].conj())
+        + (1.0 - alpha_p) * (bright[_FED_ROWS] * bright[_FED_COLS].conj())
     )
     return (
-        Pulse(h, seq.t_mw),
+        Pulse(f, couplings, seq.t_mw),
         Wait(f, dephasing, seq.t1_e, seq.wait_pre_total),
-        Laser(diagonal, ground[_ROWS[_FED], _COLS[_FED]], seq.t_laser),
+        Laser(diagonal, column, seq.t_laser),
         Wait(f, dephasing, seq.t1_e, seq.t_wait_post),
     )
 
 
-def _pulse_unitary(pulse: Pulse) -> np.ndarray:
-    """U = exp(-i h t) of each pulse, as 1 + V (e^{-i w t} - 1) V^dagger.
+# (cos, sin) -> (sin, -cos), the dark state from the bright one.
+_FLIP = np.array([[1.0], [-1.0]])
+# Floor on the spread rho of a scaled pulse H: only a zero H has rho = 0, and
+# the floor keeps its root and eigenvector finite there. Any other scaled H
+# has rho above 0.1, or above 1e-16 when all its entries are subnormal.
+_SPREAD_FLOOR = 1e-50
+_TINY = np.finfo(float).tiny
+_EYE = np.eye(3)[..., None]
 
-    h = V diag(w) V^dagger comes from a batched eigh, the exact route for a
-    normal matrix (Moler & Van Loan 2003, section 6): U is unitary to
-    rounding at every norm, and t = 0 gives the identity exactly.
+
+def _pulse_unitary(pulse: Pulse) -> np.ndarray:
+    """U = exp(-i h t) of each pulse of a stack, point-last as (3, 3, G), in closed form.
+
+    With the phases e^{i phi_j} of the two couplings, h = P H P^dagger for P =
+    diag(e^{i phi_0}, e^{i phi_1}, 1) and a real arrowhead H, the setting of
+    Stor, Slapnicar & Barlow (Linear Algebra Appl. 464 (2015)). The drive's
+    dark and bright states D = (sin, -cos, 0) and B = (cos, sin, 0), with cos
+    = |c_0| / N, sin = |c_1| / N and N = hypot(|c_0|, |c_1|), turn H - f_0
+    tridiagonal: diagonal (cos^2 p, sin^2 p, q), -cos sin p between D and B,
+    N between B and |->, with p = f_1 - f_0 and q = f_2 - f_0. The D-B term
+    is exactly zero at omega_1 = 0, omega_2 = 0 and delta_r = 0, so there D
+    is an exact eigenvector, with eigenvalue cos^2 p (0 at delta_r = 0), and
+    the steps below keep it exact.
+
+    That matrix, scaled by its largest entry so that nothing overflows or
+    underflows at any finite entry, is diagonalized entry by entry over the
+    stack. The eigenvalue farthest from the other two, at least half the
+    spread from each, comes from the trigonometric root of the
+    characteristic cubic; its eigenvector v is the row of the adjugate of H
+    - lambda with the largest diagonal entry, the best cross product of two
+    rows (Kopp, Int. J. Mod. Phys. C 19, 523 (2008)), and its eigenvalue is
+    v's Rayleigh quotient. An orthonormal pair w1, w2 spanning v's
+    complement (Duff et al., J. Comput. Graph. Tech. 6 (2017)), taken as one
+    complex vector w = w1 + i w2, holds the remaining 2x2 block: turning w
+    by minus half the phase of w^T H w = t00 - t11 + 2i t01 is the Jacobi
+    rotation that diagonalizes it, with eigenvalues (t00 + t11 +- |w^T H
+    w|) / 2. Phases are taken by arctan2, which needs no guard at a zero or
+    subnormal argument. The eigenvectors are so orthonormal to rounding by
+    construction, and they diagonalize a matrix within a few eps ||H|| of
+    H, also where two eigenvalues nearly meet: U is unitary to rounding at
+    every norm and within a few eps ||H|| t of exp(-i h t). U = 1 + sum_k
+    (e^{-i lambda_k t} - 1) y_k y_k^dagger, with y_k = P (D, B, |->) v_k, so t =
+    0 gives the identity exactly.
     """
-    w, v = np.linalg.eigh(pulse.h)
-    phase = np.expm1(-1j * (w * pulse.duration))
-    return np.eye(3) + (v * phase[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    f = pulse.frequencies.T
+    c = _point_last(pulse.couplings)
+    r = np.abs(c)
+    n = np.hypot(r[0], r[1])
+    # cos = |c_0| / N and sin = |c_1| / N, taken as (1, 0) where both tones are off.
+    no_drive = n == 0
+    mixing = r / (n + no_drive)
+    mixing[0] += no_drive
+    cos, sin = mixing
+    # D and B over (|up>, |down>), times the phase of each tone (1 for a tone
+    # that is off).
+    phase = np.exp(1j * np.arctan2(c.imag, c.real))
+    bright, dark = phase * mixing, phase * (mixing[::-1] * _FLIP)
+    pq = f[1:] - f[0]
+    scale = np.maximum(np.maximum(np.abs(pq).max(0), n), _TINY)
+    p, q = pq / scale
+    n = n / scale
+    # The scaled H - f_0 over (D, B, |->): diagonal a, k between D and B, n
+    # between B and |->.
+    a = np.empty((3,) + p.shape)
+    a[:2] = mixing * mixing * p
+    a[2] = q
+    k = -(cos * sin) * p
+    # Smith's root, m + 2 rho cos(arccos(x) / 3) with x = det(H - m) / (2
+    # rho^3), taken for |x| and given the sign of x: the one farthest from
+    # the other two.
+    mean = (p + q) / 3.0
+    x0, x1, x2 = dev = a - mean
+    kk, nn = k * k, n * n
+    rho = np.maximum(np.sqrt(((dev * dev).sum(0) + 2.0 * (kk + nn)) / 6.0), _SPREAD_FLOOR)
+    det = x0 * (x1 * x2 - nn) - x2 * kk
+    cosine = np.minimum(np.abs(det) / (2.0 * rho**3), 1.0)
+    root = mean + np.copysign(2.0 * rho, det) * np.cos(np.arccos(cosine) / 3.0)
+    # The rows of adj(H - root), each the cross product of the other two rows.
+    d0, d1, d2 = a - root
+    kd2, d0n, kn = -k * d2, -d0 * n, k * n
+    adj = np.array([[d1 * d2 - nn, kd2, kn], [kd2, d0 * d2, d0n], [kn, d0n, d0 * d1 - kk]])
+    best = np.abs(adj.diagonal()).argmax(-1)
+    v = adj[best, :, np.arange(len(best))].T
+    v = v / np.sqrt((v * v).sum(0))
+    # The complement of v as one complex vector w1 + i w2 (Duff et al.): w1 =
+    # e_x + s b x u and w2 = s e_y + b y u, u = v + s e_z, b = -1 / (s + v_z).
+    vx, vy, vz = v
+    sign = np.copysign(1.0, vz)
+    zeta = sign * vx + 1j * vy
+    bz = zeta / (-sign - vz)
+    plane = np.array([1.0 + vx * bz, 1j * sign + vy * bz, -zeta])
+    # H applied to v and to w1 + i w2: then v's Rayleigh quotient, and the
+    # trace t00 + t11 and the skew t00 - t11 + 2i t01 of the 2x2 block.
+    both = np.array([v, plane]).transpose(1, 0, 2)
+    h_both = a[:, None] * both
+    off_diagonal = np.array([k, n])[:, None]
+    h_both[:2] += off_diagonal * both[1:]
+    h_both[1:] += off_diagonal * both[:2]
+    rayleigh, skew = (both * h_both).sum(0)
+    trace = (plane.conj() * h_both[:, 1]).sum(0).real
+    # The Jacobi rotation: turning the plane by -arg(+-skew) / 2, the sign
+    # that makes the real part nonnegative, makes the skew real, as +-|skew|.
+    # The turn is at most pi / 4, and none where the block is diagonal.
+    side = np.copysign(1.0, skew.real)
+    plane *= np.exp(-0.5j * np.arctan2(side * skew.imag, side * skew.real))
+    split = side * np.abs(skew)
+    lams = np.array([rayleigh.real, 0.5 * (trace + split), 0.5 * (trace - split)]) * scale + f[0]
+    # The eigenvectors over (|up>, |down>, |->), one column each.
+    y = np.array([v, plane.real, plane.imag]).transpose(1, 0, 2)
+    vec = np.empty(y.shape, dtype=complex)
+    vec[:2] = dark[:, None] * y[0] + bright[:, None] * y[1]
+    vec[2] = y[2]
+    e = np.expm1(-1j * (lams * pulse.duration))
+    return _EYE + ((vec * e)[:, None] * vec[None].conj()).sum(2)
 
 
 def _point_last(x: np.ndarray) -> np.ndarray:
@@ -291,13 +420,13 @@ def _point_last(x: np.ndarray) -> np.ndarray:
 def _lift(u: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Write the map rho -> U rho U^dagger of each U of a stack into the point-last m.
 
-    m is (9, 9, G), entry [r, c, g] of the real map of U_g. Row (i, j) of
-    U (x) U* holds U_ik conj(U_jl) at column (k, l). For the six upper
-    rows, three complex products give the populations (k = l), the upper
-    (k < l) and the lower (k > l) coherence columns, and these fold into
-    the real basis, rho_kl = x_kl + i y_kl and rho_lk = x_kl - i y_kl.
+    u is (3, 3, G) and m is (9, 9, G), entry [r, c, g] of the real map of
+    U_g. Row (i, j) of U (x) U* holds U_ik conj(U_jl) at column (k, l). For
+    the six upper rows, three complex products give the populations (k =
+    l), the upper (k < l) and the lower (k > l) coherence columns, and these
+    fold into the real basis, rho_kl = x_kl + i y_kl and rho_lk = x_kl - i
+    y_kl.
     """
-    u = u.transpose(1, 2, 0)
     left, right = u[_ROWS], u[_COLS]
     np.conjugate(right, out=right)
     product = np.multiply(left, right)
@@ -350,8 +479,8 @@ def _wait_rows(wait: Wait, m: np.ndarray, turn: bool = True) -> np.ndarray:
     length. The T1 block mixes the three population rows, written through
     two expm1 modes: the step r moves P_- toward half the trace, and the
     step s shrinks the ground imbalance; P_up and P_down give back r/2
-    each, so the trace is kept by construction. t1_e = inf makes r and s
-    zero: the same path is the identity on the populations.
+    each, so the trace is kept by construction. A wait with t1_e = inf has
+    no T1 block, and its population rows are left as they are.
     """
     relax = -wait.duration / wait.t1_e
     # A decay exponent past the float range is an exact decay to zero.
@@ -364,12 +493,13 @@ def _wait_rows(wait: Wait, m: np.ndarray, turn: bool = True) -> np.ndarray:
         decay = _point_last(decay)[:, None]
         m[_RE] *= decay
         m[_IM] *= decay
-    up, down, excited = m[0], m[1], m[2]
-    r = 0.5 * np.expm1(relax) * (excited - up - down)
-    s = 0.5 * np.expm1(0.5 * relax) * (up - down)
-    excited += r
-    up += s - 0.5 * r
-    down -= s + 0.5 * r
+    if math.isfinite(wait.t1_e):
+        up, down, excited = m[0], m[1], m[2]
+        r = 0.5 * np.expm1(relax) * (excited - up - down)
+        s = 0.5 * np.expm1(0.5 * relax) * (up - down)
+        excited += r
+        up += s - 0.5 * r
+        down -= s + 0.5 * r
     return m
 
 
@@ -424,11 +554,14 @@ def period_maps(segments) -> tuple[np.ndarray, np.ndarray]:
     lift(U), from the start of a period to the readout, and M = W_post
     L_laser A, from the start of a period to the next, each a C-contiguous
     float64 (G, 9, 9) in the real coordinates x. Each map is built by its
-    form, with no dense 9x9 product and no dense exponential, point-last in
-    one (9, 9, G) array: the pre-laser wait's frame turn diag(p) multiplies
-    the pulse's U (:func:`_pulse_unitary`), which is lifted to rho -> U rho
-    U^dagger (:func:`_lift`); the wait's decay and T1 block follow by row
-    operations (:func:`_wait_rows`), and A is copied out. The same array
+    form, with no matrix product, no LAPACK call and no dense exponential,
+    point-last in one (9, 9, G) array: the pre-laser wait's frame turn
+    diag(p) multiplies the pulse's U, which comes entry by entry from the
+    arrowhead form of its Hamiltonian as a (3, 3, G) stack
+    (:func:`_pulse_unitary`, after Stor, Slapnicar & Barlow 2015 and Kopp
+    2008) and is lifted to rho -> U rho U^dagger (:func:`_lift`); the
+    wait's decay and T1 block follow by row operations
+    (:func:`_wait_rows`), and A is copied out. The same array
     then becomes M: the laser scales the rows and adds its rho_ee row
     (:func:`_laser_rows`), and the post-laser wait turns the coherence
     pairs and mixes the populations. Each map depends on its own stack
@@ -436,8 +569,8 @@ def period_maps(segments) -> tuple[np.ndarray, np.ndarray]:
     """
     pulse, pre, laser, post = segments
     # The pre-laser wait's frame turn diag(p) acts on U before the lift.
-    u = _wait_phases(pre)[:, :, None] * _pulse_unitary(pulse)
-    m = _lift(u, np.empty_like(u, dtype=float, shape=(9, 9, len(u))))
+    u = _pulse_unitary(pulse) * _point_last(_wait_phases(pre))[:, None]
+    m = _lift(u, np.empty_like(u, dtype=float, shape=(9, 9, u.shape[-1])))
     _wait_rows(pre, m, turn=False)
     a = m.transpose(2, 0, 1).copy()
     _wait_rows(post, _laser_rows(laser, m))

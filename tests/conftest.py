@@ -2,10 +2,11 @@
 
 Collects acceptance lines for the end-of-run summary, holds the scipy
 matrix exponential and the Lindblad generator the engine is checked
-against, builds the dense generator of a segment form, applies one exact
-segment map for the tests that check a segment on its own, converts maps
-between the row-major vec(rho) and the engine's real coordinates, holds
-nine observables that fix a 3x3 state, and logs the numpy calls made on a
+against, builds the dense Hamiltonian of a pulse form and the dense
+generator of every segment form, applies one exact segment map for the
+tests that check a segment on its own, converts maps between the
+row-major vec(rho) and the engine's real coordinates, holds nine
+observables that fix a 3x3 state, and logs the numpy calls made on a
 segment's arrays.
 """
 
@@ -125,17 +126,32 @@ def t1_jumps(t1_e: float) -> list[np.ndarray]:
     ]
 
 
+def pulse_hamiltonian(pulse: Pulse) -> np.ndarray:
+    """The (G, 3, 3) stack of dense Hamiltonians a pulse form holds.
+
+    The frame frequencies on the diagonal, the couplings (shared or one row
+    per run) at (0, 2) and (1, 2), and their conjugates below.
+    """
+    f = pulse.frequencies
+    h = np.zeros(f.shape[:-1] + (3, 3), dtype=complex)
+    h[:, [0, 1, 2], [0, 1, 2]] = f
+    h[:, [0, 1], 2] = pulse.couplings
+    h[:, 2, [0, 1]] = np.conj(pulse.couplings)
+    return h
+
+
 def dense(segment) -> tuple[np.ndarray, float]:
     """(generator stack, duration) of a segment form, one generator per run.
 
-    The generator is the 3x3 -i H of a pulse, and the 9x9 Liouvillian of a
-    laser (one decay per entry, plus the rho_ee feed into rho_00, rho_11
-    and rho_01) or of a wait (frame rotation and dephasing on the
-    coherence slots, plus the Liouvillian of :func:`t1_jumps` when t1_e is
-    finite), at row-major vec slot 3i + j for entry (i, j).
+    The generator is the 3x3 -i H of a pulse (:func:`pulse_hamiltonian`),
+    and the 9x9 Liouvillian of a laser (one decay per entry, plus the
+    rho_ee feed into rho_00, rho_11 and rho_01) or of a wait (frame
+    rotation and dephasing on the coherence slots, plus the Liouvillian of
+    :func:`t1_jumps` when t1_e is finite), at row-major vec slot 3i + j for
+    entry (i, j).
     """
     if isinstance(segment, Pulse):
-        return -1j * segment.h, segment.duration
+        return -1j * pulse_hamiltonian(segment), segment.duration
     if isinstance(segment, Laser):
         gen = np.zeros(segment.diagonal.shape[:-1] + (9, 9), dtype=complex)
         # The slots of (0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2), then

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import dense, from_real, propagate
+from conftest import dense, from_real, propagate, pulse_hamiltonian
 
 from lambda_cpt.dynamics import (
     dark_bright_basis,
@@ -92,14 +92,14 @@ def segments(lam: LambdaConfig = REFERENCE_LAM, **kwargs) -> list[tuple[np.ndarr
     return [dense_run(s) for s in segment_generators(SequenceConfig(lam, gamma=20.0, **kwargs))]
 
 
-def pulse_hamiltonian(cfg: LambdaConfig) -> np.ndarray:
+def drive_hamiltonian(cfg: LambdaConfig) -> np.ndarray:
     """The H the engine runs for a pulse of drive cfg."""
-    return segment_generators(SequenceConfig(cfg))[0].h[0]
+    return pulse_hamiltonian(segment_generators(SequenceConfig(cfg))[0])[0]
 
 
 def test_rwa_hamiltonian_matrix():
     cfg = LambdaConfig(omega_1=0.4, omega_2=0.6, delta_1=0.2, delta_2=0.05, psi=0.9)
-    h = pulse_hamiltonian(cfg)
+    h = drive_hamiltonian(cfg)
     two_pi = 2.0 * math.pi
     assert h[0, 2] == pytest.approx(two_pi * 0.2, abs=1e-15)
     assert h[1, 2] == pytest.approx(two_pi * 0.3 * np.exp(1j * 0.9), abs=1e-15)
@@ -110,7 +110,7 @@ def test_rwa_hamiltonian_matrix():
 
 def test_rwa_eigenvalues_on_resonance():
     cfg = LambdaConfig(omega_1=0.3, omega_2=0.4, psi=1.3)
-    ev = np.linalg.eigvalsh(pulse_hamiltonian(cfg))
+    ev = np.linalg.eigvalsh(drive_hamiltonian(cfg))
     expected = 2.0 * math.pi * np.array([-0.25, 0.0, 0.25])
     np.testing.assert_allclose(ev, expected, rtol=0, atol=1e-12)
 
@@ -123,7 +123,7 @@ def test_dark_state_is_annihilated_for_any_phase():
             omega_2=rng.uniform(0.05, 1.0),
             psi=rng.uniform(0.0, 2.0 * math.pi),
         )
-        h = pulse_hamiltonian(cfg)
+        h = drive_hamiltonian(cfg)
         dark3 = embed(dark_bright_basis(cfg).dark)
         assert np.linalg.norm(h @ dark3) < 1e-12
 

@@ -18,6 +18,7 @@ perfbench/golden/ is the benchmark's own copy of the CSVs and fit reports;
 it must stay byte-equal to the files of the same path here.
 """
 
+import inspect
 import json
 import math
 import re
@@ -104,16 +105,15 @@ def test_golden_manifests_hash_their_own_fields():
         assert manifest["hash"] == expected, path.relative_to(GOLDEN)
 
 
-def test_shipped_period_maps_take_eigh_only_for_the_pulse_and_no_dense_product(
-    tmp_path, monkeypatch
-):
-    """Every shipped command builds A and M by form, without a dense 9x9 product.
+def test_shipped_period_maps_take_no_lapack_call_and_no_matrix_product(tmp_path, monkeypatch):
+    """Every shipped command builds A and M by form, with no LAPACK call and no matrix product.
 
     Each segment array reaching :func:`dynamics.period_maps` is Recorded, so
-    every numpy call that builds the real maps A and M is logged: eigh sees
-    only 3x3 stacks (the pulses), the one matrix product is the pulse's 3x3
-    V e V^H, and no other product, solve or exponential of a matrix runs.
+    every numpy call that builds the real maps A and M is logged: the pulse
+    U comes entry by entry, and no eigensolver, solve, inverse or product of
+    matrices runs. The engine's source names no ``np.linalg`` call at all.
     """
+    assert "linalg" not in inspect.getsource(dynamics)
     shutil.copytree(ROOT / "configs", tmp_path / "configs")
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(Recorded, "log", [])
@@ -126,12 +126,10 @@ def test_shipped_period_maps_take_eigh_only_for_the_pulse_and_no_dense_product(
     for argv in shipped_commands():
         assert cli.main(argv) == 0, argv
     names = {name for name, _ in Recorded.log}
-    assert "eigh" in names and "matmul" in names
-    for name, shapes in Recorded.log:
-        if name in ("eigh", "matmul"):
-            assert all(shape[-2:] == (3, 3) for shape in shapes), (name, shapes)
-    products = {"dot", "vdot", "inner", "einsum", "tensordot", "kron", "solve", "inv", "eig"}
-    assert not names & products
+    assert "expm1" in names and "arccos" in names
+    lapack = {"eigh", "eigvalsh", "eig", "eigvals", "solve", "inv", "svd", "det", "lstsq"}
+    products = {"matmul", "dot", "vdot", "inner", "einsum", "tensordot", "kron"}
+    assert not names & (lapack | products)
 
 
 def test_perfbench_golden_is_a_copy():

@@ -22,6 +22,7 @@ from conftest import (
     expectations,
     from_real,
     lindblad,
+    pulse_hamiltonian,
     recorded,
     scipy_expm,
     to_real,
@@ -200,7 +201,7 @@ def test_segment_forms_are_the_lindblad_generators_of_their_jumps(text, offsets)
     ]
     for point, (pulse, pre, laser, post), i in runs:
         hamiltonian, wait, optical = jump_generators(point)
-        np.testing.assert_allclose(pulse.h[i], hamiltonian, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(pulse_hamiltonian(pulse)[i], hamiltonian, rtol=1e-14, atol=0)
         for form in (pre, post):
             held, _ = dense(replace(form, t1_e=math.inf))
             np.testing.assert_allclose(held[i][WAIT_HELD], wait[WAIT_HELD], rtol=1e-14, atol=0)
@@ -333,19 +334,15 @@ def test_blocked_kernel_matches_period_by_period(chain, n_reps, g, k):
 
 
 def kernel_products():
-    """The last two dimensions of each logged matmul's operands, skipping the pulse's 3x3."""
-    return [
-        [s[-2:] for s in shapes]
-        for name, shapes in Recorded.log
-        if name == "matmul" and shapes[0][-2:] != (3, 3)
-    ]
+    """The last two dimensions of each logged matmul's operands."""
+    return [[s[-2:] for s in shapes] for name, shapes in Recorded.log if name == "matmul"]
 
 
 def test_kernel_has_no_loop_over_blocks(monkeypatch):
     """20000 periods at G = 1: O(log n) products, one of them the readout.
 
-    Every matrix product on the segments' arrays is logged; the kernel's are
-    those on 9-slot operands (the pulse's 3x3 U is built before). K = 128,
+    Every matrix product on the segments' arrays is logged; all of them are
+    the kernel's, on 9-slot operands (the maps take none). K = 128,
     so there are 157 blocks; their starts come by doubling, so no product
     advances one block's state to the next. The one vector product besides
     the first doubling carries the last start over the one set bit of the
@@ -501,7 +498,7 @@ def form_map(segment):
     """The engine's map of each entry of a segment stack: U for a pulse, else
     the real 9x9 its row operations make of the identity."""
     if isinstance(segment, Pulse):
-        return dynamics._pulse_unitary(segment)
+        return np.moveaxis(dynamics._pulse_unitary(segment), -1, 0)
     rows, slots = (
         (dynamics._laser_rows, segment.diagonal)
         if isinstance(segment, Laser)
@@ -550,7 +547,7 @@ def test_batched_expm_matches_scipy_per_matrix(text, offsets):
     # The pulse lifted to a 9x9 map, against the exponential of its Liouvillian.
     zero = Wait(np.zeros((len(grid), 3)), np.zeros(3), seq.t1_e, 0.0)
     lifted, _ = period_maps((segments[0], zero, replace(laser, duration=0.0), zero))
-    for h, p in zip(segments[0].h, lifted):
+    for h, p in zip(pulse_hamiltonian(segments[0]), lifted):
         a = lindblad(h, []) * seq.t_mw
         scale = max(1.0, np.abs(a).sum(axis=0).max())
         np.testing.assert_allclose(p, to_real(scipy_expm(a)), rtol=0, atol=1e-13 * scale)
@@ -594,7 +591,12 @@ def test_batched_expm_of_a_matrix_does_not_depend_on_its_stack():
             1.0,
         )
         assert_heads_and_tails_match(lasers)
-    pulses = Pulse(np.concatenate([pulse.h * t for t in (0.0, 1.0, 60.0, 300.0, 1000.0)]), 1.0)
+    times = (0.0, 1.0, 60.0, 300.0, 1000.0)
+    pulses = Pulse(
+        np.concatenate([pulse.frequencies * t for t in times]),
+        np.outer(np.repeat(times, len(grid)), pulse.couplings),
+        1.0,
+    )
     assert_heads_and_tails_match(pulses)
 
 
@@ -621,8 +623,10 @@ def exponent(lo, hi):
     return floats(lo, hi).map(lambda x: 10.0**x)
 
 
-# The norms the schema accepts: tones up to 1e6 MHz and pulses up to 1e4 us,
-# wait dephasing up to 1e300 /us and electron T1 down to 1e-300 us.
+# Extreme norms through every segment: tones up to 1e6 MHz and pulses up to
+# 1e4 us, wait dephasing up to 1e300 /us and electron T1 down to 1e-300 us.
+# The schema accepts tones up to omega_eff = 1e150 MHz; the pulse map alone
+# is checked there, by test_pulse_map_is_exact_over_the_whole_schema.
 @settings(max_examples=60, deadline=None, derandomize=True)
 @example(
     omega=(1e6, 1e6), t_mw=1e4, gamma_2n=1e300, t1_e=1e-300, slack=1e4, offsets=[0.0, 0.1]
@@ -656,7 +660,7 @@ def test_segment_maps_stay_exact_at_extreme_norms(omega, t_mw, gamma_2n, t1_e, s
     ]
     seq = parse_config("\n".join(lines) + "\n").seq
     segments = segment_generators(seq, seq.lam.delta_1 + np.array(offsets))
-    u = dynamics._pulse_unitary(segments[0])
+    u = form_map(segments[0])
     unitarity = u @ u.conj().swapaxes(1, 2) - np.eye(3)
     assert np.abs(unitarity).max() <= 1e-14
     a, m = period_maps(segments)
@@ -666,3 +670,116 @@ def test_segment_maps_stay_exact_at_extreme_norms(omega, t_mw, gamma_2n, t1_e, s
         assert np.abs(TRACE @ maps - TRACE).max() <= 1e-12
         for one in maps:
             assert np.min(np.linalg.eigvalsh(choi(from_real(one)))) >= -1e-12
+
+
+def eigh_unitaries(pulse):
+    """Oracle: exp(-i h t) of each pulse of a stack, by a per-matrix eigh of its dense h."""
+    unitaries = []
+    for h in pulse_hamiltonian(pulse):
+        w, v = np.linalg.eigh(h)
+        unitaries.append(np.eye(3) + (v * np.expm1(-1j * w * pulse.duration)) @ v.conj().T)
+    return np.array(unitaries)
+
+
+def signed(magnitude):
+    """magnitude, or its negative."""
+    return st.tuples(st.sampled_from([1.0, -1.0]), magnitude).map(lambda s: s[0] * s[1])
+
+
+# Every drive the schema accepts: each tone 0 or from 1e-320 (subnormal) to
+# 1e150 MHz, with omega_eff in [1e-150, 1e150]; a one-photon detuning 0 or up
+# to 1e150 MHz either way; runs at delta_r = 0 and at offsets from 1e-300 to
+# 1e150 MHz; pulses from 0 to 1e4 us. Each range also draws from the scale
+# of the shipped runs, where ||H|| t is of order 1 and a wrong eigenbasis
+# shows against the oracle.
+tones = st.one_of(st.just(0.0), exponent(-2, 1), exponent(-320, 150))
+detuning = st.one_of(signed(exponent(-3, 1)), signed(exponent(-6, 150)))
+
+
+@settings(max_examples=150, deadline=None)
+@example(omega=(0.0, 0.3), delta_1=0.02, psi=0.7, offsets=[0.05], t_mw=6.0)
+@example(omega=(0.3, 0.0), delta_1=-0.02, psi=0.7, offsets=[-0.05], t_mw=6.0)
+@example(omega=(1e-150, 1e150), delta_1=1e150, psi=2.0, offsets=[1e-300, -1e150], t_mw=1e4)
+@example(omega=(0.2, 0.2), delta_1=0.0, psi=0.0, offsets=[1e-17], t_mw=0.0)
+@example(omega=(1e-310, 0.3), delta_1=0.02, psi=1.0, offsets=[0.05], t_mw=6.0)
+@example(omega=(0.3, 1e-310), delta_1=0.0, psi=1.0, offsets=[1e-320], t_mw=6.0)
+@given(
+    omega=st.tuples(tones, tones).filter(lambda o: 1e-150 <= math.hypot(*o) <= 1e150),
+    delta_1=st.one_of(st.just(0.0), detuning),
+    psi=floats(0.0, 2.0 * math.pi),
+    offsets=st.lists(st.one_of(signed(exponent(-300, -6)), detuning), max_size=5),
+    t_mw=st.one_of(st.just(0.0), exponent(-1, 1), exponent(-3, 4)),
+)
+def test_pulse_map_is_exact_over_the_whole_schema(omega, delta_1, psi, offsets, t_mw):
+    """The closed-form U against a per-matrix eigh, at every norm the drive schema accepts.
+
+    The first run sits at delta_r = 0. U is finite and unitary to 1e-14;
+    the dark state maps to itself at delta_r = 0; a tone that is off leaves
+    its level uncoupled, exactly (and |up> with no phase, f_0 being 0); t = 0
+    gives the identity bit for bit; and where ||H|| t <= 1e4, U is within
+    64 eps max(1, ||H|| t) of the oracle, ||H|| the largest absolute row sum.
+    """
+    lines = [
+        "[drive]",
+        f"omega_1 = {omega[0]!r}",
+        f"omega_2 = {omega[1]!r}",
+        f"delta_1 = {delta_1!r}",
+        f"psi = {psi!r}",
+        "[sequence]",
+        f"t_mw = {t_mw!r}",
+    ]
+    seq = parse_config("\n".join(lines) + "\n").seq
+    pulse = segment_generators(seq, seq.lam.delta_1 + np.array([0.0, *offsets]))[0]
+    u = form_map(pulse)
+    assert np.all(np.isfinite(u))
+    assert np.abs(u @ u.conj().swapaxes(1, 2) - np.eye(3)).max() <= 1e-14
+    dark = np.append(dark_bright_basis(seq.lam).dark, 0.0)
+    np.testing.assert_allclose(u[0] @ dark, dark, rtol=0, atol=1e-14)
+    for level in np.flatnonzero(np.array(omega) == 0.0):
+        rest = [j for j in range(3) if j != level]
+        assert not u[:, level, rest].any() and not u[:, rest, level].any()
+    if omega[0] == 0.0:
+        assert np.all(u[:, 0, 0] == 1.0)
+    still = form_map(replace(pulse, duration=0.0))
+    assert still.tobytes() == np.broadcast_to(np.eye(3, dtype=complex), still.shape).tobytes()
+    norm = np.abs(pulse_hamiltonian(pulse)).sum(-1).max(-1) * t_mw
+    kept = norm <= 1e4
+    error = np.abs(u - eigh_unitaries(pulse)).max(axis=(1, 2))
+    eps = np.finfo(float).eps
+    assert np.all(error[kept] <= 64 * eps * np.maximum(1.0, norm[kept])), (error, norm)
+
+
+def wait_rows_with_t1_block(wait, m):
+    """The wait's row operations with the T1 block run for every t1_e, infinite included."""
+    relax = -wait.duration / wait.t1_e
+    decay = np.exp(wait.dephasing * wait.duration + 0.5 * relax)
+    p = dynamics._wait_phases(wait)
+    z = p[:, dynamics._ROWS[3:]] * p[:, dynamics._COLS[3:]].conj() * decay
+    dynamics._turn(m, dynamics._point_last(z))
+    up, down, excited = m[0], m[1], m[2]
+    r = 0.5 * np.expm1(relax) * (excited - up - down)
+    s = 0.5 * np.expm1(0.5 * relax) * (up - down)
+    excited += r
+    up += s - 0.5 * r
+    down -= s + 0.5 * r
+    return m
+
+
+def test_waits_without_t1_skip_an_identity_block_bit_for_bit():
+    """At t1_e = inf the wait skips its T1 block, and no bit of its map changes.
+
+    Run there, the block adds zeros: the map of the identity and of a map
+    with no zero entry are the same bytes either way. At finite t1_e the
+    block runs, and the two agree there too.
+    """
+    seq = replace(parse_config(LONG_CHAIN).seq, t1_e=math.inf)
+    grid = seq.lam.delta_1 + np.linspace(-0.2, 0.2, 3)
+    rng = np.random.default_rng(7)
+    for wait in segment_generators(seq, grid)[1::2]:
+        for m in (identities(len(grid)), rng.normal(size=(9, 9, len(grid)))):
+            want = wait_rows_with_t1_block(wait, m.copy())
+            assert dynamics._wait_rows(wait, m.copy()).tobytes() == want.tobytes()
+    finite = segment_generators(replace(seq, t1_e=400.0), grid)
+    m = rng.normal(size=(9, 9, len(grid)))
+    got = dynamics._wait_rows(finite[1], m.copy())
+    assert got.tobytes() == wait_rows_with_t1_block(finite[1], m.copy()).tobytes()
