@@ -108,12 +108,11 @@ def _run_cpt_spectrum(cfg: RunConfig, noise) -> dict:
 
 
 def _run_pump_steps(cfg: RunConfig, noise) -> dict:
-    from .dynamics import readout_signal
     from .experiments import pump_trace
 
     result = pump_trace(cfg.seq)
     trace = result.trace
-    steps = {**asdict(trace), "signal": noise(readout_signal(trace.p_excited, cfg.readout))}
+    steps = {**asdict(trace), "signal": noise(cfg.readout.signal(trace.p_excited))}
     estimate = {"step": range(len(result.p_dark_est)), "p_dark_est": result.p_dark_est}
     return {
         "pump_steps.csv": ("step-resolved pumping trace", steps),

@@ -343,6 +343,13 @@ def parse_config(text: str) -> RunConfig:
     sc = values["scan"]
     if not sc["delta_stop"] > sc["delta_start"]:
         raise ConfigError("scan.delta_stop", "must exceed delta_start")
+    # A sweep runs the sequence at every delta_2 of its grid, and the frame
+    # phase is largest at an end.
+    for key in ("delta_start", "delta_stop"):
+        try:
+            replace(seq, lam=replace(lam, delta_2=sc[key]))
+        except FieldError as exc:
+            raise ConfigError(f"scan.{key}", str(exc)) from exc
     # Only a list the run file sets: checking the default list would reject
     # every long sequence, whatever the command. The multi-resonance command
     # checks the list it runs, default or not.

@@ -32,29 +32,25 @@ the conjugate of that of (i, j). With the frame frequencies f = 2 pi (0,
 indicator e = (0, 0, 1), the generator at (i, j) is
 
 - for a wait (:class:`Wait`): -i (f_i - f_j) - gamma_2n (s_i - s_j)^2 / 4,
-  nonzero only on the three coherences; the form holds f and the
-  dephasing, and its map turns coherence (i, j) by p_i conj(p_j) with
-  per-level phases p = e^{-i f t}, which keeps the three phases consistent
-  at any wait length, and shrinks it by one real exponential; the T1 rate
-  block mixes the three populations, written through expm1 so that the
-  trace is kept by construction, and a wait with t1_e = inf skips it;
-- for a laser (:class:`Laser`): one decay per entry, that frame term -
-  gamma_dp (s_i - s_j)^2 / 4 - (gamma / 2) (e_i + e_j), plus the feed of
-  rho_ee into rho_00, rho_11 and rho_01 from the ground block gamma
+  nonzero only on the three coherences; the T1 rate block mixes the three
+  populations, written through expm1 so that the trace is kept by
+  construction, and a wait with t1_e = inf skips it;
+- for a laser (:class:`Laser`): the same frame term plus one real decay per
+  entry, -gamma_dp (s_i - s_j)^2 / 4 - (gamma / 2) (e_i + e_j), plus the
+  feed of rho_ee into rho_00, rho_11 and rho_01 from the ground block gamma
   [alpha_p D D^+ + (1 - alpha_p) B B^+] (D, B the dark and bright states);
-  its map is closed form;
+  the feed comes in closed form from the gap between each fed rate and
+  that of rho_ee, with nothing that overflows at any rate or duration;
 - for a pulse (:class:`Pulse`): the Hermitian 3x3 H of the two tones, f
-  on its diagonal and the tones off it, an arrowhead, since the two ground
-  states never couple; U = exp(-i H t) acts as rho -> U rho U^dagger and
-  comes in closed form, entry by entry over the stack, with no LAPACK call
-  (:func:`_pulse_unitary`): the phases of the tones make H real (the
-  setting of Stor, Slapnicar & Barlow, Linear Algebra Appl. 464 (2015)),
-  the drive's dark and bright states make it tridiagonal with the dark
-  state coupled to the bright one alone, by a term that vanishes exactly at
-  omega_1 = 0, omega_2 = 0 and delta_r = 0, and one eigenpair from the
-  trigonometric root and the best cross product of Kopp (Int. J. Mod.
-  Phys. C 19, 523 (2008)) plus one Jacobi rotation on its complement give
-  an orthogonal eigenbasis.
+  on its diagonal and the tones off it; U = exp(-i H t) acts as rho -> U
+  rho U^dagger and comes in closed form from H's arrowhead structure, with
+  no LAPACK call (:func:`_pulse_unitary`).
+
+The waits and the laser hold f itself and the real rates apart, and every
+map takes its frame turn from one routine (:func:`_frame`): per-level
+phases p = e^{-i f t}, which turn coherence (i, j) by p_i conj(p_j). The
+three coherence phases so stay consistent to rounding, and every map stays
+completely positive at any duration.
 
 Every form is a stack over G independent runs (the grid points of a
 sweep, or G = 1), and all three run batched with numpy alone, so the
@@ -75,8 +71,7 @@ depends on them.
 
 This module is the engine alone: protocols, their observables and their
 calibrations live in :mod:`lambda_cpt.experiments`. The parameters it reads
-(:class:`~lambda_cpt.lambda_system.SequenceConfig` and its drive, and
-:class:`~lambda_cpt.lambda_system.ReadoutModel`) live in
+(:class:`~lambda_cpt.lambda_system.SequenceConfig` and its drive) live in
 :mod:`lambda_cpt.lambda_system`, which imports no numpy; the drive's
 dark/bright spinors (:func:`dark_bright_basis`) are built here.
 
@@ -92,7 +87,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lambda_system import LambdaConfig, ReadoutModel, SequenceConfig, polarization_efficiency
+from .lambda_system import LambdaConfig, SequenceConfig, polarization_efficiency
 
 __all__ = [
     "LambdaBasis",
@@ -105,7 +100,6 @@ __all__ = [
     "segment_generators",
     "period_maps",
     "propagate_periods",
-    "readout_signal",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -192,15 +186,13 @@ class Pulse:
 
     an arrowhead: the two ground states never couple. The form holds what
     its map reads: frequencies, the frame frequencies f = 2 pi (0, -delta_r,
-    -delta_1) of each run, shape (G, 3), the array the waits hold; and
-    couplings, the tones c = 2 pi (omega_1 / 2, (omega_2 / 2) e^{i psi}),
-    shape (2,) when shared by the stack, as :func:`segment_generators`
-    writes it, or (G, 2) with one row per run. psi sits so that <D|h|-> = 0
-    at delta_r = 0 for any psi, D the dark state. The map takes U in closed
-    form from this arrowhead (:func:`_pulse_unitary`: real by the tones'
-    phases, after Stor, Slapnicar & Barlow, Linear Algebra Appl. 464 (2015);
-    one eigenpair by Kopp's root and cross product, Int. J. Mod. Phys. C 19,
-    523 (2008); the rest by one Jacobi rotation).
+    -delta_1) of each run, shape (G, 3), the array the waits and the laser
+    hold; and couplings, the tones c = 2 pi (omega_1 / 2, (omega_2 / 2)
+    e^{i psi}), shape (2,) when shared by the stack, as
+    :func:`segment_generators` writes it, or (G, 2) with one row per run.
+    psi sits so that <D|h|-> = 0 at delta_r = 0 for any psi, D the dark
+    state. The map takes U in closed form from this arrowhead
+    (:func:`_pulse_unitary`).
     """
 
     frequencies: np.ndarray
@@ -234,16 +226,20 @@ class Wait:
 
 @dataclass(frozen=True)
 class Laser:
-    """Optical repolarization: one decay per entry, and the rho_ee feed.
+    """Optical repolarization: the frame turn, one real decay per entry, and the rho_ee feed.
 
-    diagonal, shape (G, 6), holds the generator entry of each upper entry
-    of rho, rho_00, rho_11, rho_22, rho_01, rho_02, rho_12. column holds
-    the rate at which rho_ee feeds rho_00, rho_11 and rho_01, shape (3,)
-    when shared by the stack, as :func:`segment_generators` writes it, or
-    (G, 3) with one row per run; nothing else mixes.
+    frequencies holds the frame frequencies f of the three levels (rad/us),
+    shape (G, 3), the array the pulse and the waits hold; decay holds the
+    real generator entry of each upper entry of rho, rho_00, rho_11, rho_22,
+    rho_01, rho_02, rho_12, -gamma_dp (s_i - s_j)^2 / 4 - (gamma / 2) (e_i +
+    e_j); column holds the rate at which rho_ee feeds rho_00, rho_11 and
+    rho_01. decay and column are shape (6,) and (3,) when shared by the
+    stack, as :func:`segment_generators` writes them, or (G, 6) and (G, 3)
+    with one row per run; nothing else mixes.
     """
 
-    diagonal: np.ndarray
+    frequencies: np.ndarray
+    decay: np.ndarray
     column: np.ndarray
     duration: float
 
@@ -272,9 +268,8 @@ def segment_generators(
     f[:, 2] = -lam.delta_1
     f *= TWO_PI
     couplings = TWO_PI * np.array([lam.omega_1 / 2.0, lam.omega_2 / 2.0 * np.exp(1j * lam.psi)])
-    frame = -1j * (f[..., _ROWS] - f[..., _COLS])
     dephasing = seq.gamma_2n * _DEPHASING[3:]
-    diagonal = frame + seq.gamma_dp * _DEPHASING + seq.gamma * _DECAY
+    decay = seq.gamma_dp * _DEPHASING + seq.gamma * _DECAY
     alpha_p = polarization_efficiency(lam)
     basis = dark_bright_basis(lam)
     # The entries of the ground block gamma [alpha_p D D^+ + (1 - alpha_p)
@@ -287,7 +282,7 @@ def segment_generators(
     return (
         Pulse(f, couplings, seq.t_mw),
         Wait(f, dephasing, seq.t1_e, seq.wait_pre_total),
-        Laser(diagonal, column, seq.t_laser),
+        Laser(f, decay, column, seq.t_laser),
         Wait(f, dephasing, seq.t1_e, seq.t_wait_post),
     )
 
@@ -463,34 +458,44 @@ def _turn(m: np.ndarray, z: np.ndarray) -> None:
     re[...] = turned
 
 
-def _wait_phases(wait: Wait) -> np.ndarray:
-    """p = e^{-i f t} of each level, shape (G, 3): the wait's frame turn is diag(p)."""
-    return np.exp(-1j * (wait.frequencies * wait.duration))
+def _frame(frequencies: np.ndarray, duration: float, exponent) -> tuple[np.ndarray, np.ndarray]:
+    """The frame turn of a segment: p = e^{-i f t} of each level, and each coherence's factor.
+
+    The factor of upper coherence (i, j), rho_01, rho_02, rho_12, is p_i
+    conj(p_j) e^{exponent}, exponent its real exponent (point-last, or a
+    scalar); both come point-last, (3, G). Phases taken per level keep the
+    phases of the three coherences consistent to rounding, so every map
+    turned by them stays completely positive at any duration.
+    """
+    p = _point_last(np.exp(-1j * (frequencies * duration)))
+    # p_i conj(p_j) of rho_01 and rho_02, then of rho_12.
+    factors = np.empty_like(p)
+    np.multiply(p[0], p[1:].conj(), out=factors[:2])
+    np.multiply(p[1], p[2].conj(), out=factors[2])
+    factors *= np.exp(exponent)
+    return p, factors
 
 
 def _wait_rows(wait: Wait, m: np.ndarray, turn: bool = True) -> np.ndarray:
     """W m for the map W of a wait and a point-last (9, 9, G) map m, in place.
 
-    W turns each coherence (i, j) by p_i conj(p_j), with the phases p of
-    :func:`_wait_phases`, and shrinks it by its exact decay; turn=False
-    leaves the frame turn out, for a caller that applies diag(p) itself.
-    Taking the phases per level keeps those of the three coherences
-    consistent to rounding, so W stays completely positive at any wait
-    length. The T1 block mixes the three population rows, written through
-    two expm1 modes: the step r moves P_- toward half the trace, and the
-    step s shrinks the ground imbalance; P_up and P_down give back r/2
-    each, so the trace is kept by construction. A wait with t1_e = inf has
-    no T1 block, and its population rows are left as they are.
+    W turns and shrinks each coherence by its factor of :func:`_frame`, with
+    the exact decay as its exponent; turn=False leaves the frame turn out,
+    for a caller that applies diag(p) itself. The T1 block mixes the three
+    population rows, written through two expm1 modes: the step r moves P_-
+    toward half the trace, and the step s shrinks the ground imbalance;
+    P_up and P_down give back r/2 each, so the trace is kept by
+    construction. A wait with t1_e = inf has no T1 block, and its
+    population rows are left as they are.
     """
     relax = -wait.duration / wait.t1_e
     # A decay exponent past the float range is an exact decay to zero.
     with np.errstate(over="ignore"):
-        decay = np.exp(wait.dephasing * wait.duration + 0.5 * relax)
+        exponent = _point_last(wait.dephasing * wait.duration + 0.5 * relax)
     if turn:
-        p = _wait_phases(wait)
-        _turn(m, _point_last(p[:, _ROWS[3:]] * p[:, _COLS[3:]].conj() * decay))
+        _turn(m, _frame(wait.frequencies, wait.duration, exponent)[1])
     else:
-        decay = _point_last(decay)[:, None]
+        decay = np.exp(exponent)[:, None]
         m[_RE] *= decay
         m[_IM] *= decay
     if math.isfinite(wait.t1_e):
@@ -506,44 +511,53 @@ def _wait_rows(wait: Wait, m: np.ndarray, turn: bool = True) -> np.ndarray:
 def _laser_rows(laser: Laser, m: np.ndarray) -> np.ndarray:
     """L m for the map L = exp(A t) of a laser and a point-last (9, 9, G) map m, in place.
 
-    A scales each upper entry i of rho by its diagonal entry d_i and adds
-    rho_ee times c_i to the fed entries rho_00, rho_11 and rho_01. So L
-    scales entry i by e^{d_i t} and adds to each fed entry the rho_ee row
-    times c_i t (e^{d_i t} - e^{d_e t}) / (d_i t - d_e t), d_e the entry of
-    rho_ee, evaluated as c_i t e^h phi1(z) with h the one of d_i t, d_e t
-    of larger real part, z the other minus h, and phi1(z) = (e^z - 1) / z,
-    so that nothing overflows or divides by zero.
+    L scales each population by its real exponential, turns each coherence
+    by its factor of :func:`_frame`, and adds to each fed entry the rho_ee
+    row times c_i times the integral of e^{a_i (t - s)} e^{a_e s} over the
+    laser, a_i the fed entry's rate (-gamma_dp - i (f_0 - f_1) for rho_01)
+    and a_e that of rho_ee: e^{h} (e^{k t} - 1) / k, with h the one of a_i
+    t, a_e t of larger real part and k the other rate minus the leading
+    one, so that |e^{k t}| <= 1.
     """
-    d = laser.diagonal * laser.duration
-    d_i, d_e = d[:, _FED], d[:, 2:3]
-    i_leads = d_i.real >= d_e.real
-    h = np.where(i_leads, d_i, d_e)
-    exp_d = np.exp(d)
-    exp_h = np.where(i_leads, exp_d[:, _FED], exp_d[:, 2:3])
-    z = np.where(i_leads, d_e, d_i) - h
-    fed = _point_last(laser.column * laser.duration * exp_h * _phi1(z))
-    scale = _point_last(exp_d)
+    t = laser.duration
+    d = _point_last(laser.decay)
+    # A decay exponent past the float range is an exact decay to zero.
+    with np.errstate(over="ignore"):
+        exponent = d * t
+    scale = np.exp(exponent[:3])
+    _, turn = _frame(laser.frequencies, t, exponent[3:])
+    # The rate of each fed entry minus that of rho_ee, and e^{a_i t} of each
+    # fed entry, rho_01's from the same p as its turn.
+    f = laser.frequencies.T
+    gap, own = np.empty_like(turn), np.empty_like(turn)
+    gap[:2] = d[:2] - d[2]
+    gap[2] = d[3] - d[2] - 1j * (f[0] - f[1])
+    own[:2] = scale[:2]
+    own[2] = turn[0]
+    fed_leads = gap.real >= 0.0
+    lead = np.where(fed_leads, own, scale[2])
+    fed = _point_last(laser.column) * lead * _growth(np.where(fed_leads, -gap, gap), t)
     excited = m[2]
-    m[:2] *= scale[:2, None].real
+    m[:2] *= scale[:2, None]
     m[:2] += fed[:2, None].real * excited
-    _turn(m, scale[3:])
+    _turn(m, turn)
     m[3] += fed[2].real * excited
     m[6] += fed[2].imag * excited
-    excited *= scale[2].real
+    excited *= scale[2]
     return m
 
 
-def _phi1(z: np.ndarray) -> np.ndarray:
-    """(e^z - 1) / z elementwise, by its Taylor series where |z| < 1e-4 (z = 0 included).
+def _growth(k: np.ndarray, t: float) -> np.ndarray:
+    """(e^{k t} - 1) / k elementwise, by t times its Taylor series where |k t| < 1e-4.
 
-    Each branch sees only the z it keeps, with 0 or 1 elsewhere, so neither
-    overflows on the z the other one takes.
+    Both branches run on every entry, with float warnings off, and each
+    entry keeps the one that is exact for it; k t is never divided by, so a
+    k t past the float range, with a real part of -inf, gives -1 / k.
     """
-    small = np.abs(z) < 1e-4
-    z_small = np.where(small, z, 0.0)
-    z_safe = np.where(small, 1.0, z)
-    series = 1.0 + z_small * (0.5 + z_small * (1.0 / 6.0 + z_small / 24.0))
-    return np.where(small, series, np.expm1(z_safe) / z_safe)
+    with np.errstate(all="ignore"):
+        kt = k * t
+        series = t * (1.0 + kt * (0.5 + kt * (1.0 / 6.0 + kt / 24.0)))
+        return np.where(np.abs(kt) < 1e-4, series, np.expm1(kt) / k)
 
 
 def period_maps(segments) -> tuple[np.ndarray, np.ndarray]:
@@ -556,20 +570,19 @@ def period_maps(segments) -> tuple[np.ndarray, np.ndarray]:
     float64 (G, 9, 9) in the real coordinates x. Each map is built by its
     form, with no matrix product, no LAPACK call and no dense exponential,
     point-last in one (9, 9, G) array: the pre-laser wait's frame turn
-    diag(p) multiplies the pulse's U, which comes entry by entry from the
-    arrowhead form of its Hamiltonian as a (3, 3, G) stack
-    (:func:`_pulse_unitary`, after Stor, Slapnicar & Barlow 2015 and Kopp
-    2008) and is lifted to rho -> U rho U^dagger (:func:`_lift`); the
-    wait's decay and T1 block follow by row operations
-    (:func:`_wait_rows`), and A is copied out. The same array
-    then becomes M: the laser scales the rows and adds its rho_ee row
-    (:func:`_laser_rows`), and the post-laser wait turns the coherence
-    pairs and mixes the populations. Each map depends on its own stack
-    entry alone.
+    diag(p) (:func:`_frame`) multiplies the pulse's U, a (3, 3, G) stack in
+    closed form (:func:`_pulse_unitary`), which is lifted to rho -> U rho
+    U^dagger (:func:`_lift`); the wait's decay and T1 block follow by row
+    operations (:func:`_wait_rows`), and A is copied out. The same array
+    then becomes M: the laser scales the rows, turns the coherence pairs
+    and adds its rho_ee row (:func:`_laser_rows`), and the post-laser wait
+    turns the coherence pairs and mixes the populations. Each map depends
+    on its own stack entry alone.
     """
     pulse, pre, laser, post = segments
     # The pre-laser wait's frame turn diag(p) acts on U before the lift.
-    u = _pulse_unitary(pulse) * _point_last(_wait_phases(pre))[:, None]
+    p, _ = _frame(pre.frequencies, pre.duration, 0.0)
+    u = _pulse_unitary(pulse) * p[:, None]
     m = _lift(u, np.empty_like(u, dtype=float, shape=(9, 9, u.shape[-1])))
     _wait_rows(pre, m, turn=False)
     a = m.transpose(2, 0, 1).copy()
@@ -678,8 +691,3 @@ def _check_final_states(x: np.ndarray, x0: np.ndarray) -> None:
             f"with trace within {_TRACE_DRIFT:g} max(1, |tr rho0|) of tr rho0 = "
             f"{trace0:g} (largest drift {drift:.3g})"
         )
-
-
-def readout_signal(p_excited: float | np.ndarray, model: ReadoutModel) -> float | np.ndarray:
-    """Photoluminescence level for an excited population, scalar or array."""
-    return model.reference_0 * (1.0 - model.contrast * p_excited)

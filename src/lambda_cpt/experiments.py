@@ -6,9 +6,9 @@ composition sweeps, multi-resonance scans over the sequence period, and the
 frequency-comb prediction. Outputs are small dataclasses ready for the
 fitting module and the CLI writers; they hold data only, not the sequence
 or readout model that made them (a trace's readout signal is
-:func:`~lambda_cpt.dynamics.readout_signal` of its p_excited). A spectrum
-sweeps delta_2 at one delta_1; the multi-resonance scan takes it from its
-drive, as the CLI does for every command.
+:meth:`~lambda_cpt.lambda_system.ReadoutModel.signal` of its p_excited).
+A spectrum sweeps delta_2 at one delta_1; the multi-resonance scan takes
+it from its drive, as the CLI does for every command.
 
 Every protocol calls :func:`~lambda_cpt.dynamics.propagate_periods` itself,
 with the observables it reads, and calibrates here. Spectra follow the
@@ -89,7 +89,8 @@ class StepTrace:
     """Per-period populations at the readout instant (just before the laser).
 
     All arrays have length n_reps; ``step`` counts from 1. The readout
-    signal is :func:`~lambda_cpt.dynamics.readout_signal` of p_excited.
+    signal is :meth:`~lambda_cpt.lambda_system.ReadoutModel.signal` of
+    p_excited.
     """
 
     step: np.ndarray

@@ -5,14 +5,16 @@ excited state |-> by a microwave tone. The drive pair defines an orthonormal
 dark/bright decomposition of the ground manifold: the dark state carries no
 coupling to |-> at two-photon resonance, the bright state carries all of it.
 This module holds the parameter dataclasses of a run (the drive, the
-repeated sequence, the readout), each with its range rules, and the
-closed-form scalar algebra of the drive: the Rabi split and the pumping
-efficiency. It runs on ``math`` alone, so that the run schema
+repeated sequence, the readout), each with its range rules, the
+closed-form scalar algebra of the drive (the Rabi split and the pumping
+efficiency) and the readout's linear map (:meth:`ReadoutModel.signal`).
+It runs on ``math`` alone, so that the run schema
 (:mod:`lambda_cpt.config`) imports no numpy; the dark/bright spinors and
 all time evolution live in :mod:`lambda_cpt.dynamics`.
 
 Units: Rabi frequencies and detunings are linear frequencies in MHz, times
-in us, angles in rad. Factors of 2*pi appear only in the dynamics engine.
+in us, angles in rad. Factors of 2*pi appear only in the dynamics engine
+and in the rules that keep its phases finite.
 """
 
 from __future__ import annotations
@@ -62,7 +64,11 @@ class LambdaConfig:
     def __post_init__(self) -> None:
         for name in ("omega_1", "omega_2"):
             require(0 <= getattr(self, name) < math.inf, name, "finite and nonnegative")
-        for name in ("delta_1", "delta_2", "psi", "theta", "phi"):
+        # The engine turns the frame at 2 pi delta rad/us.
+        for name in ("delta_1", "delta_2"):
+            value = getattr(self, name)
+            require(math.isfinite(2.0 * math.pi * value), name, "finite, and 2 pi times it too")
+        for name in ("psi", "theta", "phi"):
             require(math.isfinite(getattr(self, name)), name, "finite")
         # The branching ratio and the dark-state overlap divide by omega_eff^2,
         # which must neither underflow to 0 nor overflow.
@@ -94,6 +100,9 @@ class SequenceConfig:
     branching follows from lam, so replacing the drive replaces it too.
     n_reps >= 1 and durations >= 0 are rules of this class alone: t_seq may
     fall 1e-9 us short of the packed duration, and wait_pre_total is then 0.
+    So are the two phase rules: pi omega_eff t_mw, the phase of the pulse's
+    coupling, is finite, and so is 2 pi max(|delta_1|, |delta_r|) t_seq, the
+    largest frame phase of a period, which bounds that of every segment.
     """
 
     lam: LambdaConfig
@@ -114,6 +123,11 @@ class SequenceConfig:
             require(0 <= getattr(self, name) < math.inf, name, "finite and nonnegative")
         require(self.t1_e > 0, "t1_e", "positive (inf for none)")
         require(
+            math.isfinite(math.pi * self.lam.omega_eff * self.t_mw),
+            "t_mw",
+            "short enough that the pulse phase pi omega_eff t_mw is finite",
+        )
+        require(
             isinstance(self.n_reps, numbers.Integral) and self.n_reps >= 1,
             "n_reps",
             "an integer >= 1",
@@ -124,6 +138,13 @@ class SequenceConfig:
             self.packed_duration - 1e-9 <= self.t_seq < math.inf,
             "t_seq",
             f"finite and no shorter than the packed duration {self.packed_duration:g} us",
+        )
+        lam = self.lam
+        require(
+            math.isfinite(2.0 * math.pi * max(abs(lam.delta_1), abs(lam.delta_r)) * self.t_seq),
+            "t_seq",
+            "short enough that the largest frame phase 2 pi max(|delta_1|, |delta_1 - delta_2|)"
+            " t_seq is finite",
         )
 
     @property
@@ -141,8 +162,7 @@ class SequenceConfig:
 class ReadoutModel:
     """Linear map from excited population to photoluminescence level.
 
-    :func:`~lambda_cpt.dynamics.readout_signal` applies it: signal =
-    reference_0 * (1 - contrast * P_-).
+    :meth:`signal` applies it: signal = reference_0 * (1 - contrast * P_-).
     """
 
     contrast: float = 0.3
@@ -151,6 +171,10 @@ class ReadoutModel:
     def __post_init__(self) -> None:
         require(0 <= self.contrast <= 1, "contrast", "in [0, 1]")
         require(0 < self.reference_0 < math.inf, "reference_0", "finite and positive")
+
+    def signal(self, p_excited):
+        """Photoluminescence level for an excited population, a number or an array of them."""
+        return self.reference_0 * (1.0 - self.contrast * p_excited)
 
 
 def split_rabi(omega_eff: float, ratio: float) -> tuple[float, float]:

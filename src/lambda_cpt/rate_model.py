@@ -10,7 +10,16 @@ characteristic step number N_s, and the steady state.
 
 The model assumes the laser empties the excited state completely
 (gamma * delta_t >> 1) and requires gamma > gamma_dp, the validity domain
-of the closed-form laser transient.
+of the closed-form laser transient. Inside its domain it is the density-
+matrix engine's pumping trace (:func:`lambda_cpt.experiments.pump_trace`)
+to within e^{-gamma delta_t / 2}, what the laser leaves of |-> and its
+coherences: both tones on resonance (delta_1 = delta_2 = 0), waits with
+no dephasing or T1 (gamma_2n = 0, t1_e = inf), gamma > gamma_dp, and
+either gamma_dp = 0 or balanced tones (omega_1 = omega_2). The engine
+dephases the |up>-|down> coherence, while the model relaxes the
+dark/bright imbalance, and the two are the same only for balanced tones;
+with unbalanced tones and gamma_dp > 0 they differ by a few percent or
+more.
 """
 
 from __future__ import annotations

@@ -144,25 +144,27 @@ def dense(segment) -> tuple[np.ndarray, float]:
     """(generator stack, duration) of a segment form, one generator per run.
 
     The generator is the 3x3 -i H of a pulse (:func:`pulse_hamiltonian`),
-    and the 9x9 Liouvillian of a laser (one decay per entry, plus the
-    rho_ee feed into rho_00, rho_11 and rho_01) or of a wait (frame
-    rotation and dephasing on the coherence slots, plus the Liouvillian of
-    :func:`t1_jumps` when t1_e is finite), at row-major vec slot 3i + j for
-    entry (i, j).
+    and the 9x9 Liouvillian of a laser (frame rotation and one decay per
+    entry, plus the rho_ee feed into rho_00, rho_11 and rho_01) or of a
+    wait (frame rotation and dephasing on the coherence slots, plus the
+    Liouvillian of :func:`t1_jumps` when t1_e is finite), at row-major vec
+    slot 3i + j for entry (i, j).
     """
     if isinstance(segment, Pulse):
         return -1j * pulse_hamiltonian(segment), segment.duration
-    if isinstance(segment, Laser):
-        gen = np.zeros(segment.diagonal.shape[:-1] + (9, 9), dtype=complex)
-        # The slots of (0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2), then
-        # of the lower coherences, the conjugates of the upper.
-        upper, lower = [0, 4, 8, 1, 2, 5], [3, 6, 7]
-        gen[:, upper, upper] = segment.diagonal
-        gen[:, lower, lower] = segment.diagonal[:, 3:].conj()
-        gen[:, [0, 4, 1], 8] = segment.column
-        gen[:, 3, 8] = segment.column[2].conj()
-        return gen, segment.duration
     f = segment.frequencies
+    if isinstance(segment, Laser):
+        gen = np.zeros(f.shape[:-1] + (9, 9), dtype=complex)
+        # The entries (0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2) at their
+        # slots, then the lower coherences, the conjugates of the upper.
+        rows, cols = [0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]
+        diagonal = -1j * (f[:, rows] - f[:, cols]) + segment.decay
+        upper, lower = [0, 4, 8, 1, 2, 5], [3, 6, 7]
+        gen[:, upper, upper] = diagonal
+        gen[:, lower, lower] = diagonal[:, 3:].conj()
+        gen[:, [0, 4, 1], 8] = segment.column
+        gen[:, 3, 8] = segment.column[..., 2].conj()
+        return gen, segment.duration
     dephasing = np.zeros(f.shape[:-1] + (3, 3))
     upper, lower = ([0, 0, 1], [1, 2, 2]), ([1, 2, 2], [0, 0, 1])
     dephasing[(..., *upper)] = dephasing[(..., *lower)] = segment.dephasing

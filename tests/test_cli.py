@@ -165,6 +165,43 @@ def test_comb_width_that_overflows_exits_three(tmp_path, caplog, text, field):
     assert not list(tmp_path.glob("comb*"))
 
 
+# Phases past the float range: a detuning whose 2 pi multiple overflows, a
+# frame phase 2 pi max(|delta_1|, |delta_r|) t_seq, at the drive's delta_2 or
+# at an end of the scan grid, and a pulse phase pi omega_eff t_mw. Each run
+# used to print RuntimeWarnings and exit 1.
+LONG_PULSE = "[drive]\nomega_1 = 1e150\nomega_2 = 0\n[sequence]\nt_mw = 1e200\n"
+
+
+@pytest.mark.parametrize(
+    "command, text, key",
+    [
+        ("cpt-spectrum", "[drive]\ndelta_1 = 1e308\n", "drive.delta_1"),
+        ("cpt-spectrum", "[drive]\ndelta_2 = -1e308\n", "drive.delta_2"),
+        ("cpt-spectrum", "[drive]\ndelta_1 = 1e307\ndelta_2 = -1e307\n", "sequence.t_seq"),
+        ("cpt-spectrum", "[drive]\ndelta_1 = 1e10\n[sequence]\nt_seq = 1e300\n", "sequence.t_seq"),
+        (
+            "pump-steps",
+            "[drive]\ndelta_1 = 1e10\ndelta_2 = 1e10\n[sequence]\nt_seq = 1e300\n",
+            "sequence.t_seq",
+        ),
+        ("cpt-spectrum", "[scan]\ndelta_stop = 1e307\n", "scan.delta_stop"),
+        ("cpt-spectrum", "[scan]\ndelta_start = -1e307\n", "scan.delta_start"),
+        ("cpt-spectrum", LONG_PULSE, "sequence.t_mw"),
+        ("pump-steps", LONG_PULSE, "sequence.t_mw"),
+    ],
+    ids=[
+        "delta_1", "delta_2", "delta_r", "spectrum-t_seq", "pump-t_seq",
+        "delta_stop", "delta_start", "spectrum-t_mw", "pump-t_mw",
+    ],
+)
+def test_phase_that_overflows_exits_three(tmp_path, caplog, command, text, key):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    assert run([command, "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert f"configuration rejected: {key}: " in caplog.text
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_pump_steps_off_two_photon_resonance_exits_three(tmp_path, caplog):
     # The run file allows delta_1 != delta_2; only the pumping trace needs them equal.
     cfg = tmp_path / "run.ini"
@@ -248,6 +285,25 @@ def test_extreme_laser_rates_end_without_warnings(tmp_path, key):
     np.testing.assert_allclose(
         data["signal_norm"], EXTREME_LASER_SIGNALS[key], rtol=0, atol=1e-12
     )
+
+
+@pytest.mark.filterwarnings("error")
+def test_laser_that_outlasts_its_decay_runs_exactly(tmp_path, caplog):
+    # gamma t_laser = 1e600 overflows, yet on two-photon resonance all the
+    # laser does is empty |-> into the ground block, as at the default
+    # t_laser: the two traces agree cell for cell, and nothing is logged.
+    traces = []
+    for name, laser in (("long", "t_laser = 1e300\n"), ("default", "")):
+        cfg = tmp_path / f"{name}.ini"
+        cfg.write_text(f"[sequence]\ngamma = 1e300\n{laser}")
+        out = tmp_path / name
+        assert run(["pump-steps", "--config", str(cfg), "--out", str(out)]) == 0
+        traces.append(read_csv(out / "pump_steps.csv"))
+    long, default = traces
+    assert long.keys() == default.keys()
+    for column in default:
+        assert np.array_equal(long[column], default[column]), column
+    assert not caplog.records
 
 
 def test_kernel_invariant_failure_exits_one(tmp_path, monkeypatch, caplog):

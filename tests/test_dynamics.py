@@ -13,12 +13,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import dense, from_real, propagate, pulse_hamiltonian
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lambda_cpt.dynamics import (
     dark_bright_basis,
     period_maps,
     pure_state,
-    readout_signal,
     segment_generators,
     thermal_ground_state,
 )
@@ -28,6 +29,7 @@ from lambda_cpt.lambda_system import (
     ReadoutModel,
     SequenceConfig,
     polarization_efficiency,
+    split_rabi,
 )
 from lambda_cpt.rate_model import (
     PumpStepParams,
@@ -343,6 +345,57 @@ def test_engine_matches_rate_model():
     assert np.max(np.abs(trace.p_dark - predicted)) < 0.01
 
 
+def floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    gamma=floats(0.1, 1000.0),
+    gamma_t=floats(20.0, 60.0),
+    balanced=st.booleans(),
+    ratio=floats(0.1, 10.0),
+    dephasing=floats(0.0, 0.99),
+    area=floats(0.1, 2.0 * math.pi - 0.1),
+    t_mw=floats(0.1, 10.0),
+    angles=st.tuples(floats(0.0, 2.0 * math.pi), floats(0.0, math.pi), floats(0.0, 2.0 * math.pi)),
+    waits=st.tuples(floats(0.0, 1.0), floats(0.0, 2.0)),
+    n_reps=st.integers(1, 40),
+)
+def test_engine_matches_rate_model_inside_its_domain(
+    gamma, gamma_t, balanced, ratio, dephasing, area, t_mw, angles, waits, n_reps
+):
+    """The engine's dark population against the affine recursion, to e^{-gamma t_laser / 2}.
+
+    The domain of the rate model: both tones on resonance, waits without
+    dephasing or T1, gamma > gamma_dp, and a laser that empties |-> (gamma
+    t_laser >= 20, so what it leaves is below e^{-10}); laser dephasing
+    only with balanced tones, gamma_dp = dephasing gamma there, and none
+    otherwise. The pulse areas stay 0.1 from 0 and 2 pi, so that the first
+    readout, 0.5 sin^2(area / 2), is one pump_trace can calibrate against.
+    """
+    gamma_dp = dephasing * gamma if balanced else 0.0
+    omega_1, omega_2 = split_rabi(area / (2.0 * math.pi * t_mw), 1.0 if balanced else ratio)
+    psi, theta, phi = angles
+    lam = LambdaConfig(omega_1, omega_2, psi=psi, theta=theta, phi=phi)
+    t_laser = gamma_t / gamma
+    seq = SequenceConfig(
+        lam,
+        gamma=gamma,
+        gamma_dp=gamma_dp,
+        t_mw=t_mw,
+        t_wait_pre=waits[0],
+        t_laser=t_laser,
+        t_wait_post=waits[1],
+        n_reps=n_reps,
+    )
+    params = PumpStepParams(polarization_efficiency(lam), area, gamma, gamma_dp, t_laser)
+    a, b = step_map(params)
+    predicted = np.array([population_after_n(a, b, 0.5, n) for n in range(n_reps)])
+    gap = np.abs(pump_trace(seq).trace.p_dark - predicted).max()
+    assert gap <= math.exp(-gamma_t / 2.0) + 1e-12
+
+
 def test_engine_steady_state_near_frozen_value():
     seq = reference_sequence(n_reps=20)
     trace = pump_trace(seq).trace
@@ -366,11 +419,9 @@ def test_long_trace_stays_normalized_and_saturated():
 
 def test_readout_model_and_inversion():
     model = ReadoutModel(contrast=0.3, reference_0=2.0)
-    assert readout_signal(1.0, model) == pytest.approx(1.4)
+    assert model.signal(1.0) == pytest.approx(1.4)
     signals = np.array([2.0, 1.7, 1.4])
-    np.testing.assert_allclose(
-        readout_signal(np.array([0.0, 0.5, 1.0]), model), signals, rtol=0, atol=1e-12
-    )
+    np.testing.assert_allclose(model.signal(np.array([0.0, 0.5, 1.0])), signals, rtol=0, atol=1e-12)
     with pytest.raises(TypeError):
         ReadoutModel(contrast=0.3, reference_0=1.0, reference_1=0.9)
 

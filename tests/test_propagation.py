@@ -499,12 +499,8 @@ def form_map(segment):
     the real 9x9 its row operations make of the identity."""
     if isinstance(segment, Pulse):
         return np.moveaxis(dynamics._pulse_unitary(segment), -1, 0)
-    rows, slots = (
-        (dynamics._laser_rows, segment.diagonal)
-        if isinstance(segment, Laser)
-        else (dynamics._wait_rows, segment.frequencies)
-    )
-    return np.moveaxis(rows(segment, identities(len(slots))), -1, 0)
+    rows = dynamics._laser_rows if isinstance(segment, Laser) else dynamics._wait_rows
+    return np.moveaxis(rows(segment, identities(len(segment.frequencies))), -1, 0)
 
 
 def identities(g):
@@ -540,8 +536,9 @@ def test_batched_expm_matches_scipy_per_matrix(text, offsets):
     grid = seq.lam.delta_1 + np.array(offsets)
     segments = segment_generators(seq, grid)
     laser = segments[2]
-    # Every diagonal entry set to that of rho_ee: d_i = d_e in every row.
-    tied = replace(laser, diagonal=np.repeat(laser.diagonal[:, 2:3], 6, axis=1))
+    # No frame turn and every decay set to that of rho_ee: a_i = a_e in every row.
+    still = np.zeros_like(laser.frequencies)
+    tied = replace(laser, frequencies=still, decay=np.full(6, laser.decay[2]))
     for segment in (*segments, tied):
         assert_matches_scipy(segment)
     # The pulse lifted to a 9x9 map, against the exponential of its Liouvillian.
@@ -586,7 +583,8 @@ def test_batched_expm_of_a_matrix_does_not_depend_on_its_stack():
         assert_heads_and_tails_match(Wait(frequencies, dephasing, t1_e, 1.0))
     for gens in (laser, undephased):
         lasers = Laser(
-            np.concatenate([gens.diagonal * t for t in durations]),
+            np.concatenate([gens.frequencies * t for t in durations]),
+            np.outer(scaled, gens.decay),
             np.outer(scaled, gens.column),
             1.0,
         )
@@ -672,6 +670,31 @@ def test_segment_maps_stay_exact_at_extreme_norms(omega, t_mw, gamma_2n, t1_e, s
             assert np.min(np.linalg.eigvalsh(choi(from_real(one)))) >= -1e-12
 
 
+# A 20 ms laser at gamma = 1e-9 /us turns its coherences for as long as a
+# 20 ms wait: phases rounded one coherence at a time put its map, and M,
+# 2.9e-12 outside the completely positive maps off two-photon resonance.
+LONG_LASER = """
+[drive]
+omega_1 = 1
+omega_2 = 1
+delta_1 = 0.02
+[sequence]
+t_mw = 1
+t_laser = 2e4
+gamma = 1e-9
+gamma_dp = 0
+"""
+
+
+def test_long_laser_maps_stay_completely_positive():
+    seq = parse_config(LONG_LASER).seq
+    segments = segment_generators(seq, seq.lam.delta_1 + np.linspace(0.05, 0.3, 26))
+    for maps in (form_map(segments[2]), *period_maps(segments)):
+        assert np.abs(TRACE @ maps - TRACE).max() <= 1e-12
+        for one in maps:
+            assert np.min(np.linalg.eigvalsh(choi(from_real(one)))) >= -1e-12
+
+
 def eigh_unitaries(pulse):
     """Oracle: exp(-i h t) of each pulse of a stack, by a per-matrix eigh of its dense h."""
     unitaries = []
@@ -752,10 +775,8 @@ def test_pulse_map_is_exact_over_the_whole_schema(omega, delta_1, psi, offsets, 
 def wait_rows_with_t1_block(wait, m):
     """The wait's row operations with the T1 block run for every t1_e, infinite included."""
     relax = -wait.duration / wait.t1_e
-    decay = np.exp(wait.dephasing * wait.duration + 0.5 * relax)
-    p = dynamics._wait_phases(wait)
-    z = p[:, dynamics._ROWS[3:]] * p[:, dynamics._COLS[3:]].conj() * decay
-    dynamics._turn(m, dynamics._point_last(z))
+    exponent = dynamics._point_last(wait.dephasing * wait.duration + 0.5 * relax)
+    dynamics._turn(m, dynamics._frame(wait.frequencies, wait.duration, exponent)[1])
     up, down, excited = m[0], m[1], m[2]
     r = 0.5 * np.expm1(relax) * (excited - up - down)
     s = 0.5 * np.expm1(0.5 * relax) * (up - down)
