@@ -136,7 +136,7 @@ def _run_multi_resonance(cfg: RunConfig, noise) -> dict:
 
     from .experiments import multi_resonance_scan
 
-    labels = check_periods(cfg.seq, cfg.t_seq_list)
+    labels = check_periods(cfg.seq, cfg.t_seq_list, cfg.scan_grid[:2])
     explicit_grid = {"delta_start", "delta_stop", "points"} & set(cfg.explicit.get("scan", {}))
     grid = np.linspace(*cfg.scan_grid) if explicit_grid else None
     spectra = multi_resonance_scan(cfg.seq, list(cfg.t_seq_list), grid=grid)

@@ -130,11 +130,13 @@ def _optional(convert: _Converter) -> _Converter:
     return parse
 
 
-def check_periods(seq: SequenceConfig, t_seq_list) -> list[str]:
+def check_periods(seq: SequenceConfig, t_seq_list, scan_ends) -> list[str]:
     """Each period's output file label (its "g" format), checked as ``scan.t_seq_list``.
 
     Two periods may not share a label, and each period goes through the
-    sequence's own period check, so the two rules cannot drift apart.
+    sequence's own period check, so the two rules cannot drift apart. The
+    check runs at the drive's delta_2 and at each of ``scan_ends``
+    (delta_start, delta_stop), where a sweep's frame phase is largest.
     """
     labels = [format(t_seq, "g") for t_seq in t_seq_list]
     shared = sorted({label for label in labels if labels.count(label) > 1})
@@ -144,9 +146,11 @@ def check_periods(seq: SequenceConfig, t_seq_list) -> list[str]:
             f"periods share the output file label T{', T'.join(shared)}; "
             "periods must differ in their first 6 significant digits",
         )
+    drives = [seq.lam] + [replace(seq.lam, delta_2=delta_2) for delta_2 in scan_ends]
     for t_seq in t_seq_list:
         try:
-            replace(seq, t_seq=t_seq)
+            for lam in drives:
+                replace(seq, lam=lam, t_seq=t_seq)
         except FieldError as exc:
             raise ConfigError("scan.t_seq_list", str(exc)) from exc
     return labels
@@ -198,7 +202,8 @@ _SCHEMA: dict[str, dict[str, tuple[str, _Converter]]] = {
         "points": ("201", _at_least(2)),
         "t_seq_list": ("10, 15, 25, 50", _float_list),
         "n_s": ("1.8", _positive),
-        "n_max": ("4", _at_least(0)),
+        # comb-predict writes 2 n_max + 1 teeth, as arrays held in memory.
+        "n_max": ("4", _bounded(_int, lambda v: 0 <= v <= 10**6, "in [0, 1000000]")),
     },
     "composition": {
         "ratios": ("0.25, 0.5, 1, 2, 4", _bounded(_float_list, lambda v: min(v) > 0, "positive")),
@@ -354,7 +359,7 @@ def parse_config(text: str) -> RunConfig:
     # every long sequence, whatever the command. The multi-resonance command
     # checks the list it runs, default or not.
     if "t_seq_list" in explicit.get("scan", {}):
-        check_periods(seq, sc["t_seq_list"])
+        check_periods(seq, sc["t_seq_list"], (sc["delta_start"], sc["delta_stop"]))
 
     co, ft = values["composition"], values["fit"]
     init_centers = ft["init_centers"]

@@ -52,22 +52,23 @@ phases p = e^{-i f t}, which turn coherence (i, j) by p_i conj(p_j). The
 three coherence phases so stay consistent to rounding, and every map stays
 completely positive at any duration.
 
-Every form is a stack over G independent runs (the grid points of a
-sweep, or G = 1), and all three run batched with numpy alone, so the
-engine never imports scipy. Every protocol propagates through one kernel,
-:func:`propagate_periods`. It folds a period into the map up to the
-readout, A, and the map of the whole period, M (:func:`period_maps`: the
-lifted pulse, then row operations, with no dense 9x9 product, on maps
-stored point-last as (9, 9, G), so that every row operation runs over G
-contiguous points), builds the powers of M, the readout rows and the
-state at the start of every block of periods by doubling, and reads out
-every period of every run, only the observables a protocol asks for, with
-one batched product: O(log n_reps) batched real products and no loop over
-periods or blocks. The same observables are read off each run's state
-after its last period. The doublings write into buffers made once per
-call, so the kernel's working set does not grow with n_reps. A detuning
-sweep is the same build with G two-photon detunings: nothing but f
-depends on them.
+Every form is a stack over G independent runs (the grid points of a sweep,
+or G = 1) that differ only in their two-photon detuning delta_2: the frame
+frequencies f are the one array with a run axis, (3, G), and every other
+coefficient is shared by the stack. All three forms run batched with numpy
+alone, so the engine never imports scipy. Every protocol propagates
+through one kernel, :func:`propagate_periods`. It folds a period into the
+map up to the readout, A, and the map of the whole period, M
+(:func:`period_maps`: the lifted pulse, then row operations, with no dense
+9x9 product, on maps stored point-last as (9, 9, G), so that every row
+operation runs over G contiguous points), builds the powers of M, the
+readout rows and the state at the start of every block of periods by
+doubling, and reads out every period of every run, only the observables a
+protocol asks for, with one batched product: O(log n_reps) batched real
+products and no loop over periods or blocks. The same observables are read
+off each run's state after its last period. The doublings write into
+buffers made once per call, so the kernel's working set does not grow with
+n_reps.
 
 This module is the engine alone: protocols, their observables and their
 calibrations live in :mod:`lambda_cpt.experiments`. The parameters it reads
@@ -186,13 +187,11 @@ class Pulse:
 
     an arrowhead: the two ground states never couple. The form holds what
     its map reads: frequencies, the frame frequencies f = 2 pi (0, -delta_r,
-    -delta_1) of each run, shape (G, 3), the array the waits and the laser
-    hold; and couplings, the tones c = 2 pi (omega_1 / 2, (omega_2 / 2)
-    e^{i psi}), shape (2,) when shared by the stack, as
-    :func:`segment_generators` writes it, or (G, 2) with one row per run.
-    psi sits so that <D|h|-> = 0 at delta_r = 0 for any psi, D the dark
-    state. The map takes U in closed form from this arrowhead
-    (:func:`_pulse_unitary`).
+    -delta_1) of each run, point-last as (3, G), the array the waits and the
+    laser hold; and couplings, the tones c = 2 pi (omega_1 / 2, (omega_2 /
+    2) e^{i psi}), shape (2,), shared by the stack. psi sits so that <D|h|->
+    = 0 at delta_r = 0 for any psi, D the dark state. The map takes U in
+    closed form from this arrowhead (:func:`_pulse_unitary`).
     """
 
     frequencies: np.ndarray
@@ -205,10 +204,9 @@ class Wait:
     """Drive-free segment: the frame turns and dephases every coherence, T1 relaxes.
 
     frequencies holds the frame frequencies f of the three levels (rad/us),
-    shape (G, 3); dephasing holds the real generator entries of the upper
-    coherences rho_01, rho_02, rho_12, -gamma_2n (s_i - s_j)^2 / 4, shape
-    (3,) when shared by the stack, as :func:`segment_generators` writes it,
-    or (G, 3) with one row per run. Without T1 the generator is diagonal: -i
+    point-last as (3, G); dephasing holds the real generator entries of the
+    upper coherences rho_01, rho_02, rho_12, -gamma_2n (s_i - s_j)^2 / 4,
+    shape (3,), shared by the stack. Without T1 the generator is diagonal: -i
     (f_i - f_j) plus that dephasing at each coherence (i, j). Electron T1
     flips |up> and |down> to |-> at 1/(2 t1_e) each and |-> back to each at
     1/(4 t1_e): on the populations a rate block with eigenvalues 0,
@@ -229,13 +227,12 @@ class Laser:
     """Optical repolarization: the frame turn, one real decay per entry, and the rho_ee feed.
 
     frequencies holds the frame frequencies f of the three levels (rad/us),
-    shape (G, 3), the array the pulse and the waits hold; decay holds the
-    real generator entry of each upper entry of rho, rho_00, rho_11, rho_22,
-    rho_01, rho_02, rho_12, -gamma_dp (s_i - s_j)^2 / 4 - (gamma / 2) (e_i +
-    e_j); column holds the rate at which rho_ee feeds rho_00, rho_11 and
-    rho_01. decay and column are shape (6,) and (3,) when shared by the
-    stack, as :func:`segment_generators` writes them, or (G, 6) and (G, 3)
-    with one row per run; nothing else mixes.
+    point-last as (3, G), the array the pulse and the waits hold; decay
+    holds the real generator entry of each upper entry of rho, rho_00,
+    rho_11, rho_22, rho_01, rho_02, rho_12, -gamma_dp (s_i - s_j)^2 / 4 -
+    (gamma / 2) (e_i + e_j), shape (6,); column holds the rate at which
+    rho_ee feeds rho_00, rho_11 and rho_01, shape (3,). Both are shared by
+    the stack; nothing else mixes.
     """
 
     frequencies: np.ndarray
@@ -255,17 +252,17 @@ def segment_generators(
     channel, by the rule of the module docstring. The forms are a stack of
     G runs at one-photon detuning seq.lam.delta_1, one per two-photon
     detuning of the 1-D array delta_2; delta_2 = None is the G = 1 stack at
-    seq.lam.delta_2. The pulse couplings, the laser column and the wait
-    dephasing depend on no detuning and are shared by the stack. The pulse
-    and the two waits share one frequency array, so a caller must not
-    modify a segment's arrays in place.
+    seq.lam.delta_2. Only the frequencies, (3, G), depend on delta_2; every
+    other array is shared by the stack. The pulse, the waits and the laser
+    share one frequency array, so a caller must not modify a segment's
+    arrays in place.
     """
     lam = seq.lam
     delta_2 = np.asarray([lam.delta_2] if delta_2 is None else delta_2, dtype=float)
-    f = np.empty((len(delta_2), 3))
-    f[:, 0] = 0.0
-    f[:, 1] = -(lam.delta_1 - delta_2)
-    f[:, 2] = -lam.delta_1
+    f = np.empty((3, len(delta_2)))
+    f[0] = 0.0
+    f[1] = -(lam.delta_1 - delta_2)
+    f[2] = -lam.delta_1
     f *= TWO_PI
     couplings = TWO_PI * np.array([lam.omega_1 / 2.0, lam.omega_2 / 2.0 * np.exp(1j * lam.psi)])
     dephasing = seq.gamma_2n * _DEPHASING[3:]
@@ -289,11 +286,6 @@ def segment_generators(
 
 # (cos, sin) -> (sin, -cos), the dark state from the bright one.
 _FLIP = np.array([[1.0], [-1.0]])
-# Floor on the spread rho of a scaled pulse H: only a zero H has rho = 0, and
-# the floor keeps its root and eigenvector finite there. Any other scaled H
-# has rho above 0.1, or above 1e-16 when all its entries are subnormal.
-_SPREAD_FLOOR = 1e-50
-_TINY = np.finfo(float).tiny
 _EYE = np.eye(3)[..., None]
 
 
@@ -313,39 +305,38 @@ def _pulse_unitary(pulse: Pulse) -> np.ndarray:
 
     That matrix, scaled by its largest entry so that nothing overflows or
     underflows at any finite entry, is diagonalized entry by entry over the
-    stack. The eigenvalue farthest from the other two, at least half the
-    spread from each, comes from the trigonometric root of the
-    characteristic cubic; its eigenvector v is the row of the adjugate of H
-    - lambda with the largest diagonal entry, the best cross product of two
-    rows (Kopp, Int. J. Mod. Phys. C 19, 523 (2008)), and its eigenvalue is
-    v's Rayleigh quotient. An orthonormal pair w1, w2 spanning v's
-    complement (Duff et al., J. Comput. Graph. Tech. 6 (2017)), taken as one
-    complex vector w = w1 + i w2, holds the remaining 2x2 block: turning w
-    by minus half the phase of w^T H w = t00 - t11 + 2i t01 is the Jacobi
-    rotation that diagonalizes it, with eigenvalues (t00 + t11 +- |w^T H
-    w|) / 2. Phases are taken by arctan2, which needs no guard at a zero or
-    subnormal argument. The eigenvectors are so orthonormal to rounding by
-    construction, and they diagonalize a matrix within a few eps ||H|| of
-    H, also where two eigenvalues nearly meet: U is unitary to rounding at
-    every norm and within a few eps ||H|| t of exp(-i h t). U = 1 + sum_k
-    (e^{-i lambda_k t} - 1) y_k y_k^dagger, with y_k = P (D, B, |->) v_k, so t =
-    0 gives the identity exactly.
+    stack. N > 0 for every drive the schema accepts (omega_eff >= 1e-150
+    MHz), so the scale is positive and the scaled matrix, whose largest
+    entry is 1, is no multiple of the identity. The eigenvalue farthest from
+    the other two, at least half the spread from each, comes from the
+    trigonometric root of the characteristic cubic; its eigenvector v is the
+    row of the adjugate of H - lambda with the largest diagonal entry, the
+    best cross product of two rows (Kopp, Int. J. Mod. Phys. C 19, 523
+    (2008)), and its eigenvalue is v's Rayleigh quotient. An orthonormal
+    pair w1, w2 spanning v's complement (Duff et al., J. Comput. Graph.
+    Tech. 6 (2017)), taken as one complex vector w = w1 + i w2, holds the
+    remaining 2x2 block: turning w by minus half the phase of w^T H w = t00
+    - t11 + 2i t01 is the Jacobi rotation that diagonalizes it, with
+    eigenvalues (t00 + t11 +- |w^T H w|) / 2. Phases are taken by arctan2,
+    which needs no guard at a zero or subnormal argument. The eigenvectors
+    are so orthonormal to rounding by construction, and they diagonalize a
+    matrix within a few eps ||H|| of H, also where two eigenvalues nearly
+    meet: U is unitary to rounding at every norm and within a few eps ||H||
+    t of exp(-i h t). U = 1 + sum_k (e^{-i lambda_k t} - 1) y_k y_k^dagger,
+    with y_k = P (D, B, |->) v_k, so t = 0 gives the identity exactly.
     """
-    f = pulse.frequencies.T
-    c = _point_last(pulse.couplings)
+    f = pulse.frequencies
+    c = pulse.couplings[:, None]
     r = np.abs(c)
     n = np.hypot(r[0], r[1])
-    # cos = |c_0| / N and sin = |c_1| / N, taken as (1, 0) where both tones are off.
-    no_drive = n == 0
-    mixing = r / (n + no_drive)
-    mixing[0] += no_drive
+    mixing = r / n
     cos, sin = mixing
     # D and B over (|up>, |down>), times the phase of each tone (1 for a tone
     # that is off).
     phase = np.exp(1j * np.arctan2(c.imag, c.real))
     bright, dark = phase * mixing, phase * (mixing[::-1] * _FLIP)
     pq = f[1:] - f[0]
-    scale = np.maximum(np.maximum(np.abs(pq).max(0), n), _TINY)
+    scale = np.maximum(np.abs(pq).max(0), n)
     p, q = pq / scale
     n = n / scale
     # The scaled H - f_0 over (D, B, |->): diagonal a, k between D and B, n
@@ -360,7 +351,7 @@ def _pulse_unitary(pulse: Pulse) -> np.ndarray:
     mean = (p + q) / 3.0
     x0, x1, x2 = dev = a - mean
     kk, nn = k * k, n * n
-    rho = np.maximum(np.sqrt(((dev * dev).sum(0) + 2.0 * (kk + nn)) / 6.0), _SPREAD_FLOOR)
+    rho = np.sqrt(((dev * dev).sum(0) + 2.0 * (kk + nn)) / 6.0)
     det = x0 * (x1 * x2 - nn) - x2 * kk
     cosine = np.minimum(np.abs(det) / (2.0 * rho**3), 1.0)
     root = mean + np.copysign(2.0 * rho, det) * np.cos(np.arccos(cosine) / 3.0)
@@ -403,15 +394,6 @@ def _pulse_unitary(pulse: Pulse) -> np.ndarray:
     return _EYE + ((vec * e)[:, None] * vec[None].conj()).sum(2)
 
 
-def _point_last(x: np.ndarray) -> np.ndarray:
-    """A (G, slots) coefficient array as (slots, G), and a shared (slots,) one as (slots, 1).
-
-    Each slot is then one row that broadcasts along the rows of a
-    point-last map.
-    """
-    return x.reshape(-1, x.shape[-1]).T
-
-
 def _lift(u: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Write the map rho -> U rho U^dagger of each U of a stack into the point-last m.
 
@@ -447,8 +429,8 @@ def _lift(u: np.ndarray, m: np.ndarray) -> np.ndarray:
 def _turn(m: np.ndarray, z: np.ndarray) -> None:
     """Multiply each upper coherence by z, in place on the rows of a point-last map m.
 
-    z holds one complex factor per coherence and point, shape (3, G) or
-    (3, 1); each (Re, Im) row pair turns and shrinks by it.
+    z holds one complex factor per coherence and point, shape (3, G); each
+    (Re, Im) row pair turns and shrinks by it.
     """
     re, im = m[_RE], m[_IM]
     z_re, z_im = z.real[:, None], z.imag[:, None]
@@ -462,12 +444,12 @@ def _frame(frequencies: np.ndarray, duration: float, exponent) -> tuple[np.ndarr
     """The frame turn of a segment: p = e^{-i f t} of each level, and each coherence's factor.
 
     The factor of upper coherence (i, j), rho_01, rho_02, rho_12, is p_i
-    conj(p_j) e^{exponent}, exponent its real exponent (point-last, or a
-    scalar); both come point-last, (3, G). Phases taken per level keep the
-    phases of the three coherences consistent to rounding, so every map
-    turned by them stays completely positive at any duration.
+    conj(p_j) e^{exponent}, exponent its real exponent, shared by the stack;
+    both come point-last, (3, G). Phases taken per level keep the phases of
+    the three coherences consistent to rounding, so every map turned by them
+    stays completely positive at any duration.
     """
-    p = _point_last(np.exp(-1j * (frequencies * duration)))
+    p = np.exp(-1j * (frequencies * duration))
     # p_i conj(p_j) of rho_01 and rho_02, then of rho_12.
     factors = np.empty_like(p)
     np.multiply(p[0], p[1:].conj(), out=factors[:2])
@@ -491,7 +473,7 @@ def _wait_rows(wait: Wait, m: np.ndarray, turn: bool = True) -> np.ndarray:
     relax = -wait.duration / wait.t1_e
     # A decay exponent past the float range is an exact decay to zero.
     with np.errstate(over="ignore"):
-        exponent = _point_last(wait.dephasing * wait.duration + 0.5 * relax)
+        exponent = (wait.dephasing * wait.duration + 0.5 * relax)[:, None]
     if turn:
         _turn(m, _frame(wait.frequencies, wait.duration, exponent)[1])
     else:
@@ -520,7 +502,7 @@ def _laser_rows(laser: Laser, m: np.ndarray) -> np.ndarray:
     one, so that |e^{k t}| <= 1.
     """
     t = laser.duration
-    d = _point_last(laser.decay)
+    d = laser.decay[:, None]
     # A decay exponent past the float range is an exact decay to zero.
     with np.errstate(over="ignore"):
         exponent = d * t
@@ -528,7 +510,7 @@ def _laser_rows(laser: Laser, m: np.ndarray) -> np.ndarray:
     _, turn = _frame(laser.frequencies, t, exponent[3:])
     # The rate of each fed entry minus that of rho_ee, and e^{a_i t} of each
     # fed entry, rho_01's from the same p as its turn.
-    f = laser.frequencies.T
+    f = laser.frequencies
     gap, own = np.empty_like(turn), np.empty_like(turn)
     gap[:2] = d[:2] - d[2]
     gap[2] = d[3] - d[2] - 1j * (f[0] - f[1])
@@ -536,7 +518,7 @@ def _laser_rows(laser: Laser, m: np.ndarray) -> np.ndarray:
     own[2] = turn[0]
     fed_leads = gap.real >= 0.0
     lead = np.where(fed_leads, own, scale[2])
-    fed = _point_last(laser.column) * lead * _growth(np.where(fed_leads, -gap, gap), t)
+    fed = laser.column[:, None] * lead * _growth(np.where(fed_leads, -gap, gap), t)
     excited = m[2]
     m[:2] *= scale[:2, None]
     m[:2] += fed[:2, None].real * excited

@@ -86,7 +86,11 @@ class HyperfineParams:
 
 @dataclass(frozen=True)
 class SpinSystemParams:
-    """Full parameter set: constants, hyperfine couplings, axial field (G)."""
+    """Full parameter set: constants, hyperfine couplings, axial field (G).
+
+    Every ESR line frequency must be finite, a rule reported at b_field:
+    the Zeeman terms gamma_e B and gamma_n B are what overflow.
+    """
 
     constants: PhysicalConstants = field(default_factory=PhysicalConstants)
     hyperfine: HyperfineParams = field(default_factory=HyperfineParams)
@@ -94,6 +98,11 @@ class SpinSystemParams:
 
     def __post_init__(self) -> None:
         require(0 <= self.b_field < math.inf, "b_field", "finite and nonnegative")
+        require(
+            all(math.isfinite(line.frequency) for line in esr_lines(eigensystem(self))),
+            "b_field",
+            "small enough that every ESR line frequency is finite",
+        )
 
 
 @dataclass(frozen=True)

@@ -129,10 +129,10 @@ def t1_jumps(t1_e: float) -> list[np.ndarray]:
 def pulse_hamiltonian(pulse: Pulse) -> np.ndarray:
     """The (G, 3, 3) stack of dense Hamiltonians a pulse form holds.
 
-    The frame frequencies on the diagonal, the couplings (shared or one row
-    per run) at (0, 2) and (1, 2), and their conjugates below.
+    The frame frequencies on the diagonal, the shared couplings at (0, 2)
+    and (1, 2), and their conjugates below.
     """
-    f = pulse.frequencies
+    f = pulse.frequencies.T
     h = np.zeros(f.shape[:-1] + (3, 3), dtype=complex)
     h[:, [0, 1, 2], [0, 1, 2]] = f
     h[:, [0, 1], 2] = pulse.couplings
@@ -152,7 +152,7 @@ def dense(segment) -> tuple[np.ndarray, float]:
     """
     if isinstance(segment, Pulse):
         return -1j * pulse_hamiltonian(segment), segment.duration
-    f = segment.frequencies
+    f = segment.frequencies.T
     if isinstance(segment, Laser):
         gen = np.zeros(f.shape[:-1] + (9, 9), dtype=complex)
         # The entries (0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2) at their
@@ -163,7 +163,7 @@ def dense(segment) -> tuple[np.ndarray, float]:
         gen[:, upper, upper] = diagonal
         gen[:, lower, lower] = diagonal[:, 3:].conj()
         gen[:, [0, 4, 1], 8] = segment.column
-        gen[:, 3, 8] = segment.column[..., 2].conj()
+        gen[:, 3, 8] = segment.column[2].conj()
         return gen, segment.duration
     dephasing = np.zeros(f.shape[:-1] + (3, 3))
     upper, lower = ([0, 0, 1], [1, 2, 2]), ([1, 2, 2], [0, 0, 1])

@@ -202,6 +202,28 @@ def test_phase_that_overflows_exits_three(tmp_path, caplog, command, text, key):
     assert not list(tmp_path.glob("*.csv"))
 
 
+# A Zeeman term gamma_e B or gamma_n B past the float range: esr-lines used
+# to exit 0 with -inf and inf frequencies in its CSV.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("key", ["b_field", "gamma_e", "gamma_n"])
+def test_esr_line_that_overflows_exits_three(tmp_path, caplog, key):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[spin]\n{key} = 1e308\n")
+    assert run(["esr-lines", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert "configuration rejected: spin.b_field: " in caplog.text
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_comb_too_many_teeth_exits_three(tmp_path, caplog):
+    # 2 n_max + 1 teeth of 1e16 used to fail allocating in np.arange,
+    # uncaught; parsing now rejects it, so nothing is allocated.
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[scan]\nn_max = 10000000000000000\n")
+    assert run(["comb-predict", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert "configuration rejected: scan.n_max: " in caplog.text
+    assert not list(tmp_path.glob("comb*"))
+
+
 def test_pump_steps_off_two_photon_resonance_exits_three(tmp_path, caplog):
     # The run file allows delta_1 != delta_2; only the pumping trace needs them equal.
     cfg = tmp_path / "run.ini"
@@ -683,6 +705,28 @@ def test_colliding_period_labels_exits_three(tmp_path, monkeypatch, caplog):
     cfg = multi_resonance_config(tmp_path, "10, 10.0000001")
     assert run(["multi-resonance", "--config", str(cfg), "--out", str(tmp_path)]) == 3
     assert "scan.t_seq_list" in caplog.text and "T10" in caplog.text
+    assert not list(tmp_path.glob("multi_resonance*"))
+
+
+# A period whose frame phase overflows at a scan end, not at the drive's
+# delta_2: a list the file sets is rejected when it is read, the default
+# list by multi-resonance. Both used to print RuntimeWarnings and exit 1.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "ends, periods",
+    [("1e305", "t_seq_list = 1e4\n"), ("1e306", "")],
+    ids=["explicit-list", "default-list"],
+)
+def test_period_whose_frame_phase_overflows_at_a_scan_end_exits_three(
+    tmp_path, caplog, ends, periods
+):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(
+        f"[sequence]\nn_reps = 4\n[scan]\ndelta_start = -{ends}\ndelta_stop = {ends}\n"
+        f"points = 5\n{periods}"
+    )
+    assert run(["multi-resonance", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert "rejected: scan.t_seq_list: t_seq must be short enough" in caplog.text
     assert not list(tmp_path.glob("multi_resonance*"))
 
 

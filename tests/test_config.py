@@ -103,6 +103,8 @@ def test_rejections_name_the_key():
         ("[fit]\nk = 2\ninit_centers = 0.0\n", "fit.init_centers"),
         ("[spin]\nd = not_a_number\n", "spin.d"),
         ("[scan]\npoints = 1\n", "scan.points"),
+        # 2 n_max + 1 teeth: at most 10^6 either side.
+        ("[scan]\nn_max = 1000001\n", "scan.n_max"),
         ("[scan]\ndelta_start = 0.1\ndelta_stop = 0.0\n", "scan.delta_stop"),
         # Both periods would write multi_resonance_T10.csv, whatever the command.
         ("[scan]\nt_seq_list = 10, 10.0000001\n", "scan.t_seq_list"),
@@ -147,16 +149,20 @@ def test_rejections_name_the_key():
             parse_config(text)
         assert err.value.key == expected_key, text
         assert expected_key in str(err.value)
+    assert parse_config("[scan]\nn_max = 1000000\n").comb_n_max == 10**6
 
 
 # A value that breaks a rule joining two keys is reported at that rule's key:
-# one tone alone, a pulse area that resolves to no usable tones at t_mw, or
-# a scan grid whose ends cross.
+# one tone alone, a pulse area that resolves to no usable tones at t_mw, a
+# scan grid whose ends cross, or a Zeeman term gamma B whose ESR lines
+# overflow.
 PARTNERS = {
     "drive.omega_2": "drive.omega_1",
     "drive.pulse_area": "drive.omega_1",
     "sequence.t_mw": "drive.omega_1",
     "scan.delta_start": "scan.delta_stop",
+    "spin.gamma_e": "spin.b_field",
+    "spin.gamma_n": "spin.b_field",
 }
 NUMERIC_KEYS = sorted(
     f"{section}.{key}"

@@ -378,7 +378,7 @@ def column_gains_trace(segments):
 def one_wait_not_finite(segments):
     pulse, pre, laser, post = segments
     frequencies = pre.frequencies.copy()
-    frequencies[-1, 1] = np.nan
+    frequencies[1, -1] = np.nan
     return pulse, replace(pre, frequencies=frequencies), laser, post
 
 
@@ -500,7 +500,7 @@ def form_map(segment):
     if isinstance(segment, Pulse):
         return np.moveaxis(dynamics._pulse_unitary(segment), -1, 0)
     rows = dynamics._laser_rows if isinstance(segment, Laser) else dynamics._wait_rows
-    return np.moveaxis(rows(segment, identities(len(segment.frequencies))), -1, 0)
+    return np.moveaxis(rows(segment, identities(segment.frequencies.shape[1])), -1, 0)
 
 
 def identities(g):
@@ -542,7 +542,7 @@ def test_batched_expm_matches_scipy_per_matrix(text, offsets):
     for segment in (*segments, tied):
         assert_matches_scipy(segment)
     # The pulse lifted to a 9x9 map, against the exponential of its Liouvillian.
-    zero = Wait(np.zeros((len(grid), 3)), np.zeros(3), seq.t1_e, 0.0)
+    zero = Wait(np.zeros((3, len(grid))), np.zeros(3), seq.t1_e, 0.0)
     lifted, _ = period_maps((segments[0], zero, replace(laser, duration=0.0), zero))
     for h, p in zip(pulse_hamiltonian(segments[0]), lifted):
         a = lindblad(h, []) * seq.t_mw
@@ -550,10 +550,9 @@ def test_batched_expm_matches_scipy_per_matrix(text, offsets):
         np.testing.assert_allclose(p, to_real(scipy_expm(a)), rtol=0, atol=1e-13 * scale)
 
 
-def take(segment, rows):
-    """The entries ``rows`` of a segment stack whose arrays are all stacked."""
-    arrays = {k: v[rows] for k, v in vars(segment).items() if isinstance(v, np.ndarray)}
-    return replace(segment, **arrays)
+def take(segment, runs):
+    """The entries ``runs`` of a segment stack: its frequencies, the one per-run array."""
+    return replace(segment, frequencies=segment.frequencies[:, runs])
 
 
 def assert_heads_and_tails_match(stack):
@@ -566,36 +565,42 @@ def assert_heads_and_tails_match(stack):
 def test_batched_expm_of_a_matrix_does_not_depend_on_its_stack():
     """Every head and tail of a stack maps alone to the same bits, for every form.
 
-    Each stack, in order of norm, holds entries from zero up to waits of 60
-    us, lasers with and without dephasing, and pulses of up to 1000 times
-    the pulse duration; the waits go through the T1 block with t1_e finite
-    and infinite.
+    Each stack runs over two-photon detunings from 0 to 1e3 MHz off
+    delta_1, so the norms of its entries span four decades. Waits and
+    lasers, with and without dephasing, last from zero up to 60 us, and
+    pulses up to 1000 us; the waits go through the T1 block with t1_e
+    finite and infinite.
     """
     seq = parse_config(LONG_CHAIN).seq
-    grid = seq.lam.delta_1 + np.linspace(-0.2, 0.2, 3)
+    grid = seq.lam.delta_1 + np.array([0.0, -0.2, 0.2, 3.0, -40.0, 1e3])
     pulse, wait, laser, _ = segment_generators(seq, grid)
     undephased = segment_generators(replace(seq, gamma_dp=0.0), grid)[2]
-    durations = np.array([0.0, 0.5, 5.0, 20.0, 60.0])
-    scaled = np.repeat(durations, len(grid))
-    frequencies = np.concatenate([wait.frequencies * t for t in durations])
-    dephasing = np.outer(scaled, wait.dephasing)
-    for t1_e in (math.inf, seq.t1_e, 0.1):
-        assert_heads_and_tails_match(Wait(frequencies, dephasing, t1_e, 1.0))
-    for gens in (laser, undephased):
-        lasers = Laser(
-            np.concatenate([gens.frequencies * t for t in durations]),
-            np.outer(scaled, gens.decay),
-            np.outer(scaled, gens.column),
-            1.0,
-        )
-        assert_heads_and_tails_match(lasers)
-    times = (0.0, 1.0, 60.0, 300.0, 1000.0)
-    pulses = Pulse(
-        np.concatenate([pulse.frequencies * t for t in times]),
-        np.outer(np.repeat(times, len(grid)), pulse.couplings),
-        1.0,
-    )
-    assert_heads_and_tails_match(pulses)
+    for t in (0.0, 0.5, 5.0, 20.0, 60.0):
+        for t1_e in (math.inf, seq.t1_e, 0.1):
+            assert_heads_and_tails_match(replace(wait, t1_e=t1_e, duration=t))
+        for gens in (laser, undephased):
+            assert_heads_and_tails_match(replace(gens, duration=t))
+    for t in (0.0, 1.0, 60.0, 300.0, 1000.0):
+        assert_heads_and_tails_match(replace(pulse, duration=t))
+
+
+def test_a_stack_varies_only_in_its_frequencies():
+    """At G = 1 and G = 5, every array of every form but the frequencies is the same bytes.
+
+    The frequencies are point-last, (3, G); every other coefficient is
+    shared by the stack, in one shape.
+    """
+    seq = parse_config(LONG_CHAIN).seq
+    one = segment_generators(seq)
+    five = segment_generators(seq, seq.lam.delta_1 + np.linspace(-0.2, 0.2, 5))
+    for single, stack in zip(one, five):
+        assert single.frequencies.shape == (3, 1) and stack.frequencies.shape == (3, 5)
+        shared = {k: v for k, v in vars(single).items() if isinstance(v, np.ndarray)}
+        del shared["frequencies"]
+        assert shared
+        for name, value in shared.items():
+            other = getattr(stack, name)
+            assert other.shape == value.shape and other.tobytes() == value.tobytes(), name
 
 
 def test_durations_at_or_below_zero_give_the_identity():
@@ -775,7 +780,7 @@ def test_pulse_map_is_exact_over_the_whole_schema(omega, delta_1, psi, offsets, 
 def wait_rows_with_t1_block(wait, m):
     """The wait's row operations with the T1 block run for every t1_e, infinite included."""
     relax = -wait.duration / wait.t1_e
-    exponent = dynamics._point_last(wait.dephasing * wait.duration + 0.5 * relax)
+    exponent = (wait.dephasing * wait.duration + 0.5 * relax)[:, None]
     dynamics._turn(m, dynamics._frame(wait.frequencies, wait.duration, exponent)[1])
     up, down, excited = m[0], m[1], m[2]
     r = 0.5 * np.expm1(relax) * (excited - up - down)
