@@ -6,7 +6,7 @@ Layers, bottom up:
     spin_model      coupled electron-nuclear level structure and ESR lines
     lambda_system   drive, sequence and readout parameters; pumping efficiency
     rate_model      per-step pumping recursion and its closed forms
-    dynamics        three-level density-matrix engine: dark/bright basis, segments, kernel
+    dynamics        density-matrix engine: dark/bright basis, Period and period_form, kernel
     experiments     measurement protocols built on the engine
     fitting         dip, saturation, and composition parameter extraction
     datasets        CSV emission with provenance manifests

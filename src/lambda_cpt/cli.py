@@ -217,6 +217,9 @@ def _saturation_report(cfg: RunConfig, data: dict) -> dict:
         n_s_sigma=_sigma(fit.n_s_sigma),
         p_inf_sigma=_sigma(fit.p_inf_sigma),
     )
+    # The simplified model's probabilities are null where the fit cannot be
+    # inverted.
+    report.update(alpha_p_eff=None, alpha_dp=None)
     if fit.identifiable and fit.n_s > 0:
         report.update(asdict(recover_simplified(fit)))
     return report
@@ -316,8 +319,6 @@ def main(argv: list[str] | None = None) -> int:
             rng = np.random.default_rng(ns.seed if ns.seed is not None else 0)
         return values + rng.normal(0.0, cfg.noise_std, size=len(values))
 
-    inputs = dict(cfg.inputs, command=ns.command, seed=ns.seed, noise_applied=cfg.noise_std > 0)
-
     name, handler = _HANDLERS[ns.command]
     started = time.perf_counter()
     try:
@@ -331,6 +332,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     log.debug("%s computed in %.3f s", ns.command, time.perf_counter() - started)
 
+    # Only a handler that wrote noise into a column drew from the stream.
+    inputs = dict(cfg.inputs, command=ns.command, seed=ns.seed, noise_applied=rng is not None)
     manifest = run_manifest(inputs, __version__)
     manifest_name = f"{name}.manifest.json"
     names = [*products, manifest_name]

@@ -32,9 +32,9 @@ import numpy as np
 
 from .dynamics import (
     dark_bright_basis,
+    period_form,
     propagate_periods,
     pure_state,
-    segment_generators,
     thermal_ground_state,
 )
 from .lambda_system import SequenceConfig, split_rabi
@@ -152,7 +152,7 @@ def steady_readout(seq: SequenceConfig, delta_1: float, grid: np.ndarray) -> np.
     excited = np.diag([0.0, 0.0, 1.0])
     at_delta_1 = replace(seq, lam=replace(seq.lam, delta_1=delta_1))
     readouts, _ = propagate_periods(
-        segment_generators(at_delta_1, grid), thermal_ground_state(), seq.n_reps, [excited]
+        period_form(at_delta_1, grid), thermal_ground_state(), seq.n_reps, [excited]
     )
     window = min(max(5, seq.n_reps // 4), seq.n_reps)
     return np.mean(readouts[:, -window:, 0], axis=1)
@@ -211,17 +211,17 @@ def pump_trace(seq: SequenceConfig) -> PumpTrace:
     calibration against the first readout loses its meaning.
     """
     require(seq.lam.delta_r == 0.0, "delta_1", "equal to delta_2 for a pumping trace")
-    basis = dark_bright_basis(seq.lam)
+    dark, bright = dark_bright_basis(seq.lam)
     up, down, excited = np.eye(3)
     observables = [
-        pure_state(np.append(basis.dark, 0.0)),
-        pure_state(np.append(basis.bright, 0.0)),
+        pure_state(np.append(dark, 0.0)),
+        pure_state(np.append(bright, 0.0)),
         pure_state(excited),
         pure_state(up),
         pure_state(down),
     ]
     readouts, _ = propagate_periods(
-        segment_generators(seq), thermal_ground_state(), seq.n_reps, observables
+        period_form(seq), thermal_ground_state(), seq.n_reps, observables
     )
     p_dark, p_bright, p_excited, p_up, p_down = readouts[0].T
     trace = StepTrace(
@@ -258,9 +258,9 @@ def composition_sweep(seq: SequenceConfig, ratios: np.ndarray) -> CompositionSwe
     for i, r in enumerate(ratios):
         omega_1, omega_2 = split_rabi(o_eff, r)
         lam_r = replace(seq.lam, omega_1=omega_1, omega_2=omega_2)
-        dark = pure_state(np.append(dark_bright_basis(lam_r).dark, 0.0))
+        dark = pure_state(np.append(dark_bright_basis(lam_r)[0], 0.0))
         _, ((dark_weight, down, ground),) = propagate_periods(
-            segment_generators(replace(seq, lam=lam_r)),
+            period_form(replace(seq, lam=lam_r)),
             thermal_ground_state(),
             seq.n_reps,
             [dark, np.diag([0.0, 1.0, 0.0]), np.diag([1.0, 1.0, 0.0])],

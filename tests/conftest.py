@@ -2,12 +2,12 @@
 
 Collects acceptance lines for the end-of-run summary, holds the scipy
 matrix exponential and the Lindblad generator the engine is checked
-against, builds the dense Hamiltonian of a pulse form and the dense
-generator of every segment form, applies one exact segment map for the
-tests that check a segment on its own, converts maps between the
+against, builds the dense Hamiltonian of a period's pulse and the dense
+generator of each of its four segments, applies one exact segment map for
+the tests that check a segment on its own, converts maps between the
 row-major vec(rho) and the engine's real coordinates, holds nine
 observables that fix a 3x3 state, and logs the numpy calls made on a
-segment's arrays.
+period's arrays.
 """
 
 import math
@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 from scipy.linalg import expm
 
-from lambda_cpt.dynamics import Laser, Pulse
+from lambda_cpt.dynamics import Period
 
 _ACCEPTANCE_LINES: list[str] = []
 
@@ -126,53 +126,54 @@ def t1_jumps(t1_e: float) -> list[np.ndarray]:
     ]
 
 
-def pulse_hamiltonian(pulse: Pulse) -> np.ndarray:
-    """The (G, 3, 3) stack of dense Hamiltonians a pulse form holds.
+def pulse_hamiltonian(period: Period) -> np.ndarray:
+    """The (G, 3, 3) stack of dense Hamiltonians of a period's pulse.
 
     The frame frequencies on the diagonal, the shared couplings at (0, 2)
     and (1, 2), and their conjugates below.
     """
-    f = pulse.frequencies.T
+    f = period.frequencies.T
     h = np.zeros(f.shape[:-1] + (3, 3), dtype=complex)
     h[:, [0, 1, 2], [0, 1, 2]] = f
-    h[:, [0, 1], 2] = pulse.couplings
-    h[:, 2, [0, 1]] = np.conj(pulse.couplings)
+    h[:, [0, 1], 2] = period.couplings
+    h[:, 2, [0, 1]] = np.conj(period.couplings)
     return h
 
 
-def dense(segment) -> tuple[np.ndarray, float]:
-    """(generator stack, duration) of a segment form, one generator per run.
+def dense(period: Period) -> list[tuple[np.ndarray, float]]:
+    """(generator stack, duration) of each of a period's four segments, one generator per run.
 
-    The generator is the 3x3 -i H of a pulse (:func:`pulse_hamiltonian`),
-    and the 9x9 Liouvillian of a laser (frame rotation and one decay per
-    entry, plus the rho_ee feed into rho_00, rho_11 and rho_01) or of a
-    wait (frame rotation and dephasing on the coherence slots, plus the
-    Liouvillian of :func:`t1_jumps` when t1_e is finite), at row-major vec
-    slot 3i + j for entry (i, j).
+    In order: the 3x3 -i H of the pulse (:func:`pulse_hamiltonian`), the
+    9x9 Liouvillian of the pre-laser wait (frame rotation and dephasing on
+    the coherence slots, plus the Liouvillian of :func:`t1_jumps` when t1_e
+    is finite), that of the laser (frame rotation and one decay per entry,
+    plus the rho_ee feed into rho_00, rho_11 and rho_01), and that of the
+    post-laser wait, at row-major vec slot 3i + j for entry (i, j).
     """
-    if isinstance(segment, Pulse):
-        return -1j * pulse_hamiltonian(segment), segment.duration
-    f = segment.frequencies.T
-    if isinstance(segment, Laser):
-        gen = np.zeros(f.shape[:-1] + (9, 9), dtype=complex)
-        # The entries (0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2) at their
-        # slots, then the lower coherences, the conjugates of the upper.
-        rows, cols = [0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]
-        diagonal = -1j * (f[:, rows] - f[:, cols]) + segment.decay
-        upper, lower = [0, 4, 8, 1, 2, 5], [3, 6, 7]
-        gen[:, upper, upper] = diagonal
-        gen[:, lower, lower] = diagonal[:, 3:].conj()
-        gen[:, [0, 4, 1], 8] = segment.column
-        gen[:, 3, 8] = segment.column[2].conj()
-        return gen, segment.duration
+    f = period.frequencies.T
+    laser = np.zeros(f.shape[:-1] + (9, 9), dtype=complex)
+    # The entries (0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2) at their
+    # slots, then the lower coherences, the conjugates of the upper.
+    rows, cols = [0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]
+    diagonal = -1j * (f[:, rows] - f[:, cols]) + period.decay
+    upper, lower = [0, 4, 8, 1, 2, 5], [3, 6, 7]
+    laser[:, upper, upper] = diagonal
+    laser[:, lower, lower] = diagonal[:, 3:].conj()
+    laser[:, [0, 4, 1], 8] = period.column
+    laser[:, 3, 8] = period.column[2].conj()
     dephasing = np.zeros(f.shape[:-1] + (3, 3))
     upper, lower = ([0, 0, 1], [1, 2, 2]), ([1, 2, 2], [0, 0, 1])
-    dephasing[(..., *upper)] = dephasing[(..., *lower)] = segment.dephasing
+    dephasing[(..., *upper)] = dephasing[(..., *lower)] = period.dephasing
     diagonal = -1j * (f[..., :, None] - f[..., None, :]) + dephasing
-    gen = diagonal.reshape(-1, 9)[:, :, None] * np.eye(9)
-    if math.isfinite(segment.t1_e):
-        gen = gen + lindblad(np.zeros((3, 3)), t1_jumps(segment.t1_e))
-    return gen, segment.duration
+    wait = diagonal.reshape(-1, 9)[:, :, None] * np.eye(9)
+    if math.isfinite(period.t1_e):
+        wait = wait + lindblad(np.zeros((3, 3)), t1_jumps(period.t1_e))
+    return [
+        (-1j * pulse_hamiltonian(period), period.t_mw),
+        (wait, period.t_pre),
+        (laser, period.t_laser),
+        (wait, period.t_post),
+    ]
 
 
 def propagate(rho: np.ndarray, gen: np.ndarray, duration: float) -> np.ndarray:
@@ -231,7 +232,7 @@ class Recorded(np.ndarray):
         return result.view(Recorded) if isinstance(result, np.ndarray) else result
 
 
-def recorded(segment):
-    """The segment with each of its arrays viewed as :class:`Recorded`."""
-    arrays = {k: v for k, v in vars(segment).items() if isinstance(v, np.ndarray)}
-    return replace(segment, **{k: v.view(Recorded) for k, v in arrays.items()})
+def recorded(period: Period) -> Period:
+    """The period with each of its arrays viewed as :class:`Recorded`."""
+    arrays = {k: v for k, v in vars(period).items() if isinstance(v, np.ndarray)}
+    return replace(period, **{k: v.view(Recorded) for k, v in arrays.items()})

@@ -27,9 +27,9 @@ from conftest import dense, propagate, record_acceptance_line
 import lambda_cpt.cli as cli
 from lambda_cpt.dynamics import (
     dark_bright_basis,
+    period_form,
     propagate_periods,
     pure_state,
-    segment_generators,
 )
 from lambda_cpt.experiments import composition_sweep, cpt_spectrum, pump_trace
 from lambda_cpt.fitting import fit_contrast_curve, fit_dips, fit_saturation
@@ -247,7 +247,7 @@ def test_criterion_7_property_suite():
         )
         half = cfg.theta / 2.0
         excited = np.array([-math.sin(half) * np.exp(-1j * cfg.phi), math.cos(half)])
-        overlap = abs(np.vdot(excited, dark_bright_basis(cfg).dark)) ** 2
+        overlap = abs(np.vdot(excited, dark_bright_basis(cfg)[0])) ** 2
         alpha_ok = alpha_ok and abs(polarization_efficiency(cfg) - overlap) < 1e-12
 
     # Laser transient against an explicit Runge-Kutta integration.
@@ -287,11 +287,11 @@ def test_criterion_7_property_suite():
     def rate_line(k: int, rate: str) -> tuple[np.ndarray, np.ndarray]:
         """Generator of segment k at rate 0, and its change per unit rate."""
         at_0, at_1 = (
-            dense(segment_generators(replace(seq, **{rate: r}))[k])[0][0] for r in (0.0, 1.0)
+            dense(period_form(replace(seq, **{rate: r})))[k][0][0] for r in (0.0, 1.0)
         )
         return at_0, at_1 - at_0
 
-    pulse = dense(segment_generators(seq)[0])[0][0]
+    pulse = dense(period_form(seq))[0][0][0]
     laser = rate_line(2, "gamma_dp")
     wait = rate_line(3, "gamma_2n")
     physical_ok = True
@@ -321,10 +321,10 @@ def test_criterion_7_property_suite():
     rebuilt_ok = True
     for _ in range(5):
         gamma_dp, gamma_2n = rng.uniform(0.0, 2.0), rng.uniform(0.0, 0.1)
-        segments = segment_generators(replace(seq, gamma_dp=gamma_dp, gamma_2n=gamma_2n))
+        segments = dense(period_form(replace(seq, gamma_dp=gamma_dp, gamma_2n=gamma_2n)))
         deviation = max(
-            np.max(np.abs(dense(segments[2])[0] - (laser[0] + gamma_dp * laser[1]))),
-            np.max(np.abs(dense(segments[3])[0] - (wait[0] + gamma_2n * wait[1]))),
+            np.max(np.abs(segments[2][0] - (laser[0] + gamma_dp * laser[1]))),
+            np.max(np.abs(segments[3][0] - (wait[0] + gamma_2n * wait[1]))),
         )
         rebuilt_ok = rebuilt_ok and deviation < 1e-12
 
@@ -350,9 +350,9 @@ def test_criterion_8_dark_state_is_stationary():
         psi=0.3,
     )
     seq = SequenceConfig(lam, gamma=20.0, gamma_dp=0.0, n_reps=50)
-    dark = dark_bright_basis(lam).dark
+    dark, _ = dark_bright_basis(lam)
     rho0 = pure_state(np.append(dark, 0.0))
-    readouts, _ = propagate_periods(segment_generators(seq), rho0, seq.n_reps, [rho0])
+    readouts, _ = propagate_periods(period_form(seq), rho0, seq.n_reps, [rho0])
     drift = float(np.max(np.abs(readouts - 1.0)))
     ok = drift < 1e-6
     report(8, ok, f"max dark-population drift {drift:.2e} over 50 periods")

@@ -331,13 +331,13 @@ def test_laser_that_outlasts_its_decay_runs_exactly(tmp_path, caplog):
 def test_kernel_invariant_failure_exits_one(tmp_path, monkeypatch, caplog):
     # A laser column 1% too strong adds trace every period; the kernel names
     # the rule it breaks and nothing is written.
-    segment_generators = experiments.segment_generators
+    period_form = experiments.period_form
 
     def leaky(seq, delta_2=None):
-        pulse, pre, laser, post = segment_generators(seq, delta_2)
-        return pulse, pre, replace(laser, column=1.01 * laser.column), post
+        period = period_form(seq, delta_2)
+        return replace(period, column=1.01 * period.column)
 
-    monkeypatch.setattr(experiments, "segment_generators", leaky)
+    monkeypatch.setattr(experiments, "period_form", leaky)
     assert run(["pump-steps", "--out", str(tmp_path)]) == 1
     assert "engine failure: propagation left the physical states" in caplog.text
     assert not list(tmp_path.glob("pump*"))
@@ -501,6 +501,32 @@ def test_noise_is_seeded(tmp_path, small_run):
     assert bytes_[0] != bytes_[2]
 
 
+@pytest.mark.parametrize(
+    "command, manifest, applied",
+    [
+        ("esr-lines", "esr_lines", False),
+        ("comb-predict", "comb", False),
+        ("composition", "composition", False),
+        ("fit", "fit", False),
+        ("cpt-spectrum", "spectrum", True),
+    ],
+)
+def test_manifest_says_whether_noise_was_added(tmp_path, command, manifest, applied):
+    # With std > 0, only a command that writes a noisy column draws noise.
+    n = np.arange(30)
+    series = 0.88 - 0.38 * np.exp(-n / 1.45)
+    write_csv(tmp_path / "pump_estimate.csv", {"step": n, "p_dark_est": series}, "12", "t")
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(
+        "[sequence]\nn_reps = 4\n[scan]\npoints = 5\n[noise]\nstd = 0.01\n"
+        f"[fit]\ninput = {tmp_path / 'pump_estimate.csv'}\nkind = saturation\n"
+    )
+    out = tmp_path / "out"
+    assert run([command, "--config", str(cfg), "--out", str(out)]) == 0
+    written = json.loads((out / f"{manifest}.manifest.json").read_text())
+    assert written["inputs"]["noise_applied"] is applied
+
+
 def test_noise_is_one_stream_across_the_files_of_a_run(tmp_path):
     # Each period's spectrum takes the next draws of one generator seeded
     # once, in the order the run file lists the periods.
@@ -587,6 +613,19 @@ def test_fit_saturation_report(tmp_path):
     report = json.loads((tmp_path / "fit_report.json").read_text())
     assert report["n_s"] == pytest.approx(1.45, abs=1e-6)
     assert "alpha_p_eff" in report and "alpha_dp" in report
+
+
+def test_saturation_report_keeps_its_keys_when_the_fit_cannot_be_inverted(tmp_path):
+    # A constant series pins no time scale, so the simplified model's two
+    # probabilities are undetermined: written, as null.
+    n = np.arange(10)
+    write_csv(tmp_path / "flat.csv", {"step": n, "p_dark_est": np.full(10, 0.5)}, "ab", "t")
+    cfg = tmp_path / "fit.ini"
+    cfg.write_text(f"[fit]\ninput = {tmp_path / 'flat.csv'}\nkind = saturation\n")
+    assert run(["fit", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "fit_report.json").read_text())
+    assert report["identifiable"] is False
+    assert report["alpha_p_eff"] is None and report["alpha_dp"] is None
 
 
 def reject_constant(token):

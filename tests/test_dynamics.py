@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 
 from lambda_cpt.dynamics import (
     dark_bright_basis,
+    period_form,
     period_maps,
     pure_state,
-    segment_generators,
     thermal_ground_state,
 )
 from lambda_cpt.experiments import StepTrace, pump_trace
@@ -83,20 +83,19 @@ def rk4(rho: np.ndarray, gen: np.ndarray, duration: float, dt: float) -> np.ndar
     return rho
 
 
-def dense_run(segment) -> tuple[np.ndarray, float]:
-    """(generator, duration) of the one run of a G = 1 segment form."""
-    gen, duration = dense(segment)
-    return gen[0], duration
+def dense_run(seq: SequenceConfig) -> list[tuple[np.ndarray, float]]:
+    """The four dense (generator, duration) segments of the one run of seq's period."""
+    return [(gen[0], duration) for gen, duration in dense(period_form(seq))]
 
 
 def segments(lam: LambdaConfig = REFERENCE_LAM, **kwargs) -> list[tuple[np.ndarray, float]]:
     """The four dense (generator, duration) segments of a gamma = 20 sequence on lam."""
-    return [dense_run(s) for s in segment_generators(SequenceConfig(lam, gamma=20.0, **kwargs))]
+    return dense_run(SequenceConfig(lam, gamma=20.0, **kwargs))
 
 
 def drive_hamiltonian(cfg: LambdaConfig) -> np.ndarray:
     """The H the engine runs for a pulse of drive cfg."""
-    return pulse_hamiltonian(segment_generators(SequenceConfig(cfg))[0])[0]
+    return pulse_hamiltonian(period_form(SequenceConfig(cfg)))[0]
 
 
 def test_rwa_hamiltonian_matrix():
@@ -126,13 +125,13 @@ def test_dark_state_is_annihilated_for_any_phase():
             psi=rng.uniform(0.0, 2.0 * math.pi),
         )
         h = drive_hamiltonian(cfg)
-        dark3 = embed(dark_bright_basis(cfg).dark)
+        dark3 = embed(dark_bright_basis(cfg)[0])
         assert np.linalg.norm(h @ dark3) < 1e-12
 
 
 def test_pi_pulse_fully_transfers_bright_state():
     cfg = REFERENCE_LAM
-    bright = dark_bright_basis(cfg).bright
+    _, bright = dark_bright_basis(cfg)
     rho = pure_state(embed(bright))
     after = propagate(rho, *segments(cfg, t_mw=6.0)[0])
     assert np.real(after[2, 2]) == pytest.approx(1.0, abs=1e-6)
@@ -140,7 +139,7 @@ def test_pi_pulse_fully_transfers_bright_state():
 
 def test_dark_state_survives_pulse():
     cfg = REFERENCE_LAM
-    dark = dark_bright_basis(cfg).dark
+    dark, _ = dark_bright_basis(cfg)
     rho = pure_state(embed(dark))
     after = propagate(rho, *segments(cfg, t_mw=6.0)[0])
     dark3 = embed(dark)
@@ -199,12 +198,12 @@ def test_laser_branching_limit():
     # land in the drive-defined dark/bright basis.
     cfg = LambdaConfig(omega_1=0.7, omega_2=0.4, theta=1.1, phi=0.5, psi=0.3)
     alpha_p = polarization_efficiency(cfg)
-    basis = dark_bright_basis(cfg)
+    dark, bright = dark_bright_basis(cfg)
     rho = pure_state(np.array([0.0, 0.0, 1.0], dtype=complex))
     after = propagate(rho, *segments(cfg, t_laser=2.0)[2])
     ground = after[:2, :2]
-    p_dark = float(np.real(basis.dark.conj() @ ground @ basis.dark))
-    p_bright = float(np.real(basis.bright.conj() @ ground @ basis.bright))
+    p_dark = float(np.real(dark.conj() @ ground @ dark))
+    p_bright = float(np.real(bright.conj() @ ground @ bright))
     assert p_dark == pytest.approx(alpha_p, abs=1e-9)
     assert p_bright == pytest.approx(1.0 - alpha_p, abs=1e-9)
     assert np.real(after[2, 2]) == pytest.approx(0.0, abs=1e-9)
@@ -218,8 +217,8 @@ def test_laser_branching_follows_a_replaced_drive():
     assert abs(polarization_efficiency(second) - polarization_efficiency(first)) > 0.1
     seq = replace(SequenceConfig(first, gamma=20.0, t_laser=2.0), lam=second)
     rho = pure_state(np.array([0.0, 0.0, 1.0], dtype=complex))
-    after = propagate(rho, *dense_run(segment_generators(seq)[2]))
-    dark = dark_bright_basis(second).dark
+    after = propagate(rho, *dense_run(seq)[2])
+    dark, _ = dark_bright_basis(second)
     p_dark = float(np.real(dark.conj() @ after[:2, :2] @ dark))
     assert p_dark == pytest.approx(polarization_efficiency(second), abs=1e-9)
     for gamma in (0.0, -1.0, math.nan):
@@ -244,7 +243,7 @@ def test_wait_t1_relaxes_excited_population_to_half():
     t1 = 4.0
     duration = t1 * math.log(2.0)
     seq = SequenceConfig(REFERENCE_LAM, gamma=20.0, t_mw=0.0, t_wait_pre=duration, t1_e=t1)
-    (engine,), _ = period_maps(segment_generators(seq))
+    (engine,), _ = period_maps(period_form(seq))
     oracle = segments(t_wait_post=duration, t1_e=t1)[3]
     up = pure_state(np.array([1.0, 0.0, 0.0], dtype=complex))
     excited = pure_state(np.array([0.0, 0.0, 1.0], dtype=complex))
@@ -266,22 +265,18 @@ def test_segment_maps_keep_density_matrices_physical():
     rng = np.random.default_rng(43)
     cfg = LambdaConfig(omega_1=0.4, omega_2=0.7, delta_1=0.1, delta_2=-0.05, psi=0.6, theta=1.0)
     seq = SequenceConfig(cfg, gamma=15.0)
-    pulse = dense_run(segment_generators(seq)[0])[0]
+    pulse = dense_run(seq)[0][0]
     for _ in range(300):
         rho = random_density(rng)
         kind = rng.integers(0, 3)
         if kind == 0:
             after = propagate(rho, pulse, rng.uniform(0.0, 8.0))
         elif kind == 1:
-            laser, _ = dense_run(
-                segment_generators(replace(seq, gamma_dp=rng.uniform(0.0, 2.0)))[2]
-            )
+            laser, _ = dense_run(replace(seq, gamma_dp=rng.uniform(0.0, 2.0)))[2]
             after = propagate(rho, laser, rng.uniform(0.0, 0.6))
         else:
             duration = rng.uniform(0.0, 3.0)
-            wait, _ = dense_run(
-                segment_generators(replace(seq, gamma_2n=rng.uniform(0.0, 0.1)))[3]
-            )
+            wait, _ = dense_run(replace(seq, gamma_2n=rng.uniform(0.0, 0.1)))[3]
             after = propagate(rho, wait, duration)
         assert np.real(np.trace(after)) == pytest.approx(1.0, abs=1e-9)
         np.testing.assert_allclose(after, after.conj().T, rtol=0, atol=1e-9)
@@ -295,7 +290,8 @@ def test_sequence_timing_fields():
     assert seq.wait_pre_total == pytest.approx(0.1)
     stretched = reference_sequence(t_seq=10.0)
     assert stretched.wait_pre_total == pytest.approx(2.7)
-    assert [s.duration for s in segment_generators(stretched)] == [
+    period = period_form(stretched)
+    assert [period.t_mw, period.t_pre, period.t_laser, period.t_post] == [
         stretched.t_mw, stretched.wait_pre_total, stretched.t_laser, stretched.t_wait_post
     ]
     with pytest.raises(ValueError):
@@ -429,8 +425,8 @@ def test_readout_model_and_inversion():
 def test_rk4_sequence_matches_expm_sequence():
     seq = reference_sequence(n_reps=5)
     t_expm = pump_trace(seq).trace
-    segments = [dense_run(s) for s in segment_generators(seq)]
-    dark3 = embed(dark_bright_basis(seq.lam).dark)
+    segments = dense_run(seq)
+    dark3 = embed(dark_bright_basis(seq.lam)[0])
     rho = thermal_ground_state()
     p_dark, p_excited = [], []
     for _ in range(seq.n_reps):

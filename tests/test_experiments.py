@@ -10,9 +10,9 @@ import pytest
 from lambda_cpt.config import parse_config
 from lambda_cpt.dynamics import (
     dark_bright_basis,
+    period_form,
     propagate_periods,
     pure_state,
-    segment_generators,
     thermal_ground_state,
 )
 from lambda_cpt.experiments import (
@@ -134,9 +134,9 @@ def test_composition_sweep_recovers_ideal_fractions():
     for r in sweep.ratios:
         omega_1, omega_2 = split_rabi(seq.lam.omega_eff, r)
         lam = replace(seq.lam, omega_1=omega_1, omega_2=omega_2)
-        dark = pure_state(np.append(dark_bright_basis(lam).dark, 0.0))
+        dark = pure_state(np.append(dark_bright_basis(lam)[0], 0.0))
         _, ((p_dark, ground),) = propagate_periods(
-            segment_generators(replace(seq, lam=lam)),
+            period_form(replace(seq, lam=lam)),
             thermal_ground_state(),
             seq.n_reps,
             [dark, np.diag([1.0, 1.0, 0.0])],

@@ -108,7 +108,7 @@ def test_golden_manifests_hash_their_own_fields():
 def test_shipped_period_maps_take_no_lapack_call_and_no_matrix_product(tmp_path, monkeypatch):
     """Every shipped command builds A and M by form, with no LAPACK call and no matrix product.
 
-    Each segment array reaching :func:`dynamics.period_maps` is Recorded, so
+    Each period array reaching :func:`dynamics.period_maps` is Recorded, so
     every numpy call that builds the real maps A and M is logged: the pulse
     U comes entry by entry, and no eigensolver, solve, inverse or product of
     matrices runs. The engine's source names no ``np.linalg`` call at all.
@@ -119,8 +119,8 @@ def test_shipped_period_maps_take_no_lapack_call_and_no_matrix_product(tmp_path,
     monkeypatch.setattr(Recorded, "log", [])
     period_maps = dynamics.period_maps
 
-    def spy(segments):
-        return tuple(m.view(np.ndarray) for m in period_maps([recorded(s) for s in segments]))
+    def spy(period):
+        return tuple(m.view(np.ndarray) for m in period_maps(recorded(period)))
 
     monkeypatch.setattr(dynamics, "period_maps", spy)
     for argv in shipped_commands():

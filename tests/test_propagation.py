@@ -10,6 +10,7 @@ the period, which is where a closed-form detuning shift could go wrong.
 import logging
 import math
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,21 +32,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lambda_cpt import dynamics
-from lambda_cpt.config import parse_config
+from lambda_cpt.config import load_config, parse_config
 from lambda_cpt.dynamics import (
-    Laser,
-    Pulse,
-    Wait,
     dark_bright_basis,
+    period_form,
     period_maps,
     propagate_periods,
     pure_state,
-    segment_generators,
     thermal_ground_state,
 )
-from lambda_cpt.experiments import steady_readout
+from lambda_cpt.experiments import cpt_spectrum, pump_trace, steady_readout
 from lambda_cpt.lambda_system import polarization_efficiency
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 # Tr rho = x . TRACE in the engine's real coordinates.
 TRACE = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 
@@ -112,7 +111,7 @@ def segment_map(gen, duration):
 def single_point(seq, delta_1, delta_2):
     """Readout and final states of one point, four expm-ed segments per period."""
     point = replace(seq, lam=replace(seq.lam, delta_1=delta_1, delta_2=delta_2))
-    props = [segment_map(gen[0], t) for gen, t in map(dense, segment_generators(point))]
+    props = [segment_map(gen[0], t) for gen, t in dense(period_form(point))]
     vec = thermal_ground_state().reshape(9)
     readout = []
     for _ in range(seq.n_reps):
@@ -129,7 +128,7 @@ def test_kernel_matches_single_point_runs(text, offsets):
     delta_1 = seq.lam.delta_1
     delta_2 = delta_1 + np.array(offsets)
     readouts, final = propagate_periods(
-        segment_generators(seq, delta_2), thermal_ground_state(), seq.n_reps, OBSERVABLES
+        period_form(seq, delta_2), thermal_ground_state(), seq.n_reps, OBSERVABLES
     )
     assert readouts.shape == (len(delta_2), seq.n_reps, 9)
     assert final.shape == (len(delta_2), 9)
@@ -157,7 +156,7 @@ def jump_generators(seq):
     tones = np.zeros((3, 3), dtype=complex)
     tones[0, 2] = 2.0 * math.pi * lam.omega_1 / 2.0
     tones[1, 2] = 2.0 * math.pi * lam.omega_2 / 2.0 * np.exp(1j * lam.psi)
-    basis = dark_bright_basis(lam)
+    dark, bright = dark_bright_basis(lam)
     alpha_p = polarization_efficiency(lam)
     excited = np.eye(3)[2]
 
@@ -165,8 +164,8 @@ def jump_generators(seq):
         return math.sqrt(rate / 2.0) * np.diag([1.0, -1.0, 0.0])
 
     laser = [
-        math.sqrt(seq.gamma * alpha_p) * np.outer(np.append(basis.dark, 0.0), excited),
-        math.sqrt(seq.gamma * (1.0 - alpha_p)) * np.outer(np.append(basis.bright, 0.0), excited),
+        math.sqrt(seq.gamma * alpha_p) * np.outer(np.append(dark, 0.0), excited),
+        math.sqrt(seq.gamma * (1.0 - alpha_p)) * np.outer(np.append(bright, 0.0), excited),
         dephasing(seq.gamma_dp),
     ]
     pulse = frame + tones + tones.conj().T
@@ -187,26 +186,26 @@ LASER_HELD[FED, 8] = True
 @settings(max_examples=40, deadline=None)
 @given(text=run_files(), offsets=detunings)
 def test_segment_forms_are_the_lindblad_generators_of_their_jumps(text, offsets):
-    """Every form, at seq's own detuning and stacked, slot by slot against its jumps' generator.
+    """Every segment of a period, at seq's own detuning and stacked, slot by slot
+    against its jumps' generator.
 
-    Each entry a form holds matches to 1e-14 relative; the laser column,
+    Each entry a segment holds matches to 1e-14 relative; the laser column,
     where the dark and bright terms cancel off the diagonal, to 1e-14 gamma.
-    Every entry a form does not hold is zero in that generator.
+    Every entry a segment does not hold is zero in that generator.
     """
     seq = parse_config(text).seq
     grid = seq.lam.delta_1 + np.array(offsets)
-    stack = segment_generators(seq, grid)
-    runs = [(seq, segment_generators(seq), 0)] + [
+    stack = period_form(seq, grid)
+    runs = [(seq, period_form(seq), 0)] + [
         (replace(seq, lam=replace(seq.lam, delta_2=d2)), stack, i) for i, d2 in enumerate(grid)
     ]
-    for point, (pulse, pre, laser, post), i in runs:
+    for point, period, i in runs:
         hamiltonian, wait, optical = jump_generators(point)
-        np.testing.assert_allclose(pulse_hamiltonian(pulse)[i], hamiltonian, rtol=1e-14, atol=0)
-        for form in (pre, post):
-            held, _ = dense(replace(form, t1_e=math.inf))
-            np.testing.assert_allclose(held[i][WAIT_HELD], wait[WAIT_HELD], rtol=1e-14, atol=0)
+        np.testing.assert_allclose(pulse_hamiltonian(period)[i], hamiltonian, rtol=1e-14, atol=0)
+        _, pre, (held, _), post = dense(replace(period, t1_e=math.inf))
+        for form, _ in (pre, post):
+            np.testing.assert_allclose(form[i][WAIT_HELD], wait[WAIT_HELD], rtol=1e-14, atol=0)
         assert not wait[~WAIT_HELD].any()
-        held, _ = dense(laser)
         np.testing.assert_allclose(held[i].diagonal(), optical.diagonal(), rtol=1e-14, atol=0)
         np.testing.assert_allclose(
             held[i][FED, 8], optical[FED, 8], rtol=1e-14, atol=1e-14 * point.gamma
@@ -236,30 +235,30 @@ t1_e = 400.0
 def long_chain(g):
     """LONG_CHAIN stacked over g two-photon detunings."""
     seq = parse_config(LONG_CHAIN).seq
-    return segment_generators(seq, seq.lam.delta_1 + np.linspace(-0.02, 0.01, g))
+    return period_form(seq, seq.lam.delta_1 + np.linspace(-0.02, 0.01, g))
 
 
 @pytest.mark.parametrize(
     "delta_1, delta_2", [(0.0, 0.0), (0.0, 0.02), (0.03, 0.0), (0.03, 0.03), (-0.05, 0.01)]
 )
 def test_default_forms_are_the_stack_at_the_sequence_detuning(delta_1, delta_2):
-    """segment_generators(seq) is the G = 1 stack at seq.lam.delta_2, bit for bit.
+    """period_form(seq) is the G = 1 stack at seq.lam.delta_2, bit for bit.
 
     Every field is compared by shape, dtype and bytes, so that a zero of the
     other sign shows, as array_equal would not.
     """
     seq = parse_config(LONG_CHAIN).seq
     seq = replace(seq, lam=replace(seq.lam, delta_1=delta_1, delta_2=delta_2))
-    for default, stacked in zip(segment_generators(seq), segment_generators(seq, [delta_2])):
-        for field in fields(default):
-            got, want = getattr(default, field.name), getattr(stacked, field.name)
-            if isinstance(want, np.ndarray):
-                assert (got.shape, got.dtype) == (want.shape, want.dtype), field.name
-                got, want = got.tobytes(), want.tobytes()
-            assert got == want, field.name
+    default, stacked = period_form(seq), period_form(seq, [delta_2])
+    for field in fields(default):
+        got, want = getattr(default, field.name), getattr(stacked, field.name)
+        if isinstance(want, np.ndarray):
+            assert (got.shape, got.dtype) == (want.shape, want.dtype), field.name
+            got, want = got.tobytes(), want.tobytes()
+        assert got == want, field.name
 
 
-def period_by_period(segments, rho0, n_reps, observables):
+def period_by_period(period, rho0, n_reps, observables):
     """Oracle: the kernel's own A and M, two matrix-vector products per period and run.
 
     It runs in extended precision (np.longdouble) on the real coordinates x
@@ -268,7 +267,7 @@ def period_by_period(segments, rho0, n_reps, observables):
     20000 periods of PUMP. Returns those readouts and each run's final
     state, (G, 3, 3).
     """
-    a, m = (x.astype(np.longdouble) for x in period_maps(segments))
+    a, m = (x.astype(np.longdouble) for x in period_maps(period))
     basis = VEC.astype(np.clongdouble)
     readouts = np.empty((len(a), n_reps, len(observables)))
     finals = []
@@ -298,7 +297,7 @@ alpha_dp = 0.1
 def pump(g):
     """PUMP, g copies of its one run on two-photon resonance."""
     seq = parse_config(PUMP).seq
-    return segment_generators(seq, np.full(g, seq.lam.delta_2))
+    return period_form(seq, np.full(g, seq.lam.delta_2))
 
 
 EXTENDED = pytest.mark.skipif(
@@ -320,16 +319,16 @@ BLOCK_CASES = [
 @pytest.mark.parametrize("chain, n_reps, g, k", BLOCK_CASES)
 def test_blocked_kernel_matches_period_by_period(chain, n_reps, g, k):
     """The blocked kernel against the per-period oracle."""
-    segments = chain(g)
+    period = chain(g)
     rho0 = 0.5 * thermal_ground_state() + 0.5 * pure_state(np.array([1.0, 1j, 1.0]) / math.sqrt(3))
     observables = OBSERVABLES[:k]
-    readouts, final = propagate_periods(segments, rho0, n_reps, observables)
-    want, want_final = period_by_period(segments, rho0, n_reps, observables)
+    readouts, final = propagate_periods(period, rho0, n_reps, observables)
+    want, want_final = period_by_period(period, rho0, n_reps, observables)
     assert readouts.shape == (g, n_reps, k) and final.shape == (g, k)
     np.testing.assert_allclose(readouts, want, rtol=0, atol=1e-12)
     np.testing.assert_allclose(final, expectations(observables, want_final), rtol=0, atol=1e-12)
     # The nine observables fix the whole final state.
-    _, whole = propagate_periods(segments, rho0, n_reps, OBSERVABLES)
+    _, whole = propagate_periods(period, rho0, n_reps, OBSERVABLES)
     np.testing.assert_allclose(whole, expectations(OBSERVABLES, want_final), rtol=0, atol=1e-12)
 
 
@@ -341,7 +340,7 @@ def kernel_products():
 def test_kernel_has_no_loop_over_blocks(monkeypatch):
     """20000 periods at G = 1: O(log n) products, one of them the readout.
 
-    Every matrix product on the segments' arrays is logged; all of them are
+    Every matrix product on the period's arrays is logged; all of them are
     the kernel's, on 9-slot operands (the maps take none). K = 128,
     so there are 157 blocks; their starts come by doubling, so no product
     advances one block's state to the next. The one vector product besides
@@ -354,8 +353,8 @@ def test_kernel_has_no_loop_over_blocks(monkeypatch):
     blocks = -(-n_reps // block)
     last = n_reps - (blocks - 1) * block
     monkeypatch.setattr(Recorded, "log", [])
-    segments = [recorded(s) for s in long_chain(1)]
-    readouts, final = propagate_periods(segments, thermal_ground_state(), n_reps, OBSERVABLES[:k])
+    period = recorded(long_chain(1))
+    readouts, final = propagate_periods(period, thermal_ground_state(), n_reps, OBSERVABLES[:k])
     products = kernel_products()
     reads = [shapes for shapes in products if (9, 9) not in shapes]
     assert reads == [[(blocks, 9), (9, block * k)], [(1, 9), (9, k)]]
@@ -370,31 +369,57 @@ def test_kernel_has_no_loop_over_blocks(monkeypatch):
     assert buffer.dtype == np.float64 and buffer.size <= blocks * block * k
 
 
-def column_gains_trace(segments):
-    pulse, pre, laser, post = segments
-    return pulse, pre, replace(laser, column=1.01 * laser.column), post
+def column_gains_trace(period):
+    return replace(period, column=1.01 * period.column)
 
 
-def one_wait_not_finite(segments):
-    pulse, pre, laser, post = segments
-    frequencies = pre.frequencies.copy()
+def one_wait_not_finite(period):
+    """The last run's frame frequency of |down> is NaN; runs 0 and 1 stay finite."""
+    frequencies = period.frequencies.copy()
     frequencies[1, -1] = np.nan
-    return pulse, replace(pre, frequencies=frequencies), laser, post
+    return replace(period, frequencies=frequencies)
 
 
 @pytest.mark.parametrize("corrupt", [column_gains_trace, one_wait_not_finite])
 @pytest.mark.parametrize("n_reps", [1, 40])
 def test_kernel_rejects_a_run_that_is_not_physical(corrupt, n_reps):
-    segments = corrupt(long_chain(3))
-    with pytest.raises(ValueError, match=r"must be finite, with trace within 1e-10 max"):
-        propagate_periods(segments, thermal_ground_state(), n_reps, OBSERVABLES[:1])
+    period = corrupt(long_chain(3))
+    # The NaN frequency also flags "invalid" in the pulse's complex division;
+    # the final-state check has to catch the run all the same.
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match=r"must be finite, with trace within 1e-10 max"):
+            propagate_periods(period, thermal_ground_state(), n_reps, OBSERVABLES[:1])
+
+
+def test_kernel_rejects_a_trace_gain_of_1e_9_per_period():
+    """A laser column 1e-9 too strong drifts the trace 1.9e-7 over 1000 periods."""
+    period = long_chain(3)
+    leaky = replace(period, column=(1.0 + 1e-9) * period.column)
+    with pytest.raises(ValueError, match=r"trace within 1e-10 max.*largest drift 1.88e-07"):
+        propagate_periods(leaky, thermal_ground_state(), 1000, OBSERVABLES[:1])
+
+
+@pytest.mark.parametrize("name, n_reps", [("cpt_dip", 100_000), ("pump_steps", 700_000)])
+def test_long_shipped_runs_keep_the_trace_within_their_rounding(name, n_reps):
+    """Rounding alone drifts the trace about linearly in the period count.
+
+    The shipped spectrum over 1e5 periods and pump trace over 7e5 drift by
+    1.2e-10 and 1.5e-10, past 1e-10 but within 64 eps n_reps.
+    """
+    cfg = load_config(CONFIGS / f"{name}.ini")
+    seq = replace(cfg.seq, n_reps=n_reps)
+    if name == "pump_steps":
+        assert np.all(np.isfinite(pump_trace(seq).trace.p_dark))
+    else:
+        spectrum = cpt_spectrum(seq, seq.lam.delta_1, np.linspace(*cfg.scan_grid))
+        assert np.all(np.isfinite(spectrum.signal))
 
 
 def test_kernel_logs_one_debug_line_per_call(monkeypatch, caplog):
     monkeypatch.setattr(Recorded, "log", [])
-    segments = [recorded(s) for s in long_chain(3)]
+    period = recorded(long_chain(3))
     with caplog.at_level(logging.DEBUG, logger="lambda_cpt.dynamics"):
-        propagate_periods(segments, thermal_ground_state(), 65, OBSERVABLES[:5])
+        propagate_periods(period, thermal_ground_state(), 65, OBSERVABLES[:5])
     # R A and the readout, 3 rows and 3 squarings up to M^8, 4 doublings of
     # the starts with 3 squarings between them, M^1 for the last period, and
     # the final values.
@@ -403,7 +428,7 @@ def test_kernel_logs_one_debug_line_per_call(monkeypatch, caplog):
     assert lines == ["propagate_periods: G=3 n_reps=65 K=8 blocks=9 products=17"]
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="lambda_cpt.dynamics"):
-        propagate_periods(segments, thermal_ground_state(), 65, OBSERVABLES[:5])
+        propagate_periods(period, thermal_ground_state(), 65, OBSERVABLES[:5])
     assert not caplog.records
 
 
@@ -426,8 +451,8 @@ def test_kernel_working_set_does_not_grow_with_the_period_count(monkeypatch):
     squarings, fresh = [], []
     for n_reps in (65, 20000):
         monkeypatch.setattr(Recorded, "log", [])
-        segments = [recorded(s) for s in long_chain(3)]
-        propagate_periods(segments, thermal_ground_state(), n_reps, OBSERVABLES[:5])
+        period = recorded(long_chain(3))
+        propagate_periods(period, thermal_ground_state(), n_reps, OBSERVABLES[:5])
         products = map_products()
         squarings.append(len(products))
         fresh.append(sum(not call.into for call in products))
@@ -438,8 +463,8 @@ def test_kernel_working_set_does_not_grow_with_the_period_count(monkeypatch):
 def test_period_maps_hand_off_c_contiguous_float64_maps():
     """A stack of G runs gives two (G, 9, 9) stacks, G = 1 included, both C-contiguous."""
     seq = parse_config(LONG_CHAIN).seq
-    for segments, shape in ((segment_generators(seq), (1, 9, 9)), (long_chain(3), (3, 9, 9))):
-        for maps in period_maps(segments):
+    for period, shape in ((period_form(seq), (1, 9, 9)), (long_chain(3), (3, 9, 9))):
+        for maps in period_maps(period):
             assert maps.dtype == np.float64 and maps.shape == shape
             assert maps.flags.c_contiguous
 
@@ -457,8 +482,8 @@ def test_steady_readout_does_not_depend_on_batching(text, offsets):
     assert np.array_equal(whole, split)
 
     def final(part):
-        segments = segment_generators(seq, part)
-        return propagate_periods(segments, thermal_ground_state(), seq.n_reps, OBSERVABLES)[1]
+        period = period_form(seq, part)
+        return propagate_periods(period, thermal_ground_state(), seq.n_reps, OBSERVABLES)[1]
 
     assert np.array_equal(final(grid), np.concatenate([final(part) for part in parts]))
 
@@ -473,7 +498,7 @@ def choi(m):
 def test_period_maps_are_physical(text, offsets):
     seq = parse_config(text).seq
     grid = seq.lam.delta_1 + np.array(offsets)
-    for maps in period_maps(segment_generators(seq, grid)):
+    for maps in period_maps(period_form(seq, grid)):
         # Hermiticity preservation: the map is real in real coordinates.
         assert maps.dtype == np.float64
         for m in maps:
@@ -487,20 +512,28 @@ def test_period_maps_are_physical(text, offsets):
 @given(text=run_files(dissipative=False))
 def test_dark_state_is_a_fixed_point_of_both_period_maps(text):
     seq = parse_config(text).seq
-    dark = pure_state(np.append(dark_bright_basis(seq.lam).dark, 0.0)).reshape(9)
+    dark = pure_state(np.append(dark_bright_basis(seq.lam)[0], 0.0)).reshape(9)
     dark = (REAL @ dark).real
     # delta_2 = delta_1: two-photon resonance at a nonzero one-photon detuning.
-    for maps in period_maps(segment_generators(seq, [seq.lam.delta_1])):
+    for maps in period_maps(period_form(seq, [seq.lam.delta_1])):
         np.testing.assert_allclose(maps[0] @ dark, dark, rtol=0, atol=1e-12)
 
 
-def form_map(segment):
-    """The engine's map of each entry of a segment stack: U for a pulse, else
-    the real 9x9 its row operations make of the identity."""
-    if isinstance(segment, Pulse):
-        return np.moveaxis(dynamics._pulse_unitary(segment), -1, 0)
-    rows = dynamics._laser_rows if isinstance(segment, Laser) else dynamics._wait_rows
-    return np.moveaxis(rows(segment, identities(segment.frequencies.shape[1])), -1, 0)
+def pulse_map(period):
+    """The engine's U of each run of a period stack, (G, 3, 3)."""
+    return np.moveaxis(dynamics._pulse_unitary(period), -1, 0)
+
+
+def form_map(period):
+    """The engine's map of each run of a period stack, for each of its four segments:
+    U for the pulse, else the real 9x9 its row operations make of the identity."""
+    g = period.frequencies.shape[1]
+    rows = (
+        dynamics._wait_rows(period, period.t_pre, identities(g)),
+        dynamics._laser_rows(period, identities(g)),
+        dynamics._wait_rows(period, period.t_post, identities(g)),
+    )
+    return [pulse_map(period), *(np.moveaxis(m, -1, 0) for m in rows)]
 
 
 def identities(g):
@@ -508,12 +541,12 @@ def identities(g):
     return np.repeat(np.eye(9)[..., None], g, axis=-1)
 
 
-def assert_matches_scipy(segment):
-    gens, duration = dense(segment)
-    for a, e in zip(gens * max(duration, 0.0), form_map(segment)):
-        scale = max(1.0, np.abs(a).sum(axis=0).max())
-        want = scipy_expm(a) if len(a) == 3 else to_real(scipy_expm(a))
-        np.testing.assert_allclose(e, want, rtol=0, atol=1e-13 * scale)
+def assert_matches_scipy(period):
+    for (gens, duration), maps in zip(dense(period), form_map(period)):
+        for a, e in zip(gens * max(duration, 0.0), maps):
+            scale = max(1.0, np.abs(a).sum(axis=0).max())
+            want = scipy_expm(a) if len(a) == 3 else to_real(scipy_expm(a))
+            np.testing.assert_allclose(e, want, rtol=0, atol=1e-13 * scale)
 
 
 # Waits with finite and infinite T1, lasers with and without dephasing; a
@@ -531,39 +564,39 @@ def assert_matches_scipy(segment):
     offsets=detunings,
 )
 def test_batched_expm_matches_scipy_per_matrix(text, offsets):
-    """Each form's map, per stack entry, against scipy's expm of its dense generator."""
+    """Each segment's map, per stack entry, against scipy's expm of its dense generator."""
     seq = parse_config(text).seq
     grid = seq.lam.delta_1 + np.array(offsets)
-    segments = segment_generators(seq, grid)
-    laser = segments[2]
-    # No frame turn and every decay set to that of rho_ee: a_i = a_e in every row.
-    still = np.zeros_like(laser.frequencies)
-    tied = replace(laser, frequencies=still, decay=np.full(6, laser.decay[2]))
-    for segment in (*segments, tied):
-        assert_matches_scipy(segment)
+    period = period_form(seq, grid)
+    # No frame turn and every decay set to that of rho_ee: a_i = a_e in every
+    # laser row.
+    still = np.zeros_like(period.frequencies)
+    tied = replace(period, frequencies=still, decay=np.full(6, period.decay[2]))
+    for each in (period, tied):
+        assert_matches_scipy(each)
     # The pulse lifted to a 9x9 map, against the exponential of its Liouvillian.
-    zero = Wait(np.zeros((3, len(grid))), np.zeros(3), seq.t1_e, 0.0)
-    lifted, _ = period_maps((segments[0], zero, replace(laser, duration=0.0), zero))
-    for h, p in zip(pulse_hamiltonian(segments[0]), lifted):
+    lifted, _ = period_maps(replace(period, t_pre=0.0, t_laser=0.0, t_post=0.0))
+    for h, p in zip(pulse_hamiltonian(period), lifted):
         a = lindblad(h, []) * seq.t_mw
         scale = max(1.0, np.abs(a).sum(axis=0).max())
         np.testing.assert_allclose(p, to_real(scipy_expm(a)), rtol=0, atol=1e-13 * scale)
 
 
-def take(segment, runs):
-    """The entries ``runs`` of a segment stack: its frequencies, the one per-run array."""
-    return replace(segment, frequencies=segment.frequencies[:, runs])
+def take(period, runs):
+    """The runs ``runs`` of a period stack: its frequencies, the one per-run array."""
+    return replace(period, frequencies=period.frequencies[:, runs])
 
 
 def assert_heads_and_tails_match(stack):
     whole = form_map(stack)
-    for m in range(1, len(whole)):
-        assert np.array_equal(whole[:m], form_map(take(stack, slice(None, m))))
-        assert np.array_equal(whole[m:], form_map(take(stack, slice(m, None))))
+    for m in range(1, stack.frequencies.shape[1]):
+        heads, tails = form_map(take(stack, slice(None, m))), form_map(take(stack, slice(m, None)))
+        for maps, head, tail in zip(whole, heads, tails):
+            assert np.array_equal(maps[:m], head) and np.array_equal(maps[m:], tail)
 
 
 def test_batched_expm_of_a_matrix_does_not_depend_on_its_stack():
-    """Every head and tail of a stack maps alone to the same bits, for every form.
+    """Every head and tail of a stack maps alone to the same bits, for every segment.
 
     Each stack runs over two-photon detunings from 0 to 1e3 MHz off
     delta_1, so the norms of its entries span four decades. Waits and
@@ -573,34 +606,34 @@ def test_batched_expm_of_a_matrix_does_not_depend_on_its_stack():
     """
     seq = parse_config(LONG_CHAIN).seq
     grid = seq.lam.delta_1 + np.array([0.0, -0.2, 0.2, 3.0, -40.0, 1e3])
-    pulse, wait, laser, _ = segment_generators(seq, grid)
-    undephased = segment_generators(replace(seq, gamma_dp=0.0), grid)[2]
-    for t in (0.0, 0.5, 5.0, 20.0, 60.0):
+    period = period_form(seq, grid)
+    undephased = period_form(replace(seq, gamma_dp=0.0), grid)
+    for t, t_mw in zip((0.0, 0.5, 5.0, 20.0, 60.0), (0.0, 1.0, 60.0, 300.0, 1000.0)):
         for t1_e in (math.inf, seq.t1_e, 0.1):
-            assert_heads_and_tails_match(replace(wait, t1_e=t1_e, duration=t))
-        for gens in (laser, undephased):
-            assert_heads_and_tails_match(replace(gens, duration=t))
-    for t in (0.0, 1.0, 60.0, 300.0, 1000.0):
-        assert_heads_and_tails_match(replace(pulse, duration=t))
+            for stack in (period, undephased):
+                durations = dict(t_mw=t_mw, t_pre=t, t_laser=t, t_post=t)
+                assert_heads_and_tails_match(replace(stack, t1_e=t1_e, **durations))
 
 
 def test_a_stack_varies_only_in_its_frequencies():
-    """At G = 1 and G = 5, every array of every form but the frequencies is the same bytes.
+    """At G = 1 and G = 5, every array of a period but the frequencies is the same bytes.
 
     The frequencies are point-last, (3, G); every other coefficient is
-    shared by the stack, in one shape.
+    shared by the stack, in one shape, and no two arrays share memory.
     """
     seq = parse_config(LONG_CHAIN).seq
-    one = segment_generators(seq)
-    five = segment_generators(seq, seq.lam.delta_1 + np.linspace(-0.2, 0.2, 5))
-    for single, stack in zip(one, five):
-        assert single.frequencies.shape == (3, 1) and stack.frequencies.shape == (3, 5)
-        shared = {k: v for k, v in vars(single).items() if isinstance(v, np.ndarray)}
-        del shared["frequencies"]
-        assert shared
-        for name, value in shared.items():
-            other = getattr(stack, name)
-            assert other.shape == value.shape and other.tobytes() == value.tobytes(), name
+    single = period_form(seq)
+    stack = period_form(seq, seq.lam.delta_1 + np.linspace(-0.2, 0.2, 5))
+    shapes = dict(frequencies=(3, 5), couplings=(2,), dephasing=(3,), decay=(6,), column=(3,))
+    arrays = {k: v for k, v in vars(stack).items() if isinstance(v, np.ndarray)}
+    assert {k: v.shape for k, v in arrays.items()} == shapes
+    assert single.frequencies.shape == (3, 1)
+    for i, (name, array) in enumerate(arrays.items()):
+        for other, held in list(arrays.items())[i + 1 :]:
+            assert not np.shares_memory(array, held), (name, other)
+        if name != "frequencies":
+            value = getattr(single, name)
+            assert value.shape == array.shape and value.tobytes() == array.tobytes(), name
 
 
 def test_durations_at_or_below_zero_give_the_identity():
@@ -608,15 +641,15 @@ def test_durations_at_or_below_zero_give_the_identity():
     short of the packed duration runs its pre-laser wait as one of zero."""
     seq = parse_config(LONG_CHAIN).seq
     grid = seq.lam.delta_1 + np.linspace(-0.2, 0.2, 3)
-    segments = segment_generators(seq, grid)
-    maps = period_maps([replace(s, duration=0.0) for s in segments])
+    period = period_form(seq, grid)
+    maps = period_maps(replace(period, t_mw=0.0, t_pre=0.0, t_laser=0.0, t_post=0.0))
     for m in maps:
         assert np.array_equal(m, np.broadcast_to(np.eye(9), m.shape))
     packed = replace(seq, t_wait_pre=0.0, t_seq=None)
     short = replace(packed, t_seq=packed.t_seq - 1e-9)
     assert short.t_seq < packed.t_seq and short.wait_pre_total == 0.0
     for want, got in zip(
-        period_maps(segment_generators(packed, grid)), period_maps(segment_generators(short, grid))
+        period_maps(period_form(packed, grid)), period_maps(period_form(short, grid))
     ):
         assert np.array_equal(got, want)
 
@@ -662,12 +695,11 @@ def test_segment_maps_stay_exact_at_extreme_norms(omega, t_mw, gamma_2n, t1_e, s
         f"t1_e = {t1_e!r}",
     ]
     seq = parse_config("\n".join(lines) + "\n").seq
-    segments = segment_generators(seq, seq.lam.delta_1 + np.array(offsets))
-    u = form_map(segments[0])
+    period = period_form(seq, seq.lam.delta_1 + np.array(offsets))
+    u, wait = form_map(period)[:2]
     unitarity = u @ u.conj().swapaxes(1, 2) - np.eye(3)
     assert np.abs(unitarity).max() <= 1e-14
-    a, m = period_maps(segments)
-    wait = form_map(segments[1])
+    a, m = period_maps(period)
     for maps in (wait, a, m):
         assert np.all(np.isfinite(maps))
         assert np.abs(TRACE @ maps - TRACE).max() <= 1e-12
@@ -693,19 +725,19 @@ gamma_dp = 0
 
 def test_long_laser_maps_stay_completely_positive():
     seq = parse_config(LONG_LASER).seq
-    segments = segment_generators(seq, seq.lam.delta_1 + np.linspace(0.05, 0.3, 26))
-    for maps in (form_map(segments[2]), *period_maps(segments)):
+    period = period_form(seq, seq.lam.delta_1 + np.linspace(0.05, 0.3, 26))
+    for maps in (form_map(period)[2], *period_maps(period)):
         assert np.abs(TRACE @ maps - TRACE).max() <= 1e-12
         for one in maps:
             assert np.min(np.linalg.eigvalsh(choi(from_real(one)))) >= -1e-12
 
 
-def eigh_unitaries(pulse):
-    """Oracle: exp(-i h t) of each pulse of a stack, by a per-matrix eigh of its dense h."""
+def eigh_unitaries(period):
+    """Oracle: exp(-i h t_mw) of each pulse of a stack, by a per-matrix eigh of its dense h."""
     unitaries = []
-    for h in pulse_hamiltonian(pulse):
+    for h in pulse_hamiltonian(period):
         w, v = np.linalg.eigh(h)
-        unitaries.append(np.eye(3) + (v * np.expm1(-1j * w * pulse.duration)) @ v.conj().T)
+        unitaries.append(np.eye(3) + (v * np.expm1(-1j * w * period.t_mw)) @ v.conj().T)
     return np.array(unitaries)
 
 
@@ -757,31 +789,31 @@ def test_pulse_map_is_exact_over_the_whole_schema(omega, delta_1, psi, offsets, 
         f"t_mw = {t_mw!r}",
     ]
     seq = parse_config("\n".join(lines) + "\n").seq
-    pulse = segment_generators(seq, seq.lam.delta_1 + np.array([0.0, *offsets]))[0]
-    u = form_map(pulse)
+    period = period_form(seq, seq.lam.delta_1 + np.array([0.0, *offsets]))
+    u = pulse_map(period)
     assert np.all(np.isfinite(u))
     assert np.abs(u @ u.conj().swapaxes(1, 2) - np.eye(3)).max() <= 1e-14
-    dark = np.append(dark_bright_basis(seq.lam).dark, 0.0)
+    dark = np.append(dark_bright_basis(seq.lam)[0], 0.0)
     np.testing.assert_allclose(u[0] @ dark, dark, rtol=0, atol=1e-14)
     for level in np.flatnonzero(np.array(omega) == 0.0):
         rest = [j for j in range(3) if j != level]
         assert not u[:, level, rest].any() and not u[:, rest, level].any()
     if omega[0] == 0.0:
         assert np.all(u[:, 0, 0] == 1.0)
-    still = form_map(replace(pulse, duration=0.0))
+    still = pulse_map(replace(period, t_mw=0.0))
     assert still.tobytes() == np.broadcast_to(np.eye(3, dtype=complex), still.shape).tobytes()
-    norm = np.abs(pulse_hamiltonian(pulse)).sum(-1).max(-1) * t_mw
+    norm = np.abs(pulse_hamiltonian(period)).sum(-1).max(-1) * t_mw
     kept = norm <= 1e4
-    error = np.abs(u - eigh_unitaries(pulse)).max(axis=(1, 2))
+    error = np.abs(u - eigh_unitaries(period)).max(axis=(1, 2))
     eps = np.finfo(float).eps
     assert np.all(error[kept] <= 64 * eps * np.maximum(1.0, norm[kept])), (error, norm)
 
 
-def wait_rows_with_t1_block(wait, m):
-    """The wait's row operations with the T1 block run for every t1_e, infinite included."""
-    relax = -wait.duration / wait.t1_e
-    exponent = (wait.dephasing * wait.duration + 0.5 * relax)[:, None]
-    dynamics._turn(m, dynamics._frame(wait.frequencies, wait.duration, exponent)[1])
+def wait_rows_with_t1_block(period, t, m):
+    """A wait's row operations with the T1 block run for every t1_e, infinite included."""
+    relax = -t / period.t1_e
+    exponent = (period.dephasing * t + 0.5 * relax)[:, None]
+    dynamics._turn(m, dynamics._frame(period.frequencies, t, exponent)[1])
     up, down, excited = m[0], m[1], m[2]
     r = 0.5 * np.expm1(relax) * (excited - up - down)
     s = 0.5 * np.expm1(0.5 * relax) * (up - down)
@@ -801,11 +833,12 @@ def test_waits_without_t1_skip_an_identity_block_bit_for_bit():
     seq = replace(parse_config(LONG_CHAIN).seq, t1_e=math.inf)
     grid = seq.lam.delta_1 + np.linspace(-0.2, 0.2, 3)
     rng = np.random.default_rng(7)
-    for wait in segment_generators(seq, grid)[1::2]:
+    period = period_form(seq, grid)
+    for t in (period.t_pre, period.t_post):
         for m in (identities(len(grid)), rng.normal(size=(9, 9, len(grid)))):
-            want = wait_rows_with_t1_block(wait, m.copy())
-            assert dynamics._wait_rows(wait, m.copy()).tobytes() == want.tobytes()
-    finite = segment_generators(replace(seq, t1_e=400.0), grid)
+            want = wait_rows_with_t1_block(period, t, m.copy())
+            assert dynamics._wait_rows(period, t, m.copy()).tobytes() == want.tobytes()
+    finite = period_form(replace(seq, t1_e=400.0), grid)
     m = rng.normal(size=(9, 9, len(grid)))
-    got = dynamics._wait_rows(finite[1], m.copy())
-    assert got.tobytes() == wait_rows_with_t1_block(finite[1], m.copy()).tobytes()
+    got = dynamics._wait_rows(finite, finite.t_pre, m.copy())
+    assert got.tobytes() == wait_rows_with_t1_block(finite, finite.t_pre, m.copy()).tobytes()
