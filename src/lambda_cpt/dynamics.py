@@ -60,16 +60,13 @@ other coefficient is shared by the stack. All three maps run batched with
 numpy alone, so the engine never imports scipy. Every protocol propagates
 through one kernel, :func:`propagate_periods`. It folds a period into the
 map up to the readout, A, and the map of the whole period, M
-(:func:`period_maps`: the lifted pulse, then row operations, with no dense
-9x9 product, on maps stored point-last as (9, 9, G), so that every row
-operation runs over G contiguous points), builds the powers of M, the
-readout rows and the state at the start of every block of periods by
-doubling, and reads out every period of every run, only the observables a
-protocol asks for, with one batched product: O(log n_reps) batched real
-products and no loop over periods or blocks. The same observables are read
-off each run's state after its last period. The doublings write into
-buffers made once per call, so the kernel's working set does not grow with
-n_reps.
+(:func:`period_maps`: the lifted pulse, then row operations on maps stored
+point-last as (9, 9, G), so that each runs over G contiguous points),
+builds the powers of M, the readout rows and the block starts by doubling,
+and reads the observables a protocol asks for, at the periods it keeps (a
+pump trace every one, a spectrum its steady window, a composition none)
+and after the last: O(log n_reps) batched real products and no loop over
+periods or blocks.
 
 This module is the engine alone: protocols, their observables and their
 calibrations live in :mod:`lambda_cpt.experiments`. The parameters it reads
@@ -540,15 +537,18 @@ _DRIFT_PER_PERIOD = 64 * np.finfo(float).eps
 
 
 def propagate_periods(
-    period: Period, rho0: np.ndarray, n_reps: int, observables
+    period: Period, rho0: np.ndarray, periods: range, observables
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run n_reps >= 1 periods of G stacked sequences from rho0.
+    """Run periods.stop = n_reps >= 1 periods of G stacked runs from rho0, and read periods.
 
     period is as from :func:`period_form` (G = 1, or a stack over G
-    detunings); every run starts from the 3x3 state rho0.
-    observables are k Hermitian 3x3 operators O, read as Tr(O rho). Returns
-    their values at each readout instant, shape (G, n_reps, k), and at the
-    end of the last period, shape (G, k), both float.
+    detunings); every run starts from the 3x3 state rho0. observables are
+    k Hermitian 3x3 operators O, read as Tr(O rho). periods is a range of
+    consecutive periods from 0 <= start <= n_reps: range(n_reps) reads
+    every period, range(n_reps - w, n_reps) the last w, and range(n_reps,
+    n_reps) none. Returns the values at the readout instant of each period
+    read, shape (G, len(periods), k), and at the end of the last period,
+    shape (G, k), both float.
 
     Everything runs in real coordinates: the maps A (to the readout) and M
     (one period) come from :func:`period_maps` as float64 9x9s, built by
@@ -557,24 +557,30 @@ def propagate_periods(
     K^2 <= n_reps, so sqrt(n)/2 < K <= sqrt(n). The readout rows R A M^j
     for j < K and the powers M^(2^i) are built by doubling, and so are the
     block starts: S <- [S, S (M^K)^m] takes m starts to 2m. One batched
-    product of the rows with the starts then gives every readout, and the
-    powers of the set bits of the last block's length carry the last start
-    to the end. A run so takes O(log n) batched products of 9x9 real
-    matrices and no loop over its periods or blocks. The rows and starts
-    fill slices of two buffers made before their doublings, and each power
-    squares into the buffer of the one before last (A's, once the rows
-    hold R A), so only the readouts and a copy of each power the last
-    block takes are new arrays. The final values are one more product, of
-    each run's final state with the same observable rows. K depends on
-    n_reps alone and runs are independent rows of every product, so a
-    result does not depend on which other runs share its batch.
+    product of the rows with the starts of the blocks that hold the periods
+    read gives their readouts, and the powers of the set bits of the last
+    block's length carry the last start to the end. A run so takes O(log
+    n) batched products of 9x9 real matrices and no loop over its periods
+    or blocks. Rows, starts and powers fill buffers made once per call, so
+    only the readouts and the last block's powers are new arrays. The final
+    values are one more product, of each run's final state with the same
+    observable rows. K depends on n_reps alone and runs are independent
+    rows of every product, so a result does not depend on which other runs
+    share its batch, nor a readout on which other periods are read.
 
-    Raises ValueError when a final state is not finite or its trace drifts
-    from tr rho0 by more than max(1e-10, 64 eps n_reps) max(1, |tr rho0|),
-    eps the float64 epsilon: the period did not describe a physical run.
-    Both are read in real coordinates, where the trace is the sum of the
-    three populations.
+    Raises ValueError when periods is no such range, or when a final state
+    is not finite or its trace drifts from tr rho0 by more than max(1e-10,
+    64 eps n_reps) max(1, |tr rho0|), eps the float64 epsilon: the period
+    did not describe a physical run. Both are read in real coordinates,
+    where the trace is the sum of the three populations.
     """
+    ok = isinstance(periods, range) and periods.step == 1 and 0 <= periods.start <= periods.stop
+    if not (ok and periods.stop >= 1):
+        raise ValueError(
+            "periods must be a range(start, n_reps), 0 <= start <= n_reps, n_reps >= 1, "
+            f"not {periods!r}"
+        )
+    n_reps = periods.stop
     a, m = period_maps(period)
     g = len(a)
     read = _READ_WEIGHTS * _coordinates(np.asarray(observables, dtype=complex).reshape(-1, 3, 3))
@@ -610,19 +616,22 @@ def propagate_periods(
         more = min(n, blocks - n)
         np.matmul(starts[:, :more], power.swapaxes(1, 2), out=starts[:, n : n + more])
     del power, spare
-    # Laid out by (block, period in block, observable).
-    readouts = starts @ rows.swapaxes(1, 2)
+    # The blocks read, by (block, period in block, observable). Never one of
+    # several: numpy multiplies a lone row by another BLAS routine, other bits.
+    first = min(periods.start // block, max(blocks - 2, 0))
+    readouts = starts[:, first:] @ rows.swapaxes(1, 2)
     vec = starts[:, -1:]
     for power in tail:
         vec = vec @ power.swapaxes(1, 2)
     _check_final_states(vec[:, 0], x0, n_reps)
     if log.isEnabledFor(logging.DEBUG):
         log.debug(
-            "propagate_periods: G=%d n_reps=%d K=%d blocks=%d products=%d",
-            g, n_reps, block, blocks,
+            "propagate_periods: G=%d n_reps=%d read=%d K=%d blocks=%d products=%d",
+            g, n_reps, len(periods), block, blocks,
             2 * block.bit_length() + max(2 * doublings - 1, 0) + len(tail) + 1,
         )
-    return readouts.reshape(g, blocks * block, k)[:, :n_reps], (vec @ read.T)[:, 0]
+    readouts = readouts.reshape(g, (blocks - first) * block, k)[:, periods.start - first * block :]
+    return readouts[:, : len(periods)], (vec @ read.T)[:, 0]
 
 
 def _check_final_states(x: np.ndarray, x0: np.ndarray, n_reps: int) -> None:

@@ -11,15 +11,15 @@ A spectrum sweeps delta_2 at one delta_1; the multi-resonance scan takes
 it from its drive, as the CLI does for every command.
 
 Every protocol calls :func:`~lambda_cpt.dynamics.propagate_periods` itself,
-with the observables it reads, and calibrates here. Spectra follow the
-flip-probability convention: the steady excited-state readout is scaled so
-that the far-detuned baseline (the mean of the two outermost grid points),
-an unpumped spin flipping on half the pulses, maps to one-half; one minus
-the dip minimum is then the trapped dark fraction. A pump trace calibrates
-against its first readout (:func:`dark_population_estimate`). Grid points
-are independent runs: a spectrum is one batch, a multi-resonance scan one
-batch per period, a composition sweep one run per ratio; the kernel gives
-the same bits either way.
+with the observables it reads and the periods it keeps, and calibrates here.
+Spectra follow the flip-probability convention: the steady excited-state
+readout is scaled so that the far-detuned baseline (the mean of the two
+outermost grid points), an unpumped spin flipping on half the pulses, maps
+to one-half; one minus the dip minimum is then the trapped dark fraction. A
+pump trace calibrates against its first readout (:func:`dark_population_estimate`).
+Grid points are independent runs: a spectrum is one batch, a multi-resonance
+scan one batch per period, a composition sweep one run per ratio; the kernel
+gives the same bits either way.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ __all__ = [
     "PumpTrace",
     "CompositionSweep",
     "CombPrediction",
-    "steady_readout",
     "cpt_spectrum",
     "dark_population_estimate",
     "pump_trace",
@@ -139,25 +138,6 @@ class CombPrediction:
     envelope_width: float
 
 
-def steady_readout(seq: SequenceConfig, delta_1: float, grid: np.ndarray) -> np.ndarray:
-    """Uncalibrated steady excited-state readout at each delta_2 of ``grid``.
-
-    Every grid point restarts from the thermal ground state, runs n_reps
-    periods, and averages its readouts over the last max(5, n_reps/4)
-    periods. The whole grid is one batch.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("empty detuning grid")
-    excited = np.diag([0.0, 0.0, 1.0])
-    at_delta_1 = replace(seq, lam=replace(seq.lam, delta_1=delta_1))
-    readouts, _ = propagate_periods(
-        period_form(at_delta_1, grid), thermal_ground_state(), seq.n_reps, [excited]
-    )
-    window = min(max(5, seq.n_reps // 4), seq.n_reps)
-    return np.mean(readouts[:, -window:, 0], axis=1)
-
-
 def _median(values: np.ndarray) -> float:
     """The median of a 1-d array, by sorting: np.median would import numpy.ma, 2 MB more."""
     ordered = np.sort(values)
@@ -167,15 +147,24 @@ def _median(values: np.ndarray) -> float:
 def cpt_spectrum(seq: SequenceConfig, delta_1: float, grid: np.ndarray) -> Spectrum:
     """Sweep delta_2 across ``grid`` and record the calibrated steady signal.
 
-    The steady readout of :func:`steady_readout` is calibrated so the mean
-    of its two outermost points maps to one-half, the flip probability of an
-    unpumped spin. Raises ValueError when that baseline is not above 1e-12,
-    or is below half the median readout of the grid: then the edges sit in
-    dips (say, a grid spanning exactly +-1/t_seq of a comb), not on the
-    far-detuned level, and the spectrum cannot be calibrated against them.
+    Every grid point runs seq.n_reps periods from the thermal ground state,
+    all in one batch, and reads its excited population over the last max(5,
+    n_reps/4) periods alone; their mean is its steady readout. The mean of
+    the two outermost readouts maps to one-half, the flip probability of an
+    unpumped spin. Raises ValueError for an empty grid, and when that
+    baseline is not above 1e-12, or is below half the median readout: then
+    the edges sit in dips (say, a grid spanning exactly +-1/t_seq of a
+    comb), not on the far-detuned level, and cannot calibrate the spectrum.
     """
     grid = np.asarray(grid, dtype=float)
-    raw = steady_readout(seq, delta_1, grid)
+    if grid.size == 0:
+        raise ValueError("empty detuning grid")
+    n = seq.n_reps
+    steady = range(max(n - max(5, n // 4), 0), n)
+    excited = np.diag([0.0, 0.0, 1.0])
+    period = period_form(replace(seq, lam=replace(seq.lam, delta_1=delta_1)), grid)
+    readouts, _ = propagate_periods(period, thermal_ground_state(), steady, [excited])
+    raw = np.mean(readouts[..., 0], axis=1)
     baseline = 0.5 * (raw[0] + raw[-1])
     median = _median(raw)
     if not (baseline > 1e-12 and baseline >= 0.5 * median):
@@ -221,7 +210,7 @@ def pump_trace(seq: SequenceConfig) -> PumpTrace:
         pure_state(down),
     ]
     readouts, _ = propagate_periods(
-        period_form(seq), thermal_ground_state(), seq.n_reps, observables
+        period_form(seq), thermal_ground_state(), range(seq.n_reps), observables
     )
     p_dark, p_bright, p_excited, p_up, p_down = readouts[0].T
     trace = StepTrace(
@@ -262,7 +251,7 @@ def composition_sweep(seq: SequenceConfig, ratios: np.ndarray) -> CompositionSwe
         _, ((dark_weight, down, ground),) = propagate_periods(
             period_form(replace(seq, lam=lam_r)),
             thermal_ground_state(),
-            seq.n_reps,
+            range(seq.n_reps, seq.n_reps),
             [dark, np.diag([0.0, 1.0, 0.0]), np.diag([1.0, 1.0, 0.0])],
         )
         pd = dark_weight / ground

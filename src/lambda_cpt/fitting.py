@@ -306,7 +306,7 @@ def fit_contrast_curve(ratios: np.ndarray, values: np.ndarray) -> float:
     f = np.asarray(values, dtype=float)
     if r.ndim != 1 or r.shape != f.shape or len(r) < 3 or not np.isfinite([r, f]).all():
         raise ValueError("need at least 3 finite (ratio, probability) pairs")
-    x = r * r / (1.0 + r * r) - 0.5
+    x = (r / np.hypot(1.0, r)) ** 2 - 0.5  # r^2 / (1 + r^2) - 1/2, with no r^2 to overflow
     denom = float(x @ x)
     if denom < 1e-15:
         raise ValueError("all ratios give the degenerate composition 1/2")

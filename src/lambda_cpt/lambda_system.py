@@ -14,7 +14,7 @@ all time evolution live in :mod:`lambda_cpt.dynamics`.
 
 Units: Rabi frequencies and detunings are linear frequencies in MHz, times
 in us, angles in rad. Factors of 2*pi appear only in the dynamics engine
-and in the rules that keep its phases finite.
+and in the rules that bound its phases.
 """
 
 from __future__ import annotations
@@ -101,8 +101,8 @@ class SequenceConfig:
     n_reps >= 1 and durations >= 0 are rules of this class alone: t_seq may
     fall 1e-9 us short of the packed duration, and wait_pre_total is then 0.
     So are the two phase rules: pi omega_eff t_mw, the phase of the pulse's
-    coupling, is finite, and so is 2 pi max(|delta_1|, |delta_r|) t_seq, the
-    largest frame phase of a period, which bounds that of every segment.
+    coupling, is finite, and the largest frame phase of a period, 2 pi
+    max(|delta_1|, |delta_r|) t_seq, is below 2^33 rad (ulp <= 9.5e-7 rad).
     """
 
     lam: LambdaConfig
@@ -141,10 +141,10 @@ class SequenceConfig:
         )
         lam = self.lam
         require(
-            math.isfinite(2.0 * math.pi * max(abs(lam.delta_1), abs(lam.delta_r)) * self.t_seq),
+            2.0 * math.pi * max(abs(lam.delta_1), abs(lam.delta_r)) * self.t_seq < 2.0**33,
             "t_seq",
             "short enough that the largest frame phase 2 pi max(|delta_1|, |delta_1 - delta_2|)"
-            " t_seq is finite",
+            " t_seq is below 2^33 rad",
         )
 
     @property

@@ -98,15 +98,17 @@ def step_map(p: PumpStepParams) -> tuple[float, float]:
     exactly the simplified two-probability model with alpha_p_eff = K and
     alpha_dp = 1 - e^{-x}.
     """
-    k = (
-        math.sin(p.pulse_area / 2.0) ** 2
-        * (p.gamma * p.alpha_p - p.gamma_dp / 2.0)
-        / (p.gamma - p.gamma_dp)
-    )
+    k = _pumped_fraction(p)
     decay = math.exp(-p.gamma_dp * p.delta_t)
     a = decay * (1.0 - k)
     b = 0.5 * (1.0 - decay) + k * decay
     return a, b
+
+
+def _pumped_fraction(p: PumpStepParams) -> float:
+    """The pumped fraction K of :func:`step_map`."""
+    pumping = p.gamma * p.alpha_p - p.gamma_dp / 2.0
+    return math.sin(p.pulse_area / 2.0) ** 2 * pumping / (p.gamma - p.gamma_dp)
 
 
 def population_after_n(a: float, b: float, p0: float, n: int) -> float:
@@ -167,11 +169,9 @@ def simplified_population(params: SimplifiedParams, p0: float, n: int) -> float:
 
 
 def simplified_from_step(p: PumpStepParams) -> SimplifiedParams:
-    """Reduce physical step parameters to the two per-step probabilities."""
-    a, b = step_map(p)
-    decay = math.exp(-p.gamma_dp * p.delta_t)
-    # a = decay * (1 - K)  =>  K = 1 - a/decay
-    return SimplifiedParams(alpha_p_eff=1.0 - a / decay, alpha_dp=1.0 - decay)
+    """The two per-step probabilities of p: K and 1 - e^{-x} of :func:`step_map`."""
+    alpha_dp = -math.expm1(-p.gamma_dp * p.delta_t)
+    return SimplifiedParams(alpha_p_eff=_pumped_fraction(p), alpha_dp=alpha_dp)
 
 
 def gamma_dp_for_alpha_dp(alpha_dp: float, t_laser: float) -> float:

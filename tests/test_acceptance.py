@@ -352,7 +352,7 @@ def test_criterion_8_dark_state_is_stationary():
     seq = SequenceConfig(lam, gamma=20.0, gamma_dp=0.0, n_reps=50)
     dark, _ = dark_bright_basis(lam)
     rho0 = pure_state(np.append(dark, 0.0))
-    readouts, _ = propagate_periods(period_form(seq), rho0, seq.n_reps, [rho0])
+    readouts, _ = propagate_periods(period_form(seq), rho0, range(seq.n_reps), [rho0])
     drift = float(np.max(np.abs(readouts - 1.0)))
     ok = drift < 1e-6
     report(8, ok, f"max dark-population drift {drift:.2e} over 50 periods")

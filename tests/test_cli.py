@@ -168,7 +168,9 @@ def test_comb_width_that_overflows_exits_three(tmp_path, caplog, text, field):
 # Phases past the float range: a detuning whose 2 pi multiple overflows, a
 # frame phase 2 pi max(|delta_1|, |delta_r|) t_seq, at the drive's delta_2 or
 # at an end of the scan grid, and a pulse phase pi omega_eff t_mw. Each run
-# used to print RuntimeWarnings and exit 1.
+# used to print RuntimeWarnings and exit 1. Then frame phases that are
+# finite but at 2^33 rad or more, where they keep too few digits: the 1e300
+# us laser's used to exit 0 with a signal jumping from point to point.
 LONG_PULSE = "[drive]\nomega_1 = 1e150\nomega_2 = 0\n[sequence]\nt_mw = 1e200\n"
 
 
@@ -188,10 +190,13 @@ LONG_PULSE = "[drive]\nomega_1 = 1e150\nomega_2 = 0\n[sequence]\nt_mw = 1e200\n"
         ("cpt-spectrum", "[scan]\ndelta_start = -1e307\n", "scan.delta_start"),
         ("cpt-spectrum", LONG_PULSE, "sequence.t_mw"),
         ("pump-steps", LONG_PULSE, "sequence.t_mw"),
+        ("cpt-spectrum", "[drive]\ndelta_1 = 2e8\n", "sequence.t_seq"),
+        ("cpt-spectrum", "[sequence]\ngamma = 1e300\nt_laser = 1e300\n", "scan.delta_start"),
     ],
     ids=[
         "delta_1", "delta_2", "delta_r", "spectrum-t_seq", "pump-t_seq",
         "delta_stop", "delta_start", "spectrum-t_mw", "pump-t_mw",
+        "delta_1-digits", "t_laser-digits",
     ],
 )
 def test_phase_that_overflows_exits_three(tmp_path, caplog, command, text, key):
@@ -314,10 +319,13 @@ def test_laser_that_outlasts_its_decay_runs_exactly(tmp_path, caplog):
     # gamma t_laser = 1e600 overflows, yet on two-photon resonance all the
     # laser does is empty |-> into the ground block, as at the default
     # t_laser: the two traces agree cell for cell, and nothing is logged.
+    # The scan, which pump-steps does not sweep, is narrow enough that the
+    # 1e300 us period keeps its frame phase at the scan ends below 2^33 rad.
     traces = []
     for name, laser in (("long", "t_laser = 1e300\n"), ("default", "")):
         cfg = tmp_path / f"{name}.ini"
-        cfg.write_text(f"[sequence]\ngamma = 1e300\n{laser}")
+        scan = "[scan]\ndelta_start = -1e-300\ndelta_stop = 1e-300\n"
+        cfg.write_text(f"[sequence]\ngamma = 1e300\n{laser}{scan}")
         out = tmp_path / name
         assert run(["pump-steps", "--config", str(cfg), "--out", str(out)]) == 0
         traces.append(read_csv(out / "pump_steps.csv"))
@@ -568,6 +576,20 @@ def test_fit_contrast_from_dataset(tmp_path):
     assert report["a"] == pytest.approx(0.78, abs=1e-12)
 
 
+def test_contrast_fit_takes_a_ratio_whose_square_overflows(tmp_path):
+    # composition accepted r = 1e200, and its contrast fit exited 3 with a =
+    # nan after two RuntimeWarnings (an error here) from r^2 / (1 + r^2).
+    text = (ROOT / "configs" / "composition.ini").read_text()
+    text = text.replace("ratios = 0.25, 0.5, 1, 2, 4", "ratios = 0.25, 0.5, 1, 2, 1e200")
+    text = text.replace("out/composition", str(tmp_path))
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    for command in ("composition", "fit"):
+        assert run([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "fit_report.json").read_text())
+    assert report["a"] == pytest.approx(0.78, abs=1e-9)
+
+
 def test_fit_missing_column_exits_three(tmp_path, caplog):
     write_csv(tmp_path / "odd.csv", {"x": [1.0, 2.0]}, "ef", "t")
     cfg = tmp_path / "fit.ini"
@@ -747,13 +769,15 @@ def test_colliding_period_labels_exits_three(tmp_path, monkeypatch, caplog):
     assert not list(tmp_path.glob("multi_resonance*"))
 
 
-# A period whose frame phase overflows at a scan end, not at the drive's
-# delta_2: a list the file sets is rejected when it is read, the default
-# list by multi-resonance. Both used to print RuntimeWarnings and exit 1.
+# A period whose frame phase passes 2^33 rad at a scan end, not at the
+# drive's delta_2 or at the default t_seq: a list the file sets is rejected
+# when it is read, the default list by multi-resonance. Both used to print
+# RuntimeWarnings and exit 1 at ends of 1e305 and 1e306 MHz, where the phase
+# overflowed; those ends are now rejected at the default t_seq already.
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "ends, periods",
-    [("1e305", "t_seq_list = 1e4\n"), ("1e306", "")],
+    [("1e6", "t_seq_list = 1e4\n"), ("1e8", "")],
     ids=["explicit-list", "default-list"],
 )
 def test_period_whose_frame_phase_overflows_at_a_scan_end_exits_three(

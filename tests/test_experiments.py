@@ -138,7 +138,7 @@ def test_composition_sweep_recovers_ideal_fractions():
         _, ((p_dark, ground),) = propagate_periods(
             period_form(replace(seq, lam=lam)),
             thermal_ground_state(),
-            seq.n_reps,
+            range(seq.n_reps, seq.n_reps),
             [dark, np.diag([1.0, 1.0, 0.0])],
         )
         assert p_dark / ground > 0.99, r

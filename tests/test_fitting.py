@@ -192,6 +192,11 @@ def test_contrast_curve():
     assert fit_contrast_curve(r, ideal) == pytest.approx(1.0, abs=1e-12)
     scaled = 0.5 + 0.78 * (ideal - 0.5)
     assert fit_contrast_curve(r, scaled) == pytest.approx(0.78, abs=1e-12)
+    # r^2 overflows at r = 1e200, a ratio the schema accepts, where r^2 / (1 +
+    # r^2) is 1; an overflow warning would fail the test.
+    huge = np.array([0.25, 0.5, 1.0, 2.0, 1e200])
+    ideal = np.array([1.0 / 17.0, 0.2, 0.5, 0.8, 1.0])
+    assert fit_contrast_curve(huge, 0.5 + 0.78 * (ideal - 0.5)) == pytest.approx(0.78, abs=1e-12)
     with pytest.raises(ValueError):
         fit_contrast_curve(np.ones(4), np.full(4, 0.5))
     with pytest.raises(ValueError):

@@ -9,6 +9,9 @@ the period, which is where a closed-form detuning shift could go wrong.
 
 import logging
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -41,7 +44,7 @@ from lambda_cpt.dynamics import (
     pure_state,
     thermal_ground_state,
 )
-from lambda_cpt.experiments import cpt_spectrum, pump_trace, steady_readout
+from lambda_cpt.experiments import cpt_spectrum, pump_trace
 from lambda_cpt.lambda_system import polarization_efficiency
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -128,7 +131,7 @@ def test_kernel_matches_single_point_runs(text, offsets):
     delta_1 = seq.lam.delta_1
     delta_2 = delta_1 + np.array(offsets)
     readouts, final = propagate_periods(
-        period_form(seq, delta_2), thermal_ground_state(), seq.n_reps, OBSERVABLES
+        period_form(seq, delta_2), thermal_ground_state(), range(seq.n_reps), OBSERVABLES
     )
     assert readouts.shape == (len(delta_2), seq.n_reps, 9)
     assert final.shape == (len(delta_2), 9)
@@ -304,32 +307,66 @@ EXTENDED = pytest.mark.skipif(
     np.finfo(np.longdouble).eps > 1e-18, reason="the oracle needs an extended long double"
 )
 # Block lengths 1 to 64, full and partial blocks, at k = 1 (a spectrum's
-# one observable) and more; two long chains, 157 blocks of 128.
-BLOCK_CASES = [
-    pytest.param(long_chain, n_reps, g, k, id=f"{k}-{g}-{n_reps}")
-    for k in (0, 1, 5)
-    for g in (1, 3)
-    for n_reps in (1, 3, 4, 15, 16, 17, 63, 64, 65, 4097)
-] + [
-    pytest.param(long_chain, 20000, 1, 5, id="5-1-20000", marks=EXTENDED),
-    pytest.param(pump, 20000, 1, 5, id="pump-5-1-20000", marks=EXTENDED),
-]
+# one observable) and more; two long chains, 157 blocks of 128. Each reads
+# every period. Then ranges that start mid-block (a spectrum's window of
+# 40 or 4097 periods among them), on a block boundary, in a last block of
+# one period, and the empty range at n_reps, after a full last block too.
+BLOCK_CASES = (
+    [
+        pytest.param(long_chain, n_reps, g, k, 0, id=f"{k}-{g}-{n_reps}")
+        for k in (0, 1, 5)
+        for g in (1, 3)
+        for n_reps in (1, 3, 4, 15, 16, 17, 63, 64, 65, 4097)
+    ]
+    + [
+        pytest.param(long_chain, 20000, 1, 5, 0, id="5-1-20000", marks=EXTENDED),
+        pytest.param(pump, 20000, 1, 5, 0, id="pump-5-1-20000", marks=EXTENDED),
+    ]
+    + [
+        pytest.param(long_chain, n_reps, g, k, start, id=f"{k}-{g}-{n_reps}-from-{start}")
+        for k, g, n_reps, start in (
+            (1, 1, 40, 30),
+            (5, 3, 65, 30),
+            (5, 3, 65, 32),
+            (5, 3, 65, 64),
+            (5, 3, 65, 65),
+            (5, 3, 64, 64),
+            (1, 3, 4097, 3073),
+            (5, 1, 4097, 4096),
+            (5, 3, 1, 1),
+        )
+    ]
+)
 
 
-@pytest.mark.parametrize("chain, n_reps, g, k", BLOCK_CASES)
-def test_blocked_kernel_matches_period_by_period(chain, n_reps, g, k):
-    """The blocked kernel against the per-period oracle."""
+@pytest.mark.parametrize("chain, n_reps, g, k, start", BLOCK_CASES)
+def test_blocked_kernel_matches_period_by_period(chain, n_reps, g, k, start):
+    """The blocked kernel against the per-period oracle, reading periods start to n_reps.
+
+    The readouts of the range are the same bits as that slice of every
+    readout, and the final values the same bits as when every period is read.
+    """
     period = chain(g)
     rho0 = 0.5 * thermal_ground_state() + 0.5 * pure_state(np.array([1.0, 1j, 1.0]) / math.sqrt(3))
     observables = OBSERVABLES[:k]
-    readouts, final = propagate_periods(period, rho0, n_reps, observables)
+    readouts, final = propagate_periods(period, rho0, range(start, n_reps), observables)
     want, want_final = period_by_period(period, rho0, n_reps, observables)
-    assert readouts.shape == (g, n_reps, k) and final.shape == (g, k)
-    np.testing.assert_allclose(readouts, want, rtol=0, atol=1e-12)
+    assert readouts.shape == (g, n_reps - start, k) and final.shape == (g, k)
+    np.testing.assert_allclose(readouts, want[:, start:], rtol=0, atol=1e-12)
     np.testing.assert_allclose(final, expectations(observables, want_final), rtol=0, atol=1e-12)
+    every, every_final = propagate_periods(period, rho0, range(n_reps), observables)
+    assert np.array_equal(readouts, every[:, start:]) and np.array_equal(final, every_final)
     # The nine observables fix the whole final state.
-    _, whole = propagate_periods(period, rho0, n_reps, OBSERVABLES)
+    _, whole = propagate_periods(period, rho0, range(start, n_reps), OBSERVABLES)
     np.testing.assert_allclose(whole, expectations(OBSERVABLES, want_final), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "periods", [range(0), range(5, 3), range(0, 10, 2), range(-1, 10), range(10, 0, -1), 10]
+)
+def test_kernel_rejects_a_read_range_it_cannot_read(periods):
+    with pytest.raises(ValueError, match=r"periods must be a range\(start, n_reps\)"):
+        propagate_periods(long_chain(1), thermal_ground_state(), periods, OBSERVABLES[:1])
 
 
 def kernel_products():
@@ -354,7 +391,9 @@ def test_kernel_has_no_loop_over_blocks(monkeypatch):
     last = n_reps - (blocks - 1) * block
     monkeypatch.setattr(Recorded, "log", [])
     period = recorded(long_chain(1))
-    readouts, final = propagate_periods(period, thermal_ground_state(), n_reps, OBSERVABLES[:k])
+    readouts, final = propagate_periods(
+        period, thermal_ground_state(), range(n_reps), OBSERVABLES[:k]
+    )
     products = kernel_products()
     reads = [shapes for shapes in products if (9, 9) not in shapes]
     assert reads == [[(blocks, 9), (9, block * k)], [(1, 9), (9, k)]]
@@ -388,7 +427,7 @@ def test_kernel_rejects_a_run_that_is_not_physical(corrupt, n_reps):
     # the final-state check has to catch the run all the same.
     with np.errstate(invalid="ignore"):
         with pytest.raises(ValueError, match=r"must be finite, with trace within 1e-10 max"):
-            propagate_periods(period, thermal_ground_state(), n_reps, OBSERVABLES[:1])
+            propagate_periods(period, thermal_ground_state(), range(n_reps), OBSERVABLES[:1])
 
 
 def test_kernel_rejects_a_trace_gain_of_1e_9_per_period():
@@ -396,7 +435,7 @@ def test_kernel_rejects_a_trace_gain_of_1e_9_per_period():
     period = long_chain(3)
     leaky = replace(period, column=(1.0 + 1e-9) * period.column)
     with pytest.raises(ValueError, match=r"trace within 1e-10 max.*largest drift 1.88e-07"):
-        propagate_periods(leaky, thermal_ground_state(), 1000, OBSERVABLES[:1])
+        propagate_periods(leaky, thermal_ground_state(), range(1000), OBSERVABLES[:1])
 
 
 @pytest.mark.parametrize("name, n_reps", [("cpt_dip", 100_000), ("pump_steps", 700_000)])
@@ -415,20 +454,50 @@ def test_long_shipped_runs_keep_the_trace_within_their_rounding(name, n_reps):
         assert np.all(np.isfinite(spectrum.signal))
 
 
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads Linux's VmHWM")
+def test_long_spectrum_holds_only_its_window():
+    """A 201-point cpt_dip.ini spectrum over 1e5 periods peaks below 120 MB, in a new interpreter.
+
+    It reads only its last 25000 periods. Holding the readouts of every
+    period, as the kernel once did for every protocol, peaked at 193 MB.
+    """
+    probe = (
+        "from dataclasses import replace; import numpy as np; "
+        "from lambda_cpt.config import load_config; "
+        "from lambda_cpt.experiments import cpt_spectrum; "
+        f"cfg = load_config({str(CONFIGS / 'cpt_dip.ini')!r}); "
+        "seq = replace(cfg.seq, n_reps=100_000); "
+        "grid = np.linspace(*cfg.scan_grid); "
+        "signal = cpt_spectrum(seq, seq.lam.delta_1, grid).signal; "
+        "assert len(grid) == 201 and np.isfinite(signal).all(); "
+        "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(CONFIGS.parent / "src")},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    # The peak resident set of the new interpreter alone, in KiB: its
+    # ru_maxrss also counts the test process it was spawned from.
+    assert int(out.stdout) / 1024 < 120
+
+
 def test_kernel_logs_one_debug_line_per_call(monkeypatch, caplog):
     monkeypatch.setattr(Recorded, "log", [])
     period = recorded(long_chain(3))
     with caplog.at_level(logging.DEBUG, logger="lambda_cpt.dynamics"):
-        propagate_periods(period, thermal_ground_state(), 65, OBSERVABLES[:5])
+        propagate_periods(period, thermal_ground_state(), range(65), OBSERVABLES[:5])
     # R A and the readout, 3 rows and 3 squarings up to M^8, 4 doublings of
     # the starts with 3 squarings between them, M^1 for the last period, and
     # the final values.
     assert len(kernel_products()) == 17
     lines = [r.getMessage() for r in caplog.records if r.name == "lambda_cpt.dynamics"]
-    assert lines == ["propagate_periods: G=3 n_reps=65 K=8 blocks=9 products=17"]
+    assert lines == ["propagate_periods: G=3 n_reps=65 read=65 K=8 blocks=9 products=17"]
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="lambda_cpt.dynamics"):
-        propagate_periods(period, thermal_ground_state(), 65, OBSERVABLES[:5])
+        propagate_periods(period, thermal_ground_state(), range(65), OBSERVABLES[:5])
     assert not caplog.records
 
 
@@ -452,7 +521,7 @@ def test_kernel_working_set_does_not_grow_with_the_period_count(monkeypatch):
     for n_reps in (65, 20000):
         monkeypatch.setattr(Recorded, "log", [])
         period = recorded(long_chain(3))
-        propagate_periods(period, thermal_ground_state(), n_reps, OBSERVABLES[:5])
+        propagate_periods(period, thermal_ground_state(), range(n_reps), OBSERVABLES[:5])
         products = map_products()
         squarings.append(len(products))
         fresh.append(sum(not call.into for call in products))
@@ -471,21 +540,22 @@ def test_period_maps_hand_off_c_contiguous_float64_maps():
 
 @settings(max_examples=20, deadline=None)
 @given(text=run_files(), offsets=st.lists(floats(-0.2, 0.2), min_size=2, max_size=9))
-def test_steady_readout_does_not_depend_on_batching(text, offsets):
-    """The steady readout and the final values of a sweep, whole and split in two."""
+def test_read_window_does_not_depend_on_batching(text, offsets):
+    """A spectrum's window of readouts and the final values of a sweep, whole and split in two."""
     seq = parse_config(text).seq
     grid = seq.lam.delta_1 + np.array(offsets)
     half = len(grid) // 2
-    parts = (grid[:half], grid[half:])
-    whole = steady_readout(seq, seq.lam.delta_1, grid)
-    split = np.concatenate([steady_readout(seq, seq.lam.delta_1, part) for part in parts])
-    assert np.array_equal(whole, split)
+    n = seq.n_reps
+    window = range(n - min(max(5, n // 4), n), n)
 
-    def final(part):
+    def run(part):
         period = period_form(seq, part)
-        return propagate_periods(period, thermal_ground_state(), seq.n_reps, OBSERVABLES)[1]
+        return propagate_periods(period, thermal_ground_state(), window, OBSERVABLES)
 
-    assert np.array_equal(final(grid), np.concatenate([final(part) for part in parts]))
+    whole = run(grid)
+    split = [run(part) for part in (grid[:half], grid[half:])]
+    for i in (0, 1):
+        assert np.array_equal(whole[i], np.concatenate([part[i] for part in split]))
 
 
 def choi(m):
@@ -778,6 +848,9 @@ def test_pulse_map_is_exact_over_the_whole_schema(omega, delta_1, psi, offsets, 
     its level uncoupled, exactly (and |up> with no phase, f_0 being 0); t = 0
     gives the identity bit for bit; and where ||H|| t <= 1e4, U is within
     64 eps max(1, ||H|| t) of the oracle, ||H|| the largest absolute row sum.
+    The frame-phase rule of a sequence keeps 2 pi |delta| t_seq below 2^33
+    rad, so the drive is read with every duration 0, and the pulse runs
+    past that rule for t_mw, set on the period.
     """
     lines = [
         "[drive]",
@@ -786,10 +859,10 @@ def test_pulse_map_is_exact_over_the_whole_schema(omega, delta_1, psi, offsets, 
         f"delta_1 = {delta_1!r}",
         f"psi = {psi!r}",
         "[sequence]",
-        f"t_mw = {t_mw!r}",
+        *(f"{key} = 0" for key in ("t_mw", "t_wait_pre", "t_laser", "t_wait_post")),
     ]
     seq = parse_config("\n".join(lines) + "\n").seq
-    period = period_form(seq, seq.lam.delta_1 + np.array([0.0, *offsets]))
+    period = replace(period_form(seq, seq.lam.delta_1 + np.array([0.0, *offsets])), t_mw=t_mw)
     u = pulse_map(period)
     assert np.all(np.isfinite(u))
     assert np.abs(u @ u.conj().swapaxes(1, 2) - np.eye(3)).max() <= 1e-14

@@ -66,6 +66,16 @@ def test_step_map_physical_frozen():
     assert b == pytest.approx(0.5 * (1.0 - decay) + k * decay, abs=1e-15)
 
 
+def test_simplified_from_step_at_strong_dephasing():
+    # e^{-gamma_dp delta_t} = e^{-1000} underflows to 0; K = 1 - a/decay
+    # divided by it.
+    simplified = simplified_from_step(
+        PumpStepParams(alpha_p=0.43, pulse_area=math.pi, gamma=2000.0, gamma_dp=1000.0, delta_t=1.0)
+    )
+    assert simplified.alpha_p_eff == pytest.approx(0.36, abs=1e-15)
+    assert simplified.alpha_dp == 1.0
+
+
 def test_simplified_from_step_roundtrip():
     simplified = simplified_from_step(PHYSICAL)
     assert simplified.alpha_dp == pytest.approx(0.12, abs=1e-12)
