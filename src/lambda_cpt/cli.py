@@ -42,7 +42,14 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__
-from .config import ConfigError, RunConfig, check_periods, default_config, load_config
+from .config import (
+    ConfigError,
+    RunConfig,
+    check_periods,
+    check_scan,
+    default_config,
+    load_config,
+)
 from .datasets import read_csv, run_manifest, write_csv, write_manifest
 from .spin_model import FieldError, eigensystem, esr_lines
 
@@ -296,6 +303,10 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = load_config(ns.config) if ns.config else default_config()
+        # The one command that runs cfg.seq across the scan; multi-resonance
+        # checks each of its own periods there (check_periods).
+        if ns.command == "cpt-spectrum":
+            check_scan(cfg.seq, cfg.scan_grid[:2])
     except ConfigError as exc:
         log.error("configuration rejected: %s", exc)
         return 2 if exc.key in ("ini", "config") else 3

@@ -48,6 +48,7 @@ __all__ = [
     "parse_config",
     "default_config",
     "check_periods",
+    "check_scan",
 ]
 
 
@@ -154,6 +155,26 @@ def check_periods(seq: SequenceConfig, t_seq_list, scan_ends) -> list[str]:
         except FieldError as exc:
             raise ConfigError("scan.t_seq_list", str(exc)) from exc
     return labels
+
+
+def check_scan(seq: SequenceConfig, scan_ends) -> None:
+    """The sequence at each of ``scan_ends`` (delta_start, delta_stop), checked as ``scan.<end>``.
+
+    A spectrum runs seq at every delta_2 of its grid, and the frame phase
+    is largest at an end. Only a command that sweeps the scan with seq
+    checks it, so a command that runs seq at the drive's delta_2 alone is
+    not held to scan ends it never runs.
+    """
+    _at_scan_ends(lambda delta_2: replace(seq, lam=replace(seq.lam, delta_2=delta_2)), scan_ends)
+
+
+def _at_scan_ends(make: Callable[[float], object], scan_ends) -> None:
+    """make(delta_2) at each scan end, with the FieldError it raises reported at that end."""
+    for key, delta_2 in zip(("delta_start", "delta_stop"), scan_ends):
+        try:
+            make(delta_2)
+        except FieldError as exc:
+            raise ConfigError(f"scan.{key}", str(exc)) from exc
 
 
 # section -> key -> (default text, converter); the converter maps the text,
@@ -348,18 +369,15 @@ def parse_config(text: str) -> RunConfig:
     sc = values["scan"]
     if not sc["delta_stop"] > sc["delta_start"]:
         raise ConfigError("scan.delta_stop", "must exceed delta_start")
-    # A sweep runs the sequence at every delta_2 of its grid, and the frame
-    # phase is largest at an end.
-    for key in ("delta_start", "delta_stop"):
-        try:
-            replace(seq, lam=replace(lam, delta_2=sc[key]))
-        except FieldError as exc:
-            raise ConfigError(f"scan.{key}", str(exc)) from exc
+    # Each end is held to the rules of delta_2; the frame phase of the
+    # sequence at the ends only where a command sweeps them (check_scan).
+    scan_ends = (sc["delta_start"], sc["delta_stop"])
+    _at_scan_ends(lambda delta_2: replace(lam, delta_2=delta_2), scan_ends)
     # Only a list the run file sets: checking the default list would reject
     # every long sequence, whatever the command. The multi-resonance command
     # checks the list it runs, default or not.
     if "t_seq_list" in explicit.get("scan", {}):
-        check_periods(seq, sc["t_seq_list"], (sc["delta_start"], sc["delta_stop"]))
+        check_periods(seq, sc["t_seq_list"], scan_ends)
 
     co, ft = values["composition"], values["fit"]
     init_centers = ft["init_centers"]

@@ -48,25 +48,27 @@ indicator e = (0, 0, 1), the generator at (i, j) is
   structure, with no LAPACK call.
 
 A period holds f itself and the real rates apart, and the map of every
-segment takes its frame turn from one routine (:func:`_frame`): per-level
-phases p = e^{-i f t}, which turn coherence (i, j) by p_i conj(p_j). The
-three coherence phases so stay consistent to rounding, and every map stays
-completely positive at any duration.
+segment takes its frame turn from the per-level phases p = e^{-i f t}
+(:func:`_phases`), which turn coherence (i, j) by p_i conj(p_j)
+(:func:`_frame`). The three coherence phases so stay consistent to
+rounding, and every map stays completely positive at any duration.
 
 Every period is a stack over G independent runs (the grid points of a
 sweep, or G = 1) that differ only in their two-photon detuning delta_2: the
 frame frequencies f are the one array with a run axis, (3, G), and every
 other coefficient is shared by the stack. All three maps run batched with
 numpy alone, so the engine never imports scipy. Every protocol propagates
-through one kernel, :func:`propagate_periods`. It folds a period into the
-map up to the readout, A, and the map of the whole period, M
-(:func:`period_maps`: the lifted pulse, then row operations on maps stored
-point-last as (9, 9, G), so that each runs over G contiguous points),
-builds the powers of M, the readout rows and the block starts by doubling,
-and reads the observables a protocol asks for, at the periods it keeps (a
-pump trace every one, a spectrum its steady window, a composition none)
-and after the last: O(log n_reps) batched real products and no loop over
-periods or blocks.
+through one kernel, :func:`propagate_periods`. It takes its whole working
+set as one buffer, folds a period into the map up to the readout, A, and
+the map of the whole period, M, written into that buffer
+(:func:`_write_maps`: the lifted pulse, then row operations on maps
+stored point-last as (9, 9, G), so that each runs over G contiguous
+points), builds the powers of M, the readout rows and the block starts by
+doubling, and reads the observables a protocol asks for, at the periods
+it keeps (a pump trace every one, a spectrum its steady window, a
+composition none) and after the last: O(log n_reps) batched real products
+and no loop over periods or blocks. :func:`period_maps` hands the two maps
+out on their own, by the same build.
 
 This module is the engine alone: protocols, their observables and their
 calibrations live in :mod:`lambda_cpt.experiments`. The parameters it reads
@@ -94,7 +96,6 @@ __all__ = [
     "pure_state",
     "Period",
     "period_form",
-    "period_maps",
     "propagate_periods",
 ]
 
@@ -279,6 +280,21 @@ def _pulse_unitary(period: Period) -> np.ndarray:
     t of exp(-i h t). U = 1 + sum_k (e^{-i lambda_k t} - 1) y_k y_k^dagger,
     with y_k = P (D, B, |->) v_k, so t = 0 gives the identity exactly.
     """
+    lams, vec = _pulse_eigensystem(period)
+    # The columns of vec scale in place, after their conjugates are taken.
+    conj = vec.conj()
+    vec *= np.expm1(-1j * (lams * period.t_mw))
+    u = (vec[:, None] * conj[None]).sum(2)
+    u += _EYE
+    return u
+
+
+def _pulse_eigensystem(period: Period) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues lambda_k, (3, G), and eigenvectors y_k, columns of a (3, 3, G), of each h.
+
+    By the steps of :func:`_pulse_unitary`; its own function, so that the
+    steps' intermediates are freed before U is composed.
+    """
     f = period.frequencies
     c = period.couplings[:, None]
     r = np.abs(c)
@@ -342,10 +358,10 @@ def _pulse_unitary(period: Period) -> np.ndarray:
     # The eigenvectors over (|up>, |down>, |->), one column each.
     y = np.array([v, plane.real, plane.imag]).transpose(1, 0, 2)
     vec = np.empty(y.shape, dtype=complex)
-    vec[:2] = dark[:, None] * y[0] + bright[:, None] * y[1]
+    np.multiply(dark[:, None], y[0], out=vec[:2])
+    vec[:2] += bright[:, None] * y[1]
     vec[2] = y[2]
-    e = np.expm1(-1j * (lams * period.t_mw))
-    return _EYE + ((vec * e)[:, None] * vec[None].conj()).sum(2)
+    return lams, vec
 
 
 def _lift(u: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -358,25 +374,30 @@ def _lift(u: np.ndarray, m: np.ndarray) -> np.ndarray:
     fold into the real basis, rho_kl = x_kl + i y_kl and rho_lk = x_kl - i
     y_kl.
     """
-    left, right = u[_ROWS], u[_COLS]
+    # Column k of U at the rows i and j of the six upper rows: left[k] holds
+    # U_ik and right[k] conj(U_jk), so that every product runs over
+    # contiguous (6, G) operands; mt is m with its rows and columns swapped.
+    by_column = u.transpose(1, 0, 2)
+    left, right = by_column.take(_ROWS, axis=1), by_column.take(_COLS, axis=1)
     np.conjugate(right, out=right)
+    mt = m.transpose(1, 0, 2)
     product = np.multiply(left, right)
-    m[:6, :3] = product.real
-    m[6:, :3] = product[3:].imag
+    mt[:3, :6] = product.real
+    mt[:3, 6:] = product[:, 3:].imag
     # U_ik conj(U_jl) for the upper pairs (k, l) = (0, 1), (0, 2), (1, 2).
-    np.multiply(left[:, :1], right[:, 1:], out=product[:, :2])
-    np.multiply(left[:, 1], right[:, 2], out=product[:, 2])
-    m[:6, 3:6] = product.real
-    m[6:, 3:6] = product[3:].imag
-    m[:6, 6:] = product.imag
-    m[6:, 6:] = product[3:].real
+    np.multiply(left[:1], right[1:], out=product[:2])
+    np.multiply(left[1], right[2], out=product[2])
+    mt[3:6, :6] = product.real
+    mt[3:6, 6:] = product[:, 3:].imag
+    mt[6:, :6] = product.imag
+    mt[6:, 6:] = product[:, 3:].real
     # U_il conj(U_jk), for the lower pairs.
-    np.multiply(left[:, 1:], right[:, :1], out=product[:, :2])
-    np.multiply(left[:, 2], right[:, 1], out=product[:, 2])
-    m[:6, 3:6] += product.real
-    m[6:, 3:6] += product[3:].imag
-    np.subtract(product.imag, m[:6, 6:], out=m[:6, 6:])
-    m[6:, 6:] -= product[3:].real
+    np.multiply(left[1:], right[:1], out=product[:2])
+    np.multiply(left[2], right[1], out=product[2])
+    mt[3:6, :6] += product.real
+    mt[3:6, 6:] += product[:, 3:].imag
+    np.subtract(product.imag, mt[6:, :6], out=mt[6:, :6])
+    mt[6:, 6:] -= product[:, 3:].real
     return m
 
 
@@ -388,28 +409,35 @@ def _turn(m: np.ndarray, z: np.ndarray) -> None:
     """
     re, im = m[_RE], m[_IM]
     z_re, z_im = z.real[:, None], z.imag[:, None]
-    turned = z_re * re - z_im * im
+    turned = z_re * re
+    turned -= z_im * im
     im *= z_re
     im += z_im * re
     re[...] = turned
 
 
-def _frame(frequencies: np.ndarray, duration: float, exponent) -> tuple[np.ndarray, np.ndarray]:
-    """The frame turn of a segment: p = e^{-i f t} of each level, and each coherence's factor.
+def _phases(frequencies: np.ndarray, duration: float) -> np.ndarray:
+    """p = e^{-i f t} of each level over a segment of duration t, point-last (3, G)."""
+    return np.exp(-1j * (frequencies * duration))
+
+
+def _frame(frequencies: np.ndarray, duration: float, exponent) -> np.ndarray:
+    """The frame turn of a segment: each upper coherence's factor, from the per-level phases p.
 
     The factor of upper coherence (i, j), rho_01, rho_02, rho_12, is p_i
-    conj(p_j) e^{exponent}, exponent its real exponent, shared by the stack;
-    both come point-last, (3, G). Phases taken per level keep the phases of
-    the three coherences consistent to rounding, so every map turned by them
-    stays completely positive at any duration.
+    conj(p_j) e^{exponent}, p of :func:`_phases` and exponent its real
+    exponent, shared by the stack; the factors come point-last, (3, G).
+    Phases taken per level keep the phases of the three coherences
+    consistent to rounding, so every map turned by them stays completely
+    positive at any duration.
     """
-    p = np.exp(-1j * (frequencies * duration))
+    p = _phases(frequencies, duration)
     # p_i conj(p_j) of rho_01 and rho_02, then of rho_12.
     factors = np.empty_like(p)
     np.multiply(p[0], p[1:].conj(), out=factors[:2])
     np.multiply(p[1], p[2].conj(), out=factors[2])
     factors *= np.exp(exponent)
-    return p, factors
+    return factors
 
 
 def _wait_rows(period: Period, t: float, m: np.ndarray, turn: bool = True) -> np.ndarray:
@@ -433,7 +461,7 @@ def _wait_rows(period: Period, t: float, m: np.ndarray, turn: bool = True) -> np
     with np.errstate(over="ignore"):
         exponent = (period.dephasing * t + 0.5 * relax)[:, None]
     if turn:
-        _turn(m, _frame(period.frequencies, t, exponent)[1])
+        _turn(m, _frame(period.frequencies, t, exponent))
     else:
         decay = np.exp(exponent)[:, None]
         m[_RE] *= decay
@@ -466,23 +494,25 @@ def _laser_rows(period: Period, m: np.ndarray) -> np.ndarray:
         exponent = d * t
     scale = np.exp(exponent[:3])
     f = period.frequencies
-    _, turn = _frame(f, t, exponent[3:])
-    # The rate of each fed entry minus that of rho_ee, and e^{a_i t} of each
-    # fed entry, rho_01's from the same p as its turn.
-    gap, own = np.empty_like(turn), np.empty_like(turn)
-    gap[:2] = d[:2] - d[2]
-    gap[2] = d[3] - d[2] - 1j * (f[0] - f[1])
-    own[:2] = scale[:2]
-    own[2] = turn[0]
+    turn = _frame(f, t, exponent[3:])
+    # The rate of each fed entry minus that of rho_ee, and e^{a_i t} of each.
+    # rho_00's and rho_11's are real and shared by the stack, so their feeds
+    # come once, ahead of rho_01's, which holds a frame frequency and comes
+    # per point, its e^{a_i t} from the same p as its turn.
+    gap = np.concatenate((d[:2, 0] - d[2], d[3] - d[2] - 1j * (f[0] - f[1])))
+    own = np.concatenate((scale[:2, 0], turn[0]))
     fed_leads = gap.real >= 0.0
     lead = np.where(fed_leads, own, scale[2])
-    fed = period.column[:, None] * lead * _growth(np.where(fed_leads, -gap, gap), t)
+    growth = _growth(np.where(fed_leads, -gap, gap), t)
+    column = period.column
+    populations = (column[:2] * lead[:2] * growth[:2]).real
+    coherence = column[2] * lead[2:] * growth[2:]
     excited = m[2]
     m[:2] *= scale[:2, None]
-    m[:2] += fed[:2, None].real * excited
+    m[:2] += populations[:, None, None] * excited
     _turn(m, turn)
-    m[3] += fed[2].real * excited
-    m[6] += fed[2].imag * excited
+    m[3] += coherence.real * excited
+    m[6] += coherence.imag * excited
     excited *= scale[2]
     return m
 
@@ -506,26 +536,37 @@ def period_maps(period: Period) -> tuple[np.ndarray, np.ndarray]:
     period is a stack of G runs, as from :func:`period_form`. Returns A =
     W_pre lift(U), from the start of a period to the readout, and M =
     W_post L_laser A, from the start of a period to the next, each a
-    C-contiguous float64 (G, 9, 9) in the real coordinates x. Each map is
-    built by its segments, with no matrix product, no LAPACK call and no
-    dense exponential, point-last in one (9, 9, G) array: the pre-laser
-    wait's frame turn diag(p) (:func:`_frame`) multiplies the pulse's U, a
-    (3, 3, G) stack in closed form (:func:`_pulse_unitary`), which is
-    lifted to rho -> U rho U^dagger (:func:`_lift`); the wait's decay and
-    T1 block follow by row operations (:func:`_wait_rows`), and A is copied
-    out. The same array then becomes M: the laser scales the rows, turns
-    the coherence pairs and adds its rho_ee row (:func:`_laser_rows`), and
-    the post-laser wait turns the coherence pairs and mixes the
-    populations. Each map depends on its own stack entry alone.
+    C-contiguous float64 (G, 9, 9) in the real coordinates x, as
+    :func:`_write_maps` builds them for the kernel.
+    """
+    g = period.frequencies.shape[-1]
+    a, m, work = (np.empty_like(period.frequencies, dtype=float, shape=(g, 9, 9)) for _ in range(3))
+    _write_maps(period, a, m, work.reshape(9, 9, g))
+    return a, m
+
+
+def _write_maps(period: Period, a: np.ndarray, m: np.ndarray, work: np.ndarray) -> None:
+    """Write A into a and M into m, both (G, 9, 9), building them point-last in work, (9, 9, G).
+
+    Each map is built by its segments, with no matrix product, no LAPACK
+    call and no dense exponential, point-last in work, so that each row
+    operation runs over G contiguous points: the pre-laser wait's frame
+    turn diag(p) (:func:`_phases`) multiplies the pulse's U, a (3, 3, G)
+    stack in closed form (:func:`_pulse_unitary`), which is lifted to rho
+    -> U rho U^dagger (:func:`_lift`); the wait's decay and T1 block follow
+    by row operations (:func:`_wait_rows`), and A is copied out. work then
+    becomes M: the laser scales the rows, turns the coherence pairs and
+    adds its rho_ee row (:func:`_laser_rows`), and the post-laser wait
+    turns the coherence pairs and mixes the populations. Each map depends
+    on its own stack entry alone.
     """
     # The pre-laser wait's frame turn diag(p) acts on U before the lift.
-    p, _ = _frame(period.frequencies, period.t_pre, 0.0)
-    u = _pulse_unitary(period) * p[:, None]
-    m = _lift(u, np.empty_like(u, dtype=float, shape=(9, 9, u.shape[-1])))
-    _wait_rows(period, period.t_pre, m, turn=False)
-    a = m.transpose(2, 0, 1).copy()
-    _wait_rows(period, period.t_post, _laser_rows(period, m))
-    return a, m.transpose(2, 0, 1).copy()
+    p = _phases(period.frequencies, period.t_pre)
+    _lift(_pulse_unitary(period) * p[:, None], work)
+    _wait_rows(period, period.t_pre, work, turn=False)
+    a[...] = work.transpose(2, 0, 1)
+    _wait_rows(period, period.t_post, _laser_rows(period, work))
+    m[...] = work.transpose(2, 0, 1)
 
 
 # Largest drift of tr rho from tr rho0 a run of n periods may end with,
@@ -551,22 +592,38 @@ def propagate_periods(
     shape (G, k), both float.
 
     Everything runs in real coordinates: the maps A (to the readout) and M
-    (one period) come from :func:`period_maps` as float64 9x9s, built by
-    row operations with no dense product, and the state is a real
-    9-vector. Periods fall into blocks of K, the largest power of two with
-    K^2 <= n_reps, so sqrt(n)/2 < K <= sqrt(n). The readout rows R A M^j
-    for j < K and the powers M^(2^i) are built by doubling, and so are the
-    block starts: S <- [S, S (M^K)^m] takes m starts to 2m. One batched
-    product of the rows with the starts of the blocks that hold the periods
-    read gives their readouts, and the powers of the set bits of the last
+    (one period) are float64 9x9s, built by row operations with no dense
+    product (:func:`_write_maps`), and the state is a real 9-vector.
+    Periods fall into blocks of K, the largest power of two with K^2 <=
+    n_reps, so sqrt(n)/2 < K <= sqrt(n). The readout rows R A M^j for j <
+    K and the powers M^(2^i) are built by doubling, and so are the block
+    starts: S <- [S, S (M^K)^m] takes m starts to 2m. One batched product
+    of the rows with the starts of the blocks that hold the periods read
+    gives their readouts, and the powers of the set bits of the last
     block's length carry the last start to the end. A run so takes O(log
     n) batched products of 9x9 real matrices and no loop over its periods
-    or blocks. Rows, starts and powers fill buffers made once per call, so
-    only the readouts and the last block's powers are new arrays. The final
-    values are one more product, of each run's final state with the same
-    observable rows. K depends on n_reps alone and runs are independent
-    rows of every product, so a result does not depend on which other runs
-    share its batch, nor a readout on which other periods are read.
+    or blocks. The final values are one more product, of each run's final
+    state with the same observable rows. K depends on n_reps alone and runs
+    are independent rows of every product, so a result does not depend on
+    which other runs share its batch, nor a readout on which other periods
+    are read.
+
+    The working set is one float64 buffer per call, cut by offsets into A
+    and M (2 x 81 entries per run), the readout rows (9 K k), the block
+    starts (9 ceil(n_reps / K)) and a map slot per set bit b of the last
+    block's length (81 b): 8 (162 + 81 b + 9 K k + 9 ceil(n_reps / K))
+    bytes per grid point, O(sqrt(n_reps)); 1 040 040 bytes for a comb
+    spectrum (G = 321, n_reps = 80, k = 1). The maps are built in the first
+    map slot; the powers square between free slots, and each power the last
+    block takes stays where it was squared. Only the returned arrays are
+    new, and they own their data: the readouts of the blocks read, 8 k
+    bytes per period read and grid point, and the final values. One block
+    is for glibc's allocator, which maps a request above its mmap threshold
+    (128 KiB at start) afresh and unmaps it when freed, so the pages of
+    arrays made and freed per call fault in again on every call; freeing
+    one block raises the dynamic threshold past its size, so later calls
+    reuse heap pages already mapped. Under other allocators it is one
+    allocation in place of several.
 
     Raises ValueError when periods is no such range, or when a final state
     is not finite or its trace drifts from tr rho0 by more than max(1e-10,
@@ -581,41 +638,57 @@ def propagate_periods(
             f"not {periods!r}"
         )
     n_reps = periods.stop
-    a, m = period_maps(period)
-    g = len(a)
+    g = period.frequencies.shape[-1]
     read = _READ_WEIGHTS * _coordinates(np.asarray(observables, dtype=complex).reshape(-1, 3, 3))
     k = len(read)
     block = 1 << (math.isqrt(n_reps).bit_length() - 1)
     blocks = -(-n_reps // block)
     last = n_reps - (blocks - 1) * block  # periods in the last block
+    kept = last.bit_count()
+    # The working set, one buffer cut by offsets: A and M, the readout rows,
+    # the block starts, and a map slot per power the last block keeps, the
+    # first of which holds the point-last map build.
+    maps_end = 2 * 81 * g
+    rows_end = maps_end + g * block * k * 9
+    starts_end = rows_end + g * blocks * 9
+    work = np.empty_like(period.frequencies, dtype=float, shape=starts_end + kept * 81 * g)
+    a, m = work[:maps_end].reshape(2, g, 9, 9)
+    rows = work[maps_end:rows_end].reshape(g, block * k, 9)
+    starts = work[rows_end:starts_end].reshape(g, blocks, 9)
+    spares = list(work[starts_end:].reshape(kept, g, 9, 9))
+    _write_maps(period, a, m, spares[0].reshape(9, 9, g))
     # rows[:, j k + c] = R_c A M^j for j < block, each doubling filling the
-    # next slice; power runs through M^(2^i), squared between two buffers,
-    # and tail keeps a copy of each power the last block's length takes.
-    rows = np.empty_like(a, shape=(g, block * k, 9))
+    # next slice. power runs through M^(2^i), and tail keeps each power the
+    # last block's length takes.
     np.matmul(read, a, out=rows[:, :k])
-    power, spare, tail = m, a, []
-    del a, m
+    power, free, tail = m, [a, *spares], []
+
+    def squared(power: np.ndarray) -> np.ndarray:
+        """power @ power in a free map slot; power's slot is free again unless tail keeps it."""
+        out = free.pop()
+        if not (tail and tail[-1] is power):
+            free.append(power)
+        return np.matmul(power, power, out=out)
+
     levels = block.bit_length()  # M^(2^i) for i < levels, the last one M^K
     for i in range(levels):
         if last >> i & 1:
-            tail.append(power.copy())
+            tail.append(power)
         if i < levels - 1:
             n = k << i
             np.matmul(rows[:, :n], power, out=rows[:, n : 2 * n])
-            power, spare = np.matmul(power, power, out=spare), power
+            power = squared(power)
     # The states are row vectors, x^T <- x^T (M^K)^T, so that the block starts
     # stack into (G, blocks, 9); power is M^(K n) while the first n starts
     # give the next n.
-    starts = np.empty_like(rows, shape=(g, blocks, 9))
     starts[:, 0] = x0 = _coordinates(np.asarray(rho0, dtype=complex))
     doublings = (blocks - 1).bit_length()
     for i in range(doublings):
         if i:
-            power, spare = np.matmul(power, power, out=spare), power
+            power = squared(power)
         n = 1 << i
         more = min(n, blocks - n)
         np.matmul(starts[:, :more], power.swapaxes(1, 2), out=starts[:, n : n + more])
-    del power, spare
     # The blocks read, by (block, period in block, observable). Never one of
     # several: numpy multiplies a lone row by another BLAS routine, other bits.
     first = min(periods.start // block, max(blocks - 2, 0))
@@ -626,9 +699,9 @@ def propagate_periods(
     _check_final_states(vec[:, 0], x0, n_reps)
     if log.isEnabledFor(logging.DEBUG):
         log.debug(
-            "propagate_periods: G=%d n_reps=%d read=%d K=%d blocks=%d products=%d",
+            "propagate_periods: G=%d n_reps=%d read=%d K=%d blocks=%d products=%d work=%d",
             g, n_reps, len(periods), block, blocks,
-            2 * block.bit_length() + max(2 * doublings - 1, 0) + len(tail) + 1,
+            2 * block.bit_length() + max(2 * doublings - 1, 0) + len(tail) + 1, work.nbytes,
         )
     readouts = readouts.reshape(g, (blocks - first) * block, k)[:, periods.start - first * block :]
     return readouts[:, : len(periods)], (vec @ read.T)[:, 0]

@@ -207,6 +207,21 @@ def test_phase_that_overflows_exits_three(tmp_path, caplog, command, text, key):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_scan_ends_bind_only_the_command_that_sweeps_them(tmp_path, caplog):
+    # A 3e10 us period puts the frame phase at the default scan ends past
+    # 2^33 rad. pump-steps runs it on two-photon resonance alone, where every
+    # frame phase is 0; cpt-spectrum sweeps the ends and is rejected there.
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[sequence]\nt_seq = 3e10\nn_reps = 4\n")
+    assert run(["pump-steps", "--config", str(cfg), "--out", str(tmp_path / "pump")]) == 0
+    trace = read_csv(tmp_path / "pump" / "pump_steps.csv")
+    assert len(trace["step"]) == 4 and np.isfinite(trace["p_dark"]).all()
+    assert not caplog.records
+    assert run(["cpt-spectrum", "--config", str(cfg), "--out", str(tmp_path / "dip")]) == 3
+    assert "configuration rejected: scan.delta_start: " in caplog.text
+    assert not (tmp_path / "dip").exists()
+
+
 # A Zeeman term gamma_e B or gamma_n B past the float range: esr-lines used
 # to exit 0 with -inf and inf frequencies in its CSV.
 @pytest.mark.filterwarnings("error")
@@ -319,13 +334,12 @@ def test_laser_that_outlasts_its_decay_runs_exactly(tmp_path, caplog):
     # gamma t_laser = 1e600 overflows, yet on two-photon resonance all the
     # laser does is empty |-> into the ground block, as at the default
     # t_laser: the two traces agree cell for cell, and nothing is logged.
-    # The scan, which pump-steps does not sweep, is narrow enough that the
-    # 1e300 us period keeps its frame phase at the scan ends below 2^33 rad.
+    # pump-steps sweeps no scan, so the 1e300 us period is not held to the
+    # frame-phase rule at the scan ends.
     traces = []
     for name, laser in (("long", "t_laser = 1e300\n"), ("default", "")):
         cfg = tmp_path / f"{name}.ini"
-        scan = "[scan]\ndelta_start = -1e-300\ndelta_stop = 1e-300\n"
-        cfg.write_text(f"[sequence]\ngamma = 1e300\n{laser}{scan}")
+        cfg.write_text(f"[sequence]\ngamma = 1e300\n{laser}")
         out = tmp_path / name
         assert run(["pump-steps", "--config", str(cfg), "--out", str(out)]) == 0
         traces.append(read_csv(out / "pump_steps.csv"))

@@ -108,21 +108,22 @@ def test_golden_manifests_hash_their_own_fields():
 def test_shipped_period_maps_take_no_lapack_call_and_no_matrix_product(tmp_path, monkeypatch):
     """Every shipped command builds A and M by form, with no LAPACK call and no matrix product.
 
-    Each period array reaching :func:`dynamics.period_maps` is Recorded, so
-    every numpy call that builds the real maps A and M is logged: the pulse
-    U comes entry by entry, and no eigensolver, solve, inverse or product of
-    matrices runs. The engine's source names no ``np.linalg`` call at all.
+    Each period array reaching :func:`dynamics._write_maps`, which builds
+    the maps into the kernel's working set, is Recorded, so every numpy call
+    that builds the real maps A and M is logged: the pulse U comes entry by
+    entry, and no eigensolver, solve, inverse or product of matrices runs.
+    The engine's source names no ``np.linalg`` call at all.
     """
     assert "linalg" not in inspect.getsource(dynamics)
     shutil.copytree(ROOT / "configs", tmp_path / "configs")
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(Recorded, "log", [])
-    period_maps = dynamics.period_maps
+    write_maps = dynamics._write_maps
 
-    def spy(period):
-        return tuple(m.view(np.ndarray) for m in period_maps(recorded(period)))
+    def spy(period, a, m, work):
+        write_maps(recorded(period), a, m, work)
 
-    monkeypatch.setattr(dynamics, "period_maps", spy)
+    monkeypatch.setattr(dynamics, "_write_maps", spy)
     for argv in shipped_commands():
         assert cli.main(argv) == 0, argv
     names = {name for name, _ in Recorded.log}

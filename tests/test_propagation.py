@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -402,9 +403,7 @@ def test_kernel_has_no_loop_over_blocks(monkeypatch):
     assert readouts.dtype == np.float64
     assert readouts.shape == (1, n_reps, k) and readouts[0].flags.c_contiguous
     assert final.dtype == np.float64 and final.shape == (1, k)
-    buffer = readouts
-    while isinstance(buffer.base, np.ndarray):
-        buffer = buffer.base
+    buffer = owner(readouts)
     assert buffer.dtype == np.float64 and buffer.size <= blocks * block * k
 
 
@@ -493,8 +492,13 @@ def test_kernel_logs_one_debug_line_per_call(monkeypatch, caplog):
     # the starts with 3 squarings between them, M^1 for the last period, and
     # the final values.
     assert len(kernel_products()) == 17
+    # The working set, 8 bytes per entry: A and M, 8 x 5 readout rows, 9
+    # block starts and the one power the last block's single period takes.
+    work = 8 * 3 * (2 * 81 + 8 * 5 * 9 + 9 * 9 + 1 * 81)
     lines = [r.getMessage() for r in caplog.records if r.name == "lambda_cpt.dynamics"]
-    assert lines == ["propagate_periods: G=3 n_reps=65 read=65 K=8 blocks=9 products=17"]
+    assert lines == [
+        f"propagate_periods: G=3 n_reps=65 read=65 K=8 blocks=9 products=17 work={work}"
+    ]
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="lambda_cpt.dynamics"):
         propagate_periods(period, thermal_ground_state(), range(65), OBSERVABLES[:5])
@@ -527,6 +531,54 @@ def test_kernel_working_set_does_not_grow_with_the_period_count(monkeypatch):
         fresh.append(sum(not call.into for call in products))
     assert squarings == [6, 14]
     assert fresh[0] == fresh[1]
+
+
+def numpy_bytes() -> int:
+    """Bytes of array data tracemalloc traces now (numpy's own domain)."""
+    snapshot = tracemalloc.take_snapshot()
+    only_arrays = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+    return sum(trace.size for trace in snapshot.filter_traces([only_arrays]).traces)
+
+
+def owner(array: np.ndarray) -> np.ndarray:
+    """The array that owns a view's data."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
+def test_kernel_holds_its_working_set_once_and_keeps_only_its_outputs():
+    """A comb spectrum's kernel call: G = 321, n_reps = 80, k = 1, its window of 20 periods.
+
+    The working set is one buffer of 8 bytes per entry: A and M (2 x 81
+    per point), the readout rows (K k 9 = 72), the block starts (10 x 9)
+    and the one power the last block's 8 periods take (81), 1 040 040
+    bytes. The traced peak stays within it plus 2.5 map stacks of
+    temporaries for the map build (2.13 measured with numpy 2.4). After
+    the call, the only new array data is what the outputs own: the
+    readouts of the 3 blocks that hold the window and the final values.
+    """
+    g, k, block, blocks = 321, 1, 8, 10
+    seq = parse_config(LONG_CHAIN).seq
+    period = period_form(seq, seq.lam.delta_1 + np.linspace(-0.06, 0.06, g))
+    window, excited = range(60, 80), [np.diag([0.0, 0.0, 1.0])]
+    first = propagate_periods(period, thermal_ground_state(), window, excited)
+    work = 8 * g * (2 * 81 + block * k * 9 + blocks * 9 + 81)
+    tracemalloc.start()
+    try:
+        before = numpy_bytes()
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        readouts, final = propagate_periods(period, thermal_ground_state(), window, excited)
+        peak = tracemalloc.get_traced_memory()[1] - start
+        kept = numpy_bytes() - before
+    finally:
+        tracemalloc.stop()
+    assert work <= peak <= work + 2.5 * 8 * 81 * g
+    outputs = {id(owner(x)): owner(x).nbytes for x in (readouts, final)}
+    assert sorted(outputs.values()) == [8 * g * k, 8 * g * 3 * block * k]
+    assert kept == sum(outputs.values())
+    assert np.array_equal(readouts, first[0]) and np.array_equal(final, first[1])
 
 
 def test_period_maps_hand_off_c_contiguous_float64_maps():
@@ -886,7 +938,7 @@ def wait_rows_with_t1_block(period, t, m):
     """A wait's row operations with the T1 block run for every t1_e, infinite included."""
     relax = -t / period.t1_e
     exponent = (period.dephasing * t + 0.5 * relax)[:, None]
-    dynamics._turn(m, dynamics._frame(period.frequencies, t, exponent)[1])
+    dynamics._turn(m, dynamics._frame(period.frequencies, t, exponent))
     up, down, excited = m[0], m[1], m[2]
     r = 0.5 * np.expm1(relax) * (excited - up - down)
     s = 0.5 * np.expm1(0.5 * relax) * (up - down)
