@@ -45,6 +45,7 @@ from . import __version__
 from .config import (
     ConfigError,
     RunConfig,
+    check_kernel,
     check_periods,
     check_scan,
     default_config,
@@ -108,15 +109,17 @@ def _run_esr_lines(cfg: RunConfig, noise) -> dict:
 def _run_cpt_spectrum(cfg: RunConfig, noise) -> dict:
     import numpy as np
 
-    from .experiments import cpt_spectrum
+    from .experiments import cpt_spectrum, spectrum_call
 
+    check_kernel(spectrum_call(cfg.seq, cfg.scan_grid[2]), "scan.points", "sequence.n_reps")
     spec = cpt_spectrum(cfg.seq, cfg.seq.lam.delta_1, np.linspace(*cfg.scan_grid))
     return {"spectrum.csv": ("steady trapping spectrum", _spectrum_columns(spec, noise))}
 
 
 def _run_pump_steps(cfg: RunConfig, noise) -> dict:
-    from .experiments import pump_trace
+    from .experiments import pump_call, pump_trace
 
+    check_kernel(pump_call(cfg.seq), "sequence.n_reps", "sequence.n_reps")
     result = pump_trace(cfg.seq)
     trace = result.trace
     steps = {**asdict(trace), "signal": noise(cfg.readout.signal(trace.p_excited))}
@@ -128,9 +131,10 @@ def _run_pump_steps(cfg: RunConfig, noise) -> dict:
 
 
 def _run_composition(cfg: RunConfig, noise) -> dict:
-    from .experiments import apply_artificial_contrast, composition_sweep
+    from .experiments import apply_artificial_contrast, composition_call, composition_sweep
 
     seq = replace(cfg.seq, n_reps=cfg.composition_steps)
+    check_kernel(composition_call(seq), "composition.n_steps", "composition.n_steps")
     sweep = composition_sweep(seq, cfg.ratios)
     columns = {"ratio": sweep.ratios, "measured": sweep.measured, "ideal": sweep.ideal}
     if cfg.contrast_a is not None:
@@ -141,10 +145,12 @@ def _run_composition(cfg: RunConfig, noise) -> dict:
 def _run_multi_resonance(cfg: RunConfig, noise) -> dict:
     import numpy as np
 
-    from .experiments import multi_resonance_scan
+    from .experiments import multi_resonance_call, multi_resonance_scan
 
     labels = check_periods(cfg.seq, cfg.t_seq_list, cfg.scan_grid[:2])
     explicit_grid = {"delta_start", "delta_stop", "points"} & set(cfg.explicit.get("scan", {}))
+    points = cfg.scan_grid[2] if explicit_grid else None
+    check_kernel(multi_resonance_call(cfg.seq, points), "scan.points", "sequence.n_reps")
     grid = np.linspace(*cfg.scan_grid) if explicit_grid else None
     spectra = multi_resonance_scan(cfg.seq, list(cfg.t_seq_list), grid=grid)
     return {

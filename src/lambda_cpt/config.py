@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, TypeVar
 
-from .lambda_system import LambdaConfig, ReadoutModel, SequenceConfig, split_rabi
+from .lambda_system import LambdaConfig, ReadoutModel, SequenceConfig, kernel_bytes, split_rabi
 from .rate_model import gamma_dp_for_alpha_dp
 from .spin_model import (
     FieldError,
@@ -49,7 +49,13 @@ __all__ = [
     "default_config",
     "check_periods",
     "check_scan",
+    "check_kernel",
+    "KERNEL_BUDGET",
 ]
+
+# The most memory one call of the propagation kernel may hold, in bytes: its
+# working set and the readouts it returns (kernel_bytes).
+KERNEL_BUDGET = 2**30
 
 
 class ConfigError(ValueError):
@@ -166,6 +172,27 @@ def check_scan(seq: SequenceConfig, scan_ends) -> None:
     not held to scan ends it never runs.
     """
     _at_scan_ends(lambda delta_2: replace(seq, lam=replace(seq.lam, delta_2=delta_2)), scan_ends)
+
+
+def check_kernel(call: tuple[int, int, int, int], runs_key: str, n_reps_key: str) -> None:
+    """One kernel call of a command, held to KERNEL_BUDGET at the keys that size it.
+
+    call is (runs, n_reps, observables, start), as a protocol's ``*_call``
+    function in :mod:`lambda_cpt.experiments` states it: ``runs`` stacked
+    runs of n_reps periods that read ``observables`` operators from period
+    ``start`` on, holding :func:`~lambda_cpt.lambda_system.kernel_bytes` of
+    memory. Over budget, it is rejected at n_reps_key when a single run is
+    over budget too, and at runs_key otherwise, so nothing is allocated.
+    """
+    runs, n_reps, observables, start = call
+    for key, count in ((n_reps_key, 1), (runs_key, runs)):
+        size = kernel_bytes(count, n_reps, observables, start)
+        if size > KERNEL_BUDGET:
+            raise ConfigError(
+                key,
+                f"the run's kernel call would hold {size / 2**30:.3g} GiB, "
+                f"over its budget of {KERNEL_BUDGET / 2**30:g} GiB",
+            )
 
 
 def _at_scan_ends(make: Callable[[float], object], scan_ends) -> None:

@@ -57,7 +57,12 @@ Every period is a stack over G independent runs (the grid points of a
 sweep, or G = 1) that differ only in their two-photon detuning delta_2: the
 frame frequencies f are the one array with a run axis, (3, G), and every
 other coefficient is shared by the stack. All three maps run batched with
-numpy alone, so the engine never imports scipy. Every protocol propagates
+numpy alone, so the engine never imports scipy. At G = 1 a map build costs
+its numpy calls, not its arithmetic: what the stack shares (the tones'
+moduli, phases and mixing, the real exponentials and feeds of the laser,
+the waits' decays) comes once as Python numbers, and the steps per point
+stack several scalars of a point into one (k, G) array where they share
+an operation. Every protocol propagates
 through one kernel, :func:`propagate_periods`. It takes its whole working
 set as one buffer, folds a period into the map up to the readout, A, and
 the map of the whole period, M, written into that buffer
@@ -88,7 +93,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lambda_system import LambdaConfig, SequenceConfig, polarization_efficiency
+from .lambda_system import LambdaConfig, SequenceConfig, kernel_layout, polarization_efficiency
 
 __all__ = [
     "dark_bright_basis",
@@ -118,9 +123,11 @@ def dark_bright_basis(cfg: LambdaConfig) -> tuple[np.ndarray, np.ndarray]:
     """
     o1, o2 = cfg.omega_1, cfg.omega_2
     norm = math.hypot(o1, o2)
-    phase = np.exp(-1j * cfg.psi)
-    dark = np.array([o2 * phase, -o1], dtype=complex) / norm
-    bright = np.array([o1, o2 * np.conj(phase)], dtype=complex) / norm
+    phase = complex(math.cos(cfg.psi), -math.sin(cfg.psi))
+    dark, bright = np.array(
+        [[o2 * phase / norm, -o1 / norm], [o1 / norm, o2 * phase.conjugate() / norm]],
+        dtype=complex,
+    )
     return dark, bright
 
 
@@ -139,12 +146,12 @@ def pure_state(vec: np.ndarray) -> np.ndarray:
 # rho_22, then Re and Im of the upper coherences rho_01, rho_02, rho_12. Every
 # Hermiticity-preserving map of rho is a real 9x9 in them.
 _RE, _IM = slice(3, 6), slice(6, 9)
+# The levels i < j of each upper coherence rho_01, rho_02, rho_12.
+_UPPER_I = np.array([0, 0, 1])
+_UPPER_J = np.array([1, 2, 2])
 # rho's six upper entries (i, j), i <= j, in the order of x.
 _ROWS = np.array([0, 1, 2, 0, 0, 1])
 _COLS = np.array([0, 1, 2, 1, 2, 2])
-# The entries rho_ee feeds under the laser: rho_00, rho_11 and rho_01.
-_FED = np.array([0, 1, 3])
-_FED_ROWS, _FED_COLS = _ROWS[_FED], _COLS[_FED]
 # Tr(O rho) = x . (weights * coordinates(O)) for Hermitian O.
 _READ_WEIGHTS = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0])
 # Generator entry at (i, j) per unit rate: -(s_i - s_j)^2 / 4 for a dephasing
@@ -156,10 +163,16 @@ _DEPHASING = -((_S[_ROWS] - _S[_COLS]) ** 2) / 4.0
 _DECAY = -(_E[_ROWS] + _E[_COLS]) / 2.0
 
 
-def _coordinates(m: np.ndarray) -> np.ndarray:
-    """Real coordinates of each Hermitian 3x3 matrix of a stack."""
-    upper = m[..., _ROWS, _COLS]
-    return np.concatenate([upper.real, upper[..., 3:].imag], axis=-1)
+# The real coordinates of a Hermitian 3x3 rho among its 18 floats, Re and Im
+# of each entry in row-major order: Re of rho_00, rho_11, rho_22, rho_01,
+# rho_02, rho_12, then Im of rho_01, rho_02, rho_12.
+_COORDINATES = np.array([0, 8, 16, 2, 4, 10, 3, 5, 11])
+
+
+def _coordinates(m) -> np.ndarray:
+    """Real coordinates of each Hermitian 3x3 matrix of a stack, (..., 3, 3) to (..., 9)."""
+    m = np.ascontiguousarray(m, dtype=complex)
+    return m.view(float).reshape(m.shape[:-2] + (18,)).take(_COORDINATES, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -211,25 +224,53 @@ def period_form(seq: SequenceConfig, delta_2: np.ndarray | None = None) -> Perio
     f[1] = -(lam.delta_1 - delta_2)
     f[2] = -lam.delta_1
     f *= TWO_PI
-    couplings = TWO_PI * np.array([lam.omega_1 / 2.0, lam.omega_2 / 2.0 * np.exp(1j * lam.psi)])
+    tone_2 = lam.omega_2 / 2.0 * complex(math.cos(lam.psi), math.sin(lam.psi))
+    couplings = TWO_PI * np.array([lam.omega_1 / 2.0, tone_2])
     dephasing = seq.gamma_2n * _DEPHASING[3:]
     decay = seq.gamma_dp * _DEPHASING + seq.gamma * _DECAY
     alpha_p = polarization_efficiency(lam)
     # The entries of the ground block gamma [alpha_p D D^+ + (1 - alpha_p)
-    # B B^+] that rho_ee feeds.
-    dark, bright = dark_bright_basis(lam)
-    column = seq.gamma * (
-        alpha_p * (dark[_FED_ROWS] * dark[_FED_COLS].conj())
-        + (1.0 - alpha_p) * (bright[_FED_ROWS] * bright[_FED_COLS].conj())
-    )
+    # B B^+] that rho_ee feeds, one Python number each.
+    dark, bright = (x.tolist() for x in dark_bright_basis(lam))
+    column = np.array([
+        seq.gamma * (
+            alpha_p * (dark[i] * dark[j].conjugate())
+            + (1.0 - alpha_p) * (bright[i] * bright[j].conjugate())
+        )
+        for i, j in ((0, 0), (1, 1), (0, 1))
+    ])
     return Period(
         f, couplings, dephasing, seq.t1_e, decay, column,
         seq.t_mw, seq.wait_pre_total, seq.t_laser, seq.t_wait_post,
     )
 
 
-# (cos, sin) -> (sin, -cos), the dark state from the bright one.
-_FLIP = np.array([[1.0], [-1.0]])
+# The scaled H - f_0 over (D, B, |->), six rows per point, picked from the
+# rows (n, p, q) of each point and scaled by the shared mixing: its diagonal
+# (cos^2 p, sin^2 p, q), k = -cos sin p between D and B, n between B and
+# |->, and a row of zeros.
+_H_PICK = np.array([1, 1, 2, 1, 0, 0])
+_DIAGONAL = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])[:, None]
+# 6 rho^2 = x0^2 + x1^2 + x2^2 + 2 (k^2 + n^2), as weights on those rows squared.
+_RHO2 = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 0.0])[:, None] / 6.0
+# The six distinct entries of the symmetric adj(H - root), from (d0, d1, d2,
+# k, n, 0): d1 d2 - n^2, d0 d2, d0 d1 - k^2, -k d2, k n and -d0 n, each the
+# product of the rows _ADJ_LEFT and _ADJ_RIGHT times a sign, less the square
+# _ADJ_LESS; row r of adj(H - root) holds the entries _ADJ_ROWS[r].
+_ADJ_LEFT = np.array([1, 0, 0, 3, 3, 0])
+_ADJ_RIGHT = np.array([2, 2, 1, 2, 4, 4])
+_ADJ_SIGN = np.array([1.0, 1.0, 1.0, -1.0, 1.0, -1.0])[:, None]
+_ADJ_LESS = np.array([4, 5, 3, 5, 5, 5])
+_ADJ_ROWS = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
+# e_z, e_x and e_y over (D, B, |->), the last two as the real and imaginary
+# parts of one complex vector.
+_E_Z = np.array([0.0, 0.0, 1.0])[:, None]
+_E_X = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])[..., None]
+_E_Y = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]])[..., None]
+# The pairs (x, y) of the quadratic forms x^T H y: (v, v), (w1, w1), (w2, w2)
+# and (w1, w2).
+_FORM_LEFT = np.array([0, 1, 2, 1])
+_FORM_RIGHT = np.array([0, 1, 2, 2])
 _EYE = np.eye(3)[..., None]
 
 
@@ -279,12 +320,20 @@ def _pulse_unitary(period: Period) -> np.ndarray:
     meet: U is unitary to rounding at every norm and within a few eps ||H||
     t of exp(-i h t). U = 1 + sum_k (e^{-i lambda_k t} - 1) y_k y_k^dagger,
     with y_k = P (D, B, |->) v_k, so t = 0 gives the identity exactly.
+
+    The coefficients the stack shares (N, the mixing, the tones' phases and
+    so D and B) come once, as Python numbers; every step per point runs
+    over all points at once, several scalars of a point stacked into one
+    (k, G) array where they share a step.
     """
     lams, vec = _pulse_eigensystem(period)
-    # The columns of vec scale in place, after their conjugates are taken.
+    # The columns of vec scale in place, after their conjugates are taken;
+    # U sums their outer products one column at a time.
     conj = vec.conj()
     vec *= np.expm1(-1j * (lams * period.t_mw))
-    u = (vec[:, None] * conj[None]).sum(2)
+    u = vec[:, None, 0] * conj[None, :, 0]
+    u += vec[:, None, 1] * conj[None, :, 1]
+    u += vec[:, None, 2] * conj[None, :, 2]
     u += _EYE
     return u
 
@@ -293,75 +342,94 @@ def _pulse_eigensystem(period: Period) -> tuple[np.ndarray, np.ndarray]:
     """The eigenvalues lambda_k, (3, G), and eigenvectors y_k, columns of a (3, 3, G), of each h.
 
     By the steps of :func:`_pulse_unitary`; its own function, so that the
-    steps' intermediates are freed before U is composed.
+    steps' intermediates are freed before U is composed, and so are those
+    of each step's own function. On arrays of a few entries per point, a
+    new array costs less than an operation in place, so the steps make new
+    arrays.
     """
     f = period.frequencies
-    c = period.couplings[:, None]
-    r = np.abs(c)
-    n = np.hypot(r[0], r[1])
-    mixing = r / n
-    cos, sin = mixing
+    c0, c1 = period.couplings.tolist()
+    r0, r1 = abs(c0), abs(c1)
+    n = math.hypot(r0, r1)
+    cos, sin = r0 / n, r1 / n
     # D and B over (|up>, |down>), times the phase of each tone (1 for a tone
     # that is off).
-    phase = np.exp(1j * np.arctan2(c.imag, c.real))
-    bright, dark = phase * mixing, phase * (mixing[::-1] * _FLIP)
-    pq = f[1:] - f[0]
-    scale = np.maximum(np.abs(pq).max(0), n)
-    p, q = pq / scale
-    n = n / scale
-    # The scaled H - f_0 over (D, B, |->): diagonal a, k between D and B, n
-    # between B and |->.
-    a = np.empty((3,) + p.shape)
-    a[:2] = mixing * mixing * p
-    a[2] = q
-    k = -(cos * sin) * p
-    # Smith's root, m + 2 rho cos(arccos(x) / 3) with x = det(H - m) / (2
-    # rho^3), taken for |x| and given the sign of x: the one farthest from
-    # the other two.
-    mean = (p + q) / 3.0
-    x0, x1, x2 = dev = a - mean
-    kk, nn = k * k, n * n
-    rho = np.sqrt(((dev * dev).sum(0) + 2.0 * (kk + nn)) / 6.0)
-    det = x0 * (x1 * x2 - nn) - x2 * kk
-    cosine = np.minimum(np.abs(det) / (2.0 * rho**3), 1.0)
-    root = mean + np.copysign(2.0 * rho, det) * np.cos(np.arccos(cosine) / 3.0)
-    # The rows of adj(H - root), each the cross product of the other two rows.
-    d0, d1, d2 = a - root
-    kd2, d0n, kn = -k * d2, -d0 * n, k * n
-    adj = np.array([[d1 * d2 - nn, kd2, kn], [kd2, d0 * d2, d0n], [kn, d0n, d0 * d1 - kk]])
-    best = np.abs(adj.diagonal()).argmax(-1)
-    v = adj[best, :, np.arange(len(best))].T
-    v = v / np.sqrt((v * v).sum(0))
-    # The complement of v as one complex vector w1 + i w2 (Duff et al.): w1 =
-    # e_x + s b x u and w2 = s e_y + b y u, u = v + s e_z, b = -1 / (s + v_z).
-    vx, vy, vz = v
-    sign = np.copysign(1.0, vz)
-    zeta = sign * vx + 1j * vy
-    bz = zeta / (-sign - vz)
-    plane = np.array([1.0 + vx * bz, 1j * sign + vy * bz, -zeta])
-    # H applied to v and to w1 + i w2: then v's Rayleigh quotient, and the
-    # trace t00 + t11 and the skew t00 - t11 + 2i t01 of the 2x2 block.
-    both = np.array([v, plane]).transpose(1, 0, 2)
-    h_both = a[:, None] * both
-    off_diagonal = np.array([k, n])[:, None]
-    h_both[:2] += off_diagonal * both[1:]
-    h_both[1:] += off_diagonal * both[:2]
-    rayleigh, skew = (both * h_both).sum(0)
-    trace = (plane.conj() * h_both[:, 1]).sum(0).real
+    angle0, angle1 = (math.atan2(c.imag, c.real) for c in (c0, c1))
+    phase0, phase1 = (complex(math.cos(a), math.sin(a)) for a in (angle0, angle1))
+    dark = np.array([phase0 * sin, phase1 * -cos])[:, None, None]
+    bright = np.array([phase0 * cos, phase1 * sin])[:, None, None]
+    # (n, p, q) of each point, then scaled by the largest.
+    w = f - f[0]
+    w[0] = n
+    scale = np.abs(w).max(0)
+    w = w / scale
+    h = np.array([cos * cos, sin * sin, 1.0, -(cos * sin), 1.0, 0.0])[:, None] * w.take(_H_PICK, 0)
+    y = _complement(_farthest_eigenvector(h, (w[1] + w[2]) / 3.0))
+    # The quadratic forms v^T H v, w1^T H w1, w2^T H w2 and w1^T H w2 of the
+    # tridiagonal H: then v's Rayleigh quotient, and the trace t00 + t11 and
+    # the skew t00 - t11 + 2i t01 of the 2x2 block.
+    left, right = y.take(_FORM_LEFT, 0), y.take(_FORM_RIGHT, 0)
+    crossed = left[:, :2] * right[:, 1:] + left[:, 1:] * right[:, :2]
+    forms = (left * right * h[:3]).sum(1) + (crossed * h[3:5]).sum(1)
+    del left, right, crossed
+    skew_re, skew_im = forms[1] - forms[2], forms[3] + forms[3]
     # The Jacobi rotation: turning the plane by -arg(+-skew) / 2, the sign
     # that makes the real part nonnegative, makes the skew real, as +-|skew|.
     # The turn is at most pi / 4, and none where the block is diagonal.
-    side = np.copysign(1.0, skew.real)
-    plane *= np.exp(-0.5j * np.arctan2(side * skew.imag, side * skew.real))
-    split = side * np.abs(skew)
-    lams = np.array([rayleigh.real, 0.5 * (trace + split), 0.5 * (trace - split)]) * scale + f[0]
+    side = np.copysign(1.0, skew_re)
+    turn = np.arctan2(side * skew_im, side * skew_re) * -0.5
+    cos_t, sin_t = np.cos(turn), np.sin(turn)
+    split = side * np.hypot(skew_re, skew_im)
+    trace = forms[1] + forms[2]
+    lams = np.array([forms[0], (trace + split) * 0.5, (trace - split) * 0.5]) * scale + f[0]
+    w1, w2 = y[1], y[2]
+    y = np.array([y[0], w1 * cos_t - w2 * sin_t, w1 * sin_t + w2 * cos_t])
     # The eigenvectors over (|up>, |down>, |->), one column each.
-    y = np.array([v, plane.real, plane.imag]).transpose(1, 0, 2)
-    vec = np.empty(y.shape, dtype=complex)
-    np.multiply(dark[:, None], y[0], out=vec[:2])
-    vec[:2] += bright[:, None] * y[1]
-    vec[2] = y[2]
+    vec = np.empty_like(y, dtype=complex)
+    np.multiply(dark, y[:, 0], out=vec[:2])
+    vec[:2] += bright * y[:, 1]
+    vec[2] = y[:, 2]
     return lams, vec
+
+
+def _farthest_eigenvector(h: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """The unit eigenvector v, (3, G), of the eigenvalue of each H farthest from the other two.
+
+    h holds H's rows (diagonal, k, n, 0) as in :func:`_pulse_eigensystem`,
+    and mean its mean eigenvalue, the trace over 3.
+    """
+    g = h.shape[-1]
+    # Smith's root, m + 2 rho cos(arccos(x) / 3) with x = det(H - m) / (2
+    # rho^3), taken for |x| and given the sign of x: the one farthest from
+    # the other two. dev holds (x0, x1, x2, k, n, 0), H - m with its couplings.
+    dev = h - _DIAGONAL * mean
+    squares = dev * dev
+    rho2 = (squares * _RHO2).sum(0)
+    rho = np.sqrt(rho2)
+    x0, x1, x2 = dev[0], dev[1], dev[2]
+    det = x0 * (x1 * x2 - squares[4]) - x2 * squares[3]
+    cosine = np.minimum(np.abs(det) / ((rho2 + rho2) * rho), 1.0)
+    root = mean + np.copysign(rho + rho, det) * np.cos(np.arccos(cosine) / 3.0)
+    # adj(H - root): its six entries, then the row with the largest diagonal.
+    d = h - _DIAGONAL * root
+    adj = d.take(_ADJ_LEFT, 0) * d.take(_ADJ_RIGHT, 0) * _ADJ_SIGN - squares.take(_ADJ_LESS, 0)
+    best = np.abs(adj[:3]).argmax(0)
+    v = adj.take(_ADJ_ROWS, 0)[best, :, np.arange(g)].T
+    return v / np.sqrt((v * v).sum(0))
+
+
+def _complement(v: np.ndarray) -> np.ndarray:
+    """v and an orthonormal pair w1, w2 spanning its complement, stacked (3, 3, G).
+
+    After Duff et al.: w1 = e_x + s b x u and w2 = s e_y + b y u, with u = v
+    + s e_z, b = -1 / (s + v_z) and s the sign of v_z; w1 and w2 come as
+    the real and imaginary parts of one complex vector, (1 + vx bz, i s + vy
+    bz, -zeta), zeta = s vx + i vy and bz = zeta / (-s - vz).
+    """
+    s = np.copysign(1.0, v[2])
+    u = v + _E_Z * s
+    bz = np.array([s * v[0], v[1]]) / (-s - v[2])
+    return np.concatenate((v[None], bz[:, None] * u + (_E_X + _E_Y * s)))
 
 
 def _lift(u: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -372,32 +440,37 @@ def _lift(u: np.ndarray, m: np.ndarray) -> np.ndarray:
     the six upper rows, three complex products give the populations (k =
     l), the upper (k < l) and the lower (k > l) coherence columns, and these
     fold into the real basis, rho_kl = x_kl + i y_kl and rho_lk = x_kl - i
-    y_kl.
+    y_kl: column x_kl takes upper + lower, column y_kl i (upper - lower).
+    Each group of three columns is written into m as it comes, the real
+    parts into the six upper rows, the imaginary parts into the three
+    coherence rows.
     """
     # Column k of U at the rows i and j of the six upper rows: left[k] holds
-    # U_ik and right[k] conj(U_jk), so that every product runs over
-    # contiguous (6, G) operands; mt is m with its rows and columns swapped.
+    # U_ik and right[k] conj(U_jk); mt is m with its rows and columns swapped.
     by_column = u.transpose(1, 0, 2)
     left, right = by_column.take(_ROWS, axis=1), by_column.take(_COLS, axis=1)
+    # Each name freed as soon as it is done with, so that at a comb
+    # spectrum's G the lift holds at most four (3, 6, G) complex stacks.
+    del u, by_column
     np.conjugate(right, out=right)
     mt = m.transpose(1, 0, 2)
-    product = np.multiply(left, right)
-    mt[:3, :6] = product.real
-    mt[:3, 6:] = product[:, 3:].imag
-    # U_ik conj(U_jl) for the upper pairs (k, l) = (0, 1), (0, 2), (1, 2).
-    np.multiply(left[:1], right[1:], out=product[:2])
-    np.multiply(left[1], right[2], out=product[2])
-    mt[3:6, :6] = product.real
-    mt[3:6, 6:] = product[:, 3:].imag
-    mt[6:, :6] = product.imag
-    mt[6:, 6:] = product[:, 3:].real
-    # U_il conj(U_jk), for the lower pairs.
-    np.multiply(left[1:], right[:1], out=product[:2])
-    np.multiply(left[2], right[1], out=product[2])
-    mt[3:6, :6] += product.real
-    mt[3:6, 6:] += product[:, 3:].imag
-    np.subtract(product.imag, mt[6:, :6], out=mt[6:, :6])
-    mt[6:, 6:] -= product[:, 3:].real
+    upper = left * right
+    mt[:3, :6] = upper.real
+    mt[:3, 6:] = upper[:, 3:].imag
+    # U_ik conj(U_jl) and U_il conj(U_jk) for (k, l) = (0, 1), (0, 2), (1, 2),
+    # each a product of two contiguous (6, G) rows.
+    lower = np.empty_like(upper)
+    for c, (k, l) in enumerate(((0, 1), (0, 2), (1, 2))):
+        np.multiply(left[k], right[l], out=upper[c])
+        np.multiply(left[l], right[k], out=lower[c])
+    del left, right
+    block = upper + lower
+    mt[3:6, :6] = block.real
+    mt[3:6, 6:] = block[:, 3:].imag
+    np.subtract(upper, lower, out=block)
+    block *= 1j
+    mt[6:, :6] = block.real
+    mt[6:, 6:] = block[:, 3:].imag
     return m
 
 
@@ -421,51 +494,55 @@ def _phases(frequencies: np.ndarray, duration: float) -> np.ndarray:
     return np.exp(-1j * (frequencies * duration))
 
 
-def _frame(frequencies: np.ndarray, duration: float, exponent) -> np.ndarray:
+def _frame(frequencies: np.ndarray, duration: float, decay: np.ndarray) -> np.ndarray:
     """The frame turn of a segment: each upper coherence's factor, from the per-level phases p.
 
     The factor of upper coherence (i, j), rho_01, rho_02, rho_12, is p_i
-    conj(p_j) e^{exponent}, p of :func:`_phases` and exponent its real
-    exponent, shared by the stack; the factors come point-last, (3, G).
+    conj(p_j) times its real decay factor, p of :func:`_phases` and decay
+    shared by the stack, shape (3, 1); the factors come point-last, (3, G).
     Phases taken per level keep the phases of the three coherences
     consistent to rounding, so every map turned by them stays completely
     positive at any duration.
     """
     p = _phases(frequencies, duration)
-    # p_i conj(p_j) of rho_01 and rho_02, then of rho_12.
-    factors = np.empty_like(p)
-    np.multiply(p[0], p[1:].conj(), out=factors[:2])
-    np.multiply(p[1], p[2].conj(), out=factors[2])
-    factors *= np.exp(exponent)
-    return factors
+    return p.take(_UPPER_I, 0) * p.take(_UPPER_J, 0).conj() * decay
+
+
+def _wait_decay(period: Period, t: float) -> tuple[float, np.ndarray]:
+    """The T1 exponent -t / t1_e of a wait of duration t, and each coherence's decay factor.
+
+    The factors, e^{-gamma_2n (s_i - s_j)^2 t / 4 - t / (2 t1_e)}, (3, 1),
+    are shared by the stack and come once, as Python numbers; an exponent
+    past the float range is an exact decay to zero.
+    """
+    relax = -t / period.t1_e
+    decay = [math.exp(x * t + 0.5 * relax) for x in period.dephasing.tolist()]
+    return relax, np.array(decay)[:, None]
 
 
 def _wait_rows(period: Period, t: float, m: np.ndarray, turn: bool = True) -> np.ndarray:
     """W m for the map W of a wait of duration t and a point-last (9, 9, G) map m, in place.
 
     W turns and shrinks each coherence by its factor of :func:`_frame`, with
-    the exact decay as its exponent; turn=False leaves the frame turn out,
-    for a caller that applies diag(p) itself. Electron T1 flips |up> and
-    |down> to |-> at 1/(2 t1_e) each and |-> back to each at 1/(4 t1_e): on
-    the populations a rate block with eigenvalues 0, -1/t1_e (P_- relaxes
-    to half the trace) and -1/(2 t1_e) (the ground imbalance decays), and
-    on every coherence a further decay at 1/(2 t1_e). The block mixes the
-    three population rows, written through two expm1 modes: the step r
-    moves P_- toward half the trace, and the step s shrinks the ground
-    imbalance; P_up and P_down give back r/2 each, so the trace is kept by
-    construction. t1_e = inf switches T1 off: the wait then has no T1
-    block, and its population rows are left as they are.
+    the exact decay of :func:`_wait_decay`; turn=False leaves the frame
+    turn out, for a caller that applies diag(p) itself. Electron T1 flips
+    |up> and |down> to |-> at 1/(2 t1_e) each and |-> back to each at 1/(4
+    t1_e): on the populations a rate block with eigenvalues 0, -1/t1_e (P_-
+    relaxes to half the trace) and -1/(2 t1_e) (the ground imbalance
+    decays), and on every coherence a further decay at 1/(2 t1_e). The
+    block mixes the three population rows, written through two expm1 modes:
+    the step r moves P_- toward half the trace, and the step s shrinks the
+    ground imbalance; P_up and P_down give back r/2 each, so the trace is
+    kept by construction. t1_e = inf switches T1 off: the wait then has no
+    T1 block, and its population rows are left as they are.
     """
-    relax = -t / period.t1_e
-    # A decay exponent past the float range is an exact decay to zero.
-    with np.errstate(over="ignore"):
-        exponent = (period.dephasing * t + 0.5 * relax)[:, None]
+    relax, decay = _wait_decay(period, t)
     if turn:
-        _turn(m, _frame(period.frequencies, t, exponent))
+        _turn(m, _frame(period.frequencies, t, decay))
     else:
-        decay = np.exp(exponent)[:, None]
-        m[_RE] *= decay
-        m[_IM] *= decay
+        # The (Re, Im) row pairs of the coherences, as (2, 3, 9 G).
+        coherences = m[_RE.start :].reshape(2, 3, -1)
+        coherences *= decay
     if math.isfinite(period.t1_e):
         up, down, excited = m[0], m[1], m[2]
         r = 0.5 * np.expm1(relax) * (excited - up - down)
@@ -485,34 +562,38 @@ def _laser_rows(period: Period, m: np.ndarray) -> np.ndarray:
     laser, a_i the fed entry's rate (-gamma_dp - i (f_0 - f_1) for rho_01)
     and a_e that of rho_ee: e^{h} (e^{k t} - 1) / k, with h the one of a_i
     t, a_e t of larger real part and k the other rate minus the leading
-    one, so that |e^{k t}| <= 1.
+    one, so that |e^{k t}| <= 1. What the stack shares comes once, as
+    Python numbers: the exponentials of the six real rates, and the rate
+    gaps' real parts, which pick the leading rates. rho_01's rate holds a
+    frame frequency, so its gap comes per point, and its e^{a_i t} is the
+    factor of its turn.
     """
     t = period.t_laser
-    d = period.decay[:, None]
-    # A decay exponent past the float range is an exact decay to zero.
-    with np.errstate(over="ignore"):
-        exponent = d * t
-    scale = np.exp(exponent[:3])
+    d = period.decay.tolist()
+    column = period.column.tolist()
+    # e^{d t} of each entry; an exponent past the float range is an exact
+    # decay to zero.
+    scale = [math.exp(x * t) for x in d]
+    turn = _frame(period.frequencies, t, np.array(scale[3:])[:, None])
     f = period.frequencies
-    turn = _frame(f, t, exponent[3:])
-    # The rate of each fed entry minus that of rho_ee, and e^{a_i t} of each.
-    # rho_00's and rho_11's are real and shared by the stack, so their feeds
-    # come once, ahead of rho_01's, which holds a frame frequency and comes
-    # per point, its e^{a_i t} from the same p as its turn.
-    gap = np.concatenate((d[:2, 0] - d[2], d[3] - d[2] - 1j * (f[0] - f[1])))
-    own = np.concatenate((scale[:2, 0], turn[0]))
-    fed_leads = gap.real >= 0.0
-    lead = np.where(fed_leads, own, scale[2])
-    growth = _growth(np.where(fed_leads, -gap, gap), t)
-    column = period.column
-    populations = (column[:2] * lead[:2] * growth[:2]).real
-    coherence = column[2] * lead[2:] * growth[2:]
+    # The rate of rho_00, rho_11 and rho_01 minus that of rho_ee, negated
+    # where the fed entry leads: k of rho_00 and rho_11, then rho_01's per
+    # point, (2 + G,), in one _growth call.
+    gaps = [d[i] - d[2] for i in (0, 1, 3)]
+    leads = [gap >= 0.0 for gap in gaps]
+    signs = [-1.0 if lead else 1.0 for lead in leads]
+    per_point = signs[2] * (gaps[2] - 1j * (f[0] - f[1]))
+    growth = _growth(np.concatenate(([signs[0] * gaps[0], signs[1] * gaps[1]], per_point)), t)
+    feeds = [
+        column[i].real * (scale[i] if leads[i] else scale[2]) * growth[i].real for i in (0, 1)
+    ]
+    coherence = column[2] * (turn[0] if leads[2] else scale[2]) * growth[2:]
     excited = m[2]
-    m[:2] *= scale[:2, None]
-    m[:2] += populations[:, None, None] * excited
+    m[:2] *= np.array(scale[:2])[:, None, None]
+    m[:2] += np.array(feeds)[:, None, None] * excited
     _turn(m, turn)
-    m[3] += coherence.real * excited
-    m[6] += coherence.imag * excited
+    # Re and Im of rho_01, rows 3 and 6.
+    m[3:7:3] += np.array([coherence.real, coherence.imag])[:, None] * excited
     excited *= scale[2]
     return m
 
@@ -595,18 +676,36 @@ def propagate_periods(
     (one period) are float64 9x9s, built by row operations with no dense
     product (:func:`_write_maps`), and the state is a real 9-vector.
     Periods fall into blocks of K, the largest power of two with K^2 <=
-    n_reps, so sqrt(n)/2 < K <= sqrt(n). The readout rows R A M^j for j <
-    K and the powers M^(2^i) are built by doubling, and so are the block
-    starts: S <- [S, S (M^K)^m] takes m starts to 2m. One batched product
-    of the rows with the starts of the blocks that hold the periods read
-    gives their readouts, and the powers of the set bits of the last
-    block's length carry the last start to the end. A run so takes O(log
-    n) batched products of 9x9 real matrices and no loop over its periods
-    or blocks. The final values are one more product, of each run's final
-    state with the same observable rows. K depends on n_reps alone and runs
-    are independent rows of every product, so a result does not depend on
-    which other runs share its batch, nor a readout on which other periods
-    are read.
+    n_reps, so sqrt(n)/2 < K <= sqrt(n)
+    (:func:`~lambda_cpt.lambda_system.kernel_layout`). The readout rows R
+    A M^j for j < K and the powers M^(2^i) are built by doubling, and so
+    are the block starts: S <- [S, S (M^K)^m] takes m starts to 2m. One
+    batched product of the rows with the starts of the blocks that hold
+    the periods read gives their readouts, and the powers of the set bits
+    of the last block's length carry the last start to the end. A run so
+    takes O(log n) batched products of 9x9 real matrices and no loop over
+    its periods or blocks. The final values are one more product, of each
+    run's final state with the same observable rows. K depends on n_reps
+    alone and runs are independent rows of every product, so a result does
+    not depend on which other runs share its batch, nor a readout on which
+    other periods are read.
+
+    Each observable takes products of its own: its K readout rows double
+    on their own, and its readouts come from one product per run of the
+    block starts, (blocks x 9), with its rows, (9 x K), and its final value
+    from one of the final state with its row. So no product's shape depends
+    on how many observables are read, and an observable's readouts and
+    final value are the same bits read alone as read with others. Split so,
+    the readout product of a pump trace (G = 1, k = 5) is five products of
+    9 blocks K, about 9 n_reps multiply-adds each, where one product of all
+    five would be about 45 n_reps. OpenBLAS spreads a product over its
+    threads once it is above about 5.2e5 multiply-adds on two cores, and
+    waking them costs more than such a product: one product of all five
+    was threaded from about 12 000 periods on, and such pump traces took
+    13.7-19.2 ms in a plain loop on a 2-vCPU host where one thread took
+    1.4-2.0 ms, while each of the five stays on one thread up to about 58
+    000 periods. The readouts come back observable by observable, each
+    one's series contiguous.
 
     The working set is one float64 buffer per call, cut by offsets into A
     and M (2 x 81 entries per run), the readout rows (9 K k), the block
@@ -617,7 +716,10 @@ def propagate_periods(
     map slot; the powers square between free slots, and each power the last
     block takes stays where it was squared. Only the returned arrays are
     new, and they own their data: the readouts of the blocks read, 8 k
-    bytes per period read and grid point, and the final values. One block
+    bytes per period read and grid point, and the final values;
+    :func:`~lambda_cpt.lambda_system.kernel_bytes` gives the working set and
+    these in closed form, and the run schema holds every command's calls to
+    a budget by it (:func:`~lambda_cpt.config.check_kernel`). One block
     is for glibc's allocator, which maps a request above its mmap threshold
     (128 KiB at start) afresh and unmaps it when freed, so the pages of
     arrays made and freed per call fault in again on every call; freeing
@@ -639,28 +741,28 @@ def propagate_periods(
         )
     n_reps = periods.stop
     g = period.frequencies.shape[-1]
-    read = _READ_WEIGHTS * _coordinates(np.asarray(observables, dtype=complex).reshape(-1, 3, 3))
+    read = _READ_WEIGHTS * _coordinates(observables).reshape(-1, 9)
     k = len(read)
-    block = 1 << (math.isqrt(n_reps).bit_length() - 1)
-    blocks = -(-n_reps // block)
+    block, blocks, first, sizes = kernel_layout(n_reps, k, periods.start)
     last = n_reps - (blocks - 1) * block  # periods in the last block
-    kept = last.bit_count()
-    # The working set, one buffer cut by offsets: A and M, the readout rows,
-    # the block starts, and a map slot per power the last block keeps, the
-    # first of which holds the point-last map build.
-    maps_end = 2 * 81 * g
-    rows_end = maps_end + g * block * k * 9
-    starts_end = rows_end + g * blocks * 9
-    work = np.empty_like(period.frequencies, dtype=float, shape=starts_end + kept * 81 * g)
-    a, m = work[:maps_end].reshape(2, g, 9, 9)
-    rows = work[maps_end:rows_end].reshape(g, block * k, 9)
+    # The working set, one buffer cut at the offsets of kernel_layout's
+    # sizes: A and M, the readout rows, the block starts, and a map slot per
+    # power the last block keeps, the first of which holds the point-last
+    # map build.
+    maps_end = g * sizes[0]
+    rows_end = maps_end + g * sizes[1]
+    starts_end = rows_end + g * sizes[2]
+    work = np.empty_like(period.frequencies, dtype=float, shape=starts_end + g * sizes[3])
+    maps = work[:maps_end].reshape(2, g, 9, 9)
+    a, m = maps[0], maps[1]
+    rows = work[maps_end:rows_end].reshape(g, k, block, 9)
     starts = work[rows_end:starts_end].reshape(g, blocks, 9)
-    spares = list(work[starts_end:].reshape(kept, g, 9, 9))
+    spares = list(work[starts_end:].reshape(last.bit_count(), g, 9, 9))
     _write_maps(period, a, m, spares[0].reshape(9, 9, g))
-    # rows[:, j k + c] = R_c A M^j for j < block, each doubling filling the
-    # next slice. power runs through M^(2^i), and tail keeps each power the
-    # last block's length takes.
-    np.matmul(read, a, out=rows[:, :k])
+    # rows[:, c, j] = R_c A M^j for j < block, each doubling filling the next
+    # slice, observable by observable. power runs through M^(2^i), and tail
+    # keeps each power the last block's length takes.
+    np.matmul(read[:, None], a[:, None], out=rows[:, :, :1])
     power, free, tail = m, [a, *spares], []
 
     def squared(power: np.ndarray) -> np.ndarray:
@@ -675,13 +777,13 @@ def propagate_periods(
         if last >> i & 1:
             tail.append(power)
         if i < levels - 1:
-            n = k << i
-            np.matmul(rows[:, :n], power, out=rows[:, n : 2 * n])
+            n = 1 << i
+            np.matmul(rows[:, :, :n], power[:, None], out=rows[:, :, n : 2 * n])
             power = squared(power)
     # The states are row vectors, x^T <- x^T (M^K)^T, so that the block starts
     # stack into (G, blocks, 9); power is M^(K n) while the first n starts
     # give the next n.
-    starts[:, 0] = x0 = _coordinates(np.asarray(rho0, dtype=complex))
+    starts[:, 0] = x0 = _coordinates(rho0)
     doublings = (blocks - 1).bit_length()
     for i in range(doublings):
         if i:
@@ -689,10 +791,12 @@ def propagate_periods(
         n = 1 << i
         more = min(n, blocks - n)
         np.matmul(starts[:, :more], power.swapaxes(1, 2), out=starts[:, n : n + more])
-    # The blocks read, by (block, period in block, observable). Never one of
-    # several: numpy multiplies a lone row by another BLAS routine, other bits.
-    first = min(periods.start // block, max(blocks - 2, 0))
-    readouts = starts[:, first:] @ rows.swapaxes(1, 2)
+    # The blocks read, from first on, by (observable, block, period in
+    # block): one product per run and observable, of the starts with that
+    # observable's K rows. Never one block of several (kernel_layout reads
+    # the last two at least): numpy multiplies a lone row by another BLAS
+    # routine, other bits.
+    readouts = starts[:, None, first:] @ rows.swapaxes(2, 3)
     vec = starts[:, -1:]
     for power in tail:
         vec = vec @ power.swapaxes(1, 2)
@@ -703,16 +807,22 @@ def propagate_periods(
             g, n_reps, len(periods), block, blocks,
             2 * block.bit_length() + max(2 * doublings - 1, 0) + len(tail) + 1, work.nbytes,
         )
-    readouts = readouts.reshape(g, (blocks - first) * block, k)[:, periods.start - first * block :]
-    return readouts[:, : len(periods)], (vec @ read.T)[:, 0]
+    start = periods.start - first * block
+    readouts = readouts.reshape(g, k, (blocks - first) * block)[:, :, start : start + len(periods)]
+    return readouts.transpose(0, 2, 1), (vec[:, None] @ read[:, :, None])[:, :, 0, 0]
 
 
 def _check_final_states(x: np.ndarray, x0: np.ndarray, n_reps: int) -> None:
-    """Raise ValueError unless every final state x, n_reps periods on, keeps the trace of x0."""
-    trace0 = x0[:3].sum()
+    """Raise ValueError unless every final state x, n_reps periods on, keeps the trace of x0.
+
+    A non-finite entry anywhere in x makes the sum of x non-finite; finite
+    states of a run keep every entry within a few times the trace, so the
+    sum cannot overflow for them.
+    """
+    trace0 = x0[0] + x0[1] + x0[2]
     drift = np.abs(x[:, :3].sum(-1) - trace0).max(initial=0.0)
     bound = max(_TRACE_DRIFT, _DRIFT_PER_PERIOD * n_reps)
-    if not (np.isfinite(x).all() and drift <= bound * max(1.0, abs(trace0))):
+    if not (drift <= bound * max(1.0, abs(trace0)) and np.isfinite(x.sum())):
         raise ValueError(
             "propagation left the physical states: every final state must be finite, "
             f"with trace within {bound:g} max(1, |tr rho0|) of tr rho0 = "

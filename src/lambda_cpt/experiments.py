@@ -12,6 +12,10 @@ it from its drive, as the CLI does for every command.
 
 Every protocol calls :func:`~lambda_cpt.dynamics.propagate_periods` itself,
 with the observables it reads and the periods it keeps, and calibrates here.
+Its ``*_call`` function states the size of that call, (runs, n_reps,
+observables, first period read), for
+:func:`~lambda_cpt.lambda_system.kernel_bytes`, so that a run can be held
+to a memory budget before it starts.
 Spectra follow the flip-probability convention: the steady excited-state
 readout is scaled so that the far-detuned baseline (the mean of the two
 outermost grid points), an unpumped spin flipping on half the pulses, maps
@@ -53,7 +57,14 @@ __all__ = [
     "apply_artificial_contrast",
     "multi_resonance_scan",
     "comb_predict",
+    "spectrum_call",
+    "pump_call",
+    "composition_call",
+    "multi_resonance_call",
 ]
+
+# The points of the grid multi_resonance_scan gives each period by default.
+_GRID_POINTS = 321
 
 
 @dataclass(frozen=True)
@@ -159,11 +170,11 @@ def cpt_spectrum(seq: SequenceConfig, delta_1: float, grid: np.ndarray) -> Spect
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("empty detuning grid")
-    n = seq.n_reps
-    steady = range(max(n - max(5, n // 4), 0), n)
     excited = np.diag([0.0, 0.0, 1.0])
     period = period_form(replace(seq, lam=replace(seq.lam, delta_1=delta_1)), grid)
-    readouts, _ = propagate_periods(period, thermal_ground_state(), steady, [excited])
+    readouts, _ = propagate_periods(
+        period, thermal_ground_state(), _steady_window(seq.n_reps), [excited]
+    )
     raw = np.mean(readouts[..., 0], axis=1)
     baseline = 0.5 * (raw[0] + raw[-1])
     median = _median(raw)
@@ -173,6 +184,16 @@ def cpt_spectrum(seq: SequenceConfig, delta_1: float, grid: np.ndarray) -> Spect
             f"readouts must average above 1e-12 and at least half the median {median:.3g}"
         )
     return Spectrum(detuning_grid=grid, signal=raw / (2.0 * baseline))
+
+
+def _steady_window(n_reps: int) -> range:
+    """The periods a spectrum reads and averages: the last max(5, n_reps / 4), or all of n_reps."""
+    return range(max(n_reps - max(5, n_reps // 4), 0), n_reps)
+
+
+def spectrum_call(seq: SequenceConfig, points: int) -> tuple[int, int, int, int]:
+    """The kernel call of :func:`cpt_spectrum` over a grid of points: one run per point."""
+    return points, seq.n_reps, 1, _steady_window(seq.n_reps).start
 
 
 def dark_population_estimate(p_minus: np.ndarray) -> np.ndarray:
@@ -192,6 +213,11 @@ def dark_population_estimate(p_minus: np.ndarray) -> np.ndarray:
     return 1.0 - p / (2.0 * p[0])
 
 
+# |->, |up> and |down> as the last three rows of pump_trace's states; the
+# first two rows take the drive's dark and bright states.
+_PUMP_STATES = np.array([[0, 0, 0], [0, 0, 0], [0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=complex)
+
+
 def pump_trace(seq: SequenceConfig) -> PumpTrace:
     """Step-by-step pumping from thermal, with calibrated extraction.
 
@@ -200,15 +226,11 @@ def pump_trace(seq: SequenceConfig) -> PumpTrace:
     calibration against the first readout loses its meaning.
     """
     require(seq.lam.delta_r == 0.0, "delta_1", "equal to delta_2 for a pumping trace")
-    dark, bright = dark_bright_basis(seq.lam)
-    up, down, excited = np.eye(3)
-    observables = [
-        pure_state(np.append(dark, 0.0)),
-        pure_state(np.append(bright, 0.0)),
-        pure_state(excited),
-        pure_state(up),
-        pure_state(down),
-    ]
+    # The states read, one row each: dark, bright, |->, |up>, |down>; their
+    # projectors come in one broadcast.
+    states = _PUMP_STATES.copy()
+    states[:2, :2] = dark_bright_basis(seq.lam)
+    observables = states[:, :, None] * states[:, None].conj()
     readouts, _ = propagate_periods(
         period_form(seq), thermal_ground_state(), range(seq.n_reps), observables
     )
@@ -222,6 +244,11 @@ def pump_trace(seq: SequenceConfig) -> PumpTrace:
         p_down=p_down,
     )
     return PumpTrace(trace=trace, p_dark_est=dark_population_estimate(p_excited))
+
+
+def pump_call(seq: SequenceConfig) -> tuple[int, int, int, int]:
+    """The kernel call of :func:`pump_trace`: one run, its states read at every period."""
+    return 1, seq.n_reps, len(_PUMP_STATES), 0
 
 
 def composition_sweep(seq: SequenceConfig, ratios: np.ndarray) -> CompositionSweep:
@@ -266,6 +293,11 @@ def composition_sweep(seq: SequenceConfig, ratios: np.ndarray) -> CompositionSwe
     return CompositionSweep(ratios=ratios, measured=measured, ideal=ideal)
 
 
+def composition_call(seq: SequenceConfig) -> tuple[int, int, int, int]:
+    """The kernel call of :func:`composition_sweep` per ratio: one run, three values at its end."""
+    return 1, seq.n_reps, 3, seq.n_reps
+
+
 def apply_artificial_contrast(values: np.ndarray, a: float) -> np.ndarray:
     """Compress a composition curve around 1/2: f = 1/2 + a (values - 1/2)."""
     return 0.5 + a * (np.asarray(values, dtype=float) - 0.5)
@@ -288,10 +320,15 @@ def multi_resonance_scan(
         g = (
             np.asarray(grid, dtype=float)
             if grid is not None
-            else np.linspace(-1.3 / t_seq, 1.3 / t_seq, 321)
+            else np.linspace(-1.3 / t_seq, 1.3 / t_seq, _GRID_POINTS)
         )
         spectra.append(cpt_spectrum(seq_t, base.lam.delta_1, g))
     return spectra
+
+
+def multi_resonance_call(seq: SequenceConfig, points: int | None) -> tuple[int, int, int, int]:
+    """The kernel call of :func:`multi_resonance_scan` per period: points, or its own grid."""
+    return spectrum_call(seq, _GRID_POINTS if points is None else points)
 
 
 def comb_predict(t_mw: float, t_seq: float, n_s: float, n_max: int) -> CombPrediction:

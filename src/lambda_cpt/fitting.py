@@ -109,15 +109,18 @@ def _leastsq(
 ) -> tuple[np.ndarray, float, np.ndarray, str, int]:
     """Minimize |r(p)|^2 from params0 by Levenberg-Marquardt.
 
-    ``model(p)`` returns the residuals r and their Jacobian J at p. Each
-    step solves (J^T J + mu diag(d^2)) delta = -J^T r, where d is the running
-    maximum of each Jacobian column norm (MINPACK's scaling, a zero column
-    scaled by 1), and mu starts at 1e-3 and follows the gain ratio rho
-    (Madsen, Nielsen & Tingleff 2004). A trial point whose cost is not finite is a rejected
-    step. The search ends with status "ftol" when the actual and the
-    predicted relative reduction of the cost are both at most FTOL and
-    rho <= 2 (MINPACK's ftol rule; a zero residual has converged), or with
-    "budget" once ``maxfev`` evaluations of the model are spent.
+    ``model(p)`` returns the residuals and their Jacobian at p as one array
+    of len(p) + 1 rows: the Jacobian's columns, then the residuals r. Its
+    Gram matrix, one product per evaluation, holds J^T J, the gradient J^T r
+    and the cost r^T r at once. Each step solves (J^T J + mu diag(d^2))
+    delta = -J^T r, where d is the running maximum of each Jacobian column
+    norm (MINPACK's scaling, a zero column scaled by 1), and mu starts at
+    1e-3 and follows the gain ratio rho (Madsen, Nielsen & Tingleff 2004).
+    A trial point whose cost is not finite is a rejected step. The search
+    ends with status "ftol" when the actual and the predicted relative
+    reduction of the cost are both at most FTOL and rho <= 2 (MINPACK's
+    ftol rule; a zero residual has converged), or with "budget" once
+    ``maxfev`` evaluations of the model are spent.
 
     Returns the parameters, the cost |r|^2 there, the 1-sigma values, the
     status and the evaluation count. The sigmas are inf when J^T J is
@@ -127,13 +130,15 @@ def _leastsq(
     p = np.array(params0, dtype=float)
     eye = np.eye(len(p))
     with np.errstate(all="ignore"):
-        r, jac = model(p)
-        cost = float(r.dot(r))
+        # .dot rather than @: less call overhead on these small arrays.
+        stacked = model(p)
+        residuals = stacked.shape[1]
+        gram = stacked.dot(stacked.T)
+        cost = float(gram[-1, -1])
         nfev, status = 1, "budget"
         mu, nu, d2 = 1e-3, 2.0, None
         while cost > 0.0 and status == "budget" and nfev < maxfev:
-            # .dot rather than @: less call overhead on these small arrays.
-            jtj, grad = jac.T.dot(jac), r.dot(jac)
+            jtj, grad = gram[:-1, :-1], gram[:-1, -1]
             norms2 = jtj.diagonal()
             d2 = norms2 + (norms2 == 0.0) if d2 is None else np.maximum(d2, norms2)
             while nfev < maxfev:
@@ -144,16 +149,17 @@ def _leastsq(
                     mu, nu = mu * nu, 2.0 * nu
                     continue
                 trial = p - neg_step
-                r_new, jac_new = model(trial)
+                stacked = model(trial)
+                gram_new = stacked.dot(stacked.T)
                 nfev += 1
-                cost_new = float(r_new.dot(r_new))
+                cost_new = float(gram_new[-1, -1])
                 predicted = float(neg_step.dot(damping * neg_step + grad))
                 rho = (cost - cost_new) / predicted if predicted > 0.0 else 0.0
                 actual = 1.0 - cost_new / cost if cost_new < 100.0 * cost else -1.0
                 if abs(actual) <= FTOL and predicted <= FTOL * cost and rho <= 2.0:
                     status = "ftol"
                 if rho > 0.0:
-                    p, r, jac, cost = trial, r_new, jac_new, cost_new
+                    p, gram, cost = trial, gram_new, cost_new
                     mu, nu = mu * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 2.0
                     break
                 mu, nu = mu * nu, 2.0 * nu
@@ -161,9 +167,9 @@ def _leastsq(
                     break
         if cost == 0.0:
             status = "ftol"
-        dof = len(r) - len(p)
+        dof = residuals - len(p)
         try:
-            cov = np.linalg.inv(jac.T.dot(jac)) if dof > 0 else None
+            cov = np.linalg.inv(gram[:-1, :-1]) if dof > 0 else None
         except np.linalg.LinAlgError:
             cov = None
         if cov is None:
@@ -214,18 +220,20 @@ def fit_dips(spec: Spectrum, k: int, init_centers: np.ndarray | None = None) -> 
         depth = baseline0 - float(np.interp(c, x, y))
         params0.extend([max(depth, 1e-6), c, sigma0])
 
-    def gaussian_dips(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def gaussian_dips(p: np.ndarray) -> np.ndarray:
         amp, center, sigma = p[1:].reshape(-1, 3).T[:, :, None]
         dx = x - center
         e = np.exp(-dx * dx / (2.0 * sigma * sigma))
         dip = amp * e
-        # Row i of jt is column i of J: contiguous to fill, and J is jt.T.
-        jt = np.empty((len(p), len(x)))
-        jt[0] = 1.0
-        jt[1::3] = -e
-        jt[2::3] = -dip * dx / (sigma * sigma)
-        jt[3::3] = -dip * dx * dx / (sigma * sigma * sigma)
-        return p[0] - dip.sum(axis=0) - y, jt.T
+        # Row i < len(p) is column i of the Jacobian; the last row holds the
+        # residuals.
+        stacked = np.empty((len(p) + 1, len(x)))
+        stacked[0] = 1.0
+        stacked[1:-1:3] = -e
+        stacked[2:-1:3] = -dip * dx / (sigma * sigma)
+        stacked[3:-1:3] = -dip * dx * dx / (sigma * sigma * sigma)
+        np.subtract(p[0] - dip.sum(axis=0), y, out=stacked[-1])
+        return stacked
 
     popt, cost, sigmas, status, nfev = _leastsq(
         gaussian_dips, np.asarray(params0), maxfev=500 * (len(params0) + 1)
@@ -265,14 +273,16 @@ def fit_saturation(series: np.ndarray) -> SaturationFit:
         )
     n = np.arange(len(series), dtype=float)
 
-    def saturation(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        p_inf, p0, n_s = p  # numpy scalars: n_s = 0 divides to inf, not an exception
+    def saturation(p: np.ndarray) -> np.ndarray:
+        p_inf, p0, n_s = p[0], p[1], p[2]  # numpy scalars: n_s = 0 divides to inf, not an exception
         e = np.exp(n * (-1.0 / abs(n_s)))
-        jt = np.empty((3, len(n)))
-        np.subtract(1.0, e, out=jt[0])
-        jt[1] = e
-        np.multiply(e, n * ((p0 - p_inf) * np.sign(n_s) / (n_s * n_s)), out=jt[2])
-        return p_inf + (p0 - p_inf) * e - series, jt.T
+        # The Jacobian's columns in p_inf, p0 and n_s, then the residuals.
+        stacked = np.empty((4, len(n)))
+        np.subtract(1.0, e, out=stacked[0])
+        stacked[1] = e
+        np.multiply(e, n * ((p0 - p_inf) * np.sign(n_s) / (n_s * n_s)), out=stacked[2])
+        np.subtract(p[:2].dot(stacked[:2]), series, out=stacked[3])
+        return stacked
 
     # Start n_s at the first step within 1/e of the end-to-end change: a
     # length-based guess can leave LM in the n_s -> 0 valley on short traces.

@@ -7,7 +7,11 @@ coupling to |-> at two-photon resonance, the bright state carries all of it.
 This module holds the parameter dataclasses of a run (the drive, the
 repeated sequence, the readout), each with its range rules, the
 closed-form scalar algebra of the drive (the Rabi split and the pumping
-efficiency) and the readout's linear map (:meth:`ReadoutModel.signal`).
+efficiency) and the readout's linear map (:meth:`ReadoutModel.signal`),
+and the size of a run in closed form: how the propagation kernel cuts a
+call into blocks of periods and its working set into arrays
+(:func:`kernel_layout`), and the bytes one call holds
+(:func:`kernel_bytes`), by which the run schema bounds a run's size.
 It runs on ``math`` alone, so that the run schema
 (:mod:`lambda_cpt.config`) imports no numpy; the dark/bright spinors and
 all time evolution live in :mod:`lambda_cpt.dynamics`.
@@ -31,6 +35,8 @@ __all__ = [
     "ReadoutModel",
     "split_rabi",
     "polarization_efficiency",
+    "kernel_layout",
+    "kernel_bytes",
 ]
 
 
@@ -208,3 +214,39 @@ def polarization_efficiency(cfg: LambdaConfig) -> float:
     cross = o1 * o2 * math.sin(cfg.theta) * math.cos(cfg.phi - cfg.psi)
     alpha_p = (o2 * o2 * s2 + o1 * o1 * c2 + cross) / (o1 * o1 + o2 * o2)
     return min(max(alpha_p, 0.0), 1.0)
+
+
+def kernel_layout(
+    n_reps: int, observables: int, start: int
+) -> tuple[int, int, int, tuple[int, int, int, int]]:
+    """How the propagation kernel cuts a call of n_reps >= 1 periods read from period start on.
+
+    Periods fall into blocks of K, the largest power of two with K^2 <=
+    n_reps, so that sqrt(n_reps) / 2 < K <= sqrt(n_reps): ceil(n_reps / K)
+    blocks. The readouts come from every block from the one that holds
+    period start on, and from the last two at least. The working set of each
+    run is, in float64 entries and in the order of the kernel's buffer: A
+    and M (2 x 81), the readout rows of the k = ``observables`` operators (9
+    K k), the block starts (9 ceil(n_reps / K)), and a map slot per set bit
+    b of the last block's length (81 b).
+
+    Returns K, the block count, the first block read and the four sizes.
+    """
+    block = 1 << (math.isqrt(n_reps).bit_length() - 1)
+    blocks = -(-n_reps // block)
+    last = n_reps - (blocks - 1) * block
+    first = min(start // block, max(blocks - 2, 0))
+    sizes = (2 * 81, 9 * block * observables, 9 * blocks, 81 * last.bit_count())
+    return block, blocks, first, sizes
+
+
+def kernel_bytes(runs: int, n_reps: int, observables: int, start: int) -> int:
+    """Bytes one call of the propagation kernel holds: its working set and the readouts it returns.
+
+    The call runs ``runs`` stacked runs of n_reps >= 1 periods and reads k
+    = ``observables`` operators at the periods start to n_reps. Per run: the
+    working set of :func:`kernel_layout`, then the readouts of every block
+    it reads, k K each, and the k final values, 8 bytes per entry.
+    """
+    block, blocks, first, sizes = kernel_layout(n_reps, observables, start)
+    return 8 * runs * (sum(sizes) + observables * ((blocks - first) * block + 1))

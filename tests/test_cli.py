@@ -244,6 +244,30 @@ def test_comb_too_many_teeth_exits_three(tmp_path, caplog):
     assert not list(tmp_path.glob("comb*"))
 
 
+# Runs too large for memory: each used to end in an uncaught
+# _ArrayMemoryError, in np.linspace (a grid of 1e16 points, 71 PiB) or in the
+# kernel's readout rows (1e16 periods, 22.5 GiB at 5 points).
+@pytest.mark.parametrize(
+    "text, command, key",
+    [
+        ("[scan]\npoints = 10000000000000000\n", "cpt-spectrum", "scan.points"),
+        ("[sequence]\nn_reps = 10000000000000000\n[scan]\npoints = 5\n", "cpt-spectrum",
+         "sequence.n_reps"),
+        ("[sequence]\nn_reps = 10000000000000000\n", "pump-steps", "sequence.n_reps"),
+        ("[composition]\nn_steps = 10000000000000000\n", "composition", "composition.n_steps"),
+        ("[sequence]\nn_reps = 10000000000000000\n", "multi-resonance", "sequence.n_reps"),
+        ("[scan]\npoints = 10000000000000000\n", "multi-resonance", "scan.points"),
+    ],
+)
+def test_run_over_the_kernel_budget_exits_three_at_its_key(tmp_path, caplog, text, command, key):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    assert run([command, "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert f"validation rejected: {key}: the run's kernel call would hold " in caplog.text
+    assert "over its budget of 1 GiB" in caplog.text
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_pump_steps_off_two_photon_resonance_exits_three(tmp_path, caplog):
     # The run file allows delta_1 != delta_2; only the pumping trace needs them equal.
     cfg = tmp_path / "run.ini"

@@ -7,9 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lambda_cpt.config import _SCHEMA, ConfigError, default_config, load_config, parse_config
-from lambda_cpt.experiments import comb_predict, composition_sweep
-from lambda_cpt.lambda_system import LambdaConfig, ReadoutModel, SequenceConfig
+from lambda_cpt.config import (
+    _SCHEMA,
+    KERNEL_BUDGET,
+    ConfigError,
+    check_kernel,
+    default_config,
+    load_config,
+    parse_config,
+)
+from lambda_cpt.experiments import comb_predict, composition_sweep, pump_call, spectrum_call
+from lambda_cpt.lambda_system import LambdaConfig, ReadoutModel, SequenceConfig, kernel_bytes
 from lambda_cpt.rate_model import PumpStepParams, SimplifiedParams, gamma_dp_for_alpha_dp
 from lambda_cpt.spin_model import FieldError, HyperfineParams, PhysicalConstants, SpinSystemParams
 
@@ -405,3 +413,19 @@ def test_manifest_inputs_structure():
     }
     assert inputs["sequence"]["t1_e"] == "inf"
     assert inputs["spin"]["b_field"] == 850.0
+
+
+def test_kernel_budget_admits_large_runs_and_names_the_key_that_breaks_it():
+    """A 201-point spectrum over 1e6 periods holds 0.44 GB and a pump trace of
+    2.5e7 periods 1.0 GB, both within 1 GiB; twice the trace is over it, at
+    its n_reps key, and so is a spectrum of 1e5 points, at its points key."""
+    seq = SequenceConfig(LAM, n_reps=10**6)
+    check_kernel(spectrum_call(seq, 201), "scan.points", "sequence.n_reps")
+    trace = pump_call(dataclasses.replace(seq, n_reps=25_000_000))
+    check_kernel(trace, "sequence.n_reps", "sequence.n_reps")
+    assert trace == (1, 25_000_000, 5, 0)
+    assert kernel_bytes(*trace) <= KERNEL_BUDGET == 2**30
+    with pytest.raises(ConfigError, match="^sequence.n_reps: .* over its budget of 1 GiB"):
+        check_kernel((1, 50_000_000, 5, 0), "sequence.n_reps", "sequence.n_reps")
+    with pytest.raises(ConfigError, match="^scan.points: "):
+        check_kernel(spectrum_call(seq, 10**5), "scan.points", "sequence.n_reps")

@@ -241,9 +241,9 @@ def fit_with_oracle(fit, *args, **kwargs):
     """
     model, params0, maxfev = driver_inputs(fit, *args, **kwargs)
     popt, _, _, _, ier = leastsq(
-        lambda p: model(p)[0],
+        lambda p: model(p)[-1],
         params0,
-        Dfun=lambda p: model(p)[1],
+        Dfun=lambda p: model(p)[:-1].T,
         ftol=1e-10,
         maxfev=maxfev,
         full_output=True,
@@ -316,13 +316,13 @@ def test_jacobians_match_central_differences(sign):
     saturation, _, _ = driver_inputs(fit_saturation, 0.9 - 0.4 * np.exp(-np.arange(30) / 2.5))
     sat_p = np.array([0.85, 0.45, sign * 1.7])
     for model, p in ((dips, dips_p), (saturation, sat_p)):
-        _, jac = model(p)
+        jac = model(p)[:-1].T
         for j in range(len(p)):
             h = 1e-6 * max(1.0, abs(p[j]))
             up, down = p.copy(), p.copy()
             up[j] += h
             down[j] -= h
-            numeric = (model(up)[0] - model(down)[0]) / (2.0 * h)
+            numeric = (model(up)[-1] - model(down)[-1]) / (2.0 * h)
             np.testing.assert_allclose(jac[:, j], numeric, rtol=1e-5, atol=1e-7)
 
 
