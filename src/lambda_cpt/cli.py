@@ -23,11 +23,13 @@ those: esr-lines runs on the schema and the spin model, and starts without
 numpy; no simulation loads the fitting module.
 
 Exit codes: 0 success, 1 engine failure, 2 unreadable CLI/config input
-or an output that cannot be written, 3 validation rejection, 4 a written
-report has converged false (the fit did not converge), 64 missing or
-unknown command. LAMBDA_CPT_LOG=DEBUG (or any level name) logs to stderr,
-at DEBUG each file written with its size, the handler's wall time and,
-from lambda_cpt.fitting, how each nonlinear fit ended.
+or an output that cannot be written, 3 validation rejection, logged at
+the ``section.key`` it rejects (a handler's FieldError at the key of its
+field), 4 a written report has converged false (the fit did not
+converge), 64 missing or unknown command. LAMBDA_CPT_LOG=DEBUG (or any
+level name) logs to stderr, at DEBUG each file written with its size,
+the handler's wall time and, from lambda_cpt.fitting, how each nonlinear
+fit ended.
 """
 
 from __future__ import annotations
@@ -45,10 +47,10 @@ from . import __version__
 from .config import (
     ConfigError,
     RunConfig,
-    check_kernel,
     check_periods,
     check_scan,
     default_config,
+    field_key,
     load_config,
 )
 from .datasets import read_csv, run_manifest, write_csv, write_manifest
@@ -109,17 +111,15 @@ def _run_esr_lines(cfg: RunConfig, noise) -> dict:
 def _run_cpt_spectrum(cfg: RunConfig, noise) -> dict:
     import numpy as np
 
-    from .experiments import cpt_spectrum, spectrum_call
+    from .experiments import cpt_spectrum
 
-    check_kernel(spectrum_call(cfg.seq, cfg.scan_grid[2]), "scan.points", "sequence.n_reps")
     spec = cpt_spectrum(cfg.seq, cfg.seq.lam.delta_1, np.linspace(*cfg.scan_grid))
     return {"spectrum.csv": ("steady trapping spectrum", _spectrum_columns(spec, noise))}
 
 
 def _run_pump_steps(cfg: RunConfig, noise) -> dict:
-    from .experiments import pump_call, pump_trace
+    from .experiments import pump_trace
 
-    check_kernel(pump_call(cfg.seq), "sequence.n_reps", "sequence.n_reps")
     result = pump_trace(cfg.seq)
     trace = result.trace
     steps = {**asdict(trace), "signal": noise(cfg.readout.signal(trace.p_excited))}
@@ -131,11 +131,9 @@ def _run_pump_steps(cfg: RunConfig, noise) -> dict:
 
 
 def _run_composition(cfg: RunConfig, noise) -> dict:
-    from .experiments import apply_artificial_contrast, composition_call, composition_sweep
+    from .experiments import apply_artificial_contrast, composition_sweep
 
-    seq = replace(cfg.seq, n_reps=cfg.composition_steps)
-    check_kernel(composition_call(seq), "composition.n_steps", "composition.n_steps")
-    sweep = composition_sweep(seq, cfg.ratios)
+    sweep = composition_sweep(replace(cfg.seq, n_reps=cfg.composition_steps), cfg.ratios)
     columns = {"ratio": sweep.ratios, "measured": sweep.measured, "ideal": sweep.ideal}
     if cfg.contrast_a is not None:
         columns["measured_contrast"] = apply_artificial_contrast(sweep.measured, cfg.contrast_a)
@@ -145,12 +143,10 @@ def _run_composition(cfg: RunConfig, noise) -> dict:
 def _run_multi_resonance(cfg: RunConfig, noise) -> dict:
     import numpy as np
 
-    from .experiments import multi_resonance_call, multi_resonance_scan
+    from .experiments import multi_resonance_scan
 
     labels = check_periods(cfg.seq, cfg.t_seq_list, cfg.scan_grid[:2])
     explicit_grid = {"delta_start", "delta_stop", "points"} & set(cfg.explicit.get("scan", {}))
-    points = cfg.scan_grid[2] if explicit_grid else None
-    check_kernel(multi_resonance_call(cfg.seq, points), "scan.points", "sequence.n_reps")
     grid = np.linspace(*cfg.scan_grid) if explicit_grid else None
     spectra = multi_resonance_scan(cfg.seq, list(cfg.t_seq_list), grid=grid)
     return {
@@ -326,22 +322,33 @@ def main(argv: list[str] | None = None) -> int:
     rng = None
 
     def noise(values):
-        """values plus N(0, noise.std) draws, from one stream seeded at the first call."""
+        """values plus N(0, noise.std) draws, from one stream seeded at the first call.
+
+        Raises ConfigError at noise.std when a noisy value leaves the float range.
+        """
         nonlocal rng
         if cfg.noise_std <= 0:
             return values
-        if rng is None:
-            import numpy as np
+        import numpy as np
 
+        if rng is None:
             rng = np.random.default_rng(ns.seed if ns.seed is not None else 0)
-        return values + rng.normal(0.0, cfg.noise_std, size=len(values))
+        noisy = values + rng.normal(0.0, cfg.noise_std, size=len(values))
+        if not np.all(np.isfinite(noisy)):
+            raise ConfigError("noise.std", "must be small enough that every noisy value is finite")
+        return noisy
 
     name, handler = _HANDLERS[ns.command]
     started = time.perf_counter()
     try:
         products = handler(cfg, noise)
-    except (ConfigError, FieldError) as exc:
-        # A FieldError's message starts with the field it rejects.
+    except FieldError as exc:
+        # composition runs its n_steps periods as the sequence's n_reps.
+        steps = (ns.command, exc.field) == ("composition", "n_reps")
+        key = "composition.n_steps" if steps else field_key(exc.field)
+        log.error("validation rejected: %s: %s", key, exc)
+        return 3
+    except ConfigError as exc:
         log.error("validation rejected: %s", exc)
         return 3
     except ValueError as exc:

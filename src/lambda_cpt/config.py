@@ -12,6 +12,9 @@ the INI path and the Python API alike; parse_config reports the dataclass's
 FieldError at that key (SequenceConfig holds n_reps >= 1 and durations
 >= 0, say). Only keys with no dataclass home keep a bound in their
 converter, and parse_config checks the rules that tie keys together.
+A rule that only a running command can check (a kernel call over its
+memory budget, a pump trace off two-photon resonance) raises FieldError
+naming a field, and :func:`field_key` gives the key it is reported at.
 
 Drive amplitudes can be given directly (omega_1, omega_2 in MHz) or as a
 pulse area in radians plus an amplitude ratio, from which the two tones
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, TypeVar
 
-from .lambda_system import LambdaConfig, ReadoutModel, SequenceConfig, kernel_bytes, split_rabi
+from .lambda_system import LambdaConfig, ReadoutModel, SequenceConfig, split_rabi
 from .rate_model import gamma_dp_for_alpha_dp
 from .spin_model import (
     FieldError,
@@ -49,13 +52,8 @@ __all__ = [
     "default_config",
     "check_periods",
     "check_scan",
-    "check_kernel",
-    "KERNEL_BUDGET",
+    "field_key",
 ]
-
-# The most memory one call of the propagation kernel may hold, in bytes: its
-# working set and the readouts it returns (kernel_bytes).
-KERNEL_BUDGET = 2**30
 
 
 class ConfigError(ValueError):
@@ -174,27 +172,6 @@ def check_scan(seq: SequenceConfig, scan_ends) -> None:
     _at_scan_ends(lambda delta_2: replace(seq, lam=replace(seq.lam, delta_2=delta_2)), scan_ends)
 
 
-def check_kernel(call: tuple[int, int, int, int], runs_key: str, n_reps_key: str) -> None:
-    """One kernel call of a command, held to KERNEL_BUDGET at the keys that size it.
-
-    call is (runs, n_reps, observables, start), as a protocol's ``*_call``
-    function in :mod:`lambda_cpt.experiments` states it: ``runs`` stacked
-    runs of n_reps periods that read ``observables`` operators from period
-    ``start`` on, holding :func:`~lambda_cpt.lambda_system.kernel_bytes` of
-    memory. Over budget, it is rejected at n_reps_key when a single run is
-    over budget too, and at runs_key otherwise, so nothing is allocated.
-    """
-    runs, n_reps, observables, start = call
-    for key, count in ((n_reps_key, 1), (runs_key, runs)):
-        size = kernel_bytes(count, n_reps, observables, start)
-        if size > KERNEL_BUDGET:
-            raise ConfigError(
-                key,
-                f"the run's kernel call would hold {size / 2**30:.3g} GiB, "
-                f"over its budget of {KERNEL_BUDGET / 2**30:g} GiB",
-            )
-
-
 def _at_scan_ends(make: Callable[[float], object], scan_ends) -> None:
     """make(delta_2) at each scan end, with the FieldError it raises reported at that end."""
     for key, delta_2 in zip(("delta_start", "delta_stop"), scan_ends):
@@ -247,7 +224,9 @@ _SCHEMA: dict[str, dict[str, tuple[str, _Converter]]] = {
     "scan": {
         "delta_start": ("-0.06", _float),
         "delta_stop": ("0.06", _float),
-        "points": ("201", _at_least(2)),
+        # The grid is built before the kernel holds its call to its budget,
+        # which admits 510 333 points at most (n_reps = 1).
+        "points": ("201", _bounded(_int, lambda v: 2 <= v <= 10**6, "in [2, 1000000]")),
         "t_seq_list": ("10, 15, 25, 50", _float_list),
         "n_s": ("1.8", _positive),
         # comb-predict writes 2 n_max + 1 teeth, as arrays held in memory.
@@ -302,6 +281,17 @@ _T = TypeVar("_T")
 # A dataclass field reported at another key of its section: the resolved
 # amplitude hypot(omega_1, omega_2) is reported at omega_1.
 _FIELD_KEYS = {"omega_eff": "omega_1"}
+
+
+def field_key(field: str) -> str:
+    """The ``section.key`` of a parameter field: the one schema section with a key of that name.
+
+    Raises KeyError for a field that no section holds, or more than one (phi).
+    """
+    sections = [section for section, keys in _SCHEMA.items() if field in keys]
+    if len(sections) != 1:
+        raise KeyError(field)
+    return f"{sections[0]}.{field}"
 
 
 def _build(section: str, make: Callable[[], _T]) -> _T:

@@ -93,7 +93,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lambda_system import LambdaConfig, SequenceConfig, kernel_layout, polarization_efficiency
+from .lambda_system import (
+    KERNEL_BUDGET,
+    LambdaConfig,
+    SequenceConfig,
+    kernel_bytes,
+    kernel_layout,
+    polarization_efficiency,
+)
+from .spin_model import FieldError
 
 __all__ = [
     "dark_bright_basis",
@@ -718,20 +726,23 @@ def propagate_periods(
     new, and they own their data: the readouts of the blocks read, 8 k
     bytes per period read and grid point, and the final values;
     :func:`~lambda_cpt.lambda_system.kernel_bytes` gives the working set and
-    these in closed form, and the run schema holds every command's calls to
-    a budget by it (:func:`~lambda_cpt.config.check_kernel`). One block
-    is for glibc's allocator, which maps a request above its mmap threshold
-    (128 KiB at start) afresh and unmaps it when freed, so the pages of
+    these in closed form, and a call is held to
+    :data:`~lambda_cpt.lambda_system.KERNEL_BUDGET` by it before anything
+    is allocated. One block is for glibc's allocator, which maps a request
+    above its mmap threshold (128 KiB at start) afresh and unmaps it when freed, so the pages of
     arrays made and freed per call fault in again on every call; freeing
     one block raises the dynamic threshold past its size, so later calls
     reuse heap pages already mapped. Under other allocators it is one
     allocation in place of several.
 
-    Raises ValueError when periods is no such range, or when a final state
-    is not finite or its trace drifts from tr rho0 by more than max(1e-10,
-    64 eps n_reps) max(1, |tr rho0|), eps the float64 epsilon: the period
-    did not describe a physical run. Both are read in real coordinates,
-    where the trace is the sum of the three populations.
+    Raises FieldError when the call would hold more than KERNEL_BUDGET,
+    naming n_reps when a single run is over it and points (the G runs of a
+    grid) when only the stack is. Raises ValueError when periods is no such
+    range, or when a final state is not finite or its trace drifts from tr
+    rho0 by more than max(1e-10, 64 eps n_reps) max(1, |tr rho0|), eps the
+    float64 epsilon: the period did not describe a physical run. Both are
+    read in real coordinates, where the trace is the sum of the three
+    populations.
     """
     ok = isinstance(periods, range) and periods.step == 1 and 0 <= periods.start <= periods.stop
     if not (ok and periods.stop >= 1):
@@ -743,6 +754,14 @@ def propagate_periods(
     g = period.frequencies.shape[-1]
     read = _READ_WEIGHTS * _coordinates(observables).reshape(-1, 9)
     k = len(read)
+    size = kernel_bytes(1, n_reps, k, periods.start)
+    for name, runs in (("n_reps", 1), ("points", g)):
+        if runs * size > KERNEL_BUDGET:
+            raise FieldError(
+                name,
+                f"small enough that the kernel call holds at most {KERNEL_BUDGET / 2**30:g} "
+                f"GiB, not {runs * size / 2**30:.3g} GiB",
+            )
     block, blocks, first, sizes = kernel_layout(n_reps, k, periods.start)
     last = n_reps - (blocks - 1) * block  # periods in the last block
     # The working set, one buffer cut at the offsets of kernel_layout's

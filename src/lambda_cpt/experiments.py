@@ -11,11 +11,9 @@ A spectrum sweeps delta_2 at one delta_1; the multi-resonance scan takes
 it from its drive, as the CLI does for every command.
 
 Every protocol calls :func:`~lambda_cpt.dynamics.propagate_periods` itself,
-with the observables it reads and the periods it keeps, and calibrates here.
-Its ``*_call`` function states the size of that call, (runs, n_reps,
-observables, first period read), for
-:func:`~lambda_cpt.lambda_system.kernel_bytes`, so that a run can be held
-to a memory budget before it starts.
+with the observables it reads and the periods it keeps, and calibrates here;
+the kernel holds that call to its memory budget before it allocates
+anything, and names n_reps or points when it is over.
 Spectra follow the flip-probability convention: the steady excited-state
 readout is scaled so that the far-detuned baseline (the mean of the two
 outermost grid points), an unpumped spin flipping on half the pulses, maps
@@ -42,7 +40,7 @@ from .dynamics import (
     thermal_ground_state,
 )
 from .lambda_system import SequenceConfig, split_rabi
-from .spin_model import require
+from .spin_model import FieldError, require
 
 __all__ = [
     "Spectrum",
@@ -57,14 +55,7 @@ __all__ = [
     "apply_artificial_contrast",
     "multi_resonance_scan",
     "comb_predict",
-    "spectrum_call",
-    "pump_call",
-    "composition_call",
-    "multi_resonance_call",
 ]
-
-# The points of the grid multi_resonance_scan gives each period by default.
-_GRID_POINTS = 321
 
 
 @dataclass(frozen=True)
@@ -191,11 +182,6 @@ def _steady_window(n_reps: int) -> range:
     return range(max(n_reps - max(5, n_reps // 4), 0), n_reps)
 
 
-def spectrum_call(seq: SequenceConfig, points: int) -> tuple[int, int, int, int]:
-    """The kernel call of :func:`cpt_spectrum` over a grid of points: one run per point."""
-    return points, seq.n_reps, 1, _steady_window(seq.n_reps).start
-
-
 def dark_population_estimate(p_minus: np.ndarray) -> np.ndarray:
     """Calibrated dark-population estimate from an excited-population series.
 
@@ -246,11 +232,6 @@ def pump_trace(seq: SequenceConfig) -> PumpTrace:
     return PumpTrace(trace=trace, p_dark_est=dark_population_estimate(p_excited))
 
 
-def pump_call(seq: SequenceConfig) -> tuple[int, int, int, int]:
-    """The kernel call of :func:`pump_trace`: one run, its states read at every period."""
-    return 1, seq.n_reps, len(_PUMP_STATES), 0
-
-
 def composition_sweep(seq: SequenceConfig, ratios: np.ndarray) -> CompositionSweep:
     """Measure |<down|D>|^2 as a function of the Rabi ratio r = omega_1/omega_2.
 
@@ -263,7 +244,10 @@ def composition_sweep(seq: SequenceConfig, ratios: np.ndarray) -> CompositionSwe
 
     using the dark population P_D of the same final state. Both are read
     off the final state as observables, each a ratio to the ground trace.
-    Raises ValueError when pumping is too shallow to invert (P_D <= 0.5).
+    Raises ValueError when pumping is too shallow to invert (P_D <= 0.5),
+    and FieldError naming ratios when a rescaled drive breaks a rule of its
+    dataclass: at omega_eff = 1e-150 MHz, its floor, the pair can round
+    below it.
     """
     ratios = np.asarray(ratios, dtype=float)
     if ratios.size == 0:
@@ -273,10 +257,13 @@ def composition_sweep(seq: SequenceConfig, ratios: np.ndarray) -> CompositionSwe
     measured = np.empty(len(ratios))
     for i, r in enumerate(ratios):
         omega_1, omega_2 = split_rabi(o_eff, r)
-        lam_r = replace(seq.lam, omega_1=omega_1, omega_2=omega_2)
-        dark = pure_state(np.append(dark_bright_basis(lam_r)[0], 0.0))
+        try:
+            seq_r = replace(seq, lam=replace(seq.lam, omega_1=omega_1, omega_2=omega_2))
+        except FieldError as exc:
+            raise FieldError("ratios", f"ones the rescaled drive takes (r = {r:g}: {exc})") from exc
+        dark = pure_state(np.append(dark_bright_basis(seq_r.lam)[0], 0.0))
         _, ((dark_weight, down, ground),) = propagate_periods(
-            period_form(replace(seq, lam=lam_r)),
+            period_form(seq_r),
             thermal_ground_state(),
             range(seq.n_reps, seq.n_reps),
             [dark, np.diag([0.0, 1.0, 0.0]), np.diag([1.0, 1.0, 0.0])],
@@ -291,11 +278,6 @@ def composition_sweep(seq: SequenceConfig, ratios: np.ndarray) -> CompositionSwe
     # r^2 / (1 + r^2), written so that r^2 never overflows.
     ideal = (ratios / np.hypot(1.0, ratios)) ** 2
     return CompositionSweep(ratios=ratios, measured=measured, ideal=ideal)
-
-
-def composition_call(seq: SequenceConfig) -> tuple[int, int, int, int]:
-    """The kernel call of :func:`composition_sweep` per ratio: one run, three values at its end."""
-    return 1, seq.n_reps, 3, seq.n_reps
 
 
 def apply_artificial_contrast(values: np.ndarray, a: float) -> np.ndarray:
@@ -320,15 +302,10 @@ def multi_resonance_scan(
         g = (
             np.asarray(grid, dtype=float)
             if grid is not None
-            else np.linspace(-1.3 / t_seq, 1.3 / t_seq, _GRID_POINTS)
+            else np.linspace(-1.3 / t_seq, 1.3 / t_seq, 321)
         )
         spectra.append(cpt_spectrum(seq_t, base.lam.delta_1, g))
     return spectra
-
-
-def multi_resonance_call(seq: SequenceConfig, points: int | None) -> tuple[int, int, int, int]:
-    """The kernel call of :func:`multi_resonance_scan` per period: points, or its own grid."""
-    return spectrum_call(seq, _GRID_POINTS if points is None else points)
 
 
 def comb_predict(t_mw: float, t_seq: float, n_s: float, n_max: int) -> CombPrediction:

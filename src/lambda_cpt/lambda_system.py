@@ -11,7 +11,8 @@ efficiency) and the readout's linear map (:meth:`ReadoutModel.signal`),
 and the size of a run in closed form: how the propagation kernel cuts a
 call into blocks of periods and its working set into arrays
 (:func:`kernel_layout`), and the bytes one call holds
-(:func:`kernel_bytes`), by which the run schema bounds a run's size.
+(:func:`kernel_bytes`), which the kernel holds to :data:`KERNEL_BUDGET`
+before it allocates anything.
 It runs on ``math`` alone, so that the run schema
 (:mod:`lambda_cpt.config`) imports no numpy; the dark/bright spinors and
 all time evolution live in :mod:`lambda_cpt.dynamics`.
@@ -37,7 +38,12 @@ __all__ = [
     "polarization_efficiency",
     "kernel_layout",
     "kernel_bytes",
+    "KERNEL_BUDGET",
 ]
+
+# The most memory one call of the propagation kernel may hold, in bytes: its
+# working set and the readouts it returns (kernel_bytes).
+KERNEL_BUDGET = 2**30
 
 
 @dataclass(frozen=True)

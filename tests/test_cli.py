@@ -140,28 +140,29 @@ def test_options_before_the_command(tmp_path):
 
 def test_engine_field_error_exits_three(tmp_path, caplog):
     # Explicit tones leave t_mw = 0 valid in the run file; the comb geometry
-    # needs a pulse, and rejects it by its field name.
+    # needs a pulse, and rejects it at the key of its field.
     cfg = tmp_path / "run.ini"
     cfg.write_text("[drive]\nomega_1 = 0.1\nomega_2 = 0.1\n[sequence]\nt_mw = 0\n")
     assert run(["comb-predict", "--config", str(cfg), "--out", str(tmp_path)]) == 3
-    assert "validation rejected: t_mw" in caplog.text
+    assert "validation rejected: sequence.t_mw: t_mw must be" in caplog.text
     assert not list(tmp_path.glob("comb*"))
 
 
 @pytest.mark.parametrize(
-    "text, field",
+    "text, key",
     [
-        ("[scan]\nn_s = 1e-320\n", "n_s"),
-        ("[drive]\nomega_1 = 1\nomega_2 = 1\n[sequence]\nt_mw = 1e-320\n", "t_mw"),
+        ("[scan]\nn_s = 1e-320\n", "scan.n_s"),
+        ("[drive]\nomega_1 = 1\nomega_2 = 1\n[sequence]\nt_mw = 1e-320\n", "sequence.t_mw"),
     ],
     ids=["n_s", "t_mw"],
 )
-def test_comb_width_that_overflows_exits_three(tmp_path, caplog, text, field):
+def test_comb_width_that_overflows_exits_three(tmp_path, caplog, text, key):
     # 1/(n_s t_seq) or 1/t_mw overflows: the comb used to write inf cells.
     cfg = tmp_path / "run.ini"
     cfg.write_text(text)
     assert run(["comb-predict", "--config", str(cfg), "--out", str(tmp_path)]) == 3
-    assert f"validation rejected: {field} must be" in caplog.text
+    field = key.split(".")[1]
+    assert f"validation rejected: {key}: {field} must be" in caplog.text
     assert not list(tmp_path.glob("comb*"))
 
 
@@ -246,25 +247,33 @@ def test_comb_too_many_teeth_exits_three(tmp_path, caplog):
 
 # Runs too large for memory: each used to end in an uncaught
 # _ArrayMemoryError, in np.linspace (a grid of 1e16 points, 71 PiB) or in the
-# kernel's readout rows (1e16 periods, 22.5 GiB at 5 points).
-@pytest.mark.parametrize(
-    "text, command, key",
-    [
-        ("[scan]\npoints = 10000000000000000\n", "cpt-spectrum", "scan.points"),
-        ("[sequence]\nn_reps = 10000000000000000\n[scan]\npoints = 5\n", "cpt-spectrum",
-         "sequence.n_reps"),
-        ("[sequence]\nn_reps = 10000000000000000\n", "pump-steps", "sequence.n_reps"),
-        ("[composition]\nn_steps = 10000000000000000\n", "composition", "composition.n_steps"),
-        ("[sequence]\nn_reps = 10000000000000000\n", "multi-resonance", "sequence.n_reps"),
-        ("[scan]\npoints = 10000000000000000\n", "multi-resonance", "scan.points"),
-    ],
-)
+# kernel's readout rows (1e16 periods, 22.5 GiB at 5 points). A grid of 1e16
+# points is past the bound of scan.points; one of 10^6 points at the default
+# n_reps, 2.85 GiB, is held by the kernel's budget.
+KERNEL_BUDGET_CASES = [
+    ("[scan]\npoints = 10000000000000000\n", "cpt-spectrum", "scan.points"),
+    ("[sequence]\nn_reps = 10000000000000000\n[scan]\npoints = 5\n", "cpt-spectrum",
+     "sequence.n_reps"),
+    ("[sequence]\nn_reps = 10000000000000000\n", "pump-steps", "sequence.n_reps"),
+    ("[composition]\nn_steps = 10000000000000000\n", "composition", "composition.n_steps"),
+    ("[sequence]\nn_reps = 10000000000000000\n", "multi-resonance", "sequence.n_reps"),
+    ("[scan]\npoints = 10000000000000000\n", "multi-resonance", "scan.points"),
+    ("[scan]\npoints = 1000000\n", "cpt-spectrum", "scan.points"),
+    ("[scan]\npoints = 1000000\n", "multi-resonance", "scan.points"),
+]
+
+
+@pytest.mark.parametrize("text, command, key", KERNEL_BUDGET_CASES)
 def test_run_over_the_kernel_budget_exits_three_at_its_key(tmp_path, caplog, text, command, key):
     cfg = tmp_path / "run.ini"
     cfg.write_text(text)
     assert run([command, "--config", str(cfg), "--out", str(tmp_path)]) == 3
-    assert f"validation rejected: {key}: the run's kernel call would hold " in caplog.text
-    assert "over its budget of 1 GiB" in caplog.text
+    if "10000000000000000" in text and key == "scan.points":
+        assert f"configuration rejected: {key}: must be in [2, 1000000]" in caplog.text
+    else:
+        field = "n_reps" if key == "composition.n_steps" else key.split(".")[1]
+        assert f"validation rejected: {key}: {field} must be small enough " in caplog.text
+        assert "at most 1 GiB, not " in caplog.text
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -273,8 +282,28 @@ def test_pump_steps_off_two_photon_resonance_exits_three(tmp_path, caplog):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[drive]\ndelta_1 = 0.05\n")
     assert run(["pump-steps", "--config", str(cfg), "--out", str(tmp_path)]) == 3
-    assert "validation rejected: delta_1" in caplog.text
+    assert "validation rejected: drive.delta_1: delta_1 must be" in caplog.text
     assert not list(tmp_path.glob("pump*"))
+
+
+def test_composition_at_the_drive_floor_exits_three_at_its_ratios(tmp_path, caplog):
+    # omega_eff at its floor of 1e-150 MHz: the pair rescaled to r = 0.3
+    # rounds below it, which used to be logged by the bare field omega_eff.
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[drive]\nomega_1 = 1e-150\nomega_2 = 0\n[composition]\nratios = 0.3, 1, 3\n")
+    assert run(["composition", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert "validation rejected: composition.ratios: ratios must be " in caplog.text
+    assert "(r = 0.3: omega_eff must be in [1e-150, 1e150] MHz" in caplog.text
+    assert not list(tmp_path.glob("composition*"))
+
+
+def test_noise_that_overflows_exits_three(tmp_path, caplog):
+    # N(0, 1e308) draws past the float range used to write inf cells, exit 0.
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[noise]\nstd = 1e308\n[sequence]\nn_reps = 2\n")
+    assert run(["cpt-spectrum", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert "validation rejected: noise.std: must be small enough that every noisy" in caplog.text
+    assert not list(tmp_path.glob("spectrum*"))
 
 
 def test_uncalibratable_spectrum_exits_one(tmp_path, caplog):

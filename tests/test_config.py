@@ -9,15 +9,21 @@ from hypothesis import strategies as st
 
 from lambda_cpt.config import (
     _SCHEMA,
-    KERNEL_BUDGET,
     ConfigError,
-    check_kernel,
     default_config,
+    field_key,
     load_config,
     parse_config,
 )
-from lambda_cpt.experiments import comb_predict, composition_sweep, pump_call, spectrum_call
-from lambda_cpt.lambda_system import LambdaConfig, ReadoutModel, SequenceConfig, kernel_bytes
+from lambda_cpt.dynamics import period_form, propagate_periods, thermal_ground_state
+from lambda_cpt.experiments import comb_predict, composition_sweep
+from lambda_cpt.lambda_system import (
+    KERNEL_BUDGET,
+    LambdaConfig,
+    ReadoutModel,
+    SequenceConfig,
+    kernel_bytes,
+)
 from lambda_cpt.rate_model import PumpStepParams, SimplifiedParams, gamma_dp_for_alpha_dp
 from lambda_cpt.spin_model import FieldError, HyperfineParams, PhysicalConstants, SpinSystemParams
 
@@ -417,15 +423,22 @@ def test_manifest_inputs_structure():
 
 def test_kernel_budget_admits_large_runs_and_names_the_key_that_breaks_it():
     """A 201-point spectrum over 1e6 periods holds 0.44 GB and a pump trace of
-    2.5e7 periods 1.0 GB, both within 1 GiB; twice the trace is over it, at
-    its n_reps key, and so is a spectrum of 1e5 points, at its points key."""
-    seq = SequenceConfig(LAM, n_reps=10**6)
-    check_kernel(spectrum_call(seq, 201), "scan.points", "sequence.n_reps")
-    trace = pump_call(dataclasses.replace(seq, n_reps=25_000_000))
-    check_kernel(trace, "sequence.n_reps", "sequence.n_reps")
-    assert trace == (1, 25_000_000, 5, 0)
-    assert kernel_bytes(*trace) <= KERNEL_BUDGET == 2**30
-    with pytest.raises(ConfigError, match="^sequence.n_reps: .* over its budget of 1 GiB"):
-        check_kernel((1, 50_000_000, 5, 0), "sequence.n_reps", "sequence.n_reps")
-    with pytest.raises(ConfigError, match="^scan.points: "):
-        check_kernel(spectrum_call(seq, 10**5), "scan.points", "sequence.n_reps")
+    2.5e7 periods 1.0 GB, both within 1 GiB; the kernel rejects twice the
+    trace at n_reps, and a spectrum of 1e5 points at points. At n_reps = 1 it
+    admits 510 333 points, under the bound of scan.points."""
+    window = range(750_000, 10**6)  # a spectrum's steady window at 1e6 periods
+    assert kernel_bytes(201, window.stop, 1, window.start) <= KERNEL_BUDGET == 2**30
+    assert kernel_bytes(1, 25_000_000, 5, 0) <= KERNEL_BUDGET
+    assert kernel_bytes(510_333, 1, 1, 0) <= KERNEL_BUDGET < kernel_bytes(510_334, 1, 1, 0)
+    with pytest.raises(ConfigError, match="^scan.points: must be in"):
+        parse_config("[scan]\npoints = 1000001\n")
+    seq, rho0 = SequenceConfig(LAM), thermal_ground_state()
+    excited = [[0, 0, 0], [0, 0, 0], [0, 0, 1]]
+    with pytest.raises(FieldError, match="^n_reps must be .* at most 1 GiB, not 1.86 GiB"):
+        propagate_periods(period_form(seq), rho0, range(50_000_000), [excited] * 5)
+    with pytest.raises(FieldError, match="^points must be .* at most 1 GiB, not 204 GiB"):
+        propagate_periods(period_form(seq, [0.0] * 10**5), rho0, window, [excited])
+    assert (field_key("n_reps"), field_key("points")) == ("sequence.n_reps", "scan.points")
+    for field in ("phi", "omega_eff"):
+        with pytest.raises(KeyError):
+            field_key(field)

@@ -46,7 +46,8 @@ from lambda_cpt.dynamics import (
     thermal_ground_state,
 )
 from lambda_cpt.experiments import cpt_spectrum, pump_trace
-from lambda_cpt.lambda_system import kernel_bytes, polarization_efficiency
+from lambda_cpt.lambda_system import KERNEL_BUDGET, kernel_bytes, polarization_efficiency
+from lambda_cpt.spin_model import FieldError
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 # Tr rho = x . TRACE in the engine's real coordinates.
@@ -521,9 +522,9 @@ def test_kernel_logs_one_debug_line_per_call(monkeypatch, caplog):
      (2, 4097, 3, 4097), (1, 40, 1, 30), (0, 65, 5, 30)],
 )
 def test_kernel_bytes_is_what_a_call_holds(caplog, g, n_reps, k, start):
-    """The closed form the run schema bounds a run by, against a kernel call:
-    the working set its DEBUG line logs, plus the arrays its outputs own. A
-    stack of no runs holds nothing and reads empty arrays."""
+    """The closed form the kernel holds a call to its budget by, against a
+    kernel call: the working set its DEBUG line logs, plus the arrays its
+    outputs own. A stack of no runs holds nothing and reads empty arrays."""
     with caplog.at_level(logging.DEBUG, logger="lambda_cpt.dynamics"):
         readouts, final = propagate_periods(
             long_chain(g), thermal_ground_state(), range(start, n_reps), OBSERVABLES[:k]
@@ -531,6 +532,25 @@ def test_kernel_bytes_is_what_a_call_holds(caplog, g, n_reps, k, start):
     assert readouts.shape == (g, n_reps - start, k) and final.shape == (g, k)
     work = int(caplog.records[-1].getMessage().rsplit("work=", 1)[1])
     assert kernel_bytes(g, n_reps, k, start) == work + owner(readouts).nbytes + owner(final).nbytes
+
+
+# A single run of 1e16 periods would hold 7.5e7 GiB, and 10^5 runs of a
+# spectrum's window at 10^6 periods 204 GiB, when one such run holds 2.1 MB.
+@pytest.mark.parametrize(
+    "field, g, periods",
+    [("n_reps", 1, range(10**16)), ("points", 10**5, range(750_000, 10**6))],
+)
+def test_kernel_over_its_budget_raises_before_allocating(field, g, periods):
+    period, rho0 = long_chain(g), thermal_ground_state()
+    tracemalloc.start()
+    try:
+        with pytest.raises(FieldError, match=f"^{field} must be .* at most 1 GiB, not "):
+            propagate_periods(period, rho0, periods, OBSERVABLES[:1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kernel_bytes(g, periods.stop, 1, periods.start) > KERNEL_BUDGET
+    assert peak < 64 * 1024
 
 
 @pytest.mark.parametrize("g, n_reps", [(1, 20000), (321, 80)])
