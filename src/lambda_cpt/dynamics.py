@@ -47,33 +47,30 @@ indicator e = (0, 0, 1), the generator at (i, j) is
   rho -> U rho U^dagger and comes in closed form from H's arrowhead
   structure, with no LAPACK call.
 
-A period holds f itself and the real rates apart, and the map of every
-segment takes its frame turn from the per-level phases p = e^{-i f t}
-(:func:`_phases`), which turn coherence (i, j) by p_i conj(p_j)
-(:func:`_frame`). The three coherence phases so stay consistent to
-rounding, and every map stays completely positive at any duration.
+A period holds f itself and the real rates apart. The frame turns each
+coherence (i, j) by p_i conj(p_j), from the per-level phases p = e^{-i f
+t} (:func:`_phases`), so the three coherence phases stay consistent to
+rounding and every map stays completely positive at any duration. The
+row operations turn nothing: the turn Phi of the laser and the post-laser
+wait commutes with every real decay and with the T1 block, so
+:func:`_write_maps` folds it into the next pulse, and the frame phases
+enter only that pulse and Phi.
 
 Every period is a stack over G independent runs (the grid points of a
 sweep, or G = 1) that differ only in their two-photon detuning delta_2: the
 frame frequencies f are the one array with a run axis, (3, G), and every
 other coefficient is shared by the stack. All three maps run batched with
-numpy alone, so the engine never imports scipy. At G = 1 a map build costs
-its numpy calls, not its arithmetic: what the stack shares (the tones'
-moduli, phases and mixing, the real exponentials and feeds of the laser,
-the waits' decays) comes once as Python numbers, and the steps per point
-stack several scalars of a point into one (k, G) array where they share
-an operation. Every protocol propagates
-through one kernel, :func:`propagate_periods`. It takes its whole working
-set as one buffer, folds a period into the map up to the readout, A, and
-the map of the whole period, M, written into that buffer
-(:func:`_write_maps`: the lifted pulse, then row operations on maps
-stored point-last as (9, 9, G), so that each runs over G contiguous
-points), builds the powers of M, the readout rows and the block starts by
-doubling, and reads the observables a protocol asks for, at the periods
-it keeps (a pump trace every one, a spectrum its steady window, a
-composition none) and after the last: O(log n_reps) batched real products
-and no loop over periods or blocks. :func:`period_maps` hands the two maps
-out on their own, by the same build.
+numpy alone, so the engine never imports scipy; what the stack shares
+comes once as Python numbers. Every protocol propagates through one
+kernel, :func:`propagate_periods`. It takes its whole working set as one
+buffer, writes the folded maps of a period into it (:func:`_write_maps`:
+the lifted pulse, then row operations on maps stored point-last as (9, 9,
+G), so that each runs over G contiguous points), builds the powers of the
+period map, the readout rows and the block starts by doubling, and reads
+the observables a protocol asks for, at the periods it keeps (a pump
+trace every one, a spectrum its steady window, a composition none) and
+after the last: O(log n_reps) batched real products and no loop over
+periods or blocks.
 
 This module is the engine alone: protocols, their observables and their
 calibrations live in :mod:`lambda_cpt.experiments`. The parameters it reads
@@ -90,6 +87,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -482,38 +480,9 @@ def _lift(u: np.ndarray, m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _turn(m: np.ndarray, z: np.ndarray) -> None:
-    """Multiply each upper coherence by z, in place on the rows of a point-last map m.
-
-    z holds one complex factor per coherence and point, shape (3, G); each
-    (Re, Im) row pair turns and shrinks by it.
-    """
-    re, im = m[_RE], m[_IM]
-    z_re, z_im = z.real[:, None], z.imag[:, None]
-    turned = z_re * re
-    turned -= z_im * im
-    im *= z_re
-    im += z_im * re
-    re[...] = turned
-
-
 def _phases(frequencies: np.ndarray, duration: float) -> np.ndarray:
     """p = e^{-i f t} of each level over a segment of duration t, point-last (3, G)."""
     return np.exp(-1j * (frequencies * duration))
-
-
-def _frame(frequencies: np.ndarray, duration: float, decay: np.ndarray) -> np.ndarray:
-    """The frame turn of a segment: each upper coherence's factor, from the per-level phases p.
-
-    The factor of upper coherence (i, j), rho_01, rho_02, rho_12, is p_i
-    conj(p_j) times its real decay factor, p of :func:`_phases` and decay
-    shared by the stack, shape (3, 1); the factors come point-last, (3, G).
-    Phases taken per level keep the phases of the three coherences
-    consistent to rounding, so every map turned by them stays completely
-    positive at any duration.
-    """
-    p = _phases(frequencies, duration)
-    return p.take(_UPPER_I, 0) * p.take(_UPPER_J, 0).conj() * decay
 
 
 def _wait_decay(period: Period, t: float) -> tuple[float, np.ndarray]:
@@ -528,12 +497,11 @@ def _wait_decay(period: Period, t: float) -> tuple[float, np.ndarray]:
     return relax, np.array(decay)[:, None]
 
 
-def _wait_rows(period: Period, t: float, m: np.ndarray, turn: bool = True) -> np.ndarray:
-    """W m for the map W of a wait of duration t and a point-last (9, 9, G) map m, in place.
+def _wait_rows(period: Period, t: float, m: np.ndarray) -> np.ndarray:
+    """W m for the folded map W of a wait of duration t and a point-last (9, 9, G) map m, in place.
 
-    W turns and shrinks each coherence by its factor of :func:`_frame`, with
-    the exact decay of :func:`_wait_decay`; turn=False leaves the frame
-    turn out, for a caller that applies diag(p) itself. Electron T1 flips
+    W shrinks each coherence by its real decay factor of :func:`_wait_decay`
+    and leaves its frame turn to :func:`_write_maps`. Electron T1 flips
     |up> and |down> to |-> at 1/(2 t1_e) each and |-> back to each at 1/(4
     t1_e): on the populations a rate block with eigenvalues 0, -1/t1_e (P_-
     relaxes to half the trace) and -1/(2 t1_e) (the ground imbalance
@@ -545,12 +513,9 @@ def _wait_rows(period: Period, t: float, m: np.ndarray, turn: bool = True) -> np
     T1 block, and its population rows are left as they are.
     """
     relax, decay = _wait_decay(period, t)
-    if turn:
-        _turn(m, _frame(period.frequencies, t, decay))
-    else:
-        # The (Re, Im) row pairs of the coherences, as (2, 3, 9 G).
-        coherences = m[_RE.start :].reshape(2, 3, -1)
-        coherences *= decay
+    # The (Re, Im) row pairs of the coherences, as (2, 3, 9 G).
+    coherences = m[_RE.start :].reshape(2, 3, -1)
+    coherences *= decay
     if math.isfinite(period.t1_e):
         up, down, excited = m[0], m[1], m[2]
         r = 0.5 * np.expm1(relax) * (excited - up - down)
@@ -562,19 +527,21 @@ def _wait_rows(period: Period, t: float, m: np.ndarray, turn: bool = True) -> np
 
 
 def _laser_rows(period: Period, m: np.ndarray) -> np.ndarray:
-    """L m for the map L = exp(A t_laser) of the laser and a point-last (9, 9, G) map m, in place.
+    """L m for the folded map L of the laser and a point-last (9, 9, G) map m, in place.
 
-    L scales each population by its real exponential, turns each coherence
-    by its factor of :func:`_frame`, and adds to each fed entry the rho_ee
-    row times c_i times the integral of e^{a_i (t - s)} e^{a_e s} over the
-    laser, a_i the fed entry's rate (-gamma_dp - i (f_0 - f_1) for rho_01)
-    and a_e that of rho_ee: e^{h} (e^{k t} - 1) / k, with h the one of a_i
-    t, a_e t of larger real part and k the other rate minus the leading
-    one, so that |e^{k t}| <= 1. What the stack shares comes once, as
-    Python numbers: the exponentials of the six real rates, and the rate
-    gaps' real parts, which pick the leading rates. rho_01's rate holds a
-    frame frequency, so its gap comes per point, and its e^{a_i t} is the
-    factor of its turn.
+    The laser's map is exp(A t_laser) = T L, T its frame turn, which
+    :func:`_write_maps` folds into the next pulse. L scales each entry by
+    its real exponential e^{d_i t} and adds to each fed entry the rho_ee row
+    times c_i times the integral of e^{a_i (t - s)} e^{a_e s} over the
+    laser, a_i the fed entry's rate (d_01 - i (f_0 - f_1) for rho_01) and
+    a_e that of rho_ee: e^{h} (e^{k t} - 1) / k, with h the one of a_i t,
+    a_e t of larger real part and k the other rate minus the leading one,
+    so that |e^{k t}| <= 1. rho_01's feed alone is complex, per point, and
+    takes the conjugate of its turn: where rho_01 leads, its e^{a_i t}
+    becomes the real e^{d_01 t}, else e^{a_e t} takes the phase e^{i (f_0 -
+    f_1) t}. What the stack shares comes once, as Python numbers: the
+    exponentials of the six real rates, and the rate gaps' real parts,
+    which pick the leading rates.
     """
     t = period.t_laser
     d = period.decay.tolist()
@@ -582,24 +549,28 @@ def _laser_rows(period: Period, m: np.ndarray) -> np.ndarray:
     # e^{d t} of each entry; an exponent past the float range is an exact
     # decay to zero.
     scale = [math.exp(x * t) for x in d]
-    turn = _frame(period.frequencies, t, np.array(scale[3:])[:, None])
     f = period.frequencies
+    beat = f[0] - f[1]
     # The rate of rho_00, rho_11 and rho_01 minus that of rho_ee, negated
     # where the fed entry leads: k of rho_00 and rho_11, then rho_01's per
     # point, (2 + G,), in one _growth call.
     gaps = [d[i] - d[2] for i in (0, 1, 3)]
     leads = [gap >= 0.0 for gap in gaps]
     signs = [-1.0 if lead else 1.0 for lead in leads]
-    per_point = signs[2] * (gaps[2] - 1j * (f[0] - f[1]))
+    per_point = signs[2] * (gaps[2] - 1j * beat)
     growth = _growth(np.concatenate(([signs[0] * gaps[0], signs[1] * gaps[1]], per_point)), t)
     feeds = [
         column[i].real * (scale[i] if leads[i] else scale[2]) * growth[i].real for i in (0, 1)
     ]
-    coherence = column[2] * (turn[0] if leads[2] else scale[2]) * growth[2:]
+    if leads[2]:
+        coherence = column[2] * scale[3] * growth[2:]
+    else:
+        coherence = column[2] * scale[2] * np.exp(1j * (beat * t)) * growth[2:]
     excited = m[2]
     m[:2] *= np.array(scale[:2])[:, None, None]
     m[:2] += np.array(feeds)[:, None, None] * excited
-    _turn(m, turn)
+    coherences = m[_RE.start :].reshape(2, 3, -1)
+    coherences *= np.array(scale[3:])[:, None]
     # Re and Im of rho_01, rows 3 and 6.
     m[3:7:3] += np.array([coherence.real, coherence.imag])[:, None] * excited
     excited *= scale[2]
@@ -619,43 +590,45 @@ def _growth(k: np.ndarray, t: float) -> np.ndarray:
         return np.where(np.abs(kt) < 1e-4, series, np.expm1(kt) / k)
 
 
-def period_maps(period: Period) -> tuple[np.ndarray, np.ndarray]:
-    """The map of a period up to its readout, and the map of the whole period.
+def _write_maps(period: Period, a: np.ndarray, m: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Write the folded maps A' into a and M' into m, both (G, 9, 9), built point-last in work, (9, 9, G).
 
-    period is a stack of G runs, as from :func:`period_form`. Returns A =
-    W_pre lift(U), from the start of a period to the readout, and M =
-    W_post L_laser A, from the start of a period to the next, each a
-    C-contiguous float64 (G, 9, 9) in the real coordinates x, as
-    :func:`_write_maps` builds them for the kernel.
-    """
-    g = period.frequencies.shape[-1]
-    a, m, work = (np.empty_like(period.frequencies, dtype=float, shape=(g, 9, 9)) for _ in range(3))
-    _write_maps(period, a, m, work.reshape(9, 9, g))
-    return a, m
-
-
-def _write_maps(period: Period, a: np.ndarray, m: np.ndarray, work: np.ndarray) -> None:
-    """Write A into a and M into m, both (G, 9, 9), building them point-last in work, (9, 9, G).
+    The laser and the post-laser wait turn each coherence (i, j) by q_i
+    conj(q_j), q = e^{-i f (t_laser + t_post)}: the map Phi of rho ->
+    diag(q) rho diag(q)^dagger, which commutes with every real decay and
+    with the T1 block. With A the map from the start of a period to its
+    readout and M = Phi X the map of the whole period, the folded maps are
+    A' = A Phi and M' = X Phi, so that A M^n = A' M'^n Phi^-1 and M^n = Phi
+    M'^n Phi^-1. Returns Phi's factors q_i conj(q_j) of rho_01, rho_02 and
+    rho_12, point-last (3, G).
 
     Each map is built by its segments, with no matrix product, no LAPACK
     call and no dense exponential, point-last in work, so that each row
-    operation runs over G contiguous points: the pre-laser wait's frame
-    turn diag(p) (:func:`_phases`) multiplies the pulse's U, a (3, 3, G)
-    stack in closed form (:func:`_pulse_unitary`), which is lifted to rho
-    -> U rho U^dagger (:func:`_lift`); the wait's decay and T1 block follow
-    by row operations (:func:`_wait_rows`), and A is copied out. work then
-    becomes M: the laser scales the rows, turns the coherence pairs and
-    adds its rho_ee row (:func:`_laser_rows`), and the post-laser wait
-    turns the coherence pairs and mixes the populations. Each map depends
+    operation runs over G contiguous points. The frame phases enter U' =
+    diag(p) U diag(q), p = e^{-i f t_pre} the pre-laser wait's turn and U
+    the pulse in closed form (:func:`_pulse_unitary`), which is lifted to
+    rho -> U' rho U'^dagger (:func:`_lift`); every row operation after it
+    is real but the laser's rho_01 feed: the pre-laser wait's decay and T1
+    block (:func:`_wait_rows`) give A', which is copied out; the laser
+    (:func:`_laser_rows`) and the post-laser wait give M'. Each map depends
     on its own stack entry alone.
     """
-    # The pre-laser wait's frame turn diag(p) acts on U before the lift.
-    p = _phases(period.frequencies, period.t_pre)
-    _lift(_pulse_unitary(period) * p[:, None], work)
-    _wait_rows(period, period.t_pre, work, turn=False)
+    f = period.frequencies
+    q = _phases(f, period.t_laser + period.t_post)
+    _lift(_pulse_unitary(period) * (_phases(f, period.t_pre)[:, None] * q), work)
+    _wait_rows(period, period.t_pre, work)
     a[...] = work.transpose(2, 0, 1)
     _wait_rows(period, period.t_post, _laser_rows(period, work))
     m[...] = work.transpose(2, 0, 1)
+    return q.take(_UPPER_I, 0) * q.take(_UPPER_J, 0).conj()
+
+
+def _turned(x: np.ndarray, turn: np.ndarray) -> np.ndarray:
+    """States x in real coordinates, (G, 9), with each upper coherence multiplied by turn, (3, G)."""
+    out = x.copy()
+    coherences = (x[:, _RE] + 1j * x[:, _IM]) * turn.T
+    out[:, _RE], out[:, _IM] = coherences.real, coherences.imag
+    return out
 
 
 # Largest drift of tr rho from tr rho0 a run of n periods may end with,
@@ -680,60 +653,43 @@ def propagate_periods(
     read, shape (G, len(periods), k), and at the end of the last period,
     shape (G, k), both float.
 
-    Everything runs in real coordinates: the maps A (to the readout) and M
-    (one period) are float64 9x9s, built by row operations with no dense
-    product (:func:`_write_maps`), and the state is a real 9-vector.
-    Periods fall into blocks of K, the largest power of two with K^2 <=
-    n_reps, so sqrt(n)/2 < K <= sqrt(n)
-    (:func:`~lambda_cpt.lambda_system.kernel_layout`). The readout rows R
-    A M^j for j < K and the powers M^(2^i) are built by doubling, and so
-    are the block starts: S <- [S, S (M^K)^m] takes m starts to 2m. One
-    batched product of the rows with the starts of the blocks that hold
-    the periods read gives their readouts, and the powers of the set bits
-    of the last block's length carry the last start to the end. A run so
-    takes O(log n) batched products of 9x9 real matrices and no loop over
-    its periods or blocks. The final values are one more product, of each
-    run's final state with the same observable rows. K depends on n_reps
+    Everything runs in real coordinates, on the folded maps A' and M' of
+    :func:`_write_maps` (float64 9x9s built by row operations), and the
+    state is a real 9-vector: the runs start from Phi^-1 x0, which is x0
+    for a state with no coherence, the readouts are R A' M'^j Phi^-1 x0,
+    and the final state is Phi x_n. Periods fall into blocks of K, the
+    largest power of two with K^2 <= n_reps, so sqrt(n)/2 < K <= sqrt(n)
+    (:func:`~lambda_cpt.lambda_system.kernel_layout`). The readout rows R A'
+    M'^j for j < K and the powers M'^(2^i) up to M'^K are built by
+    doubling. The starts S_b of the n_reps // K + 1 blocks are built by
+    doubling too, each doubling one batched product that also carries its
+    power: with P = (M'^(K n))^T stored just before S_0, [P; S_0 .. S_n-1]
+    P = [P^2; S_n .. S_2n-1]. One batched product of the rows with the
+    starts of the blocks that hold the periods read gives their readouts,
+    and the powers of the set bits of n_reps mod K carry the last start to
+    the end. A run so takes O(log n) batched products of real 9-column
+    matrices and no loop over its periods or blocks. K depends on n_reps
     alone and runs are independent rows of every product, so a result does
     not depend on which other runs share its batch, nor a readout on which
-    other periods are read.
+    other periods are read. Each observable takes products of its own (its
+    K readout rows double on their own, and it has one product with the
+    block starts and one with the final state), so no product's shape
+    depends on how many observables are read, and an observable's values
+    are the same bits read alone as read with others; its readouts come
+    back contiguous.
 
-    Each observable takes products of its own: its K readout rows double
-    on their own, and its readouts come from one product per run of the
-    block starts, (blocks x 9), with its rows, (9 x K), and its final value
-    from one of the final state with its row. So no product's shape depends
-    on how many observables are read, and an observable's readouts and
-    final value are the same bits read alone as read with others. Split so,
-    the readout product of a pump trace (G = 1, k = 5) is five products of
-    9 blocks K, about 9 n_reps multiply-adds each, where one product of all
-    five would be about 45 n_reps. OpenBLAS spreads a product over its
-    threads once it is above about 5.2e5 multiply-adds on two cores, and
-    waking them costs more than such a product: one product of all five
-    was threaded from about 12 000 periods on, and such pump traces took
-    13.7-19.2 ms in a plain loop on a 2-vCPU host where one thread took
-    1.4-2.0 ms, while each of the five stays on one thread up to about 58
-    000 periods. The readouts come back observable by observable, each
-    one's series contiguous.
-
-    The working set is one float64 buffer per call, cut by offsets into A
-    and M (2 x 81 entries per run), the readout rows (9 K k), the block
-    starts (9 ceil(n_reps / K)) and a map slot per set bit b of the last
-    block's length (81 b): 8 (162 + 81 b + 9 K k + 9 ceil(n_reps / K))
-    bytes per grid point, O(sqrt(n_reps)); 1 040 040 bytes for a comb
-    spectrum (G = 321, n_reps = 80, k = 1). The maps are built in the first
-    map slot; the powers square between free slots, and each power the last
-    block takes stays where it was squared. Only the returned arrays are
-    new, and they own their data: the readouts of the blocks read, 8 k
-    bytes per period read and grid point, and the final values;
-    :func:`~lambda_cpt.lambda_system.kernel_bytes` gives the working set and
-    these in closed form, and a call is held to
+    The working set is one float64 buffer per call, cut in the order and
+    by the sizes of :func:`~lambda_cpt.lambda_system.kernel_layout`: M',
+    the readout rows, P followed by the block starts (A' is built in P's
+    slot), a slab that holds in turn the point-last map build, the powers
+    of M' the last start is not carried by and the product of each
+    doubling of the starts but the last, and a map slot per set bit of
+    n_reps mod K for the powers the last start is carried by. Only the returned arrays are new, and they own their data:
+    the readouts of the blocks read, 8 k bytes per period read and grid
+    point, and the final values. :func:`~lambda_cpt.lambda_system.kernel_bytes`
+    gives the working set and these in closed form, and a call is held to
     :data:`~lambda_cpt.lambda_system.KERNEL_BUDGET` by it before anything
-    is allocated. One block is for glibc's allocator, which maps a request
-    above its mmap threshold (128 KiB at start) afresh and unmaps it when freed, so the pages of
-    arrays made and freed per call fault in again on every call; freeing
-    one block raises the dynamic threshold past its size, so later calls
-    reuse heap pages already mapped. Under other allocators it is one
-    allocation in place of several.
+    is allocated.
 
     Raises FieldError when the call would hold more than KERNEL_BUDGET,
     naming n_reps when a single run is over it and points (the G runs of a
@@ -763,72 +719,77 @@ def propagate_periods(
                 f"GiB, not {runs * size / 2**30:.3g} GiB",
             )
     block, blocks, first, sizes = kernel_layout(n_reps, k, periods.start)
-    last = n_reps - (blocks - 1) * block  # periods in the last block
-    # The working set, one buffer cut at the offsets of kernel_layout's
-    # sizes: A and M, the readout rows, the block starts, and a map slot per
-    # power the last block keeps, the first of which holds the point-last
-    # map build.
-    maps_end = g * sizes[0]
-    rows_end = maps_end + g * sizes[1]
-    starts_end = rows_end + g * sizes[2]
-    work = np.empty_like(period.frequencies, dtype=float, shape=starts_end + g * sizes[3])
-    maps = work[:maps_end].reshape(2, g, 9, 9)
-    a, m = maps[0], maps[1]
-    rows = work[maps_end:rows_end].reshape(g, k, block, 9)
-    starts = work[rows_end:starts_end].reshape(g, blocks, 9)
-    spares = list(work[starts_end:].reshape(last.bit_count(), g, 9, 9))
-    _write_maps(period, a, m, spares[0].reshape(9, 9, g))
-    # rows[:, c, j] = R_c A M^j for j < block, each doubling filling the next
-    # slice, observable by observable. power runs through M^(2^i), and tail
-    # keeps each power the last block's length takes.
+    count, rest = n_reps // block + 1, n_reps % block  # block starts; periods after the last
+    ends = [0, *accumulate(g * size for size in sizes)]
+    work = np.empty_like(period.frequencies, dtype=float, shape=ends[-1])
+    m, rows, head, slab, spares = (work[lo:hi] for lo, hi in zip(ends, ends[1:]))
+    m = m.reshape(g, 9, 9)
+    rows = rows.reshape(g, k, block, 9)
+    head = head.reshape(g, 9 + count, 9)
+    a, starts = head[:, :9], head[:, 9:]
+    slot = slab[: 81 * g].reshape(g, 9, 9)
+    free = list(spares.reshape(rest.bit_count(), g, 9, 9))
+    turn = _write_maps(period, a, m, slot.reshape(9, 9, g))
+    # rows[:, c, j] = R_c A' M'^j for j < block, each doubling filling the
+    # next slice, observable by observable. power runs through M'^(2^i), and
+    # tail keeps each power the last start is carried by, in a spare slot
+    # (or M' in its own), never in the slab the doublings overwrite. M'^K
+    # comes transposed into a, which R A' has been read from.
     np.matmul(read[:, None], a[:, None], out=rows[:, :, :1])
-    power, free, tail = m, [a, *spares], []
-
-    def squared(power: np.ndarray) -> np.ndarray:
-        """power @ power in a free map slot; power's slot is free again unless tail keeps it."""
-        out = free.pop()
-        if not (tail and tail[-1] is power):
-            free.append(power)
-        return np.matmul(power, power, out=out)
-
-    levels = block.bit_length()  # M^(2^i) for i < levels, the last one M^K
-    for i in range(levels):
-        if last >> i & 1:
+    power, tail = m, []
+    levels = block.bit_length()
+    for i in range(levels - 1):
+        if rest >> i & 1:
             tail.append(power)
-        if i < levels - 1:
-            n = 1 << i
-            np.matmul(rows[:, :, :n], power[:, None], out=rows[:, :, n : 2 * n])
-            power = squared(power)
-    # The states are row vectors, x^T <- x^T (M^K)^T, so that the block starts
-    # stack into (G, blocks, 9); power is M^(K n) while the first n starts
-    # give the next n.
-    starts[:, 0] = x0 = _coordinates(rho0)
-    doublings = (blocks - 1).bit_length()
-    for i in range(doublings):
-        if i:
-            power = squared(power)
         n = 1 << i
-        more = min(n, blocks - n)
-        np.matmul(starts[:, :more], power.swapaxes(1, 2), out=starts[:, n : n + more])
+        np.matmul(rows[:, :, :n], power[:, None], out=rows[:, :, n : 2 * n])
+        if i == levels - 2:
+            np.matmul(power.swapaxes(1, 2), power.swapaxes(1, 2), out=a)
+            break
+        out = free.pop() if rest >> (i + 1) & 1 or power is slot else slot
+        np.matmul(power, power, out=out)
+        if power is not slot and not (tail and tail[-1] is power):
+            free.append(power)
+        power = out
+    if levels == 1:
+        a[...] = m.swapaxes(1, 2)
+    # The states are row vectors, x^T <- x^T (M'^K)^T, so that the block
+    # starts stack into (G, count, 9) right after a = P: each doubling but
+    # the last writes [P^2; S_n .. S_2n-1] into the slab and copies the starts
+    # back, and P^2 too unless the last doubling reads it there.
+    x0 = _coordinates(rho0)
+    starts[:, 0] = _turned(np.broadcast_to(x0, (g, 9)), turn.conj()) if x0[3:].any() else x0
+    doublings, power = (count - 1).bit_length(), a
+    for i in range(doublings - 1):
+        n = 1 << i
+        product = slab[: g * (9 + n) * 9].reshape(g, 9 + n, 9)
+        np.matmul(head[:, : 9 + n], a, out=product)
+        starts[:, n : 2 * n] = product[:, 9:]
+        power = product[:, :9]
+        if i < doublings - 2:
+            a[...] = power
+    n = 1 << (doublings - 1)
+    np.matmul(starts[:, : count - n], power, out=starts[:, n:])
     # The blocks read, from first on, by (observable, block, period in
     # block): one product per run and observable, of the starts with that
     # observable's K rows. Never one block of several (kernel_layout reads
     # the last two at least): numpy multiplies a lone row by another BLAS
     # routine, other bits.
-    readouts = starts[:, None, first:] @ rows.swapaxes(2, 3)
+    readouts = starts[:, None, first:blocks] @ rows.swapaxes(2, 3)
     vec = starts[:, -1:]
     for power in tail:
         vec = vec @ power.swapaxes(1, 2)
-    _check_final_states(vec[:, 0], x0, n_reps)
+    final = _turned(vec[:, 0], turn)
+    _check_final_states(final, x0, n_reps)
     if log.isEnabledFor(logging.DEBUG):
         log.debug(
             "propagate_periods: G=%d n_reps=%d read=%d K=%d blocks=%d products=%d work=%d",
             g, n_reps, len(periods), block, blocks,
-            2 * block.bit_length() + max(2 * doublings - 1, 0) + len(tail) + 1, work.nbytes,
+            2 * levels + doublings + len(tail) + 1, work.nbytes,
         )
     start = periods.start - first * block
     readouts = readouts.reshape(g, k, (blocks - first) * block)[:, :, start : start + len(periods)]
-    return readouts.transpose(0, 2, 1), (vec[:, None] @ read[:, :, None])[:, :, 0, 0]
+    return readouts.transpose(0, 2, 1), (final[:, None, None] @ read[:, :, None])[:, :, 0, 0]
 
 
 def _check_final_states(x: np.ndarray, x0: np.ndarray, n_reps: int) -> None:

@@ -198,12 +198,12 @@ def fit_dips(spec: Spectrum, k: int, init_centers: np.ndarray | None = None) -> 
         raise ValueError("grid too short for the requested dip count")
 
     baseline0 = _median(y)
-    noise = _noise_scale(y, baseline0)
     if init_centers is not None:
         centers0 = np.sort(np.asarray(init_centers, dtype=float))[:k]
         if len(centers0) != k:
             raise ValueError("init_centers must provide at least k values")
     else:
+        noise = _noise_scale(y, baseline0)
         minima = _local_minima(y)
         deep = minima[y[minima] < baseline0 - 3.0 * noise] if noise > 0 else minima
         if len(deep) == 0:
@@ -222,17 +222,23 @@ def fit_dips(spec: Spectrum, k: int, init_centers: np.ndarray | None = None) -> 
 
     def gaussian_dips(p: np.ndarray) -> np.ndarray:
         amp, center, sigma = p[1:].reshape(-1, 3).T[:, :, None]
-        dx = x - center
-        e = np.exp(-dx * dx / (2.0 * sigma * sigma))
-        dip = amp * e
         # Row i < len(p) is column i of the Jacobian; the last row holds the
-        # residuals.
+        # residuals. Each dip's three rows, in amplitude, center and width,
+        # are -e, -a e q / sigma and -a e q^2 / sigma, with q = (x - c) /
+        # sigma and e = exp(-q^2 / 2), written in place.
         stacked = np.empty((len(p) + 1, len(x)))
+        e, slope, curve = stacked[1:-1].reshape(-1, 3, len(x)).transpose(1, 0, 2)
+        q = np.subtract(x, center, out=curve)
+        q /= sigma
+        np.multiply(q, q, out=e)
+        e *= -0.5
+        np.exp(e, out=e)
+        np.multiply(q, e, out=slope)
+        slope *= -amp / sigma
+        curve *= slope
         stacked[0] = 1.0
-        stacked[1:-1:3] = -e
-        stacked[2:-1:3] = -dip * dx / (sigma * sigma)
-        stacked[3:-1:3] = -dip * dx * dx / (sigma * sigma * sigma)
-        np.subtract(p[0] - dip.sum(axis=0), y, out=stacked[-1])
+        np.subtract(p[0] - p[1::3].dot(e), y, out=stacked[-1])
+        np.negative(e, out=e)
         return stacked
 
     popt, cost, sigmas, status, nfev = _leastsq(

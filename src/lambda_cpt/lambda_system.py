@@ -224,25 +224,36 @@ def polarization_efficiency(cfg: LambdaConfig) -> float:
 
 def kernel_layout(
     n_reps: int, observables: int, start: int
-) -> tuple[int, int, int, tuple[int, int, int, int]]:
+) -> tuple[int, int, int, tuple[int, int, int, int, int]]:
     """How the propagation kernel cuts a call of n_reps >= 1 periods read from period start on.
 
     Periods fall into blocks of K, the largest power of two with K^2 <=
     n_reps, so that sqrt(n_reps) / 2 < K <= sqrt(n_reps): ceil(n_reps / K)
     blocks. The readouts come from every block from the one that holds
-    period start on, and from the last two at least. The working set of each
-    run is, in float64 entries and in the order of the kernel's buffer: A
-    and M (2 x 81), the readout rows of the k = ``observables`` operators (9
-    K k), the block starts (9 ceil(n_reps / K)), and a map slot per set bit
-    b of the last block's length (81 b).
+    period start on, and from the last two at least. The kernel doubles the
+    starts of the n_reps // K whole blocks and of the end, n = n_reps // K +
+    1, in d = (n - 1).bit_length() doublings. The working set of each run
+    is, in float64 entries and in the order of the kernel's buffer: M' (81),
+    the readout rows of the k = ``observables`` operators (9 K k), a power
+    and the block starts (9 (9 + n)), a slab for the map build, the powers
+    the last start is not carried by and the product of each doubling but
+    the last (9 (9 + h), h = 2^(d - 2), or 0 when d < 2), and a map slot per
+    set bit b of n_reps mod K (81 b).
 
-    Returns K, the block count, the first block read and the four sizes.
+    Returns K, the block count, the first block read and the five sizes.
     """
     block = 1 << (math.isqrt(n_reps).bit_length() - 1)
     blocks = -(-n_reps // block)
-    last = n_reps - (blocks - 1) * block
     first = min(start // block, max(blocks - 2, 0))
-    sizes = (2 * 81, 9 * block * observables, 9 * blocks, 81 * last.bit_count())
+    doublings = (n_reps // block).bit_length()
+    half = 1 << (doublings - 2) if doublings >= 2 else 0
+    sizes = (
+        81,
+        9 * block * observables,
+        9 * (10 + n_reps // block),
+        9 * (9 + half),
+        81 * (n_reps % block).bit_count(),
+    )
     return block, blocks, first, sizes
 
 

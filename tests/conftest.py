@@ -5,9 +5,9 @@ matrix exponential and the Lindblad generator the engine is checked
 against, builds the dense Hamiltonian of a period's pulse and the dense
 generator of each of its four segments, applies one exact segment map for
 the tests that check a segment on its own, converts maps between the
-row-major vec(rho) and the engine's real coordinates, holds nine
-observables that fix a 3x3 state, and logs the numpy calls made on a
-period's arrays.
+row-major vec(rho) and the engine's real coordinates, puts the frame turn
+back into the engine's folded period maps, holds nine observables that
+fix a 3x3 state, and logs the numpy calls made on a period's arrays.
 """
 
 import math
@@ -16,6 +16,7 @@ from dataclasses import replace
 import numpy as np
 from scipy.linalg import expm
 
+from lambda_cpt import dynamics
 from lambda_cpt.dynamics import Period
 
 _ACCEPTANCE_LINES: list[str] = []
@@ -82,6 +83,31 @@ def to_real(m: np.ndarray) -> np.ndarray:
 def from_real(m: np.ndarray) -> np.ndarray:
     """A real-coordinate map (or stack) as a row-major vec(rho) superoperator."""
     return VEC @ m @ REAL
+
+
+def turn_maps(turn: np.ndarray) -> np.ndarray:
+    """The real 9x9 maps, (G, 9, 9), that multiply each upper coherence by its factor of turn, (3, G)."""
+    phi = np.zeros((turn.shape[-1], 9, 9))
+    phi[:, [0, 1, 2], [0, 1, 2]] = 1.0
+    for c in range(3):
+        re, im = 3 + c, 6 + c
+        phi[:, re, re] = phi[:, im, im] = turn[c].real
+        phi[:, re, im], phi[:, im, re] = -turn[c].imag, turn[c].imag
+    return phi
+
+
+def period_maps(period: Period) -> tuple[np.ndarray, np.ndarray]:
+    """The physical maps A (to the readout) and M (one period), each (G, 9, 9), of a period stack.
+
+    ``dynamics._write_maps`` builds the folded A' = A Phi and M' = Phi^-1 M
+    Phi and returns Phi's factors; the turn is put back here, A = A' Phi^-1
+    and M = Phi M' Phi^-1, with Phi^-1 = Phi^T.
+    """
+    g = period.frequencies.shape[-1]
+    a, m, work = (np.empty((g, 9, 9)) for _ in range(3))
+    phi = turn_maps(dynamics._write_maps(period, a, m, work.reshape(9, 9, g)))
+    inverse = phi.swapaxes(1, 2)
+    return a @ inverse, phi @ m @ inverse
 
 
 def scipy_expm(a: np.ndarray) -> np.ndarray:

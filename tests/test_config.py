@@ -422,21 +422,21 @@ def test_manifest_inputs_structure():
 
 
 def test_kernel_budget_admits_large_runs_and_names_the_key_that_breaks_it():
-    """A 201-point spectrum over 1e6 periods holds 0.44 GB and a pump trace of
+    """A 201-point spectrum over 1e6 periods holds 0.45 GB and a pump trace of
     2.5e7 periods 1.0 GB, both within 1 GiB; the kernel rejects twice the
     trace at n_reps, and a spectrum of 1e5 points at points. At n_reps = 1 it
-    admits 510 333 points, under the bound of scan.points."""
+    admits 493 447 points, under the bound of scan.points."""
     window = range(750_000, 10**6)  # a spectrum's steady window at 1e6 periods
     assert kernel_bytes(201, window.stop, 1, window.start) <= KERNEL_BUDGET == 2**30
     assert kernel_bytes(1, 25_000_000, 5, 0) <= KERNEL_BUDGET
-    assert kernel_bytes(510_333, 1, 1, 0) <= KERNEL_BUDGET < kernel_bytes(510_334, 1, 1, 0)
+    assert kernel_bytes(493_447, 1, 1, 0) <= KERNEL_BUDGET < kernel_bytes(493_448, 1, 1, 0)
     with pytest.raises(ConfigError, match="^scan.points: must be in"):
         parse_config("[scan]\npoints = 1000001\n")
     seq, rho0 = SequenceConfig(LAM), thermal_ground_state()
     excited = [[0, 0, 0], [0, 0, 0], [0, 0, 1]]
-    with pytest.raises(FieldError, match="^n_reps must be .* at most 1 GiB, not 1.86 GiB"):
+    with pytest.raises(FieldError, match="^n_reps must be .* at most 1 GiB, not 1.87 GiB"):
         propagate_periods(period_form(seq), rho0, range(50_000_000), [excited] * 5)
-    with pytest.raises(FieldError, match="^points must be .* at most 1 GiB, not 204 GiB"):
+    with pytest.raises(FieldError, match="^points must be .* at most 1 GiB, not 207 GiB"):
         propagate_periods(period_form(seq, [0.0] * 10**5), rho0, window, [excited])
     assert (field_key("n_reps"), field_key("points")) == ("sequence.n_reps", "scan.points")
     for field in ("phi", "omega_eff"):

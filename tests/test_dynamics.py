@@ -12,14 +12,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import dense, from_real, propagate, pulse_hamiltonian
+from conftest import dense, from_real, period_maps, propagate, pulse_hamiltonian
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lambda_cpt.dynamics import (
     dark_bright_basis,
     period_form,
-    period_maps,
     pure_state,
     thermal_ground_state,
 )

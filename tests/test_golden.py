@@ -121,7 +121,7 @@ def test_shipped_period_maps_take_no_lapack_call_and_no_matrix_product(tmp_path,
     write_maps = dynamics._write_maps
 
     def spy(period, a, m, work):
-        write_maps(recorded(period), a, m, work)
+        return write_maps(recorded(period), a, m, work)
 
     monkeypatch.setattr(dynamics, "_write_maps", spy)
     for argv in shipped_commands():

@@ -27,10 +27,12 @@ from conftest import (
     expectations,
     from_real,
     lindblad,
+    period_maps,
     pulse_hamiltonian,
     recorded,
     scipy_expm,
     to_real,
+    turn_maps,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -40,7 +42,6 @@ from lambda_cpt.config import load_config, parse_config
 from lambda_cpt.dynamics import (
     dark_bright_basis,
     period_form,
-    period_maps,
     propagate_periods,
     pure_state,
     thermal_ground_state,
@@ -381,19 +382,22 @@ def test_kernel_has_no_loop_over_blocks(monkeypatch):
 
     Every matrix product on the period's arrays is logged; all of them are
     the kernel's, on 9-slot operands (the maps take none). K = 128,
-    so there are 157 blocks; their starts come by doubling, so no product
-    advances one block's state to the next. Four products take a single
-    row through a map: R A, the first doubling of the readout rows and of
-    the starts, and the one that carries the last start over the one set
-    bit of the last block's 32 periods. One product of the block starts with the
-    readout rows (neither operand a 9x9 map) gives every readout, as one
-    matrix product per observable of 9 x 157 x 128 multiply-adds, and one
-    of the final state with each observable's row gives the final values.
-    Each observable's readouts come out contiguous.
+    so there are 157 blocks; the 157 starts of the 156 whole blocks and the
+    last come by doubling, so no product advances one block's state to the
+    next. Each doubling but the last carries its power, as one product of
+    [P; S_0 .. S_n-1], 9 + n rows, with P = (M^(128 n))^T; the last takes
+    the 29 starts it needs. Three products take a single row through a map:
+    R A, the first doubling of the readout rows, and the one that carries
+    the last start over the one set bit of the 32 periods after it. One
+    product of the block starts with the readout rows (neither operand a
+    9x9 map) gives every readout, as one matrix product per observable of
+    9 x 157 x 128 multiply-adds, and one of the final state with each
+    observable's row gives the final values. Each observable's readouts
+    come out contiguous.
     """
     n_reps, k, block = 20000, 5, 128
     blocks = -(-n_reps // block)
-    last = n_reps - (blocks - 1) * block
+    rest = n_reps % block
     monkeypatch.setattr(Recorded, "log", [])
     period = recorded(long_chain(1))
     readouts, final = propagate_periods(
@@ -408,7 +412,12 @@ def test_kernel_has_no_loop_over_blocks(monkeypatch):
     finals = [shapes for name, shapes in Recorded.log if name == "matmul" and (9, 1) in
               [s[-2:] for s in shapes]]
     assert finals == [[(1, 1, 1, 9), (k, 9, 1)]]
-    assert products.count([(1, 9), (9, 9)]) == 3 + bin(last).count("1")
+    starts = [shapes for name, shapes in Recorded.log if name == "matmul"
+              and len(shapes[0]) == 3 and shapes[0][1] != 1 and shapes[0] != (1, 9, 9)]
+    assert starts == [[(1, 9 + (1 << i), 9), (1, 9, 9)] for i in range(7)] + [
+        [(1, blocks - 128, 9), (1, 9, 9)]
+    ]
+    assert products.count([(1, 9), (9, 9)]) == 2 + bin(rest).count("1")
     assert len(products) <= 2 * math.ceil(math.log2(n_reps)) + 4
     assert readouts.dtype == np.float64
     assert readouts.shape == (1, n_reps, k)
@@ -499,16 +508,17 @@ def test_kernel_logs_one_debug_line_per_call(monkeypatch, caplog):
     period = recorded(long_chain(3))
     with caplog.at_level(logging.DEBUG, logger="lambda_cpt.dynamics"):
         propagate_periods(period, thermal_ground_state(), range(65), OBSERVABLES[:5])
-    # R A and the readout, 3 rows and 3 squarings up to M^8, 4 doublings of
-    # the starts with 3 squarings between them, M^1 for the last period, and
-    # the final values.
-    assert len(kernel_products()) == 17
-    # The working set, 8 bytes per entry: A and M, 8 x 5 readout rows, 9
-    # block starts and the one power the last block's single period takes.
-    work = 8 * 3 * (2 * 81 + 8 * 5 * 9 + 9 * 9 + 1 * 81)
+    # R A and the readout, 3 rows doublings and 3 squarings up to M^8, 4
+    # doublings of the starts that carry their powers, M for the one period
+    # after the last whole block, and the final values.
+    assert len(kernel_products()) == 14
+    # The working set, 8 bytes per entry: M, 8 x 5 readout rows, the power
+    # and 9 block starts, a slab of 9 + 4 rows for the doublings' products,
+    # and the one power the last start is carried by.
+    work = 8 * 3 * (81 + 8 * 5 * 9 + 9 * (9 + 9) + 9 * (9 + 4) + 1 * 81)
     lines = [r.getMessage() for r in caplog.records if r.name == "lambda_cpt.dynamics"]
     assert lines == [
-        f"propagate_periods: G=3 n_reps=65 read=65 K=8 blocks=9 products=17 work={work}"
+        f"propagate_periods: G=3 n_reps=65 read=65 K=8 blocks=9 products=14 work={work}"
     ]
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="lambda_cpt.dynamics"):
@@ -535,7 +545,7 @@ def test_kernel_bytes_is_what_a_call_holds(caplog, g, n_reps, k, start):
 
 
 # A single run of 1e16 periods would hold 7.5e7 GiB, and 10^5 runs of a
-# spectrum's window at 10^6 periods 204 GiB, when one such run holds 2.1 MB.
+# spectrum's window at 10^6 periods 207 GiB, when one such run holds 2.2 MB.
 @pytest.mark.parametrize(
     "field, g, periods",
     [("n_reps", 1, range(10**16)), ("points", 10**5, range(750_000, 10**6))],
@@ -587,9 +597,10 @@ def map_products():
 def test_kernel_working_set_does_not_grow_with_the_period_count(monkeypatch):
     """65 and 20000 periods at G = 3 make the same number of fresh 9x9 products.
 
-    The powers of M square between two buffers, so of the 3 + 3 squarings
-    at 65 periods (K = 8, 9 blocks) and the 7 + 7 at 20000 (K = 128, 157
-    blocks), none makes a new map stack.
+    The powers of M up to M^K square between slots of the working set, and
+    the doublings of the block starts carry theirs there, so of the 3
+    squarings at 65 periods (K = 8) and the 7 at 20000 (K = 128), none
+    makes a new map stack.
     """
     squarings, fresh = [], []
     for n_reps in (65, 20000):
@@ -599,7 +610,7 @@ def test_kernel_working_set_does_not_grow_with_the_period_count(monkeypatch):
         products = map_products()
         squarings.append(len(products))
         fresh.append(sum(not call.into for call in products))
-    assert squarings == [6, 14]
+    assert squarings == [3, 7]
     assert fresh[0] == fresh[1]
 
 
@@ -620,22 +631,23 @@ def owner(array: np.ndarray) -> np.ndarray:
 def test_kernel_holds_its_working_set_once_and_keeps_only_its_outputs():
     """A comb spectrum's kernel call: G = 321, n_reps = 80, k = 1, its window of 20 periods.
 
-    The working set is one buffer of 8 bytes per entry: A and M (2 x 81
-    per point), the readout rows (K k 9 = 72), the block starts (10 x 9)
-    and the one power the last block's 8 periods take (81), 1 040 040
-    bytes. The traced peak stays within it plus 2 map stacks of
-    temporaries for the map build: 1.87 measured with numpy 2.4, the lift
-    of U to rho -> U rho U^dagger holding four (3, 6, G) complex stacks at
-    its largest, plus a margin of 0.13. After the call, the only new array
-    data is what the outputs own: the readouts of the 3 blocks that hold
-    the window and the final values.
+    The working set is one buffer of 8 bytes per entry: M (81 per point),
+    the readout rows (K k 9 = 72), a power and the starts of the 10 whole
+    blocks and of the end (9 x (9 + 11)), and the slab of the map build and
+    the doublings' products (9 x (9 + 4)); 80 periods leave none after the
+    last whole block, so no power carries the last start. The traced peak
+    stays within it plus 2 map stacks of temporaries for the map build,
+    the lift of U to rho -> U rho U^dagger holding four (3, 6, G) complex
+    stacks at its largest. After the call, the only new array data is what
+    the outputs own: the readouts of the 3 blocks that hold the window and
+    the final values.
     """
     g, k, block, blocks = 321, 1, 8, 10
     seq = parse_config(LONG_CHAIN).seq
     period = period_form(seq, seq.lam.delta_1 + np.linspace(-0.06, 0.06, g))
     window, excited = range(60, 80), [np.diag([0.0, 0.0, 1.0])]
     first = propagate_periods(period, thermal_ground_state(), window, excited)
-    work = 8 * g * (2 * 81 + block * k * 9 + blocks * 9 + 81)
+    work = 8 * g * (81 + block * k * 9 + 9 * (9 + blocks + 1) + 9 * (9 + 4))
     tracemalloc.start()
     try:
         before = numpy_bytes()
@@ -654,12 +666,22 @@ def test_kernel_holds_its_working_set_once_and_keeps_only_its_outputs():
 
 
 def test_period_maps_hand_off_c_contiguous_float64_maps():
-    """A stack of G runs gives two (G, 9, 9) stacks, G = 1 included, both C-contiguous."""
+    """A stack of G runs gives two (G, 9, 9) stacks, G = 1 included, both C-contiguous.
+
+    The folded maps are written into the two stacks the kernel hands in,
+    and the turn comes back as one factor of modulus 1 per coherence and
+    run, (3, G).
+    """
     seq = parse_config(LONG_CHAIN).seq
     for period, shape in ((period_form(seq), (1, 9, 9)), (long_chain(3), (3, 9, 9))):
         for maps in period_maps(period):
             assert maps.dtype == np.float64 and maps.shape == shape
             assert maps.flags.c_contiguous
+        a, m = (np.full(shape, np.nan) for _ in range(2))
+        turn = dynamics._write_maps(period, a, m, np.empty(shape).reshape(9, 9, -1))
+        assert np.isfinite(a).all() and np.isfinite(m).all()
+        assert turn.dtype == complex and turn.shape == (3, shape[0])
+        np.testing.assert_allclose(np.abs(turn), 1.0, rtol=0, atol=1e-15)
 
 
 @settings(max_examples=20, deadline=None)
@@ -713,6 +735,40 @@ def test_dark_state_is_a_fixed_point_of_both_period_maps(text):
         np.testing.assert_allclose(maps[0] @ dark, dark, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("t1_e", [math.inf, 400.0])
+@pytest.mark.parametrize("gamma_dp", [0.0, 0.3, 30.0])
+def test_folded_maps_are_exact_off_resonance(t1_e, gamma_dp):
+    """The turn folded into the next pulse, put back, gives the exact period map.
+
+    Off two-photon resonance (delta_r from -0.2 to 0.15 MHz), the physical M
+    of the folded A' and M' equals scipy's product of the four segment
+    exponentials within 1e-13 times the largest norm of a segment's
+    generator times its duration, with T1 on and off and with no laser
+    dephasing, some, and more than the laser's decay (where rho_01's feed
+    takes the turn's phase). At delta_2 = delta_1 the turn acts trivially
+    on the ground block, so with no dissipation but the laser's decay the
+    dark state is a fixed point of the folded A' and M' themselves.
+    """
+    seq = replace(parse_config(LONG_CHAIN).seq, t1_e=t1_e, gamma_dp=gamma_dp)
+    period = period_form(seq, seq.lam.delta_1 + np.array([-0.2, -0.02, 0.01, 0.15]))
+    _, maps = period_maps(period)
+    segments = dense(period)
+    for i, m in enumerate(maps):
+        want, scale = np.eye(9), 1.0
+        for gens, duration in segments:
+            a = gens[i] * duration
+            scale = max(scale, np.abs(a).sum(axis=0).max())
+            step = scipy_expm(a)
+            want = (np.kron(step, step.conj()) if len(a) == 3 else step) @ want
+        np.testing.assert_allclose(m, to_real(want).real, rtol=0, atol=1e-13 * scale)
+    still = replace(seq, gamma_dp=0.0, gamma_2n=0.0, t1_e=math.inf)
+    dark = (REAL @ pure_state(np.append(dark_bright_basis(seq.lam)[0], 0.0)).reshape(9)).real
+    a, m, work = (np.empty((1, 9, 9)) for _ in range(3))
+    dynamics._write_maps(period_form(still, [seq.lam.delta_1]), a, m, work.reshape(9, 9, 1))
+    for folded in (a[0], m[0]):
+        np.testing.assert_allclose(folded @ dark, dark, rtol=0, atol=1e-13)
+
+
 def pulse_map(period):
     """The engine's U of each run of a period stack, (G, 3, 3)."""
     return np.moveaxis(dynamics._pulse_unitary(period), -1, 0)
@@ -720,14 +776,21 @@ def pulse_map(period):
 
 def form_map(period):
     """The engine's map of each run of a period stack, for each of its four segments:
-    U for the pulse, else the real 9x9 its row operations make of the identity."""
+    U for the pulse, else the real 9x9 its row operations make of the identity,
+    composed with the segment's own frame turn, which the row operations fold out."""
     g = period.frequencies.shape[1]
     rows = (
-        dynamics._wait_rows(period, period.t_pre, identities(g)),
-        dynamics._laser_rows(period, identities(g)),
-        dynamics._wait_rows(period, period.t_post, identities(g)),
+        (dynamics._wait_rows(period, period.t_pre, identities(g)), period.t_pre),
+        (dynamics._laser_rows(period, identities(g)), period.t_laser),
+        (dynamics._wait_rows(period, period.t_post, identities(g)), period.t_post),
     )
-    return [pulse_map(period), *(np.moveaxis(m, -1, 0) for m in rows)]
+    return [pulse_map(period), *(frame_turn(period, t) @ np.moveaxis(m, -1, 0) for m, t in rows)]
+
+
+def frame_turn(period, t):
+    """The real maps, (G, 9, 9), of the frame turn over a segment of duration t."""
+    p = dynamics._phases(period.frequencies, t)
+    return turn_maps(p[[0, 0, 1]] * p[[1, 2, 2]].conj())
 
 
 def identities(g):
@@ -1009,7 +1072,8 @@ def test_pulse_map_is_exact_over_the_whole_schema(omega, delta_1, psi, offsets, 
 def wait_rows_with_t1_block(period, t, m):
     """A wait's row operations with the T1 block run for every t1_e, infinite included."""
     relax, decay = dynamics._wait_decay(period, t)
-    dynamics._turn(m, dynamics._frame(period.frequencies, t, decay))
+    coherences = m[3:].reshape(2, 3, -1)
+    coherences *= decay
     up, down, excited = m[0], m[1], m[2]
     r = 0.5 * np.expm1(relax) * (excited - up - down)
     s = 0.5 * np.expm1(0.5 * relax) * (up - down)

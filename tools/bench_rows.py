@@ -14,6 +14,12 @@ slow spell of the machine falls on all of them. A tree that is a git
 checkout names its own commit (with ``"dirty": true`` when it has changes
 that are not committed); an exported tree needs ``--commit``.
 
+A tree exported from a commit with a different ``src/`` is named
+``<commit>+src:<tree>``: the files of ``<commit>`` run with the ``src/``
+tree object ``<tree>``, as ``git rev-parse <rev>:src`` prints it for the
+commit that holds that ``src/`` (``git rev-parse "$(git write-tree):src"``
+for a staged tree).
+
 The file holds {"rows": [...]}; rows are only ever appended.
 """
 
