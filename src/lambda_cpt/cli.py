@@ -28,8 +28,9 @@ the ``section.key`` it rejects (a handler's FieldError at the key of its
 field), 4 a written report has converged false (the fit did not
 converge), 64 missing or unknown command. LAMBDA_CPT_LOG=DEBUG (or any
 level name) logs to stderr, at DEBUG each file written with its size,
-the handler's wall time and, from lambda_cpt.fitting, how each nonlinear
-fit ended.
+the handler's wall time, from lambda_cpt.experiments how many runs each
+spectrum propagates, and from lambda_cpt.fitting how each nonlinear fit
+ended.
 """
 
 from __future__ import annotations

@@ -682,11 +682,13 @@ def propagate_periods(
     by the sizes of :func:`~lambda_cpt.lambda_system.kernel_layout`: M',
     the readout rows, P followed by the block starts (A' is built in P's
     slot), a slab that holds in turn the point-last map build, the powers
-    of M' the last start is not carried by and the product of each
-    doubling of the starts but the last, and a map slot per set bit of
-    n_reps mod K for the powers the last start is carried by. Only the returned arrays are new, and they own their data:
-    the readouts of the blocks read, 8 k bytes per period read and grid
-    point, and the final values. :func:`~lambda_cpt.lambda_system.kernel_bytes`
+    of M' the last start is not carried by, the product of each doubling
+    of the starts but the last, and last the readout rows transposed and
+    C-contiguous for their product with the starts; and a map slot per set
+    bit of n_reps mod K for the powers the last start is carried by. Only
+    the returned arrays are new, and they own their data: the readouts of
+    the blocks read, 8 k bytes per period read and grid point, and the
+    final values. :func:`~lambda_cpt.lambda_system.kernel_bytes`
     gives the working set and these in closed form, and a call is held to
     :data:`~lambda_cpt.lambda_system.KERNEL_BUDGET` by it before anything
     is allocated.
@@ -772,10 +774,13 @@ def propagate_periods(
     np.matmul(starts[:, : count - n], power, out=starts[:, n:])
     # The blocks read, from first on, by (observable, block, period in
     # block): one product per run and observable, of the starts with that
-    # observable's K rows. Never one block of several (kernel_layout reads
-    # the last two at least): numpy multiplies a lone row by another BLAS
-    # routine, other bits.
-    readouts = starts[:, None, first:blocks] @ rows.swapaxes(2, 3)
+    # observable's K rows, copied transposed into the slab the doublings
+    # have left: a C-contiguous operand takes OpenBLAS's faster path. Never
+    # one block of several (kernel_layout reads the last two at least):
+    # numpy multiplies a lone row by another BLAS routine, other bits.
+    columns = slab[: g * k * 9 * block].reshape(g, k, 9, block)
+    columns[...] = rows.swapaxes(2, 3)
+    readouts = starts[:, None, first:blocks] @ columns
     vec = starts[:, -1:]
     for power in tail:
         vec = vec @ power.swapaxes(1, 2)

@@ -19,13 +19,15 @@ readout is scaled so that the far-detuned baseline (the mean of the two
 outermost grid points), an unpumped spin flipping on half the pulses, maps
 to one-half; one minus the dip minimum is then the trapped dark fraction. A
 pump trace calibrates against its first readout (:func:`dark_population_estimate`).
-Grid points are independent runs: a spectrum is one batch, a multi-resonance
-scan one batch per period, a composition sweep one run per ratio; the kernel
-gives the same bits either way.
+Grid points are independent runs: a spectrum is one batch of its distinct
+detunings (of its distinct |delta_2| at delta_1 = 0, see :func:`cpt_spectrum`),
+a multi-resonance scan one batch per period, a composition sweep one run per
+ratio; the kernel gives the same bits either way.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -56,6 +58,8 @@ __all__ = [
     "multi_resonance_scan",
     "comb_predict",
 ]
+
+log = logging.getLogger("lambda_cpt.experiments")
 
 
 @dataclass(frozen=True)
@@ -141,7 +145,7 @@ class CombPrediction:
 
 
 def _median(values: np.ndarray) -> float:
-    """The median of a 1-d array, by sorting: np.median would import numpy.ma, 2 MB more."""
+    """The median of a nonempty 1-d array, the mean of its middle one or two values, by sorting."""
     ordered = np.sort(values)
     return float(np.mean(ordered[(len(ordered) - 1) // 2 : len(ordered) // 2 + 1]))
 
@@ -151,9 +155,14 @@ def cpt_spectrum(seq: SequenceConfig, delta_1: float, grid: np.ndarray) -> Spect
 
     Every grid point runs seq.n_reps periods from the thermal ground state,
     all in one batch, and reads its excited population over the last max(5,
-    n_reps/4) periods alone; their mean is its steady readout. The mean of
-    the two outermost readouts maps to one-half, the flip probability of an
-    unpumped spin. Raises ValueError for an empty grid, and when that
+    n_reps/4) periods alone; their mean is its steady readout. Each distinct
+    value runs once, and at delta_1 = 0 that value is |delta_2|: there the
+    period at -delta_2 is the one at delta_2 conjugated by rho -> P rho*
+    P^dagger (P diagonal), which keeps every population, so a population
+    read from the thermal state is even in delta_2. A point's readout so
+    depends on its own detuning alone, not on the rest of the grid. The
+    mean of the two outermost readouts maps to one-half, the flip
+    probability of an unpumped spin. Raises ValueError for an empty grid, and when that
     baseline is not above 1e-12, or is below half the median readout: then
     the edges sit in dips (say, a grid spanning exactly +-1/t_seq of a
     comb), not on the far-detuned level, and cannot calibrate the spectrum.
@@ -162,11 +171,13 @@ def cpt_spectrum(seq: SequenceConfig, delta_1: float, grid: np.ndarray) -> Spect
     if grid.size == 0:
         raise ValueError("empty detuning grid")
     excited = np.diag([0.0, 0.0, 1.0])
-    period = period_form(replace(seq, lam=replace(seq.lam, delta_1=delta_1)), grid)
+    runs, where = np.unique(np.abs(grid) if delta_1 == 0 else grid, return_inverse=True)
+    log.debug("cpt_spectrum: %d points, %d runs", grid.size, runs.size)
+    period = period_form(replace(seq, lam=replace(seq.lam, delta_1=delta_1)), runs)
     readouts, _ = propagate_periods(
         period, thermal_ground_state(), _steady_window(seq.n_reps), [excited]
     )
-    raw = np.mean(readouts[..., 0], axis=1)
+    raw = np.mean(readouts[..., 0], axis=1)[where]
     baseline = 0.5 * (raw[0] + raw[-1])
     median = _median(raw)
     if not (baseline > 1e-12 and baseline >= 0.5 * median):
@@ -294,16 +305,18 @@ def multi_resonance_scan(
 
     With grid = None each period gets its own grid spanning +-1.3/t_seq in
     321 points, which covers the central tooth and its first neighbors at
-    adequate sampling for any period in the list.
+    adequate sampling for any period in the list. That grid is mirrored
+    exactly, grid == -grid[::-1], 161 points from 0 to 1.3/t_seq and their
+    negatives, so at delta_1 = 0 each spectrum runs 161 detunings.
     """
     spectra = []
     for t_seq in t_seq_list:
         seq_t = replace(base, t_seq=float(t_seq))
-        g = (
-            np.asarray(grid, dtype=float)
-            if grid is not None
-            else np.linspace(-1.3 / t_seq, 1.3 / t_seq, 321)
-        )
+        if grid is None:
+            half = np.linspace(0.0, 1.3 / t_seq, 161)
+            g = np.concatenate((-half[:0:-1], half))
+        else:
+            g = np.asarray(grid, dtype=float)
         spectra.append(cpt_spectrum(seq_t, base.lam.delta_1, g))
     return spectra
 

@@ -236,9 +236,9 @@ def kernel_layout(
     is, in float64 entries and in the order of the kernel's buffer: M' (81),
     the readout rows of the k = ``observables`` operators (9 K k), a power
     and the block starts (9 (9 + n)), a slab for the map build, the powers
-    the last start is not carried by and the product of each doubling but
-    the last (9 (9 + h), h = 2^(d - 2), or 0 when d < 2), and a map slot per
-    set bit b of n_reps mod K (81 b).
+    the last start is not carried by, the product of each doubling but the
+    last and the readout rows transposed (9 max(9 + h, K k), h = 2^(d - 2),
+    or 0 when d < 2), and a map slot per set bit b of n_reps mod K (81 b).
 
     Returns K, the block count, the first block read and the five sizes.
     """
@@ -251,7 +251,7 @@ def kernel_layout(
         81,
         9 * block * observables,
         9 * (10 + n_reps // block),
-        9 * (9 + half),
+        9 * max(9 + half, block * observables),
         81 * (n_reps % block).bit_count(),
     )
     return block, blocks, first, sizes

@@ -1,5 +1,6 @@
 """Protocol-level tests on small grids (the acceptance suite runs the big ones)."""
 
+import logging
 import math
 import warnings
 from dataclasses import replace
@@ -92,6 +93,52 @@ def test_spectrum_validation():
         Spectrum(detuning_grid=np.array([0.0, 0.0, 0.1]), signal=np.zeros(3))
     with pytest.raises(ValueError):
         Spectrum(detuning_grid=np.array([0.0, 0.1]), signal=np.array([1.0, np.nan]))
+
+
+def mirrored(half: np.ndarray) -> np.ndarray:
+    """The grid of the values of half, which is increasing from 0 or above, and their negatives."""
+    return np.concatenate((-half[::-1], half[1:] if half[0] == 0.0 else half))
+
+
+def traced_spectrum(caplog, seq, delta_1, grid):
+    """cpt_spectrum and the DEBUG lines it and its kernel call log."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="lambda_cpt"):
+        spec = cpt_spectrum(seq, delta_1, grid)
+    return spec, [r.getMessage() for r in caplog.records]
+
+
+@pytest.mark.parametrize("half", [np.linspace(0.0, 0.12, 8), np.linspace(0.01, 0.1, 5)])
+def test_spectrum_on_a_mirrored_grid_at_one_photon_resonance_runs_half_of_it(caplog, half):
+    """At delta_1 = 0 each |delta_2| runs once: ceil(G / 2) runs, and the
+    signal is exactly symmetric."""
+    grid = mirrored(half)
+    seq = sequence(drive(), t_seq=10.0, gamma_2n=0.01, t1_e=500.0)
+    spec, lines = traced_spectrum(caplog, seq, 0.0, grid)
+    runs = -(-len(grid) // 2)
+    assert lines[0] == f"cpt_spectrum: {len(grid)} points, {runs} runs"
+    assert lines[1].startswith(f"propagate_periods: G={runs} ")
+    assert np.array_equal(spec.signal, spec.signal[::-1])
+
+
+def test_spectrum_point_does_not_depend_on_its_mirror_image_in_the_grid(caplog):
+    """A point reads the same bits whether the grid holds its mirror image or
+    a value one ulp beyond it: near-mirror values are never merged."""
+    seq = sequence(drive(), t_seq=10.0)
+    beyond = -np.nextafter(0.04, 1.0)
+    with_mirror, lines = traced_spectrum(caplog, seq, 0.0, np.array([-0.1, -0.04, 0.0, 0.04, 0.1]))
+    assert lines[0] == "cpt_spectrum: 5 points, 3 runs"
+    without, lines = traced_spectrum(caplog, seq, 0.0, np.array([-0.1, beyond, 0.0, 0.04, 0.1]))
+    assert lines[0] == "cpt_spectrum: 5 points, 4 runs"
+    assert with_mirror.signal[3] == without.signal[3] == with_mirror.signal[1]
+
+
+def test_spectrum_off_one_photon_resonance_runs_every_point(caplog):
+    grid = mirrored(np.linspace(0.0, 0.12, 8))
+    spec, lines = traced_spectrum(caplog, sequence(drive(delta_1=0.03)), 0.03, grid)
+    assert lines[0] == f"cpt_spectrum: {len(grid)} points, {len(grid)} runs"
+    assert lines[1].startswith(f"propagate_periods: G={len(grid)} ")
+    assert not np.array_equal(spec.signal, spec.signal[::-1])
 
 
 def test_pump_trace_estimate_tracks_true_population():
@@ -192,6 +239,18 @@ def test_multi_resonance_auto_grid():
     assert len(auto[0].detuning_grid) == 321
     assert auto[0].detuning_grid[0] == pytest.approx(-0.13)
     assert auto[0].detuning_grid[-1] == pytest.approx(0.13)
+
+
+@pytest.mark.parametrize("t_seq", [10.0, 15.0, 37.7])
+def test_multi_resonance_default_grid_is_mirrored_and_runs_161_points(caplog, t_seq):
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="lambda_cpt.experiments"):
+        (spec,) = multi_resonance_scan(sequence(drive(), n_reps=2), [t_seq])
+    grid = spec.detuning_grid
+    assert np.array_equal(grid, -grid[::-1]) and grid[-1] == 1.3 / t_seq
+    old = np.linspace(-1.3 / t_seq, 1.3 / t_seq, 321)
+    np.testing.assert_allclose(grid, old, rtol=0, atol=2 * np.spacing(1.3 / t_seq))
+    assert [r.getMessage() for r in caplog.records] == ["cpt_spectrum: 321 points, 161 runs"]
 
 
 def test_comb_prediction_geometry():

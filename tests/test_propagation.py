@@ -513,9 +513,10 @@ def test_kernel_logs_one_debug_line_per_call(monkeypatch, caplog):
     # after the last whole block, and the final values.
     assert len(kernel_products()) == 14
     # The working set, 8 bytes per entry: M, 8 x 5 readout rows, the power
-    # and 9 block starts, a slab of 9 + 4 rows for the doublings' products,
-    # and the one power the last start is carried by.
-    work = 8 * 3 * (81 + 8 * 5 * 9 + 9 * (9 + 9) + 9 * (9 + 4) + 1 * 81)
+    # and 9 block starts, a slab of max(9 + 4, 8 x 5) rows for the
+    # doublings' products and then the readout rows transposed, and the one
+    # power the last start is carried by.
+    work = 8 * 3 * (81 + 8 * 5 * 9 + 9 * (9 + 9) + 9 * max(9 + 4, 8 * 5) + 1 * 81)
     lines = [r.getMessage() for r in caplog.records if r.name == "lambda_cpt.dynamics"]
     assert lines == [
         f"propagate_periods: G=3 n_reps=65 read=65 K=8 blocks=9 products=14 work={work}"
@@ -702,6 +703,37 @@ def test_read_window_does_not_depend_on_batching(text, offsets):
     split = [run(part) for part in (grid[:half], grid[half:])]
     for i in (0, 1):
         assert np.array_equal(whole[i], np.concatenate([part[i] for part in split]))
+
+
+def excited_at_mirrored_detunings(seq, delta_2):
+    """The excited readouts of every period at +delta_2 and at -delta_2, each (G, n_reps)."""
+    grid = np.concatenate((delta_2, -delta_2))
+    readouts, _ = propagate_periods(
+        period_form(seq, grid), thermal_ground_state(), range(seq.n_reps),
+        [np.diag([0.0, 0.0, 1.0])],
+    )
+    return readouts[: len(delta_2), :, 0], readouts[len(delta_2) :, :, 0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=run_files(), offsets=st.lists(floats(0.0, 0.3), min_size=1, max_size=6))
+def test_excited_readout_is_even_in_delta_2_at_one_photon_resonance(text, offsets):
+    """At delta_1 = 0 the frame frequencies flip with delta_2, and the period at
+    -delta_2 is the one at +delta_2 conjugated by rho -> P rho* P^dagger, which
+    keeps the populations: from the thermal state every period reads the same
+    excited population at both, to rounding. cpt_spectrum folds its grid on this."""
+    seq = parse_config(text).seq
+    seq = replace(seq, lam=replace(seq.lam, delta_1=0.0))
+    plus, minus = excited_at_mirrored_detunings(seq, np.array(offsets))
+    np.testing.assert_allclose(plus, minus, rtol=0, atol=1e-13)
+
+
+def test_excited_readout_is_not_even_in_delta_2_off_one_photon_resonance():
+    """At delta_1 != 0 the frame frequency of |-> does not flip: the fold needs delta_1 = 0."""
+    seq = replace(parse_config(LONG_CHAIN).seq, n_reps=12)
+    assert seq.lam.delta_1 == 0.03
+    plus, minus = excited_at_mirrored_detunings(seq, np.array([0.02]))
+    assert np.abs(plus - minus).max() > 1e-3
 
 
 def choi(m):
