@@ -7,6 +7,7 @@ Layers, bottom up:
     lambda_system   drive, sequence and readout parameters; pumping efficiency
     rate_model      per-step pumping recursion and its closed forms
     dynamics        density-matrix engine: dark/bright basis, Period and period_form, kernel
+                    and its working-set layout and budget
     experiments     measurement protocols built on the engine
     fitting         dip, saturation, and composition parameter extraction
     datasets        CSV emission with provenance manifests

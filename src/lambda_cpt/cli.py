@@ -23,14 +23,14 @@ those: esr-lines runs on the schema and the spin model, and starts without
 numpy; no simulation loads the fitting module.
 
 Exit codes: 0 success, 1 engine failure, 2 unreadable CLI/config input
-or an output that cannot be written, 3 validation rejection, logged at
-the ``section.key`` it rejects (a handler's FieldError at the key of its
-field), 4 a written report has converged false (the fit did not
-converge), 64 missing or unknown command. LAMBDA_CPT_LOG=DEBUG (or any
-level name) logs to stderr, at DEBUG each file written with its size,
-the handler's wall time, from lambda_cpt.experiments how many runs each
-spectrum propagates, and from lambda_cpt.fitting how each nonlinear fit
-ended.
+(fit's dataset, logged at fit.input, among it) or an output that cannot
+be written, 3 validation rejection, logged at the ``section.key`` it
+rejects (a handler's FieldError at the key of its field), 4 a written
+report has converged false (the fit did not converge), 64 missing or
+unknown command. LAMBDA_CPT_LOG=DEBUG (or any level name) logs to
+stderr, at DEBUG each file written with its size, the handler's wall
+time, from lambda_cpt.experiments how many runs each spectrum
+propagates, and from lambda_cpt.fitting how each nonlinear fit ended.
 """
 
 from __future__ import annotations
@@ -355,6 +355,10 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         log.error("engine failure: %s", exc)
         return 1
+    except OSError as exc:
+        # The one file a handler reads is fit's dataset.
+        log.error("unreadable input: fit.input: %s", exc)
+        return 2
     log.debug("%s computed in %.3f s", ns.command, time.perf_counter() - started)
 
     # Only a handler that wrote noise into a column drew from the stream.

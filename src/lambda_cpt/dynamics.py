@@ -91,14 +91,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .lambda_system import (
-    KERNEL_BUDGET,
-    LambdaConfig,
-    SequenceConfig,
-    kernel_bytes,
-    kernel_layout,
-    polarization_efficiency,
-)
+from .lambda_system import LambdaConfig, SequenceConfig, polarization_efficiency
 from .spin_model import FieldError
 
 __all__ = [
@@ -108,6 +101,9 @@ __all__ = [
     "Period",
     "period_form",
     "propagate_periods",
+    "kernel_layout",
+    "kernel_bytes",
+    "KERNEL_BUDGET",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -638,6 +634,63 @@ def _turned(x: np.ndarray, turn: np.ndarray) -> np.ndarray:
 _TRACE_DRIFT = 1e-10
 _DRIFT_PER_PERIOD = 64 * np.finfo(float).eps
 
+# The most memory one call of the propagation kernel may hold, in bytes: its
+# working set and the readouts it returns (kernel_bytes).
+KERNEL_BUDGET = 2**30
+
+
+def kernel_layout(
+    n_reps: int, observables: int, start: int
+) -> tuple[int, int, int, tuple[int, int, int, int]]:
+    """How :func:`propagate_periods` cuts a call of n_reps >= 1 periods read from period start on.
+
+    Periods fall into blocks of K, the largest power of two with K^2 <=
+    n_reps, so that sqrt(n_reps) / 2 < K <= sqrt(n_reps): ceil(n_reps / K)
+    blocks. The readouts come from every block from the one that holds
+    period start on, and from the last two at least. The kernel doubles the
+    starts of the n_reps // K whole blocks and of the end, n = n_reps // K +
+    1, in d = (n - 1).bit_length() doublings.
+
+    The working set of each run is one float64 buffer, cut into four
+    regions, in this order and of these sizes in entries, for k =
+    ``observables``:
+
+    - the powers M'^(2^i), i < max(log2 K, 1), one 9x9 slot each, M' first
+      (81 max(log2 K, 1));
+    - the readout rows R_c A' M'^j, j < K, of each observable c (9 K k);
+    - P = (M'^K)^T, in which A' is built, followed by the n block starts
+      (9 (9 + n));
+    - a slab that holds in turn the point-last map build, the product of
+      each doubling of the starts but the last, and the readout rows
+      transposed (9 max(9 + h, K k), h = 2^(d - 2), or 0 when d < 2).
+
+    Returns K, the block count, the first block read and the four sizes.
+    """
+    block = 1 << (math.isqrt(n_reps).bit_length() - 1)
+    blocks = -(-n_reps // block)
+    first = min(start // block, max(blocks - 2, 0))
+    doublings = (n_reps // block).bit_length()
+    half = 1 << (doublings - 2) if doublings >= 2 else 0
+    sizes = (
+        81 * max(block.bit_length() - 1, 1),
+        9 * block * observables,
+        9 * (10 + n_reps // block),
+        9 * max(9 + half, block * observables),
+    )
+    return block, blocks, first, sizes
+
+
+def kernel_bytes(runs: int, observables: int, layout: tuple) -> int:
+    """Bytes a call of :func:`propagate_periods` holds: its working set and the readouts it returns.
+
+    The call runs ``runs`` stacked runs, each cut by ``layout``, the
+    :func:`kernel_layout` of its n_reps, its k = ``observables`` and its
+    first period read. Per run: the working set, then the readouts of every
+    block it reads, k K each, and the k final values, 8 bytes per entry.
+    """
+    block, blocks, first, sizes = layout
+    return 8 * runs * (sum(sizes) + observables * ((blocks - first) * block + 1))
+
 
 def propagate_periods(
     period: Period, rho0: np.ndarray, periods: range, observables
@@ -659,39 +712,32 @@ def propagate_periods(
     for a state with no coherence, the readouts are R A' M'^j Phi^-1 x0,
     and the final state is Phi x_n. Periods fall into blocks of K, the
     largest power of two with K^2 <= n_reps, so sqrt(n)/2 < K <= sqrt(n)
-    (:func:`~lambda_cpt.lambda_system.kernel_layout`). The readout rows R A'
-    M'^j for j < K and the powers M'^(2^i) up to M'^K are built by
-    doubling. The starts S_b of the n_reps // K + 1 blocks are built by
-    doubling too, each doubling one batched product that also carries its
-    power: with P = (M'^(K n))^T stored just before S_0, [P; S_0 .. S_n-1]
-    P = [P^2; S_n .. S_2n-1]. One batched product of the rows with the
-    starts of the blocks that hold the periods read gives their readouts,
-    and the powers of the set bits of n_reps mod K carry the last start to
-    the end. A run so takes O(log n) batched products of real 9-column
-    matrices and no loop over its periods or blocks. K depends on n_reps
-    alone and runs are independent rows of every product, so a result does
-    not depend on which other runs share its batch, nor a readout on which
-    other periods are read. Each observable takes products of its own (its
-    K readout rows double on their own, and it has one product with the
-    block starts and one with the final state), so no product's shape
-    depends on how many observables are read, and an observable's values
-    are the same bits read alone as read with others; its readouts come
-    back contiguous.
+    (:func:`kernel_layout`). The readout rows R A' M'^j for j < K and the
+    powers M'^(2^i) up to M'^K are built by doubling, each power squared
+    into the slot of the next. The starts S_b of the n_reps // K + 1
+    blocks are built by doubling too, each doubling one batched product
+    that also carries its power: with P = (M'^(K n))^T stored just before
+    S_0, [P; S_0 .. S_n-1] P = [P^2; S_n .. S_2n-1]. One batched product of
+    the rows with the starts of the blocks that hold the periods read gives
+    their readouts, and the powers M'^(2^i) of the set bits i of n_reps mod
+    K, in increasing i, carry the last start to the end. A run so takes
+    O(log n) batched products of real 9-column matrices and no loop over
+    its periods or blocks. K depends on n_reps alone and runs are
+    independent rows of every product, so a result does not depend on which
+    other runs share its batch, nor a readout on which other periods are
+    read. Each observable takes products of its own (its K readout rows
+    double on their own, and it has one product with the block starts and
+    one with the final state), so no product's shape depends on how many
+    observables are read, and an observable's values are the same bits read
+    alone as read with others; its readouts come back contiguous.
 
-    The working set is one float64 buffer per call, cut in the order and
-    by the sizes of :func:`~lambda_cpt.lambda_system.kernel_layout`: M',
-    the readout rows, P followed by the block starts (A' is built in P's
-    slot), a slab that holds in turn the point-last map build, the powers
-    of M' the last start is not carried by, the product of each doubling
-    of the starts but the last, and last the readout rows transposed and
-    C-contiguous for their product with the starts; and a map slot per set
-    bit of n_reps mod K for the powers the last start is carried by. Only
-    the returned arrays are new, and they own their data: the readouts of
-    the blocks read, 8 k bytes per period read and grid point, and the
-    final values. :func:`~lambda_cpt.lambda_system.kernel_bytes`
-    gives the working set and these in closed form, and a call is held to
-    :data:`~lambda_cpt.lambda_system.KERNEL_BUDGET` by it before anything
-    is allocated.
+    The working set is one float64 buffer per call, cut as
+    :func:`kernel_layout` states. Only the returned arrays are new, and
+    they own their data: the readouts of the blocks read, 8 k bytes per
+    period read and grid point, and the final values. The call computes
+    its layout once, and holds itself to :data:`KERNEL_BUDGET` by the
+    bytes of that layout (:func:`kernel_bytes`) before anything is
+    allocated.
 
     Raises FieldError when the call would hold more than KERNEL_BUDGET,
     naming n_reps when a single run is over it and points (the G runs of a
@@ -712,49 +758,40 @@ def propagate_periods(
     g = period.frequencies.shape[-1]
     read = _READ_WEIGHTS * _coordinates(observables).reshape(-1, 9)
     k = len(read)
-    size = kernel_bytes(1, n_reps, k, periods.start)
+    layout = block, blocks, first, sizes = kernel_layout(n_reps, k, periods.start)
     for name, runs in (("n_reps", 1), ("points", g)):
-        if runs * size > KERNEL_BUDGET:
+        size = kernel_bytes(runs, k, layout)
+        if size > KERNEL_BUDGET:
             raise FieldError(
                 name,
                 f"small enough that the kernel call holds at most {KERNEL_BUDGET / 2**30:g} "
-                f"GiB, not {runs * size / 2**30:.3g} GiB",
+                f"GiB, not {size / 2**30:.3g} GiB",
             )
-    block, blocks, first, sizes = kernel_layout(n_reps, k, periods.start)
     count, rest = n_reps // block + 1, n_reps % block  # block starts; periods after the last
     ends = [0, *accumulate(g * size for size in sizes)]
     work = np.empty_like(period.frequencies, dtype=float, shape=ends[-1])
-    m, rows, head, slab, spares = (work[lo:hi] for lo, hi in zip(ends, ends[1:]))
-    m = m.reshape(g, 9, 9)
+    powers, rows, head, slab = (work[lo:hi] for lo, hi in zip(ends, ends[1:]))
+    powers = powers.reshape(sizes[0] // 81, g, 9, 9)
     rows = rows.reshape(g, k, block, 9)
     head = head.reshape(g, 9 + count, 9)
     a, starts = head[:, :9], head[:, 9:]
-    slot = slab[: 81 * g].reshape(g, 9, 9)
-    free = list(spares.reshape(rest.bit_count(), g, 9, 9))
-    turn = _write_maps(period, a, m, slot.reshape(9, 9, g))
-    # rows[:, c, j] = R_c A' M'^j for j < block, each doubling filling the
-    # next slice, observable by observable. power runs through M'^(2^i), and
-    # tail keeps each power the last start is carried by, in a spare slot
-    # (or M' in its own), never in the slab the doublings overwrite. M'^K
-    # comes transposed into a, which R A' has been read from.
+    turn = _write_maps(period, a, powers[0], slab[: 81 * g].reshape(9, 9, g))
+    # rows[:, c, j] = R_c A' M'^j for j < block, doubling i filling the next
+    # slice with powers[i] = M'^(2^i), observable by observable, and squaring
+    # it into powers[i + 1]. M'^K comes transposed into a, which R A' has
+    # been read from.
     np.matmul(read[:, None], a[:, None], out=rows[:, :, :1])
-    power, tail = m, []
-    levels = block.bit_length()
-    for i in range(levels - 1):
-        if rest >> i & 1:
-            tail.append(power)
+    levels = block.bit_length() - 1
+    for i in range(levels):
         n = 1 << i
-        np.matmul(rows[:, :, :n], power[:, None], out=rows[:, :, n : 2 * n])
-        if i == levels - 2:
-            np.matmul(power.swapaxes(1, 2), power.swapaxes(1, 2), out=a)
-            break
-        out = free.pop() if rest >> (i + 1) & 1 or power is slot else slot
-        np.matmul(power, power, out=out)
-        if power is not slot and not (tail and tail[-1] is power):
-            free.append(power)
-        power = out
-    if levels == 1:
-        a[...] = m.swapaxes(1, 2)
+        np.matmul(rows[:, :, :n], powers[i][:, None], out=rows[:, :, n : 2 * n])
+        if i < levels - 1:
+            np.matmul(powers[i], powers[i], out=powers[i + 1])
+    last = powers[-1].swapaxes(1, 2)
+    if levels:
+        np.matmul(last, last, out=a)
+    else:
+        a[...] = last
     # The states are row vectors, x^T <- x^T (M'^K)^T, so that the block
     # starts stack into (G, count, 9) right after a = P: each doubling but
     # the last writes [P^2; S_n .. S_2n-1] into the slab and copies the starts
@@ -782,15 +819,16 @@ def propagate_periods(
     columns[...] = rows.swapaxes(2, 3)
     readouts = starts[:, None, first:blocks] @ columns
     vec = starts[:, -1:]
-    for power in tail:
-        vec = vec @ power.swapaxes(1, 2)
+    for i in range(levels):
+        if rest >> i & 1:
+            vec = vec @ powers[i].swapaxes(1, 2)
     final = _turned(vec[:, 0], turn)
     _check_final_states(final, x0, n_reps)
     if log.isEnabledFor(logging.DEBUG):
         log.debug(
             "propagate_periods: G=%d n_reps=%d read=%d K=%d blocks=%d products=%d work=%d",
             g, n_reps, len(periods), block, blocks,
-            2 * levels + doublings + len(tail) + 1, work.nbytes,
+            2 * levels + doublings + rest.bit_count() + 3, work.nbytes,
         )
     start = periods.start - first * block
     readouts = readouts.reshape(g, k, (blocks - first) * block)[:, :, start : start + len(periods)]

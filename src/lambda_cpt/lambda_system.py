@@ -7,15 +7,11 @@ coupling to |-> at two-photon resonance, the bright state carries all of it.
 This module holds the parameter dataclasses of a run (the drive, the
 repeated sequence, the readout), each with its range rules, the
 closed-form scalar algebra of the drive (the Rabi split and the pumping
-efficiency) and the readout's linear map (:meth:`ReadoutModel.signal`),
-and the size of a run in closed form: how the propagation kernel cuts a
-call into blocks of periods and its working set into arrays
-(:func:`kernel_layout`), and the bytes one call holds
-(:func:`kernel_bytes`), which the kernel holds to :data:`KERNEL_BUDGET`
-before it allocates anything.
+efficiency) and the readout's linear map (:meth:`ReadoutModel.signal`).
 It runs on ``math`` alone, so that the run schema
-(:mod:`lambda_cpt.config`) imports no numpy; the dark/bright spinors and
-all time evolution live in :mod:`lambda_cpt.dynamics`.
+(:mod:`lambda_cpt.config`) imports no numpy; the dark/bright spinors, all
+time evolution and the kernel's working set live in
+:mod:`lambda_cpt.dynamics`.
 
 Units: Rabi frequencies and detunings are linear frequencies in MHz, times
 in us, angles in rad. Factors of 2*pi appear only in the dynamics engine
@@ -36,14 +32,7 @@ __all__ = [
     "ReadoutModel",
     "split_rabi",
     "polarization_efficiency",
-    "kernel_layout",
-    "kernel_bytes",
-    "KERNEL_BUDGET",
 ]
-
-# The most memory one call of the propagation kernel may hold, in bytes: its
-# working set and the readouts it returns (kernel_bytes).
-KERNEL_BUDGET = 2**30
 
 
 @dataclass(frozen=True)
@@ -221,49 +210,3 @@ def polarization_efficiency(cfg: LambdaConfig) -> float:
     alpha_p = (o2 * o2 * s2 + o1 * o1 * c2 + cross) / (o1 * o1 + o2 * o2)
     return min(max(alpha_p, 0.0), 1.0)
 
-
-def kernel_layout(
-    n_reps: int, observables: int, start: int
-) -> tuple[int, int, int, tuple[int, int, int, int, int]]:
-    """How the propagation kernel cuts a call of n_reps >= 1 periods read from period start on.
-
-    Periods fall into blocks of K, the largest power of two with K^2 <=
-    n_reps, so that sqrt(n_reps) / 2 < K <= sqrt(n_reps): ceil(n_reps / K)
-    blocks. The readouts come from every block from the one that holds
-    period start on, and from the last two at least. The kernel doubles the
-    starts of the n_reps // K whole blocks and of the end, n = n_reps // K +
-    1, in d = (n - 1).bit_length() doublings. The working set of each run
-    is, in float64 entries and in the order of the kernel's buffer: M' (81),
-    the readout rows of the k = ``observables`` operators (9 K k), a power
-    and the block starts (9 (9 + n)), a slab for the map build, the powers
-    the last start is not carried by, the product of each doubling but the
-    last and the readout rows transposed (9 max(9 + h, K k), h = 2^(d - 2),
-    or 0 when d < 2), and a map slot per set bit b of n_reps mod K (81 b).
-
-    Returns K, the block count, the first block read and the five sizes.
-    """
-    block = 1 << (math.isqrt(n_reps).bit_length() - 1)
-    blocks = -(-n_reps // block)
-    first = min(start // block, max(blocks - 2, 0))
-    doublings = (n_reps // block).bit_length()
-    half = 1 << (doublings - 2) if doublings >= 2 else 0
-    sizes = (
-        81,
-        9 * block * observables,
-        9 * (10 + n_reps // block),
-        9 * max(9 + half, block * observables),
-        81 * (n_reps % block).bit_count(),
-    )
-    return block, blocks, first, sizes
-
-
-def kernel_bytes(runs: int, n_reps: int, observables: int, start: int) -> int:
-    """Bytes one call of the propagation kernel holds: its working set and the readouts it returns.
-
-    The call runs ``runs`` stacked runs of n_reps >= 1 periods and reads k
-    = ``observables`` operators at the periods start to n_reps. Per run: the
-    working set of :func:`kernel_layout`, then the readouts of every block
-    it reads, k K each, and the k final values, 8 bytes per entry.
-    """
-    block, blocks, first, sizes = kernel_layout(n_reps, observables, start)
-    return 8 * runs * (sum(sizes) + observables * ((blocks - first) * block + 1))

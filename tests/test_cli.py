@@ -249,7 +249,7 @@ def test_comb_too_many_teeth_exits_three(tmp_path, caplog):
 # _ArrayMemoryError, in np.linspace (a grid of 1e16 points, 71 PiB) or in the
 # kernel's readout rows (1e16 periods, 22.5 GiB at 5 points). A grid of 1e16
 # points is past the bound of scan.points; one of 10^6 points at the default
-# n_reps, 2.85 GiB, is held by the kernel's budget.
+# n_reps, 3.29 GiB for cpt-spectrum, is held by the kernel's budget.
 KERNEL_BUDGET_CASES = [
     ("[scan]\npoints = 10000000000000000\n", "cpt-spectrum", "scan.points"),
     ("[sequence]\nn_reps = 10000000000000000\n[scan]\npoints = 5\n", "cpt-spectrum",
@@ -792,6 +792,27 @@ def test_fit_whose_report_overflows_exits_three(tmp_path, caplog, kind):
     assert run(["fit", "--config", str(cfg), "--out", str(tmp_path)]) == 3
     assert "validation rejected: fit.input: the fit gives" in caplog.text
     assert not (tmp_path / "fit_report.json").exists()
+
+
+def test_fit_on_an_unreadable_dataset_exits_two_and_writes_nothing(tmp_path, monkeypatch, caplog):
+    # An OSError from the read used to escape main as a traceback. Root reads
+    # any file whatever its mode, so the read itself is made to fail.
+    data = tmp_path / "spectrum.csv"
+    write_csv(data, {"delta_2_mhz": [0.0, 0.1], "signal_norm": [0.5, 1.0]}, "ab", "t")
+    cfg = tmp_path / "fit.ini"
+    cfg.write_text(f"[fit]\ninput = {data}\nkind = dips\n")
+    opened = Path.open
+
+    def denied(self, *args, **kwargs):
+        if self == data:
+            raise PermissionError(13, "Permission denied", str(self))
+        return opened(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", denied)
+    out = tmp_path / "out"
+    assert run(["fit", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"unreadable input: fit.input: [Errno 13] Permission denied: '{data}'" in caplog.text
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize(

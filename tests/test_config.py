@@ -15,15 +15,16 @@ from lambda_cpt.config import (
     load_config,
     parse_config,
 )
-from lambda_cpt.dynamics import period_form, propagate_periods, thermal_ground_state
-from lambda_cpt.experiments import comb_predict, composition_sweep
-from lambda_cpt.lambda_system import (
+from lambda_cpt.dynamics import (
     KERNEL_BUDGET,
-    LambdaConfig,
-    ReadoutModel,
-    SequenceConfig,
     kernel_bytes,
+    kernel_layout,
+    period_form,
+    propagate_periods,
+    thermal_ground_state,
 )
+from lambda_cpt.experiments import comb_predict, composition_sweep
+from lambda_cpt.lambda_system import LambdaConfig, ReadoutModel, SequenceConfig
 from lambda_cpt.rate_model import PumpStepParams, SimplifiedParams, gamma_dp_for_alpha_dp
 from lambda_cpt.spin_model import FieldError, HyperfineParams, PhysicalConstants, SpinSystemParams
 
@@ -427,16 +428,20 @@ def test_kernel_budget_admits_large_runs_and_names_the_key_that_breaks_it():
     trace at n_reps, and a spectrum of 1e5 points at points. At n_reps = 1 it
     admits 493 447 points, under the bound of scan.points."""
     window = range(750_000, 10**6)  # a spectrum's steady window at 1e6 periods
-    assert kernel_bytes(201, window.stop, 1, window.start) <= KERNEL_BUDGET == 2**30
-    assert kernel_bytes(1, 25_000_000, 5, 0) <= KERNEL_BUDGET
-    assert kernel_bytes(493_447, 1, 1, 0) <= KERNEL_BUDGET < kernel_bytes(493_448, 1, 1, 0)
+    steady, trace, one = (
+        kernel_layout(window.stop, 1, window.start), kernel_layout(25_000_000, 5, 0),
+        kernel_layout(1, 1, 0),
+    )
+    assert kernel_bytes(201, 1, steady) <= KERNEL_BUDGET == 2**30
+    assert kernel_bytes(1, 5, trace) <= KERNEL_BUDGET
+    assert kernel_bytes(493_447, 1, one) <= KERNEL_BUDGET < kernel_bytes(493_448, 1, one)
     with pytest.raises(ConfigError, match="^scan.points: must be in"):
         parse_config("[scan]\npoints = 1000001\n")
     seq, rho0 = SequenceConfig(LAM), thermal_ground_state()
     excited = [[0, 0, 0], [0, 0, 0], [0, 0, 1]]
     with pytest.raises(FieldError, match="^n_reps must be .* at most 1 GiB, not 1.87 GiB"):
         propagate_periods(period_form(seq), rho0, range(50_000_000), [excited] * 5)
-    with pytest.raises(FieldError, match="^points must be .* at most 1 GiB, not 207 GiB"):
+    with pytest.raises(FieldError, match="^points must be .* at most 1 GiB, not 208 GiB"):
         propagate_periods(period_form(seq, [0.0] * 10**5), rho0, window, [excited])
     assert (field_key("n_reps"), field_key("points")) == ("sequence.n_reps", "scan.points")
     for field in ("phi", "omega_eff"):

@@ -40,14 +40,17 @@ from hypothesis import strategies as st
 from lambda_cpt import dynamics
 from lambda_cpt.config import load_config, parse_config
 from lambda_cpt.dynamics import (
+    KERNEL_BUDGET,
     dark_bright_basis,
+    kernel_bytes,
+    kernel_layout,
     period_form,
     propagate_periods,
     pure_state,
     thermal_ground_state,
 )
 from lambda_cpt.experiments import cpt_spectrum, pump_trace
-from lambda_cpt.lambda_system import KERNEL_BUDGET, kernel_bytes, polarization_efficiency
+from lambda_cpt.lambda_system import polarization_efficiency
 from lambda_cpt.spin_model import FieldError
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -310,16 +313,18 @@ EXTENDED = pytest.mark.skipif(
     np.finfo(np.longdouble).eps > 1e-18, reason="the oracle needs an extended long double"
 )
 # Block lengths 1 to 64, full and partial blocks, at k = 1 (a spectrum's
-# one observable) and more; two long chains, 157 blocks of 128. Each reads
-# every period. Then ranges that start mid-block (a spectrum's window of
-# 40 or 4097 periods among them), on a block boundary, in a last block of
-# one period, and the empty range at n_reps, after a full last block too.
+# one observable) and more, with n_reps mod K = 1, 3, 6, 7 and 15, so that
+# the powers that carry the last start skip a bit or run through every one;
+# two long chains, 157 blocks of 128. Each reads every period. Then ranges
+# that start mid-block (a spectrum's window of 40 or 4097 periods among
+# them), on a block boundary, in a last block of one period, and the empty
+# range at n_reps, after a full last block too.
 BLOCK_CASES = (
     [
         pytest.param(long_chain, n_reps, g, k, 0, id=f"{k}-{g}-{n_reps}")
         for k in (0, 1, 5)
         for g in (1, 3)
-        for n_reps in (1, 3, 4, 15, 16, 17, 63, 64, 65, 4097)
+        for n_reps in (1, 3, 4, 15, 16, 17, 63, 64, 65, 70, 127, 1023, 4097)
     ]
     + [
         pytest.param(long_chain, 20000, 1, 5, 0, id="5-1-20000", marks=EXTENDED),
@@ -512,11 +517,11 @@ def test_kernel_logs_one_debug_line_per_call(monkeypatch, caplog):
     # doublings of the starts that carry their powers, M for the one period
     # after the last whole block, and the final values.
     assert len(kernel_products()) == 14
-    # The working set, 8 bytes per entry: M, 8 x 5 readout rows, the power
-    # and 9 block starts, a slab of max(9 + 4, 8 x 5) rows for the
-    # doublings' products and then the readout rows transposed, and the one
-    # power the last start is carried by.
-    work = 8 * 3 * (81 + 8 * 5 * 9 + 9 * (9 + 9) + 9 * max(9 + 4, 8 * 5) + 1 * 81)
+    # The working set, 8 bytes per entry: the 3 powers M, M^2 and M^4, 8 x 5
+    # readout rows, the power and 9 block starts, and a slab of max(9 + 4,
+    # 8 x 5) rows for the doublings' products and then the readout rows
+    # transposed.
+    work = 8 * 3 * (3 * 81 + 8 * 5 * 9 + 9 * (9 + 9) + 9 * max(9 + 4, 8 * 5))
     lines = [r.getMessage() for r in caplog.records if r.name == "lambda_cpt.dynamics"]
     assert lines == [
         f"propagate_periods: G=3 n_reps=65 read=65 K=8 blocks=9 products=14 work={work}"
@@ -530,7 +535,8 @@ def test_kernel_logs_one_debug_line_per_call(monkeypatch, caplog):
 @pytest.mark.parametrize(
     "g, n_reps, k, start",
     [(1, 1, 5, 0), (3, 65, 5, 30), (3, 64, 5, 64), (321, 80, 1, 60), (1, 20000, 5, 0),
-     (2, 4097, 3, 4097), (1, 40, 1, 30), (0, 65, 5, 30)],
+     (2, 4097, 3, 4097), (1, 40, 1, 30), (0, 65, 5, 30), (3, 70, 5, 0), (2, 127, 1, 100),
+     (1, 1023, 5, 1000)],
 )
 def test_kernel_bytes_is_what_a_call_holds(caplog, g, n_reps, k, start):
     """The closed form the kernel holds a call to its budget by, against a
@@ -542,11 +548,12 @@ def test_kernel_bytes_is_what_a_call_holds(caplog, g, n_reps, k, start):
         )
     assert readouts.shape == (g, n_reps - start, k) and final.shape == (g, k)
     work = int(caplog.records[-1].getMessage().rsplit("work=", 1)[1])
-    assert kernel_bytes(g, n_reps, k, start) == work + owner(readouts).nbytes + owner(final).nbytes
+    held = kernel_bytes(g, k, kernel_layout(n_reps, k, start))
+    assert held == work + owner(readouts).nbytes + owner(final).nbytes
 
 
 # A single run of 1e16 periods would hold 7.5e7 GiB, and 10^5 runs of a
-# spectrum's window at 10^6 periods 207 GiB, when one such run holds 2.2 MB.
+# spectrum's window at 10^6 periods 208 GiB, when one such run holds 2.2 MB.
 @pytest.mark.parametrize(
     "field, g, periods",
     [("n_reps", 1, range(10**16)), ("points", 10**5, range(750_000, 10**6))],
@@ -560,7 +567,7 @@ def test_kernel_over_its_budget_raises_before_allocating(field, g, periods):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert kernel_bytes(g, periods.stop, 1, periods.start) > KERNEL_BUDGET
+    assert kernel_bytes(g, 1, kernel_layout(periods.stop, 1, periods.start)) > KERNEL_BUDGET
     assert peak < 64 * 1024
 
 
@@ -632,14 +639,13 @@ def owner(array: np.ndarray) -> np.ndarray:
 def test_kernel_holds_its_working_set_once_and_keeps_only_its_outputs():
     """A comb spectrum's kernel call: G = 321, n_reps = 80, k = 1, its window of 20 periods.
 
-    The working set is one buffer of 8 bytes per entry: M (81 per point),
-    the readout rows (K k 9 = 72), a power and the starts of the 10 whole
-    blocks and of the end (9 x (9 + 11)), and the slab of the map build and
-    the doublings' products (9 x (9 + 4)); 80 periods leave none after the
-    last whole block, so no power carries the last start. The traced peak
-    stays within it plus 2 map stacks of temporaries for the map build,
-    the lift of U to rho -> U rho U^dagger holding four (3, 6, G) complex
-    stacks at its largest. After the call, the only new array data is what
+    The working set is one buffer of 8 bytes per entry: the powers M, M^2
+    and M^4 (3 x 81 per point), the readout rows (K k 9 = 72), a power and
+    the starts of the 10 whole blocks and of the end (9 x (9 + 11)), and the
+    slab of the map build and the doublings' products (9 x (9 + 4)). The
+    traced peak stays within it plus 2 map stacks of temporaries for the
+    map build, the lift of U to rho -> U rho U^dagger holding four (3, 6,
+    G) complex stacks at its largest. After the call, the only new array data is what
     the outputs own: the readouts of the 3 blocks that hold the window and
     the final values.
     """
@@ -648,7 +654,7 @@ def test_kernel_holds_its_working_set_once_and_keeps_only_its_outputs():
     period = period_form(seq, seq.lam.delta_1 + np.linspace(-0.06, 0.06, g))
     window, excited = range(60, 80), [np.diag([0.0, 0.0, 1.0])]
     first = propagate_periods(period, thermal_ground_state(), window, excited)
-    work = 8 * g * (81 + block * k * 9 + 9 * (9 + blocks + 1) + 9 * (9 + 4))
+    work = 8 * g * (3 * 81 + block * k * 9 + 9 * (9 + blocks + 1) + 9 * (9 + 4))
     tracemalloc.start()
     try:
         before = numpy_bytes()
