@@ -29,8 +29,10 @@ rejects (a handler's FieldError at the key of its field), 4 a written
 report has converged false (the fit did not converge), 64 missing or
 unknown command. LAMBDA_CPT_LOG=DEBUG (or any level name) logs to
 stderr, at DEBUG each file written with its size, the handler's wall
-time, from lambda_cpt.experiments how many runs each spectrum
-propagates, and from lambda_cpt.fitting how each nonlinear fit ended.
+time, from lambda_cpt.experiments one line per kernel call of a spectrum
+or scan (the sequence periods of a scan's call, its grid points and the
+runs it propagates), and from lambda_cpt.fitting how each nonlinear fit
+ended.
 """
 
 from __future__ import annotations

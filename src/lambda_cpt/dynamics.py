@@ -57,11 +57,13 @@ wait commutes with every real decay and with the T1 block, so
 enter only that pulse and Phi.
 
 Every period is a stack over G independent runs (the grid points of a
-sweep, or G = 1) that differ only in their two-photon detuning delta_2: the
-frame frequencies f are the one array with a run axis, (3, G), and every
-other coefficient is shared by the stack. All three maps run batched with
-numpy alone, so the engine never imports scipy; what the stack shares
-comes once as Python numbers. Every protocol propagates through one
+sweep, or G = 1) that differ in their two-photon detuning delta_2 and, in a
+stack over several sequence periods, in t_seq: the frame frequencies f,
+(3, G), and such per-run pre-laser waits, (G,), are the arrays with a run
+axis, and every other coefficient is shared by the stack. All three maps
+run batched with numpy alone, so the engine never imports scipy; what the
+stack shares comes once as Python numbers, and so do the wait factors of
+each distinct pre-laser wait. Every protocol propagates through one
 kernel, :func:`propagate_periods`. It takes its whole working set as one
 buffer, writes the folded maps of a period into it (:func:`_write_maps`:
 the lifted pulse, then row operations on maps stored point-last as (9, 9,
@@ -103,6 +105,7 @@ __all__ = [
     "propagate_periods",
     "kernel_layout",
     "kernel_bytes",
+    "kernel_runs",
     "KERNEL_BUDGET",
 ]
 
@@ -184,16 +187,18 @@ class Period:
     The segments run microwave pulse, pre-laser wait, laser, post-laser
     wait, for t_mw, t_pre, t_laser and t_post (us). frequencies holds the
     frame frequencies f = 2 pi (0, -delta_r, -delta_1) of the three levels
-    (rad/us), point-last as (3, G), one column per run; it is the one field
-    with a run axis. couplings holds the pulse's tones c = 2 pi (omega_1 /
-    2, (omega_2 / 2) e^{i psi}), shape (2,); dephasing the waits' real
-    generator entries of rho_01, rho_02, rho_12, -gamma_2n (s_i - s_j)^2 /
-    4, shape (3,), and t1_e their electron T1 (inf for none); decay the
-    laser's real generator entry of each upper entry of rho, rho_00,
-    rho_11, rho_22, rho_01, rho_02, rho_12, -gamma_dp (s_i - s_j)^2 / 4 -
-    (gamma / 2) (e_i + e_j), shape (6,); and column the rate at which rho_ee
-    feeds rho_00, rho_11 and rho_01 under the laser, shape (3,). Nothing
-    else mixes.
+    (rad/us), point-last as (3, G), one column per run. t_pre is a number
+    the stack shares, or, for a stack whose runs differ in their sequence
+    period t_seq, one pre-laser wait per run, shape (G,). These two are the
+    fields with a run axis. couplings holds the pulse's tones c = 2 pi
+    (omega_1 / 2, (omega_2 / 2) e^{i psi}), shape (2,); dephasing the
+    waits' real generator entries of rho_01, rho_02, rho_12, -gamma_2n (s_i
+    - s_j)^2 / 4, shape (3,), and t1_e their electron T1 (inf for none);
+    decay the laser's real generator entry of each upper entry of rho,
+    rho_00, rho_11, rho_22, rho_01, rho_02, rho_12, -gamma_dp (s_i -
+    s_j)^2 / 4 - (gamma / 2) (e_i + e_j), shape (6,); and column the rate
+    at which rho_ee feeds rho_00, rho_11 and rho_01 under the laser, shape
+    (3,). Nothing else mixes.
     """
 
     frequencies: np.ndarray
@@ -203,12 +208,14 @@ class Period:
     decay: np.ndarray
     column: np.ndarray
     t_mw: float
-    t_pre: float
+    t_pre: float | np.ndarray
     t_laser: float
     t_post: float
 
 
-def period_form(seq: SequenceConfig, delta_2: np.ndarray | None = None) -> Period:
+def period_form(
+    seq: SequenceConfig, delta_2: np.ndarray | None = None, t_seq: np.ndarray | None = None
+) -> Period:
     """One period of seq, each coefficient written once in the form its maps take.
 
     The coefficients come from the frame frequencies f = 2 pi (0, -delta_r,
@@ -216,8 +223,14 @@ def period_form(seq: SequenceConfig, delta_2: np.ndarray | None = None) -> Perio
     docstring; the pre-laser wait is stretched to t_seq. The period is a
     stack of G runs at one-photon detuning seq.lam.delta_1, one per
     two-photon detuning of the 1-D array delta_2; delta_2 = None is the G =
-    1 stack at seq.lam.delta_2. Only the frequencies, (3, G), depend on
-    delta_2; every other array is shared by the stack.
+    1 stack at seq.lam.delta_2. Every run takes seq.t_seq, and the stack
+    shares its pre-laser wait, seq.wait_pre_total; or, when t_seq is given,
+    each run takes its own sequence period t_seq[g], each one a value
+    SequenceConfig accepts for seq, and t_pre holds each run's wait, (G,),
+    by the arithmetic of SequenceConfig.wait_pre_total, so that it is the
+    same bits as that of seq at that t_seq. Only the frequencies, (3, G),
+    and such per-run waits depend on the run; every other array is shared
+    by the stack.
     """
     lam = seq.lam
     delta_2 = np.asarray([lam.delta_2] if delta_2 is None else delta_2, dtype=float)
@@ -226,6 +239,11 @@ def period_form(seq: SequenceConfig, delta_2: np.ndarray | None = None) -> Perio
     f[1] = -(lam.delta_1 - delta_2)
     f[2] = -lam.delta_1
     f *= TWO_PI
+    if t_seq is None:
+        t_pre = seq.wait_pre_total
+    else:
+        slack = np.asarray(t_seq, dtype=float) - seq.packed_duration
+        t_pre = np.maximum(seq.t_wait_pre + slack, 0.0)
     tone_2 = lam.omega_2 / 2.0 * complex(math.cos(lam.psi), math.sin(lam.psi))
     couplings = TWO_PI * np.array([lam.omega_1 / 2.0, tone_2])
     dephasing = seq.gamma_2n * _DEPHASING[3:]
@@ -243,7 +261,7 @@ def period_form(seq: SequenceConfig, delta_2: np.ndarray | None = None) -> Perio
     ])
     return Period(
         f, couplings, dephasing, seq.t1_e, decay, column,
-        seq.t_mw, seq.wait_pre_total, seq.t_laser, seq.t_wait_post,
+        seq.t_mw, t_pre, seq.t_laser, seq.t_wait_post,
     )
 
 
@@ -451,22 +469,27 @@ def _lift(u: np.ndarray, m: np.ndarray) -> np.ndarray:
     # U_ik and right[k] conj(U_jk); mt is m with its rows and columns swapped.
     by_column = u.transpose(1, 0, 2)
     left, right = by_column.take(_ROWS, axis=1), by_column.take(_COLS, axis=1)
-    # Each name freed as soon as it is done with, so that at a comb
-    # spectrum's G the lift holds at most four (3, 6, G) complex stacks.
+    # Each name freed as soon as it is done with, and each product written
+    # over a factor no later product reads, so that the lift holds at most
+    # three (3, 6, G) complex stacks.
     del u, by_column
     np.conjugate(right, out=right)
     mt = m.transpose(1, 0, 2)
     upper = left * right
     mt[:3, :6] = upper.real
     mt[:3, 6:] = upper[:, 3:].imag
-    # U_ik conj(U_jl) and U_il conj(U_jk) for (k, l) = (0, 1), (0, 2), (1, 2),
-    # each a product of two contiguous (6, G) rows.
-    lower = np.empty_like(upper)
-    for c, (k, l) in enumerate(((0, 1), (0, 2), (1, 2))):
+    # U_ik conj(U_jl) into upper[c], then U_il conj(U_jk) into lower[c], for
+    # (k, l) = (0, 1), (0, 2), (1, 2). lower is right, written from c = 2
+    # down, so that each right[c] is overwritten once no product reads it;
+    # the sum and the difference then go into left.
+    pairs = ((0, 1), (0, 2), (1, 2))
+    for c, (k, l) in enumerate(pairs):
         np.multiply(left[k], right[l], out=upper[c])
+    lower = right
+    for c in (2, 1, 0):
+        k, l = pairs[c]
         np.multiply(left[l], right[k], out=lower[c])
-    del left, right
-    block = upper + lower
+    block = np.add(upper, lower, out=left)
     mt[3:6, :6] = block.real
     mt[3:6, 6:] = block[:, 3:].imag
     np.subtract(upper, lower, out=block)
@@ -476,37 +499,53 @@ def _lift(u: np.ndarray, m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _phases(frequencies: np.ndarray, duration: float) -> np.ndarray:
-    """p = e^{-i f t} of each level over a segment of duration t, point-last (3, G)."""
+def _phases(frequencies: np.ndarray, duration: float | np.ndarray) -> np.ndarray:
+    """p = e^{-i f t} of each level over a segment of duration t, point-last (3, G).
+
+    t is a number, or one duration per run, (G,).
+    """
     return np.exp(-1j * (frequencies * duration))
 
 
-def _wait_decay(period: Period, t: float) -> tuple[float, np.ndarray]:
+def _wait_decay(
+    period: Period, t: float | np.ndarray
+) -> tuple[float | np.ndarray, np.ndarray]:
     """The T1 exponent -t / t1_e of a wait of duration t, and each coherence's decay factor.
 
-    The factors, e^{-gamma_2n (s_i - s_j)^2 t / 4 - t / (2 t1_e)}, (3, 1),
-    are shared by the stack and come once, as Python numbers; an exponent
-    past the float range is an exact decay to zero.
+    The factors are e^{-gamma_2n (s_i - s_j)^2 t / 4 - t / (2 t1_e)}; an
+    exponent past the float range is an exact decay to zero. For a number
+    t, which the stack shares, the factors, (3, 1), come once as Python
+    numbers. For per-run waits t, (G,), as a stack over sequence periods
+    holds them, the exponents come per run, (G,), and the factors of each
+    distinct wait come once, the same way, and are spread over its runs as
+    the point-last columns of a map take them, (3, 9 G): each run's are the
+    bits that its wait alone gives.
     """
     relax = -t / period.t1_e
+    if isinstance(t, np.ndarray):
+        waits, where = np.unique(t, return_inverse=True)
+        decay = np.concatenate([_wait_decay(period, w)[1] for w in waits.tolist()], axis=1)
+        return relax, np.tile(decay.take(where, axis=1), 9)
     decay = [math.exp(x * t + 0.5 * relax) for x in period.dephasing.tolist()]
     return relax, np.array(decay)[:, None]
 
 
-def _wait_rows(period: Period, t: float, m: np.ndarray) -> np.ndarray:
+def _wait_rows(period: Period, t: float | np.ndarray, m: np.ndarray) -> np.ndarray:
     """W m for the folded map W of a wait of duration t and a point-last (9, 9, G) map m, in place.
 
-    W shrinks each coherence by its real decay factor of :func:`_wait_decay`
-    and leaves its frame turn to :func:`_write_maps`. Electron T1 flips
-    |up> and |down> to |-> at 1/(2 t1_e) each and |-> back to each at 1/(4
-    t1_e): on the populations a rate block with eigenvalues 0, -1/t1_e (P_-
-    relaxes to half the trace) and -1/(2 t1_e) (the ground imbalance
-    decays), and on every coherence a further decay at 1/(2 t1_e). The
-    block mixes the three population rows, written through two expm1 modes:
-    the step r moves P_- toward half the trace, and the step s shrinks the
-    ground imbalance; P_up and P_down give back r/2 each, so the trace is
-    kept by construction. t1_e = inf switches T1 off: the wait then has no
-    T1 block, and its population rows are left as they are.
+    t is a number or one wait per run, (G,), as :func:`_wait_decay` takes
+    it. W shrinks each coherence by its real decay factor of
+    :func:`_wait_decay` and leaves its frame turn to :func:`_write_maps`.
+    Electron T1 flips |up> and |down> to |-> at 1/(2 t1_e) each and |->
+    back to each at 1/(4 t1_e): on the populations a rate block with
+    eigenvalues 0, -1/t1_e (P_- relaxes to half the trace) and -1/(2 t1_e)
+    (the ground imbalance decays), and on every coherence a further decay
+    at 1/(2 t1_e). The block mixes the three population rows, written
+    through two expm1 modes of the T1 exponent: the step r moves P_- toward
+    half the trace, and the step s shrinks the ground imbalance; P_up and
+    P_down give back r/2 each, so the trace is kept by construction. t1_e =
+    inf switches T1 off: the wait then has no T1 block, and its population
+    rows are left as they are.
     """
     relax, decay = _wait_decay(period, t)
     # The (Re, Im) row pairs of the coherences, as (2, 3, 9 G).
@@ -692,17 +731,26 @@ def kernel_bytes(runs: int, observables: int, layout: tuple) -> int:
     return 8 * runs * (sum(sizes) + observables * ((blocks - first) * block + 1))
 
 
+def kernel_runs(observables: int, layout: tuple) -> int:
+    """The most runs one call of :func:`propagate_periods`, cut by layout, stacks within the budget.
+
+    That is :data:`KERNEL_BUDGET` over the :func:`kernel_bytes` of one run,
+    rounded down: 0 when a single run is over the budget.
+    """
+    return KERNEL_BUDGET // kernel_bytes(1, observables, layout)
+
+
 def propagate_periods(
     period: Period, rho0: np.ndarray, periods: range, observables
 ) -> tuple[np.ndarray, np.ndarray]:
     """Run periods.stop = n_reps >= 1 periods of G stacked runs from rho0, and read periods.
 
     period is as from :func:`period_form` (G = 1, or a stack over G
-    detunings); every run starts from the 3x3 state rho0. observables are
-    k Hermitian 3x3 operators O, read as Tr(O rho). periods is a range of
-    consecutive periods from 0 <= start <= n_reps: range(n_reps) reads
-    every period, range(n_reps - w, n_reps) the last w, and range(n_reps,
-    n_reps) none. Returns the values at the readout instant of each period
+    detunings and sequence periods); every run starts from the 3x3 state
+    rho0. observables are k Hermitian 3x3 operators O, read as Tr(O rho).
+    periods is a range of consecutive periods from 0 <= start <= n_reps:
+    range(n_reps) reads every period, range(n_reps - w, n_reps) the last w,
+    and range(n_reps, n_reps) none. Returns the values at the readout instant of each period
     read, shape (G, len(periods), k), and at the end of the last period,
     shape (G, k), both float.
 
@@ -736,7 +784,7 @@ def propagate_periods(
     they own their data: the readouts of the blocks read, 8 k bytes per
     period read and grid point, and the final values. The call computes
     its layout once, and holds itself to :data:`KERNEL_BUDGET` by the
-    bytes of that layout (:func:`kernel_bytes`) before anything is
+    runs that layout lets it stack (:func:`kernel_runs`) before anything is
     allocated.
 
     Raises FieldError when the call would hold more than KERNEL_BUDGET,
@@ -759,13 +807,13 @@ def propagate_periods(
     read = _READ_WEIGHTS * _coordinates(observables).reshape(-1, 9)
     k = len(read)
     layout = block, blocks, first, sizes = kernel_layout(n_reps, k, periods.start)
+    fits = kernel_runs(k, layout)
     for name, runs in (("n_reps", 1), ("points", g)):
-        size = kernel_bytes(runs, k, layout)
-        if size > KERNEL_BUDGET:
+        if runs > fits:
             raise FieldError(
                 name,
                 f"small enough that the kernel call holds at most {KERNEL_BUDGET / 2**30:g} "
-                f"GiB, not {size / 2**30:.3g} GiB",
+                f"GiB, not {kernel_bytes(runs, k, layout) / 2**30:.3g} GiB",
             )
     count, rest = n_reps // block + 1, n_reps % block  # block starts; periods after the last
     ends = [0, *accumulate(g * size for size in sizes)]

@@ -21,8 +21,11 @@ to one-half; one minus the dip minimum is then the trapped dark fraction. A
 pump trace calibrates against its first readout (:func:`dark_population_estimate`).
 Grid points are independent runs: a spectrum is one batch of its distinct
 detunings (of its distinct |delta_2| at delta_1 = 0, see :func:`cpt_spectrum`),
-a multi-resonance scan one batch per period, a composition sweep one run per
-ratio; the kernel gives the same bits either way.
+a multi-resonance scan one batch of the distinct detunings of all its periods
+(as few batches as fit the kernel's budget, see :func:`multi_resonance_scan`),
+each run with its own sequence period, and a composition sweep one run per
+ratio, whose runs differ in the drive that a batch shares; the kernel gives
+the same bits either way.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ import numpy as np
 
 from .dynamics import (
     dark_bright_basis,
+    kernel_layout,
+    kernel_runs,
     period_form,
     propagate_periods,
     pure_state,
@@ -166,18 +171,71 @@ def cpt_spectrum(seq: SequenceConfig, delta_1: float, grid: np.ndarray) -> Spect
     baseline is not above 1e-12, or is below half the median readout: then
     the edges sit in dips (say, a grid spanning exactly +-1/t_seq of a
     comb), not on the far-detuned level, and cannot calibrate the spectrum.
+    This is the one-period case of :func:`multi_resonance_scan`.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
+    seq = replace(seq, lam=replace(seq.lam, delta_1=delta_1))
+    return _spectra([seq], [grid], "cpt_spectrum")[0]
+
+
+def _spectra(seqs: list[SequenceConfig], grids: list[np.ndarray], name: str) -> list[Spectrum]:
+    """The spectrum of each sequence seqs[i] over grids[i], as :func:`cpt_spectrum` makes it.
+
+    The sequences differ in their period t_seq alone. The distinct runs of
+    every sequence stack into one kernel call, each run with its own
+    t_seq, as long as they fit the kernel's budget together
+    (:func:`~lambda_cpt.dynamics.kernel_runs`); else the sequences split,
+    in order, into as few calls as fit, each call taking the next sequence
+    while its runs fit. A sequence over the budget alone gets a call of its
+    own, which raises FieldError. Each spectrum is calibrated by its own
+    edges. Logs one DEBUG line per call, ``<name>: <points> points, <runs>
+    runs``, with the sequence periods of the call after the name when there
+    is more than one sequence.
+    """
+    grids = [np.asarray(grid, dtype=float) for grid in grids]
+    if any(grid.size == 0 for grid in grids):
         raise ValueError("empty detuning grid")
     excited = np.diag([0.0, 0.0, 1.0])
-    runs, where = np.unique(np.abs(grid) if delta_1 == 0 else grid, return_inverse=True)
-    log.debug("cpt_spectrum: %d points, %d runs", grid.size, runs.size)
-    period = period_form(replace(seq, lam=replace(seq.lam, delta_1=delta_1)), runs)
-    readouts, _ = propagate_periods(
-        period, thermal_ground_state(), _steady_window(seq.n_reps), [excited]
-    )
-    raw = np.mean(readouts[..., 0], axis=1)[where]
+    n_reps, delta_1 = seqs[0].n_reps, seqs[0].lam.delta_1
+    window = _steady_window(n_reps)
+    distinct = [
+        np.unique(np.abs(grid) if delta_1 == 0 else grid, return_inverse=True) for grid in grids
+    ]
+    # One sequence takes one call, whatever the budget.
+    fits = kernel_runs(1, kernel_layout(n_reps, 1, window.start)) if len(seqs) > 1 else 0
+    calls, held = [], 0
+    for i, (runs, _) in enumerate(distinct):
+        if calls and held + len(runs) <= fits:
+            calls[-1].append(i)
+            held += len(runs)
+        else:
+            calls.append([i])
+            held = len(runs)
+    spectra = []
+    for call in calls:
+        runs = [distinct[i][0] for i in call]
+        sizes = [len(r) for r in runs]
+        if log.isEnabledFor(logging.DEBUG):
+            periods = ", ".join(f"{seqs[i].t_seq:g}" for i in call)
+            periods = f" t_seq = {periods} us," if len(seqs) > 1 else ""
+            points = sum(grids[i].size for i in call)
+            log.debug("%s:%s %d points, %d runs", name, periods, points, sum(sizes))
+        if len(call) == 1:
+            # One sequence's runs share its pre-laser wait.
+            period = period_form(seqs[call[0]], runs[0])
+        else:
+            t_seq = np.repeat([seqs[i].t_seq for i in call], sizes)
+            period = period_form(seqs[call[0]], np.concatenate(runs), t_seq)
+        readouts, _ = propagate_periods(period, thermal_ground_state(), window, [excited])
+        means = np.mean(readouts[..., 0], axis=1)
+        start = 0
+        for i, size in zip(call, sizes):
+            spectra.append(_calibrated(grids[i], means[start : start + size][distinct[i][1]]))
+            start += size
+    return spectra
+
+
+def _calibrated(grid: np.ndarray, raw: np.ndarray) -> Spectrum:
+    """The spectrum of the steady readouts raw over grid, its edges' mean mapped to one-half."""
     baseline = 0.5 * (raw[0] + raw[-1])
     median = _median(raw)
     if not (baseline > 1e-12 and baseline >= 0.5 * median):
@@ -307,18 +365,23 @@ def multi_resonance_scan(
     321 points, which covers the central tooth and its first neighbors at
     adequate sampling for any period in the list. That grid is mirrored
     exactly, grid == -grid[::-1], 161 points from 0 to 1.3/t_seq and their
-    negatives, so at delta_1 = 0 each spectrum runs 161 detunings.
+    negatives, so at delta_1 = 0 each spectrum runs 161 detunings. Each
+    spectrum is the bits of :func:`cpt_spectrum` at its period alone, and
+    is calibrated by its own edges. The distinct runs of every period
+    stack into one kernel call, each run with its own t_seq; a scan whose
+    periods do not fit the kernel's budget together splits between
+    periods, in order, into as few calls as fit, so a scan runs whenever
+    each of its periods fits alone.
     """
-    spectra = []
+    seqs, grids = [], []
     for t_seq in t_seq_list:
-        seq_t = replace(base, t_seq=float(t_seq))
+        seqs.append(replace(base, t_seq=float(t_seq)))
         if grid is None:
             half = np.linspace(0.0, 1.3 / t_seq, 161)
-            g = np.concatenate((-half[:0:-1], half))
+            grids.append(np.concatenate((-half[:0:-1], half)))
         else:
-            g = np.asarray(grid, dtype=float)
-        spectra.append(cpt_spectrum(seq_t, base.lam.delta_1, g))
-    return spectra
+            grids.append(grid)
+    return _spectra(seqs, grids, "multi_resonance_scan")
 
 
 def comb_predict(t_mw: float, t_seq: float, n_s: float, n_max: int) -> CombPrediction:

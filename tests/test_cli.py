@@ -492,6 +492,16 @@ def test_debug_log_names_each_file_written(tmp_path, small_run, caplog):
     assert any(m.startswith("pump-steps computed in ") for m in messages)
 
 
+def test_shipped_multi_resonance_runs_one_kernel_call(tmp_path, caplog):
+    """The shipped comb scan runs its four periods, 321 points each, as one
+    kernel call of 644 runs: 161 distinct |delta_2| per period."""
+    caplog.set_level(logging.DEBUG, logger="lambda_cpt.experiments")
+    config = Path(__file__).resolve().parents[1] / "configs" / "multi_resonance.ini"
+    assert run(["multi-resonance", "--config", str(config), "--out", str(tmp_path)]) == 0
+    lines = [r.getMessage() for r in caplog.records if r.name == "lambda_cpt.experiments"]
+    assert lines == ["multi_resonance_scan: t_seq = 10, 15, 25, 50 us, 1284 points, 644 runs"]
+
+
 def test_pump_steps_signal_uses_the_readout_section(tmp_path, small_run):
     cfg = tmp_path / "readout.ini"
     cfg.write_text(small_run.read_text() + "\n[readout]\ncontrast = 0.2\nreference_0 = 2.5\n")

@@ -8,9 +8,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from lambda_cpt import dynamics
 from lambda_cpt.config import parse_config
 from lambda_cpt.dynamics import (
     dark_bright_basis,
+    kernel_bytes,
+    kernel_layout,
     period_form,
     propagate_periods,
     pure_state,
@@ -27,6 +30,7 @@ from lambda_cpt.experiments import (
     pump_trace,
 )
 from lambda_cpt.lambda_system import LambdaConfig, SequenceConfig, split_rabi
+from lambda_cpt.spin_model import FieldError
 
 OMEGA = 1.0 / (12.0 * math.sqrt(2.0))
 PHI_043 = math.acos(-0.14)
@@ -250,7 +254,74 @@ def test_multi_resonance_default_grid_is_mirrored_and_runs_161_points(caplog, t_
     assert np.array_equal(grid, -grid[::-1]) and grid[-1] == 1.3 / t_seq
     old = np.linspace(-1.3 / t_seq, 1.3 / t_seq, 321)
     np.testing.assert_allclose(grid, old, rtol=0, atol=2 * np.spacing(1.3 / t_seq))
-    assert [r.getMessage() for r in caplog.records] == ["cpt_spectrum: 321 points, 161 runs"]
+    line = "multi_resonance_scan: 321 points, 161 runs"
+    assert [r.getMessage() for r in caplog.records] == [line]
+
+
+def comb_sequence(delta_1):
+    """The drive of multi_resonance.ini at delta_1 = delta_2, 20 periods, with
+    wait dephasing and a finite electron T1."""
+    return parse_config(
+        "[drive]\npulse_area = 3.141592653589793\ntheta = 1.5707963267948966\n"
+        f"phi = 2.0943951023931953\ndelta_1 = {delta_1!r}\ndelta_2 = {delta_1!r}\n"
+        "[sequence]\nt_mw = 0.3\nn_reps = 20\ngamma_2n = 0.02\nt1_e = 300\n"
+    ).seq
+
+
+def traced_scan(caplog, seq, t_seqs, grid=None):
+    """multi_resonance_scan and the DEBUG lines it logs."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="lambda_cpt.experiments"):
+        spectra = multi_resonance_scan(seq, t_seqs, grid)
+    return spectra, [r.getMessage() for r in caplog.records]
+
+
+@pytest.mark.parametrize("delta_1", [0.0, 0.004])
+@pytest.mark.parametrize("explicit", [False, True])
+def test_each_spectrum_of_a_batched_scan_is_the_bits_of_its_period_alone(caplog, delta_1, explicit):
+    """One kernel call runs every period of the scan, and each spectrum is the
+    bytes of cpt_spectrum at its period alone, with wait dephasing and a
+    finite electron T1 on, at delta_1 = 0 (distinct |delta_2|) and off it,
+    on the default grids and on one explicit grid."""
+    seq = comb_sequence(delta_1)
+    t_seqs = [10.0, 13.7, 25.0]
+    grid = delta_1 + np.linspace(-0.05, 0.05, 41) if explicit else None
+    spectra, lines = traced_scan(caplog, seq, t_seqs, grid)
+    runs = 0
+    for t_seq, spec in zip(t_seqs, spectra):
+        alone = cpt_spectrum(replace(seq, t_seq=t_seq), delta_1, spec.detuning_grid)
+        assert spec.detuning_grid.tobytes() == alone.detuning_grid.tobytes()
+        assert spec.signal.tobytes() == alone.signal.tobytes()
+        runs += len(np.unique(np.abs(spec.detuning_grid) if delta_1 == 0 else spec.detuning_grid))
+    points = 3 * (41 if explicit else 321)
+    assert lines == [f"multi_resonance_scan: t_seq = 10, 13.7, 25 us, {points} points, {runs} runs"]
+
+
+def test_a_scan_over_the_kernel_budget_splits_between_periods_into_the_same_bits(
+    caplog, monkeypatch
+):
+    """A scan whose periods do not fit the kernel's budget together runs in as
+    few calls as fit, each period whole, with the same bytes; one period over
+    the budget alone is rejected at points, as a spectrum is."""
+    seq = comb_sequence(0.0)
+    t_seqs = [10.0, 13.7, 25.0, 31.0]
+    whole, lines = traced_scan(caplog, seq, t_seqs)
+    assert lines == ["multi_resonance_scan: t_seq = 10, 13.7, 25, 31 us, 1284 points, 644 runs"]
+    # Each default grid runs 161 |delta_2|; the steady window is the last 5 periods.
+    run = kernel_bytes(1, 1, kernel_layout(20, 1, 15))
+    for fits, want in (
+        (483, ["10, 13.7, 25 us, 963 points, 483", "31 us, 321 points, 161"]),
+        (482, ["10, 13.7 us, 642 points, 322", "25, 31 us, 642 points, 322"]),
+        (161, [f"{t:g} us, 321 points, 161" for t in t_seqs]),
+    ):
+        monkeypatch.setattr(dynamics, "KERNEL_BUDGET", fits * run + run - 1)
+        split, lines = traced_scan(caplog, seq, t_seqs)
+        assert lines == [f"multi_resonance_scan: t_seq = {line} runs" for line in want]
+        for a, b in zip(whole, split):
+            assert a.signal.tobytes() == b.signal.tobytes()
+    monkeypatch.setattr(dynamics, "KERNEL_BUDGET", 161 * run - 1)
+    with pytest.raises(FieldError, match="^points must be small enough"):
+        multi_resonance_scan(seq, t_seqs)
 
 
 def test_comb_prediction_geometry():

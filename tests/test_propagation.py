@@ -247,6 +247,22 @@ def long_chain(g):
     return period_form(seq, seq.lam.delta_1 + np.linspace(-0.02, 0.01, g))
 
 
+# LONG_CHAIN with a weak pulse, slow wait dephasing and a long T1: its one
+# run at delta_2 = 0 still moves by 9e-6 over the three periods up to period
+# 4096 (LONG_CHAIN's is steady to 1e-13 by period 64), so the powers that
+# carry the last start show in its final state.
+SLOW_CHAIN = (
+    LONG_CHAIN.replace("pulse_area = 2.6", "pulse_area = 0.05")
+    .replace("gamma_2n = 0.02", "gamma_2n = 0.001")
+    .replace("t1_e = 400.0", "t1_e = 1e6")
+)
+
+
+def slow_chain(g):
+    """SLOW_CHAIN, g copies of its run at delta_2 = 0."""
+    return period_form(parse_config(SLOW_CHAIN).seq, np.zeros(g))
+
+
 @pytest.mark.parametrize(
     "delta_1, delta_2", [(0.0, 0.0), (0.0, 0.02), (0.03, 0.0), (0.03, 0.03), (-0.05, 0.01)]
 )
@@ -314,8 +330,9 @@ EXTENDED = pytest.mark.skipif(
 )
 # Block lengths 1 to 64, full and partial blocks, at k = 1 (a spectrum's
 # one observable) and more, with n_reps mod K = 1, 3, 6, 7 and 15, so that
-# the powers that carry the last start skip a bit or run through every one;
-# two long chains, 157 blocks of 128. Each reads every period. Then ranges
+# the powers that carry the last start skip a bit or run through every one,
+# also in a G = 1 chain that is still moving at its last block; two long
+# chains, 157 blocks of 128. Each reads every period. Then ranges
 # that start mid-block (a spectrum's window of 40 or 4097 periods among
 # them), on a block boundary, in a last block of one period, and the empty
 # range at n_reps, after a full last block too.
@@ -325,6 +342,11 @@ BLOCK_CASES = (
         for k in (0, 1, 5)
         for g in (1, 3)
         for n_reps in (1, 3, 4, 15, 16, 17, 63, 64, 65, 70, 127, 1023, 4097)
+    ]
+    + [
+        pytest.param(slow_chain, n_reps, 1, k, 0, id=f"slow-{k}-1-{n_reps}")
+        for k in (1, 5)
+        for n_reps in (17, 65, 70, 127, 1023, 4097)
     ]
     + [
         pytest.param(long_chain, 20000, 1, 5, 0, id="5-1-20000", marks=EXTENDED),
@@ -929,6 +951,40 @@ def test_a_stack_varies_only_in_its_frequencies():
         if name != "frequencies":
             value = getattr(single, name)
             assert value.shape == array.shape and value.tobytes() == array.tobytes(), name
+
+
+def folded_maps(period):
+    """The folded A', M' and turn factors that _write_maps gives a period stack, each (G, ...)."""
+    g = period.frequencies.shape[1]
+    a, m, work = (np.empty((g, 9, 9)) for _ in range(3))
+    turn = dynamics._write_maps(period, a, m, work.reshape(9, 9, g))
+    return a, m, turn.T
+
+
+@pytest.mark.parametrize("t1_e", [math.inf, 400.0])
+def test_a_stack_over_sequence_periods_maps_each_run_as_its_period_alone(t1_e):
+    """Runs that differ in t_seq as well as delta_2 each get the bits of their period alone.
+
+    With wait dephasing on and T1 off and on, each run's pre-laser wait is
+    the bits of SequenceConfig.wait_pre_total at its own t_seq, down to a
+    t_seq 1e-9 us short of the packed duration, where the wait is zero; and
+    its folded maps and turn are the bytes of the G = 1 period at that t_seq
+    and delta_2, whose wait the stack would share. Each t_seq comes twice,
+    as the runs of one scan period do. There are 41 of them, so that wait
+    factors taken by numpy's exp in place of math.exp would show: the two
+    differ in the last bit for about 5% of these exponents.
+    """
+    seq = replace(parse_config(LONG_CHAIN).seq, t_wait_pre=0.0, t1_e=t1_e)
+    t_seqs = np.repeat(np.append(seq.packed_duration - 1e-9, np.linspace(7.25, 60.0, 40)), 2)
+    grid = seq.lam.delta_1 + np.tile([-0.02, 0.013], 41)
+    stack = period_form(seq, grid, t_seqs)
+    assert stack.t_pre.shape == (82,) and stack.t_pre[0] == 0.0
+    maps = folded_maps(stack)
+    for g, (t_seq, delta_2) in enumerate(zip(t_seqs.tolist(), grid.tolist())):
+        alone = period_form(replace(seq, t_seq=t_seq), [delta_2])
+        assert float(stack.t_pre[g]).hex() == alone.t_pre.hex()
+        for got, want in zip(maps, folded_maps(alone)):
+            assert got[g].tobytes() == want[0].tobytes()
 
 
 def test_durations_at_or_below_zero_give_the_identity():
