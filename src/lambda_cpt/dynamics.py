@@ -513,21 +513,23 @@ def _wait_decay(
     """The T1 exponent -t / t1_e of a wait of duration t, and each coherence's decay factor.
 
     The factors are e^{-gamma_2n (s_i - s_j)^2 t / 4 - t / (2 t1_e)}; an
-    exponent past the float range is an exact decay to zero. For a number
-    t, which the stack shares, the factors, (3, 1), come once as Python
-    numbers. For per-run waits t, (G,), as a stack over sequence periods
-    holds them, the exponents come per run, (G,), and the factors of each
-    distinct wait come once, the same way, and are spread over its runs as
-    the point-last columns of a map take them, (3, 9 G): each run's are the
-    bits that its wait alone gives.
+    exponent past the float range is an exact decay to zero. t is a number,
+    which the stack shares, or one wait per run, (G,), as a stack over
+    sequence periods holds them; the exponents come the same way. The
+    factors of each distinct wait come once, as Python numbers, and are
+    spread over its runs as (3, 1, G), or (3, 1, 1) when shared, so that
+    each run's are the bits that its wait alone gives.
     """
     relax = -t / period.t1_e
-    if isinstance(t, np.ndarray):
-        waits, where = np.unique(t, return_inverse=True)
-        decay = np.concatenate([_wait_decay(period, w)[1] for w in waits.tolist()], axis=1)
-        return relax, np.tile(decay.take(where, axis=1), 9)
-    decay = [math.exp(x * t + 0.5 * relax) for x in period.dephasing.tolist()]
-    return relax, np.array(decay)[:, None]
+    if not isinstance(t, np.ndarray):
+        decay = [math.exp(x * t + 0.5 * relax) for x in period.dephasing.tolist()]
+        return relax, np.array(decay)[:, None, None]
+    waits, where = np.unique(t, return_inverse=True)
+    decay = [
+        [math.exp(x * w + 0.5 * (-w / period.t1_e)) for w in waits.tolist()]
+        for x in period.dephasing.tolist()
+    ]
+    return relax, np.array(decay).take(where, axis=1)[:, None]
 
 
 def _wait_rows(period: Period, t: float | np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -548,8 +550,8 @@ def _wait_rows(period: Period, t: float | np.ndarray, m: np.ndarray) -> np.ndarr
     rows are left as they are.
     """
     relax, decay = _wait_decay(period, t)
-    # The (Re, Im) row pairs of the coherences, as (2, 3, 9 G).
-    coherences = m[_RE.start :].reshape(2, 3, -1)
+    # The (Re, Im) row pairs of the coherences, as (2, 3, 9, G).
+    coherences = m[_RE.start :].reshape(2, 3, 9, -1)
     coherences *= decay
     if math.isfinite(period.t1_e):
         up, down, excited = m[0], m[1], m[2]
@@ -680,7 +682,7 @@ KERNEL_BUDGET = 2**30
 
 def kernel_layout(
     n_reps: int, observables: int, start: int
-) -> tuple[int, int, int, tuple[int, int, int, int]]:
+) -> tuple[int, int, int, tuple[int, int, int, int, int]]:
     """How :func:`propagate_periods` cuts a call of n_reps >= 1 periods read from period start on.
 
     Periods fall into blocks of K, the largest power of two with K^2 <=
@@ -688,33 +690,32 @@ def kernel_layout(
     blocks. The readouts come from every block from the one that holds
     period start on, and from the last two at least. The kernel doubles the
     starts of the n_reps // K whole blocks and of the end, n = n_reps // K +
-    1, in d = (n - 1).bit_length() doublings.
+    1.
 
-    The working set of each run is one float64 buffer, cut into four
+    The working set of each run is one float64 buffer, cut into five
     regions, in this order and of these sizes in entries, for k =
     ``observables``:
 
     - the powers M'^(2^i), i < max(log2 K, 1), one 9x9 slot each, M' first
       (81 max(log2 K, 1));
     - the readout rows R_c A' M'^j, j < K, of each observable c (9 K k);
-    - P = (M'^K)^T, in which A' is built, followed by the n block starts
-      (9 (9 + n));
-    - a slab that holds in turn the point-last map build, the product of
-      each doubling of the starts but the last, and the readout rows
-      transposed (9 max(9 + h, K k), h = 2^(d - 2), or 0 when d < 2).
+    - the 9x9 slot in which A' is built and P = (M'^K)^T then put (81);
+    - the n block starts (9 n);
+    - a slab that holds in turn the point-last map build, the other slot of
+      the powers of P that the doublings of the starts square, and the
+      readout rows transposed (9 max(9, K k)).
 
-    Returns K, the block count, the first block read and the four sizes.
+    Returns K, the block count, the first block read and the five sizes.
     """
     block = 1 << (math.isqrt(n_reps).bit_length() - 1)
     blocks = -(-n_reps // block)
     first = min(start // block, max(blocks - 2, 0))
-    doublings = (n_reps // block).bit_length()
-    half = 1 << (doublings - 2) if doublings >= 2 else 0
     sizes = (
         81 * max(block.bit_length() - 1, 1),
         9 * block * observables,
-        9 * (10 + n_reps // block),
-        9 * max(9 + half, block * observables),
+        81,
+        9 * (1 + n_reps // block),
+        9 * max(9, block * observables),
     )
     return block, blocks, first, sizes
 
@@ -763,21 +764,21 @@ def propagate_periods(
     (:func:`kernel_layout`). The readout rows R A' M'^j for j < K and the
     powers M'^(2^i) up to M'^K are built by doubling, each power squared
     into the slot of the next. The starts S_b of the n_reps // K + 1
-    blocks are built by doubling too, each doubling one batched product
-    that also carries its power: with P = (M'^(K n))^T stored just before
-    S_0, [P; S_0 .. S_n-1] P = [P^2; S_n .. S_2n-1]. One batched product of
-    the rows with the starts of the blocks that hold the periods read gives
-    their readouts, and the powers M'^(2^i) of the set bits i of n_reps mod
-    K, in increasing i, carry the last start to the end. A run so takes
-    O(log n) batched products of real 9-column matrices and no loop over
-    its periods or blocks. K depends on n_reps alone and runs are
-    independent rows of every product, so a result does not depend on which
-    other runs share its batch, nor a readout on which other periods are
-    read. Each observable takes products of its own (its K readout rows
-    double on their own, and it has one product with the block starts and
-    one with the final state), so no product's shape depends on how many
-    observables are read, and an observable's values are the same bits read
-    alone as read with others; its readouts come back contiguous.
+    blocks are built by doubling too, in plain products: with P = (M'^K)^T,
+    doubling i writes S_n .. S_2n-1 = S_0 .. S_n-1 P^n, n = 2^i (the last
+    only the starts left), and each doubling but the last then squares P^n.
+    One batched product of the rows with the starts of the blocks that hold
+    the periods read gives their readouts, and the powers M'^(2^i) of the
+    set bits i of n_reps mod K, in increasing i, carry the last start to the
+    end. A run so takes O(log n) batched products of real 9-column matrices
+    and no loop over its periods or blocks. K depends on n_reps alone and
+    runs are independent rows of every product, so a result does not depend
+    on which other runs share its batch, nor a readout on which other
+    periods are read. Each observable takes products of its own (its K
+    readout rows double on their own, and it has one product with the block
+    starts and one with the final state), so no product's shape depends on
+    how many observables are read, and an observable's values are the same
+    bits read alone as read with others; its readouts come back contiguous.
 
     The working set is one float64 buffer per call, cut as
     :func:`kernel_layout` states. Only the returned arrays are new, and
@@ -818,11 +819,10 @@ def propagate_periods(
     count, rest = n_reps // block + 1, n_reps % block  # block starts; periods after the last
     ends = [0, *accumulate(g * size for size in sizes)]
     work = np.empty_like(period.frequencies, dtype=float, shape=ends[-1])
-    powers, rows, head, slab = (work[lo:hi] for lo, hi in zip(ends, ends[1:]))
+    powers, rows, a, starts, slab = (work[lo:hi] for lo, hi in zip(ends, ends[1:]))
     powers = powers.reshape(sizes[0] // 81, g, 9, 9)
     rows = rows.reshape(g, k, block, 9)
-    head = head.reshape(g, 9 + count, 9)
-    a, starts = head[:, :9], head[:, 9:]
+    a, starts = a.reshape(g, 9, 9), starts.reshape(g, count, 9)
     turn = _write_maps(period, a, powers[0], slab[: 81 * g].reshape(9, 9, g))
     # rows[:, c, j] = R_c A' M'^j for j < block, doubling i filling the next
     # slice with powers[i] = M'^(2^i), observable by observable, and squaring
@@ -841,22 +841,18 @@ def propagate_periods(
     else:
         a[...] = last
     # The states are row vectors, x^T <- x^T (M'^K)^T, so that the block
-    # starts stack into (G, count, 9) right after a = P: each doubling but
-    # the last writes [P^2; S_n .. S_2n-1] into the slab and copies the starts
-    # back, and P^2 too unless the last doubling reads it there.
+    # starts stack into (G, count, 9). Each doubling but the last squares its
+    # power into the other of a and the slab's first map slot.
     x0 = _coordinates(rho0)
     starts[:, 0] = _turned(np.broadcast_to(x0, (g, 9)), turn.conj()) if x0[3:].any() else x0
-    doublings, power = (count - 1).bit_length(), a
-    for i in range(doublings - 1):
+    doublings, power, spare = (count - 1).bit_length(), a, slab[: 81 * g].reshape(g, 9, 9)
+    for i in range(doublings):
         n = 1 << i
-        product = slab[: g * (9 + n) * 9].reshape(g, 9 + n, 9)
-        np.matmul(head[:, : 9 + n], a, out=product)
-        starts[:, n : 2 * n] = product[:, 9:]
-        power = product[:, :9]
-        if i < doublings - 2:
-            a[...] = power
-    n = 1 << (doublings - 1)
-    np.matmul(starts[:, : count - n], power, out=starts[:, n:])
+        stop = min(2 * n, count)
+        np.matmul(starts[:, : stop - n], power, out=starts[:, n:stop])
+        if stop < count:
+            np.matmul(power, power, out=spare)
+            power, spare = spare, power
     # The blocks read, from first on, by (observable, block, period in
     # block): one product per run and observable, of the starts with that
     # observable's K rows, copied transposed into the slab the doublings
@@ -876,7 +872,7 @@ def propagate_periods(
         log.debug(
             "propagate_periods: G=%d n_reps=%d read=%d K=%d blocks=%d products=%d work=%d",
             g, n_reps, len(periods), block, blocks,
-            2 * levels + doublings + rest.bit_count() + 3, work.nbytes,
+            2 * levels + 2 * doublings + rest.bit_count() + 2, work.nbytes,
         )
     start = periods.start - first * block
     readouts = readouts.reshape(g, k, (blocks - first) * block)[:, :, start : start + len(periods)]

@@ -22,10 +22,10 @@ pump trace calibrates against its first readout (:func:`dark_population_estimate
 Grid points are independent runs: a spectrum is one batch of its distinct
 detunings (of its distinct |delta_2| at delta_1 = 0, see :func:`cpt_spectrum`),
 a multi-resonance scan one batch of the distinct detunings of all its periods
-(as few batches as fit the kernel's budget, see :func:`multi_resonance_scan`),
-each run with its own sequence period, and a composition sweep one run per
-ratio, whose runs differ in the drive that a batch shares; the kernel gives
-the same bits either way.
+when they fit the kernel's budget together and else one batch per period (see
+:func:`multi_resonance_scan`), each run with its own sequence period, and a
+composition sweep one run per ratio, whose runs differ in the drive that a
+batch shares; the kernel gives the same bits either way.
 """
 
 from __future__ import annotations
@@ -181,12 +181,11 @@ def _spectra(seqs: list[SequenceConfig], grids: list[np.ndarray], name: str) -> 
     """The spectrum of each sequence seqs[i] over grids[i], as :func:`cpt_spectrum` makes it.
 
     The sequences differ in their period t_seq alone. The distinct runs of
-    every sequence stack into one kernel call, each run with its own
-    t_seq, as long as they fit the kernel's budget together
-    (:func:`~lambda_cpt.dynamics.kernel_runs`); else the sequences split,
-    in order, into as few calls as fit, each call taking the next sequence
-    while its runs fit. A sequence over the budget alone gets a call of its
-    own, which raises FieldError. Each spectrum is calibrated by its own
+    every sequence stack into one kernel call, each run with its own t_seq,
+    when they fit the kernel's budget together
+    (:func:`~lambda_cpt.dynamics.kernel_runs`), and one sequence is always
+    one call; else each sequence gets a call of its own, and one over the
+    budget alone raises FieldError. Each spectrum is calibrated by its own
     edges. Logs one DEBUG line per call, ``<name>: <points> points, <runs>
     runs``, with the sequence periods of the call after the name when there
     is more than one sequence.
@@ -200,16 +199,11 @@ def _spectra(seqs: list[SequenceConfig], grids: list[np.ndarray], name: str) -> 
     distinct = [
         np.unique(np.abs(grid) if delta_1 == 0 else grid, return_inverse=True) for grid in grids
     ]
-    # One sequence takes one call, whatever the budget.
-    fits = kernel_runs(1, kernel_layout(n_reps, 1, window.start)) if len(seqs) > 1 else 0
-    calls, held = [], 0
-    for i, (runs, _) in enumerate(distinct):
-        if calls and held + len(runs) <= fits:
-            calls[-1].append(i)
-            held += len(runs)
-        else:
-            calls.append([i])
-            held = len(runs)
+    total = sum(len(values) for values, _ in distinct)
+    if len(seqs) == 1 or total <= kernel_runs(1, kernel_layout(n_reps, 1, window.start)):
+        calls = [range(len(seqs))]
+    else:
+        calls = [[i] for i in range(len(seqs))]
     spectra = []
     for call in calls:
         runs = [distinct[i][0] for i in call]
@@ -369,9 +363,8 @@ def multi_resonance_scan(
     spectrum is the bits of :func:`cpt_spectrum` at its period alone, and
     is calibrated by its own edges. The distinct runs of every period
     stack into one kernel call, each run with its own t_seq; a scan whose
-    periods do not fit the kernel's budget together splits between
-    periods, in order, into as few calls as fit, so a scan runs whenever
-    each of its periods fits alone.
+    periods do not fit the kernel's budget together runs one call per
+    period, so a scan runs whenever each of its periods fits alone.
     """
     seqs, grids = [], []
     for t_seq in t_seq_list:

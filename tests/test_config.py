@@ -441,7 +441,7 @@ def test_kernel_budget_admits_large_runs_and_names_the_key_that_breaks_it():
     excited = [[0, 0, 0], [0, 0, 0], [0, 0, 1]]
     with pytest.raises(FieldError, match="^n_reps must be .* at most 1 GiB, not 1.87 GiB"):
         propagate_periods(period_form(seq), rho0, range(50_000_000), [excited] * 5)
-    with pytest.raises(FieldError, match="^points must be .* at most 1 GiB, not 208 GiB"):
+    with pytest.raises(FieldError, match="^points must be .* at most 1 GiB, not 207 GiB"):
         propagate_periods(period_form(seq, [0.0] * 10**5), rho0, window, [excited])
     assert (field_key("n_reps"), field_key("points")) == ("sequence.n_reps", "scan.points")
     for field in ("phi", "omega_eff"):

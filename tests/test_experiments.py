@@ -300,23 +300,20 @@ def test_each_spectrum_of_a_batched_scan_is_the_bits_of_its_period_alone(caplog,
 def test_a_scan_over_the_kernel_budget_splits_between_periods_into_the_same_bits(
     caplog, monkeypatch
 ):
-    """A scan whose periods do not fit the kernel's budget together runs in as
-    few calls as fit, each period whole, with the same bytes; one period over
-    the budget alone is rejected at points, as a spectrum is."""
+    """A scan whose periods do not fit the kernel's budget together runs one
+    call per period, with the same bytes; one period over the budget alone
+    is rejected at points, as a spectrum is."""
     seq = comb_sequence(0.0)
     t_seqs = [10.0, 13.7, 25.0, 31.0]
     whole, lines = traced_scan(caplog, seq, t_seqs)
     assert lines == ["multi_resonance_scan: t_seq = 10, 13.7, 25, 31 us, 1284 points, 644 runs"]
     # Each default grid runs 161 |delta_2|; the steady window is the last 5 periods.
     run = kernel_bytes(1, 1, kernel_layout(20, 1, 15))
-    for fits, want in (
-        (483, ["10, 13.7, 25 us, 963 points, 483", "31 us, 321 points, 161"]),
-        (482, ["10, 13.7 us, 642 points, 322", "25, 31 us, 642 points, 322"]),
-        (161, [f"{t:g} us, 321 points, 161" for t in t_seqs]),
-    ):
+    want = [f"multi_resonance_scan: t_seq = {t:g} us, 321 points, 161 runs" for t in t_seqs]
+    for fits in (483, 482, 161):
         monkeypatch.setattr(dynamics, "KERNEL_BUDGET", fits * run + run - 1)
         split, lines = traced_scan(caplog, seq, t_seqs)
-        assert lines == [f"multi_resonance_scan: t_seq = {line} runs" for line in want]
+        assert lines == want
         for a, b in zip(whole, split):
             assert a.signal.tobytes() == b.signal.tobytes()
     monkeypatch.setattr(dynamics, "KERNEL_BUDGET", 161 * run - 1)

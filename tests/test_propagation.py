@@ -411,16 +411,17 @@ def test_kernel_has_no_loop_over_blocks(monkeypatch):
     the kernel's, on 9-slot operands (the maps take none). K = 128,
     so there are 157 blocks; the 157 starts of the 156 whole blocks and the
     last come by doubling, so no product advances one block's state to the
-    next. Each doubling but the last carries its power, as one product of
-    [P; S_0 .. S_n-1], 9 + n rows, with P = (M^(128 n))^T; the last takes
-    the 29 starts it needs. Three products take a single row through a map:
-    R A, the first doubling of the readout rows, and the one that carries
-    the last start over the one set bit of the 32 periods after it. One
-    product of the block starts with the readout rows (neither operand a
-    9x9 map) gives every readout, as one matrix product per observable of
-    9 x 157 x 128 multiply-adds, and one of the final state with each
-    observable's row gives the final values. Each observable's readouts
-    come out contiguous.
+    next. Doubling i takes the first 2^i starts through P^(2^i), P =
+    (M^128)^T, as one product of its own, and each doubling but the last
+    then squares its power; the last takes the 29 starts it needs. With the
+    squarings of M up to M^128, 14 products square a map. Four products take
+    a single row through a map: R A, the first doublings of the readout rows
+    and of the starts, and the one that carries the last start over the one
+    set bit of the 32 periods after it. One product of the block starts with
+    the readout rows (neither operand a 9x9 map) gives every readout, as one
+    matrix product per observable of 9 x 157 x 128 multiply-adds, and one of
+    the final state with each observable's row gives the final values. Each
+    observable's readouts come out contiguous.
     """
     n_reps, k, block = 20000, 5, 128
     blocks = -(-n_reps // block)
@@ -441,10 +442,11 @@ def test_kernel_has_no_loop_over_blocks(monkeypatch):
     assert finals == [[(1, 1, 1, 9), (k, 9, 1)]]
     starts = [shapes for name, shapes in Recorded.log if name == "matmul"
               and len(shapes[0]) == 3 and shapes[0][1] != 1 and shapes[0] != (1, 9, 9)]
-    assert starts == [[(1, 9 + (1 << i), 9), (1, 9, 9)] for i in range(7)] + [
+    assert starts == [[(1, 1 << i, 9), (1, 9, 9)] for i in range(1, 7)] + [
         [(1, blocks - 128, 9), (1, 9, 9)]
     ]
-    assert products.count([(1, 9), (9, 9)]) == 2 + bin(rest).count("1")
+    assert products.count([(9, 9), (9, 9)]) == 14
+    assert products.count([(1, 9), (9, 9)]) == 3 + bin(rest).count("1")
     assert len(products) <= 2 * math.ceil(math.log2(n_reps)) + 4
     assert readouts.dtype == np.float64
     assert readouts.shape == (1, n_reps, k)
@@ -536,17 +538,17 @@ def test_kernel_logs_one_debug_line_per_call(monkeypatch, caplog):
     with caplog.at_level(logging.DEBUG, logger="lambda_cpt.dynamics"):
         propagate_periods(period, thermal_ground_state(), range(65), OBSERVABLES[:5])
     # R A and the readout, 3 rows doublings and 3 squarings up to M^8, 4
-    # doublings of the starts that carry their powers, M for the one period
-    # after the last whole block, and the final values.
-    assert len(kernel_products()) == 14
+    # doublings of the starts and 3 squarings of their power, M for the one
+    # period after the last whole block, and the final values.
+    assert len(kernel_products()) == 17
     # The working set, 8 bytes per entry: the 3 powers M, M^2 and M^4, 8 x 5
-    # readout rows, the power and 9 block starts, and a slab of max(9 + 4,
-    # 8 x 5) rows for the doublings' products and then the readout rows
-    # transposed.
-    work = 8 * 3 * (3 * 81 + 8 * 5 * 9 + 9 * (9 + 9) + 9 * max(9 + 4, 8 * 5))
+    # readout rows, the power, 9 block starts, and a slab of max(9, 8 x 5)
+    # rows for the map build, the power's other slot and then the readout
+    # rows transposed.
+    work = 8 * 3 * (3 * 81 + 8 * 5 * 9 + 81 + 9 * 9 + 9 * max(9, 8 * 5))
     lines = [r.getMessage() for r in caplog.records if r.name == "lambda_cpt.dynamics"]
     assert lines == [
-        f"propagate_periods: G=3 n_reps=65 read=65 K=8 blocks=9 products=14 work={work}"
+        f"propagate_periods: G=3 n_reps=65 read=65 K=8 blocks=9 products=17 work={work}"
     ]
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="lambda_cpt.dynamics"):
@@ -575,7 +577,7 @@ def test_kernel_bytes_is_what_a_call_holds(caplog, g, n_reps, k, start):
 
 
 # A single run of 1e16 periods would hold 7.5e7 GiB, and 10^5 runs of a
-# spectrum's window at 10^6 periods 208 GiB, when one such run holds 2.2 MB.
+# spectrum's window at 10^6 periods 207 GiB, when one such run holds 2.2 MB.
 @pytest.mark.parametrize(
     "field, g, periods",
     [("n_reps", 1, range(10**16)), ("points", 10**5, range(750_000, 10**6))],
@@ -627,10 +629,10 @@ def map_products():
 def test_kernel_working_set_does_not_grow_with_the_period_count(monkeypatch):
     """65 and 20000 periods at G = 3 make the same number of fresh 9x9 products.
 
-    The powers of M up to M^K square between slots of the working set, and
-    the doublings of the block starts carry theirs there, so of the 3
-    squarings at 65 periods (K = 8) and the 7 at 20000 (K = 128), none
-    makes a new map stack.
+    The powers of M up to M^K, and the powers of (M^K)^T that the doublings
+    of the block starts take, square between slots of the working set, so
+    of the 6 squarings at 65 periods (K = 8, 9 starts) and the 14 at 20000
+    (K = 128, 157 starts), none makes a new map stack.
     """
     squarings, fresh = [], []
     for n_reps in (65, 20000):
@@ -640,7 +642,7 @@ def test_kernel_working_set_does_not_grow_with_the_period_count(monkeypatch):
         products = map_products()
         squarings.append(len(products))
         fresh.append(sum(not call.into for call in products))
-    assert squarings == [3, 7]
+    assert squarings == [6, 14]
     assert fresh[0] == fresh[1]
 
 
@@ -662,21 +664,21 @@ def test_kernel_holds_its_working_set_once_and_keeps_only_its_outputs():
     """A comb spectrum's kernel call: G = 321, n_reps = 80, k = 1, its window of 20 periods.
 
     The working set is one buffer of 8 bytes per entry: the powers M, M^2
-    and M^4 (3 x 81 per point), the readout rows (K k 9 = 72), a power and
-    the starts of the 10 whole blocks and of the end (9 x (9 + 11)), and the
-    slab of the map build and the doublings' products (9 x (9 + 4)). The
+    and M^4 (3 x 81 per point), the readout rows (K k 9 = 72), a power
+    (81), the starts of the 10 whole blocks and of the end (9 x 11), and the
+    slab of the map build and the power's other slot (9 x 9). The
     traced peak stays within it plus 2 map stacks of temporaries for the
-    map build, the lift of U to rho -> U rho U^dagger holding four (3, 6,
-    G) complex stacks at its largest. After the call, the only new array data is what
-    the outputs own: the readouts of the 3 blocks that hold the window and
-    the final values.
+    map build, the lift of U to rho -> U rho U^dagger holding three (3, 6,
+    G) complex stacks at its largest. After the call, the only new array
+    data is what the outputs own: the readouts of the 3 blocks that hold
+    the window and the final values.
     """
     g, k, block, blocks = 321, 1, 8, 10
     seq = parse_config(LONG_CHAIN).seq
     period = period_form(seq, seq.lam.delta_1 + np.linspace(-0.06, 0.06, g))
     window, excited = range(60, 80), [np.diag([0.0, 0.0, 1.0])]
     first = propagate_periods(period, thermal_ground_state(), window, excited)
-    work = 8 * g * (3 * 81 + block * k * 9 + 9 * (9 + blocks + 1) + 9 * (9 + 4))
+    work = 8 * g * (3 * 81 + block * k * 9 + 81 + 9 * (blocks + 1) + 9 * 9)
     tracemalloc.start()
     try:
         before = numpy_bytes()
@@ -1166,7 +1168,7 @@ def test_pulse_map_is_exact_over_the_whole_schema(omega, delta_1, psi, offsets, 
 def wait_rows_with_t1_block(period, t, m):
     """A wait's row operations with the T1 block run for every t1_e, infinite included."""
     relax, decay = dynamics._wait_decay(period, t)
-    coherences = m[3:].reshape(2, 3, -1)
+    coherences = m[3:].reshape(2, 3, 9, -1)
     coherences *= decay
     up, down, excited = m[0], m[1], m[2]
     r = 0.5 * np.expm1(relax) * (excited - up - down)
