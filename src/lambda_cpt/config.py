@@ -225,7 +225,7 @@ _SCHEMA: dict[str, dict[str, tuple[str, _Converter]]] = {
         "delta_start": ("-0.06", _float),
         "delta_stop": ("0.06", _float),
         # The grid is built before the kernel holds its call to its budget,
-        # which admits 493 447 points at most (n_reps = 1).
+        # which binds the readouts a call returns, not the grid.
         "points": ("201", _bounded(_int, lambda v: 2 <= v <= 10**6, "in [2, 1000000]")),
         "t_seq_list": ("10, 15, 25, 50", _float_list),
         "n_s": ("1.8", _positive),

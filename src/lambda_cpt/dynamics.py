@@ -64,10 +64,11 @@ axis, and every other coefficient is shared by the stack. All three maps
 run batched with numpy alone, so the engine never imports scipy; what the
 stack shares comes once as Python numbers, and so do the wait factors of
 each distinct pre-laser wait. Every protocol propagates through one
-kernel, :func:`propagate_periods`. It takes its whole working set as one
-buffer, writes the folded maps of a period into it (:func:`_write_maps`:
-the lifted pulse, then row operations on maps stored point-last as (9, 9,
-G), so that each runs over G contiguous points), builds the powers of the
+kernel, :func:`propagate_periods`. It streams the runs in chunks through
+one working-set buffer of fixed size, writes the folded maps of a chunk
+into it (:func:`_write_maps`: the lifted pulse, then row operations on
+maps stored point-last as (9, 9, G), so that each runs over G contiguous
+points), builds the powers of the
 period map, the readout rows and the block starts by doubling, and reads
 the observables a protocol asks for, at the periods it keeps (a pump
 trace every one, a spectrum its steady window, a composition none) and
@@ -88,7 +89,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate
 
 import numpy as np
@@ -105,7 +106,6 @@ __all__ = [
     "propagate_periods",
     "kernel_layout",
     "kernel_bytes",
-    "kernel_runs",
     "KERNEL_BUDGET",
 ]
 
@@ -675,14 +675,16 @@ def _turned(x: np.ndarray, turn: np.ndarray) -> np.ndarray:
 _TRACE_DRIFT = 1e-10
 _DRIFT_PER_PERIOD = 64 * np.finfo(float).eps
 
-# The most memory one call of the propagation kernel may hold, in bytes: its
-# working set and the readouts it returns (kernel_bytes).
+# The most memory one call of the propagation kernel may hold, in bytes: the
+# working set of one chunk of its runs and the arrays it returns (kernel_bytes).
 KERNEL_BUDGET = 2**30
+# The working set of one chunk of a call's runs, in bytes, at least one run:
+# a call streams its runs through one buffer of this size. CHANGES.md holds
+# the per-run times it was chosen by.
+_CHUNK_BYTES = 8 * 2**20
 
 
-def kernel_layout(
-    n_reps: int, observables: int, start: int
-) -> tuple[int, int, int, tuple[int, int, int, int, int]]:
+def kernel_layout(n_reps: int, observables: int, start: int) -> tuple[int, int, int, tuple, int]:
     """How :func:`propagate_periods` cuts a call of n_reps >= 1 periods read from period start on.
 
     Periods fall into blocks of K, the largest power of two with K^2 <=
@@ -692,9 +694,8 @@ def kernel_layout(
     starts of the n_reps // K whole blocks and of the end, n = n_reps // K +
     1.
 
-    The working set of each run is one float64 buffer, cut into five
-    regions, in this order and of these sizes in entries, for k =
-    ``observables``:
+    The working set of each run is cut into six regions, in this order and
+    of these sizes in float64 entries, for k = ``observables``:
 
     - the powers M'^(2^i), i < max(log2 K, 1), one 9x9 slot each, M' first
       (81 max(log2 K, 1));
@@ -703,9 +704,15 @@ def kernel_layout(
     - the n block starts (9 n);
     - a slab that holds in turn the point-last map build, the other slot of
       the powers of P that the doublings of the starts square, and the
-      readout rows transposed (9 max(9, K k)).
+      readout rows transposed (9 max(9, K k));
+    - the readouts of b blocks: the b = blocks - first blocks read when
+      they are at most three, else the first and the last, b = 2, the
+      blocks between going straight into the readouts returned (k K b).
 
-    Returns K, the block count, the first block read and the five sizes.
+    A call streams its runs in chunks of max(1, C // B) runs through one
+    buffer, B the bytes of a run's six regions and C = 8 MiB.
+    Returns K, the block count, the first block read, the six sizes and
+    the runs of a chunk.
     """
     block = 1 << (math.isqrt(n_reps).bit_length() - 1)
     blocks = -(-n_reps // block)
@@ -716,29 +723,21 @@ def kernel_layout(
         81,
         9 * (1 + n_reps // block),
         9 * max(9, block * observables),
+        observables * block * (2 if blocks - first > 3 else blocks - first),
     )
-    return block, blocks, first, sizes
+    return block, blocks, first, sizes, max(1, _CHUNK_BYTES // (8 * sum(sizes)))
 
 
-def kernel_bytes(runs: int, observables: int, layout: tuple) -> int:
-    """Bytes a call of :func:`propagate_periods` holds: its working set and the readouts it returns.
+def kernel_bytes(runs: int, observables: int, layout: tuple, read: int) -> int:
+    """Bytes a call of :func:`propagate_periods` holds: one chunk's working set and its outputs.
 
     The call runs ``runs`` stacked runs, each cut by ``layout``, the
     :func:`kernel_layout` of its n_reps, its k = ``observables`` and its
-    first period read. Per run: the working set, then the readouts of every
-    block it reads, k K each, and the k final values, 8 bytes per entry.
+    first period read, and reads ``read`` periods. It holds the working set
+    of one chunk of at most that many runs, and returns per run the k
+    readouts of each period read and the k final values, 8 bytes per entry.
     """
-    block, blocks, first, sizes = layout
-    return 8 * runs * (sum(sizes) + observables * ((blocks - first) * block + 1))
-
-
-def kernel_runs(observables: int, layout: tuple) -> int:
-    """The most runs one call of :func:`propagate_periods`, cut by layout, stacks within the budget.
-
-    That is :data:`KERNEL_BUDGET` over the :func:`kernel_bytes` of one run,
-    rounded down: 0 when a single run is over the budget.
-    """
-    return KERNEL_BUDGET // kernel_bytes(1, observables, layout)
+    return 8 * (min(runs, layout[4]) * sum(layout[3]) + runs * observables * (read + 1))
 
 
 def propagate_periods(
@@ -751,51 +750,26 @@ def propagate_periods(
     rho0. observables are k Hermitian 3x3 operators O, read as Tr(O rho).
     periods is a range of consecutive periods from 0 <= start <= n_reps:
     range(n_reps) reads every period, range(n_reps - w, n_reps) the last w,
-    and range(n_reps, n_reps) none. Returns the values at the readout instant of each period
-    read, shape (G, len(periods), k), and at the end of the last period,
-    shape (G, k), both float.
+    and range(n_reps, n_reps) none. Returns the values at the readout
+    instant of each period read, shape (G, len(periods), k), each
+    observable's contiguous, and at the end of the last period, shape (G,
+    k): float64 arrays that own their data and nothing more.
 
-    Everything runs in real coordinates, on the folded maps A' and M' of
-    :func:`_write_maps` (float64 9x9s built by row operations), and the
-    state is a real 9-vector: the runs start from Phi^-1 x0, which is x0
-    for a state with no coherence, the readouts are R A' M'^j Phi^-1 x0,
-    and the final state is Phi x_n. Periods fall into blocks of K, the
-    largest power of two with K^2 <= n_reps, so sqrt(n)/2 < K <= sqrt(n)
-    (:func:`kernel_layout`). The readout rows R A' M'^j for j < K and the
-    powers M'^(2^i) up to M'^K are built by doubling, each power squared
-    into the slot of the next. The starts S_b of the n_reps // K + 1
-    blocks are built by doubling too, in plain products: with P = (M'^K)^T,
-    doubling i writes S_n .. S_2n-1 = S_0 .. S_n-1 P^n, n = 2^i (the last
-    only the starts left), and each doubling but the last then squares P^n.
-    One batched product of the rows with the starts of the blocks that hold
-    the periods read gives their readouts, and the powers M'^(2^i) of the
-    set bits i of n_reps mod K, in increasing i, carry the last start to the
-    end. A run so takes O(log n) batched products of real 9-column matrices
-    and no loop over its periods or blocks. K depends on n_reps alone and
-    runs are independent rows of every product, so a result does not depend
-    on which other runs share its batch, nor a readout on which other
-    periods are read. Each observable takes products of its own (its K
-    readout rows double on their own, and it has one product with the block
-    starts and one with the final state), so no product's shape depends on
-    how many observables are read, and an observable's values are the same
-    bits read alone as read with others; its readouts come back contiguous.
+    The runs stream in chunks through one working set, cut as
+    :func:`kernel_layout` states, whose size does not grow with G; each
+    chunk runs as :func:`_propagate_chunk` states. A run's values are the
+    same bits whichever runs share its call or its chunk, an observable's
+    the same bits whichever others are read, and a readout the same
+    whichever other periods are read.
 
-    The working set is one float64 buffer per call, cut as
-    :func:`kernel_layout` states. Only the returned arrays are new, and
-    they own their data: the readouts of the blocks read, 8 k bytes per
-    period read and grid point, and the final values. The call computes
-    its layout once, and holds itself to :data:`KERNEL_BUDGET` by the
-    runs that layout lets it stack (:func:`kernel_runs`) before anything is
-    allocated.
-
-    Raises FieldError when the call would hold more than KERNEL_BUDGET,
-    naming n_reps when a single run is over it and points (the G runs of a
-    grid) when only the stack is. Raises ValueError when periods is no such
-    range, or when a final state is not finite or its trace drifts from tr
-    rho0 by more than max(1e-10, 64 eps n_reps) max(1, |tr rho0|), eps the
-    float64 epsilon: the period did not describe a physical run. Both are
-    read in real coordinates, where the trace is the sum of the three
-    populations.
+    Raises FieldError before anything is allocated when the call would
+    hold more than :data:`KERNEL_BUDGET` (:func:`kernel_bytes`), naming
+    n_reps when a single run is over it and points (the G runs of a grid)
+    when only all G are. Raises ValueError when periods is no such range,
+    or when a final state is not finite or its trace (the sum of its three
+    populations) drifts from tr rho0 by more than max(1e-10, 64 eps n_reps)
+    max(1, |tr rho0|), eps the float64 epsilon: the period did not describe
+    a physical run.
     """
     ok = isinstance(periods, range) and periods.step == 1 and 0 <= periods.start <= periods.stop
     if not (ok and periods.stop >= 1):
@@ -807,19 +781,63 @@ def propagate_periods(
     g = period.frequencies.shape[-1]
     read = _READ_WEIGHTS * _coordinates(observables).reshape(-1, 9)
     k = len(read)
-    layout = block, blocks, first, sizes = kernel_layout(n_reps, k, periods.start)
-    fits = kernel_runs(k, layout)
+    layout = block, blocks, first, sizes, chunk = kernel_layout(n_reps, k, periods.start)
     for name, runs in (("n_reps", 1), ("points", g)):
-        if runs > fits:
+        held = kernel_bytes(runs, k, layout, len(periods))
+        if held > KERNEL_BUDGET:
             raise FieldError(
                 name,
                 f"small enough that the kernel call holds at most {KERNEL_BUDGET / 2**30:g} "
-                f"GiB, not {kernel_bytes(runs, k, layout) / 2**30:.3g} GiB",
+                f"GiB, not {held / 2**30:.3g} GiB",
             )
+    work = np.empty_like(period.frequencies, dtype=float, shape=min(g, chunk) * sum(sizes))
+    readouts, final = np.empty((g, k, len(periods))), np.empty((g, k))
+    x0 = _coordinates(rho0)
+    for lo in range(0, g, chunk):
+        part, runs = slice(lo, lo + chunk), period
+        if chunk < g:  # the period sliced on its run axis
+            t_pre = period.t_pre[part] if isinstance(period.t_pre, np.ndarray) else period.t_pre
+            runs = replace(period, frequencies=period.frequencies[:, part], t_pre=t_pre)
+        _propagate_chunk(runs, x0, read, periods, layout, work, readouts[part], final[part])
+    if log.isEnabledFor(logging.DEBUG):
+        levels, doublings = block.bit_length() - 1, (n_reps // block).bit_length()
+        products = 2 * levels + 2 * doublings + (n_reps % block).bit_count() + 2 + (blocks - first > 3)
+        log.debug(
+            "propagate_periods: G=%d n_reps=%d read=%d K=%d blocks=%d products=%d work=%d chunks=%d",
+            g, n_reps, len(periods), block, blocks, products, work.nbytes, -(-g // chunk),
+        )
+    return readouts.transpose(0, 2, 1), final
+
+
+def _propagate_chunk(
+    period: Period, x0, read, periods: range, layout: tuple, work, readouts, final
+) -> None:
+    """Run the G runs of period from the real state x0 through work; write their values.
+
+    read holds the k weighted observable rows, (k, 9), layout the
+    :func:`kernel_layout` of periods and k, and work at least G times its
+    entries. Writes the readouts of the periods read into readouts, (G, k,
+    len(periods)), and the final values into final, (G, k).
+
+    The runs go through the folded maps A' and M' of :func:`_write_maps`
+    on real 9-vectors: they start from Phi^-1 x0 (x0 for a state with no
+    coherence), the readouts are R A' M'^j Phi^-1 x0, and the final state
+    is Phi x_n. The readout rows R A' M'^j, j < K, and the powers M'^(2^i)
+    up to M'^K come by doubling. So do the block starts: with P =
+    (M'^K)^T, doubling i writes S_n .. S_2n-1 = S_0 .. S_n-1 P^n, n = 2^i
+    (the last only the starts left), and each but the last squares P^n.
+    The rows times the starts of the blocks read give the readouts, and
+    the powers M'^(2^i) of the set bits i of n_reps mod K carry the last
+    start to the end: O(log n_reps) batched products, no loop over periods
+    or blocks. Each observable takes products of its own (its rows double
+    on their own, and it has its own products with the starts and the
+    final state), so no product's shape depends on how many are read.
+    """
+    g, k, n_reps = period.frequencies.shape[-1], len(read), periods.stop
+    block, blocks, first, sizes, _ = layout
     count, rest = n_reps // block + 1, n_reps % block  # block starts; periods after the last
     ends = [0, *accumulate(g * size for size in sizes)]
-    work = np.empty_like(period.frequencies, dtype=float, shape=ends[-1])
-    powers, rows, a, starts, slab = (work[lo:hi] for lo, hi in zip(ends, ends[1:]))
+    powers, rows, a, starts, slab, product = (work[lo:hi] for lo, hi in zip(ends, ends[1:]))
     powers = powers.reshape(sizes[0] // 81, g, 9, 9)
     rows = rows.reshape(g, k, block, 9)
     a, starts = a.reshape(g, 9, 9), starts.reshape(g, count, 9)
@@ -843,7 +861,6 @@ def propagate_periods(
     # The states are row vectors, x^T <- x^T (M'^K)^T, so that the block
     # starts stack into (G, count, 9). Each doubling but the last squares its
     # power into the other of a and the slab's first map slot.
-    x0 = _coordinates(rho0)
     starts[:, 0] = _turned(np.broadcast_to(x0, (g, 9)), turn.conj()) if x0[3:].any() else x0
     doublings, power, spare = (count - 1).bit_length(), a, slab[: 81 * g].reshape(g, 9, 9)
     for i in range(doublings):
@@ -854,29 +871,34 @@ def propagate_periods(
             np.matmul(power, power, out=spare)
             power, spare = spare, power
     # The blocks read, from first on, by (observable, block, period in
-    # block): one product per run and observable, of the starts with that
-    # observable's K rows, copied transposed into the slab the doublings
-    # have left: a C-contiguous operand takes OpenBLAS's faster path. Never
-    # one block of several (kernel_layout reads the last two at least):
-    # numpy multiplies a lone row by another BLAS routine, other bits.
+    # block): products of the starts with each observable's K rows, copied
+    # transposed into the slab the doublings have left: a C-contiguous
+    # operand takes OpenBLAS's faster path. Of more than three blocks, those
+    # between the first and the last come straight into readouts, and the
+    # first and the last through the working set. Never one block of several
+    # (kernel_layout reads the last two at least): numpy multiplies a lone
+    # row by another BLAS routine, other bits.
     columns = slab[: g * k * 9 * block].reshape(g, k, 9, block)
     columns[...] = rows.swapaxes(2, 3)
-    readouts = starts[:, None, first:blocks] @ columns
+    nb, start, stop = blocks - first, periods.start - first * block, n_reps - first * block
+    edges = slice(first, blocks, nb - 1 if nb > 3 else 1)
+    product = product.reshape(g, k, 2 if nb > 3 else nb, block)
+    np.matmul(starts[:, None, edges], columns, out=product)
+    product = product.reshape(g, k, product.shape[2] * block)
+    if nb > 3:
+        inner = readouts[:, :, block - start : (nb - 1) * block - start]
+        np.matmul(starts[:, None, first + 1 : blocks - 1], columns, out=inner.reshape(g, k, nb - 2, block))
+        readouts[:, :, : block - start] = product[:, :, start:block]
+        readouts[:, :, (nb - 1) * block - start :] = product[:, :, block : stop - (nb - 2) * block]
+    else:
+        readouts[...] = product[:, :, start:stop]
     vec = starts[:, -1:]
     for i in range(levels):
         if rest >> i & 1:
             vec = vec @ powers[i].swapaxes(1, 2)
-    final = _turned(vec[:, 0], turn)
-    _check_final_states(final, x0, n_reps)
-    if log.isEnabledFor(logging.DEBUG):
-        log.debug(
-            "propagate_periods: G=%d n_reps=%d read=%d K=%d blocks=%d products=%d work=%d",
-            g, n_reps, len(periods), block, blocks,
-            2 * levels + 2 * doublings + rest.bit_count() + 2, work.nbytes,
-        )
-    start = periods.start - first * block
-    readouts = readouts.reshape(g, k, (blocks - first) * block)[:, :, start : start + len(periods)]
-    return readouts.transpose(0, 2, 1), (final[:, None, None] @ read[:, :, None])[:, :, 0, 0]
+    x = _turned(vec[:, 0], turn)
+    _check_final_states(x, x0, n_reps)
+    np.matmul(x[:, None, None], read[:, :, None], out=final[:, :, None, None])
 
 
 def _check_final_states(x: np.ndarray, x0: np.ndarray, n_reps: int) -> None:

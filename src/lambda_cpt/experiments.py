@@ -11,8 +11,8 @@ A spectrum sweeps delta_2 at one delta_1; the multi-resonance scan takes
 it from its drive, as the CLI does for every command.
 
 Every protocol calls :func:`~lambda_cpt.dynamics.propagate_periods` itself,
-with the observables it reads and the periods it keeps, and calibrates here;
-the kernel holds that call to its memory budget before it allocates
+once, with the observables it reads and the periods it keeps, and calibrates
+here; the kernel holds that call to its memory budget before it allocates
 anything, and names n_reps or points when it is over.
 Spectra follow the flip-probability convention: the steady excited-state
 readout is scaled so that the far-detuned baseline (the mean of the two
@@ -21,11 +21,10 @@ to one-half; one minus the dip minimum is then the trapped dark fraction. A
 pump trace calibrates against its first readout (:func:`dark_population_estimate`).
 Grid points are independent runs: a spectrum is one batch of its distinct
 detunings (of its distinct |delta_2| at delta_1 = 0, see :func:`cpt_spectrum`),
-a multi-resonance scan one batch of the distinct detunings of all its periods
-when they fit the kernel's budget together and else one batch per period (see
-:func:`multi_resonance_scan`), each run with its own sequence period, and a
-composition sweep one run per ratio, whose runs differ in the drive that a
-batch shares; the kernel gives the same bits either way.
+a multi-resonance scan one batch of the distinct detunings of all its periods,
+each run with its own sequence period, and a composition sweep one run per
+ratio, whose runs differ in the drive that a batch shares; a run's values are
+the same bits whichever runs share its batch.
 """
 
 from __future__ import annotations
@@ -39,8 +38,6 @@ import numpy as np
 
 from .dynamics import (
     dark_bright_basis,
-    kernel_layout,
-    kernel_runs,
     period_form,
     propagate_periods,
     pure_state,
@@ -181,51 +178,29 @@ def _spectra(seqs: list[SequenceConfig], grids: list[np.ndarray], name: str) -> 
     """The spectrum of each sequence seqs[i] over grids[i], as :func:`cpt_spectrum` makes it.
 
     The sequences differ in their period t_seq alone. The distinct runs of
-    every sequence stack into one kernel call, each run with its own t_seq,
-    when they fit the kernel's budget together
-    (:func:`~lambda_cpt.dynamics.kernel_runs`), and one sequence is always
-    one call; else each sequence gets a call of its own, and one over the
-    budget alone raises FieldError. Each spectrum is calibrated by its own
-    edges. Logs one DEBUG line per call, ``<name>: <points> points, <runs>
-    runs``, with the sequence periods of the call after the name when there
-    is more than one sequence.
+    every sequence stack into one kernel call, each run with its own t_seq
+    (one sequence's runs share its pre-laser wait), and each spectrum is
+    calibrated by its own edges. Logs one DEBUG line, ``<name>: <points>
+    points, <runs> runs``, with the sequence periods after the name when
+    there is more than one sequence.
     """
     grids = [np.asarray(grid, dtype=float) for grid in grids]
     if any(grid.size == 0 for grid in grids):
         raise ValueError("empty detuning grid")
-    excited = np.diag([0.0, 0.0, 1.0])
-    n_reps, delta_1 = seqs[0].n_reps, seqs[0].lam.delta_1
-    window = _steady_window(n_reps)
-    distinct = [
-        np.unique(np.abs(grid) if delta_1 == 0 else grid, return_inverse=True) for grid in grids
-    ]
-    total = sum(len(values) for values, _ in distinct)
-    if len(seqs) == 1 or total <= kernel_runs(1, kernel_layout(n_reps, 1, window.start)):
-        calls = [range(len(seqs))]
-    else:
-        calls = [[i] for i in range(len(seqs))]
-    spectra = []
-    for call in calls:
-        runs = [distinct[i][0] for i in call]
-        sizes = [len(r) for r in runs]
-        if log.isEnabledFor(logging.DEBUG):
-            periods = ", ".join(f"{seqs[i].t_seq:g}" for i in call)
-            periods = f" t_seq = {periods} us," if len(seqs) > 1 else ""
-            points = sum(grids[i].size for i in call)
-            log.debug("%s:%s %d points, %d runs", name, periods, points, sum(sizes))
-        if len(call) == 1:
-            # One sequence's runs share its pre-laser wait.
-            period = period_form(seqs[call[0]], runs[0])
-        else:
-            t_seq = np.repeat([seqs[i].t_seq for i in call], sizes)
-            period = period_form(seqs[call[0]], np.concatenate(runs), t_seq)
-        readouts, _ = propagate_periods(period, thermal_ground_state(), window, [excited])
-        means = np.mean(readouts[..., 0], axis=1)
-        start = 0
-        for i, size in zip(call, sizes):
-            spectra.append(_calibrated(grids[i], means[start : start + size][distinct[i][1]]))
-            start += size
-    return spectra
+    even = seqs[0].lam.delta_1 == 0
+    values, where = zip(*(np.unique(np.abs(x) if even else x, return_inverse=True) for x in grids))
+    sizes = [len(runs) for runs in values]
+    if log.isEnabledFor(logging.DEBUG):
+        periods = ", ".join(f"{seq.t_seq:g}" for seq in seqs)
+        periods = f" t_seq = {periods} us," if len(seqs) > 1 else ""
+        points = sum(grid.size for grid in grids)
+        log.debug("%s:%s %d points, %d runs", name, periods, points, sum(sizes))
+    t_seq = np.repeat([seq.t_seq for seq in seqs], sizes) if len(seqs) > 1 else None
+    period = period_form(seqs[0], np.concatenate(values), t_seq)
+    window, excited = _steady_window(seqs[0].n_reps), [np.diag([0.0, 0.0, 1.0])]
+    readouts, _ = propagate_periods(period, thermal_ground_state(), window, excited)
+    means, ends = np.mean(readouts[..., 0], axis=1), np.cumsum(sizes).tolist()
+    return [_calibrated(x, means[e - n : e][w]) for x, e, n, w in zip(grids, ends, sizes, where)]
 
 
 def _calibrated(grid: np.ndarray, raw: np.ndarray) -> Spectrum:
@@ -307,11 +282,13 @@ def composition_sweep(seq: SequenceConfig, ratios: np.ndarray) -> CompositionSwe
 
     using the dark population P_D of the same final state. Both are read
     off the final state as observables, each a ratio to the ground trace.
-    Raises ValueError when pumping is too shallow to invert (P_D <= 0.5),
-    and FieldError naming ratios when a rescaled drive breaks a rule of its
-    dataclass: at omega_eff = 1e-150 MHz, its floor, the pair can round
-    below it.
+    The inversion needs two-photon resonance: raises FieldError naming
+    delta_1 when delta_1 != delta_2. Raises ValueError when pumping is too
+    shallow to invert (P_D <= 0.5), and FieldError naming ratios when a
+    rescaled drive breaks a rule of its dataclass: at omega_eff = 1e-150
+    MHz, its floor, the pair can round below it.
     """
+    require(seq.lam.delta_r == 0.0, "delta_1", "equal to delta_2 for a composition sweep")
     ratios = np.asarray(ratios, dtype=float)
     if ratios.size == 0:
         raise ValueError("empty ratio list")
@@ -362,9 +339,7 @@ def multi_resonance_scan(
     negatives, so at delta_1 = 0 each spectrum runs 161 detunings. Each
     spectrum is the bits of :func:`cpt_spectrum` at its period alone, and
     is calibrated by its own edges. The distinct runs of every period
-    stack into one kernel call, each run with its own t_seq; a scan whose
-    periods do not fit the kernel's budget together runs one call per
-    period, so a scan runs whenever each of its periods fits alone.
+    stack into one kernel call, each run with its own t_seq.
     """
     seqs, grids = [], []
     for t_seq in t_seq_list:

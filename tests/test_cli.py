@@ -248,25 +248,30 @@ def test_comb_too_many_teeth_exits_three(tmp_path, caplog):
 # Runs too large for memory: each used to end in an uncaught
 # _ArrayMemoryError, in np.linspace (a grid of 1e16 points, 71 PiB) or in the
 # kernel's readout rows (1e16 periods, 22.5 GiB at 5 points). A grid of 1e16
-# points is past the bound of scan.points; one of 10^6 points at the default
-# n_reps, 3.29 GiB for cpt-spectrum, is held by the kernel's budget.
+# points is past the bound of scan.points. One of 10^6 points is held by the
+# kernel's budget at n_reps = 1000: its 869 604 distinct |delta_2| return
+# windows of 250 periods, 1.63 GiB for cpt-spectrum and that once per period
+# for multi-resonance.
 KERNEL_BUDGET_CASES = [
-    ("[scan]\npoints = 10000000000000000\n", "cpt-spectrum", "scan.points"),
+    ("[scan]\npoints = 10000000000000000\n", "cpt-spectrum", "scan.points", ""),
     ("[sequence]\nn_reps = 10000000000000000\n[scan]\npoints = 5\n", "cpt-spectrum",
-     "sequence.n_reps"),
-    ("[sequence]\nn_reps = 10000000000000000\n", "pump-steps", "sequence.n_reps"),
-    ("[composition]\nn_steps = 10000000000000000\n", "composition", "composition.n_steps"),
-    ("[sequence]\nn_reps = 10000000000000000\n", "multi-resonance", "sequence.n_reps"),
-    ("[scan]\npoints = 10000000000000000\n", "multi-resonance", "scan.points"),
-    ("[scan]\npoints = 1000000\n", "cpt-spectrum", "scan.points"),
-    ("[scan]\npoints = 1000000\n", "multi-resonance", "scan.points"),
+     "sequence.n_reps", ""),
+    ("[sequence]\nn_reps = 10000000000000000\n", "pump-steps", "sequence.n_reps", ""),
+    ("[composition]\nn_steps = 10000000000000000\n", "composition", "composition.n_steps", ""),
+    ("[sequence]\nn_reps = 10000000000000000\n", "multi-resonance", "sequence.n_reps", ""),
+    ("[scan]\npoints = 10000000000000000\n", "multi-resonance", "scan.points", ""),
+    ("[scan]\npoints = 1000000\n", "cpt-spectrum", "scan.points", "[sequence]\nn_reps = 1000\n"),
+    ("[scan]\npoints = 1000000\n", "multi-resonance", "scan.points",
+     "[sequence]\nn_reps = 1000\n"),
 ]
 
 
-@pytest.mark.parametrize("text, command, key", KERNEL_BUDGET_CASES)
-def test_run_over_the_kernel_budget_exits_three_at_its_key(tmp_path, caplog, text, command, key):
+@pytest.mark.parametrize("text, command, key, extra", KERNEL_BUDGET_CASES)
+def test_run_over_the_kernel_budget_exits_three_at_its_key(tmp_path, caplog, text, command, key,
+                                                            extra):
+    # extra: sections written after text, kept out of the head of the case id
     cfg = tmp_path / "run.ini"
-    cfg.write_text(text)
+    cfg.write_text(text + extra)
     assert run([command, "--config", str(cfg), "--out", str(tmp_path)]) == 3
     if "10000000000000000" in text and key == "scan.points":
         assert f"configuration rejected: {key}: must be in [2, 1000000]" in caplog.text
@@ -284,6 +289,16 @@ def test_pump_steps_off_two_photon_resonance_exits_three(tmp_path, caplog):
     assert run(["pump-steps", "--config", str(cfg), "--out", str(tmp_path)]) == 3
     assert "validation rejected: drive.delta_1: delta_1 must be" in caplog.text
     assert not list(tmp_path.glob("pump*"))
+
+
+def test_composition_off_two_photon_resonance_exits_three(tmp_path, caplog):
+    # The inversion through the pumped dark fraction holds at delta_1 = delta_2
+    # only: at delta_1 = 0.05 and r = 0.05 it wrote measured = -0.94.
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[drive]\ndelta_1 = 0.05\n[composition]\nratios = 0.05\n")
+    assert run(["composition", "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert "validation rejected: drive.delta_1: delta_1 must be equal to delta_2" in caplog.text
+    assert not list(tmp_path.glob("composition*"))
 
 
 def test_composition_at_the_drive_floor_exits_three_at_its_ratios(tmp_path, caplog):

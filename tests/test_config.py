@@ -423,25 +423,28 @@ def test_manifest_inputs_structure():
 
 
 def test_kernel_budget_admits_large_runs_and_names_the_key_that_breaks_it():
-    """A 201-point spectrum over 1e6 periods holds 0.45 GB and a pump trace of
+    """A 201-point spectrum over 1e6 periods holds 0.41 GB and a pump trace of
     2.5e7 periods 1.0 GB, both within 1 GiB; the kernel rejects twice the
-    trace at n_reps, and a spectrum of 1e5 points at points. At n_reps = 1 it
-    admits 493 447 points, under the bound of scan.points."""
+    trace at n_reps, and a spectrum of 1e5 points at points, whose readouts
+    alone are 186 GiB. At n_reps = 1 it admits 66 584 614 points, far past
+    the bound of scan.points: the working set of one chunk does not grow
+    with the grid."""
     window = range(750_000, 10**6)  # a spectrum's steady window at 1e6 periods
     steady, trace, one = (
         kernel_layout(window.stop, 1, window.start), kernel_layout(25_000_000, 5, 0),
         kernel_layout(1, 1, 0),
     )
-    assert kernel_bytes(201, 1, steady) <= KERNEL_BUDGET == 2**30
-    assert kernel_bytes(1, 5, trace) <= KERNEL_BUDGET
-    assert kernel_bytes(493_447, 1, one) <= KERNEL_BUDGET < kernel_bytes(493_448, 1, one)
+    assert kernel_bytes(201, 1, steady, len(window)) <= KERNEL_BUDGET == 2**30
+    assert kernel_bytes(1, 5, trace, 25_000_000) <= KERNEL_BUDGET
+    edge = 66_584_614
+    assert kernel_bytes(edge, 1, one, 1) <= KERNEL_BUDGET < kernel_bytes(edge + 1, 1, one, 1)
     with pytest.raises(ConfigError, match="^scan.points: must be in"):
         parse_config("[scan]\npoints = 1000001\n")
     seq, rho0 = SequenceConfig(LAM), thermal_ground_state()
     excited = [[0, 0, 0], [0, 0, 0], [0, 0, 1]]
     with pytest.raises(FieldError, match="^n_reps must be .* at most 1 GiB, not 1.87 GiB"):
         propagate_periods(period_form(seq), rho0, range(50_000_000), [excited] * 5)
-    with pytest.raises(FieldError, match="^points must be .* at most 1 GiB, not 207 GiB"):
+    with pytest.raises(FieldError, match="^points must be .* at most 1 GiB, not 186 GiB"):
         propagate_periods(period_form(seq, [0.0] * 10**5), rho0, window, [excited])
     assert (field_key("n_reps"), field_key("points")) == ("sequence.n_reps", "scan.points")
     for field in ("phi", "omega_eff"):

@@ -297,26 +297,29 @@ def test_each_spectrum_of_a_batched_scan_is_the_bits_of_its_period_alone(caplog,
     assert lines == [f"multi_resonance_scan: t_seq = 10, 13.7, 25 us, {points} points, {runs} runs"]
 
 
-def test_a_scan_over_the_kernel_budget_splits_between_periods_into_the_same_bits(
+def test_a_scan_streamed_in_chunks_is_the_same_bits_and_over_the_budget_names_points(
     caplog, monkeypatch
 ):
-    """A scan whose periods do not fit the kernel's budget together runs one
-    call per period, with the same bytes; one period over the budget alone
-    is rejected at points, as a spectrum is."""
+    """A scan is one kernel call at any size: its runs streamed in chunks of
+    one period (161 runs), of 100 runs across the periods' edges, or of one
+    run give each spectrum the same bytes as one chunk; a scan whose returned
+    readouts are over the kernel's budget is rejected at points."""
     seq = comb_sequence(0.0)
     t_seqs = [10.0, 13.7, 25.0, 31.0]
+    line = ["multi_resonance_scan: t_seq = 10, 13.7, 25, 31 us, 1284 points, 644 runs"]
     whole, lines = traced_scan(caplog, seq, t_seqs)
-    assert lines == ["multi_resonance_scan: t_seq = 10, 13.7, 25, 31 us, 1284 points, 644 runs"]
+    assert lines == line
     # Each default grid runs 161 |delta_2|; the steady window is the last 5 periods.
-    run = kernel_bytes(1, 1, kernel_layout(20, 1, 15))
-    want = [f"multi_resonance_scan: t_seq = {t:g} us, 321 points, 161 runs" for t in t_seqs]
-    for fits in (483, 482, 161):
-        monkeypatch.setattr(dynamics, "KERNEL_BUDGET", fits * run + run - 1)
-        split, lines = traced_scan(caplog, seq, t_seqs)
-        assert lines == want
-        for a, b in zip(whole, split):
+    layout = kernel_layout(20, 1, 15)
+    run = 8 * sum(layout[3])
+    for runs in (161, 100, 1):
+        monkeypatch.setattr(dynamics, "_CHUNK_BYTES", runs * run)
+        chunked, lines = traced_scan(caplog, seq, t_seqs)
+        assert lines == line
+        for a, b in zip(whole, chunked):
             assert a.signal.tobytes() == b.signal.tobytes()
-    monkeypatch.setattr(dynamics, "KERNEL_BUDGET", 161 * run - 1)
+    held = kernel_bytes(644, 1, kernel_layout(20, 1, 15), 5)
+    monkeypatch.setattr(dynamics, "KERNEL_BUDGET", held - 1)
     with pytest.raises(FieldError, match="^points must be small enough"):
         multi_resonance_scan(seq, t_seqs)
 
