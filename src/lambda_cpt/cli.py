@@ -19,8 +19,9 @@ A handler takes the run config and main's seeded noise function and
 returns {file name: product}: (title, columns) for a CSV, a report dict for
 fit_report.json. main alone writes files, all or none: products, then manifest.
 A handler imports the layers it runs itself, so that a command loads only
-those: esr-lines runs on the schema and the spin model, and starts without
-numpy; no simulation loads the fitting module.
+those: esr-lines (the schema and the spin model), comb-predict and fit with
+kind = contrast (the closed forms of rate_model) start without numpy; no
+simulation loads the fitting module.
 
 Exit codes: 0 success, 1 engine failure, 2 unreadable CLI/config input
 (fit's dataset, logged at fit.input, among it) or an output that cannot
@@ -162,7 +163,7 @@ def _run_multi_resonance(cfg: RunConfig, noise) -> dict:
 
 
 def _run_comb_predict(cfg: RunConfig, noise) -> dict:
-    from .experiments import comb_predict
+    from .rate_model import comb_predict
 
     comb = comb_predict(cfg.seq.t_mw, cfg.seq.t_seq, cfg.comb_n_s, cfg.comb_n_max)
     n_values = range(-cfg.comb_n_max, cfg.comb_n_max + 1)
@@ -238,7 +239,7 @@ def _saturation_report(cfg: RunConfig, data: dict) -> dict:
 
 
 def _contrast_report(cfg: RunConfig, data: dict) -> dict:
-    from .fitting import fit_contrast_curve
+    from .rate_model import fit_contrast_curve
 
     _require_columns(data, "ratio", "measured")
     column = "measured_contrast" if "measured_contrast" in data else "measured"

@@ -4,9 +4,9 @@ Every CSV starts with a short '#' comment block naming the product and the
 manifest hash, then a header row, then data rows. Floats are printed with
 17 significant digits so equal inputs give byte-identical files; the
 manifest hash covers resolved inputs and package version only, never wall
-time, for the same reason. Writing needs no numpy, so a command that
-computes with ``math`` alone starts without it; only read_csv, which builds
-arrays, imports it.
+time, for the same reason. Nothing here imports numpy: read_csv returns
+lists, so a command that computes with ``math`` alone, the contrast fit
+among them, starts without it.
 """
 
 from __future__ import annotations
@@ -83,10 +83,10 @@ def write_manifest(path, manifest: dict) -> None:
 def read_csv(path) -> dict:
     """Read a CSV written by write_csv back into named columns.
 
-    Comment lines are skipped; columns that parse as floats come back as
-    float arrays, anything else as a list of strings. Raises ValueError for
-    a file with no rows, or with a data row whose length is not the
-    header's.
+    Comment lines are skipped; a column whose cells all parse as floats
+    comes back as a list of floats, any other as a list of strings. Raises
+    ValueError for a file with no rows, or with a data row whose length is
+    not the header's.
     """
     with Path(path).open("r", encoding="utf-8", newline="") as handle:
         rows = [row for row in csv.reader(handle) if row and not row[0].startswith("#")]
@@ -98,13 +98,11 @@ def read_csv(path) -> dict:
             raise ValueError(
                 f"{path}: data row {number} has {len(row)} cells, the header {len(header)}"
             )
-    import numpy as np
-
     out = {}
     for idx, name in enumerate(header):
         cells = [row[idx] for row in body]
         try:
-            out[name] = np.array([float(cell) for cell in cells])
+            out[name] = [float(cell) for cell in cells]
         except ValueError:
             out[name] = cells
     return out

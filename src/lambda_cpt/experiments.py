@@ -2,10 +2,11 @@
 
 Each function reproduces one measurement protocol: detuning-swept trapping
 spectra, step-by-step pumping traces with calibrated extraction, dark-state
-composition sweeps, multi-resonance scans over the sequence period, and the
-frequency-comb prediction. Outputs are small dataclasses ready for the
-fitting module and the CLI writers; they hold data only, not the sequence
-or readout model that made them (a trace's readout signal is
+composition sweeps and multi-resonance scans over the sequence period. The
+comb's closed form runs no dynamics and lives in
+:func:`~lambda_cpt.rate_model.comb_predict`. Outputs are small dataclasses
+ready for the fitting module and the CLI writers; they hold data only, not
+the sequence or readout model that made them (a trace's readout signal is
 :meth:`~lambda_cpt.lambda_system.ReadoutModel.signal` of its p_excited).
 A spectrum sweeps delta_2 at one delta_1; the multi-resonance scan takes
 it from its drive, as the CLI does for every command.
@@ -30,12 +31,11 @@ the same bits whichever runs share its batch.
 from __future__ import annotations
 
 import logging
-import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import rate_model
 from .dynamics import (
     dark_bright_basis,
     period_form,
@@ -51,17 +51,18 @@ __all__ = [
     "StepTrace",
     "PumpTrace",
     "CompositionSweep",
-    "CombPrediction",
     "cpt_spectrum",
     "dark_population_estimate",
     "pump_trace",
     "composition_sweep",
     "apply_artificial_contrast",
     "multi_resonance_scan",
-    "comb_predict",
 ]
 
 log = logging.getLogger("lambda_cpt.experiments")
+
+# perfbench's comb op still calls the comb's closed form by this name.
+comb_predict = rate_model.comb_predict
 
 
 @dataclass(frozen=True)
@@ -130,20 +131,6 @@ class CompositionSweep:
     ratios: np.ndarray
     measured: np.ndarray
     ideal: np.ndarray
-
-
-@dataclass(frozen=True)
-class CombPrediction:
-    """Frequency-comb picture of the repeated pulse train.
-
-    Dark resonances sit at integer multiples of 1/t_seq with width
-    1/(n_s * t_seq), under an envelope of width 1/t_mw set by the single
-    pulse duration.
-    """
-
-    dip_centers: np.ndarray
-    dip_width: float
-    envelope_width: float
 
 
 def _median(values: np.ndarray) -> float:
@@ -350,27 +337,3 @@ def multi_resonance_scan(
         else:
             grids.append(grid)
     return _spectra(seqs, grids, "multi_resonance_scan")
-
-
-def comb_predict(t_mw: float, t_seq: float, n_s: float, n_max: int) -> CombPrediction:
-    """Closed-form comb geometry: centers n/t_seq, width 1/(n_s t_seq).
-
-    Raises FieldError naming t_mw or n_s when the envelope width 1/t_mw or
-    the dip width 1/(n_s t_seq) is not finite.
-    """
-    require(
-        0 < t_mw < math.inf and 1.0 / t_mw < math.inf,
-        "t_mw",
-        "finite and positive, with 1/t_mw finite",
-    )
-    require(t_mw <= t_seq < math.inf, "t_seq", "finite and at least t_mw")
-    require(
-        0 < n_s < math.inf and 0 < n_s * t_seq and 1.0 / (n_s * t_seq) < math.inf,
-        "n_s",
-        "finite and positive, with 1/(n_s t_seq) finite",
-    )
-    require(isinstance(n_max, numbers.Integral) and n_max >= 0, "n_max", "an integer >= 0")
-    centers = np.arange(-n_max, n_max + 1, dtype=float) / t_seq
-    return CombPrediction(
-        dip_centers=centers, dip_width=1.0 / (n_s * t_seq), envelope_width=1.0 / t_mw
-    )

@@ -1,6 +1,7 @@
-"""Least-squares extraction of dip, saturation, and composition parameters.
+"""Least-squares extraction of dip and saturation parameters.
 
-The contrast fit is linear in its one parameter and solved in closed form.
+The composition's contrast fit is linear in its one parameter, solved in
+closed form without numpy: :func:`~lambda_cpt.rate_model.fit_contrast_curve`.
 The dip and saturation fits are nonlinear and share one driver,
 :func:`_leastsq`: a numpy Levenberg-Marquardt with MINPACK's column scaling
 and the gain-ratio damping update of Madsen, Nielsen & Tingleff, "Methods
@@ -36,7 +37,6 @@ __all__ = [
     "SaturationFit",
     "fit_dips",
     "fit_saturation",
-    "fit_contrast_curve",
     "recover_simplified",
 ]
 
@@ -308,25 +308,6 @@ def fit_saturation(series: np.ndarray) -> SaturationFit:
         n_s_sigma=float(sigmas[2]),
         p_inf_sigma=float(sigmas[0]),
     )
-
-
-def fit_contrast_curve(ratios: np.ndarray, values: np.ndarray) -> float:
-    """Closed-form contrast a of f(r) = 1/2 + a (r^2/(1+r^2) - 1/2).
-
-    ``values[i]`` is the probability measured at Rabi ratio ``ratios[i]``.
-    The model is linear in a, so the least-squares solution is a single
-    quotient. Raises ValueError when every abscissa sits at the degenerate
-    1/2.
-    """
-    r = np.asarray(ratios, dtype=float)
-    f = np.asarray(values, dtype=float)
-    if r.ndim != 1 or r.shape != f.shape or len(r) < 3 or not np.isfinite([r, f]).all():
-        raise ValueError("need at least 3 finite (ratio, probability) pairs")
-    x = (r / np.hypot(1.0, r)) ** 2 - 0.5  # r^2 / (1 + r^2) - 1/2, with no r^2 to overflow
-    denom = float(x @ x)
-    if denom < 1e-15:
-        raise ValueError("all ratios give the degenerate composition 1/2")
-    return float(x @ (f - 0.5)) / denom
 
 
 def recover_simplified(fit: SaturationFit) -> SimplifiedParams:

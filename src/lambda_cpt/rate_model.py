@@ -20,11 +20,17 @@ dephases the |up>-|down> coherence, while the model relaxes the
 dark/bright imbalance, and the two are the same only for balanced tones;
 with unbalanced tones and gamma_dp > 0 they differ by a few percent or
 more.
+
+The module also holds the paper's two other closed forms, which the CLI
+prints without loading numpy: the comb of dark resonances at n/t_seq
+(:func:`comb_predict`) and the contrast fit of the dark-state composition
+r^2/(1+r^2) (:func:`fit_contrast_curve`). Nothing here imports numpy.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .spin_model import require
@@ -40,6 +46,9 @@ __all__ = [
     "simplified_from_step",
     "gamma_dp_for_alpha_dp",
     "laser_transient",
+    "CombPrediction",
+    "comb_predict",
+    "fit_contrast_curve",
 ]
 
 
@@ -213,3 +222,66 @@ def laser_transient(
     p_dark = (total_ground + imbalance) / 2.0
     p_bright = (total_ground - imbalance) / 2.0
     return p_minus, p_dark, p_bright
+
+
+@dataclass(frozen=True)
+class CombPrediction:
+    """Frequency-comb picture of the repeated pulse train.
+
+    Dark resonances sit at integer multiples of 1/t_seq with width
+    1/(n_s * t_seq), under an envelope of width 1/t_mw set by the single
+    pulse duration.
+    """
+
+    dip_centers: tuple[float, ...]
+    dip_width: float
+    envelope_width: float
+
+
+def comb_predict(t_mw: float, t_seq: float, n_s: float, n_max: int) -> CombPrediction:
+    """Closed-form comb geometry: centers n/t_seq for |n| <= n_max, width 1/(n_s t_seq).
+
+    Raises FieldError naming t_mw or n_s when the envelope width 1/t_mw or
+    the dip width 1/(n_s t_seq) is not finite, t_seq when it is below t_mw,
+    and n_max unless it is an integer >= 0.
+    """
+    require(
+        0 < t_mw < math.inf and 1.0 / t_mw < math.inf,
+        "t_mw",
+        "finite and positive, with 1/t_mw finite",
+    )
+    require(t_mw <= t_seq < math.inf, "t_seq", "finite and at least t_mw")
+    require(
+        0 < n_s < math.inf and 0 < n_s * t_seq and 1.0 / (n_s * t_seq) < math.inf,
+        "n_s",
+        "finite and positive, with 1/(n_s t_seq) finite",
+    )
+    require(isinstance(n_max, numbers.Integral) and n_max >= 0, "n_max", "an integer >= 0")
+    centers = tuple(n / t_seq for n in range(-n_max, n_max + 1))
+    return CombPrediction(
+        dip_centers=centers, dip_width=1.0 / (n_s * t_seq), envelope_width=1.0 / t_mw
+    )
+
+
+def fit_contrast_curve(ratios, values) -> float:
+    """Closed-form contrast a of f(r) = 1/2 + a (r^2/(1+r^2) - 1/2).
+
+    ``values[i]`` is the probability measured at Rabi ratio ``ratios[i]``;
+    both are 1-D sequences of real numbers. The model is linear in a, so the
+    least-squares solution is a single quotient. Raises ValueError unless
+    there are at least 3 finite pairs of equal-length 1-D inputs, or when
+    every abscissa sits at the degenerate 1/2.
+    """
+    try:
+        r, f = list(ratios), list(values)
+    except TypeError:  # a scalar
+        r = f = []
+    reals = all(isinstance(v, numbers.Real) and math.isfinite(v) for v in r + f)
+    if len(r) != len(f) or len(r) < 3 or not reals:
+        raise ValueError("need at least 3 finite (ratio, probability) pairs")
+    # r^2 / (1 + r^2) - 1/2, with no r^2 to overflow
+    x = [(ri / math.hypot(1.0, ri)) ** 2 - 0.5 for ri in r]
+    denom = math.fsum(xi * xi for xi in x)
+    if denom < 1e-15:
+        raise ValueError("all ratios give the degenerate composition 1/2")
+    return math.fsum(xi * (fi - 0.5) for xi, fi in zip(x, f)) / denom

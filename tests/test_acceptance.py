@@ -32,7 +32,7 @@ from lambda_cpt.dynamics import (
     pure_state,
 )
 from lambda_cpt.experiments import composition_sweep, cpt_spectrum, pump_trace
-from lambda_cpt.fitting import fit_contrast_curve, fit_dips, fit_saturation
+from lambda_cpt.fitting import fit_dips, fit_saturation
 from lambda_cpt.lambda_system import (
     LambdaConfig,
     SequenceConfig,
@@ -42,6 +42,7 @@ from lambda_cpt.rate_model import (
     PumpStepParams,
     SimplifiedParams,
     characteristic_steps,
+    fit_contrast_curve,
     laser_transient,
     population_after_n,
     steady_state,

@@ -523,7 +523,7 @@ def test_pump_steps_signal_uses_the_readout_section(tmp_path, small_run):
     assert run(["pump-steps", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     data = read_csv(tmp_path / "pump_steps.csv")
     np.testing.assert_allclose(
-        data["signal"], 2.5 * (1.0 - 0.2 * data["p_excited"]), rtol=1e-15, atol=0
+        data["signal"], 2.5 * (1.0 - 0.2 * np.asarray(data["p_excited"])), rtol=1e-15, atol=0
     )
 
 

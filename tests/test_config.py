@@ -23,9 +23,14 @@ from lambda_cpt.dynamics import (
     propagate_periods,
     thermal_ground_state,
 )
-from lambda_cpt.experiments import comb_predict, composition_sweep
+from lambda_cpt.experiments import composition_sweep
 from lambda_cpt.lambda_system import LambdaConfig, ReadoutModel, SequenceConfig
-from lambda_cpt.rate_model import PumpStepParams, SimplifiedParams, gamma_dp_for_alpha_dp
+from lambda_cpt.rate_model import (
+    PumpStepParams,
+    SimplifiedParams,
+    comb_predict,
+    gamma_dp_for_alpha_dp,
+)
 from lambda_cpt.spin_model import FieldError, HyperfineParams, PhysicalConstants, SpinSystemParams
 
 THETA_DEFAULT = 1.2778111825976617

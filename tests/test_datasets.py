@@ -16,6 +16,14 @@ def test_float_roundtrip_is_exact(tmp_path):
     np.testing.assert_array_equal(back, values)
 
 
+def test_columns_come_back_as_python_floats_and_strings(tmp_path):
+    path = tmp_path / "data.csv"
+    write_csv(path, {"x": np.array([0.5, -2.0]), "n": [1, 2], "label": ["a", "3"]}, "00", "t")
+    data = read_csv(path)
+    assert data == {"x": [0.5, -2.0], "n": [1.0, 2.0], "label": ["a", "3"]}
+    assert [type(cell) for column in data.values() for cell in column] == [float] * 4 + [str] * 2
+
+
 def test_comment_block_and_header(tmp_path):
     path = tmp_path / "data.csv"
     write_csv(path, {"a": [1], "b": [2.5], "label": ["x y"]}, "deadbeef", "demo table")

@@ -22,7 +22,6 @@ from lambda_cpt.dynamics import (
 from lambda_cpt.experiments import (
     Spectrum,
     apply_artificial_contrast,
-    comb_predict,
     composition_sweep,
     cpt_spectrum,
     dark_population_estimate,
@@ -30,6 +29,7 @@ from lambda_cpt.experiments import (
     pump_trace,
 )
 from lambda_cpt.lambda_system import LambdaConfig, SequenceConfig, split_rabi
+from lambda_cpt.rate_model import comb_predict
 from lambda_cpt.spin_model import FieldError
 
 OMEGA = 1.0 / (12.0 * math.sqrt(2.0))

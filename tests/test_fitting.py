@@ -15,16 +15,12 @@ from scipy.optimize import leastsq
 from lambda_cpt import fitting
 from lambda_cpt.datasets import read_csv, write_csv
 from lambda_cpt.experiments import Spectrum, pump_trace
-from lambda_cpt.fitting import (
-    fit_contrast_curve,
-    fit_dips,
-    fit_saturation,
-    recover_simplified,
-)
+from lambda_cpt.fitting import fit_dips, fit_saturation, recover_simplified
 from lambda_cpt.lambda_system import LambdaConfig, SequenceConfig
 from lambda_cpt.rate_model import (
     SimplifiedParams,
     characteristic_steps,
+    fit_contrast_curve,
     gamma_dp_for_alpha_dp,
     steady_state,
 )
@@ -201,6 +197,26 @@ def test_contrast_curve():
         fit_contrast_curve(np.ones(4), np.full(4, 0.5))
     with pytest.raises(ValueError):
         fit_contrast_curve(np.array([1.0]), np.array([0.5]))
+    # Unequal lengths, 2-D input, a non-finite value, a string cell or a scalar.
+    for bad_r, bad_f in [
+        (r, scaled[:4]),
+        (r.reshape(5, 1), scaled.reshape(5, 1)),
+        (np.stack([r, r]), np.stack([scaled, scaled])),
+        (r, np.append(scaled[:4], np.nan)),
+        (list(r), [*scaled[:4], "0.9"]),
+        (2.0, 0.5),
+    ]:
+        with pytest.raises(ValueError):
+            fit_contrast_curve(bad_r, bad_f)
+
+
+def test_contrast_curve_takes_the_lists_read_csv_returns():
+    r = [0.25, 0.5, 1.0, 2.0, 4.0]
+    scaled = [0.5 + 0.78 * (x * x / (1.0 + x * x) - 0.5) for x in r]
+    a = fit_contrast_curve(r, scaled)
+    assert type(a) is float
+    assert a == fit_contrast_curve(np.array(r), np.array(scaled))
+    assert a == pytest.approx(0.78, abs=1e-15)
 
 
 def test_dataset_roundtrip_fit(tmp_path):

@@ -82,7 +82,8 @@ def test_shipped_configs_reproduce_golden_outputs(tmp_path, monkeypatch):
             got, want = read_csv(out / rel), read_csv(GOLDEN / rel)
             assert list(got) == list(want), rel
             for name, column in want.items():
-                if isinstance(column, list):
+                # read_csv gives every column as a list; strings compare exactly.
+                if any(isinstance(cell, str) for cell in column):
                     assert got[name] == column, (rel, name)
                 else:
                     np.testing.assert_allclose(

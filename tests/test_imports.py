@@ -2,8 +2,8 @@
 its ``__all__`` lists exists and is used by the package itself, and the
 package never imports scipy, not even through the CLI (the tests keep it as
 an oracle). Each command loads only the layers it runs: the run schema and
-the CSV writer load no numpy, esr-lines runs without it, and no simulation
-loads the fitting module.
+the CSV module load no numpy, esr-lines, comb-predict and the contrast fit
+run without it, and no simulation loads the fitting module.
 
 No linter runs on this repository, so this keeps the dead imports, stale
 ``__all__`` entries and test-only functions that a deletion leaves behind
@@ -14,6 +14,7 @@ import ast
 import importlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -21,9 +22,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lambda_cpt import experiments, rate_model
 from lambda_cpt.datasets import write_csv
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lambda_cpt"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "lambda_cpt"
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -73,7 +76,8 @@ def reads(node: ast.AST, skip: str | None = None) -> set[str]:
 
 
 # rate_model is the paper's closed-form model, which the acceptance criteria
-# check the engine against; no command runs it.
+# check the engine against; comb-predict and the contrast fit run two of its
+# names, but most of its pumping model has no caller in the package.
 EXEMPT = {"rate_model"}
 
 
@@ -94,10 +98,11 @@ def test_every_exported_name_is_used_by_the_package():
     assert unused == []
 
 
-def fresh_interpreter(probe: str) -> str:
+def fresh_interpreter(probe: str, cwd: Path | None = None) -> str:
     """What probe prints in a new interpreter that imports lambda_cpt from src/."""
     out = subprocess.run(
         [sys.executable, "-c", probe],
+        cwd=cwd,
         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
         capture_output=True,
         text=True,
@@ -115,16 +120,22 @@ def test_engine_import_leaves_out_scipy():
     assert fresh_interpreter(probe) == "[]"
 
 
-def test_schema_and_writer_import_leaves_out_numpy():
-    probe = "import sys, lambda_cpt.config, lambda_cpt.datasets; print('numpy' in sys.modules)"
-    assert fresh_interpreter(probe) == "False"
+def test_schema_and_writer_import_leaves_out_numpy(tmp_path):
+    path = tmp_path / "data.csv"
+    write_csv(path, {"x": [0.5, 1.5], "label": ["a", "b"]}, "00", "t")
+    probe = (
+        "import sys, lambda_cpt.config; from lambda_cpt.datasets import read_csv; "
+        f"data = read_csv({str(path)!r}); print(data['x'], 'numpy' in sys.modules)"
+    )
+    assert fresh_interpreter(probe) == "[0.5, 1.5] False"
 
 
-def run_in_fresh_interpreter(argv: list[str], module: str) -> str:
+def run_in_fresh_interpreter(argv: list[str], module: str, cwd: Path | None = None) -> str:
     """Exit code of main(argv), and whether module is loaded after it."""
     return fresh_interpreter(
         "import sys; from lambda_cpt.cli import main; "
-        f"code = main({argv!r}); print(code, {module!r} in sys.modules)"
+        f"code = main({argv!r}); print(code, {module!r} in sys.modules)",
+        cwd,
     )
 
 
@@ -132,6 +143,30 @@ def test_esr_lines_runs_without_numpy(tmp_path):
     argv = ["esr-lines", "--out", str(tmp_path)]
     assert run_in_fresh_interpreter(argv, "numpy") == "0 False"
     assert (tmp_path / "esr_lines.csv").is_file()
+
+
+def test_comb_predict_runs_without_numpy(tmp_path):
+    argv = ["comb-predict", "--config", str(ROOT / "configs" / "comb_predict.ini")]
+    assert run_in_fresh_interpreter([*argv, "--out", str(tmp_path)], "numpy") == "0 False"
+    # Header and rows byte for byte; as in test_golden, the comment block is not compared.
+    golden = ROOT / "tests" / "golden" / "geometry" / "comb.csv"
+    rows = [path.read_text().splitlines()[2:] for path in (tmp_path / "comb.csv", golden)]
+    assert rows[0] == rows[1]
+
+
+def test_contrast_fit_runs_without_numpy(tmp_path):
+    # The shipped composition config fits the golden sweep at the path it names.
+    data = tmp_path / "out" / "composition"
+    data.mkdir(parents=True)
+    shutil.copy(ROOT / "tests" / "golden" / "composition" / "composition.csv", data)
+    argv = ["fit", "--config", str(ROOT / "configs" / "composition.ini"), "--out", str(data)]
+    assert run_in_fresh_interpreter(argv, "numpy", cwd=tmp_path) == "0 False"
+    report = json.loads((data / "fit_report.json").read_text())
+    assert report["kind"] == "contrast" and report["a"] == pytest.approx(0.78, abs=1e-12)
+
+
+def test_experiments_binds_the_closed_form_comb():
+    assert experiments.comb_predict is rate_model.comb_predict
 
 
 def test_spectrum_leaves_out_the_fitting_module(tmp_path):
