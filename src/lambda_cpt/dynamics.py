@@ -694,7 +694,7 @@ def kernel_layout(n_reps: int, observables: int, start: int) -> tuple[int, int, 
     starts of the n_reps // K whole blocks and of the end, n = n_reps // K +
     1.
 
-    The working set of each run is cut into six regions, in this order and
+    The working set of each run is cut into five regions, in this order and
     of these sizes in float64 entries, for k = ``observables``:
 
     - the powers M'^(2^i), i < max(log2 K, 1), one 9x9 slot each, M' first
@@ -704,14 +704,11 @@ def kernel_layout(n_reps: int, observables: int, start: int) -> tuple[int, int, 
     - the n block starts (9 n);
     - a slab that holds in turn the point-last map build, the other slot of
       the powers of P that the doublings of the starts square, and the
-      readout rows transposed (9 max(9, K k));
-    - the readouts of b blocks: the b = blocks - first blocks read when
-      they are at most three, else the first and the last, b = 2, the
-      blocks between going straight into the readouts returned (k K b).
+      readout rows transposed (9 max(9, K k)).
 
     A call streams its runs in chunks of max(1, C // B) runs through one
-    buffer, B the bytes of a run's six regions and C = 8 MiB.
-    Returns K, the block count, the first block read, the six sizes and
+    buffer, B the bytes of a run's five regions and C = 8 MiB.
+    Returns K, the block count, the first block read, the five sizes and
     the runs of a chunk.
     """
     block = 1 << (math.isqrt(n_reps).bit_length() - 1)
@@ -723,21 +720,21 @@ def kernel_layout(n_reps: int, observables: int, start: int) -> tuple[int, int, 
         81,
         9 * (1 + n_reps // block),
         9 * max(9, block * observables),
-        observables * block * (2 if blocks - first > 3 else blocks - first),
     )
     return block, blocks, first, sizes, max(1, _CHUNK_BYTES // (8 * sum(sizes)))
 
 
-def kernel_bytes(runs: int, observables: int, layout: tuple, read: int) -> int:
+def kernel_bytes(runs: int, observables: int, layout: tuple) -> int:
     """Bytes a call of :func:`propagate_periods` holds: one chunk's working set and its outputs.
 
     The call runs ``runs`` stacked runs, each cut by ``layout``, the
     :func:`kernel_layout` of its n_reps, its k = ``observables`` and its
-    first period read, and reads ``read`` periods. It holds the working set
-    of one chunk of at most that many runs, and returns per run the k
-    readouts of each period read and the k final values, 8 bytes per entry.
+    first period read. It holds the working set of one chunk of at most
+    that many runs, and returns per run the k readouts of each period of
+    the blocks read and the k final values, 8 bytes per entry.
     """
-    return 8 * (min(runs, layout[4]) * sum(layout[3]) + runs * observables * (read + 1))
+    block, blocks, first, sizes, chunk = layout
+    return 8 * (min(runs, chunk) * sum(sizes) + runs * observables * ((blocks - first) * block + 1))
 
 
 def propagate_periods(
@@ -753,7 +750,9 @@ def propagate_periods(
     and range(n_reps, n_reps) none. Returns the values at the readout
     instant of each period read, shape (G, len(periods), k), each
     observable's contiguous, and at the end of the last period, shape (G,
-    k): float64 arrays that own their data and nothing more.
+    k), both float64. The readouts are a view of those of the whole blocks
+    that hold the periods read (:func:`kernel_layout`), up to 2K periods
+    more than it reads.
 
     The runs stream in chunks through one working set, cut as
     :func:`kernel_layout` states, whose size does not grow with G; each
@@ -783,7 +782,7 @@ def propagate_periods(
     k = len(read)
     layout = block, blocks, first, sizes, chunk = kernel_layout(n_reps, k, periods.start)
     for name, runs in (("n_reps", 1), ("points", g)):
-        held = kernel_bytes(runs, k, layout, len(periods))
+        held = kernel_bytes(runs, k, layout)
         if held > KERNEL_BUDGET:
             raise FieldError(
                 name,
@@ -791,33 +790,34 @@ def propagate_periods(
                 f"GiB, not {held / 2**30:.3g} GiB",
             )
     work = np.empty_like(period.frequencies, dtype=float, shape=min(g, chunk) * sum(sizes))
-    readouts, final = np.empty((g, k, len(periods))), np.empty((g, k))
+    readouts, final = np.empty((g, k, (blocks - first) * block)), np.empty((g, k))
     x0 = _coordinates(rho0)
     for lo in range(0, g, chunk):
         part, runs = slice(lo, lo + chunk), period
         if chunk < g:  # the period sliced on its run axis
             t_pre = period.t_pre[part] if isinstance(period.t_pre, np.ndarray) else period.t_pre
             runs = replace(period, frequencies=period.frequencies[:, part], t_pre=t_pre)
-        _propagate_chunk(runs, x0, read, periods, layout, work, readouts[part], final[part])
+        _propagate_chunk(runs, x0, read, n_reps, layout, work, readouts[part], final[part])
     if log.isEnabledFor(logging.DEBUG):
         levels, doublings = block.bit_length() - 1, (n_reps // block).bit_length()
-        products = 2 * levels + 2 * doublings + (n_reps % block).bit_count() + 2 + (blocks - first > 3)
+        products = 2 * levels + 2 * doublings + (n_reps % block).bit_count() + 2
         log.debug(
             "propagate_periods: G=%d n_reps=%d read=%d K=%d blocks=%d products=%d work=%d chunks=%d",
             g, n_reps, len(periods), block, blocks, products, work.nbytes, -(-g // chunk),
         )
-    return readouts.transpose(0, 2, 1), final
+    skip = periods.start - first * block
+    return readouts[:, :, skip : skip + len(periods)].transpose(0, 2, 1), final
 
 
 def _propagate_chunk(
-    period: Period, x0, read, periods: range, layout: tuple, work, readouts, final
+    period: Period, x0, read, n_reps: int, layout: tuple, work, readouts, final
 ) -> None:
     """Run the G runs of period from the real state x0 through work; write their values.
 
     read holds the k weighted observable rows, (k, 9), layout the
-    :func:`kernel_layout` of periods and k, and work at least G times its
-    entries. Writes the readouts of the periods read into readouts, (G, k,
-    len(periods)), and the final values into final, (G, k).
+    :func:`kernel_layout` of the call, and work at least G times its
+    entries. Writes the readouts of the blocks read into readouts, (G, k,
+    (blocks - first) K), and the final values into final, (G, k).
 
     The runs go through the folded maps A' and M' of :func:`_write_maps`
     on real 9-vectors: they start from Phi^-1 x0 (x0 for a state with no
@@ -833,11 +833,11 @@ def _propagate_chunk(
     on their own, and it has its own products with the starts and the
     final state), so no product's shape depends on how many are read.
     """
-    g, k, n_reps = period.frequencies.shape[-1], len(read), periods.stop
+    g, k = period.frequencies.shape[-1], len(read)
     block, blocks, first, sizes, _ = layout
     count, rest = n_reps // block + 1, n_reps % block  # block starts; periods after the last
     ends = [0, *accumulate(g * size for size in sizes)]
-    powers, rows, a, starts, slab, product = (work[lo:hi] for lo, hi in zip(ends, ends[1:]))
+    powers, rows, a, starts, slab = (work[lo:hi] for lo, hi in zip(ends, ends[1:]))
     powers = powers.reshape(sizes[0] // 81, g, 9, 9)
     rows = rows.reshape(g, k, block, 9)
     a, starts = a.reshape(g, 9, 9), starts.reshape(g, count, 9)
@@ -871,27 +871,15 @@ def _propagate_chunk(
             np.matmul(power, power, out=spare)
             power, spare = spare, power
     # The blocks read, from first on, by (observable, block, period in
-    # block): products of the starts with each observable's K rows, copied
-    # transposed into the slab the doublings have left: a C-contiguous
-    # operand takes OpenBLAS's faster path. Of more than three blocks, those
-    # between the first and the last come straight into readouts, and the
-    # first and the last through the working set. Never one block of several
-    # (kernel_layout reads the last two at least): numpy multiplies a lone
-    # row by another BLAS routine, other bits.
+    # block): one product of their starts with each observable's K rows,
+    # copied transposed into the slab the doublings have left (a
+    # C-contiguous operand takes OpenBLAS's faster path), straight into
+    # readouts. Never one block of several (kernel_layout reads the last two
+    # at least): numpy multiplies a lone row by another BLAS routine, other
+    # bits.
     columns = slab[: g * k * 9 * block].reshape(g, k, 9, block)
     columns[...] = rows.swapaxes(2, 3)
-    nb, start, stop = blocks - first, periods.start - first * block, n_reps - first * block
-    edges = slice(first, blocks, nb - 1 if nb > 3 else 1)
-    product = product.reshape(g, k, 2 if nb > 3 else nb, block)
-    np.matmul(starts[:, None, edges], columns, out=product)
-    product = product.reshape(g, k, product.shape[2] * block)
-    if nb > 3:
-        inner = readouts[:, :, block - start : (nb - 1) * block - start]
-        np.matmul(starts[:, None, first + 1 : blocks - 1], columns, out=inner.reshape(g, k, nb - 2, block))
-        readouts[:, :, : block - start] = product[:, :, start:block]
-        readouts[:, :, (nb - 1) * block - start :] = product[:, :, block : stop - (nb - 2) * block]
-    else:
-        readouts[...] = product[:, :, start:stop]
+    np.matmul(starts[:, None, first:blocks], columns, out=readouts.reshape(g, k, blocks - first, block))
     vec = starts[:, -1:]
     for i in range(levels):
         if rest >> i & 1:

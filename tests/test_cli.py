@@ -250,8 +250,8 @@ def test_comb_too_many_teeth_exits_three(tmp_path, caplog):
 # kernel's readout rows (1e16 periods, 22.5 GiB at 5 points). A grid of 1e16
 # points is past the bound of scan.points. One of 10^6 points is held by the
 # kernel's budget at n_reps = 1000: its 869 604 distinct |delta_2| return
-# windows of 250 periods, 1.63 GiB for cpt-spectrum and that once per period
-# for multi-resonance.
+# the 17 blocks of 16 periods that hold windows of 250, 1.78 GiB for
+# cpt-spectrum and that once per period for multi-resonance.
 KERNEL_BUDGET_CASES = [
     ("[scan]\npoints = 10000000000000000\n", "cpt-spectrum", "scan.points", ""),
     ("[sequence]\nn_reps = 10000000000000000\n[scan]\npoints = 5\n", "cpt-spectrum",

@@ -318,7 +318,7 @@ def test_a_scan_streamed_in_chunks_is_the_same_bits_and_over_the_budget_names_po
         assert lines == line
         for a, b in zip(whole, chunked):
             assert a.signal.tobytes() == b.signal.tobytes()
-    held = kernel_bytes(644, 1, kernel_layout(20, 1, 15), 5)
+    held = kernel_bytes(644, 1, kernel_layout(20, 1, 15))
     monkeypatch.setattr(dynamics, "KERNEL_BUDGET", held - 1)
     with pytest.raises(FieldError, match="^points must be small enough"):
         multi_resonance_scan(seq, t_seqs)

@@ -417,14 +417,13 @@ def test_kernel_has_no_loop_over_blocks(monkeypatch):
     squarings of M up to M^128, 14 products square a map. Four products take
     a single row through a map: R A, the first doublings of the readout rows
     and of the starts, and the one that carries the last start over the one
-    set bit of the 32 periods after it. Two products of the block starts
-    with the readout rows (neither operand a 9x9 map) give every readout,
-    each one matrix product per observable: the first and the last block
-    (9 x 2 x 128 multiply-adds), and the 155 blocks between them (9 x 155
-    x 128), written straight into the readouts returned. One
-    product of the final state with each observable's row gives the final
-    values. Each observable's readouts come out contiguous, and the readouts
-    returned own their 20000 periods alone.
+    set bit of the 32 periods after it. One product of the starts of the
+    157 blocks read with the readout rows (neither operand a 9x9 map), one
+    matrix product per observable (9 x 157 x 128 multiply-adds), gives
+    every readout, written straight into the array the readouts returned
+    are a view of. One product of the final state with each observable's
+    row gives the final values. Each observable's readouts come out
+    contiguous, and the array they view holds the 157 whole blocks.
     """
     n_reps, k, block = 20000, 5, 128
     blocks = -(-n_reps // block)
@@ -436,10 +435,10 @@ def test_kernel_has_no_loop_over_blocks(monkeypatch):
     )
     products = kernel_products()
     reads = [shapes for shapes in products if (9, 9) not in shapes]
-    assert reads == [[(2, 9), (9, block)], [(blocks - 2, 9), (9, block)], [(1, 9), (9, 1)]]
+    assert reads == [[(blocks, 9), (9, block)], [(1, 9), (9, 1)]]
     stacks = [shapes for name, shapes in Recorded.log if name == "matmul" and (9, block) in
               [s[-2:] for s in shapes]]
-    assert stacks == [[(1, 1, 2, 9), (1, k, 9, block)], [(1, 1, blocks - 2, 9), (1, k, 9, block)]]
+    assert stacks == [[(1, 1, blocks, 9), (1, k, 9, block)]]
     finals = [shapes for name, shapes in Recorded.log if name == "matmul" and (9, 1) in
               [s[-2:] for s in shapes]]
     assert finals == [[(1, 1, 1, 9), (k, 9, 1)]]
@@ -456,7 +455,7 @@ def test_kernel_has_no_loop_over_blocks(monkeypatch):
     assert all(readouts[0, :, c].flags.c_contiguous for c in range(k))
     assert final.dtype == np.float64 and final.shape == (1, k)
     buffer = owner(readouts)
-    assert buffer.dtype == np.float64 and buffer.size == n_reps * k
+    assert buffer.dtype == np.float64 and buffer.size == blocks * block * k
 
 
 def column_gains_trace(period):
@@ -540,10 +539,11 @@ def test_wide_spectrum_holds_one_chunk_and_its_outputs():
     """A 200 001-point cpt_dip.ini spectrum, in a new interpreter, peaks within
     16 MiB of the resident set it held before cpt_spectrum plus what its one
     kernel call holds (kernel_bytes: one chunk's working set and the readouts
-    and final values of its 141 793 distinct |delta_2|, 19.9 MiB). The 16 MiB
-    cover what grows with the grid outside the kernel (the distinct values and
-    their inverse, the period's frame frequencies: about 6 MiB), a chunk's
-    map-build temporaries and the allocator's slack. Holding the working set
+    of the 3 blocks that hold the window and the final values of its 141 793
+    distinct |delta_2|, 22.1 MiB). The 16 MiB cover what grows with the grid
+    outside the kernel (the distinct values and their inverse, the period's
+    frame frequencies: about 6 MiB), a chunk's map-build temporaries and the
+    allocator's slack. Holding the working set
     of every run at once, as the kernel did before it streamed its runs in
     chunks, peaked 540 MB above that resident set.
     """
@@ -556,7 +556,7 @@ def test_wide_spectrum_holds_one_chunk_and_its_outputs():
         f"cfg = load_config({str(CONFIGS / 'cpt_dip.ini')!r}); "
         "seq = cfg.seq; grid = np.linspace(*cfg.scan_grid[:2], 200_001); "
         "runs = len(np.unique(np.abs(grid))); "
-        "held = kernel_bytes(runs, 1, kernel_layout(seq.n_reps, 1, 30), 10); "
+        "held = kernel_bytes(runs, 1, kernel_layout(seq.n_reps, 1, 30)); "
         "assert seq.n_reps == 40 and seq.lam.delta_1 == 0 and runs == 141_793; "
         "before = status('VmRSS:'); "
         "signal = cpt_spectrum(seq, seq.lam.delta_1, grid).signal; "
@@ -580,19 +580,19 @@ def test_kernel_logs_one_debug_line_per_call(monkeypatch, caplog):
     period = recorded(long_chain(3))
     with caplog.at_level(logging.DEBUG, logger="lambda_cpt.dynamics"):
         propagate_periods(period, thermal_ground_state(), range(65), OBSERVABLES[:5])
-    # R A and the two readout products (the first and last of the 9 blocks,
-    # and the 7 between them), 3 rows doublings and 3 squarings up to
-    # M^8, 4 doublings of the starts and 3 squarings of their power, M for the
-    # one period after the last whole block, and the final values.
-    assert len(kernel_products()) == 18
+    # R A and the readout product of the 9 blocks, 3 rows doublings and 3
+    # squarings up to M^8, 4 doublings of the starts and 3 squarings of their
+    # power, M for the one period after the last whole block, and the final
+    # values.
+    assert len(kernel_products()) == 17
     # The working set, 8 bytes per entry: the 3 powers M, M^2 and M^4, 8 x 5
     # readout rows, the power, 9 block starts, a slab of max(9, 8 x 5) rows
     # for the map build, the power's other slot and then the readout rows
-    # transposed, and the 5 x 2 x 8 readouts of the first and the last block.
-    work = 8 * 3 * (3 * 81 + 8 * 5 * 9 + 81 + 9 * 9 + 9 * max(9, 8 * 5) + 5 * 2 * 8)
+    # transposed.
+    work = 8 * 3 * (3 * 81 + 8 * 5 * 9 + 81 + 9 * 9 + 9 * max(9, 8 * 5))
     lines = [r.getMessage() for r in caplog.records if r.name == "lambda_cpt.dynamics"]
     assert lines == [
-        f"propagate_periods: G=3 n_reps=65 read=65 K=8 blocks=9 products=18 work={work} chunks=1"
+        f"propagate_periods: G=3 n_reps=65 read=65 K=8 blocks=9 products=17 work={work} chunks=1"
     ]
     caplog.clear()
     with caplog.at_level(logging.WARNING, logger="lambda_cpt.dynamics"):
@@ -617,12 +617,12 @@ def test_kernel_bytes_is_what_a_call_holds(caplog, g, n_reps, k, start):
         )
     assert readouts.shape == (g, n_reps - start, k) and final.shape == (g, k)
     work = int(caplog.records[-1].getMessage().split("work=")[1].split()[0])
-    held = kernel_bytes(g, k, kernel_layout(n_reps, k, start), n_reps - start)
+    held = kernel_bytes(g, k, kernel_layout(n_reps, k, start))
     assert held == work + owner(readouts).nbytes + owner(final).nbytes
 
 
 # A single run of 1e16 periods would hold 7.5e7 GiB, and 10^5 runs of a
-# spectrum's window at 10^6 periods return 186 GiB of readouts, 2 MB a run.
+# spectrum's window at 10^6 periods return 187 GiB of readouts, 2 MB a run.
 @pytest.mark.parametrize(
     "field, g, periods",
     [("n_reps", 1, range(10**16)), ("points", 10**5, range(750_000, 10**6))],
@@ -637,7 +637,7 @@ def test_kernel_over_its_budget_raises_before_allocating(field, g, periods):
     finally:
         tracemalloc.stop()
     layout = kernel_layout(periods.stop, 1, periods.start)
-    assert kernel_bytes(g, 1, layout, len(periods)) > KERNEL_BUDGET
+    assert kernel_bytes(g, 1, layout) > KERNEL_BUDGET
     assert peak < 64 * 1024
 
 
@@ -682,7 +682,7 @@ def test_runs_in_uneven_chunks_are_the_bits_of_one_call_per_run(monkeypatch, cap
     with caplog.at_level(logging.DEBUG, logger="lambda_cpt.dynamics"):
         readouts, final = propagate_periods(period, rho0, periods, OBSERVABLES[:k])
     assert caplog.records[-1].getMessage().endswith(f" work={3 * run} chunks=3")
-    held = kernel_bytes(7, k, kernel_layout(periods.stop, k, periods.start), len(periods))
+    held = kernel_bytes(7, k, kernel_layout(periods.stop, k, periods.start))
     assert held == 3 * run + owner(readouts).nbytes + owner(final).nbytes
     for g in range(7):
         alone = replace(
@@ -742,22 +742,21 @@ def test_kernel_holds_its_working_set_once_and_keeps_only_its_outputs():
     The working set is one buffer of 8 bytes per entry: the powers M, M^2
     and M^4 (3 x 81 per point), the readout rows (K k 9 = 72), a power
     (81), the starts of the 10 whole blocks and of the end (9 x 11), the
-    slab of the map build and the power's other slot (9 x 9), and the
-    readouts of the 3 blocks that hold the window (3 K k). The outputs
-    are allocated beside it: the readouts of the window's 20 periods and
-    the final values. The traced peak stays within both plus 2 map stacks
-    of temporaries for the map build, the lift of U to rho -> U rho
-    U^dagger holding three (3, 6, G) complex stacks at its largest. After
-    the call, the only new array data is what the outputs own, and the
-    readouts own their window alone.
+    slab of the map build and the power's other slot (9 x 9). The outputs
+    are allocated beside it: the readouts of the 3 blocks that hold the
+    window's 20 periods (3 K k), which the returned readouts view, and the
+    final values. The traced peak stays within both plus 2 map stacks of
+    temporaries for the map build, the lift of U to rho -> U rho U^dagger
+    holding three (3, 6, G) complex stacks at its largest. After the call,
+    the only new array data is what the outputs own.
     """
     g, k, block, blocks = 321, 1, 8, 10
     seq = parse_config(LONG_CHAIN).seq
     period = period_form(seq, seq.lam.delta_1 + np.linspace(-0.06, 0.06, g))
     window, excited = range(60, 80), [np.diag([0.0, 0.0, 1.0])]
     first = propagate_periods(period, thermal_ground_state(), window, excited)
-    work = 8 * g * (3 * 81 + block * k * 9 + 81 + 9 * (blocks + 1) + 9 * 9 + 3 * block * k)
-    returned = 8 * g * k * (len(window) + 1)
+    work = 8 * g * (3 * 81 + block * k * 9 + 81 + 9 * (blocks + 1) + 9 * 9)
+    returned = 8 * g * k * (3 * block + 1)
     tracemalloc.start()
     try:
         before = numpy_bytes()
@@ -769,11 +768,36 @@ def test_kernel_holds_its_working_set_once_and_keeps_only_its_outputs():
     finally:
         tracemalloc.stop()
     assert work + returned <= peak <= work + returned + 2.0 * 8 * 81 * g
-    assert owner(readouts).nbytes == 8 * g * len(window) * k
     outputs = {id(owner(x)): owner(x).nbytes for x in (readouts, final)}
-    assert sorted(outputs.values()) == [8 * g * k, 8 * g * len(window) * k]
+    assert sorted(outputs.values()) == [8 * g * k, 8 * g * 3 * block * k]
     assert kept == sum(outputs.values())
     assert np.array_equal(readouts, first[0]) and np.array_equal(final, first[1])
+
+
+def test_returned_readouts_view_the_whole_blocks_read(monkeypatch):
+    """For every n_reps up to 300 and every first period read, none read
+    included, the returned readouts view an array that holds the (blocks -
+    first) K periods of the blocks read per run and observable, at most 2K
+    more than the periods read, and each observable's readouts of a run are
+    contiguous. The period's maps are built once and handed to every call."""
+    g, k = 2, 2
+    period, rho0 = long_chain(g), thermal_ground_state()
+    a, m = np.empty((g, 9, 9)), np.empty((g, 9, 9))
+    turn = dynamics._write_maps(period, a, m, np.empty((9, 9, g)))
+
+    def built(_, a_out, m_out, work):
+        a_out[...], m_out[...] = a, m
+        return turn
+
+    monkeypatch.setattr(dynamics, "_write_maps", built)
+    for n_reps in range(1, 301):
+        for start in range(n_reps + 1):
+            block, blocks, first, _, _ = kernel_layout(n_reps, k, start)
+            readouts, _ = propagate_periods(period, rho0, range(start, n_reps), OBSERVABLES[:k])
+            held = (blocks - first) * block
+            assert owner(readouts).size == g * k * held, (n_reps, start)
+            assert held <= n_reps - start + 2 * block, (n_reps, start)
+            assert readouts.strides[1] == readouts.itemsize, (n_reps, start)
 
 
 def test_period_maps_hand_off_c_contiguous_float64_maps():
